@@ -1,9 +1,10 @@
-"""Batch executor — vectorised sweep vs serial wall-clock and parity.
+"""Batch engine — vectorised sweep vs serial wall-clock and parity.
 
-The batch engine's contract: ``executor="batch"`` is bit-identical to the
-serial engine for every ``(seed, circuit)`` while executing a homogeneous
-parameter sweep (one gate structure, many angles) as a handful of stacked
-matmuls instead of per-circuit evolutions.
+The batch engine's contract: the service's batched execution is
+bit-identical to the serial engine (``Backend.execute_circuit``) for every
+``(seed, circuit)`` while executing a homogeneous parameter sweep (one gate
+structure, many angles) as a handful of stacked matmuls instead of
+per-circuit evolutions.
 
 The >= 3x speedup assertion is gated on available CPUs, mirroring
 ``test_bench_parallel_eval``: on a starved single-core container BLAS and
@@ -59,16 +60,14 @@ def _counts(result, n):
     return [result.get_counts(i) for i in range(n)]
 
 
-def test_bench_batch_sweep_cold_cache(once):
+def test_bench_batch_sweep_cold_cache(once, serial_reference):
     circuits = _sweep_circuits()
 
-    serial_svc = ExecutionService(executor="thread")
     start = time.perf_counter()
-    serial = serial_svc.run(circuits, shots=SHOTS, seed=SEED).result()
+    serial = [c for c, _ in serial_reference(None, circuits, SHOTS, SEED)]
     serial_time = time.perf_counter() - start
-    serial_svc.shutdown()
 
-    batch_svc = ExecutionService(executor="batch")
+    batch_svc = ExecutionService()
     start = time.perf_counter()
     batch = once(
         lambda: batch_svc.run(circuits, shots=SHOTS, seed=SEED).result()
@@ -76,7 +75,7 @@ def test_bench_batch_sweep_cold_cache(once):
     batch_time = time.perf_counter() - start
 
     # Parity always: the batch sweep is bit-identical to serial, per unit.
-    assert _counts(batch, SWEEP) == _counts(serial, SWEEP)
+    assert _counts(batch, SWEEP) == serial
 
     # The whole cold sweep took the vectorised path, in one structure group.
     stats = batch_svc.stats()
@@ -96,5 +95,5 @@ def test_bench_batch_sweep_cold_cache(once):
     )
     if cpus >= SPEEDUP_MIN_CPUS:
         assert speedup >= 3.0, (
-            f"batch executor only {speedup:.2f}x faster on {cpus} CPUs"
+            f"batch engine only {speedup:.2f}x faster on {cpus} CPUs"
         )

@@ -61,15 +61,15 @@ def _counts(result, n):
     return [result.get_counts(i) for i in range(n)]
 
 
-def test_bench_variational_sweep_cold(once):
+def test_bench_variational_sweep_cold(once, serial_reference):
     # Legacy path: one concrete circuit per point, each transpiled from
-    # scratch, simulated serially.
-    legacy_svc = ExecutionService(executor="thread")
+    # scratch, simulated serially on the engine itself.
+    legacy_svc = ExecutionService()
     start = time.perf_counter()
     legacy_lowered = [
         legacy_svc.transpile(_build(v), basis_gates=BASIS) for v in _points()
     ]
-    legacy = legacy_svc.run(legacy_lowered, shots=SHOTS, seed=SEED).result()
+    legacy = [c for c, _ in serial_reference(None, legacy_lowered, SHOTS, SEED)]
     legacy_time = time.perf_counter() - start
     legacy_stats = legacy_svc.stats()
     legacy_svc.shutdown()
@@ -77,7 +77,7 @@ def test_bench_variational_sweep_cold(once):
     # Parameterized path: bind one template per point; the bound fast path
     # lowers the template once, the batch planner groups the whole sweep.
     template = _build(Parameter("theta"))
-    param_svc = ExecutionService(executor="batch")
+    param_svc = ExecutionService()
 
     def sweep():
         lowered = [
@@ -91,7 +91,7 @@ def test_bench_variational_sweep_cold(once):
     param_time = time.perf_counter() - start
 
     # Parity always: late binding is bit-identical to concrete building.
-    assert _counts(param, SWEEP) == _counts(legacy, SWEEP)
+    assert _counts(param, SWEEP) == legacy
 
     param_stats = param_svc.stats()
     param_svc.shutdown()

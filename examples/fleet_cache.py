@@ -17,9 +17,8 @@ In production the server runs standalone:
     repro cache-server --dir /var/cache/repro --port 8750 --max-bytes 100000000
     REPRO_CACHE_URL=http://cachehost:8750 repro eval scot --exec-stats
 
-``REPRO_EXECUTOR`` is honoured (e.g. ``REPRO_EXECUTOR=batch`` routes worker
-A's cold misses through the vectorised batch engine — results stay
-bit-identical, so worker B's warm lookups still hit).
+Worker A's cold misses run on the vectorised batch engine — results are
+bit-identical to the serial engine, so worker B's warm lookups still hit.
 
 Run:  python examples/fleet_cache.py
 """
@@ -28,12 +27,7 @@ import tempfile
 from pathlib import Path
 
 from repro.quantum import QuantumCircuit
-from repro.quantum.execution import (
-    CacheLimits,
-    CacheServer,
-    ExecutionService,
-    executor_from_env,
-)
+from repro.quantum.execution import CacheLimits, CacheServer, ExecutionService
 
 
 def workload() -> list[QuantumCircuit]:
@@ -59,10 +53,8 @@ def main() -> None:
     ).start()
     print(f"cache server listening at {server.url} (store: {server.disk.cache_dir})")
 
-    executor = executor_from_env()
     worker_a = ExecutionService(
-        max_workers=2, cache_dir=root / "worker-a", remote_url=server.url,
-        executor=executor,
+        max_workers=2, cache_dir=root / "worker-a", remote_url=server.url
     )
     counts_a = worker_a.submit(workload(), shots=500, seed=11).result(timeout=60)
     stats_a = worker_a.stats()
@@ -72,16 +64,14 @@ def main() -> None:
         "and published the results"
     )
     print(
-        f"worker A executor={stats_a['executor']}: "
+        f"worker A batch engine: "
         f"simulations_batched={stats_a['simulations_batched']}, "
         f"batch_groups={stats_a['batch_groups']}"
     )
     worker_a.shutdown()
 
     # Worker B has *no* local cache at all — a freshly provisioned machine.
-    worker_b = ExecutionService(
-        max_workers=2, remote_url=server.url, executor=executor
-    )
+    worker_b = ExecutionService(max_workers=2, remote_url=server.url)
     counts_b = worker_b.submit(workload(), shots=500, seed=11).result(timeout=60)
     stats_b = worker_b.stats()
     print(

@@ -8,11 +8,9 @@ The sweep runs through the shared ExecutionService: every (distance, rate)
 point is an asynchronous, cacheable job on the ``qec_memory`` backend.  Pass
 ``--cache-dir DIR`` and run the script twice — the second run performs zero
 memory-experiment simulations, it is replayed entirely from the persistent
-result cache.  ``--executor process`` fans the decoding shots across worker
-processes instead of GIL-bound threads.
+result cache.
 
-Run:  python examples/surface_code_threshold.py [--quick]
-          [--cache-dir DIR] [--executor thread|process]
+Run:  python examples/surface_code_threshold.py [--quick] [--cache-dir DIR]
 """
 
 import sys
@@ -33,8 +31,7 @@ def _flag_value(argv: list[str], flag: str) -> str | None:
 
 def main(quick: bool = False) -> None:
     cache_dir = _flag_value(sys.argv, "--cache-dir")
-    executor = _flag_value(sys.argv, "--executor") or "thread"
-    service = ExecutionService(cache_dir=cache_dir, executor=executor)
+    service = ExecutionService(cache_dir=cache_dir)
     set_default_service(service)
 
     distances = [3, 5] if quick else [3, 5, 7]
@@ -63,7 +60,7 @@ def main(quick: bool = False) -> None:
     )
     stats = service.stats()
     print(
-        f"\nexecution service [{stats.get('executor')}]: "
+        f"\nexecution service: "
         f"{stats.get('simulations', 0)} memory-experiment simulations, "
         f"{stats.get('cache_hits', 0)} cache hits "
         f"({stats.get('cache_disk_hits', 0)} from disk)"

@@ -1,8 +1,10 @@
-"""Legacy setup shim.
+"""Package metadata; the repo has no ``pyproject.toml``.
 
-The offline build environment lacks the ``wheel`` package, so PEP 660
-editable installs cannot run; this file lets ``pip install -e .`` fall back to
-``setup.py develop``.  All metadata lives in pyproject.toml.
+``pip install -e .`` installs the runtime dependencies (numpy, networkx) and
+``pip install -e ".[test]"`` adds pytest, pytest-benchmark, hypothesis and
+scipy (two test files draw random unitaries from ``scipy.stats``), everything
+tier-1 imports.  An editable install needs the ``wheel`` package; without it,
+run from a checkout with ``PYTHONPATH=src`` instead.
 """
 
 from setuptools import find_packages, setup
@@ -13,4 +15,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
+    install_requires=["numpy", "networkx"],
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+    },
 )

@@ -12,12 +12,10 @@ Commands
                            across N worker processes — bit-identical to the
                            serial run — with ``--progress`` showing a meter;
                            ``--cache-dir`` persists execution results on disk
-                           so a repeat run simulates nothing, ``--remote-cache
-                           URL`` shares a warm store across machines,
-                           ``--executor process`` fans simulation across
-                           worker processes and ``--executor batch`` runs
-                           compatible cache misses on the vectorised
-                           batch-axis engine
+                           so a repeat run simulates nothing and
+                           ``--remote-cache URL`` shares a warm store across
+                           machines; cache misses always run on the
+                           vectorised batch-axis engine where they can
 ``demo``                   one multi-agent generation episode, verbose
 ``lint``                   run the static circuit analyzer over QASM files,
                            one task's reference program (``--task``), or the
@@ -263,7 +261,6 @@ def _cmd_eval(args) -> int:
     from repro.quantum.execution import (
         ExecutionService,
         default_service,
-        executor_from_env,
         set_default_service,
         validate_from_env,
     )
@@ -278,8 +275,8 @@ def _cmd_eval(args) -> int:
         # read and a pre-warmed store is actually consulted.
         served, ephemeral = _served_dir(args.cache_dir)
     cache_dir = args.cache_dir or served
-    if cache_dir or args.remote_cache or args.executor or args.validate:
-        # Rebuild the shared service with the requested persistence/executor;
+    if cache_dir or args.remote_cache or args.validate:
+        # Rebuild the shared service with the requested persistence/pre-flight;
         # everything downstream (sandboxed programs, graders, QEC memory
         # experiments) funnels through it.  The REPRO_CACHE_MAX_* bounds
         # apply here exactly as they do to the env-built default service.
@@ -292,7 +289,6 @@ def _cmd_eval(args) -> int:
                     CacheLimits.from_env() if cache_dir else None
                 ),
                 remote_url=args.remote_cache or None,
-                executor=args.executor or executor_from_env(),
                 validate=args.validate or validate_from_env(),
             ),
             shutdown_previous=True,
@@ -331,7 +327,6 @@ def _cmd_eval(args) -> int:
             f"{stats.get('cache_remote_hits', 0)} from remote), "
             f"{stats.get('transpiles', 0)} transpiles "
             f"({stats.get('transpile_cache_hits', 0)} transpile cache hits), "
-            f"executor={stats.get('executor', 'thread')}, "
             f"validate={stats.get('validate', 'off')}"
         )
         if "cache_dir" in stats:
@@ -538,7 +533,6 @@ def _cmd_eval_worker(args) -> int:
         ExecutionService,
         RemoteResultCache,
         ResultCache,
-        executor_from_env,
         set_default_service,
     )
     from repro.quantum.execution.dispatch import run_worker
@@ -550,13 +544,8 @@ def _cmd_eval_worker(args) -> int:
         # default a worker shares results through the very server that hands
         # it work — zero simulations against a warm store.
         remote = RemoteResultCache(cache_url, token=token)
-        # REPRO_EXECUTOR still applies: a fleet can run its workers with
-        # executor=batch (or process) while sharing one remote store.
         set_default_service(
-            ExecutionService(
-                cache=ResultCache(remote=remote),
-                executor=executor_from_env(),
-            ),
+            ExecutionService(cache=ResultCache(remote=remote)),
             shutdown_previous=True,
         )
         print(f"sharing execution results via {cache_url}", file=sys.stderr)
@@ -687,8 +676,7 @@ def _cmd_backends(_args) -> int:
         )
     stats = default_service().stats()
     print(
-        f"\nexecution service [{stats.get('executor', 'thread')}, "
-        f"validate={stats.get('validate', 'off')}]: "
+        f"\nexecution service [validate={stats.get('validate', 'off')}]: "
         f"{stats.get('simulations', 0)} simulations, "
         f"{stats.get('simulations_batched', 0)} batched "
         f"({stats.get('batch_groups', 0)} groups), "
@@ -897,11 +885,6 @@ def main(argv: list[str] | None = None) -> int:
         "--remote-cache", dest="remote_cache", default=None, metavar="URL",
         help="share execution results with a 'repro cache-server' at this "
         "URL (a cold worker pointed at a warm server simulates nothing)",
-    )
-    eval_parser.add_argument(
-        "--executor", choices=("thread", "process", "batch"), default=None,
-        help="strategy for cache misses: thread pool, process pool, or the "
-        "vectorised batch engine (default: $REPRO_EXECUTOR or thread)",
     )
     eval_parser.add_argument(
         "--validate", choices=("off", "warn", "strict"), default=None,

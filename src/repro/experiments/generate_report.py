@@ -138,8 +138,8 @@ def _execution_section() -> ExperimentResult:
     experiment.add(
         "simulations batched", None,
         float(stats.get("simulations_batched", 0)),
-        unit="", note="subset executed by the vectorised batch engine "
-        f"(executor=batch), in {stats.get('batch_groups', 0)} group(s)",
+        unit="", note="subset executed by the vectorised batch engine, in "
+        f"{stats.get('batch_groups', 0)} group(s); the rest ran serially",
     )
     experiment.add(
         "programs validated", None,
@@ -193,8 +193,7 @@ def _execution_section() -> ExperimentResult:
         )
         experiment.extras.append(
             f"persistent cache tier: {len(disk)} entries under "
-            f"{disk.cache_dir}{bounds}{evicted} "
-            f"(executor strategy: {stats.get('executor', 'thread')})."
+            f"{disk.cache_dir}{bounds}{evicted}."
         )
     if service.cache is not None and service.cache.remote is not None:
         remote = service.cache.remote

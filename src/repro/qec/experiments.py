@@ -22,17 +22,16 @@ backend, which buys
   invocation (same code, decoder, rates, seed) is a content-addressed cache
   hit, persisted across processes when the service has a disk tier;
 * **batching** — ``threshold_sweep`` submits every rate of a distance as
-  asynchronous jobs that fan out across the service's worker pool (real
-  parallelism under ``executor="process"``);
+  asynchronous jobs that fan out across the service's worker pool;
 * **observability** — decoder benchmarking now shows up in
   ``service.stats()`` next to circuit simulation counters.
 
 The per-shot randomness is derived by
 :func:`repro.qec.syndrome.memory_shot_rng` exactly as the pre-service inline
 loop derived it, so routed results are bit-identical to the legacy path.
-Decoders the service cannot reconstruct in a worker process (anything other
-than the stock MWPM/union-find/lookup decoders bound to the experiment's code
-and error type) transparently fall back to the inline loop.
+Decoders the service cannot rebuild from a spec (anything other than the
+stock MWPM/union-find/lookup decoders bound to the experiment's code and
+error type) transparently fall back to the inline loop.
 """
 
 from __future__ import annotations
@@ -101,8 +100,8 @@ class MemoryExperimentSpec:
     """Everything that determines a memory experiment's failure statistics.
 
     The spec (not any live decoder object) is what travels through the
-    execution subsystem, so it must be picklable for the process-pool
-    executor and content-hashable for the result cache.
+    execution subsystem, so it must be content-hashable for the result
+    cache.
     """
 
     code: CSSCode
@@ -166,7 +165,7 @@ def _classify_decoder(
     """Map a live decoder to a routable ``(kind, args)`` spec, or ``None``.
 
     ``None`` means the ExecutionService cannot faithfully rebuild this
-    decoder in a worker (custom class, different code object, or an error
+    decoder from a spec (custom class, different code object, or an error
     type other than the one it was constructed for) and the caller must use
     the inline loop.
     """
@@ -193,8 +192,7 @@ class MemoryExperimentCircuit(QuantumCircuit):
     representable 32-bit rotation angles), which is all the content-addressed
     result cache hashes — two experiments collide exactly when their specs
     match.  The live :class:`MemoryExperimentSpec` rides along for the
-    ``qec_memory`` backend (and pickles with the circuit for process-pool
-    workers).
+    ``qec_memory`` backend.
     """
 
     def __init__(self, spec: MemoryExperimentSpec) -> None:

@@ -7,11 +7,10 @@ The cooperating pieces (see the per-module docstrings for detail):
   (``get_backend("fake_brisbane")``, ``register_backend(...)``, aliases);
 * :mod:`~repro.quantum.execution.service` — the :class:`ExecutionService`
   worker pool that accepts batched submissions and returns async
-  :class:`ExecutionJob` handles (``QUEUED -> RUNNING -> DONE/ERROR``), with
-  a pluggable ``executor="thread"|"process"|"batch"`` strategy (``batch``
-  groups compatible misses onto the vectorised engine in
-  :mod:`repro.quantum.batchsim`) and single-flight deduplication of
-  concurrent identical executions;
+  :class:`ExecutionJob` handles (``QUEUED -> RUNNING -> DONE/ERROR``); it
+  plans every submission's cache misses onto the vectorised engine in
+  :mod:`repro.quantum.batchsim` and deduplicates concurrent identical
+  executions (single flight);
 * :mod:`~repro.quantum.execution.cache` — a content-addressed
   :class:`ResultCache` keyed by circuit/backend/shots/seed/noise fingerprints,
   with hit/miss counters surfaced through ``service.stats()``;
@@ -47,8 +46,6 @@ The cooperating pieces (see the per-module docstrings for detail):
   circuits by (circuit, coupling, basis, layout, level) fingerprints and
   stores them through the same three cache tiers, so a fleet transpiles each
   logical circuit once, ever;
-* :mod:`~repro.quantum.execution.pool` — picklable :class:`WorkUnit`\\ s and
-  the child-process worker behind the process executor;
 * :mod:`~repro.quantum.execution.scopes` — attributable per-caller counters:
   ``with service.stats_scope() as scope:`` captures exactly the work a block
   initiated (sync or async), so concurrent users — e.g. two evaluation arms —
@@ -84,7 +81,6 @@ from repro.quantum.execution.dispatch import (
 from repro.quantum.execution.jobs import ExecutionJob, JobStatus
 from repro.quantum.execution.jobstore import JobStore
 from repro.quantum.execution.metrics import METRICS_CONTENT_TYPE, serving_metrics
-from repro.quantum.execution.pool import EXECUTOR_KINDS, WorkUnit, run_work_unit
 from repro.quantum.execution.remote_cache import (
     CACHE_TOKEN_ENV,
     CacheServer,
@@ -122,7 +118,6 @@ from repro.quantum.execution.service import (
     ambient_seed,
     default_service,
     execute,
-    executor_from_env,
     set_default_service,
     validate_from_env,
 )
@@ -139,7 +134,6 @@ __all__ = [
     "CacheStats",
     "DiskResultCache",
     "RemoteResultCache",
-    "EXECUTOR_KINDS",
     "ExecutionJob",
     "ExecutionService",
     "JobStatus",
@@ -158,16 +152,13 @@ __all__ = [
     "VALIDATE_ENV",
     "VALIDATE_MODES",
     "WorkQueue",
-    "WorkUnit",
     "run_worker",
-    "run_work_unit",
     "basis_fingerprint",
     "circuit_fingerprint",
     "coupling_fingerprint",
     "transpile_cache_key",
     "default_service",
     "execute",
-    "executor_from_env",
     "get_backend",
     "list_backends",
     "noise_fingerprint",

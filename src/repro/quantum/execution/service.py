@@ -8,6 +8,16 @@ compatibility shim) submits work here, which buys:
   shots=1024, seed=7)`` fans the circuits out across a worker pool and
   returns one :class:`~repro.quantum.execution.jobs.ExecutionJob` whose
   ``result()`` preserves submission order;
+* **vectorised simulation** — cache misses are always planned by
+  :mod:`repro.quantum.batchsim`: misses sharing one compacted gate structure
+  evolve together on a batch axis, and a noisy unit's trajectory shots
+  evolve together.  Everything else takes the SERIAL route one circuit at a
+  time: conditional (``c_if``) circuits, whose noise draws depend on
+  measured bits; over-wide or defective circuits, so the serial engine
+  raises its canonical error; and backends that override
+  ``execute_circuit``.  Results are bit-identical to the serial engine per
+  ``(seed, circuit)``, and the ``simulations_batched`` / ``batch_groups``
+  counters report how much work took the vectorised path;
 * **an async job lifecycle** — ``QUEUED -> RUNNING -> DONE/ERROR``, with
   ``job.result(timeout=...)`` and best-effort ``job.cancel()``;
 * **content-addressed caching** — deterministic executions (``seed`` given)
@@ -28,17 +38,6 @@ compatibility shim) submits work here, which buys:
   memory and disk, so a *fleet* of workers on different machines shares one
   warm store served by ``repro cache-server``; a dead server degrades to
   cache misses, never errors;
-* **a pluggable executor strategy** — ``executor="thread"`` (default) keeps
-  the GIL-sharing pool; ``executor="process"`` ships cache misses to a
-  ``ProcessPoolExecutor`` as picklable work units (see
-  :mod:`~repro.quantum.execution.pool`) for real parallelism on dense
-  statevector sweeps, falling back to in-process execution for backends that
-  cannot be reconstructed by name in a child; ``executor="batch"`` groups
-  compatible misses (same compacted gate structure) and simulates each group
-  on one vectorised batch axis (see :mod:`repro.quantum.batchsim`), with
-  results bit-identical to the serial engine per ``(seed, circuit)`` and the
-  ``simulations_batched`` / ``batch_groups`` counters reporting how much
-  work took the vectorised path;
 * **single-flight simulation** — concurrent misses on an identical cache key
   elect one leader to simulate while the rest wait for its cache fill
   (``simulations_deduped`` in :meth:`ExecutionService.stats`), so a batch of
@@ -56,9 +55,12 @@ the pre-service behaviour of ``Backend.run`` (a fresh generator per call), so
 single-circuit executions — the overwhelming majority — produce bit-identical
 counts to the legacy path while every circuit stays independently cacheable.
 
-Synchronous callers use :meth:`ExecutionService.run` (same semantics, same
-cache, executed inline on the calling thread) or the module-level
-:func:`execute` convenience on the shared :func:`default_service`.
+Synchronous callers use :meth:`ExecutionService.run` or the module-level
+:func:`execute` convenience on the shared :func:`default_service`.  ``run``
+and ``submit`` share one flow: probe the cache for every circuit, plan the
+misses, run each planned group, fill the result slots.  ``run`` runs the
+groups inline on the calling thread, in plan order; ``submit`` gives each
+batchable group, and each SERIAL unit, its own pool task.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import threading
 import warnings
 import weakref
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 from repro.errors import BackendError, TranspilerError, ValidationError
@@ -87,14 +89,7 @@ from repro.quantum.execution.cache import (
     noise_fingerprint,
 )
 from repro.quantum.execution.disk_cache import CacheLimits, DiskResultCache
-from repro.quantum.execution.jobs import ExecutionJob, JobStatus
-from repro.quantum.execution.pool import (
-    EXECUTOR_KINDS,
-    WorkUnit,
-    make_process_pool,
-    offloadable,
-    run_work_unit,
-)
+from repro.quantum.execution.jobs import ExecutionJob
 from repro.quantum.execution.registry import resolve_backend
 from repro.quantum.execution.remote_cache import RemoteResultCache
 from repro.quantum.execution.scopes import (
@@ -109,8 +104,6 @@ from repro.utils.rng import derive_seed
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Environment variable that points the default service at a cache server.
 CACHE_URL_ENV = "REPRO_CACHE_URL"
-#: Environment variable that picks the default service's executor strategy.
-EXECUTOR_ENV = "REPRO_EXECUTOR"
 #: Environment variable that picks the default service's pre-flight mode.
 VALIDATE_ENV = "REPRO_VALIDATE"
 
@@ -159,7 +152,7 @@ def _ambient_seed() -> int | None:
 
 
 class _Batch:
-    """Book-keeping for one submitted job's outstanding circuits."""
+    """Book-keeping for one submission's outstanding circuits."""
 
     def __init__(
         self,
@@ -168,12 +161,14 @@ class _Batch:
         backend: Backend,
         shots: int,
         seed: int | None,
-        scopes: tuple[StatsScope, ...] = (),
+        memory: bool,
+        scopes: tuple[StatsScope, ...],
     ) -> None:
         self.job = job
         self.backend = backend
         self.shots = shots
         self.seed = seed
+        self.memory = memory
         #: Stats scopes active on the *submitting* thread: pool workers credit
         #: these, so async work stays attributed to whoever submitted it.
         self.scopes = scopes
@@ -195,15 +190,10 @@ class ExecutionService:
         cache_dir: str | os.PathLike | None = None,
         cache_limits: CacheLimits | None = None,
         remote_url: str | None = None,
-        executor: str = "thread",
         validate: str = "off",
     ) -> None:
         if max_workers <= 0:
             raise BackendError(f"max_workers must be positive, got {max_workers}")
-        if executor not in EXECUTOR_KINDS:
-            raise BackendError(
-                f"executor must be one of {EXECUTOR_KINDS}, got {executor!r}"
-            )
         if validate not in VALIDATE_MODES:
             raise BackendError(
                 f"validate must be one of {VALIDATE_MODES}, got {validate!r}"
@@ -228,7 +218,6 @@ class ExecutionService:
                 "to enable the persistent tiers"
             )
         self.max_workers = max_workers
-        self.executor = executor
         self.validate = validate
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self.remote_url = remote_url
@@ -244,8 +233,6 @@ class ExecutionService:
             cache = ResultCache(disk=disk, remote=remote)
         self.cache = cache
         self._pool: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._process_pool_broken = False
         self._lock = threading.Lock()
         self._inflight: dict[CacheKey, threading.Event] = {}
         self._jobs_submitted = 0
@@ -280,52 +267,26 @@ class ExecutionService:
         Validation (circuit/backend compatibility, shot limits) happens
         eagerly so malformed submissions raise :class:`BackendError` here, not
         inside a worker.  Fully-cached submissions complete without touching
-        the pool.
+        the pool.  Each batchable group, and each SERIAL unit, is one pool
+        task.
         """
-        target, batch_circuits = self._prepare(circuits, backend, shots)
-        if seed is None:
-            seed = _ambient_seed()
-        job = ExecutionJob(
-            num_circuits=len(batch_circuits), backend_name=target.name
+        batch, groups = self._probe_and_plan(
+            circuits, backend, shots, seed, memory
         )
-        scopes = active_scopes()
-        batch = _Batch(job, len(batch_circuits), target, shots, seed, scopes)
-        misses: list[tuple[int, QuantumCircuit, CacheKey | None, int | None]] = []
-        noise_fp = noise_fingerprint(target.noise_model)
-        for index, qc in enumerate(batch_circuits):
-            eff_seed = self._effective_seed(seed, index)
-            key = self._cache_key(qc, target, shots, eff_seed, noise_fp, memory)
-            cached = self.cache.get(key, scopes) if key is not None else None
-            if cached is not None:
-                batch.slots[index] = cached
-                batch.pending -= 1
-                job.cache_hits += 1
-            else:
-                misses.append((index, qc, key, eff_seed))
-        self._account(len(batch_circuits))
-        if not misses:
+        if not groups:
             self._finalize(batch)
-            return job
+            return batch.job
         pool = self._ensure_pool()
-        if self.executor == "batch":
-            # One pool task per planned group: compatible misses simulate
-            # together on the batch axis, everything else falls back to the
-            # per-unit worker with identical semantics.
-            for group in self._plan_misses(target, misses, shots):
-                if group.kind == batchsim.SERIAL:
-                    for unit in group.units:
-                        pool.submit(
-                            self._worker, batch, target, unit.index,
-                            unit.circuit, unit.key, unit.seed, shots, memory,
-                        )
-                else:
-                    pool.submit(self._batch_worker, batch, target, group, memory)
-            return job
-        for index, qc, key, eff_seed in misses:
-            pool.submit(
-                self._worker, batch, target, index, qc, key, eff_seed, shots, memory
-            )
-        return job
+        for group in groups:
+            if group.kind == batchsim.SERIAL:
+                for unit in group.units:
+                    pool.submit(
+                        self._group_task, batch,
+                        batchsim.PlannedGroup(batchsim.SERIAL, [unit]),
+                    )
+            else:
+                pool.submit(self._group_task, batch, group)
+        return batch.job
 
     def run(
         self,
@@ -335,45 +296,16 @@ class ExecutionService:
         seed: int | None = None,
         memory: bool = False,
     ) -> ExecutionJob:
-        """Synchronous path: same validation, cache and seed semantics as
-        :meth:`submit`, executed inline; returns a finished job."""
-        target, batch_circuits = self._prepare(circuits, backend, shots)
-        if seed is None:
-            seed = _ambient_seed()
-        job = ExecutionJob(
-            num_circuits=len(batch_circuits), backend_name=target.name
+        """Synchronous path: same validation, cache, seed and planning as
+        :meth:`submit`, with the groups run inline in plan order; returns a
+        finished job."""
+        batch, groups = self._probe_and_plan(
+            circuits, backend, shots, seed, memory
         )
-        job._mark_running()
-        scopes = active_scopes()
-        noise_fp = noise_fingerprint(target.noise_model)
-        if self.executor == "batch":
-            counts_list, memory_list = self._run_batched(
-                target, batch_circuits, shots, seed, memory, noise_fp, scopes, job
-            )
-            self._account(len(batch_circuits))
-            job._mark_done(
-                Result(counts_list, memory_list, target.name, shots, seed)
-            )
-            return job
-        counts_list: list[dict[str, int]] = []
-        memory_list: list[list[str] | None] = []
-        for index, qc in enumerate(batch_circuits):
-            eff_seed = self._effective_seed(seed, index)
-            key = self._cache_key(qc, target, shots, eff_seed, noise_fp, memory)
-            counts, mem, source = self._lookup_or_simulate(
-                target, qc, shots, eff_seed, memory, key, scopes=scopes
-            )
-            if source == "hit":
-                job.cache_hits += 1
-            elif source == "dedup":
-                job.deduped += 1
-            counts_list.append(counts)
-            memory_list.append(mem)
-        self._account(len(batch_circuits))
-        job._mark_done(
-            Result(counts_list, memory_list, target.name, shots, seed)
-        )
-        return job
+        for group in groups:
+            self._fill(batch, self._run_group(batch, group))
+        self._finalize(batch)
+        return batch.job
 
     def transpile(
         self,
@@ -501,7 +433,6 @@ class ExecutionService:
                 "rejected_unbound": self._rejected_unbound,
                 "transpiles": self._transpiles,
                 "transpile_cache_hits": self._transpile_cache_hits,
-                "executor": self.executor,
                 "validate": self.validate,
             }
         if self.cache is not None:
@@ -530,16 +461,49 @@ class ExecutionService:
         return out
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pools (they restart lazily on the next submit)."""
+        """Stop the worker pool (it restarts lazily on the next submit)."""
         with self._lock:
             pool, self._pool = self._pool, None
-            procs, self._process_pool = self._process_pool, None
         if pool is not None:
             pool.shutdown(wait=wait)
-        if procs is not None:
-            procs.shutdown(wait=wait)
 
     # -- internals ------------------------------------------------------------------
+
+    def _probe_and_plan(
+        self,
+        circuits: QuantumCircuit | Sequence[QuantumCircuit],
+        backend: Backend | str | None,
+        shots: int,
+        seed: int | None,
+        memory: bool,
+    ) -> tuple[_Batch, list[batchsim.PlannedGroup]]:
+        """The first steps of :meth:`run` and :meth:`submit`: validate, probe
+        the cache for every circuit (filling the hit slots), and plan the
+        misses."""
+        target, batch_circuits = self._prepare(circuits, backend, shots)
+        if seed is None:
+            seed = _ambient_seed()
+        job = ExecutionJob(
+            num_circuits=len(batch_circuits), backend_name=target.name
+        )
+        batch = _Batch(
+            job, len(batch_circuits), target, shots, seed, memory,
+            active_scopes(),
+        )
+        noise_fp = noise_fingerprint(target.noise_model)
+        misses: list[batchsim.PlannedUnit] = []
+        for index, qc in enumerate(batch_circuits):
+            eff_seed = self._effective_seed(seed, index)
+            key = self._cache_key(qc, target, shots, eff_seed, noise_fp, memory)
+            cached = self.cache.get(key, batch.scopes) if key is not None else None
+            if cached is not None:
+                batch.slots[index] = cached
+                batch.pending -= 1
+                job.cache_hits += 1
+            else:
+                misses.append(batchsim.make_unit(index, qc, key, eff_seed, shots))
+        self._account(len(batch_circuits))
+        return batch, batchsim.plan(target, misses)
 
     def _prepare(
         self,
@@ -651,23 +615,11 @@ class ExecutionService:
         shots: int,
         eff_seed: int | None,
         memory: bool,
-        scopes: tuple[StatsScope, ...] = (),
+        scopes: tuple[StatsScope, ...],
     ) -> tuple[dict[str, int], list[str] | None]:
         with self._lock:
             self._simulations += 1
         credit(scopes, "simulations")
-        if self.executor == "process" and offloadable(backend):
-            pool = self._ensure_process_pool()
-            if pool is not None:
-                unit = WorkUnit(
-                    circuit=circuit,
-                    backend_name=backend.name,
-                    shots=shots,
-                    seed=eff_seed,
-                    noise_fp=noise_fingerprint(backend.noise_model),
-                    memory=memory,
-                )
-                return pool.submit(run_work_unit, unit).result()
         return backend.execute_circuit(circuit, shots, eff_seed, memory)
 
     def _lookup_or_simulate(
@@ -678,25 +630,16 @@ class ExecutionService:
         eff_seed: int | None,
         memory: bool,
         key: CacheKey | None,
-        probe: bool = True,
-        scopes: tuple[StatsScope, ...] = (),
+        scopes: tuple[StatsScope, ...],
     ) -> tuple[dict[str, int], list[str] | None, str]:
-        """One circuit through the cache: ``(counts, memory, source)``.
+        """One already-probed miss, serially: ``(counts, memory, source)``.
 
-        ``source`` is ``"hit"`` (served from the cache lookup), ``"sim"``
-        (actually simulated), or ``"dedup"`` (waited on — or arrived after —
-        an identical in-flight execution and read its cache fill).
-
-        The single execution path shared by the sync loop and the pool
-        workers, so cache/seed semantics can never fork between them.
-        ``probe=False`` skips the lookup (pool workers already missed at
-        submit time; probing again would double-count the miss).  ``scopes``
-        receive every increment this circuit causes, no matter which thread
-        runs it.
+        ``source`` is ``"sim"`` (actually simulated) or ``"dedup"`` (waited
+        on — or arrived after — an identical in-flight execution and read its
+        cache fill).  The caller has probed the cache already, so this never
+        counts a lookup.  ``scopes`` receive every increment this circuit
+        causes, no matter which thread runs it.
         """
-        cached = self.cache.get(key, scopes) if probe and key is not None else None
-        if cached is not None:
-            return cached[0], cached[1], "hit"
         if key is None:
             counts, mem = self._simulate(
                 backend, circuit, shots, eff_seed, memory, scopes
@@ -717,8 +660,7 @@ class ExecutionService:
             # The leader failed without filling the cache; compete to retry.
         try:
             # Re-probe silently: the key may have been filled between the
-            # submit-time miss and this worker winning leadership (e.g. a
-            # batch containing the same circuit twice on one worker thread).
+            # probe-time miss and this thread winning leadership.
             filled = self.cache.peek(key)
             if filled is not None:
                 return self._deduped(filled, scopes)
@@ -735,7 +677,7 @@ class ExecutionService:
     def _deduped(
         self,
         entry: tuple[dict[str, int], list[str] | None],
-        scopes: tuple[StatsScope, ...] = (),
+        scopes: tuple[StatsScope, ...],
     ) -> tuple[dict[str, int], list[str] | None, str]:
         with self._lock:
             self._simulations_deduped += 1
@@ -747,128 +689,55 @@ class ExecutionService:
             self._jobs_submitted += 1
             self._circuits_executed += num_circuits
 
-    def _worker(
-        self,
-        batch: _Batch,
-        backend: Backend,
-        index: int,
-        circuit: QuantumCircuit,
-        key: CacheKey | None,
-        eff_seed: int | None,
-        shots: int,
-        memory: bool,
-    ) -> None:
-        job = batch.job
-        if not job._mark_running():
-            return  # cancelled (or already failed) before this circuit started
-        try:
-            counts, mem, source = self._lookup_or_simulate(
-                backend, circuit, shots, eff_seed, memory, key,
-                probe=False, scopes=batch.scopes,
+    def _run_group(
+        self, batch: _Batch, group: batchsim.PlannedGroup
+    ) -> dict[int, tuple[dict[str, int], list[str] | None, str]]:
+        """One planned group: the SERIAL group one unit at a time, any other
+        through the batch engine.  Returns ``{index: (counts, memory,
+        source)}`` for every unit of the group."""
+        if group.kind != batchsim.SERIAL:
+            return self._execute_group(
+                batch.backend, group, batch.memory, batch.scopes
             )
-        except BaseException as exc:  # noqa: BLE001 - relayed via job.result()
-            job._mark_error(exc)
-            return
-        with batch.lock:
-            if source == "dedup":
-                job.deduped += 1
-            batch.slots[index] = (counts, mem)
-            batch.pending -= 1
-            last = batch.pending == 0
-        if last:
-            self._finalize(batch)
+        return {
+            unit.index: self._lookup_or_simulate(
+                batch.backend, unit.circuit, unit.shots, unit.seed,
+                batch.memory, unit.key, batch.scopes,
+            )
+            for unit in group.units
+        }
 
-    # -- batch executor strategy ------------------------------------------------
-
-    def _plan_misses(
-        self,
-        target: Backend,
-        misses: list[tuple[int, QuantumCircuit, CacheKey | None, int | None]],
-        shots: int,
-    ) -> list["batchsim.PlannedGroup"]:
-        units = [
-            batchsim.make_unit(index, qc, key, eff_seed, shots)
-            for index, qc, key, eff_seed in misses
-        ]
-        return batchsim.plan(target, units)
-
-    def _run_batched(
-        self,
-        target: Backend,
-        circuits: list[QuantumCircuit],
-        shots: int,
-        seed: int | None,
-        memory: bool,
-        noise_fp: str,
-        scopes: tuple[StatsScope, ...],
-        job: ExecutionJob,
-    ) -> tuple[list[dict[str, int]], list[list[str] | None]]:
-        """Synchronous batch execution: probe everything up front, then run
-        the planner's groups inline on the calling thread."""
-        slots: list[tuple[dict[str, int], list[str] | None] | None] = (
-            [None] * len(circuits)
-        )
-        misses: list[tuple[int, QuantumCircuit, CacheKey | None, int | None]] = []
-        for index, qc in enumerate(circuits):
-            eff_seed = self._effective_seed(seed, index)
-            key = self._cache_key(qc, target, shots, eff_seed, noise_fp, memory)
-            cached = self.cache.get(key, scopes) if key is not None else None
-            if cached is not None:
-                slots[index] = cached
-                job.cache_hits += 1
-            else:
-                misses.append((index, qc, key, eff_seed))
-        for group in self._plan_misses(target, misses, shots):
-            if group.kind == batchsim.SERIAL:
-                for unit in group.units:
-                    counts, mem, source = self._lookup_or_simulate(
-                        target, unit.circuit, unit.shots, unit.seed, memory,
-                        unit.key, probe=False, scopes=scopes,
-                    )
-                    if source == "dedup":
-                        job.deduped += 1
-                    slots[unit.index] = (counts, mem)
-            else:
-                resolved = self._execute_group(target, group, memory, scopes)
-                for index, (counts, mem, source) in resolved.items():
-                    if source == "dedup":
-                        job.deduped += 1
-                    slots[index] = (counts, mem)
-        return (
-            [slot[0] for slot in slots],  # type: ignore[index]
-            [slot[1] for slot in slots],  # type: ignore[index]
-        )
-
-    def _batch_worker(
+    def _fill(
         self,
         batch: _Batch,
-        backend: Backend,
-        group: "batchsim.PlannedGroup",
-        memory: bool,
-    ) -> None:
-        """Pool task that fills every slot of one planned group."""
+        resolved: dict[int, tuple[dict[str, int], list[str] | None, str]],
+    ) -> bool:
+        """Fill result slots; True when this filled the batch's last one."""
+        with batch.lock:
+            for index, (counts, mem, source) in resolved.items():
+                if source == "dedup":
+                    batch.job.deduped += 1
+                batch.slots[index] = (counts, mem)
+                batch.pending -= 1
+            return batch.pending == 0
+
+    def _group_task(self, batch: _Batch, group: batchsim.PlannedGroup) -> None:
+        """Pool task of :meth:`submit`: run one group, relay any error."""
         job = batch.job
         if not job._mark_running():
             return  # cancelled (or already failed) before this group started
         try:
-            resolved = self._execute_group(backend, group, memory, batch.scopes)
+            resolved = self._run_group(batch, group)
         except BaseException as exc:  # noqa: BLE001 - relayed via job.result()
             job._mark_error(exc)
             return
-        with batch.lock:
-            for index, (counts, mem, source) in resolved.items():
-                if source == "dedup":
-                    job.deduped += 1
-                batch.slots[index] = (counts, mem)
-                batch.pending -= 1
-            last = batch.pending == 0
-        if last:
+        if self._fill(batch, resolved):
             self._finalize(batch)
 
     def _execute_group(
         self,
         backend: Backend,
-        group: "batchsim.PlannedGroup",
+        group: batchsim.PlannedGroup,
         memory: bool,
         scopes: tuple[StatsScope, ...],
     ) -> dict[int, tuple[dict[str, int], list[str] | None, str]]:
@@ -891,7 +760,7 @@ class ExecutionService:
                 continue
             if self._try_lead(unit.key):
                 # Re-probe silently, as _lookup_or_simulate does: the key may
-                # have been filled since the submit-time miss.
+                # have been filled since the probe-time miss.
                 filled = self.cache.peek(unit.key)
                 if filled is not None:
                     self._release_flight(unit.key)
@@ -909,8 +778,10 @@ class ExecutionService:
                 credit(scopes, "simulations", len(leaders))
                 credit(scopes, "simulations_batched", len(leaders))
                 credit(scopes, "batch_groups")
-                executed = batchsim.dispatch(
-                    backend, batchsim.PlannedGroup(group.kind, leaders), memory
+                executed = batchsim.execute_group(
+                    backend.noise_model,
+                    batchsim.PlannedGroup(group.kind, leaders),
+                    memory,
                 )
                 for unit, (counts, mem) in zip(leaders, executed):
                     if unit.key is not None:
@@ -925,7 +796,7 @@ class ExecutionService:
         for unit in deferred:
             results[unit.index] = self._lookup_or_simulate(
                 backend, unit.circuit, unit.shots, unit.seed, memory, unit.key,
-                probe=False, scopes=scopes,
+                scopes,
             )
         return results
 
@@ -945,18 +816,16 @@ class ExecutionService:
 
     def _finalize(self, batch: _Batch) -> None:
         job = batch.job
-        if job.done():
-            return
-        counts_list = [slot[0] for slot in batch.slots if slot is not None]
-        memory_list = [slot[1] for slot in batch.slots if slot is not None]
-        if len(counts_list) != len(batch.slots):  # pragma: no cover - invariant
+        if not job._mark_running():
+            return  # cancelled, or already failed by another group
+        if batch.pending:  # pragma: no cover - invariant
             job._mark_error(BackendError("internal error: incomplete batch"))
             return
-        if job.status() is JobStatus.QUEUED:
-            job._mark_running()
         job._mark_done(
             Result(
-                counts_list, memory_list, batch.backend.name, batch.shots, batch.seed
+                [slot[0] for slot in batch.slots],
+                [slot[1] for slot in batch.slots],
+                batch.backend.name, batch.shots, batch.seed,
             )
         )
 
@@ -968,8 +837,6 @@ class ExecutionService:
         eval workers fork."""
         self._lock = threading.Lock()
         self._pool = None
-        self._process_pool = None
-        self._process_pool_broken = False
         # Parent-side leaders will never set their events in this process.
         self._inflight = {}
         if self.cache is not None:
@@ -983,20 +850,6 @@ class ExecutionService:
                     thread_name_prefix="repro-exec",
                 )
             return self._pool
-
-    def _ensure_process_pool(self) -> ProcessPoolExecutor | None:
-        """The worker-process pool, or ``None`` when the platform lacks one
-        (the caller then simulates in-process instead)."""
-        with self._lock:
-            if self._process_pool_broken:
-                return None
-            if self._process_pool is None:
-                try:
-                    self._process_pool = make_process_pool(self.max_workers)
-                except (OSError, NotImplementedError, ValueError):
-                    self._process_pool_broken = True
-                    return None
-            return self._process_pool
 
 
 # -- fork safety --------------------------------------------------------------------
@@ -1022,23 +875,12 @@ _default: ExecutionService | None = None
 _default_lock = threading.Lock()
 
 
-def executor_from_env(default: str = "thread") -> str:
-    """The executor strategy named by ``REPRO_EXECUTOR`` (or ``default``).
-
-    Shared by every entry point that builds its *own* service — the CLI eval
-    command, distributed eval workers, the fleet example — so one environment
-    variable picks the strategy uniformly across a fleet.  Validation stays
-    in :class:`ExecutionService` (unknown names raise there).
-    """
-    return os.environ.get(EXECUTOR_ENV, "").strip().lower() or default
-
-
 def validate_from_env(default: str = "off") -> str:
     """The pre-flight mode named by ``REPRO_VALIDATE`` (or ``default``).
 
-    Same contract as :func:`executor_from_env`: one environment variable
-    turns on static validation uniformly across a fleet; unknown values
-    raise inside :class:`ExecutionService`.
+    Shared by every entry point that builds its *own* service, so one
+    environment variable turns on static validation uniformly across a
+    fleet; unknown values raise inside :class:`ExecutionService`.
     """
     return os.environ.get(VALIDATE_ENV, "").strip().lower() or default
 
@@ -1049,24 +891,22 @@ def default_service() -> ExecutionService:
     Honours ``REPRO_CACHE_DIR`` (persistent disk cache tier, bounded by
     ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES`` /
     ``REPRO_CACHE_MAX_AGE``), ``REPRO_CACHE_URL`` (shared remote tier) and
-    ``REPRO_EXECUTOR`` (``thread``/``process``/``batch`` strategy) so
-    headless runs — CI, ``repro report``, repeated evalsuite arms, fleet
-    workers — can be warm-started and parallelised without touching call
-    sites.  Explicitly constructed services ignore the environment.
+    ``REPRO_VALIDATE`` (pre-flight mode) so headless runs — CI, ``repro
+    report``, repeated evalsuite arms, fleet workers — can be warm-started
+    without touching call sites.  Explicitly constructed services ignore the
+    environment.
     """
     global _default
     with _default_lock:
         if _default is None:
             cache_dir = os.environ.get(CACHE_DIR_ENV, "").strip() or None
             remote_url = os.environ.get(CACHE_URL_ENV, "").strip() or None
-            executor = executor_from_env()
             _default = ExecutionService(
                 cache_dir=cache_dir,
                 cache_limits=(
                     CacheLimits.from_env() if cache_dir is not None else None
                 ),
                 remote_url=remote_url,
-                executor=executor,
                 validate=validate_from_env(),
             )
         return _default

@@ -143,8 +143,8 @@ class Parameter(_Symbolic):
     """A named symbolic circuit parameter.
 
     Equality and hashing are by name: two ``Parameter("theta")`` objects are
-    the same symbol, which keeps templates stable across pickling, process
-    executors and QASM round-trips.  Names must be Python/QASM identifiers
+    the same symbol, which keeps templates stable across pickling, worker
+    processes and QASM round-trips.  Names must be Python/QASM identifiers
     (so unbound parameters serialise as identifiers in OpenQASM output) and
     may not shadow ``pi``.
     """

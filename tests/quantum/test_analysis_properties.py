@@ -3,7 +3,8 @@
 The analyzer's contract is *agreement*: a circuit it calls clean executes; a
 circuit it flags with a ``QA1xx`` error makes the engines raise; its facts
 are deterministic; and turning the pre-flight on (``validate="strict"``)
-never changes the results of clean circuits on any executor strategy.  The
+never changes the results of clean circuits, which stay those of the serial
+engine.  The
 planner-routing property is the regression guard for the facts dedupe: the
 batch planner's classification must be exactly predictable from each unit's
 :class:`CircuitFacts`.
@@ -192,28 +193,28 @@ class TestDeterminism:
 
 
 class TestStrictIsInert:
-    @pytest.mark.parametrize("executor", ["thread", "process", "batch"])
-    def test_strict_vs_off_bit_identical(self, executor):
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_strict_vs_off_bit_identical(self, entry, serial_reference):
         rng = np.random.default_rng(401)
         base = random_circuit(rng, 3, 5)
         workload = [base] + [
             mutate(random_circuit(rng, 2, int(rng.integers(2, 6))), rng)
             for _ in range(4)
         ]
-        strict = ExecutionService(validate="strict", executor=executor)
-        off = ExecutionService(validate="off", executor=executor)
+        want = serial_reference(
+            noisy_backend(), workload, 64, 401, memory=True
+        )
+        strict = ExecutionService(validate="strict")
+        off = ExecutionService(validate="off")
         try:
-            got = strict.run(
-                workload, backend=noisy_backend(), shots=64, seed=401,
-                memory=True,
-            ).result()
-            want = off.run(
-                workload, backend=noisy_backend(), shots=64, seed=401,
-                memory=True,
-            ).result()
-            for i in range(len(workload)):
-                assert got.get_counts(i) == want.get_counts(i)
-                assert got.get_memory(i) == want.get_memory(i)
+            for service in (strict, off):
+                got = getattr(service, entry)(
+                    workload, backend=noisy_backend(), shots=64, seed=401,
+                    memory=True,
+                ).result(timeout=60)
+                for i, (counts, mem) in enumerate(want):
+                    assert got.get_counts(i) == counts
+                    assert got.get_memory(i) == mem
             assert strict.stats()["programs_validated"] == len(workload)
             assert off.stats()["programs_validated"] == 0
         finally:
@@ -292,23 +293,24 @@ class TestPlannerRoutingMatchesFacts:
 
 
 class TestDefectiveBatchParity:
-    def test_batch_and_thread_raise_the_same_error(self):
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_service_and_serial_engine_raise_the_same_error(
+        self, entry, serial_reference
+    ):
         """A defective unit in a batch workload fails with the serial
-        engine's canonical message on every executor strategy."""
+        engine's canonical message, on either entry point."""
         rng = np.random.default_rng(701)
         broken, code = break_circuit(random_circuit(rng, 2, 4), rng)
-        messages = {}
-        for executor in ("thread", "batch"):
-            svc = ExecutionService(executor=executor)
-            try:
-                with pytest.raises(SimulationError) as excinfo:
-                    svc.run(
-                        [random_circuit(rng, 2, 3), broken],
-                        shots=16,
-                        seed=701,
-                    ).result()
-                messages[executor] = str(excinfo.value)
-            finally:
-                svc.shutdown()
-        assert messages["thread"] == messages["batch"]
-        assert f"[{code}]" in messages["thread"]
+        workload = [random_circuit(rng, 2, 3), broken]
+        with pytest.raises(SimulationError) as serial:
+            serial_reference(LocalSimulator(), workload, 16, 701)
+        svc = ExecutionService()
+        try:
+            with pytest.raises(SimulationError) as batched:
+                getattr(svc, entry)(workload, shots=16, seed=701).result(
+                    timeout=60
+                )
+        finally:
+            svc.shutdown()
+        assert str(batched.value) == str(serial.value)
+        assert f"[{code}]" in str(serial.value)

@@ -1,12 +1,12 @@
 """Property tests for the vectorised batch engine: batch == serial, always.
 
 The contract under test is *bit-identity*: for every ``(seed, circuit, shots,
-noise)`` and every grouping the planner may choose, ``executor="batch"``
-produces exactly the counts (and memory) the serial engine produces.  The
-fuzz tests therefore compare whole randomised workloads across a batch
-service and a thread service seeded identically, on both execution paths
-(ideal fast path and shot-batched trajectories), including mixed-structure
-batches that must split into several groups.
+noise)`` and every grouping the planner may choose, the service produces
+exactly the counts (and memory) the serial engine produces.  The fuzz tests
+therefore compare whole randomised workloads run through the service against
+``Backend.execute_circuit`` called directly with the same per-index seeds, on
+both execution paths (ideal fast path and shot-batched trajectories),
+including mixed-structure batches that must split into several groups.
 """
 
 import threading
@@ -79,28 +79,30 @@ def noisy_backend(p: float = 0.02, readout: float = 0.01) -> Backend:
     )
 
 
-def run_pair(backend, circuits, shots, seed, memory=False, use_cache=True):
-    """Run one workload on a batch service and a thread service; return both."""
-    batch_svc = ExecutionService(executor="batch", use_cache=use_cache)
-    serial_svc = ExecutionService(executor="thread", use_cache=use_cache)
-    try:
-        got = batch_svc.run(
-            circuits, backend=backend, shots=shots, seed=seed, memory=memory
-        ).result()
-        want = serial_svc.run(
-            circuits, backend=backend, shots=shots, seed=seed, memory=memory
-        ).result()
-        return got, want, batch_svc
-    finally:
-        batch_svc.shutdown()
-        serial_svc.shutdown()
+@pytest.fixture
+def run_pair(serial_reference):
+    """Run one workload on a service and on the serial engine; return both."""
+
+    def run(backend, circuits, shots, seed, memory=False):
+        svc = ExecutionService()
+        try:
+            got = svc.run(
+                circuits, backend=backend, shots=shots, seed=seed, memory=memory
+            ).result()
+        finally:
+            svc.shutdown()
+        want = serial_reference(backend, circuits, shots, seed, memory)
+        return got, want, svc
+
+    return run
 
 
-def assert_results_identical(got, want, n, memory=False):
-    for i in range(n):
-        assert got.get_counts(i) == want.get_counts(i), f"circuit {i} diverged"
+def assert_results_identical(got, want, memory=False):
+    """``got`` is a Result; ``want`` is a list of ``(counts, memory)``."""
+    for i, (counts, mem) in enumerate(want):
+        assert got.get_counts(i) == counts, f"circuit {i} diverged"
         if memory:
-            assert got.get_memory(i) == want.get_memory(i)
+            assert got.get_memory(i) == mem
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,7 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
-# Engine: dispatch output vs Backend.execute_circuit, per unit
+# Engine: execute_group output vs Backend.execute_circuit, per unit
 # ---------------------------------------------------------------------------
 
 
@@ -266,7 +268,7 @@ class TestEngineBitIdentity:
             for i, qc in enumerate(circuits)
         ]
         group = batchsim.plan(backend, units)[0]
-        got = batchsim.dispatch(backend, group, True)
+        got = batchsim.execute_group(backend.noise_model, group, True)
         for unit, (counts, mem) in zip(group.units, got):
             want_counts, want_mem = backend.execute_circuit(
                 unit.circuit, unit.shots, unit.seed, True
@@ -287,7 +289,7 @@ class TestEngineBitIdentity:
             batchsim.make_unit(1, qc, None, 2, 400),
         ]
         group = batchsim.plan(backend, units)[0]
-        got = batchsim.dispatch(backend, group, False)
+        got = batchsim.execute_group(backend.noise_model, group, False)
         for unit, (counts, _) in zip(units, got):
             want, _ = backend.execute_circuit(qc, 400, unit.seed, False)
             assert counts == want
@@ -301,7 +303,9 @@ class TestEngineBitIdentity:
             unit = batchsim.make_unit(0, qc, None, 900 + trial, 128)
             groups = batchsim.plan(backend, [unit])
             assert groups[0].kind == batchsim.SHOTS
-            (counts, mem), = batchsim.dispatch(backend, groups[0], True)
+            (counts, mem), = batchsim.execute_group(
+                backend.noise_model, groups[0], True
+            )
             want_counts, want_mem = backend.execute_circuit(qc, 128, unit.seed, True)
             assert counts == want_counts
             assert mem == want_mem
@@ -316,7 +320,7 @@ class TestEngineBitIdentity:
         qc.measure_all()
         unit = batchsim.make_unit(0, qc, None, 77, 300)
         group = batchsim.plan(backend, [unit])[0]
-        (counts, mem), = batchsim.dispatch(backend, group, True)
+        (counts, mem), = batchsim.execute_group(backend.noise_model, group, True)
         want_counts, want_mem = backend.execute_circuit(qc, 300, 77, True)
         assert counts == want_counts and mem == want_mem
 
@@ -329,7 +333,9 @@ class TestEngineBitIdentity:
         for backend in (LocalSimulator(), noisy_backend()):
             unit = batchsim.make_unit(0, qc, None, 9, 120)
             group = batchsim.plan(backend, [unit])[0]
-            (counts, _), = batchsim.dispatch(backend, group, False)
+            (counts, _), = batchsim.execute_group(
+                backend.noise_model, group, False
+            )
             want, _ = backend.execute_circuit(qc, 120, 9, False)
             assert counts == want
 
@@ -356,8 +362,8 @@ class TestEngineBitIdentity:
         rng = np.random.default_rng(13)
         backend = noisy_backend()
         base = random_circuit(rng, 3, 6)
-        want_ideal = batchsim.dispatch(
-            LocalSimulator(),
+        want_ideal = batchsim.execute_group(
+            None,
             batchsim.plan(
                 LocalSimulator(),
                 [
@@ -368,15 +374,15 @@ class TestEngineBitIdentity:
             False,
         )
         noisy_unit = batchsim.make_unit(0, base, None, 3, 96)
-        want_noisy = batchsim.dispatch(
-            backend, batchsim.plan(backend, [noisy_unit])[0], False
+        want_noisy = batchsim.execute_group(
+            backend.noise_model, batchsim.plan(backend, [noisy_unit])[0], False
         )
         # Force one-row/one-shot tiles: results must not move.
         monkeypatch.setattr(batch_engine, "MAX_BATCH_AMPLITUDES", 1)
         rng = np.random.default_rng(13)
         base = random_circuit(rng, 3, 6)
-        got_ideal = batchsim.dispatch(
-            LocalSimulator(),
+        got_ideal = batchsim.execute_group(
+            None,
             batchsim.plan(
                 LocalSimulator(),
                 [
@@ -387,8 +393,8 @@ class TestEngineBitIdentity:
             False,
         )
         noisy_unit = batchsim.make_unit(0, base, None, 3, 96)
-        got_noisy = batchsim.dispatch(
-            backend, batchsim.plan(backend, [noisy_unit])[0], False
+        got_noisy = batchsim.execute_group(
+            backend.noise_model, batchsim.plan(backend, [noisy_unit])[0], False
         )
         assert got_ideal == want_ideal
         assert got_noisy == want_noisy
@@ -470,7 +476,7 @@ class TestNormValidation:
 
 class TestServiceFuzz:
     @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_ideal_mixed_structure_workload(self, seed):
+    def test_ideal_mixed_structure_workload(self, seed, run_pair):
         rng = np.random.default_rng(seed)
         structures = [random_circuit(rng, 3, int(rng.integers(3, 9)))
                       for _ in range(3)]
@@ -479,10 +485,10 @@ class TestServiceFuzz:
             base = structures[rng.integers(len(structures))]
             workload.append(reparameterize(base, rng))
         got, want, _ = run_pair(LocalSimulator(), workload, 193, seed)
-        assert_results_identical(got, want, len(workload))
+        assert_results_identical(got, want)
 
     @pytest.mark.parametrize("seed", [31, 32])
-    def test_noisy_workload_with_memory(self, seed):
+    def test_noisy_workload_with_memory(self, seed, run_pair):
         rng = np.random.default_rng(seed)
         workload = [
             random_circuit(rng, 2, int(rng.integers(3, 7)),
@@ -492,9 +498,9 @@ class TestServiceFuzz:
         got, want, _ = run_pair(
             noisy_backend(), workload, 97, seed, memory=True
         )
-        assert_results_identical(got, want, len(workload), memory=True)
+        assert_results_identical(got, want, memory=True)
 
-    def test_conditional_units_ride_the_serial_fallback(self):
+    def test_conditional_units_ride_the_serial_fallback(self, run_pair):
         rng = np.random.default_rng(41)
         cond = QuantumCircuit(2, 2)
         cond.h(0)
@@ -503,35 +509,31 @@ class TestServiceFuzz:
         cond.measure(1, 1)
         workload = [random_circuit(rng, 2, 4), cond, random_circuit(rng, 2, 4)]
         got, want, svc = run_pair(LocalSimulator(), workload, 128, 41)
-        assert_results_identical(got, want, len(workload))
+        assert_results_identical(got, want)
         stats = svc.stats()
         # The conditional unit simulated serially; the rest batched.
         assert stats["simulations_batched"] == 2
         assert stats["simulations"] == 3
 
-    def test_submit_path_matches_run_path(self):
+    def test_submit_path_matches_serial_engine(self, serial_reference):
         rng = np.random.default_rng(51)
         base = random_circuit(rng, 3, 6)
         workload = [reparameterize(base, rng) for _ in range(6)]
-        svc_submit = ExecutionService(executor="batch")
-        svc_run = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
-            got = svc_submit.submit(
+            got = svc.submit(
                 workload, backend="local_simulator", shots=150, seed=51
             ).result(timeout=60)
-            want = svc_run.run(
-                workload, backend="local_simulator", shots=150, seed=51
-            ).result()
-            assert_results_identical(got, want, len(workload))
+            want = serial_reference("local_simulator", workload, 150, 51)
+            assert_results_identical(got, want)
         finally:
-            svc_submit.shutdown()
-            svc_run.shutdown()
+            svc.shutdown()
 
     def test_uncacheable_seedless_batch_still_works(self):
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure_all()
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             result = svc.run([qc, qc], shots=50).result()
             assert sum(result.get_counts(0).values()) == 50
@@ -549,11 +551,12 @@ class TestCacheComposition:
     def test_warm_rerun_simulates_nothing(self):
         rng = np.random.default_rng(61)
         workload = [random_circuit(rng, 2, 4) for _ in range(4)]
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             first = svc.run(workload, shots=80, seed=61).result()
             warm = svc.run(workload, shots=80, seed=61).result()
-            assert_results_identical(warm, first, len(workload))
+            for i in range(len(workload)):
+                assert warm.get_counts(i) == first.get_counts(i)
             stats = svc.stats()
             assert stats["simulations"] == stats["simulations_batched"] == 4
             assert stats["cache_hits"] == 4
@@ -568,7 +571,7 @@ class TestCacheComposition:
         qc.h(0)
         qc.cx(0, 1)
         qc.measure_all()
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             # Index 0 and the rest derive different seeds, so only exact
             # duplicates (same derived seed) could collide; submit two
@@ -594,7 +597,7 @@ class TestCacheComposition:
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure_all()
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             from repro.quantum.execution.cache import (
                 circuit_fingerprint,
@@ -650,12 +653,11 @@ class TestCounters:
         rng = np.random.default_rng(71)
         base = random_circuit(rng, 3, 5)
         workload = [reparameterize(base, rng) for _ in range(6)]
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             with svc.stats_scope("fuzz") as scope:
                 svc.run(workload, shots=64, seed=71).result()
             stats = svc.stats()
-            assert stats["executor"] == "batch"
             assert stats["simulations_batched"] == 6
             assert stats["batch_groups"] == 1
             attributed = scope.as_dict()
@@ -668,7 +670,7 @@ class TestCounters:
     def test_noisy_units_count_one_group_each(self):
         rng = np.random.default_rng(81)
         workload = [random_circuit(rng, 2, 4) for _ in range(3)]
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         try:
             svc.run(
                 workload, backend=noisy_backend(), shots=32, seed=81
@@ -676,18 +678,5 @@ class TestCounters:
             stats = svc.stats()
             assert stats["simulations_batched"] == 3
             assert stats["batch_groups"] == 3  # SHOTS groups are singletons
-        finally:
-            svc.shutdown()
-
-    def test_thread_executor_never_batches(self):
-        qc = QuantumCircuit(1, 1)
-        qc.h(0)
-        qc.measure_all()
-        svc = ExecutionService(executor="thread")
-        try:
-            svc.run(qc, shots=16, seed=1).result()
-            stats = svc.stats()
-            assert stats["simulations_batched"] == 0
-            assert stats["batch_groups"] == 0
         finally:
             svc.shutdown()

@@ -205,7 +205,6 @@ class TestServiceDiskTier:
         try:
             stats = default_service().stats()
             assert stats["cache_dir"] == str(tmp_path)
-            assert stats["executor"] == "thread"
         finally:
             monkeypatch.delenv("REPRO_CACHE_DIR")
             set_default_service(None)

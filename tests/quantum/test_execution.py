@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.errors import BackendError, SimulationError
+from repro.quantum import batchsim
 from repro.quantum.backend import Backend, FakeFalcon, LocalSimulator
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import (
@@ -22,6 +23,7 @@ from repro.quantum.execution import (
     set_default_service,
 )
 from repro.quantum.library import bell_pair
+from repro.quantum.noise import NoiseModel
 
 
 def _tagged_circuit(tag: int, width: int = 3) -> QuantumCircuit:
@@ -506,72 +508,182 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------------
-# Executor strategies
+# One execution flow: run() and submit() probe, plan, run groups, fill slots
 # ---------------------------------------------------------------------------
 
 
-class TestExecutorStrategies:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(BackendError, match="executor"):
-            ExecutionService(executor="goroutines")
+def _mixed_submission() -> list[QuantumCircuit]:
+    """One circuit per planner route, plus a duplicate.
 
-    def test_thread_process_result_parity(self):
-        qc = bell_pair(measure=True)
-        threads = ExecutionService(max_workers=2, executor="thread")
-        processes = ExecutionService(max_workers=2, executor="process")
+    On an ideal backend the two rotated circuits and the duplicate form one
+    IDEAL group, the mid-circuit reset is a SHOTS trajectory, and the
+    ``c_if`` circuit takes the SERIAL route.  On a noisy backend every
+    circuit but the ``c_if`` one is a noisy SHOTS trajectory.
+    """
+
+    def rotated(theta: float) -> QuantumCircuit:
+        qc = QuantumCircuit(2, 2)
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.ry(theta, 1)
+        qc.measure([0, 1], [0, 1])
+        return qc
+
+    trajectory = QuantumCircuit(2, 2)
+    trajectory.h(0)
+    trajectory.measure(0, 0)
+    trajectory.reset(0)
+    trajectory.h(0)
+    trajectory.cx(0, 1)
+    trajectory.measure([0, 1], [0, 1])
+    conditional = QuantumCircuit(2, 2)
+    conditional.h(0)
+    conditional.measure(0, 0)
+    conditional.append("x", [1], condition=(0, 1))
+    conditional.measure(1, 1)
+    first = rotated(0.3)
+    return [first, rotated(1.1), trajectory, conditional, first]
+
+
+class TestOneFlow:
+    @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
+    def test_run_and_submit_match_each_other_and_serial_engine(
+        self, noisy, serial_reference
+    ):
+        backend = (
+            Backend(
+                name="one-flow-noisy",
+                num_qubits=4,
+                noise_model=NoiseModel.uniform_depolarizing(0.02, 0.04, 0.01),
+            )
+            if noisy
+            else LocalSimulator()
+        )
+        circuits = _mixed_submission()
+        want = serial_reference(backend, circuits, 96, 5, memory=True)
+        scopes = {}
+        for entry in ("run", "submit"):
+            service = ExecutionService(max_workers=2)
+            try:
+                with service.stats_scope() as scope:
+                    result = getattr(service, entry)(
+                        circuits, backend=backend, shots=96, seed=5, memory=True
+                    ).result(timeout=60)
+            finally:
+                service.shutdown()
+            got = [
+                (result.get_counts(i), result.get_memory(i))
+                for i in range(len(circuits))
+            ]
+            assert got == want, f"{entry} diverged from the serial engine"
+            scopes[entry] = scope.as_dict()
+        assert scopes["run"] == scopes["submit"]
+        assert scopes["run"]["simulations"] == len(circuits)
+        # Everything but the c_if circuit ran on the batch engine.
+        assert scopes["run"]["simulations_batched"] == len(circuits) - 1
+
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_failed_units_leave_no_flight_behind(self, entry, monkeypatch):
+        circuits = [bell_pair(measure=True), _tagged_circuit(3)]
+        service = ExecutionService(max_workers=2)
         try:
-            a = threads.run(qc, backend="noisy", shots=200, seed=9).result()
-            b = processes.run(qc, backend="noisy", shots=200, seed=9).result()
-            assert a.get_counts() == b.get_counts()
-            assert threads.stats()["executor"] == "thread"
-            assert processes.stats()["executor"] == "process"
-        finally:
-            threads.shutdown()
-            processes.shutdown()
+            # SERIAL units whose backend raises.
+            with pytest.raises(SimulationError, match="boom"):
+                getattr(service, entry)(
+                    circuits, backend=ExplodingBackend(), shots=10, seed=3
+                ).result(timeout=10)
 
-    def test_process_batch_parity_with_memory(self):
-        circuits = [_tagged_circuit(tag) for tag in (3, 1, 6)]
-        threads = ExecutionService(max_workers=2, executor="thread")
-        processes = ExecutionService(max_workers=2, executor="process")
+            # Batchable groups whose engine call raises.
+            def explode(noise, group, memory):
+                raise SimulationError("engine boom")
+
+            monkeypatch.setattr(batchsim, "execute_group", explode)
+            with pytest.raises(SimulationError, match="engine boom"):
+                getattr(service, entry)(
+                    circuits, shots=10, seed=3
+                ).result(timeout=10)
+        finally:
+            service.shutdown()  # waits for every pool task
+        assert service._inflight == {}
+
+    @pytest.mark.parametrize("warm", ["run", "submit"])
+    def test_entry_points_share_one_cache(self, warm):
+        """Every route's cache fill is a hit for the other entry point."""
+        circuits = _mixed_submission()
+        cold = "submit" if warm == "run" else "run"
+        service = ExecutionService(max_workers=2)
         try:
-            a = threads.submit(
-                circuits, shots=20, seed=4, memory=True
+            first = getattr(service, warm)(
+                circuits, shots=64, seed=8, memory=True
             ).result(timeout=60)
-            b = processes.submit(
-                circuits, shots=20, seed=4, memory=True
-            ).result(timeout=60)
-            for index in range(len(circuits)):
-                assert a.get_counts(index) == b.get_counts(index)
-                assert a.get_memory(index) == b.get_memory(index)
+            with service.stats_scope() as scope:
+                job = getattr(service, cold)(
+                    circuits, shots=64, seed=8, memory=True
+                )
+                second = job.result(timeout=60)
         finally:
-            threads.shutdown()
-            processes.shutdown()
+            service.shutdown()
+        assert job.cache_hits == len(circuits)
+        assert scope.get("simulations") == 0
+        for i in range(len(circuits)):
+            assert second.get_counts(i) == first.get_counts(i)
+            assert second.get_memory(i) == first.get_memory(i)
 
-    def test_unregistered_backend_falls_back_inline(self):
-        """Backends the child cannot rebuild by name run in-process."""
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_partial_hits_keep_their_slots(self, entry, serial_reference):
+        """Hits interleaved with planned misses land at their own index."""
+        circuits = _mixed_submission()
+        hits = {1, 3}  # one IDEAL-group member and the SERIAL c_if circuit
+        # Same index, same derived seed: only the ``hits`` slots are warmed.
+        warmup = [
+            qc if i in hits else _tagged_circuit(i)
+            for i, qc in enumerate(circuits)
+        ]
+        want = serial_reference(None, circuits, 64, 8, memory=True)
+        service = ExecutionService(max_workers=2)
+        try:
+            service.run(warmup, shots=64, seed=8, memory=True)
+            with service.stats_scope() as scope:
+                job = getattr(service, entry)(
+                    circuits, shots=64, seed=8, memory=True
+                )
+                result = job.result(timeout=60)
+        finally:
+            service.shutdown()
+        assert job.cache_hits == len(hits)
+        assert scope.get("simulations") == len(circuits) - len(hits)
+        got = [
+            (result.get_counts(i), result.get_memory(i))
+            for i in range(len(circuits))
+        ]
+        assert got == want
+
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_overridden_execute_circuit_takes_the_serial_route(
+        self, entry, serial_reference
+    ):
+        """A backend with its own ``execute_circuit`` is never batched, even
+        for circuits that would otherwise share one IDEAL group."""
         backend = GatedBackend()
         backend.gate.set()
-        service = ExecutionService(max_workers=2, executor="process")
+        circuits = _mixed_submission()
+        want = serial_reference(backend, circuits, 64, 2, memory=True)
+        service = ExecutionService(max_workers=2)
         try:
-            job = service.submit(
-                bell_pair(measure=True), backend=backend, shots=25, seed=1
-            )
-            assert sum(job.result(timeout=30).get_counts().values()) == 25
+            with service.stats_scope() as scope:
+                result = getattr(service, entry)(
+                    circuits, backend=backend, shots=64, seed=2, memory=True
+                ).result(timeout=60)
         finally:
             service.shutdown()
-
-    def test_process_executor_shares_cache(self):
-        service = ExecutionService(max_workers=2, executor="process")
-        try:
-            qc = bell_pair(measure=True)
-            first = service.run(qc, shots=50, seed=8).result().get_counts()
-            second = service.run(qc, shots=50, seed=8).result().get_counts()
-            assert first == second
-            stats = service.stats()
-            assert stats["simulations"] == 1
-            assert stats["cache_hits"] == 1
-        finally:
-            service.shutdown()
+        assert scope.get("simulations") == len(circuits)
+        assert scope.get("simulations_batched") == 0
+        assert scope.get("batch_groups") == 0
+        got = [
+            (result.get_counts(i), result.get_memory(i))
+            for i in range(len(circuits))
+        ]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The contract under test (ISSUE 9): one parameterized *template* plus N
 bindings must behave exactly like N concretely-built circuits — bit-identical
-instructions and counts on every executor strategy — while costing one
-structure fingerprint, one transpilation and one batch-planner group.
+instructions and counts, on the serial engine and through the service — while
+costing one structure fingerprint, one transpilation and one batch-planner
+group.
 """
 
 import math
@@ -282,28 +283,26 @@ class TestExecutionRefusal:
 
 
 class TestExecutionParity:
-    @pytest.mark.parametrize("executor", ["thread", "process", "batch"])
-    def test_counts_bit_identical_to_concrete_on_every_executor(
-        self, executor
-    ):
-        kwargs = {"max_workers": 2} if executor == "process" else {}
-        svc_bound = ExecutionService(executor=executor, **kwargs)
-        svc_concrete = ExecutionService(executor=executor, **kwargs)
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    def test_counts_bit_identical_to_concrete(self, entry, serial_reference):
         template = sweep_template()
         points = SWEEP_POINTS[:6]
         bound = [template.bind({"theta": v}) for v in points]
         concrete = [concrete_sweep(v) for v in points]
-        res_bound = svc_bound.run(
-            bound, backend="ideal", shots=256, seed=11
-        ).result()
-        res_concrete = svc_concrete.run(
-            concrete, backend="ideal", shots=256, seed=11
-        ).result()
-        for i in range(len(points)):
-            assert res_bound.get_counts(i) == res_concrete.get_counts(i)
+        want = serial_reference("ideal", concrete, 256, 11)
+        assert serial_reference("ideal", bound, 256, 11) == want
+        svc = ExecutionService()
+        try:
+            res_bound = getattr(svc, entry)(
+                bound, backend="ideal", shots=256, seed=11
+            ).result(timeout=60)
+        finally:
+            svc.shutdown()
+        for i, (counts, _) in enumerate(want):
+            assert res_bound.get_counts(i) == counts
 
     def test_sweep_costs_one_transpile_and_one_batch_group(self):
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         template = sweep_template()
         points = [0.05 * k for k in range(100)]
         with svc.stats_scope() as scope:
@@ -321,7 +320,7 @@ class TestExecutionParity:
         assert counts["simulations_batched"] == len(points)
         # The sweep is bit-identical to 100 concretely-built circuits pushed
         # through the same stages on a fresh service.
-        reference_svc = ExecutionService(executor="batch")
+        reference_svc = ExecutionService()
         reference = reference_svc.run(
             [
                 reference_svc.transpile(

@@ -123,7 +123,7 @@ class TestMinimize:
         assert result.evaluations == 1 + 2 * maxiter
 
     def test_whole_run_costs_one_transpile(self):
-        svc = ExecutionService(executor="batch")
+        svc = ExecutionService()
         basis = ("rx", "ry", "rz", "rzz", "h", "cx", "measure")
         ansatz = qaoa_ansatz(4, RING, reps=1)
         with svc.stats_scope() as scope:
