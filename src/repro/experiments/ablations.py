@@ -9,7 +9,7 @@
    naive fixed-size windows vs code-aware chunks, scored by migration-note
    retrieval coverage.
 3. **Decoder choice** (Section V-E's decoder-scalability discussion) — MWPM
-   vs union-find vs lookup on logical error rate and decode time.
+   vs union-find vs lookup on logical error rate.
 4. **Surface-code distance / threshold** (Section V-B) — logical error rate
    vs physical rate for d in {3, 5}.
 5. **Topology specificity** (Section V-E) — decoder generation across device
@@ -20,8 +20,6 @@
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.errors import TopologyError
 from repro.experiments.common import ExperimentResult
@@ -165,17 +163,14 @@ def decoder_ablation(
         ("surface-3 MWPM", MWPMDecoder(surface, "x")),
         ("surface-3 union-find", UnionFindDecoder(surface, "x")),
     ):
-        start = time.perf_counter()
+        # No wall-clock note: the rate comes through the result cache, so a
+        # timing here would read the cache, not the decoder.  Per-decode
+        # seconds are ``qec.mwpm.self_s`` / ``qec.unionfind.self_s`` in a
+        # traced ``perfbench/run.py --workload qec-noisy`` run.
         result = logical_error_rate(
             surface, decoder, rounds, p_data, shots=shots, seed=seed
         )
-        elapsed = (time.perf_counter() - start) / shots * 1000
-        experiment.add(
-            name,
-            None,
-            100.0 * result.logical_error_rate,
-            note=f"{elapsed:.2f} ms/shot",
-        )
+        experiment.add(name, None, 100.0 * result.logical_error_rate)
     # Lookup decoder: single perfect round (its validity domain).
     rep = RepetitionCode(5)
     lookup = LookupDecoder(rep, "x", strict=False)

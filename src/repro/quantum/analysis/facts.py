@@ -136,16 +136,6 @@ class CircuitFacts:
         """Whether any instruction carries an unbound symbol."""
         return bool(self.parameters)
 
-    @property
-    def trajectory_eligible(self) -> bool:
-        """Whether the per-shot noise-draw schedule is state-independent.
-
-        Mirrors :func:`repro.quantum.simulator.trajectory_draw_plan`
-        returning a plan: only conditional instructions make the draw
-        schedule depend on measured bits.
-        """
-        return self.num_conditionals == 0
-
     def is_fast_path(self, noise: NoiseModel | None) -> bool:
         """Whether sampling the final state reproduces per-shot semantics.
 

@@ -11,13 +11,16 @@ choice on the compacted circuit, so a unit batches exactly when
   only), grouped by :func:`structure_fingerprint`: same gate names, qubits,
   clbits and conditions, parameters free.  The engine evolves the whole group
   on one batch axis and samples each unit with its own generator.
-* **shots** — trajectory-path circuits whose noise-draw schedule is
-  state-independent (:func:`~repro.quantum.simulator.trajectory_draw_plan`
-  returns a plan).  Each unit is its own group; the batch axis runs across
-  its shots.
-* **serial** — everything else: conditional instructions (draw schedule
-  depends on measured bits), circuits beyond the dense-width cap (the serial
-  path raises the canonical error per unit), and any backend that overrides
+* **shots** — every other circuit whose noise-draw schedule is
+  state-independent: :func:`~repro.quantum.simulator.trajectory_draw_plan`
+  returns a plan for the compacted circuit, and the unit carries that plan
+  to the engine.  Feed-forward (``c_if``) circuits qualify when their
+  conditionals draw nothing.  Each unit is its own group; the batch axis
+  runs across its shots.
+* **serial** — everything else: conditionals that draw (a conditional
+  measure or reset, or a conditional gate with a noise channel), circuits
+  beyond the dense-width cap or structurally defective (the serial path
+  raises the canonical error per unit), and any backend that overrides
   ``execute_circuit`` (its semantics are its own; see
   :func:`batchable_backend`).
 """
@@ -29,7 +32,11 @@ from dataclasses import dataclass
 from repro.quantum.analysis import CircuitFacts, circuit_facts, structure_fingerprint
 from repro.quantum.backend import Backend
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.simulator import MAX_DENSE_QUBITS, _compact
+from repro.quantum.simulator import (
+    MAX_DENSE_QUBITS,
+    _compact,
+    trajectory_draw_plan,
+)
 
 __all__ = [
     "IDEAL",
@@ -60,6 +67,9 @@ class PlannedUnit:
     seed: int | None
     shots: int
     facts: CircuitFacts  #: analyzer facts of ``circuit`` (routing input)
+    #: per-instruction draw widths of ``compacted``; set by :func:`plan` for
+    #: SHOTS units, the schedule the engine replays
+    draw_plan: list[int] | None = None
 
 
 @dataclass
@@ -103,10 +113,11 @@ def batchable_backend(backend: Backend) -> bool:
 def plan(backend: Backend, units: list[PlannedUnit]) -> list[PlannedGroup]:
     """Partition miss units into batchable groups plus one serial fallback.
 
-    Routing reads only each unit's :class:`CircuitFacts` —
-    ``repro.quantum.analysis`` is the single source of truth for width,
-    fast-path eligibility and trajectory-batchability, so the planner can
-    never disagree with the serial engine's own classification.
+    Width, defects and fast-path eligibility come from each unit's
+    :class:`CircuitFacts`; the shot-batched route is decided by the draw
+    plan of the compacted circuit alone, computed once here and kept on the
+    unit for the engine.  Both are the serial engine's own inputs, so the
+    planner can never disagree with its classification.
 
     Group order is deterministic (first appearance of each structure), and
     the serial group, when present, comes last.
@@ -133,10 +144,12 @@ def plan(backend: Backend, units: list[PlannedUnit]) -> list[PlannedGroup]:
                 group = ideal[fingerprint] = PlannedGroup(IDEAL, [])
                 groups.append(group)
             group.units.append(unit)
-        elif facts.trajectory_eligible:
-            groups.append(PlannedGroup(SHOTS, [unit]))
         else:
-            serial.append(unit)
+            unit.draw_plan = trajectory_draw_plan(unit.compacted, noise)
+            if unit.draw_plan is None:
+                serial.append(unit)
+            else:
+                groups.append(PlannedGroup(SHOTS, [unit]))
     if serial:
         groups.append(PlannedGroup(SERIAL, serial))
     return groups

@@ -16,6 +16,10 @@ dimension, ``matrix @ (2**k, batch * rest)`` — is measurably **not**
 bit-identical per column: widening the GEMM changes the kernel BLAS selects
 and with it the floating-point summation order (~1e-16 deviations on a third
 of random trials).  Do not "simplify" the kernel into that form.
+
+:func:`batch_measure` follows the same rule for measurement: each row's
+probability sum and norm keep the summation order of the serial
+``measure_probabilities`` and ``collapse``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.quantum.statevector import _ATOL
 
 
 def batch_apply_matrix(
@@ -56,6 +61,50 @@ def batch_apply_matrix(
     tensor = stacked.reshape([batch] + [2] * num_qubits)
     tensor = np.moveaxis(tensor, range(1, 1 + k), src_axes)
     return tensor.reshape(batch, 2**num_qubits)
+
+
+def batch_measure(
+    states: np.ndarray, qubit: int, num_qubits: int, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``qubit`` of every batched state with one uniform per row.
+
+    Returns ``(collapsed, outcomes)``.  Row ``s`` is bit for bit what the
+    serial trajectory computes: ``outcomes[s]`` is 1 exactly when
+    ``draws[s] < measure_probabilities(states[s], qubit, num_qubits)``, and
+    ``collapsed[s]`` equals ``collapse(states[s], qubit, outcomes[s],
+    num_qubits)``.  Each reduction keeps the serial one's summation order:
+
+    * P(1) is a 1-D ``.sum()`` per row of the gathered ``|amp|**2`` block,
+      i.e. numpy's pairwise sum.  ``sum(axis=1)`` is not pairwise and drifts
+      by an ulp on most rows from 4 qubits up.
+    * The norm is ``sqrt(re.re + im.im)`` with each dot a stacked row-vector
+      ``np.matmul``, which issues per row the same strided BLAS dot that
+      ``np.linalg.norm`` does.  ``einsum`` or a sum of squares does not.
+
+    Raises the serial :class:`SimulationError` when a row collapses onto a
+    zero-probability branch.
+    """
+    ones = (np.arange(2**num_qubits) & (1 << qubit)) != 0
+    block = np.abs(states[:, ones]) ** 2
+    p1 = np.fromiter(
+        (row.sum() for row in block), dtype=np.float64, count=len(block)
+    )
+    del block  # freed before the collapse copy: one tile of temporaries
+    outcomes = (draws < p1).astype(np.int64)
+    collapsed = np.where(ones == (outcomes[:, None] == 1), states, 0.0)
+    re, im = collapsed.real[:, None, :], collapsed.imag[:, None, :]
+    squared = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(
+        im, im.transpose(0, 2, 1)
+    )
+    norm = np.sqrt(squared[:, 0, 0])
+    lost = np.flatnonzero(norm < _ATOL)
+    if lost.size:
+        raise SimulationError(
+            f"collapse onto qubit {qubit}={int(outcomes[lost[0]])} has zero "
+            "probability"
+        )
+    collapsed /= norm[:, None]
+    return collapsed, outcomes
 
 
 class BatchStatevector:
@@ -113,6 +162,13 @@ class BatchStatevector:
         self._data[rows] = batch_apply_matrix(
             sub, matrix, targets, self._num_qubits
         )
+
+    def measure(self, qubit: int, draws: np.ndarray) -> np.ndarray:
+        """Measure ``qubit`` of every row in place; see :func:`batch_measure`."""
+        self._data, outcomes = batch_measure(
+            self._data, qubit, self._num_qubits, draws
+        )
+        return outcomes
 
     def row(self, index: int) -> np.ndarray:
         """A copy of one row's flat amplitudes."""

@@ -10,11 +10,13 @@ compatibility shim) submits work here, which buys:
   ``result()`` preserves submission order;
 * **vectorised simulation** — cache misses are always planned by
   :mod:`repro.quantum.batchsim`: misses sharing one compacted gate structure
-  evolve together on a batch axis, and a noisy unit's trajectory shots
-  evolve together.  Everything else takes the SERIAL route one circuit at a
-  time: conditional (``c_if``) circuits, whose noise draws depend on
-  measured bits; over-wide or defective circuits, so the serial engine
-  raises its canonical error; and backends that override
+  evolve together on a batch axis, and the shots of every trajectory circuit
+  with a state-independent noise-draw schedule evolve together, feed-forward
+  (``c_if``) circuits included.  Everything else takes the SERIAL route one
+  circuit at a time: circuits with a conditional that draws (a conditional
+  measure or reset, or a conditional gate with a noise channel), whose draws
+  depend on measured bits; over-wide or defective circuits, so the serial
+  engine raises its canonical error; and backends that override
   ``execute_circuit``.  Results are bit-identical to the serial engine per
   ``(seed, circuit)``, and the ``simulations_batched`` / ``batch_groups``
   counters report how much work took the vectorised path;

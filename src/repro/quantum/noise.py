@@ -86,6 +86,11 @@ class ReadoutError:
             return 1 - bit
         return bit
 
+    def apply_rows(self, bits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """:meth:`apply` per row, ``uniforms[s]`` being the draw for ``bits[s]``."""
+        flip_p = np.where(bits == 0, self.p1_given_0, self.p0_given_1)
+        return np.where(uniforms < flip_p, 1 - bits, bits)
+
 
 @dataclass
 class NoiseModel:

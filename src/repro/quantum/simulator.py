@@ -172,34 +172,39 @@ def trajectory_draw_plan(
 ) -> list[int] | None:
     """Per-instruction uniform-draw counts of one :func:`_run_trajectory` shot.
 
-    The trajectory path consumes ``rng.random()`` in a fixed, state-independent
-    order: a measurement draws its outcome plus one readout flip when the
-    qubit has a readout error; a reset draws its outcome; a unitary gate draws
-    one Pauli choice per touched qubit when a noise channel applies; barriers
-    draw nothing.  That fixed schedule is what lets the batch engine pre-draw
-    a ``(shots, total)`` table and replay the serial stream exactly.
+    The trajectory path consumes ``rng.random()`` in a fixed order: a
+    measurement draws its outcome plus one readout flip when the qubit has a
+    readout error; a reset draws its outcome; a unitary gate draws one Pauli
+    choice per touched qubit when a noise channel applies; barriers draw
+    nothing.  When that schedule is state-independent, the batch engine
+    pre-draws a ``(shots, total)`` table and replays the serial stream
+    exactly; the plan is then the one input that admits a circuit to the
+    shot-batched route.
 
-    Returns ``None`` when the schedule *is* state-dependent — conditional
-    instructions skip their draws when the condition fails — in which case
-    shots cannot be batched and the caller must fall back to the serial loop.
+    A conditional instruction skips its draws when its condition fails, so
+    it is admitted only when it draws nothing either way: a conditional gate
+    with no noise channel (or a conditional barrier).  Returns ``None`` for a
+    conditional ``measure`` or ``reset`` and for a conditional gate with a
+    noise channel; those shots cannot be batched and the caller falls back
+    to the serial loop.
     """
     plan: list[int] = []
     for inst in circuit:
-        if inst.condition is not None:
-            return None
         if inst.name == "barrier":
-            plan.append(0)
+            draws = 0
         elif inst.name == "measure":
             draws = 1
             if noise is not None and noise.readout_for(inst.qubits[0]) is not None:
                 draws += 1
-            plan.append(draws)
         elif inst.name == "reset":
-            plan.append(1)
+            draws = 1
         elif noise is not None and noise.channel_for(inst.name, inst.qubits) is not None:
-            plan.append(len(inst.qubits))
+            draws = len(inst.qubits)
         else:
-            plan.append(0)
+            draws = 0
+        if draws and inst.condition is not None:
+            return None
+        plan.append(draws)
     return plan
 
 

@@ -12,6 +12,7 @@ from repro.evalsuite.runner import EvalResult, PipelineSettings, TaskOutcome, ev
 from repro.evalsuite.suite import build_suite, build_task
 from repro.llm.faults import ModelConfig
 from repro.agents.semantic import SemanticAnalyzerAgent
+from repro.quantum.execution import ExecutionService, set_default_service
 
 
 class TestPassAtK:
@@ -187,6 +188,31 @@ class TestRunner:
         assert labelled.seed_scope() == PipelineSettings(
             ModelConfig("3b", True), label="ft"
         ).seed_scope()
+
+
+class TestFeedForwardGrading:
+    """Teleportation programs (``c_if`` corrections) grade on the batch
+    engine: their conditionals draw no noise, so no shot runs serially."""
+
+    @pytest.fixture
+    def fresh_service(self):
+        service = ExecutionService()
+        set_default_service(service)
+        yield service
+        set_default_service(None, shutdown_previous=True)
+
+    @pytest.mark.usefixtures("fresh_service")
+    def test_teleportation_tasks_simulate_batched(self):
+        tasks = [
+            task for task in build_suite() if task.case_id in ("adv-01", "adv-02")
+        ]
+        assert {task.case.family for task in tasks} == {"teleportation"}
+        settings_ = PipelineSettings(
+            ModelConfig("3b", True), samples_per_task=2, label="feed-forward"
+        )
+        stats = evaluate(settings_, tasks).execution_stats
+        assert stats["simulations"] > 0
+        assert stats["simulations_batched"] == stats["simulations"]
 
 
 class TestReporting:

@@ -40,6 +40,13 @@ class TestExperimentDrivers:
             "P(|000>) after QEC corrections (c)"
         ) >= experiment.measured("P(|000>) on noisy Brisbane (b)") - 1.0
 
+    def test_decoder_ablation_repeats_exactly(self):
+        # The second call is served from the result cache; no row, note
+        # included, may depend on how long the first one took.
+        first = ablations.decoder_ablation(shots=40)
+        second = ablations.decoder_ablation(shots=40)
+        assert first.rows == second.rows
+
     def test_topology_ablation(self):
         experiment = ablations.topology_ablation()
         assert experiment.measured("grid-5x5") == 100.0

@@ -36,7 +36,7 @@ from repro.quantum.execution import (
     validate_from_env,
 )
 from repro.quantum.noise import NoiseModel
-from repro.quantum.simulator import simulate_counts
+from repro.quantum.simulator import simulate_counts, trajectory_draw_plan
 from repro.quantum.transpiler import transpile
 
 
@@ -124,7 +124,6 @@ class TestCircuitFacts:
         facts = circuit_facts(QuantumCircuit(3))
         assert facts.depth == 0 and facts.size == 0
         assert facts.unused_qubits == (0, 1, 2)
-        assert facts.trajectory_eligible
         assert not facts.has_measurements
 
     def test_gates_after_measure_recorded(self):
@@ -144,10 +143,10 @@ class TestCircuitFacts:
             p_1q=1e-3, p_2q=1e-2, p_readout=1e-2
         )
         assert not facts.is_fast_path(noisy)
-        assert facts.trajectory_eligible
-        assert not circuit_facts(
-            dangling_conditional_circuit()
-        ).trajectory_eligible
+        # Trajectory eligibility is the draw plan's call: it depends on the
+        # noise model, so it is not a fact of the circuit alone.
+        assert trajectory_draw_plan(bell(), noisy) == [1, 2, 2, 2]
+        assert trajectory_draw_plan(dangling_conditional_circuit(), noisy) is None
 
     def test_reset_disqualifies_fast_path(self):
         qc = QuantumCircuit(1, 1)
@@ -156,7 +155,8 @@ class TestCircuitFacts:
         qc.measure(0, 0)
         facts = circuit_facts(qc)
         assert facts.has_reset and not facts.is_fast_path(None)
-        assert facts.trajectory_eligible  # resets don't block trajectories
+        # Resets don't block trajectories.
+        assert trajectory_draw_plan(qc, None) == [0, 1, 1]
 
     def test_defect_records(self):
         assert circuit_facts(bad_qubit_circuit()).bad_qubit_refs == ((1, 5),)

@@ -7,7 +7,7 @@ never changes the results of clean circuits, which stay those of the serial
 engine.  The
 planner-routing property is the regression guard for the facts dedupe: the
 batch planner's classification must be exactly predictable from each unit's
-:class:`CircuitFacts`.
+:class:`CircuitFacts` and the draw plan of its compacted circuit.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.quantum.backend import Backend, LocalSimulator
 from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.execution import ExecutionService
 from repro.quantum.noise import NoiseModel
-from repro.quantum.simulator import MAX_DENSE_QUBITS
+from repro.quantum.simulator import MAX_DENSE_QUBITS, trajectory_draw_plan
 
 # Gate pool for random structure generation: (method, n_params).
 _ONE_Q = [("h", 0), ("x", 0), ("s", 0), ("t", 0), ("rx", 1), ("ry", 1), ("rz", 1)]
@@ -223,16 +223,18 @@ class TestStrictIsInert:
 
 
 class TestPlannerRoutingMatchesFacts:
-    """Regression for the facts dedupe: routing is a pure function of facts."""
+    """Regression for the facts dedupe: routing is a pure function of the
+    facts and, for the shot-batched route, of the compacted draw plan."""
 
-    def predicted_kind(self, facts, noise) -> str:
+    def predicted_kind(self, unit, noise) -> str:
+        facts = unit.facts
         if max(1, len(facts.touched_qubits)) > MAX_DENSE_QUBITS:
             return batchsim.SERIAL
         if facts.structurally_defective:
             return batchsim.SERIAL
         if facts.is_fast_path(noise):
             return batchsim.IDEAL
-        if facts.trajectory_eligible:
+        if trajectory_draw_plan(unit.compacted, noise) is not None:
             return batchsim.SHOTS
         return batchsim.SERIAL
 
@@ -261,7 +263,7 @@ class TestPlannerRoutingMatchesFacts:
             units.append(batchsim.make_unit(index, qc, None, seed + index, 32))
         assigned = self.assigned_kinds(backend, units)
         for unit in units:
-            want = self.predicted_kind(unit.facts, backend.noise_model)
+            want = self.predicted_kind(unit, backend.noise_model)
             assert assigned[unit.index] == want, (
                 f"unit {unit.index}: planner chose {assigned[unit.index]}, "
                 f"facts predict {want}"

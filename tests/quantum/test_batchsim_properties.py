@@ -15,17 +15,22 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.quantum import batchsim
+from repro.quantum import batchsim, gates, library
 from repro.quantum.backend import Backend, LocalSimulator
 from repro.quantum.batchsim import engine as batch_engine
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import ExecutionService
-from repro.quantum.noise import NoiseModel
+from repro.quantum.noise import NoiseModel, PauliNoise, ReadoutError
 from repro.quantum.simulator import (
     sample_from_state,
     trajectory_draw_plan,
 )
-from repro.quantum.statevector import Statevector, apply_matrix
+from repro.quantum.statevector import (
+    Statevector,
+    apply_matrix,
+    collapse,
+    measure_probabilities,
+)
 
 # Gate pool for random structure generation: (method, arity, n_params).
 _ONE_Q = [("h", 0), ("x", 0), ("s", 0), ("t", 0), ("rx", 1), ("ry", 1), ("rz", 1)]
@@ -71,11 +76,80 @@ def reparameterize(qc: QuantumCircuit, rng: np.random.Generator) -> QuantumCircu
     return out
 
 
+def conditional_measure_circuit() -> QuantumCircuit:
+    """Feed-forward whose conditional draws (a measurement), so it stays
+    on the SERIAL route on every backend."""
+    qc = QuantumCircuit(2, 2)
+    qc.h(0)
+    qc.measure(0, 0)
+    qc.h(1)
+    qc.append("measure", [1], [1], condition=(0, 1))
+    return qc
+
+
+#: Gates a feed-forward correction may apply (teleportation's are x and z).
+_CORRECTIONS = ("x", "y", "z", "h", "s")
+
+
+def feed_forward_circuit(
+    rng: np.random.Generator, num_qubits: int, depth: int
+) -> QuantumCircuit:
+    """A random circuit with mid-circuit measurements feeding ``c_if`` gates.
+
+    It opens by measuring ``|+>`` on qubit 0, so every circuit has a random
+    bit to condition on.  Every condition reads a clbit some earlier
+    measurement wrote, tests for 0 or 1, and targets a random qubit, so
+    shots of one circuit fire different corrections.  Ends with
+    ``measure_all``.
+    """
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    qc.h(0)
+    qc.measure(0, 0)
+    written = [0]
+    for _ in range(depth):
+        roll = rng.random()
+        if roll < 0.2:
+            qubit = int(rng.integers(num_qubits))
+            qc.measure(qubit, qubit)
+            written.append(qubit)
+        elif roll < 0.5:
+            bit = written[int(rng.integers(len(written)))]
+            gate = _CORRECTIONS[int(rng.integers(len(_CORRECTIONS)))]
+            qc.append(
+                gate, [int(rng.integers(num_qubits))],
+                condition=(bit, int(rng.integers(2))),
+            )
+        elif roll < 0.55:
+            qc.reset(int(rng.integers(num_qubits)))
+        elif num_qubits > 1 and roll < 0.75:
+            a, b = rng.choice(num_qubits, size=2, replace=False)
+            qc.cx(int(a), int(b))
+        else:
+            qc.ry(float(rng.uniform(0, 2 * np.pi)), int(rng.integers(num_qubits)))
+            qc.h(int(rng.integers(num_qubits)))
+    qc.measure_all()
+    return qc
+
+
 def noisy_backend(p: float = 0.02, readout: float = 0.01) -> Backend:
     return Backend(
         name="batchsim-noisy",
         num_qubits=8,
         noise_model=NoiseModel.uniform_depolarizing(p, 2 * p, readout),
+    )
+
+
+def corrections_noiseless_backend() -> Backend:
+    """Gate noise and readout error everywhere except on the correction gates,
+    so feed-forward circuits keep a state-independent draw schedule."""
+    return Backend(
+        name="batchsim-noisy-ff",
+        num_qubits=8,
+        noise_model=NoiseModel.uniform_depolarizing(
+            0.03, 0.06, 0.02,
+            one_qubit_gates=("ry", "rx", "rz", "t"),
+            two_qubit_gates=("cx", "cz"),
+        ),
     )
 
 
@@ -153,6 +227,94 @@ class TestBatchKernel:
 
 
 # ---------------------------------------------------------------------------
+# Measurement: batch_measure row-for-row vs measure_probabilities + collapse
+# ---------------------------------------------------------------------------
+
+
+def random_states(rng, batch, num_qubits):
+    states = rng.normal(size=(batch, 2**num_qubits)) + 1j * rng.normal(
+        size=(batch, 2**num_qubits)
+    )
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def bits_of(array: np.ndarray) -> np.ndarray:
+    """The raw IEEE-754 bit patterns, so -0.0 and +0.0 count as different."""
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestBatchMeasure:
+    @pytest.mark.parametrize("num_qubits", range(1, 11))
+    def test_rows_bit_identical_to_serial_collapse(self, num_qubits):
+        rng = np.random.default_rng(900 + num_qubits)
+        for trial in range(3):
+            states = random_states(rng, 16, num_qubits)
+            for qubit in range(num_qubits):
+                p1 = np.array([
+                    measure_probabilities(row, qubit, num_qubits)
+                    for row in states
+                ])
+                # Uniform draws, then draws on either side of each row's
+                # serial P(1), where an ulp of drift would flip the outcome.
+                draws = (rng.random(16), p1, np.nextafter(p1, 0.0))[trial]
+                got, outcomes = batchsim.batch_measure(
+                    states, qubit, num_qubits, draws
+                )
+                for row in range(16):
+                    outcome = 1 if draws[row] < p1[row] else 0
+                    want = collapse(states[row], qubit, outcome, num_qubits)
+                    assert outcomes[row] == outcome
+                    assert np.array_equal(bits_of(got[row]), bits_of(want)), (
+                        f"row {row} deviates measuring qubit {qubit}"
+                    )
+
+    def test_reset_rows_bit_identical_to_serial_reset(self):
+        rng = np.random.default_rng(911)
+        for num_qubits in (1, 3, 6):
+            states = random_states(rng, 12, num_qubits)
+            for qubit in range(num_qubits):
+                draws = rng.random(12)
+                batch = batchsim.BatchStatevector(states)
+                outcomes = batch.measure(qubit, draws)
+                batch.apply_rows(
+                    np.flatnonzero(outcomes), gates.X_MATRIX, [qubit]
+                )
+                for row in range(12):
+                    p1 = measure_probabilities(states[row], qubit, num_qubits)
+                    outcome = 1 if draws[row] < p1 else 0
+                    want = collapse(states[row], qubit, outcome, num_qubits)
+                    if outcome:
+                        want = apply_matrix(
+                            want, gates.X_MATRIX, [qubit], num_qubits
+                        )
+                    assert np.array_equal(bits_of(batch.row(row)), bits_of(want))
+
+    def test_readout_flips_match_serial_apply(self):
+        rng = np.random.default_rng(921)
+        readout = ReadoutError(0.3, 0.6)
+        bits = rng.integers(2, size=500)
+        uniforms = np.random.default_rng(922).random(500)
+        serial_rng = np.random.default_rng(922)  # same stream, drawn per bit
+        want = [readout.apply(int(bit), serial_rng) for bit in bits]
+        got = readout.apply_rows(bits, uniforms)
+        assert got.tolist() == want
+        assert got.tolist() != bits.tolist()  # some bits really flipped
+
+    def test_zero_probability_branch_raises_the_serial_error(self):
+        # P(1) = 1e-22 is positive, so draw 0.0 selects outcome 1, whose
+        # branch norm (1e-11) is below the collapse tolerance.
+        state = np.array([[np.sqrt(1 - 1e-22), 1e-11]], dtype=np.complex128)
+        draws = np.array([0.0])
+        assert draws[0] < measure_probabilities(state[0], 0, 1)
+        with pytest.raises(SimulationError) as serial:
+            collapse(state[0], 0, 1, 1)
+        with pytest.raises(SimulationError) as batched:
+            batchsim.batch_measure(state, 0, 1, draws)
+        assert str(batched.value) == str(serial.value)
+        assert "zero probability" in str(serial.value)
+
+
+# ---------------------------------------------------------------------------
 # Planner: groupings are exactly the provably-safe ones
 # ---------------------------------------------------------------------------
 
@@ -218,11 +380,7 @@ class TestPlanner:
     def test_serial_group_comes_last_and_plan_of_nothing_is_empty(self):
         rng = np.random.default_rng(4)
         ideal = random_circuit(rng, 2, 3)
-        cond = QuantumCircuit(2, 2)
-        cond.h(0)
-        cond.measure(0, 0)
-        cond.append("x", [1], condition=(0, 1))
-        cond.measure(1, 1)
+        cond = conditional_measure_circuit()
         groups = batchsim.plan(
             LocalSimulator(), self._units([cond, ideal])
         )
@@ -239,6 +397,60 @@ class TestPlanner:
         backend = Backend(name="wide", num_qubits=MAX_DENSE_QUBITS + 2)
         groups = batchsim.plan(backend, self._units([wide]))
         assert [g.kind for g in groups] == [batchsim.SERIAL]
+
+    def test_feed_forward_units_shot_batch_with_their_draw_plan(self):
+        rng = np.random.default_rng(6)
+        circuits = [feed_forward_circuit(rng, 3, 10) for _ in range(3)]
+        circuits.append(library.teleportation())
+        for backend in (LocalSimulator(), corrections_noiseless_backend()):
+            units = self._units(circuits)
+            groups = batchsim.plan(backend, units)
+            assert [g.kind for g in groups] == [batchsim.SHOTS] * len(units)
+            for unit in units:
+                assert unit.draw_plan == trajectory_draw_plan(
+                    unit.compacted, backend.noise_model
+                )
+
+    def test_conditionals_that_draw_stay_serial(self):
+        reset = QuantumCircuit(2, 2)
+        reset.h(0)
+        reset.measure(0, 0)
+        reset.append("reset", [1], condition=(0, 1))
+        reset.measure(1, 1)
+        on_channel = library.teleportation()  # its c_if x and z on qubit 2
+        all_qubit = NoiseModel()
+        all_qubit.add_all_qubit_error(PauliNoise.bit_flip(0.1), "z")
+        cases = [
+            (LocalSimulator(), conditional_measure_circuit()),
+            (LocalSimulator(), reset),
+            (Backend(name="all-qubit", num_qubits=4, noise_model=all_qubit),
+             on_channel),
+        ]
+        # A local channel applies to the *compacted* qubits, which is what
+        # the serial engine looks up: qubit 5 of this circuit is qubit 1.
+        sparse = QuantumCircuit(6, 2)
+        sparse.h(3)
+        sparse.measure(3, 0)
+        sparse.append("x", [5], condition=(0, 1))
+        sparse.measure(5, 1)
+        local = NoiseModel()
+        local.add_local_error(PauliNoise.bit_flip(0.1), "x", [1])
+        cases.append(
+            (Backend(name="local", num_qubits=6, noise_model=local), sparse)
+        )
+        for backend, qc in cases:
+            groups = batchsim.plan(backend, self._units([qc]))
+            assert [g.kind for g in groups] == [batchsim.SERIAL], qc
+        # Keyed on the uncompacted index, the same channel never fires, so
+        # the serial engine draws nothing there and the unit shot-batches.
+        uncompacted = NoiseModel()
+        uncompacted.add_local_error(PauliNoise.bit_flip(0.1), "x", [5])
+        backend = Backend(name="local-5", num_qubits=6, noise_model=uncompacted)
+        (group,) = batchsim.plan(backend, self._units([sparse]))
+        assert group.kind == batchsim.SHOTS
+        (got,) = batchsim.execute_group(backend.noise_model, group, True)
+        unit = group.units[0]
+        assert got == backend.execute_circuit(sparse, unit.shots, unit.seed, True)
 
     def test_structure_fingerprint_ignores_params_only(self):
         rng = np.random.default_rng(5)
@@ -358,6 +570,13 @@ class TestEngineBitIdentity:
                 None, batchsim.PlannedGroup(batchsim.SERIAL, [unit]), False
             )
 
+    def test_unplanned_shots_unit_is_refused(self):
+        unit = batchsim.make_unit(0, library.teleportation(), None, 1, 10)
+        with pytest.raises(SimulationError, match="no draw plan"):
+            batchsim.execute_group(
+                None, batchsim.PlannedGroup(batchsim.SHOTS, [unit]), False
+            )
+
     def test_tiling_cannot_affect_results(self, monkeypatch):
         rng = np.random.default_rng(13)
         backend = noisy_backend()
@@ -424,11 +643,16 @@ class TestDrawPlan:
         qc.measure(0, 0)
         assert trajectory_draw_plan(qc, noise) == [0, 1]
 
-    def test_conditionals_have_no_static_plan(self):
+    def test_only_conditionals_that_draw_have_no_static_plan(self):
         qc = QuantumCircuit(2, 2)
         qc.measure(0, 0)
         qc.append("x", [1], condition=(0, 1))
-        assert trajectory_draw_plan(qc, NoiseModel()) is None
+        # A conditional gate with no channel draws nothing whether or not it
+        # fires, so the schedule stays state-independent.
+        assert trajectory_draw_plan(qc, NoiseModel()) == [1, 0]
+        noisy = NoiseModel.uniform_depolarizing(0.01, 0.02)
+        assert trajectory_draw_plan(qc, noisy) is None
+        assert trajectory_draw_plan(conditional_measure_circuit(), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +726,7 @@ class TestServiceFuzz:
 
     def test_conditional_units_ride_the_serial_fallback(self, run_pair):
         rng = np.random.default_rng(41)
-        cond = QuantumCircuit(2, 2)
-        cond.h(0)
-        cond.measure(0, 0)
-        cond.append("x", [1], condition=(0, 1))
-        cond.measure(1, 1)
+        cond = conditional_measure_circuit()
         workload = [random_circuit(rng, 2, 4), cond, random_circuit(rng, 2, 4)]
         got, want, svc = run_pair(LocalSimulator(), workload, 128, 41)
         assert_results_identical(got, want)
@@ -514,6 +734,38 @@ class TestServiceFuzz:
         # The conditional unit simulated serially; the rest batched.
         assert stats["simulations_batched"] == 2
         assert stats["simulations"] == 3
+
+    @pytest.mark.parametrize("tile", ["default", "one-row"])
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    @pytest.mark.parametrize(
+        "backend",
+        [LocalSimulator(), corrections_noiseless_backend()],
+        ids=["local_simulator", "noisy"],
+    )
+    def test_feed_forward_workload_with_memory(
+        self, backend, entry, tile, serial_reference, monkeypatch
+    ):
+        if tile == "one-row":
+            monkeypatch.setattr(batch_engine, "MAX_BATCH_AMPLITUDES", 1)
+        rng = np.random.default_rng(45)
+        workload = [
+            feed_forward_circuit(rng, int(rng.integers(1, 5)),
+                                 int(rng.integers(4, 14)))
+            for _ in range(5)
+        ]
+        workload.append(library.teleportation(0.7, 0.2))
+        want = serial_reference(backend, workload, 73, 45, memory=True)
+        svc = ExecutionService(max_workers=2)
+        try:
+            got = getattr(svc, entry)(
+                workload, backend=backend, shots=73, seed=45, memory=True
+            ).result(timeout=60)
+            stats = svc.stats()
+        finally:
+            svc.shutdown()
+        assert_results_identical(got, want, memory=True)
+        assert stats["simulations"] == len(workload)
+        assert stats["simulations_batched"] == len(workload)
 
     def test_submit_path_matches_serial_engine(self, serial_reference):
         rng = np.random.default_rng(51)

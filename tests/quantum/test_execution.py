@@ -516,9 +516,11 @@ def _mixed_submission() -> list[QuantumCircuit]:
     """One circuit per planner route, plus a duplicate.
 
     On an ideal backend the two rotated circuits and the duplicate form one
-    IDEAL group, the mid-circuit reset is a SHOTS trajectory, and the
-    ``c_if`` circuit takes the SERIAL route.  On a noisy backend every
-    circuit but the ``c_if`` one is a noisy SHOTS trajectory.
+    IDEAL group, and the mid-circuit reset and the ``c_if`` circuit are SHOTS
+    trajectories (its conditional ``x`` draws nothing).  On a noisy backend
+    every circuit but the ``c_if`` one is a noisy SHOTS trajectory; the
+    conditional ``x`` has a noise channel there, so that circuit takes the
+    SERIAL route.
     """
 
     def rotated(theta: float) -> QuantumCircuit:
@@ -579,8 +581,11 @@ class TestOneFlow:
             scopes[entry] = scope.as_dict()
         assert scopes["run"] == scopes["submit"]
         assert scopes["run"]["simulations"] == len(circuits)
-        # Everything but the c_if circuit ran on the batch engine.
-        assert scopes["run"]["simulations_batched"] == len(circuits) - 1
+        # Everything ran on the batch engine, except the c_if circuit under
+        # noise, whose conditional gate draws.
+        assert scopes["run"]["simulations_batched"] == (
+            len(circuits) - 1 if noisy else len(circuits)
+        )
 
     @pytest.mark.parametrize("entry", ["run", "submit"])
     def test_failed_units_leave_no_flight_behind(self, entry, monkeypatch):
@@ -633,7 +638,7 @@ class TestOneFlow:
     def test_partial_hits_keep_their_slots(self, entry, serial_reference):
         """Hits interleaved with planned misses land at their own index."""
         circuits = _mixed_submission()
-        hits = {1, 3}  # one IDEAL-group member and the SERIAL c_if circuit
+        hits = {1, 3}  # one IDEAL-group member and the c_if circuit
         # Same index, same derived seed: only the ``hits`` slots are warmed.
         warmup = [
             qc if i in hits else _tagged_circuit(i)
