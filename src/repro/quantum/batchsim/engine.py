@@ -39,7 +39,8 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import (
     _PAULI_MATRICES,
-    bit_rows_to_strings,
+    _measure_pairs,
+    digit_rows,
     sample_from_state,
     tally_counts,
 )
@@ -94,14 +95,14 @@ def _execute_ideal(
     results = []
     for unit, params_stream in zip(units, row_keys):
         rng = np.random.default_rng(unit.seed)
-        outcomes = sample_from_state(
+        rows = sample_from_state(
             states[row_of[params_stream]],
-            unit.compacted.measured_qubit_to_clbit(),
+            _measure_pairs(unit.compacted),
             unit.compacted.num_clbits,
             unit.shots,
             rng,
         )
-        results.append(tally_counts(outcomes, memory))
+        results.append(tally_counts(rows, memory))
     return results
 
 
@@ -155,12 +156,11 @@ def _execute_trajectory_unit(
     # Row s holds shot s's draws in exactly the order the serial loop would
     # have consumed them: the generator fills the table row-major.
     draws = rng.random((unit.shots, sum(plan)))
-    outcomes: list[str] = []
-    for start, stop in _tiles(unit.shots, compacted.num_qubits):
-        outcomes.extend(
-            _run_trajectory_tile(compacted, noise, draws[start:stop], plan)
-        )
-    return tally_counts(outcomes, memory)
+    rows = np.concatenate([
+        _run_trajectory_tile(compacted, noise, draws[start:stop], plan)
+        for start, stop in _tiles(unit.shots, compacted.num_qubits)
+    ])
+    return tally_counts(rows, memory)
 
 
 def _run_trajectory_tile(
@@ -168,7 +168,7 @@ def _run_trajectory_tile(
     noise: NoiseModel | None,
     draws: np.ndarray,
     plan: list[int],
-) -> list[str]:
+) -> np.ndarray:
     """Evolve one tile of shots through the trajectory, everything batched.
 
     ``draws[s, i]`` is the ``i``-th uniform the serial loop would draw for
@@ -221,4 +221,4 @@ def _run_trajectory_tile(
                         np.flatnonzero(mask), _PAULI_MATRICES[pauli], [qubit]
                     )
             cursor += width
-    return bit_rows_to_strings(clbits[:, ::-1] + ord("0"))
+    return digit_rows(clbits)

@@ -5,11 +5,14 @@ content-addressed result cache as serial ones, so a batch result that differs
 from its serial twin — even in the last ulp, which shifts sampled counts —
 would poison every later lookup.  The kernel here therefore mirrors
 :func:`repro.quantum.statevector.apply_matrix` *exactly* and adds the batch as
-a gufunc stack dimension: after moving the target axes to the front of each
-row's qubit tensor, the rows are packed contiguously as ``(batch, 2**k,
-rest)`` and multiplied with one ``np.matmul`` call.  Every 2-D slice of that
-stacked matmul is the identical GEMM shape the serial kernel issues, so BLAS
-takes the same code path per row and the results match bit for bit.
+a gufunc stack dimension: one ``transpose`` brings the target axes to the
+front of each row's qubit tensor, the rows are packed contiguously as
+``(batch, 2**k, rest)`` and multiplied with one ``np.matmul`` call, and the
+inverse ``transpose`` puts the axes back.  Both orders come from the serial
+kernel's cached ``_axis_orders`` (shifted by the batch axis), so each row's
+view is the serial one.  Every 2-D slice of that stacked matmul is the
+identical GEMM shape the serial kernel issues, so BLAS takes the same code
+path per row and the results match bit for bit.
 
 The tempting alternative — folding the batch into the matmul's *column*
 dimension, ``matrix @ (2**k, batch * rest)`` — is measurably **not**
@@ -30,7 +33,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.quantum.statevector import _ATOL
+from repro.quantum.statevector import _ATOL, _axis_orders
 
 
 def batch_apply_matrix(
@@ -43,7 +46,11 @@ def batch_apply_matrix(
 
     ``states`` is ``(batch, 2**num_qubits)``; returns a new array of the same
     shape whose row ``i`` equals ``apply_matrix(states[i], matrix, targets,
-    num_qubits)`` bit for bit.
+    num_qubits)`` bit for bit.  The axis shuffles are plain transposes by
+    orders cached per ``(targets, num_qubits, 1)``: the serial kernel's
+    permutation with the batch axis kept in front, so every row sees the
+    serial view and GEMM shape.  Deriving the orders per call cost more
+    than the matmul on the small states this engine batches.
     """
     k = len(targets)
     if matrix.shape != (2**k, 2**k):
@@ -51,16 +58,12 @@ def batch_apply_matrix(
             f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
         )
     batch = states.shape[0]
-    tensor = states.reshape([batch] + [2] * num_qubits)
-    # Same axis arithmetic as the serial kernel, shifted right by the batch
-    # axis: tensor axis 1+j is qubit (num_qubits - 1 - j) of each row.
-    src_axes = [1 + num_qubits - 1 - t for t in reversed(targets)]
-    tensor = np.moveaxis(tensor, src_axes, range(1, 1 + k))
+    shape = [batch] + [2] * num_qubits
+    forward, inverse = _axis_orders(tuple(targets), num_qubits, 1)
+    tensor = states.reshape(shape).transpose(forward)
     stacked = np.ascontiguousarray(tensor).reshape(batch, 2**k, -1)
     stacked = np.matmul(matrix, stacked)
-    tensor = stacked.reshape([batch] + [2] * num_qubits)
-    tensor = np.moveaxis(tensor, range(1, 1 + k), src_axes)
-    return tensor.reshape(batch, 2**num_qubits)
+    return stacked.reshape(shape).transpose(inverse).reshape(batch, 2**num_qubits)
 
 
 def batch_measure(

@@ -7,9 +7,14 @@ Two paths:
   evolve the statevector once and multinomially sample the joint distribution.
 * **trajectory path** — everything else: one statevector trajectory per shot,
   sampling Pauli noise after each gate and readout flips at each measurement.
+
+Both paths (and the batch engine's) produce ``(shots, num_clbits)`` digit
+rows, which :func:`tally_counts` folds into counts.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -88,38 +93,51 @@ def _is_fast_path(circuit: QuantumCircuit, noise: NoiseModel | None) -> bool:
     return circuit_facts(circuit).is_fast_path(noise)
 
 
-def bit_rows_to_strings(rows: np.ndarray) -> list[str]:
-    """Decode a ``(shots, width)`` array of ASCII digit codes into bitstrings.
+def digit_rows(clbits: np.ndarray) -> np.ndarray:
+    """Turn ``(shots, num_clbits)`` clbit values into ASCII digit rows.
 
-    One decode over the whole block instead of a per-shot ``str.join`` — the
-    assembly half of sampling is pure bookkeeping and should cost like it.
+    Column ``j`` of ``clbits`` is clbit ``j``; the returned ``uint8`` rows
+    hold the codes of ``'0'``/``'1'`` with clbit 0 in the *last* column, so
+    each row reads like its bitstring.  This is the row layout
+    :func:`tally_counts` consumes.
     """
-    shots, width = rows.shape
-    if width == 0:
-        return [""] * shots
-    buf = np.ascontiguousarray(rows.astype(np.uint8, copy=False)).tobytes()
-    text = buf.decode("ascii")
-    return [text[i * width : (i + 1) * width] for i in range(shots)]
+    return (clbits[:, ::-1] + ord("0")).astype(np.uint8, copy=False)
+
+
+def _measure_pairs(circuit: QuantumCircuit) -> list[tuple[int, int]]:
+    """``(qubit, clbit)`` of every ``measure`` instruction, in program order."""
+    return [
+        (inst.qubits[0], inst.clbits[0]) for inst in circuit if inst.name == "measure"
+    ]
 
 
 def sample_from_state(
     state: Statevector,
-    mapping: dict[int, int],
+    measures: Sequence[tuple[int, int]],
     num_clbits: int,
     shots: int,
     rng: np.random.Generator,
-) -> list[str]:
-    """Sample ``shots`` bitstrings from the measured qubits of a final state.
+) -> np.ndarray:
+    """Sample ``shots`` classical registers from the measured qubits of a state.
 
-    ``mapping`` is ``measured_qubit_to_clbit()`` of the original circuit.
-    Consumes exactly one ``rng.choice`` call, so the sampled stream is a pure
-    function of ``(state, mapping, shots, rng state)`` — which is what lets
+    ``measures`` lists the circuit's ``(qubit, clbit)`` measurements in
+    program order.  Returns ``(shots, num_clbits)`` ASCII digit rows (see
+    :func:`digit_rows`).  Each clbit holds the outcome of the qubit measured
+    into it *last*, as a per-shot run leaves it: one qubit may feed several
+    clbits, and a later measurement overwrites a clbit; a clbit nothing
+    measures into reads 0.
+
+    The joint distribution is drawn over the measured qubits in the order
+    they are first measured (the key order of ``measured_qubit_to_clbit()``)
+    with exactly one ``rng.choice`` call, so the sampled stream is a pure
+    function of ``(state, measures, shots, rng state)`` — which is what lets
     the batch engine share one evolved state across many per-unit generators
     and still match the serial engine bit for bit.
     """
-    if not mapping:
-        return ["0" * num_clbits] * shots if num_clbits else [""] * shots
-    qubits = list(mapping.keys())
+    rows = np.full((shots, num_clbits), ord("0"), dtype=np.uint8)
+    if not measures:
+        return rows
+    qubits = list(dict.fromkeys(qubit for qubit, _ in measures))
     probs = state.probabilities(qubits)
     total = float(probs.sum())
     if abs(total - 1.0) > NORM_ATOL:
@@ -130,22 +148,23 @@ def sample_from_state(
     # Dividing by a validated ~1.0 total only scrubs honest rounding dust;
     # it keeps numpy's own (tighter) sum check in rng.choice satisfied.
     outcome_idx = rng.choice(len(probs), size=shots, p=probs / total)
-    chars = np.full((shots, num_clbits), ord("0"), dtype=np.uint8)
-    for pos, q in enumerate(qubits):
-        clbit = mapping[q]
-        chars[:, num_clbits - 1 - clbit] = ord("0") + (
-            (outcome_idx >> pos) & 1
+    position = {qubit: pos for pos, qubit in enumerate(qubits)}
+    last_source = {clbit: qubit for qubit, clbit in measures}
+    for clbit, qubit in last_source.items():
+        rows[:, num_clbits - 1 - clbit] = ord("0") + (
+            (outcome_idx >> position[qubit]) & 1
         ).astype(np.uint8)
-    return bit_rows_to_strings(chars)
+    return rows
 
 
 def _fast_sample(
     circuit: QuantumCircuit, shots: int, rng: np.random.Generator
-) -> list[str]:
+) -> np.ndarray:
     """Sample shots from the final statevector (ideal, final-measurement case)."""
-    mapping = circuit.measured_qubit_to_clbit()
     state = Statevector.from_circuit(circuit.remove_all_measurements())
-    return sample_from_state(state, mapping, circuit.num_clbits, shots, rng)
+    return sample_from_state(
+        state, _measure_pairs(circuit), circuit.num_clbits, shots, rng
+    )
 
 
 def _apply_gate_noise(
@@ -212,8 +231,8 @@ def _run_trajectory(
     circuit: QuantumCircuit,
     noise: NoiseModel | None,
     rng: np.random.Generator,
-) -> str:
-    """One noisy shot; returns the classical bitstring (clbit 0 rightmost)."""
+) -> list[int]:
+    """One noisy shot; returns the classical register (clbit 0 first)."""
     n = circuit.num_qubits
     state = np.zeros(2**n, dtype=np.complex128)
     state[0] = 1.0
@@ -247,7 +266,7 @@ def _run_trajectory(
             continue
         state = apply_matrix(state, inst.matrix(), inst.qubits, n)
         state = _apply_gate_noise(state, inst, noise, n, rng)
-    return "".join(str(b) for b in reversed(clbits))
+    return clbits
 
 
 def simulate_counts(
@@ -275,17 +294,40 @@ def simulate_counts(
     # ``is_fast_path`` only reads relabelling-invariant structure, so facts of
     # the original circuit answer for the compacted one too.
     if facts.is_fast_path(noise):
-        outcomes = _fast_sample(circuit, shots, rng)
+        rows = _fast_sample(circuit, shots, rng)
     else:
-        outcomes = [_run_trajectory(circuit, noise, rng) for _ in range(shots)]
-    return tally_counts(outcomes, memory)
+        clbits = np.array(
+            [_run_trajectory(circuit, noise, rng) for _ in range(shots)],
+            dtype=np.uint8,
+        ).reshape(shots, circuit.num_clbits)
+        rows = digit_rows(clbits)
+    return tally_counts(rows, memory)
 
 
 def tally_counts(
-    outcomes: list[str], memory: bool
+    rows: np.ndarray, memory: bool
 ) -> tuple[dict[str, int], list[str] | None]:
-    """Fold per-shot bitstrings into ``(sorted counts, optional memory)``."""
-    counts: dict[str, int] = {}
-    for bits in outcomes:
-        counts[bits] = counts.get(bits, 0) + 1
-    return dict(sorted(counts.items())), (outcomes if memory else None)
+    """Fold ``(shots, width)`` digit rows into ``(sorted counts, optional memory)``.
+
+    Each row is viewed as one ``width``-byte string, so ``np.unique`` counts
+    the distinct outcomes without a Python object per shot; only those
+    distinct rows are decoded into bitstring keys.  ``'0'``/``'1'`` bytes
+    sort like their characters, so the keys come back sorted.  The per-shot
+    list is built only for ``memory=True``: shot order, each entry the
+    decoded key of its row.
+    """
+    shots, width = rows.shape
+    if width == 0:
+        return {"": shots}, ([""] * shots if memory else None)
+    keyed = np.ascontiguousarray(rows, dtype=np.uint8).view(f"S{width}")[:, 0]
+    if memory:
+        distinct, inverse, counts = np.unique(
+            keyed, return_inverse=True, return_counts=True
+        )
+    else:
+        distinct, counts = np.unique(keyed, return_counts=True)
+    keys = [row.decode("ascii") for row in distinct.tolist()]
+    tallied = dict(zip(keys, counts.tolist()))
+    if not memory:
+        return tallied, None
+    return tallied, [keys[i] for i in inverse.tolist()]

@@ -10,6 +10,7 @@ identically.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Sequence
 
@@ -38,19 +39,35 @@ def apply_matrix(
         raise SimulationError(
             f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
         )
-    tensor = state.reshape([2] * num_qubits)
-    # Axis j of the tensor corresponds to qubit (num_qubits - 1 - j).  The
-    # combined row index after reshape(2**k, -1) treats axis 0 as its MSB, and
-    # our matrices treat targets[0] as the LSB, so move the *reversed* target
-    # axes to the front.
-    src_axes = [num_qubits - 1 - t for t in reversed(targets)]
-    tensor = np.moveaxis(tensor, src_axes, range(k))
-    rest_shape = tensor.shape[k:]
-    mat_view = tensor.reshape(2**k, -1)
-    mat_view = matrix @ mat_view
-    tensor = mat_view.reshape((2,) * k + rest_shape)
-    tensor = np.moveaxis(tensor, range(k), src_axes)
-    return tensor.reshape(-1)
+    forward, inverse = _axis_orders(tuple(targets), num_qubits, 0)
+    tensor = state.reshape([2] * num_qubits).transpose(forward)
+    mat_view = matrix @ tensor.reshape(2**k, -1)
+    return mat_view.reshape([2] * num_qubits).transpose(inverse).reshape(-1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _axis_orders(
+    targets: tuple[int, ...], num_qubits: int, lead: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(forward, inverse)`` transpose orders for a gate on ``targets``.
+
+    The tensor has ``lead`` batch axes, then one axis per qubit: axis
+    ``lead + j`` is qubit ``num_qubits - 1 - j``.  The row index after
+    ``reshape(2**k, -1)`` treats the first axis after the batch axes as its
+    MSB, and the matrices treat ``targets[0]`` as the LSB, so ``forward``
+    moves the *reversed* target axes right behind the batch axes and keeps
+    every other axis in order; ``inverse`` puts them back.  That is the
+    permutation a move-axes call derives, so the view, the GEMM shape and
+    every output bit are unchanged; caching it saves re-deriving it on each
+    gate, which cost more than the small matmuls themselves.
+    """
+    src_axes = tuple(lead + num_qubits - 1 - t for t in reversed(targets))
+    rest = tuple(a for a in range(lead, lead + num_qubits) if a not in src_axes)
+    forward = tuple(range(lead)) + src_axes + rest
+    inverse = [0] * len(forward)
+    for position, axis in enumerate(forward):
+        inverse[axis] = position
+    return forward, tuple(inverse)
 
 
 def measure_probabilities(state: np.ndarray, qubit: int, num_qubits: int) -> float:

@@ -9,6 +9,7 @@ both execution paths (ideal fast path and shot-batched trajectories),
 including mixed-structure batches that must split into several groups.
 """
 
+import itertools
 import threading
 
 import numpy as np
@@ -22,7 +23,11 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import ExecutionService
 from repro.quantum.noise import NoiseModel, PauliNoise, ReadoutError
 from repro.quantum.simulator import (
+    _is_fast_path,
+    _run_trajectory,
+    digit_rows,
     sample_from_state,
+    tally_counts,
     trajectory_draw_plan,
 )
 from repro.quantum.statevector import (
@@ -224,6 +229,113 @@ class TestBatchKernel:
         sv.apply_rows([], np.eye(2, dtype=np.complex128), [0])  # no-op
         assert sv.num_qubits == 1
         assert "batch=3" in repr(sv)
+
+
+# ---------------------------------------------------------------------------
+# Kernel: both kernels vs a frozen np.moveaxis formulation
+# ---------------------------------------------------------------------------
+
+
+def reference_apply_matrix(state, matrix, targets, num_qubits):
+    """The serial kernel in its ``np.moveaxis`` formulation, kept verbatim.
+
+    The row-parity tests above compare the batch kernel with the serial one,
+    and both share the cached axis orders, so an order wrong in both passes
+    them.  This frozen formulation is the independent reference.
+    """
+    k = len(targets)
+    if matrix.shape != (2**k, 2**k):
+        raise SimulationError(
+            f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
+        )
+    tensor = state.reshape([2] * num_qubits)
+    # Axis j of the tensor corresponds to qubit (num_qubits - 1 - j).  The
+    # combined row index after reshape(2**k, -1) treats axis 0 as its MSB, and
+    # our matrices treat targets[0] as the LSB, so move the *reversed* target
+    # axes to the front.
+    src_axes = [num_qubits - 1 - t for t in reversed(targets)]
+    tensor = np.moveaxis(tensor, src_axes, range(k))
+    rest_shape = tensor.shape[k:]
+    mat_view = tensor.reshape(2**k, -1)
+    mat_view = matrix @ mat_view
+    tensor = mat_view.reshape((2,) * k + rest_shape)
+    tensor = np.moveaxis(tensor, range(k), src_axes)
+    return tensor.reshape(-1)
+
+
+def reference_batch_apply_matrix(states, matrix, targets, num_qubits):
+    """The batch kernel in its ``np.moveaxis`` formulation, kept verbatim."""
+    k = len(targets)
+    if matrix.shape != (2**k, 2**k):
+        raise SimulationError(
+            f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
+        )
+    batch = states.shape[0]
+    tensor = states.reshape([batch] + [2] * num_qubits)
+    # Same axis arithmetic as the serial kernel, shifted right by the batch
+    # axis: tensor axis 1+j is qubit (num_qubits - 1 - j) of each row.
+    src_axes = [1 + num_qubits - 1 - t for t in reversed(targets)]
+    tensor = np.moveaxis(tensor, src_axes, range(1, 1 + k))
+    stacked = np.ascontiguousarray(tensor).reshape(batch, 2**k, -1)
+    stacked = np.matmul(matrix, stacked)
+    tensor = stacked.reshape([batch] + [2] * num_qubits)
+    tensor = np.moveaxis(tensor, range(1, 1 + k), src_axes)
+    return tensor.reshape(batch, 2**num_qubits)
+
+
+def kernel_targets(num_qubits: int) -> list[tuple[int, ...]]:
+    """Every ordered 1- and 2-target tuple plus a seeded sample of 3-target ones."""
+    qubits = range(num_qubits)
+    cases = list(itertools.permutations(qubits, 1))
+    cases += itertools.permutations(qubits, 2)
+    triples = list(itertools.permutations(qubits, 3))
+    if triples:
+        rng = np.random.default_rng(600 + num_qubits)
+        picks = rng.choice(len(triples), size=min(8, len(triples)), replace=False)
+        cases += [triples[i] for i in sorted(picks)]
+    return cases
+
+
+def random_unitary(rng, k: int) -> np.ndarray:
+    raw = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    return np.linalg.qr(raw)[0]
+
+
+class TestKernelMatchesFrozenReference:
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_serial_and_batch_kernels_match_bit_for_bit(self, num_qubits):
+        rng = np.random.default_rng(700 + num_qubits)
+        states = random_states(rng, 3, num_qubits)
+        for targets in kernel_targets(num_qubits):
+            matrix = random_unitary(rng, len(targets))
+            want = reference_batch_apply_matrix(
+                states, matrix, targets, num_qubits
+            )
+            got = batchsim.batch_apply_matrix(states, matrix, targets, num_qubits)
+            assert np.array_equal(bits_of(got), bits_of(want)), targets
+            for row in range(len(states)):
+                serial = apply_matrix(states[row], matrix, targets, num_qubits)
+                frozen = reference_apply_matrix(
+                    states[row], matrix, targets, num_qubits
+                )
+                assert np.array_equal(bits_of(serial), bits_of(frozen)), targets
+                assert np.array_equal(bits_of(serial), bits_of(want[row]))
+
+    @pytest.mark.parametrize("num_qubits", [1, 3, 6])
+    def test_apply_rows_on_gathered_rows_matches_reference(self, num_qubits):
+        rng = np.random.default_rng(800 + num_qubits)
+        states = random_states(rng, 6, num_qubits)
+        rows = [4, 0, 3]
+        for targets in kernel_targets(num_qubits):
+            matrix = random_unitary(rng, len(targets))
+            batch = batchsim.BatchStatevector(states.copy())  # evolves in place
+            batch.apply_rows(rows, matrix, targets)
+            want = states.copy()
+            want[rows] = reference_batch_apply_matrix(
+                states[rows], matrix, targets, num_qubits
+            )
+            for row in range(len(states)):
+                assert np.array_equal(bits_of(batch.row(row)), bits_of(want[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -675,22 +787,204 @@ class TestNormValidation:
         state = self._denormalized_state(0.9)
         rng = np.random.default_rng(0)
         with pytest.raises(SimulationError, match="lost normalisation"):
-            sample_from_state(state, {0: 0, 1: 1}, 2, 10, rng)
+            sample_from_state(state, [(0, 0), (1, 1)], 2, 10, rng)
 
     def test_rounding_dust_within_tolerance_is_fine(self):
         state = self._denormalized_state(1.0 + 1e-8)
         rng = np.random.default_rng(0)
-        outcomes = sample_from_state(state, {0: 0, 1: 1}, 2, 10, rng)
-        assert outcomes == ["00"] * 10
+        rows = sample_from_state(state, [(0, 0), (1, 1)], 2, 10, rng)
+        assert rows.shape == (10, 2) and rows.tobytes() == b"00" * 10
 
     def test_unmeasured_circuit_samples_zeros(self):
         state = Statevector.zero_state(2)
-        assert sample_from_state(state, {}, 2, 3, np.random.default_rng(0)) == (
-            ["00"] * 3
-        )
-        assert sample_from_state(state, {}, 0, 2, np.random.default_rng(0)) == (
-            ["", ""]
-        )
+        rows = sample_from_state(state, [], 2, 3, np.random.default_rng(0))
+        assert rows.shape == (3, 2) and rows.tobytes() == b"00" * 3
+        rows = sample_from_state(state, [], 0, 2, np.random.default_rng(0))
+        assert rows.shape == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# Counting: tally_counts vs the per-shot string tally; clbit semantics
+# ---------------------------------------------------------------------------
+
+
+def reference_tally(outcomes: list[str], memory: bool):
+    """The per-shot string-dict tally, kept as the reference for tally_counts."""
+    counts: dict[str, int] = {}
+    for bits in outcomes:
+        counts[bits] = counts.get(bits, 0) + 1
+    return dict(sorted(counts.items())), (outcomes if memory else None)
+
+
+def row_strings(rows: np.ndarray) -> list[str]:
+    """Decode each digit row into its bitstring, one per shot."""
+    return [row.tobytes().decode("ascii") for row in rows]
+
+
+def random_digit_rows(rng, shots: int, width: int) -> np.ndarray:
+    """Skewed random clbit values, so some outcomes repeat and some do not."""
+    clbits = (rng.random((shots, width)) < rng.random(width)).astype(np.uint8)
+    return digit_rows(clbits)
+
+
+def trajectory_strings(qc: QuantumCircuit, shots: int, seed: int) -> list[str]:
+    """Per-shot bitstrings from the serial trajectory loop, the semantics
+    every sampler must reproduce."""
+    rng = np.random.default_rng(seed)
+    return [
+        "".join(str(b) for b in reversed(_run_trajectory(qc, None, rng)))
+        for _ in range(shots)
+    ]
+
+
+def both_engines(backend: Backend, qc: QuantumCircuit, shots: int, seed: int):
+    """``(serial, batched, batch group kind)``, each result ``(counts, memory)``."""
+    serial = backend.execute_circuit(qc, shots, seed, True)
+    (group,) = batchsim.plan(
+        backend, [batchsim.make_unit(0, qc, None, seed, shots)]
+    )
+    (batched,) = batchsim.execute_group(backend.noise_model, group, True)
+    return serial, batched, group.kind
+
+
+class TestTallyCounts:
+    @pytest.mark.parametrize("width", [1, 2, 4, 7, 8, 9, 16, 70])
+    def test_matches_the_string_tally(self, width):
+        rng = np.random.default_rng(1000 + width)
+        for shots in (1, 5, 1024):
+            rows = random_digit_rows(rng, shots, width)
+            for memory in (False, True):
+                got = tally_counts(rows, memory)
+                assert got == reference_tally(row_strings(rows), memory)
+                counts, _ = got
+                assert list(counts) == sorted(counts)
+                assert all(type(count) is int for count in counts.values())
+
+    def test_zero_width_rows(self):
+        rows = np.zeros((4, 0), dtype=np.uint8)
+        assert tally_counts(rows, False) == ({"": 4}, None)
+        assert tally_counts(rows, True) == ({"": 4}, [""] * 4)
+
+    def test_zero_clbits_on_both_routes_in_both_engines(self):
+        fast = QuantumCircuit(2, 0)
+        fast.h(0)
+        fast.cx(0, 1)
+        reset = QuantumCircuit(1, 0)
+        reset.h(0)
+        reset.reset(0)
+        cases = [
+            (LocalSimulator(), fast, batchsim.IDEAL),
+            (noisy_backend(), fast, batchsim.SHOTS),
+            (LocalSimulator(), reset, batchsim.SHOTS),
+        ]
+        for backend, qc, kind in cases:
+            assert _is_fast_path(qc, backend.noise_model) == (kind == batchsim.IDEAL)
+            serial, batched, got_kind = both_engines(backend, qc, 33, 4)
+            assert got_kind == kind
+            assert serial == batched == ({"": 33}, [""] * 33)
+            assert backend.execute_circuit(qc, 33, 4, False) == ({"": 33}, None)
+
+    def test_wide_register_with_high_clbits(self):
+        qc = QuantumCircuit(3, 70)
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.h(2)
+        qc.measure(0, 69)
+        qc.measure(1, 64)
+        qc.measure(2, 40)
+        for backend, kind in (
+            (LocalSimulator(), batchsim.IDEAL),
+            (noisy_backend(), batchsim.SHOTS),
+        ):
+            serial, batched, got_kind = both_engines(backend, qc, 300, 12)
+            assert got_kind == kind
+            assert serial == batched
+            counts, per_shot = serial
+            assert (counts, per_shot) == reference_tally(per_shot, True)
+            assert all(len(key) == 70 for key in counts)
+            untouched = set(range(70)) - {69, 64, 40}
+            assert all(key[69 - c] == "0" for key in counts for c in untouched)
+            if kind == batchsim.IDEAL:  # the Bell pair agrees on every shot
+                assert all(key[0] == key[5] for key in counts)
+                assert len(counts) == 4
+
+
+class TestClbitAssignment:
+    """Final-measurement sampling keeps per-shot semantics when measurements
+    share a qubit or a clbit: each clbit ends with the outcome of the qubit
+    measured into it last."""
+
+    @staticmethod
+    def one_qubit_into_two_clbits() -> QuantumCircuit:
+        qc = QuantumCircuit(1, 2)
+        qc.h(0)
+        qc.measure(0, 0)
+        qc.measure(0, 1)
+        return qc
+
+    @staticmethod
+    def two_qubits_into_one_clbit() -> QuantumCircuit:
+        qc = QuantumCircuit(2, 1)
+        qc.x(0)
+        qc.measure(0, 0)
+        qc.measure(1, 0)
+        qc.measure(0, 0)
+        return qc
+
+    @pytest.mark.parametrize(
+        "make, outcomes",
+        [
+            (one_qubit_into_two_clbits, {"00", "11"}),
+            (two_qubits_into_one_clbit, {"1"}),
+        ],
+    )
+    def test_both_engines_follow_the_trajectory(self, make, outcomes):
+        qc = make()
+        backend = LocalSimulator()
+        assert _is_fast_path(qc, None)
+        serial, batched, kind = both_engines(backend, qc, 200, 1)
+        assert kind == batchsim.IDEAL
+        assert serial == batched
+        assert set(trajectory_strings(qc, 200, 1)) == outcomes
+        assert set(serial[0]) == outcomes
+        assert sum(serial[0].values()) == 200
+
+    def test_basis_states_match_the_trajectory_for_any_measure_order(self):
+        rng = np.random.default_rng(1200)
+        backend = LocalSimulator()
+        for _ in range(40):
+            num_qubits = int(rng.integers(1, 5))
+            num_clbits = int(rng.integers(1, 5))
+            qc = QuantumCircuit(num_qubits, num_clbits)
+            for qubit in range(num_qubits):
+                if rng.random() < 0.5:
+                    qc.x(qubit)
+            for _ in range(int(rng.integers(1, 8))):
+                qc.measure(
+                    int(rng.integers(num_qubits)), int(rng.integers(num_clbits))
+                )
+            (want,) = set(trajectory_strings(qc, 1, 0))
+            serial, batched, kind = both_engines(backend, qc, 16, 3)
+            assert kind == batchsim.IDEAL
+            assert serial == batched == ({want: 16}, [want] * 16), qc
+
+    def test_one_clbit_per_qubit_keeps_the_sampled_stream(self):
+        # Without shared qubits or clbits the rule changes nothing: the
+        # stream is the one a qubit -> clbit mapping samples.
+        rng = np.random.default_rng(1300)
+        for _ in range(10):
+            qc = random_circuit(rng, 3, 6)
+            clbits = rng.permutation(3)
+            measures = [(q, int(clbits[q])) for q in rng.permutation(3)]
+            state = Statevector.from_circuit(qc.remove_all_measurements())
+            rows = sample_from_state(state, measures, 3, 64, np.random.default_rng(5))
+            draw = np.random.default_rng(5)
+            probs = state.probabilities([q for q, _ in measures])
+            index = draw.choice(len(probs), size=64, p=probs / float(probs.sum()))
+            want = np.full((64, 3), ord("0"), dtype=np.uint8)
+            for pos, (qubit, clbit) in enumerate(measures):
+                want[:, 2 - clbit] += ((index >> pos) & 1).astype(np.uint8)
+            assert np.array_equal(rows, want)
 
 
 # ---------------------------------------------------------------------------
