@@ -316,26 +316,14 @@ def _cmd_eval(args) -> int:
         print(execution_stats_table([result]).render())
         stats = default_service().stats()
         line = (
-            f"service totals: {stats.get('simulations', 0)} simulations, "
-            f"{stats.get('simulations_deduped', 0)} deduped, "
-            f"{stats.get('simulations_batched', 0)} batched "
-            f"({stats.get('batch_groups', 0)} groups), "
-            f"{stats.get('programs_validated', 0)} validated "
-            f"({stats.get('rejected_static', 0)} rejected static), "
-            f"{stats.get('cache_hits', 0)} cache hits "
-            f"({stats.get('cache_disk_hits', 0)} from disk, "
-            f"{stats.get('cache_remote_hits', 0)} from remote), "
-            f"{stats.get('transpiles', 0)} transpiles "
-            f"({stats.get('transpile_cache_hits', 0)} transpile cache hits), "
-            f"validate={stats.get('validate', 'off')}"
+            f"service totals: {_counter_summary(stats)}, "
+            f"validate={stats['validate']}"
         )
         if "cache_dir" in stats:
             line += f", cache_dir={stats['cache_dir']}"
-            if stats.get("cache_evictions"):
-                line += f" ({stats['cache_evictions']} evictions)"
         if "cache_url" in stats:
             line += f", cache_url={stats['cache_url']}"
-            if stats.get("cache_remote_errors"):
+            if stats["cache_remote_errors"]:
                 line += f" ({stats['cache_remote_errors']} remote errors)"
         print(line)
     return 0
@@ -676,16 +664,9 @@ def _cmd_backends(_args) -> int:
         )
     stats = default_service().stats()
     print(
-        f"\nexecution service [validate={stats.get('validate', 'off')}]: "
-        f"{stats.get('simulations', 0)} simulations, "
-        f"{stats.get('simulations_batched', 0)} batched "
-        f"({stats.get('batch_groups', 0)} groups), "
-        f"{stats.get('programs_validated', 0)} validated "
-        f"({stats.get('rejected_static', 0)} rejected static), "
-        f"{stats.get('cache_hits', 0)} cache hits "
-        f"({stats.get('cache_hit_rate', 0.0):.0%} hit rate), "
-        f"{stats.get('transpiles', 0)} transpiles "
-        f"({stats.get('transpile_cache_hits', 0)} transpile cache hits)"
+        f"\nexecution service [validate={stats['validate']}]: "
+        f"{_counter_summary(stats)}, "
+        f"{stats['cache_hit_rate']:.0%} cache hit rate"
         + (
             f", disk cache at {stats['cache_dir']}"
             if "cache_dir" in stats
@@ -693,6 +674,15 @@ def _cmd_backends(_args) -> int:
         )
     )
     return 0
+
+
+def _counter_summary(stats) -> str:
+    """``<value> <name>`` for every registered execution counter."""
+    from repro.quantum.execution.scopes import SCOPE_FIELDS
+
+    return ", ".join(
+        f"{stats[name]} {name.replace('_', ' ')}" for name in SCOPE_FIELDS
+    )
 
 
 def _library_circuit(name: str, qubits: int):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 
 from repro.evalsuite.runner import EvalResult
+from repro.quantum.execution.scopes import SCOPE_FIELDS, cache_hit_rate
 from repro.utils.tables import AsciiTable, format_histogram
 
 
@@ -87,47 +88,19 @@ def accuracy_bars(results: list[EvalResult], title: str) -> str:
 def execution_stats_table(
     results: list[EvalResult], title: str = "Execution service activity"
 ) -> AsciiTable:
-    """Per-arm simulation and result-cache counters (ExecutionService)."""
-    table = AsciiTable(
-        [
-            "Arm",
-            "Simulations",
-            "Deduped",
-            "Batched",
-            "Validated",
-            "Rejected",
-            "Cache hits",
-            "Disk hits",
-            "Remote hits",
-            "Cache misses",
-            "Hit rate",
-            "Transpiles",
-            "T-cache hits",
-        ],
-        title=title,
-    )
-    for result in results:
-        stats = result.execution_stats or {}
-        hits = stats.get("cache_hits", 0)
-        misses = stats.get("cache_misses", 0)
-        lookups = hits + misses
+    """Per-arm execution-service counters: one row per registered counter
+    (:data:`~repro.quantum.execution.scopes.COUNTERS`), one column per arm,
+    then the result-cache hit rate (``-`` for an arm with no lookups)."""
+    table = AsciiTable(["Counter", *(r.label for r in results)], title=title)
+    stats = [result.execution_stats or {} for result in results]
+    for name in SCOPE_FIELDS:
         table.add_row(
-            [
-                result.label,
-                stats.get("simulations", 0),
-                stats.get("simulations_deduped", 0),
-                stats.get("simulations_batched", 0),
-                stats.get("programs_validated", 0),
-                stats.get("rejected_static", 0),
-                hits,
-                stats.get("cache_disk_hits", 0),
-                stats.get("cache_remote_hits", 0),
-                misses,
-                f"{hits / lookups:.1%}" if lookups else "-",
-                stats.get("transpiles", 0),
-                stats.get("transpile_cache_hits", 0),
-            ]
+            [name.replace("_", " "), *(arm.get(name, 0) for arm in stats)]
         )
+    rates = [cache_hit_rate(arm) for arm in stats]
+    table.add_row(
+        ["cache hit rate", *("-" if r is None else f"{r:.1%}" for r in rates)]
+    )
     return table
 
 

@@ -17,6 +17,7 @@ import sys
 from repro.experiments import ablations, figure2, figure3, figure4, multipass, table1
 from repro.experiments.common import ExperimentResult
 from repro.quantum.execution import default_service
+from repro.quantum.execution.scopes import COUNTERS
 
 HEADER = """\
 # EXPERIMENTS — paper vs measured
@@ -122,78 +123,29 @@ def _execution_section() -> ExperimentResult:
     the per-arm ``execution_stats`` (summed from worker-side stats scopes)
     rather than here.
     """
-    stats = default_service().stats()
+    service = default_service()
+    stats = service.stats()
     experiment = ExperimentResult(
         "execution", "ExecutionService counters for this report run"
     )
+    for name, help_text in COUNTERS:
+        experiment.add(
+            name.replace("_", " "), None, float(stats[name]),
+            unit="", note=help_text,
+        )
     experiment.add(
-        "circuit simulations", None, float(stats.get("simulations", 0)),
-        unit="", note="actual statevector/trajectory + QEC memory runs",
-    )
-    experiment.add(
-        "simulations deduplicated", None,
-        float(stats.get("simulations_deduped", 0)),
-        unit="", note="concurrent identical executions merged (single-flight)",
-    )
-    experiment.add(
-        "simulations batched", None,
-        float(stats.get("simulations_batched", 0)),
-        unit="", note="subset executed by the vectorised batch engine, in "
-        f"{stats.get('batch_groups', 0)} group(s); the rest ran serially",
-    )
-    experiment.add(
-        "programs validated", None,
-        float(stats.get("programs_validated", 0)),
-        unit="", note="circuits through the static pre-flight analyzer "
-        f"(validate={stats.get('validate', 'off')})",
-    )
-    experiment.add(
-        "rejected static", None,
-        float(stats.get("rejected_static", 0)),
-        unit="", note="circuits rejected on QA1xx diagnostics before any "
-        "simulation",
-    )
-    experiment.add(
-        "transpiles", None, float(stats.get("transpiles", 0)),
-        unit="", note="pass-manager runs of the content-addressed "
-        "transpile stage",
-    )
-    experiment.add(
-        "transpile cache hits", None,
-        float(stats.get("transpile_cache_hits", 0)),
-        unit="", note="transpiled circuits restored from the cache tiers "
-        "instead of re-running the pass stack",
-    )
-    experiment.add(
-        "result-cache hits", None, float(stats.get("cache_hits", 0)),
-        unit="", note="repeat executions served from cache",
-    )
-    experiment.add(
-        "result-cache disk hits", None,
-        float(stats.get("cache_disk_hits", 0)),
-        unit="", note="subset restored from the persistent tier "
-        "(REPRO_CACHE_DIR), warm-starting this process",
-    )
-    experiment.add(
-        "result-cache remote hits", None,
-        float(stats.get("cache_remote_hits", 0)),
-        unit="", note="subset downloaded from the shared cache server "
-        "(REPRO_CACHE_URL), warm-starting this machine",
-    )
-    experiment.add(
-        "result-cache hit rate", None, 100.0 * stats.get("cache_hit_rate", 0.0),
+        "cache hit rate", None, 100.0 * stats["cache_hit_rate"],
         note="across every deterministic execution above",
     )
-    service = default_service()
+    experiment.extras.append(
+        f"static pre-flight validation: validate={stats['validate']}."
+    )
     if service.cache is not None and service.cache.disk is not None:
         disk = service.cache.disk
         bounds = f", limits {disk.limits}" if disk.limits is not None else ""
-        evicted = (
-            f", {disk.evictions} evictions this run" if disk.evictions else ""
-        )
         experiment.extras.append(
             f"persistent cache tier: {len(disk)} entries under "
-            f"{disk.cache_dir}{bounds}{evicted}."
+            f"{disk.cache_dir}{bounds}."
         )
     if service.cache is not None and service.cache.remote is not None:
         remote = service.cache.remote

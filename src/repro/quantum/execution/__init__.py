@@ -46,7 +46,8 @@ The cooperating pieces (see the per-module docstrings for detail):
   circuits by (circuit, coupling, basis, layout, level) fingerprints and
   stores them through the same three cache tiers, so a fleet transpiles each
   logical circuit once, ever;
-* :mod:`~repro.quantum.execution.scopes` — attributable per-caller counters:
+* :mod:`~repro.quantum.execution.scopes` — attributable per-caller counters,
+  named once in its ``COUNTERS`` registry:
   ``with service.stats_scope() as scope:`` captures exactly the work a block
   initiated (sync or async), so concurrent users — e.g. two evaluation arms —
   get exact, non-overlapping execution stats.
@@ -66,7 +67,6 @@ sites transparently share the same cache and counters.
 
 from repro.quantum.execution.cache import (
     CacheKey,
-    CacheStats,
     ResultCache,
     circuit_fingerprint,
     noise_fingerprint,
@@ -131,7 +131,6 @@ __all__ = [
     "DispatchClient",
     "EvalCoordinator",
     "ambient_seed",
-    "CacheStats",
     "DiskResultCache",
     "RemoteResultCache",
     "ExecutionJob",

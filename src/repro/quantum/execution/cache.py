@@ -9,15 +9,16 @@ loop re-grading an unchanged program, an evalsuite arm re-run under the same
 seeds, or two experiment drivers sharing a reference circuit all short-circuit
 to the stored counts.  Entries are immutable snapshots (counts dicts are
 copied on the way in and out), the store is a bounded LRU, and every lookup
-updates the hit/miss counters that the service and the evalsuite surface in
-their reports.
+credits the hit/miss counters of the stats scopes it is given — the
+service's own ledger and its caller's scopes — which the service and the
+evalsuite surface in their reports.
 
 The LRU may be layered over a persistent
 :class:`~repro.quantum.execution.disk_cache.DiskResultCache` tier and a
 shared :class:`~repro.quantum.execution.remote_cache.RemoteResultCache`
 tier: lookups that miss in memory consult the disk store, then the remote
 server, promote what they find into every faster tier, and count as hits
-(``CacheStats.disk_hits`` / ``remote_hits`` track the serving tier); every
+(``cache_disk_hits`` / ``cache_remote_hits`` track the serving tier); every
 ``put`` writes through to all tiers.  The disk tier is what makes report
 regeneration and CI warm-started across process restarts; the remote tier is
 what lets a fleet of workers on different machines share one warm store.
@@ -102,56 +103,15 @@ class CacheKey:
     memory: bool
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters shared across cache tiers; snapshots are cheap copies.
-
-    ``disk_hits`` counts the subset of ``hits`` that were served from the
-    persistent tier (and promoted back into the in-memory LRU);
-    ``remote_hits`` the subset downloaded from a shared cache server (and
-    promoted into both local tiers).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-    remote_hits: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.disk_hits, self.remote_hits)
-
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        """Counters accumulated since an ``earlier`` snapshot."""
-        return CacheStats(
-            self.hits - earlier.hits,
-            self.misses - earlier.misses,
-            self.disk_hits - earlier.disk_hits,
-            self.remote_hits - earlier.remote_hits,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"disk_hits={self.disk_hits}, remote_hits={self.remote_hits}, "
-            f"hit_rate={self.hit_rate:.1%})"
-        )
-
-
 class ResultCache:
     """Thread-safe bounded LRU of ``(counts, memory)`` execution outcomes.
 
     When constructed with a ``disk`` and/or ``remote`` tier, in-memory
     misses fall through to the persistent store, then to the shared cache
     server (promoting what they find into every faster tier), and writes go
-    to all tiers.  One :class:`CacheStats` object covers the layered whole.
+    to all tiers.  The cache counts nothing itself: lookups and writes
+    credit the :class:`~repro.quantum.execution.scopes.StatsScope` sinks
+    their caller passes.
     """
 
     def __init__(
@@ -165,7 +125,6 @@ class ResultCache:
         self.maxsize = maxsize
         self.disk = disk
         self.remote = remote
-        self.stats = CacheStats()
         self._lock = threading.Lock()
         self._store: OrderedDict[
             CacheKey, tuple[dict[str, int], list[str] | None]
@@ -180,28 +139,23 @@ class ResultCache:
         key: CacheKey,
         scopes: tuple[StatsScope, ...] = (),
     ) -> tuple[dict[str, int], list[str] | None] | None:
-        """Look up one execution; counts towards hit/miss statistics.
+        """Look up one execution, crediting the hit or miss to ``scopes``.
 
         ``scopes`` are the :class:`~repro.quantum.execution.scopes.StatsScope`
-        sinks this lookup is attributable to — they receive the same hit/miss
-        increments as the global counters, which is what makes per-caller
-        stats exact under concurrency.
+        sinks this lookup is attributable to (the service passes its own
+        ledger first); crediting per caller is what makes per-caller stats
+        exact under concurrency.
         """
         entry = self._lookup(key)
-        with self._lock:
-            if entry is None:
-                self.stats.misses += 1
-                credit(scopes, "cache_misses")
-                return None
-            self.stats.hits += 1
-            credit(scopes, "cache_hits")
-            if entry[2] == "disk":
-                self.stats.disk_hits += 1
-                credit(scopes, "cache_disk_hits")
-            elif entry[2] == "remote":
-                self.stats.remote_hits += 1
-                credit(scopes, "cache_remote_hits")
-        counts, mem, _tier = entry
+        if entry is None:
+            credit(scopes, "cache_misses")
+            return None
+        counts, mem, tier = entry
+        credit(scopes, "cache_hits")
+        if tier == "disk":
+            credit(scopes, "cache_disk_hits")
+        elif tier == "remote":
+            credit(scopes, "cache_remote_hits")
         return dict(counts), (list(mem) if mem is not None else None)
 
     def peek(self, key: CacheKey) -> tuple[dict[str, int], list[str] | None] | None:
@@ -276,7 +230,7 @@ class ResultCache:
             self._store.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop all *local* entries (memory + disk) and reset the counters.
+        """Drop all *local* entries (memory + disk).
 
         The remote tier is deliberately left untouched: it is a store shared
         by a whole fleet, and one worker resetting its local state must not
@@ -285,7 +239,6 @@ class ResultCache:
         """
         with self._lock:
             self._store.clear()
-            self.stats = CacheStats()
         if self.disk is not None:
             self.disk.clear()
 
@@ -301,7 +254,4 @@ class ResultCache:
     def __repr__(self) -> str:
         disk = f", disk={self.disk!r}" if self.disk is not None else ""
         remote = f", remote={self.remote!r}" if self.remote is not None else ""
-        return (
-            f"ResultCache(size={len(self)}/{self.maxsize}, "
-            f"{self.stats!r}{disk}{remote})"
-        )
+        return f"ResultCache(size={len(self)}/{self.maxsize}{disk}{remote})"

@@ -30,9 +30,10 @@ Design notes:
   full disk must never fail a simulation that already succeeded.
 
 The tier is layered *behind* the in-memory LRU by
-:class:`~repro.quantum.execution.cache.ResultCache` (which owns the shared
-:class:`~repro.quantum.execution.cache.CacheStats`); it keeps only an
-eviction counter of its own.  The same entry encoding is reused verbatim by
+:class:`~repro.quantum.execution.cache.ResultCache` (which credits hits,
+misses and the evictions each write causes to its caller's stats scopes);
+it keeps only an eviction counter of its own, which the cache server's
+``/stats`` and ``/metrics`` read with no service attached.  The same entry encoding is reused verbatim by
 the HTTP tier (:mod:`~repro.quantum.execution.remote_cache`), so a disk
 store can be served to a fleet without any translation.
 """

@@ -8,7 +8,9 @@ the work queue, the job store, and the per-tenant registry counters as
 sample lines.  The mapping is mechanical — numeric stats keys become
 ``repro_service_<key>`` gauges, string-valued keys collapse into one
 ``repro_service_info`` sample with label values — so any counter added
-to ``stats()`` in a future PR is exported without touching this module.
+to ``stats()`` is exported without touching this module, and a counter
+registered in :data:`~repro.quantum.execution.scopes.COUNTERS` carries
+its registry help as the HELP line.
 
 Everything here is pure string formatting on snapshots taken by the
 caller; no locks, no I/O.
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import numbers
 from typing import Iterable, Mapping
+
+from repro.quantum.execution.scopes import COUNTERS
 
 __all__ = [
     "METRICS_CONTENT_TYPE",
@@ -29,6 +33,11 @@ __all__ = [
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _PREFIX = "repro"
+
+#: HELP lines of the service counters, from the counter registry.
+_SERVICE_HELP = {
+    f"{_PREFIX}_service_{name}": help_text for name, help_text in COUNTERS
+}
 
 
 def escape_label_value(value: str) -> str:
@@ -154,4 +163,4 @@ def serving_metrics(
             samples.append((f"{_PREFIX}_tenant_chunks_used", label, row["chunks_used"]))
             samples.append((f"{_PREFIX}_tenant_priority", label, row["priority"]))
 
-    return render_samples(samples, types=types)
+    return render_samples(samples, help_text=_SERVICE_HELP, types=types)

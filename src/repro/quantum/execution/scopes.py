@@ -27,9 +27,10 @@ explicitly portable across threads and processes:
 * :meth:`StatsScope.merge` folds a counter dict produced elsewhere (e.g. a
   worker process that ran its chunk under its own local scope) into this one.
 
-The counter names mirror the keys of ``service.stats()`` /
-``EvalResult.execution_stats`` so a scope snapshot drops straight into the
-existing reporting surfaces.
+The counters are named once, in :data:`COUNTERS`; the keys of
+``service.stats()`` (whose totals are the service's own scope) and
+``EvalResult.execution_stats`` are those names, so a scope snapshot drops
+straight into every reporting surface.
 """
 
 from __future__ import annotations
@@ -38,24 +39,59 @@ import threading
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 
-#: Every counter a scope tracks, in reporting order.  Matches the per-arm
-#: ``EvalResult.execution_stats`` keys exactly.
-SCOPE_FIELDS = (
-    "simulations",
-    "simulations_deduped",
-    "simulations_batched",
-    "batch_groups",
-    "cache_hits",
-    "cache_misses",
-    "cache_disk_hits",
-    "cache_remote_hits",
-    "cache_evictions",
-    "programs_validated",
-    "rejected_static",
-    "rejected_unbound",
-    "transpiles",
-    "transpile_cache_hits",
+#: The counter registry: ``(name, help)`` for every counter a scope tracks,
+#: in reporting order.  Every surface that lists counters renders from it:
+#: ``stats()``, the evalsuite table, the report appendix, ``--exec-stats``,
+#: ``repro backends`` and the ``/metrics`` HELP lines.  Adding a counter is
+#: one line here plus its ``credit`` call.
+COUNTERS: tuple[tuple[str, str], ...] = (
+    ("simulations", "actual statevector/trajectory + QEC memory runs"),
+    (
+        "simulations_deduped",
+        "concurrent identical executions merged (single-flight)",
+    ),
+    (
+        "simulations_batched",
+        "simulations run by the vectorised batch engine; the rest ran serially",
+    ),
+    ("batch_groups", "batch-engine calls that ran the batched simulations"),
+    ("cache_hits", "repeat executions served from cache"),
+    ("cache_misses", "deterministic executions found in no cache tier"),
+    (
+        "cache_disk_hits",
+        "cache hits restored from the persistent tier (REPRO_CACHE_DIR), "
+        "warm-starting this process",
+    ),
+    (
+        "cache_remote_hits",
+        "cache hits downloaded from the shared cache server (REPRO_CACHE_URL), "
+        "warm-starting this machine",
+    ),
+    (
+        "cache_evictions",
+        "persistent-tier entries evicted by writes to keep the store within "
+        "its limits",
+    ),
+    ("programs_validated", "circuits through the static pre-flight analyzer"),
+    (
+        "rejected_static",
+        "circuits rejected on QA1xx diagnostics before any simulation",
+    ),
+    (
+        "rejected_unbound",
+        "circuits refused for unbound symbolic parameters (QA105) in every "
+        "validate mode",
+    ),
+    ("transpiles", "pass-manager runs of the content-addressed transpile stage"),
+    (
+        "transpile_cache_hits",
+        "transpiled circuits restored from the cache tiers instead of "
+        "re-running the pass stack",
+    ),
 )
+
+#: Every counter name, in registry order.
+SCOPE_FIELDS = tuple(name for name, _help in COUNTERS)
 
 
 class StatsScope:
@@ -69,13 +105,18 @@ class StatsScope:
         self._counts = dict.fromkeys(SCOPE_FIELDS, 0)
 
     def add(self, field: str, amount: int = 1) -> None:
-        """Credit ``amount`` to one counter (unknown fields are ignored)."""
-        if amount and field in self._counts:
+        """Credit ``amount`` to one counter; an unknown field raises
+        :class:`KeyError`, so a misspelt counter name fails loudly."""
+        if amount:
             with self._lock:
                 self._counts[field] += amount
 
     def merge(self, counts: Mapping[str, int]) -> None:
-        """Fold a counter dict (e.g. from a worker process) into this scope."""
+        """Fold a counter dict (e.g. from a worker process) into this scope.
+
+        Unknown fields are ignored: a worker running a different build may
+        ship counters this one does not track.
+        """
         with self._lock:
             for field, amount in counts.items():
                 if field in self._counts:
@@ -89,6 +130,12 @@ class StatsScope:
         """An immutable-snapshot copy of every counter."""
         with self._lock:
             return dict(self._counts)
+
+    def _reset_for_child(self) -> None:
+        """Replace the lock after ``fork()``: another thread of the parent
+        may have held it at fork time, which would deadlock the child.  The
+        counts are kept."""
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         label = f"'{self.label}' " if self.label else ""
@@ -111,6 +158,14 @@ def fold_counts(dicts: Iterable[Mapping[str, int]]) -> dict[str, int]:
         for field in SCOPE_FIELDS:
             totals[field] += int(counts.get(field, 0))
     return totals
+
+
+def cache_hit_rate(counts: Mapping[str, int]) -> float | None:
+    """Share of result-cache lookups in ``counts`` that hit (``None`` when
+    there were no lookups)."""
+    hits = counts.get("cache_hits", 0)
+    lookups = hits + counts.get("cache_misses", 0)
+    return hits / lookups if lookups else None
 
 
 _stack = threading.local()

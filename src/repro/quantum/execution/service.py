@@ -97,6 +97,7 @@ from repro.quantum.execution.remote_cache import RemoteResultCache
 from repro.quantum.execution.scopes import (
     StatsScope,
     active_scopes,
+    cache_hit_rate,
     credit,
     stats_scope,
 )
@@ -237,17 +238,11 @@ class ExecutionService:
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._inflight: dict[CacheKey, threading.Event] = {}
+        #: The service's own ledger: every counter in ``COUNTERS`` is stored
+        #: here (and in the caller's scopes), nowhere else.
+        self._totals = StatsScope("service")
         self._jobs_submitted = 0
         self._circuits_executed = 0
-        self._simulations = 0
-        self._simulations_deduped = 0
-        self._simulations_batched = 0
-        self._batch_groups = 0
-        self._programs_validated = 0
-        self._rejected_static = 0
-        self._rejected_unbound = 0
-        self._transpiles = 0
-        self._transpile_cache_hits = 0
         #: Template keys whose symbolic transpilation raised (e.g. ZYZ needs
         #: concrete angles); sweeps over these fall back to transpiling each
         #: bound point without retrying the template every time.
@@ -350,7 +345,7 @@ class ExecutionService:
             backend = resolve_backend(backend)
         coupling_map, basis = resolve_lowering(backend, coupling_map, basis_gates)
         level = resolve_optimization_level(optimization_level)
-        scopes = active_scopes()
+        scopes = self._scopes()
         provenance = getattr(circuit, "_bound_from", None)
         if provenance is not None and provenance.matches(circuit):
             # Bound-template fast path: transpile the *unbound* structure once
@@ -388,13 +383,9 @@ class ExecutionService:
             if entry is not None:
                 restored = decode_transpiled(entry[0], entry[1], circuit)
                 if restored is not None:
-                    with self._lock:
-                        self._transpile_cache_hits += 1
                     credit(scopes, "transpile_cache_hits")
                     return restored
         out = transpile_core(circuit, coupling_map, basis, initial_layout, level)
-        with self._lock:
-            self._transpiles += 1
         credit(scopes, "transpiles")
         if key is not None:
             counts, payload = encode_transpiled(out)
@@ -417,46 +408,33 @@ class ExecutionService:
         return stats_scope(label)
 
     def stats(self) -> dict[str, float | int | str]:
-        """Service-level counters, including cache hit/miss totals.
+        """Service-level totals: every registered counter (read from the
+        service's own scope, so all of them are always present), plus the
+        hit rate, the cache settings and the job/circuit counts.
 
         These are process-global; to attribute activity to one caller under
         concurrency use :meth:`stats_scope`, not a before/after diff.
         """
+        counts = self._totals.as_dict()
         with self._lock:
             out: dict[str, float | int | str] = {
                 "jobs_submitted": self._jobs_submitted,
                 "circuits_executed": self._circuits_executed,
-                "simulations": self._simulations,
-                "simulations_deduped": self._simulations_deduped,
-                "simulations_batched": self._simulations_batched,
-                "batch_groups": self._batch_groups,
-                "programs_validated": self._programs_validated,
-                "rejected_static": self._rejected_static,
-                "rejected_unbound": self._rejected_unbound,
-                "transpiles": self._transpiles,
-                "transpile_cache_hits": self._transpile_cache_hits,
-                "validate": self.validate,
             }
+        out.update(
+            counts,
+            validate=self.validate,
+            cache_hit_rate=cache_hit_rate(counts) or 0.0,
+        )
         if self.cache is not None:
-            snap = self.cache.stats.snapshot()
-            out.update(
-                cache_hits=snap.hits,
-                cache_misses=snap.misses,
-                cache_hit_rate=snap.hit_rate,
-                cache_entries=len(self.cache),
-            )
+            out["cache_entries"] = len(self.cache)
             if self.cache.disk is not None:
                 # No disk entry count here: that is O(entries) directory I/O
                 # and stats() sits on hot paths (the CLI prints it per eval).
                 # `repro cache` reports entry counts on demand.
-                out.update(
-                    cache_disk_hits=snap.disk_hits,
-                    cache_evictions=self.cache.disk.evictions,
-                    cache_dir=str(self.cache.disk.cache_dir),
-                )
+                out["cache_dir"] = str(self.cache.disk.cache_dir)
             if self.cache.remote is not None:
                 out.update(
-                    cache_remote_hits=snap.remote_hits,
                     cache_remote_errors=self.cache.remote.errors,
                     cache_url=self.cache.remote.base_url,
                 )
@@ -490,7 +468,7 @@ class ExecutionService:
         )
         batch = _Batch(
             job, len(batch_circuits), target, shots, seed, memory,
-            active_scopes(),
+            self._scopes(),
         )
         noise_fp = noise_fingerprint(target.noise_model)
         misses: list[batchsim.PlannedUnit] = []
@@ -536,7 +514,7 @@ class ExecutionService:
         mode, so templates are rejected (crediting ``rejected_unbound`` per
         offending circuit) before any cache or pool traffic.
         """
-        scopes = active_scopes()
+        scopes = self._scopes()
         unbound: list[Diagnostic] = []
         unbound_rejected = 0
         for qc in batch:
@@ -545,8 +523,6 @@ class ExecutionService:
                 unbound_rejected += 1
                 unbound.extend(diags)
         if unbound:
-            with self._lock:
-                self._rejected_unbound += unbound_rejected
             credit(scopes, "rejected_unbound", unbound_rejected)
             rendered = "; ".join(d.render() for d in unbound)
             raise ValidationError(
@@ -570,12 +546,8 @@ class ExecutionService:
                     f"static validation: {rendered}",
                     stacklevel=4,
                 )
-        with self._lock:
-            self._programs_validated += len(batch)
         credit(scopes, "programs_validated", len(batch))
         if self.validate == "strict" and errors:
-            with self._lock:
-                self._rejected_static += rejected
             credit(scopes, "rejected_static", rejected)
             rendered = "; ".join(d.render() for d in errors)
             raise ValidationError(
@@ -619,8 +591,6 @@ class ExecutionService:
         memory: bool,
         scopes: tuple[StatsScope, ...],
     ) -> tuple[dict[str, int], list[str] | None]:
-        with self._lock:
-            self._simulations += 1
         credit(scopes, "simulations")
         return backend.execute_circuit(circuit, shots, eff_seed, memory)
 
@@ -681,10 +651,13 @@ class ExecutionService:
         entry: tuple[dict[str, int], list[str] | None],
         scopes: tuple[StatsScope, ...],
     ) -> tuple[dict[str, int], list[str] | None, str]:
-        with self._lock:
-            self._simulations_deduped += 1
         credit(scopes, "simulations_deduped")
         return entry[0], entry[1], "dedup"
+
+    def _scopes(self) -> tuple[StatsScope, ...]:
+        """Where this thread's work is credited: the service's own ledger,
+        then the scopes active on the calling thread."""
+        return (self._totals, *active_scopes())
 
     def _account(self, num_circuits: int) -> None:
         with self._lock:
@@ -773,10 +746,6 @@ class ExecutionService:
                 deferred.append(unit)
         try:
             if leaders:
-                with self._lock:
-                    self._simulations += len(leaders)
-                    self._simulations_batched += len(leaders)
-                    self._batch_groups += 1
                 credit(scopes, "simulations", len(leaders))
                 credit(scopes, "simulations_batched", len(leaders))
                 credit(scopes, "batch_groups")
@@ -838,6 +807,7 @@ class ExecutionService:
         the (warm) cache contents are kept — inheriting them is exactly why
         eval workers fork."""
         self._lock = threading.Lock()
+        self._totals._reset_for_child()
         self._pool = None
         # Parent-side leaders will never set their events in this process.
         self._inflight = {}

@@ -23,6 +23,7 @@ from repro.evalsuite.suite import build_suite
 from repro.llm.faults import ModelConfig
 from repro.llm.model import Completion
 from repro.quantum.execution import ExecutionService, set_default_service
+from repro.quantum.execution.scopes import COUNTERS
 
 #: Builds an ill-formed circuit (QA102: conditional on a never-written
 #: clbit) but never executes it — the artifact path must catch this.
@@ -215,6 +216,22 @@ class TestReportingColumns:
         assert self._result(static=0).static_error_count() == 0
 
     def test_execution_stats_table_has_validation_columns(self):
-        rendered = execution_stats_table([self._result()]).render()
-        assert "Validated" in rendered and "Rejected" in rendered
-        assert "8" in rendered
+        rows = {
+            row[0]: row[1:]
+            for row in execution_stats_table([self._result()]).rows
+        }
+        assert rows["programs validated"] == ["8"]
+        assert rows["rejected static"] == ["3"]
+
+    def test_execution_stats_table_follows_the_registry(self):
+        idle = EvalResult(label="idle", outcomes=[], execution_stats={})
+        table = execution_stats_table([self._result(), idle])
+        assert table.headers == ["Counter", "demo", "idle"]
+        assert [row[0] for row in table.rows] == [
+            *(name.replace("_", " ") for name, _help in COUNTERS),
+            "cache hit rate",
+        ]
+        rows = {row[0]: row[1:] for row in table.rows}
+        assert rows["simulations"] == ["5", "0"]
+        # An arm with no lookups has no hit rate, not a fake 0%.
+        assert rows["cache hit rate"] == ["0.0%", "-"]

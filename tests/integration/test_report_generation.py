@@ -1,7 +1,14 @@
 """The EXPERIMENTS.md generator renders a complete report."""
 
-from repro.experiments.generate_report import COMMANDS, HEADER, render
+from repro.experiments.generate_report import (
+    COMMANDS,
+    HEADER,
+    _execution_section,
+    render,
+)
 from repro.experiments.common import ExperimentResult
+from repro.quantum.execution import ExecutionService, set_default_service
+from repro.quantum.execution.scopes import COUNTERS
 
 
 def test_render_structure():
@@ -21,3 +28,19 @@ def test_every_command_module_exists():
     for cmd in COMMANDS.values():
         module = cmd.split()[-1]
         assert importlib.import_module(module)
+
+
+def test_execution_appendix_renders_every_registered_counter():
+    set_default_service(ExecutionService(max_workers=1))
+    try:
+        section = _execution_section()
+    finally:
+        set_default_service(None, shutdown_previous=True)
+    assert [row.name for row in section.rows] == [
+        *(name.replace("_", " ") for name, _help in COUNTERS),
+        "cache hit rate",
+    ]
+    assert [row.note for row in section.rows[: len(COUNTERS)]] == [
+        help_text for _name, help_text in COUNTERS
+    ]
+    assert section.extras == ["static pre-flight validation: validate=off."]

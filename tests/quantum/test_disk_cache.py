@@ -11,8 +11,10 @@ from repro.quantum.execution import (
     DiskResultCache,
     ExecutionService,
     ResultCache,
+    StatsScope,
     default_service,
     set_default_service,
+    use_scope,
 )
 from repro.quantum.library import bell_pair
 
@@ -106,21 +108,25 @@ class TestLayeredResultCache:
         warm = ResultCache(disk=disk)
         warm.put(_key(), {"0": 64}, None)
         cold = ResultCache(disk=disk)  # fresh LRU over the same store
-        assert cold.get(_key()) == ({"0": 64}, None)
-        assert cold.stats.hits == 1
-        assert cold.stats.disk_hits == 1
+        scope = StatsScope()
+        assert cold.get(_key(), (scope,)) == ({"0": 64}, None)
+        assert scope.get("cache_hits") == 1
+        assert scope.get("cache_disk_hits") == 1
         assert len(cold) == 1  # promoted into the LRU
         # Second lookup is a pure memory hit.
-        assert cold.get(_key()) is not None
-        assert cold.stats.disk_hits == 1
+        assert cold.get(_key(), (scope,)) is not None
+        assert scope.get("cache_hits") == 2
+        assert scope.get("cache_disk_hits") == 1
 
     def test_peek_does_not_touch_stats(self):
         cache = ResultCache()
-        cache.put(_key(), {"0": 64}, None)
-        assert cache.peek(_key()) == ({"0": 64}, None)
-        assert cache.peek(_key(5)) is None
-        assert cache.stats.hits == 0
-        assert cache.stats.misses == 0
+        scope = StatsScope()
+        cache.put(_key(), {"0": 64}, None, (scope,))
+        with use_scope(scope):
+            assert cache.peek(_key()) == ({"0": 64}, None)
+            assert cache.peek(_key(5)) is None
+        assert scope.get("cache_hits") == 0
+        assert scope.get("cache_misses") == 0
 
     def test_put_empty_memory_does_not_alias_caller_list(self):
         """Regression: ``memory == []`` used to store the caller's object."""

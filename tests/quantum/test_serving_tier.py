@@ -37,6 +37,7 @@ from repro.quantum.execution.dispatch import (
     run_chunk_payload,
 )
 from repro.quantum.execution.remote_cache import parse_retry_after
+from repro.quantum.execution.scopes import COUNTERS
 from repro.quantum.execution.tenants import load_tenants
 
 
@@ -508,6 +509,11 @@ class TestMetricsEndpoint:
                 assert f"repro_service_{stats_key}" in body
             else:
                 assert f'{stats_key}="' in body
+        # Registered counters carry their registry help as the HELP line.
+        assert (
+            f"# HELP repro_service_simulations {dict(COUNTERS)['simulations']}\n"
+            in body
+        )
         # Per-tenant counters, nonzero for the tenant that spoke.
         alice = re.search(
             r'^repro_tenant_requests_total\{tenant="alice"\} (\d+)$',

@@ -7,12 +7,16 @@ exactly the increments caused by work initiated under it — synchronous,
 asynchronous, cross-thread, and via the sandbox.
 """
 
+import os
+import signal
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.agents.sandbox import run_code
+from repro.errors import ValidationError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import (
     CacheLimits,
@@ -23,6 +27,7 @@ from repro.quantum.execution import (
     use_scope,
 )
 from repro.quantum.execution.scopes import SCOPE_FIELDS, active_scopes, credit
+from repro.quantum.parameters import Parameter
 
 
 def bell(phase: float = 0.0) -> QuantumCircuit:
@@ -84,14 +89,63 @@ class TestScopeBasics:
     def test_scope_fields_and_helpers(self):
         scope = StatsScope("demo")
         scope.add("simulations", 3)
-        scope.add("not_a_field", 5)  # ignored
-        scope.merge({"cache_hits": 2, "junk": 9})
+        with pytest.raises(KeyError):
+            scope.add("not_a_field", 5)  # a misspelt counter fails loudly
+        scope.merge({"cache_hits": 2, "junk": 9})  # foreign fields ignored
         assert scope.get("simulations") == 3
         assert scope.as_dict()["cache_hits"] == 2
         assert set(scope.as_dict()) == set(SCOPE_FIELDS)
         assert "demo" in repr(scope)
         credit((scope,), "cache_misses", 0)  # zero credit is a no-op
         assert scope.get("cache_misses") == 0
+
+    @pytest.mark.parametrize("tiers", ["none", "memory", "disk", "remote"])
+    def test_stats_always_carries_every_counter(self, tiers, tmp_path):
+        kwargs = {
+            "none": {"use_cache": False},
+            "memory": {},
+            "disk": {"cache_dir": tmp_path},
+            "remote": {"remote_url": "http://127.0.0.1:9"},
+        }[tiers]
+        svc = ExecutionService(max_workers=1, **kwargs)
+        stats = svc.stats()
+        assert {name: stats[name] for name in SCOPE_FIELDS} == dict.fromkeys(
+            SCOPE_FIELDS, 0
+        )
+
+    def test_stats_totals_equal_one_scope_over_all_work(self, tmp_path):
+        theta = Parameter("theta")
+        template = QuantumCircuit(1, 1)
+        template.rz(theta, 0)
+        template.measure(0, 0)
+        svc = ExecutionService(
+            max_workers=2,
+            cache_dir=tmp_path,
+            cache_limits=CacheLimits(max_entries=2),
+            validate="strict",
+        )
+        try:
+            with svc.stats_scope() as scope:
+                svc.run(bell(), backend="local_simulator", shots=32, seed=1)
+                svc.run(bell(), backend="local_simulator", shots=32, seed=1)
+                svc.submit(
+                    [bell(0.3), bell(0.6), bell(0.3)],
+                    backend="local_simulator", shots=32, seed=2,
+                ).result(timeout=30)
+                for _ in range(2):
+                    svc.transpile(bell(), backend="fake_brisbane")
+                with pytest.raises(ValidationError):
+                    svc.run(template, backend="ideal", shots=16, seed=1)
+            stats = svc.stats()
+        finally:
+            svc.shutdown()
+        assert {name: stats[name] for name in SCOPE_FIELDS} == scope.as_dict()
+        # The work reached the cache, pre-flight and transpile counters too.
+        for name in ("simulations", "cache_hits", "cache_misses",
+                     "cache_evictions", "programs_validated",
+                     "rejected_unbound", "transpiles",
+                     "transpile_cache_hits"):
+            assert stats[name] > 0, name
 
     def test_reentrant_use_scope_credits_once(self, service):
         scope = StatsScope("reentrant")
@@ -174,6 +228,50 @@ class TestConcurrentAttribution:
         assert a["cache_hits"] + b["cache_hits"] == hits
         # However the race resolved, both callers' outcomes are covered.
         assert sims + dedup + hits == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+    def test_fork_while_ledger_lock_is_held(self, service):
+        """A child forked while another thread holds the service ledger's
+        lock still counts: the fork hook gives the ledger a fresh lock."""
+        held, release = threading.Event(), threading.Event()
+
+        def hold_ledger():
+            with service._totals._lock:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold_ledger)
+        holder.start()
+        try:
+            assert held.wait(timeout=10)
+            pid = os.fork()
+            if pid == 0:  # child: never return into the test runner
+                status = 1
+                try:
+                    service.run(
+                        bell(3.5), backend="local_simulator", shots=16, seed=9
+                    )
+                    status = 0 if service.stats()["simulations"] == 1 else 2
+                finally:
+                    os._exit(status)
+            deadline = time.monotonic() + 10
+            while True:
+                done, wait_status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("forked child deadlocked on the ledger lock")
+                time.sleep(0.02)
+            assert os.waitstatus_to_exitcode(wait_status) == 0
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        # The parent's ledger never saw the child's work.
+        assert service.stats()["simulations"] == 0
 
 
 class TestEvictionAttribution:
