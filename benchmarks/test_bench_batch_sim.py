@@ -1,8 +1,8 @@
 """Batch engine — vectorised sweep and feed-forward shots vs serial, parity.
 
 The batch engine's contract: the service's batched execution is
-bit-identical to the serial engine (``Backend.execute_circuit``) for every
-``(seed, circuit)`` while executing a homogeneous parameter sweep (one gate
+bit-identical to the frozen serial engine (``tests/serial_engine.py``, run
+through ``conftest.serial_reference``) for every ``(seed, circuit)`` while executing a homogeneous parameter sweep (one gate
 structure, many angles) as a handful of stacked matmuls instead of
 per-circuit evolutions, and a feed-forward (``c_if``) circuit's shots as one
 batch instead of one statevector per shot.

@@ -63,7 +63,7 @@ def _counts(result, n):
 
 def test_bench_variational_sweep_cold(once, serial_reference):
     # Legacy path: one concrete circuit per point, each transpiled from
-    # scratch, simulated serially on the engine itself.
+    # scratch, simulated one by one on the frozen serial engine.
     legacy_svc = ExecutionService()
     start = time.perf_counter()
     legacy_lowered = [

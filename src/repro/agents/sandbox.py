@@ -141,7 +141,7 @@ class ExecutionResult:
 
 def run_code(
     code: str,
-    timeout_instructions: int = 10_000_000,
+    *,
     run_seed: int | None = SANDBOX_RUN_SEED,
 ) -> ExecutionResult:
     """Compile and execute generated code in the sandbox.

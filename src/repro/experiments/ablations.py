@@ -325,8 +325,7 @@ def _run_ablation(index: int) -> ExperimentResult:
 
 def run_all(workers: int | None = None) -> list[ExperimentResult]:
     """All six ablations; ``workers`` / ``REPRO_EVAL_WORKERS`` fans the
-    independent studies across processes with identical results (the
-    per-shot timing notes in the decoder study remain wall-clock)."""
+    independent studies across processes with identical results."""
     resolved = resolve_workers(workers)
     return parallel_map(
         _run_ablation, [(i,) for i in range(len(_ABLATIONS))], resolved

@@ -26,12 +26,12 @@ backend, which buys
 * **observability** — decoder benchmarking now shows up in
   ``service.stats()`` next to circuit simulation counters.
 
-The per-shot randomness is derived by
-:func:`repro.qec.syndrome.memory_shot_rng` exactly as the pre-service inline
-loop derived it, so routed results are bit-identical to the legacy path.
 Decoders the service cannot rebuild from a spec (anything other than the
 stock MWPM/union-find/lookup decoders bound to the experiment's code and
-error type) transparently fall back to the inline loop.
+error type) run inline instead.  Both paths run one shot loop,
+:func:`_score_shots`, whose per-shot randomness comes from
+:func:`repro.qec.syndrome.memory_shot_rng`, so routed and inline results are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -209,9 +209,8 @@ class MemoryExperimentBackend(Backend):
 
     ``counts`` uses one classical bit: ``"1"`` is a logical failure (the
     decoder's correction left the stored observable flipped), ``"0"`` a
-    success; ``memory=True`` returns the per-shot outcome bits.  The per-shot
-    RNG derivation matches the legacy inline loop exactly, so routed and
-    inline runs agree bit-for-bit.
+    success; ``memory=True`` returns the per-shot outcome bits.  The shots
+    run through :func:`_score_shots`, the loop inline runs use too.
     """
 
     def __init__(self) -> None:
@@ -230,37 +229,24 @@ class MemoryExperimentBackend(Backend):
                 f"backend '{self.name}' executes MemoryExperimentCircuit "
                 f"submissions only, got circuit '{circuit.name}'"
             )
-        decoder = spec.build_decoder()
-        entropy = np.random.default_rng() if seed is None else None
-        bits: list[str] = []
-        failures = 0
-        for shot in range(shots):
-            if entropy is not None:
-                rng = entropy
-            else:
-                rng = memory_shot_rng(
-                    seed, spec.code, spec.rounds, spec.p_data, spec.p_meas, shot
-                )
-            history = sample_memory(
-                spec.code,
-                spec.rounds,
-                spec.p_data,
-                spec.p_meas,
-                rng,
-                spec.error_type,
-            )
-            result = decoder.decode(history)
-            residual = history.true_error ^ result.correction
-            failed = spec.code.logical_flipped(residual, spec.error_type)
-            failures += int(failed)
-            if memory:
-                bits.append("1" if failed else "0")
+        failed = _score_shots(
+            spec.code,
+            spec.build_decoder(),
+            spec.rounds,
+            spec.p_data,
+            spec.p_meas,
+            spec.error_type,
+            shots,
+            seed,
+        )
+        failures = sum(failed)
         counts: dict[str, int] = {}
         if shots - failures:
             counts["0"] = shots - failures
         if failures:
             counts["1"] = failures
-        return counts, (bits if memory else None)
+        bits = ["1" if f else "0" for f in failed] if memory else None
+        return counts, bits
 
 
 if MEMORY_BACKEND not in list_backends():  # idempotent under re-import
@@ -269,26 +255,34 @@ if MEMORY_BACKEND not in list_backends():  # idempotent under re-import
     )
 
 
-def _inline_failures(
+def _score_shots(
     code: CSSCode,
     decoder,
     rounds: int,
     p_data: float,
     p_meas: float,
-    shots: int,
-    seed: int,
     error_type: str,
-) -> int:
-    """Legacy shot loop for decoders the service cannot reconstruct."""
-    failures = 0
+    shots: int,
+    seed: int | None,
+) -> list[bool]:
+    """Sample, decode and score each memory-experiment shot, in shot order.
+
+    ``True`` marks a logical failure.  Shot ``i`` draws from
+    :func:`memory_shot_rng` of ``seed``, the experiment's knobs and ``i``,
+    so no shot's outcome depends on another's; ``seed=None`` shares one
+    fresh-entropy generator across the shots.
+    """
+    entropy = np.random.default_rng() if seed is None else None
+    failed: list[bool] = []
     for shot in range(shots):
-        rng = memory_shot_rng(seed, code, rounds, p_data, p_meas, shot)
+        if entropy is not None:
+            rng = entropy
+        else:
+            rng = memory_shot_rng(seed, code, rounds, p_data, p_meas, shot)
         history = sample_memory(code, rounds, p_data, p_meas, rng, error_type)
-        result = decoder.decode(history)
-        residual = history.true_error ^ result.correction
-        if code.logical_flipped(residual, error_type):
-            failures += 1
-    return failures
+        residual = history.true_error ^ decoder.decode(history).correction
+        failed.append(code.logical_flipped(residual, error_type))
+    return failed
 
 
 def logical_error_rate(
@@ -319,8 +313,10 @@ def logical_error_rate(
     p_meas = p_data if p_meas is None else p_meas
     routed = _classify_decoder(decoder, code, error_type)
     if routed is None:
-        failures = _inline_failures(
-            code, decoder, rounds, p_data, p_meas, shots, seed, error_type
+        failures = sum(
+            _score_shots(
+                code, decoder, rounds, p_data, p_meas, error_type, shots, seed
+            )
         )
     else:
         kind, args = routed

@@ -5,12 +5,13 @@ artifacts that the rest of the stack shares instead of re-deriving:
 
 * :class:`CircuitFacts` — width, depth, gate histogram, conditional usage,
   measurement coverage, qubit/clbit dataflow (touched/measured/written/read
-  sets) and the gate-structure fingerprint.  The simulator's path choice,
-  the batchsim planner's width/defect/fast-path checks and the transpiler's
-  pre-checks all read these facts, so those decisions can never disagree
-  with the analyzer.  (Whether a trajectory's shots can share a batch is
-  not a fact of the circuit alone: it depends on the noise model, so the
-  planner asks :func:`~repro.quantum.simulator.trajectory_draw_plan`.)
+  sets) and the gate-structure fingerprint.  The batchsim planner's
+  width/defect/fast-path route choice, the engine's refusals and the
+  transpiler's pre-checks all read these facts, so those decisions can
+  never disagree with the analyzer.  (Whether a trajectory's shots can
+  share a batch is not a fact of the circuit alone: it depends on the
+  noise model, so the planner asks
+  :func:`~repro.quantum.simulator.trajectory_draw_plan`.)
 * a :class:`Diagnostic` stream with stable codes — ``QA1xx`` errors (the
   circuit cannot execute meaningfully), ``QA2xx`` warnings (suspicious but
   runnable), ``QA3xx`` info — each carrying a severity, the offending

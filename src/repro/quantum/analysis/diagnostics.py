@@ -120,7 +120,7 @@ def structural_errors(facts: CircuitFacts) -> list[Diagnostic]:
     """The cheap ``QA1xx`` subset derivable from facts alone (no matrices).
 
     This is what the simulator's own pre-check uses: every structural error
-    here makes :func:`repro.quantum.simulator.simulate_counts` raise, which
+    here makes :func:`repro.quantum.batchsim.run_circuit` raise, which
     keeps the analyzer and the engine in exact agreement about what is
     executable.  ``QA104`` needs gate matrices and is deliberately excluded
     (the engines catch non-unitary matrices through their norm guards).

@@ -11,6 +11,8 @@ Qiskit programs.
 :class:`~repro.quantum.execution.service.ExecutionService`, so legacy call
 sites get the content-addressed result cache and its counters for free.  New
 code should prefer ``get_backend(name)`` + ``service.submit(...)``.
+``Backend.execute_circuit``, the uncached single-circuit primitive, runs
+:func:`repro.quantum.batchsim.run_circuit`, the one simulation engine.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ import itertools
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import BackendError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.simulator import MAX_DENSE_QUBITS, simulate_counts
+from repro.quantum.simulator import MAX_DENSE_QUBITS
 from repro.quantum.topology import CouplingMap
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -201,13 +201,14 @@ class Backend:
     ) -> tuple[dict[str, int], list[str] | None]:
         """Low-level single-circuit simulation (no validation, no caching).
 
-        This is the primitive the :class:`ExecutionService` workers call; it
-        carries the backend's noise model into the simulator and nothing else.
+        This is the primitive the :class:`ExecutionService` runs for a
+        SERIAL unit; it hands the circuit and the backend's noise model to
+        :func:`repro.quantum.batchsim.run_circuit`, the one simulation
+        engine, and nothing else.
         """
-        rng = np.random.default_rng(seed)
-        return simulate_counts(
-            circuit, shots, rng, noise=self.noise_model, memory=memory
-        )
+        from repro.quantum.batchsim import run_circuit
+
+        return run_circuit(circuit, shots, seed, self.noise_model, memory)
 
     def run(
         self,

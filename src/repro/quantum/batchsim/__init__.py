@@ -1,14 +1,18 @@
-"""``repro.quantum.batchsim`` — the vectorised batch statevector engine.
+"""``repro.quantum.batchsim`` — the simulation engine.
 
-A numpy batch-axis simulator that runs every cache miss of the
-:class:`~repro.quantum.execution.service.ExecutionService`: compatible
-work units (same compacted gate structure and qubit count; per-unit
+The one simulator in the program: a numpy batch-axis statevector engine.
+It runs every cache miss of the
+:class:`~repro.quantum.execution.service.ExecutionService` and every
+``Backend.execute_circuit`` call on a stock backend.  Compatible work units
+(same compacted gate structure and qubit count; per-unit
 seed/shots/parameters distinct) evolve together as a ``(batch, 2**n)``
 state with one stacked matmul per gate, and trajectory units (noisy,
 mid-circuit measurement or reset, feed-forward ``c_if``) batch across their
-*shots* by pre-drawing the serial noise stream.  Results are bit-identical
-to the serial engine per ``(seed, circuit, shots, noise)`` — the batch axis
-is an execution detail, never an observable one.
+*shots* by pre-drawing the per-shot noise stream.  A unit's result depends
+on its ``(seed, circuit, shots, noise)`` alone — the batch axis is an
+execution detail, never an observable one — and matches the serial engine
+it replaced bit for bit (kept frozen in ``tests/serial_engine.py`` as the
+parity reference).
 
 The cooperating pieces:
 
@@ -16,24 +20,30 @@ The cooperating pieces:
   container, the bit-exact stacked-matmul gate kernel and the bit-exact
   batched measurement;
 * :mod:`~repro.quantum.batchsim.planner` — groups miss units by compacted
-  gate structure and classifies them ``ideal`` / ``shots`` / ``serial``,
-  mirroring the serial engine's own path choice: a unit shot-batches when
-  its compacted circuit has a draw plan, which it carries to the engine;
+  gate structure and classifies them ``ideal`` / ``shots`` / ``serial``
+  (:func:`route`): a unit shot-batches when its compacted circuit has a
+  draw plan, which it carries to the engine;
 * :mod:`~repro.quantum.batchsim.engine` — executes ideal groups (shared
   evolution, per-unit sampling) and shot-batched trajectories (pre-drawn
   noise tables, per-Pauli and per-condition row subsets, batched collapse),
-  tiled under a memory cap.  It never sees a backend, only its noise model,
-  so it is property-tested without any execution machinery.
+  tiled under a memory cap, plus :func:`run_circuit`, the single-circuit
+  entry, which also runs circuits whose conditionals draw one shot at a
+  time.  It never sees a backend, only its noise model, so it is
+  property-tested without any execution machinery.
 
 The service drives all of this transparently: it plans each submission's
-misses, runs every batchable group through :func:`execute_group` and the
-SERIAL group through ``Backend.execute_circuit``, and keeps caching,
-single-flight dedup and counters per unit.  ``simulations_batched`` /
-``batch_groups`` in ``service.stats()`` report how much work took the
-vectorised path.
+misses, runs every batchable group through :func:`execute_group` and each
+SERIAL unit through ``Backend.execute_circuit`` (:func:`run_circuit` on a
+stock backend), and keeps caching, single-flight dedup and counters per
+unit.  ``simulations_batched`` / ``batch_groups`` in ``service.stats()``
+report how much work took the vectorised group path.
 """
 
-from repro.quantum.batchsim.engine import MAX_BATCH_AMPLITUDES, execute_group
+from repro.quantum.batchsim.engine import (
+    MAX_BATCH_AMPLITUDES,
+    execute_group,
+    run_circuit,
+)
 from repro.quantum.batchsim.planner import (
     IDEAL,
     SERIAL,
@@ -43,6 +53,7 @@ from repro.quantum.batchsim.planner import (
     batchable_backend,
     make_unit,
     plan,
+    route,
     structure_fingerprint,
 )
 from repro.quantum.batchsim.state import (
@@ -65,5 +76,7 @@ __all__ = [
     "execute_group",
     "make_unit",
     "plan",
+    "route",
+    "run_circuit",
     "structure_fingerprint",
 ]

@@ -3,9 +3,10 @@
 The planner decides *what may share a batch*, and nothing else — it never
 changes results, because grouping only ever shares work that is provably
 identical (the gate structure) while everything sample-relevant (seed, shots,
-parameters) stays per unit.  Eligibility mirrors the serial engine's own path
-choice on the compacted circuit, so a unit batches exactly when
-``simulate_counts`` would have taken the corresponding path:
+parameters) stays per unit.  :func:`route` classifies one unit on the
+compacted circuit, and the single-circuit entry
+:func:`~repro.quantum.batchsim.engine.run_circuit` picks its path with the
+same function, so a circuit runs the same way alone or in a batch:
 
 * **ideal** — fast-path circuits (no nontrivial noise, final measurements
   only), grouped by :func:`structure_fingerprint`: same gate names, qubits,
@@ -17,12 +18,13 @@ choice on the compacted circuit, so a unit batches exactly when
   to the engine.  Feed-forward (``c_if``) circuits qualify when their
   conditionals draw nothing.  Each unit is its own group; the batch axis
   runs across its shots.
-* **serial** — everything else: conditionals that draw (a conditional
-  measure or reset, or a conditional gate with a noise channel), circuits
-  beyond the dense-width cap or structurally defective (the serial path
-  raises the canonical error per unit), and any backend that overrides
-  ``execute_circuit`` (its semantics are its own; see
-  :func:`batchable_backend`).
+* **serial** — everything else, one unit at a time through
+  ``Backend.execute_circuit``: conditionals that draw (a conditional
+  measure or reset, or a conditional gate with a noise channel), which
+  ``run_circuit`` runs one shot at a time; circuits beyond the dense-width
+  cap or structurally defective, for which it raises the canonical error;
+  and any backend that overrides ``execute_circuit`` (its semantics are its
+  own; see :func:`batchable_backend`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from repro.quantum.analysis import CircuitFacts, circuit_facts, structure_fingerprint
 from repro.quantum.backend import Backend
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import (
     MAX_DENSE_QUBITS,
     _compact,
@@ -47,6 +50,7 @@ __all__ = [
     "batchable_backend",
     "make_unit",
     "plan",
+    "route",
     "structure_fingerprint",
 ]
 
@@ -61,7 +65,7 @@ class PlannedUnit:
     """One cache-miss work unit, annotated for batch execution."""
 
     index: int  #: slot in the submitting batch (result ordering)
-    circuit: QuantumCircuit  #: as submitted; the serial fallback runs this
+    circuit: QuantumCircuit  #: as submitted; the SERIAL route runs this
     compacted: QuantumCircuit  #: touched qubits relabelled to 0..k-1
     key: object | None  #: the service's CacheKey, or None when uncacheable
     seed: int | None
@@ -110,15 +114,31 @@ def batchable_backend(backend: Backend) -> bool:
     return type(backend).execute_circuit is Backend.execute_circuit
 
 
-def plan(backend: Backend, units: list[PlannedUnit]) -> list[PlannedGroup]:
-    """Partition miss units into batchable groups plus one serial fallback.
+def route(unit: PlannedUnit, noise: NoiseModel | None) -> str:
+    """The group kind of one unit on a stock backend with ``noise``.
 
-    Width, defects and fast-path eligibility come from each unit's
+    Width, defects and fast-path eligibility come from the unit's
     :class:`CircuitFacts`; the shot-batched route is decided by the draw
     plan of the compacted circuit alone, computed once here and kept on the
-    unit for the engine.  Both are the serial engine's own inputs, so the
-    planner can never disagree with its classification.
+    unit for the engine.  SERIAL means the unit is over-wide or defective,
+    or its conditionals draw.
+    """
+    facts = unit.facts
+    # Compacted width == touched-qubit count (floor 1 for empty circuits).
+    too_wide = max(1, len(facts.touched_qubits)) > MAX_DENSE_QUBITS
+    if too_wide or facts.structurally_defective:
+        return SERIAL
+    if facts.is_fast_path(noise):
+        return IDEAL
+    unit.draw_plan = trajectory_draw_plan(unit.compacted, noise)
+    return SERIAL if unit.draw_plan is None else SHOTS
 
+
+def plan(backend: Backend, units: list[PlannedUnit]) -> list[PlannedGroup]:
+    """Partition miss units into batchable groups plus one serial group.
+
+    Each unit goes where :func:`route` sends it; IDEAL units sharing a
+    structure fingerprint share a group, and each SHOTS unit is its own.
     Group order is deterministic (first appearance of each structure), and
     the serial group, when present, comes last.
     """
@@ -131,25 +151,18 @@ def plan(backend: Backend, units: list[PlannedUnit]) -> list[PlannedGroup]:
     groups: list[PlannedGroup] = []
     serial: list[PlannedUnit] = []
     for unit in units:
-        facts = unit.facts
-        # Compacted width == touched-qubit count (floor 1 for empty circuits).
-        if max(1, len(facts.touched_qubits)) > MAX_DENSE_QUBITS:
-            serial.append(unit)  # serial path raises the canonical error
-        elif facts.structurally_defective:
-            serial.append(unit)  # serial path raises the canonical error
-        elif facts.is_fast_path(noise):
+        kind = route(unit, noise)
+        if kind == IDEAL:
             fingerprint = structure_fingerprint(unit.compacted)
             group = ideal.get(fingerprint)
             if group is None:
                 group = ideal[fingerprint] = PlannedGroup(IDEAL, [])
                 groups.append(group)
             group.units.append(unit)
+        elif kind == SHOTS:
+            groups.append(PlannedGroup(SHOTS, [unit]))
         else:
-            unit.draw_plan = trajectory_draw_plan(unit.compacted, noise)
-            if unit.draw_plan is None:
-                serial.append(unit)
-            else:
-                groups.append(PlannedGroup(SHOTS, [unit]))
+            serial.append(unit)
     if serial:
         groups.append(PlannedGroup(SERIAL, serial))
     return groups

@@ -1,9 +1,11 @@
 """Batched dense statevectors: ``(batch, 2**n)`` state evolved in lockstep.
 
-The batch axis must not perturb numerics.  Batched executions feed the same
-content-addressed result cache as serial ones, so a batch result that differs
-from its serial twin — even in the last ulp, which shifts sampled counts —
-would poison every later lookup.  The kernel here therefore mirrors
+The batch axis must not perturb numerics.  Every execution feeds one
+content-addressed result cache, whose entries must not depend on the batch
+that computed them, and must equal the ones the flat-state serial engine
+(kept as the parity reference in ``tests/serial_engine.py``) wrote; a batch
+result that differs from its flat-state twin — even in the last ulp, which
+shifts sampled counts — would poison every later lookup.  The kernel here therefore mirrors
 :func:`repro.quantum.statevector.apply_matrix` *exactly* and adds the batch as
 a gufunc stack dimension: one ``transpose`` brings the target axes to the
 front of each row's qubit tensor, the rows are packed contiguously as
@@ -21,8 +23,9 @@ and with it the floating-point summation order (~1e-16 deviations on a third
 of random trials).  Do not "simplify" the kernel into that form.
 
 :func:`batch_measure` follows the same rule for measurement: each row's
-probability sum and norm keep the summation order of the serial
-``measure_probabilities`` and ``collapse``.
+probability sum and norm keep the summation order of the flat-state
+``measure_probabilities`` and ``collapse`` of the serial reference
+(``tests/serial_engine.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def batch_measure(
     """Measure ``qubit`` of every batched state with one uniform per row.
 
     Returns ``(collapsed, outcomes)``.  Row ``s`` is bit for bit what the
-    serial trajectory computes: ``outcomes[s]`` is 1 exactly when
+    flat-state serial reference computes: ``outcomes[s]`` is 1 exactly when
     ``draws[s] < measure_probabilities(states[s], qubit, num_qubits)``, and
     ``collapsed[s]`` equals ``collapse(states[s], qubit, outcomes[s],
     num_qubits)``.  Each reduction keeps the serial one's summation order:

@@ -9,17 +9,19 @@ compatibility shim) submits work here, which buys:
   returns one :class:`~repro.quantum.execution.jobs.ExecutionJob` whose
   ``result()`` preserves submission order;
 * **vectorised simulation** — cache misses are always planned by
-  :mod:`repro.quantum.batchsim`: misses sharing one compacted gate structure
-  evolve together on a batch axis, and the shots of every trajectory circuit
-  with a state-independent noise-draw schedule evolve together, feed-forward
-  (``c_if``) circuits included.  Everything else takes the SERIAL route one
-  circuit at a time: circuits with a conditional that draws (a conditional
-  measure or reset, or a conditional gate with a noise channel), whose draws
-  depend on measured bits; over-wide or defective circuits, so the serial
-  engine raises its canonical error; and backends that override
-  ``execute_circuit``.  Results are bit-identical to the serial engine per
-  ``(seed, circuit)``, and the ``simulations_batched`` / ``batch_groups``
-  counters report how much work took the vectorised path;
+  :mod:`repro.quantum.batchsim`, the one simulation engine: misses sharing
+  one compacted gate structure evolve together on a batch axis, and the
+  shots of every trajectory circuit with a state-independent noise-draw
+  schedule evolve together, feed-forward (``c_if``) circuits included.
+  Everything else takes the SERIAL route one circuit at a time through
+  ``Backend.execute_circuit``: circuits with a conditional that draws (a
+  conditional measure or reset, or a conditional gate with a noise
+  channel), which the engine runs one shot at a time; over-wide or
+  defective circuits, for which it raises its canonical error; and
+  backends that override ``execute_circuit``.  A result depends only on
+  ``(seed, circuit, shots, noise)``, never on the route or the batch, and
+  the ``simulations_batched`` / ``batch_groups`` counters report how much
+  work took the vectorised group path;
 * **an async job lifecycle** — ``QUEUED -> RUNNING -> DONE/ERROR``, with
   ``job.result(timeout=...)`` and best-effort ``job.cancel()``;
 * **content-addressed caching** — deterministic executions (``seed`` given)

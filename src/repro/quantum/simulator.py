@@ -1,15 +1,20 @@
-"""Circuit execution engines: ideal sampling and Monte-Carlo noisy trajectories.
+"""Simulation primitives: compaction, the trajectory draw schedule, sampling
+and the tally.
 
-Two paths:
+The engine that uses them is :mod:`repro.quantum.batchsim`, the one
+simulator in the program.  It runs each circuit on one of two paths:
 
 * **fast path** — no gate noise, no reset, no conditionals, measurements only
   at circuit positions that are never followed by gates on the same qubit:
-  evolve the statevector once and multinomially sample the joint distribution.
-* **trajectory path** — everything else: one statevector trajectory per shot,
-  sampling Pauli noise after each gate and readout flips at each measurement.
+  evolve the statevector once and sample the joint distribution
+  (:func:`sample_from_state`).
+* **trajectory path** — everything else: one statevector trajectory per
+  shot, sampling Pauli noise after each gate and readout flips at each
+  measurement, with the uniforms each shot draws laid out by
+  :func:`draw_widths`.
 
-Both paths (and the batch engine's) produce ``(shots, num_clbits)`` digit
-rows, which :func:`tally_counts` folds into counts.
+Both paths produce ``(shots, num_clbits)`` digit rows, which
+:func:`tally_counts` folds into counts.
 """
 
 from __future__ import annotations
@@ -20,15 +25,9 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.quantum import gates as _gates
-from repro.quantum.analysis import circuit_facts, structural_errors
 from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.statevector import (
-    Statevector,
-    apply_matrix,
-    collapse,
-    measure_probabilities,
-)
+from repro.quantum.statevector import Statevector
 
 #: Hard cap for dense simulation; 2**20 complex amplitudes = 16 MiB.
 MAX_DENSE_QUBITS = 20
@@ -73,26 +72,6 @@ def _compact(circuit: QuantumCircuit) -> QuantumCircuit:
     return out
 
 
-def _validate(circuit: QuantumCircuit) -> None:
-    if circuit.num_qubits == 0:
-        raise SimulationError("cannot simulate a circuit with no qubits")
-    if circuit.num_qubits > MAX_DENSE_QUBITS:
-        raise SimulationError(
-            f"circuit touches {circuit.num_qubits} qubits; dense simulation "
-            f"is capped at {MAX_DENSE_QUBITS}"
-        )
-
-
-def _is_fast_path(circuit: QuantumCircuit, noise: NoiseModel | None) -> bool:
-    """True when sampling from the final state reproduces per-shot semantics.
-
-    Thin wrapper over :meth:`CircuitFacts.is_fast_path` — the analyzer is the
-    single source of truth for this classification; the batchsim planner reads
-    the same facts, so serial and batch routing can never disagree.
-    """
-    return circuit_facts(circuit).is_fast_path(noise)
-
-
 def digit_rows(clbits: np.ndarray) -> np.ndarray:
     """Turn ``(shots, num_clbits)`` clbit values into ASCII digit rows.
 
@@ -132,7 +111,7 @@ def sample_from_state(
     with exactly one ``rng.choice`` call, so the sampled stream is a pure
     function of ``(state, measures, shots, rng state)`` — which is what lets
     the batch engine share one evolved state across many per-unit generators
-    and still match the serial engine bit for bit.
+    and still give each unit the counts it would get alone.
     """
     rows = np.full((shots, num_clbits), ord("0"), dtype=np.uint8)
     if not measures:
@@ -157,57 +136,17 @@ def sample_from_state(
     return rows
 
 
-def _fast_sample(
-    circuit: QuantumCircuit, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample shots from the final statevector (ideal, final-measurement case)."""
-    state = Statevector.from_circuit(circuit.remove_all_measurements())
-    return sample_from_state(
-        state, _measure_pairs(circuit), circuit.num_clbits, shots, rng
-    )
+def draw_widths(circuit: QuantumCircuit, noise: NoiseModel | None) -> list[int]:
+    """Per-instruction uniform-draw counts of one trajectory shot.
 
-
-def _apply_gate_noise(
-    state: np.ndarray,
-    inst: Instruction,
-    noise: NoiseModel | None,
-    num_qubits: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    if noise is None:
-        return state
-    channel = noise.channel_for(inst.name, inst.qubits)
-    if channel is None:
-        return state
-    for q in inst.qubits:
-        pauli = channel.sample(rng)
-        if pauli is not None:
-            state = apply_matrix(state, _PAULI_MATRICES[pauli], [q], num_qubits)
-    return state
-
-
-def trajectory_draw_plan(
-    circuit: QuantumCircuit, noise: NoiseModel | None
-) -> list[int] | None:
-    """Per-instruction uniform-draw counts of one :func:`_run_trajectory` shot.
-
-    The trajectory path consumes ``rng.random()`` in a fixed order: a
-    measurement draws its outcome plus one readout flip when the qubit has a
-    readout error; a reset draws its outcome; a unitary gate draws one Pauli
-    choice per touched qubit when a noise channel applies; barriers draw
-    nothing.  When that schedule is state-independent, the batch engine
-    pre-draws a ``(shots, total)`` table and replays the serial stream
-    exactly; the plan is then the one input that admits a circuit to the
-    shot-batched route.
-
-    A conditional instruction skips its draws when its condition fails, so
-    it is admitted only when it draws nothing either way: a conditional gate
-    with no noise channel (or a conditional barrier).  Returns ``None`` for a
-    conditional ``measure`` or ``reset`` and for a conditional gate with a
-    noise channel; those shots cannot be batched and the caller falls back
-    to the serial loop.
+    A trajectory shot consumes uniforms in a fixed order: a measurement
+    draws its outcome plus one readout flip when the qubit has a readout
+    error; a reset draws its outcome; a unitary gate draws one Pauli choice
+    per touched qubit when a noise channel applies; barriers draw nothing.
+    An instruction draws only when it runs, so a conditional one whose
+    condition fails draws nothing on that shot.
     """
-    plan: list[int] = []
+    widths: list[int] = []
     for inst in circuit:
         if inst.name == "barrier":
             draws = 0
@@ -221,87 +160,29 @@ def trajectory_draw_plan(
             draws = len(inst.qubits)
         else:
             draws = 0
-        if draws and inst.condition is not None:
-            return None
-        plan.append(draws)
-    return plan
+        widths.append(draws)
+    return widths
 
 
-def _run_trajectory(
-    circuit: QuantumCircuit,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-) -> list[int]:
-    """One noisy shot; returns the classical register (clbit 0 first)."""
-    n = circuit.num_qubits
-    state = np.zeros(2**n, dtype=np.complex128)
-    state[0] = 1.0
-    clbits = [0] * circuit.num_clbits
-    for inst in circuit:
-        if inst.name == "barrier":
-            continue
-        if inst.condition is not None:
-            bit, value = inst.condition
-            if clbits[bit] != value:
-                continue
-        if inst.name == "measure":
-            qubit = inst.qubits[0]
-            p1 = measure_probabilities(state, qubit, n)
-            outcome = 1 if rng.random() < p1 else 0
-            state = collapse(state, qubit, outcome, n)
-            recorded = outcome
-            if noise is not None:
-                readout = noise.readout_for(qubit)
-                if readout is not None:
-                    recorded = readout.apply(outcome, rng)
-            clbits[inst.clbits[0]] = recorded
-            continue
-        if inst.name == "reset":
-            qubit = inst.qubits[0]
-            p1 = measure_probabilities(state, qubit, n)
-            outcome = 1 if rng.random() < p1 else 0
-            state = collapse(state, qubit, outcome, n)
-            if outcome == 1:
-                state = apply_matrix(state, _gates.X_MATRIX, [qubit], n)
-            continue
-        state = apply_matrix(state, inst.matrix(), inst.qubits, n)
-        state = _apply_gate_noise(state, inst, noise, n, rng)
-    return clbits
+def trajectory_draw_plan(
+    circuit: QuantumCircuit, noise: NoiseModel | None
+) -> list[int] | None:
+    """The :func:`draw_widths` of a circuit whose draw schedule is fixed.
 
-
-def simulate_counts(
-    circuit: QuantumCircuit,
-    shots: int,
-    rng: np.random.Generator,
-    noise: NoiseModel | None = None,
-    memory: bool = False,
-) -> tuple[dict[str, int], list[str] | None]:
-    """Execute a circuit and return ``(counts, memory)``.
-
-    ``counts`` maps classical bitstrings (clbit 0 rightmost) to frequencies;
-    ``memory`` is the per-shot list when requested, else ``None``.
+    When every shot draws the same widths, the batch engine pre-draws a
+    ``(shots, total)`` table and replays the per-shot stream exactly; the
+    plan is then the one input that admits a circuit to the shot-batched
+    route.  A conditional instruction that draws breaks that: whether it
+    draws depends on the shot's measured bits.  Returns ``None`` for a
+    conditional ``measure`` or ``reset`` and for a conditional gate with a
+    noise channel; such a circuit runs one shot at a time.  A conditional
+    gate with no noise channel (or a conditional barrier) draws nothing
+    either way and is admitted.
     """
-    facts = circuit_facts(circuit)
-    if facts.structurally_defective:
-        first = structural_errors(facts)[0]
-        raise SimulationError(
-            f"circuit is structurally defective: [{first.code}] {first.message}"
-        )
-    circuit = _compact(circuit)
-    _validate(circuit)
-    if shots <= 0:
-        raise SimulationError(f"shots must be positive, got {shots}")
-    # ``is_fast_path`` only reads relabelling-invariant structure, so facts of
-    # the original circuit answer for the compacted one too.
-    if facts.is_fast_path(noise):
-        rows = _fast_sample(circuit, shots, rng)
-    else:
-        clbits = np.array(
-            [_run_trajectory(circuit, noise, rng) for _ in range(shots)],
-            dtype=np.uint8,
-        ).reshape(shots, circuit.num_clbits)
-        rows = digit_rows(clbits)
-    return tally_counts(rows, memory)
+    widths = draw_widths(circuit, noise)
+    if any(w and inst.condition is not None for inst, w in zip(circuit, widths)):
+        return None
+    return widths
 
 
 def tally_counts(

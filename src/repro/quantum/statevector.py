@@ -70,30 +70,6 @@ def _axis_orders(
     return forward, tuple(inverse)
 
 
-def measure_probabilities(state: np.ndarray, qubit: int, num_qubits: int) -> float:
-    """Return P(qubit = 1) for one qubit of a flat state."""
-    probs = np.abs(state) ** 2
-    mask = 1 << qubit
-    indices = np.arange(2**num_qubits)
-    return float(probs[(indices & mask) != 0].sum())
-
-
-def collapse(
-    state: np.ndarray, qubit: int, outcome: int, num_qubits: int
-) -> np.ndarray:
-    """Project a flat state onto ``qubit == outcome`` and renormalise."""
-    mask = 1 << qubit
-    indices = np.arange(2**num_qubits)
-    keep = ((indices & mask) != 0) == bool(outcome)
-    new = np.where(keep, state, 0.0)
-    norm = np.linalg.norm(new)
-    if norm < _ATOL:
-        raise SimulationError(
-            f"collapse onto qubit {qubit}={outcome} has zero probability"
-        )
-    return new / norm
-
-
 class Statevector:
     """An immutable-by-convention dense quantum state."""
 

@@ -144,8 +144,8 @@ class CancelInverses(TranspilerPass):
 class DropBarriers(TranspilerPass):
     """Remove barrier directives: they are sampling no-ops downstream.
 
-    Both the serial simulator and the vectorised batch engine draw nothing
-    for a barrier, so removing them cannot change counts; doing it before
+    The simulation engine draws nothing for a barrier on any route, so
+    removing them cannot change counts; doing it before
     the peephole passes lets merges/cancellations see across what used to be
     barrier boundaries.
     """

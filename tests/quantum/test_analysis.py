@@ -7,7 +7,6 @@ Facts extraction (one walk, no matrices), coded diagnostics, the cheap
 
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.errors import (
@@ -16,6 +15,7 @@ from repro.errors import (
     TranspilerError,
     ValidationError,
 )
+from repro.quantum import batchsim
 from repro.quantum.analysis import (
     DIAGNOSTIC_CODES,
     ERROR,
@@ -36,7 +36,7 @@ from repro.quantum.execution import (
     validate_from_env,
 )
 from repro.quantum.noise import NoiseModel
-from repro.quantum.simulator import simulate_counts, trajectory_draw_plan
+from repro.quantum.simulator import trajectory_draw_plan
 from repro.quantum.transpiler import transpile
 
 
@@ -361,9 +361,8 @@ class TestEngineAgreement:
         [bad_qubit_circuit, dangling_conditional_circuit, bad_clbit_circuit],
     )
     def test_simulator_refuses_structural_errors(self, builder):
-        rng = np.random.default_rng(1)
         with pytest.raises(SimulationError, match=r"\[QA10[123]\]"):
-            simulate_counts(builder(), shots=16, rng=rng)
+            batchsim.run_circuit(builder(), 16, 1, None, False)
 
     @pytest.mark.parametrize(
         "builder",

@@ -1,12 +1,14 @@
 """Property tests for the vectorised batch engine: batch == serial, always.
 
 The contract under test is *bit-identity*: for every ``(seed, circuit, shots,
-noise)`` and every grouping the planner may choose, the service produces
-exactly the counts (and memory) the serial engine produces.  The fuzz tests
-therefore compare whole randomised workloads run through the service against
-``Backend.execute_circuit`` called directly with the same per-index seeds, on
-both execution paths (ideal fast path and shot-batched trajectories),
-including mixed-structure batches that must split into several groups.
+noise)`` and every grouping the planner may choose, the service and
+``Backend.execute_circuit`` produce exactly the counts (and memory) the
+frozen serial engine (``tests/serial_engine.py``) produces.  The fuzz tests
+therefore compare whole randomised workloads run through the service
+against that reference called with the same per-index seeds, on every
+route (ideal fast path, shot-batched trajectories, and circuits whose
+conditionals draw, run shot by shot), including mixed-structure batches
+that must split into several groups.
 """
 
 import itertools
@@ -19,22 +21,23 @@ from repro.errors import SimulationError
 from repro.quantum import batchsim, gates, library
 from repro.quantum.backend import Backend, LocalSimulator
 from repro.quantum.batchsim import engine as batch_engine
-from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.execution import ExecutionService
 from repro.quantum.noise import NoiseModel, PauliNoise, ReadoutError
 from repro.quantum.simulator import (
-    _is_fast_path,
-    _run_trajectory,
+    MAX_DENSE_QUBITS,
     digit_rows,
     sample_from_state,
     tally_counts,
     trajectory_draw_plan,
 )
-from repro.quantum.statevector import (
-    Statevector,
-    apply_matrix,
+from repro.quantum.statevector import Statevector, apply_matrix
+from tests.serial_engine import (
+    _is_fast_path,
+    _run_trajectory,
     collapse,
     measure_probabilities,
+    simulate_counts,
 )
 
 # Gate pool for random structure generation: (method, arity, n_params).
@@ -136,6 +139,61 @@ def feed_forward_circuit(
     return qc
 
 
+def drawing_conditional_circuit(
+    rng: np.random.Generator, num_qubits: int, depth: int
+) -> QuantumCircuit:
+    """A random circuit whose conditionals draw, so no draw plan admits it.
+
+    It measures ``|+>`` on qubit 0, then applies a conditional measurement
+    or reset, so every circuit has a conditional that draws on every
+    backend.  The random body mixes conditional measurements, conditional
+    resets and conditional gates (which draw wherever a noise channel
+    applies) with unconditional gates, measurements and resets.  Ends with a
+    measurement of every qubit.
+    """
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    qc.h(0)
+    qc.measure(0, 0)
+    written = [0]
+    target = int(rng.integers(num_qubits))
+    if rng.random() < 0.5:
+        qc.append("measure", [target], [target], condition=(0, 1))
+        written.append(target)
+    else:
+        qc.append("reset", [target], condition=(0, int(rng.integers(2))))
+    for _ in range(depth):
+        qubit = int(rng.integers(num_qubits))
+        condition = None
+        if rng.random() < 0.5:
+            condition = (written[int(rng.integers(len(written)))],
+                         int(rng.integers(2)))
+        roll = rng.random()
+        if roll < 0.2:
+            qc.append("measure", [qubit], [qubit], condition=condition)
+            written.append(qubit)
+        elif roll < 0.35:
+            qc.append("reset", [qubit], condition=condition)
+        elif roll < 0.6:
+            gate = _CORRECTIONS[int(rng.integers(len(_CORRECTIONS)))]
+            qc.append(gate, [qubit], condition=condition)
+        elif num_qubits > 1 and roll < 0.8:
+            a, b = rng.choice(num_qubits, size=2, replace=False)
+            qc.append("cx", [int(a), int(b)], condition=condition)
+        else:
+            qc.ry(float(rng.uniform(0, 2 * np.pi)), qubit)
+    qc.measure(list(range(num_qubits)), list(range(num_qubits)))
+    return qc
+
+
+def per_qubit_readout_backend() -> Backend:
+    """Readout error only, set per qubit on top of a global default."""
+    noise = NoiseModel()
+    noise.add_readout_error(ReadoutError(0.05, 0.1))
+    noise.add_readout_error(ReadoutError(0.2, 0.0), qubit=1)
+    noise.add_readout_error(ReadoutError(0.0, 0.3), qubit=2)
+    return Backend(name="batchsim-readout", num_qubits=8, noise_model=noise)
+
+
 def noisy_backend(p: float = 0.02, readout: float = 0.01) -> Backend:
     return Backend(
         name="batchsim-noisy",
@@ -160,7 +218,7 @@ def corrections_noiseless_backend() -> Backend:
 
 @pytest.fixture
 def run_pair(serial_reference):
-    """Run one workload on a service and on the serial engine; return both."""
+    """Run one workload on a service and on the frozen serial engine."""
 
     def run(backend, circuits, shots, seed, memory=False):
         svc = ExecutionService()
@@ -174,6 +232,15 @@ def run_pair(serial_reference):
         return got, want, svc
 
     return run
+
+
+def frozen_run(
+    backend: Backend, qc: QuantumCircuit, shots: int, seed, memory: bool
+):
+    """The frozen serial engine's ``(counts, memory)`` for one circuit."""
+    return simulate_counts(
+        qc, shots, np.random.default_rng(seed), backend.noise_model, memory
+    )
 
 
 def assert_results_identical(got, want, memory=False):
@@ -500,8 +567,6 @@ class TestPlanner:
         assert batchsim.plan(LocalSimulator(), []) == []
 
     def test_over_wide_circuit_falls_back_to_serial(self):
-        from repro.quantum.simulator import MAX_DENSE_QUBITS
-
         wide = QuantumCircuit(MAX_DENSE_QUBITS + 1, 1)
         for q in range(MAX_DENSE_QUBITS + 1):
             wide.h(q)
@@ -539,7 +604,7 @@ class TestPlanner:
              on_channel),
         ]
         # A local channel applies to the *compacted* qubits, which is what
-        # the serial engine looks up: qubit 5 of this circuit is qubit 1.
+        # the engines look up: qubit 5 of this circuit is qubit 1.
         sparse = QuantumCircuit(6, 2)
         sparse.h(3)
         sparse.measure(3, 0)
@@ -554,7 +619,7 @@ class TestPlanner:
             groups = batchsim.plan(backend, self._units([qc]))
             assert [g.kind for g in groups] == [batchsim.SERIAL], qc
         # Keyed on the uncompacted index, the same channel never fires, so
-        # the serial engine draws nothing there and the unit shot-batches.
+        # the engines draw nothing there and the unit shot-batches.
         uncompacted = NoiseModel()
         uncompacted.add_local_error(PauliNoise.bit_flip(0.1), "x", [5])
         backend = Backend(name="local-5", num_qubits=6, noise_model=uncompacted)
@@ -562,7 +627,7 @@ class TestPlanner:
         assert group.kind == batchsim.SHOTS
         (got,) = batchsim.execute_group(backend.noise_model, group, True)
         unit = group.units[0]
-        assert got == backend.execute_circuit(sparse, unit.shots, unit.seed, True)
+        assert got == frozen_run(backend, sparse, unit.shots, unit.seed, True)
 
     def test_structure_fingerprint_ignores_params_only(self):
         rng = np.random.default_rng(5)
@@ -577,7 +642,7 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------------
-# Engine: execute_group output vs Backend.execute_circuit, per unit
+# Engine: execute_group output vs the frozen serial engine, per unit
 # ---------------------------------------------------------------------------
 
 
@@ -594,8 +659,8 @@ class TestEngineBitIdentity:
         group = batchsim.plan(backend, units)[0]
         got = batchsim.execute_group(backend.noise_model, group, True)
         for unit, (counts, mem) in zip(group.units, got):
-            want_counts, want_mem = backend.execute_circuit(
-                unit.circuit, unit.shots, unit.seed, True
+            want_counts, want_mem = frozen_run(
+                backend, unit.circuit, unit.shots, unit.seed, True
             )
             assert counts == want_counts
             assert mem == want_mem
@@ -615,7 +680,7 @@ class TestEngineBitIdentity:
         group = batchsim.plan(backend, units)[0]
         got = batchsim.execute_group(backend.noise_model, group, False)
         for unit, (counts, _) in zip(units, got):
-            want, _ = backend.execute_circuit(qc, 400, unit.seed, False)
+            want, _ = frozen_run(backend, qc, 400, unit.seed, False)
             assert counts == want
         assert got[0][0] != got[1][0] or True  # distinct streams, same dist
 
@@ -630,7 +695,7 @@ class TestEngineBitIdentity:
             (counts, mem), = batchsim.execute_group(
                 backend.noise_model, groups[0], True
             )
-            want_counts, want_mem = backend.execute_circuit(qc, 128, unit.seed, True)
+            want_counts, want_mem = frozen_run(backend, qc, 128, unit.seed, True)
             assert counts == want_counts
             assert mem == want_mem
 
@@ -645,7 +710,7 @@ class TestEngineBitIdentity:
         unit = batchsim.make_unit(0, qc, None, 77, 300)
         group = batchsim.plan(backend, [unit])[0]
         (counts, mem), = batchsim.execute_group(backend.noise_model, group, True)
-        want_counts, want_mem = backend.execute_circuit(qc, 300, 77, True)
+        want_counts, want_mem = frozen_run(backend, qc, 300, 77, True)
         assert counts == want_counts and mem == want_mem
 
     def test_barriers_are_skipped_on_both_paths(self):
@@ -660,8 +725,34 @@ class TestEngineBitIdentity:
             (counts, _), = batchsim.execute_group(
                 backend.noise_model, group, False
             )
-            want, _ = backend.execute_circuit(qc, 120, 9, False)
+            want, _ = frozen_run(backend, qc, 120, 9, False)
             assert counts == want
+
+    @pytest.mark.parametrize(
+        "widen, defect, shots",
+        [
+            (False, True, 8),
+            (True, False, 8),
+            (False, False, 0),
+            (True, False, 0),
+            (True, True, 0),
+        ],
+        ids=["defective", "over_wide", "zero_shots", "wide_zero_shots", "all"],
+    )
+    def test_refusals_match_the_frozen_engine(self, widen, defect, shots):
+        """``execute_circuit`` raises the frozen engine's error, checking
+        defects, then width, then shots."""
+        qc = QuantumCircuit(MAX_DENSE_QUBITS + 1, 1)
+        for qubit in range(MAX_DENSE_QUBITS + 1 if widen else 1):
+            qc.h(qubit)
+        qc.measure(0, 0)
+        if defect:
+            qc._instructions.append(Instruction("measure", (0,), (7,)))
+        with pytest.raises(SimulationError) as frozen:
+            simulate_counts(qc, shots, np.random.default_rng(1))
+        with pytest.raises(SimulationError) as live:
+            LocalSimulator().execute_circuit(qc, shots, 1)
+        assert str(live.value) == str(frozen.value)
 
     def test_non_unitary_instruction_in_evolve_raises_serial_error(self):
         # Defensive guard mirroring Statevector.evolve: the planner never
@@ -828,8 +919,8 @@ def random_digit_rows(rng, shots: int, width: int) -> np.ndarray:
 
 
 def trajectory_strings(qc: QuantumCircuit, shots: int, seed: int) -> list[str]:
-    """Per-shot bitstrings from the serial trajectory loop, the semantics
-    every sampler must reproduce."""
+    """Per-shot bitstrings from the frozen serial trajectory loop, the
+    semantics every sampler must reproduce."""
     rng = np.random.default_rng(seed)
     return [
         "".join(str(b) for b in reversed(_run_trajectory(qc, None, rng)))
@@ -838,8 +929,9 @@ def trajectory_strings(qc: QuantumCircuit, shots: int, seed: int) -> list[str]:
 
 
 def both_engines(backend: Backend, qc: QuantumCircuit, shots: int, seed: int):
-    """``(serial, batched, batch group kind)``, each result ``(counts, memory)``."""
-    serial = backend.execute_circuit(qc, shots, seed, True)
+    """``(serial, batched, batch group kind)``, each result ``(counts, memory)``;
+    ``serial`` is the frozen serial engine's."""
+    serial = frozen_run(backend, qc, shots, seed, True)
     (group,) = batchsim.plan(
         backend, [batchsim.make_unit(0, qc, None, seed, shots)]
     )
@@ -1028,6 +1120,54 @@ class TestServiceFuzz:
         # The conditional unit simulated serially; the rest batched.
         assert stats["simulations_batched"] == 2
         assert stats["simulations"] == 3
+
+    @pytest.mark.parametrize("entry", ["run", "submit"])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            LocalSimulator(),
+            noisy_backend(p=0.03, readout=0.02),
+            per_qubit_readout_backend(),
+        ],
+        ids=["local_simulator", "depolarizing", "per_qubit_readout"],
+    )
+    def test_conditionals_that_draw_match_the_frozen_engine(
+        self, backend, entry, serial_reference
+    ):
+        """Shot-by-shot circuits: ``Backend.execute_circuit`` and the
+        service's SERIAL route both replay the frozen serial stream."""
+        rng = np.random.default_rng(47)
+        workload = [
+            drawing_conditional_circuit(
+                rng, int(rng.integers(1, 5)), int(rng.integers(3, 12))
+            )
+            for _ in range(8)
+        ]
+        shots, seed = 37, 47
+        want = serial_reference(backend, workload, shots, seed, memory=True)
+        for index, qc in enumerate(workload):
+            eff_seed = ExecutionService._effective_seed(seed, index)
+            assert backend.execute_circuit(qc, shots, eff_seed, True) == (
+                want[index]
+            ), f"circuit {index} diverged"
+        units = [
+            batchsim.make_unit(i, qc, None, i, shots)
+            for i, qc in enumerate(workload)
+        ]
+        assert [g.kind for g in batchsim.plan(backend, units)] == [
+            batchsim.SERIAL
+        ]
+        svc = ExecutionService(max_workers=2)
+        try:
+            got = getattr(svc, entry)(
+                workload, backend=backend, shots=shots, seed=seed, memory=True
+            ).result(timeout=60)
+            stats = svc.stats()
+        finally:
+            svc.shutdown()
+        assert_results_identical(got, want, memory=True)
+        assert stats["simulations"] == len(workload)
+        assert stats["simulations_batched"] == 0
 
     @pytest.mark.parametrize("tile", ["default", "one-row"])
     @pytest.mark.parametrize("entry", ["run", "submit"])

@@ -1,16 +1,24 @@
-"""Execution engines: fast path, trajectories, noise, compaction."""
+"""The simulation engine: fast path, trajectories, noise, compaction.
 
-import numpy as np
+Every test runs the live engine, :func:`repro.quantum.batchsim.run_circuit`
+(what ``Backend.execute_circuit`` calls), and its route choice.
+"""
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.quantum import batchsim
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel, PauliNoise, ReadoutError
-from repro.quantum.simulator import _is_fast_path, simulate_counts
 
 
 def _run(qc, shots=1024, seed=0, noise=None, memory=False):
-    return simulate_counts(qc, shots, np.random.default_rng(seed), noise, memory)
+    return batchsim.run_circuit(qc, shots, seed, noise, memory)
+
+
+def _is_fast_path(qc, noise):
+    unit = batchsim.make_unit(0, qc, None, 0, 1)
+    return batchsim.route(unit, noise) == batchsim.IDEAL
 
 
 class TestFastPath:

@@ -10,12 +10,8 @@ from scipy.stats import unitary_group
 
 from repro.errors import SimulationError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.statevector import (
-    Statevector,
-    apply_matrix,
-    collapse,
-    measure_probabilities,
-)
+from repro.quantum.statevector import Statevector, apply_matrix
+from tests.serial_engine import collapse, measure_probabilities
 
 
 class TestConstruction:
@@ -132,6 +128,9 @@ class TestApplyMatrix:
 
 
 class TestMeasurementHelpers:
+    """The frozen serial engine's flat-state measurement kernels, the
+    reference ``batch_measure`` is checked against row for row."""
+
     def test_measure_probabilities(self):
         sv = Statevector.from_label("+0")
         state = sv.data

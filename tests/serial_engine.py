@@ -1,0 +1,187 @@
+"""The serial simulation engine, frozen as the parity reference.
+
+``repro.quantum.batchsim`` is the one simulator the program runs.  This is
+the engine it replaced, kept verbatim: ``simulate_counts`` evolves one
+statevector per circuit on the ideal fast path and one flat-state
+trajectory per shot otherwise, measuring with the flat-state
+``measure_probabilities`` and ``collapse``.  The batch engine was built to
+match it bit for bit, so the parity suites (through
+``conftest.serial_reference``) and the benchmarks compare the live engine
+against it.  Do not edit these functions to follow the live engine: a
+difference between the two is a finding.
+
+What it shares with the live engine is what both are checked against
+separately: the gate kernel ``apply_matrix`` (pinned to a frozen
+``np.moveaxis`` formulation), compaction, the final-state sampler and the
+tally.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.errors import SimulationError
+from repro.quantum import gates as _gates
+from repro.quantum.analysis import circuit_facts, structural_errors
+from repro.quantum.circuit import Instruction, QuantumCircuit
+from repro.quantum.noise import NoiseModel
+from repro.quantum.simulator import (
+    _PAULI_MATRICES,
+    MAX_DENSE_QUBITS,
+    _compact,
+    _measure_pairs,
+    digit_rows,
+    sample_from_state,
+    tally_counts,
+)
+from repro.quantum.statevector import _ATOL, Statevector, apply_matrix
+
+
+def measure_probabilities(state: np.ndarray, qubit: int, num_qubits: int) -> float:
+    """Return P(qubit = 1) for one qubit of a flat state."""
+    probs = np.abs(state) ** 2
+    mask = 1 << qubit
+    indices = np.arange(2**num_qubits)
+    return float(probs[(indices & mask) != 0].sum())
+
+
+def collapse(
+    state: np.ndarray, qubit: int, outcome: int, num_qubits: int
+) -> np.ndarray:
+    """Project a flat state onto ``qubit == outcome`` and renormalise."""
+    mask = 1 << qubit
+    indices = np.arange(2**num_qubits)
+    keep = ((indices & mask) != 0) == bool(outcome)
+    new = np.where(keep, state, 0.0)
+    norm = np.linalg.norm(new)
+    if norm < _ATOL:
+        raise SimulationError(
+            f"collapse onto qubit {qubit}={outcome} has zero probability"
+        )
+    return new / norm
+
+
+def _validate(circuit: QuantumCircuit) -> None:
+    if circuit.num_qubits == 0:
+        raise SimulationError("cannot simulate a circuit with no qubits")
+    if circuit.num_qubits > MAX_DENSE_QUBITS:
+        raise SimulationError(
+            f"circuit touches {circuit.num_qubits} qubits; dense simulation "
+            f"is capped at {MAX_DENSE_QUBITS}"
+        )
+
+
+def _is_fast_path(circuit: QuantumCircuit, noise: NoiseModel | None) -> bool:
+    """True when sampling from the final state reproduces per-shot semantics.
+
+    Thin wrapper over :meth:`CircuitFacts.is_fast_path` — the analyzer is the
+    single source of truth for this classification; the batchsim planner reads
+    the same facts, so serial and batch routing can never disagree.
+    """
+    return circuit_facts(circuit).is_fast_path(noise)
+
+
+def _fast_sample(
+    circuit: QuantumCircuit, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample shots from the final statevector (ideal, final-measurement case)."""
+    state = Statevector.from_circuit(circuit.remove_all_measurements())
+    return sample_from_state(
+        state, _measure_pairs(circuit), circuit.num_clbits, shots, rng
+    )
+
+
+def _apply_gate_noise(
+    state: np.ndarray,
+    inst: Instruction,
+    noise: NoiseModel | None,
+    num_qubits: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    if noise is None:
+        return state
+    channel = noise.channel_for(inst.name, inst.qubits)
+    if channel is None:
+        return state
+    for q in inst.qubits:
+        pauli = channel.sample(rng)
+        if pauli is not None:
+            state = apply_matrix(state, _PAULI_MATRICES[pauli], [q], num_qubits)
+    return state
+
+
+def _run_trajectory(
+    circuit: QuantumCircuit,
+    noise: NoiseModel | None,
+    rng: np.random.Generator,
+) -> list[int]:
+    """One noisy shot; returns the classical register (clbit 0 first)."""
+    n = circuit.num_qubits
+    state = np.zeros(2**n, dtype=np.complex128)
+    state[0] = 1.0
+    clbits = [0] * circuit.num_clbits
+    for inst in circuit:
+        if inst.name == "barrier":
+            continue
+        if inst.condition is not None:
+            bit, value = inst.condition
+            if clbits[bit] != value:
+                continue
+        if inst.name == "measure":
+            qubit = inst.qubits[0]
+            p1 = measure_probabilities(state, qubit, n)
+            outcome = 1 if rng.random() < p1 else 0
+            state = collapse(state, qubit, outcome, n)
+            recorded = outcome
+            if noise is not None:
+                readout = noise.readout_for(qubit)
+                if readout is not None:
+                    recorded = readout.apply(outcome, rng)
+            clbits[inst.clbits[0]] = recorded
+            continue
+        if inst.name == "reset":
+            qubit = inst.qubits[0]
+            p1 = measure_probabilities(state, qubit, n)
+            outcome = 1 if rng.random() < p1 else 0
+            state = collapse(state, qubit, outcome, n)
+            if outcome == 1:
+                state = apply_matrix(state, _gates.X_MATRIX, [qubit], n)
+            continue
+        state = apply_matrix(state, inst.matrix(), inst.qubits, n)
+        state = _apply_gate_noise(state, inst, noise, n, rng)
+    return clbits
+
+
+def simulate_counts(
+    circuit: QuantumCircuit,
+    shots: int,
+    rng: np.random.Generator,
+    noise: NoiseModel | None = None,
+    memory: bool = False,
+) -> tuple[dict[str, int], list[str] | None]:
+    """Execute a circuit and return ``(counts, memory)``.
+
+    ``counts`` maps classical bitstrings (clbit 0 rightmost) to frequencies;
+    ``memory`` is the per-shot list when requested, else ``None``.
+    """
+    facts = circuit_facts(circuit)
+    if facts.structurally_defective:
+        first = structural_errors(facts)[0]
+        raise SimulationError(
+            f"circuit is structurally defective: [{first.code}] {first.message}"
+        )
+    circuit = _compact(circuit)
+    _validate(circuit)
+    if shots <= 0:
+        raise SimulationError(f"shots must be positive, got {shots}")
+    # ``is_fast_path`` only reads relabelling-invariant structure, so facts of
+    # the original circuit answer for the compacted one too.
+    if facts.is_fast_path(noise):
+        rows = _fast_sample(circuit, shots, rng)
+    else:
+        clbits = np.array(
+            [_run_trajectory(circuit, noise, rng) for _ in range(shots)],
+            dtype=np.uint8,
+        ).reshape(shots, circuit.num_clbits)
+        rows = digit_rows(clbits)
+    return tally_counts(rows, memory)

@@ -282,6 +282,44 @@ class TestR005ParamFloatCoercion:
         ) == []
 
 
+class TestR006FlatStateEvolution:
+    LOOP = """
+    def run(state, circuit, n):
+        for inst in circuit:
+            state = apply_matrix(state, inst.matrix(), inst.qubits, n)
+        return state
+    """
+
+    def test_bare_call_flagged(self):
+        assert codes(self.LOOP, "src/repro/quantum/simulator.py") == ["R006"]
+
+    def test_attribute_call_flagged(self):
+        src = "state = statevector.apply_matrix(state, m, [0], 1)"
+        assert codes(src, "src/repro/qec/syndrome.py") == ["R006"]
+
+    def test_each_call_reported(self):
+        src = """
+        def noisy(state, m, p, n):
+            state = apply_matrix(state, m, [0], n)
+            return apply_matrix(state, p, [1], n)
+        """
+        found = lint(src, "src/repro/quantum/backend.py")
+        assert [(v.rule, v.line) for v in found] == [("R006", 3), ("R006", 4)]
+
+    def test_statevector_module_allowed(self):
+        assert codes(self.LOOP, "src/repro/quantum/statevector.py") == []
+
+    def test_batch_kernel_and_references_allowed(self):
+        # The batch kernel is a different name; importing or passing the
+        # flat kernel around is not a call.
+        src = """
+        from repro.quantum.statevector import apply_matrix
+        states = batch_apply_matrix(states, m, [0], n)
+        kernel = apply_matrix
+        """
+        assert codes(src, "src/repro/quantum/batchsim/state.py") == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

@@ -49,6 +49,15 @@ R005  Direct ``float()`` coercion of a gate parameter outside the binding
       bound or rejected with the coded error.  Allowed only in
       ``quantum/parameters.py`` (the sanctioned coercions live there).
 
+R006  A call to ``apply_matrix(...)`` (bare or as an attribute) outside
+      ``quantum/statevector.py``.  The flat-state kernel evolves one state;
+      a caller looping it over instructions is a second state-evolution
+      engine beside ``repro.quantum.batchsim``, which must stay the only
+      one.  Simulation goes through ``Backend.execute_circuit`` /
+      ``batchsim.run_circuit``, and whole-circuit states through
+      ``Statevector.evolve``.  Allowed only in ``quantum/statevector.py``
+      (the kernel and ``Statevector``'s own uses).
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -80,6 +89,9 @@ R004_PASS_MODULES = (("transpiler", "passes.py"),)
 
 #: The one module allowed to coerce gate params with float() (R005).
 R005_ALLOWED = (("quantum", "parameters.py"),)
+
+#: The one module allowed to call the flat-state kernel (R006).
+R006_ALLOWED = (("quantum", "statevector.py"),)
 
 
 class Violation:
@@ -296,11 +308,30 @@ def _check_param_float_coercion(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
+def _check_flat_state_evolution(path: Path, tree: ast.AST) -> list[Violation]:
+    """R006: ``apply_matrix(...)`` calls outside the statevector module."""
+    if any(path.parts[-len(suffix):] == suffix for suffix in R006_ALLOWED):
+        return []
+    return [
+        Violation(
+            path, node.lineno, "R006",
+            "apply_matrix() call outside quantum/statevector.py: a second "
+            "state-evolution loop beside repro.quantum.batchsim; simulate "
+            "through Backend.execute_circuit or batchsim.run_circuit, or "
+            "evolve with Statevector.evolve",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _terminal_name(node.func) == "apply_matrix"
+    ]
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
     _check_column_folded_matmul,
     _check_param_float_coercion,
+    _check_flat_state_evolution,
 )
 
 
