@@ -16,6 +16,7 @@ security boundary against adversarial code.
 from __future__ import annotations
 
 import builtins
+import functools
 import io
 import sys
 import threading
@@ -115,6 +116,18 @@ def _restricted_import(name, globals=None, locals=None, fromlist=(), level=0):
     return builtins.__import__(name, globals, locals, fromlist, level)
 
 
+#: The restricted builtins, built once; every run gets its own shallow copy,
+#: so a program that writes into ``__builtins__`` cannot reach the next one.
+_SAFE_BUILTINS: dict = {
+    name: getattr(builtins, name)
+    for name in _SAFE_BUILTIN_NAMES
+    if hasattr(builtins, name)
+}
+_SAFE_BUILTINS.update(
+    {"True": True, "False": False, "None": None, "__import__": _restricted_import}
+)
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of running one generated program."""
@@ -127,10 +140,10 @@ class ExecutionResult:
     trace: str = ""
     #: Circuit simulations the program triggered (via the shared
     #: ExecutionService) and how many of those were served from the result
-    #: cache — generated programs call ``backend.run`` through the shim, so
-    #: repeated identical candidates cost nothing to re-execute.  Counted by
-    #: an attributable stats scope, so the numbers are exact even while other
-    #: threads drive the same service.
+    #: cache — generated programs call ``backend.run`` through the shim, so a
+    #: repeated identical candidate re-runs its code but simulates nothing
+    #: new.  Counted by an attributable stats scope, so the numbers are exact
+    #: even while other threads drive the same service.
     simulations: int = 0
     sim_cache_hits: int = 0
 
@@ -154,16 +167,8 @@ def run_code(
     """
     from repro.quantum.execution import ambient_seed, stats_scope
 
-    safe_builtins = {name: getattr(builtins, name) for name in _SAFE_BUILTIN_NAMES
-                     if hasattr(builtins, name)}
-    safe_builtins["True"] = True
-    safe_builtins["False"] = False
-    safe_builtins["None"] = None
-    safe_builtins["__import__"] = _restricted_import
-    namespace: dict = {"__builtins__": safe_builtins, "__name__": "__generated__"}
-    buffer = io.StringIO()
     try:
-        compiled = compile(code, "<generated>", "exec")
+        compiled = _compile(code)
     except SyntaxError as exc:
         trace = f"SyntaxError: {exc.msg} (line {exc.lineno})"
         return ExecutionResult(
@@ -172,6 +177,11 @@ def run_code(
             exception_message=str(exc.msg),
             trace=trace,
         )
+    namespace: dict = {
+        "__builtins__": dict(_SAFE_BUILTINS),
+        "__name__": "__generated__",
+    }
+    buffer = io.StringIO()
     try:
         with _capture_stdout(buffer), ambient_seed(run_seed), \
                 stats_scope("sandbox") as scope:
@@ -199,6 +209,12 @@ def run_code(
         stdout=buffer.getvalue(),
         **_sim_counts(scope),
     )
+
+
+@functools.lru_cache(maxsize=1024)  # a full `repro report` runs ~300 sources
+def _compile(code: str):
+    """The code object of one program source (immutable, so reruns share it)."""
+    return compile(code, "<generated>", "exec")
 
 
 def _sim_counts(scope) -> dict:

@@ -65,7 +65,17 @@ class RefinementResult:
 
 
 class SemanticAnalyzerAgent(Agent):
-    """Sandboxed execution, semantic grading, and the repair loop."""
+    """Sandboxed execution, semantic grading, and the repair loop.
+
+    The analyzer runs and grades each reference program once: the first
+    :meth:`analyze` that reaches the comparison stores the reference's
+    statevector (else its distribution), keyed by its source, and later
+    calls compare against that.  The artifact depends on the execution
+    service and the ambient optimization level that graded it, so build one
+    analyzer per grading context (one service, one optimization level):
+    the evaluation engine builds one per chunk, and an ``Orchestrator``
+    keeps one per instance.
+    """
 
     name = "semantic_analyzer"
 
@@ -78,6 +88,7 @@ class SemanticAnalyzerAgent(Agent):
         self.tvd_threshold = tvd_threshold
         self.shots = shots
         self.fidelity_threshold = fidelity_threshold
+        self._references: dict[str, Statevector | dict[str, float] | None] = {}
 
     # -- grading ---------------------------------------------------------------
 
@@ -126,17 +137,35 @@ class SemanticAnalyzerAgent(Agent):
             return AnalysisReport(
                 syntactic_ok=True, semantic_ok=None, execution=execution
             )
+        return self._compare(execution, self._graded_reference(reference_code))
+
+    def _graded_reference(
+        self, reference_code: str
+    ) -> Statevector | dict[str, float] | None:
+        """The reference program's statevector, else its distribution.
+
+        Run and graded on first use, then kept; a reference that fails to
+        run raises ``RuntimeError`` on every call and is never kept.
+        """
+        if reference_code in self._references:
+            return self._references[reference_code]
         reference = run_code(reference_code)
         if not reference.ok:
             raise RuntimeError(
                 f"reference program failed to execute: {reference.trace}"
             )
-        return self._compare(execution, reference)
+        artifact = self._statevector(reference)
+        if artifact is None:
+            artifact = self._distribution(reference)
+        self._references[reference_code] = artifact
+        return artifact
 
     def _compare(
-        self, candidate: ExecutionResult, reference: ExecutionResult
+        self,
+        candidate: ExecutionResult,
+        reference: Statevector | dict[str, float] | None,
     ) -> AnalysisReport:
-        """Grade candidate behaviour against the reference program.
+        """Grade candidate behaviour against the reference's graded artifact.
 
         Statevector tasks (reference produces a pure state, no measurement)
         are graded by fidelity — probability distributions are blind to
@@ -144,8 +173,7 @@ class SemanticAnalyzerAgent(Agent):
         and without its bit-reversal swaps.  Sampling tasks are graded by
         total variation distance between output distributions.
         """
-        ref_state = self._statevector(reference)
-        if ref_state is not None:
+        if isinstance(reference, Statevector):
             cand_state = self._statevector(candidate)
             if cand_state is None:
                 return AnalysisReport(
@@ -154,17 +182,17 @@ class SemanticAnalyzerAgent(Agent):
                     execution=candidate,
                     detail="task expects a statevector; candidate produced none",
                 )
-            if cand_state.num_qubits != ref_state.num_qubits:
+            if cand_state.num_qubits != reference.num_qubits:
                 return AnalysisReport(
                     syntactic_ok=True,
                     semantic_ok=False,
                     execution=candidate,
                     detail=(
                         f"state has {cand_state.num_qubits} qubits, expected "
-                        f"{ref_state.num_qubits}"
+                        f"{reference.num_qubits}"
                     ),
                 )
-            fidelity = ref_state.fidelity(cand_state)
+            fidelity = reference.fidelity(cand_state)
             return AnalysisReport(
                 syntactic_ok=True,
                 semantic_ok=fidelity >= self.fidelity_threshold,
@@ -173,16 +201,15 @@ class SemanticAnalyzerAgent(Agent):
                 detail=f"fidelity={fidelity:.4f} (threshold {self.fidelity_threshold})",
             )
         cand_dist = self._distribution(candidate)
-        ref_dist = self._distribution(reference)
-        if cand_dist is None or ref_dist is None:
-            ok = cand_dist is not None or ref_dist is None
+        if cand_dist is None or reference is None:
+            ok = cand_dist is not None or reference is None
             return AnalysisReport(
                 syntactic_ok=True,
-                semantic_ok=ok and cand_dist == ref_dist,
+                semantic_ok=ok and cand_dist == reference,
                 execution=candidate,
                 detail="no comparable artifact (qc/state/counts) found",
             )
-        tvd = total_variation_distance(cand_dist, ref_dist)
+        tvd = total_variation_distance(cand_dist, reference)
         return AnalysisReport(
             syntactic_ok=True,
             semantic_ok=tvd <= self.tvd_threshold,
@@ -251,9 +278,9 @@ class SemanticAnalyzerAgent(Agent):
 
     def _simulate(self, qc: QuantumCircuit) -> dict[str, float] | None:
         # Grading runs through the shared ExecutionService with a fixed seed:
-        # re-grading an unchanged candidate (every multi-pass iteration) and
-        # re-simulating the reference program (every eval sample) become
-        # cache hits instead of fresh simulations.
+        # re-grading an unchanged candidate (every sample and multi-pass
+        # iteration that regenerates it) becomes a cache hit instead of a
+        # fresh simulation.
         from repro.quantum.execution import execute
 
         try:

@@ -198,8 +198,8 @@ class EvalResult:
         return sum(passes) / len(passes) if passes else 0.0
 
 
-def build_pipeline(settings: PipelineSettings) -> tuple[CodeGenerationAgent, SemanticAnalyzerAgent]:
-    """Construct the two evaluation-relevant agents for one arm."""
+def build_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
+    """Construct one arm's generation pipeline: model, retriever, scaffolds."""
     model = SimulatedCodeLLM(settings.config)
     retriever = None
     if settings.config.rag_docs or settings.config.rag_guides:
@@ -212,26 +212,24 @@ def build_pipeline(settings: PipelineSettings) -> tuple[CodeGenerationAgent, Sem
             if enabled
         )
         retriever = Retriever(datasets=datasets)
-    codegen = CodeGenerationAgent(model, retriever=retriever, scaffolds=ScaffoldGenerator())
-    return codegen, SemanticAnalyzerAgent()
+    return CodeGenerationAgent(model, retriever=retriever, scaffolds=ScaffoldGenerator())
 
 
 # -- the chunked episode engine ---------------------------------------------------
 
-#: Pipelines memoised per thread, keyed by arm settings: a worker process or
-#: the serial caller reuses one pipeline for every chunk of an arm (matching
-#: the historical one-pipeline-per-arm behaviour), while thread-pool workers
-#: each get their own instances so no pipeline is shared across threads.
-#: Thread-locality also means no lock, no cross-thread ident aliasing, and
-#: nothing to repair after fork (the child's main thread inherits the
-#: forking thread's warm cache).
+#: Generation pipelines memoised per thread, keyed by arm settings: a worker
+#: process or the serial caller reuses one pipeline for every chunk of an arm,
+#: while thread-pool workers each get their own instances so no pipeline is
+#: shared across threads.  Thread-locality also means no lock, no
+#: cross-thread ident aliasing, and nothing to repair after fork (the child's
+#: main thread inherits the forking thread's warm cache).  The semantic
+#: analyzer is not cached here: its reference memo lives one chunk (see
+#: :func:`_run_task_chunk`).
 _pipelines = threading.local()
 _PIPELINE_CACHE_MAX = 16
 
 
-def _cached_pipeline(
-    settings: PipelineSettings,
-) -> tuple[CodeGenerationAgent, SemanticAnalyzerAgent]:
+def _cached_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
     cache = getattr(_pipelines, "cache", None)
     if cache is None:
         cache = _pipelines.cache = {}
@@ -259,8 +257,13 @@ def _run_task_chunk(settings: PipelineSettings, task: Task) -> tuple:
     scopes of the surrounding caller see nothing directly — the engine
     merges the returned stats into them explicitly, identically in every
     mode.
+
+    The chunk grades with its own :class:`SemanticAnalyzerAgent`, so it runs
+    its task's reference once, and its service lookups stay the same
+    whichever chunks ran before it on this thread or process.
     """
-    codegen, analyzer = _cached_pipeline(settings)
+    codegen = _cached_pipeline(settings)
+    analyzer = SemanticAnalyzerAgent()
     with (
         isolated_scopes(),
         stats_scope(settings.display_label()) as scope,

@@ -60,6 +60,31 @@ class TestSandbox:
         result = run_code("print('hello')")
         assert result.stdout == "hello\n"
 
+    def test_builtins_writes_do_not_reach_the_next_run(self):
+        overwritten = run_code(
+            "__builtins__['len'] = lambda seq: -1\nn = len([1, 2])"
+        )
+        assert overwritten.ok and overwritten.artifact("n") == -1
+        assert run_code("del __builtins__['print']").ok
+        after = run_code("n = len([1, 2, 3])\nprint('still here')")
+        assert after.ok
+        assert after.artifact("n") == 3
+        assert after.stdout == "still here\n"
+
+    @pytest.mark.parametrize(
+        "code", ["qc = foo(\n", "x = 1\nraise ValueError('boom')"]
+    )
+    def test_failed_result_is_stable_across_calls(self, code):
+        first, second = run_code(code), run_code(code)
+        assert not first.ok and first.trace
+        # Type, message, trace and namespace all repeat.
+        assert first == second
+
+    def test_compile_cache_is_bounded(self):
+        from repro.agents import sandbox
+
+        assert sandbox._compile.cache_info().maxsize is not None
+
     def test_deprecation_error_trace_has_migration(self):
         code = (
             "from repro.quantum import QuantumCircuit, execute\n"
@@ -113,8 +138,77 @@ class TestSemanticAnalyzer:
 
     def test_broken_reference_raises(self):
         analyzer = SemanticAnalyzerAgent()
-        with pytest.raises(RuntimeError, match="reference"):
-            analyzer.analyze("x = 1", reference_code="this is ( not python")
+        # A failing reference is never kept: every call raises again.
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="reference"):
+                analyzer.analyze("x = 1", reference_code="this is ( not python")
+
+    def test_shared_analyzer_grades_like_fresh_ones_and_runs_references_once(
+        self, monkeypatch
+    ):
+        """One analyzer keeps each graded reference: verdicts stay those of a
+        fresh analyzer per call, and each reference runs at most once."""
+        from collections import Counter
+
+        from repro.agents import semantic
+        from repro.evalsuite.suite import build_suite
+        from repro.utils.rng import derive_seed
+
+        calls: list[str] = []
+        real_run_code = semantic.run_code
+
+        def counting_run_code(code, **kwargs):
+            calls.append(code)
+            return real_run_code(code, **kwargs)
+
+        monkeypatch.setattr(semantic, "run_code", counting_run_code)
+
+        def grade(analyzer, code, task):
+            start = len(calls)
+            report = analyzer.analyze(code, task.reference_code, task.checker)
+            # The first run is the candidate's; any other runs the reference.
+            verdict = (
+                report.syntactic_ok, report.semantic_ok, report.tvd,
+                report.detail, report.static_error,
+            )
+            return verdict, len(calls) - start - 1
+
+        arms = {
+            label: CodeGenerationAgent(make_model(fine_tuned=fine_tuned))
+            for label, fine_tuned in (("base", False), ("ft", True))
+        }
+        markers = (
+            ("statevector", "fidelity="),
+            ("distribution", "TVD="),
+            ("checker", "custom checker"),
+        )
+        shared = SemanticAnalyzerAgent()
+        fresh_runs: Counter = Counter()
+        shared_runs: Counter = Counter()
+        kinds = set()
+        for task in build_suite():
+            for label, codegen in arms.items():
+                for sample in range(2):
+                    request = GenerationRequest(
+                        prompt_text=task.case.text,
+                        params=dict(task.case.params),
+                        seed=derive_seed(1234, label, task.case_id, sample),
+                    )
+                    code = codegen.generate(request)[0].code
+                    fresh, runs = grade(SemanticAnalyzerAgent(), code, task)
+                    fresh_runs[task.reference_code] += runs
+                    memo, runs = grade(shared, code, task)
+                    shared_runs[task.reference_code] += runs
+                    assert memo == fresh, (task.case_id, label, sample)
+                    kinds.update(kind for kind, marker in markers if marker in fresh[3])
+        assert kinds == {"statevector", "distribution", "checker"}
+        # Fresh analyzers re-run a reference for every graded candidate...
+        assert max(fresh_runs.values()) > 1
+        # ...the shared one ran each reference exactly once, when any
+        # candidate reached the comparison at all.
+        assert shared_runs == Counter(
+            {reference: 1 for reference, runs in fresh_runs.items() if runs}
+        )
 
     def test_refine_fixes_syntactic_fault(self):
         """Deterministic repair loop: inject a known fault, watch it heal."""

@@ -105,6 +105,7 @@ class TestSerialParallelParity:
             ModelConfig("3b", True), samples_per_task=2, label="thread-par"
         )
         serial = evaluate(settings, bank, workers=1)
+        again = evaluate(settings, bank, workers=1)
         calls = [(settings, task) for task in bank]
         from repro.evalsuite.runner import _run_task_chunk
 
@@ -113,6 +114,18 @@ class TestSerialParallelParity:
             (o.syntactic_successes, o.full_successes, tuple(o.passes_used))
             for o in serial.outcomes
         ] == [(t[0], t[1], tuple(t[4])) for t in threaded]
+
+        # Grading memos live one chunk: a rerun on this thread and a thread
+        # pool make exactly the first run's lookups (a memo that outlived its
+        # chunk would lower both).
+        def lookups(stats):
+            return stats["cache_hits"] + stats["cache_misses"]
+
+        assert (
+            lookups(serial.execution_stats)
+            == lookups(again.execution_stats)
+            == sum(lookups(t[5]) for t in threaded)
+        )
 
 
 class TestExactAttribution:

@@ -150,7 +150,7 @@ class TestEvaluateStaticErrors:
         monkeypatch.setattr(
             runner,
             "_cached_pipeline",
-            lambda settings: (StubCodegen(code), SemanticAnalyzerAgent()),
+            lambda settings: StubCodegen(code),
         )
 
     def test_static_rejections_counted_with_zero_simulations(

@@ -1,0 +1,258 @@
+"""Benchmark the working tree against a parent revision in alternating pairs.
+
+Run from the repository root::
+
+    python3 tools/bench_pairs.py --number N --parent HEAD --pairs 10 --seed 101
+    python3 tools/bench_pairs.py --number N --workload eval-warm --pairs 10
+
+``git archive`` exports the parent revision into a temporary directory.
+Each pair then runs ``perfbench/run.py --workload W --seed S --seconds 12
+--trace 0`` once in the parent's copy and once in the working tree, pair
+``i`` with seed ``S + i``; the side that runs first alternates from pair to
+pair, so a shared host's slow drift lands on both sides alike.  The run
+length (``run_seconds``) and the default workloads come from
+``BENCHMARK.json``.
+
+The tool writes ``BENCH_<number>.json`` at the repository root with every
+run's result line, digest and ``exec`` line, and per workload: the median
+and quartiles of every end-to-end metric on each side, and how many pairs
+the working tree won on ``wall_s``.  It exits 1 if any run failed or the two
+runs of a pair printed different digests.
+
+Only the standard library is used: ``perfbench/`` is run, never imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def parse_output(stdout: str) -> dict:
+    """The result object (the last stdout line), digest and ``exec`` line."""
+    lines = stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    digest = exec_line = None
+    for line in lines:
+        text = line.strip()
+        if text.startswith("digest "):
+            digest = text.split()[1]
+        elif text.startswith("exec "):
+            exec_line = text[len("exec "):]
+    return {"result": result, "digest": digest, "exec": exec_line}
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in ``root``; never raises for a failed run."""
+    start = time.monotonic()
+    proc = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
+        ],
+        cwd=root, capture_output=True, text=True,
+    )
+    record = parse_output(proc.stdout)
+    record["returncode"] = proc.returncode
+    record["elapsed_s"] = round(time.monotonic() - start, 3)
+    if proc.returncode != 0 or record["result"] is None:
+        record["stderr"] = proc.stderr[-2000:]
+    return record
+
+
+def failure(run: dict) -> str | None:
+    """Why a run counts as failed, or ``None``."""
+    result = run.get("result")
+    if run.get("returncode"):
+        return f"exit status {run['returncode']}"
+    if not isinstance(result, dict):
+        return "no result line"
+    if not result.get("correct"):
+        return "result not correct"
+    if result.get("failed"):
+        return f"{result['failed']} failed operation(s)"
+    return None
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    """Median, quartiles (inclusive method) and their spread."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1}
+
+
+def _metric(run: dict, name: str) -> float | None:
+    entry = (run.get("result") or {}).get("metrics", {}).get(name)
+    return entry["value"] if entry else None
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per-side statistics of one workload's runs.
+
+    Each run carries ``pair``, ``side`` (``"parent"`` or ``"change"``),
+    ``seed`` and the fields of :func:`run_once`.  Failed runs are listed and
+    left out of the statistics; a pair counts towards ``wall_s_wins`` only
+    when both of its runs succeeded.
+    """
+    by_pair: dict[int, dict[str, dict]] = {}
+    failed = []
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+        why = failure(run)
+        if why is not None:
+            failed.append({"pair": run["pair"], "side": run["side"], "why": why})
+    good = [run for run in runs if failure(run) is None]
+    names = sorted({
+        name for run in good for name in run["result"].get("metrics", {})
+    })
+    metrics = {}
+    for name in names:
+        entry = {}
+        for side in SIDES:
+            values = [
+                value for run in good
+                if run["side"] == side and (value := _metric(run, name)) is not None
+            ]
+            if values:
+                entry[side] = quartiles(values)
+        if len(entry) == 2 and entry["parent"]["median"]:
+            entry["median_change"] = entry["change"]["median"] / entry["parent"]["median"] - 1
+        metrics[name] = entry
+    wins = complete = 0
+    mismatches = []
+    for pair, sides in sorted(by_pair.items()):
+        if set(sides) != set(SIDES):
+            continue
+        parent, change = sides["parent"], sides["change"]
+        if parent.get("digest") != change.get("digest"):
+            mismatches.append(pair)
+        if failure(parent) is None and failure(change) is None:
+            complete += 1
+            wins += _metric(change, "wall_s") < _metric(parent, "wall_s")
+    return {
+        "pairs": complete,
+        "wall_s_wins": wins,
+        "metrics": metrics,
+        "digests": {
+            side: sorted({str(run.get("digest")) for run in runs if run["side"] == side})
+            for side in SIDES
+        },
+        "digest_mismatches": mismatches,
+        "failed_runs": failed,
+        "ok": not failed and not mismatches,
+    }
+
+
+def _git(*args: str) -> str:
+    proc = subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, check=True,
+    )
+    return proc.stdout.decode().strip()
+
+
+def export_revision(rev: str, target: Path) -> None:
+    """Extract the committed tree of ``rev`` into ``target``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target, filter="data")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--number", type=int, required=True,
+                        help="writes BENCH_<number>.json at the repository root")
+    parser.add_argument("--parent", default="HEAD",
+                        help="the revision to compare against (default HEAD)")
+    parser.add_argument("--workload", nargs="+", default=None)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    try:
+        parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+        head_sha = _git("rev-parse", "HEAD")
+        dirty = bool(_git("status", "--porcelain"))
+    except subprocess.CalledProcessError as exc:
+        print(f"error: {exc.stderr.decode().strip()}", file=sys.stderr)
+        return 2
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
+    workloads = args.workload or [workload["name"] for workload in spec["workloads"]]
+    seeds = [args.seed + pair for pair in range(args.pairs)]
+    report = {
+        "command": (
+            f"python3 perfbench/run.py --workload <workload> --seed <seed> "
+            f"--seconds {seconds:g} --trace 0"
+        ),
+        "parent": {"rev": args.parent, "sha": parent_sha},
+        "change": {"head_sha": head_sha, "uncommitted_changes": dirty},
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
+        "seeds": seeds,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_root = Path(tmp)
+        export_revision(parent_sha, parent_root)
+        roots = {"parent": parent_root, "change": ROOT}
+        for workload in workloads:
+            runs = []
+            for pair, seed in enumerate(seeds):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    run = run_once(roots[side], workload, seed, seconds)
+                    run.update(pair=pair, seed=seed, side=side)
+                    runs.append(run)
+                    wall = _metric(run, "wall_s")
+                    print(
+                        f"{workload} pair {pair + 1}/{args.pairs} {side:6s} "
+                        f"seed {seed}: wall_s={wall} digest={run['digest']} "
+                        f"{failure(run) or 'ok'}",
+                        file=sys.stderr, flush=True,
+                    )
+            report["workloads"][workload] = {"summary": summarize(runs), "runs": runs}
+    report["ok"] = all(w["summary"]["ok"] for w in report["workloads"].values())
+    out = ROOT / f"BENCH_{args.number}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    for workload, entry in report["workloads"].items():
+        summary = entry["summary"]
+        wall = summary["metrics"].get("wall_s", {})
+        medians = " -> ".join(
+            f"{wall[side]['median']:.3f}" for side in SIDES if side in wall
+        )
+        print(
+            f"{workload}: wall_s {medians} s, change won "
+            f"{summary['wall_s_wins']}/{summary['pairs']} pairs"
+            + ("" if summary["ok"] else "  FAILED")
+        )
+    print(f"wrote {out.name}")
+    return 0 if report["ok"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
