@@ -174,7 +174,9 @@ def _start_coordinator(
         port=port,
         token=token,
         fallback_workers=fallback_workers,
-        lease_timeout=lease_timeout or DEFAULT_LEASE_TIMEOUT,
+        lease_timeout=(
+            DEFAULT_LEASE_TIMEOUT if lease_timeout is None else lease_timeout
+        ),
         tenants=tenants,
         job_store=job_store,
     ).start()

@@ -140,7 +140,3 @@ class SandboxError(AgentError):
 
 class EvaluationError(ReproError):
     """Base class for errors raised by :mod:`repro.evalsuite`."""
-
-
-class GradingError(EvaluationError):
-    """A grader could not compare candidate output against the reference."""

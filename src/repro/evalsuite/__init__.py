@@ -11,9 +11,7 @@ from repro.evalsuite.reporting import (
 )
 from repro.evalsuite.runner import (
     EvalResult,
-    LocalChunkSource,
     PipelineSettings,
-    RemoteChunkSource,
     TaskOutcome,
     distributed,
     evaluate,
@@ -23,9 +21,7 @@ from repro.evalsuite.suite import Task, build_suite, build_task
 
 __all__ = [
     "EvalResult",
-    "LocalChunkSource",
     "PipelineSettings",
-    "RemoteChunkSource",
     "Task",
     "TaskOutcome",
     "accuracy_bars",

@@ -9,14 +9,14 @@ pass@k).
 **Parallelism.**  Every (task, sample) episode is independent: its seed is
 derived from ``(base_seed, arm label, case id, sample index)`` alone, so
 episodes can run in any order — or concurrently — and produce bit-identical
-outcomes.  ``evaluate(..., workers=N)`` (or ``PipelineSettings.workers`` /
-``REPRO_EVAL_WORKERS``) fans per-task chunks across a worker pool:
-``fork``-based processes by default (the work is GIL-holding Python + numpy;
-children inherit the warm in-memory execution cache), with transparent
-fallback to threads and then to the inline serial loop.  ``evaluate_many``
-extends the same fan-out across *independent arms*, which is how the
-experiment drivers (Table I, Figure 3, the multi-pass sweep) run all their
-arms concurrently.
+outcomes.  ``evaluate(..., workers=N)`` (or ``REPRO_EVAL_WORKERS``) fans
+per-task chunks across a ``fork``-based process pool (the work is
+GIL-holding Python + numpy; children inherit the warm in-memory execution
+cache), and runs them inline on the calling thread for one worker, for a
+payload that does not pickle, or where no process pool can be built.
+``evaluate_many`` extends the same fan-out across *independent arms*, which
+is how the experiment drivers (Table I, Figure 3, the multi-pass sweep) run
+all their arms concurrently.
 
 **Exact stats attribution.**  Each chunk counts its execution-service
 activity in its own :class:`~repro.quantum.execution.scopes.StatsScope` and
@@ -24,17 +24,14 @@ the engine sums the chunk scopes per arm, so ``EvalResult.execution_stats``
 is exact even when arms overlap in time — the racy before/after diff of the
 global ``service.stats()`` is gone.
 
-**Distribution.**  The engine is agnostic about *where* chunks run: a
-:class:`ChunkSource` maps ``_run_task_chunk`` over the ``(settings, task)``
-calls, and one folding loop consumes the ordered results.
-:class:`LocalChunkSource` is the in-process pool above;
-:class:`RemoteChunkSource` ships the same picklable chunks to ``repro
-eval-worker`` processes through an
-:class:`~repro.quantum.execution.dispatch.EvalCoordinator`'s lease queue
-(``evaluate(..., distribution="remote", coordinator=...)``, or ambient via
-:func:`distributed`).  Chunk determinism makes the two paths — and any mix
-of remote workers, local fallback, crashes and lease-expiry requeues —
-bit-identical.
+**Distribution.**  A coordinator — passed as ``evaluate(...,
+coordinator=...)`` or installed by :func:`distributed` — leases the same
+picklable chunks to ``repro eval-worker`` processes through an
+:class:`~repro.quantum.execution.dispatch.EvalCoordinator`'s queue; with no
+coordinator they run on the local pool, and one folding loop consumes the
+ordered results either way.  Chunk determinism makes the two paths — and
+any mix of remote workers, local fallback, crashes and lease-expiry
+requeues — bit-identical.
 """
 
 from __future__ import annotations
@@ -77,10 +74,6 @@ class PipelineSettings:
     #: should see *paired* generations (e.g. the multi-pass sweep, where only
     #: the repair budget differs) share one seed_label.
     seed_label: str | None = None
-    #: Worker-pool size for this arm's episodes; ``None`` falls back to the
-    #: ``workers`` argument of :func:`evaluate`, then ``REPRO_EVAL_WORKERS``,
-    #: then the serial default of 1.  Results are bit-identical for any N.
-    workers: int | None = None
     #: Pin the transpiler optimization level for every transpile performed
     #: inside this arm's episodes (generated programs included, via the
     #: ambient level).  ``None`` leaves the pipeline's own default (level 1)
@@ -219,12 +212,12 @@ def build_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
 
 #: Generation pipelines memoised per thread, keyed by arm settings: a worker
 #: process or the serial caller reuses one pipeline for every chunk of an arm,
-#: while thread-pool workers each get their own instances so no pipeline is
-#: shared across threads.  Thread-locality also means no lock, no
-#: cross-thread ident aliasing, and nothing to repair after fork (the child's
-#: main thread inherits the forking thread's warm cache).  The semantic
-#: analyzer is not cached here: its reference memo lives one chunk (see
-#: :func:`_run_task_chunk`).
+#: while callers' own threads (and the coordinator's fallback threads) each
+#: get their own instances so no pipeline is shared across threads.
+#: Thread-locality also means no lock, no cross-thread ident aliasing, and
+#: nothing to repair after fork (the child's main thread inherits the
+#: forking thread's warm cache).  The semantic analyzer is not cached here:
+#: its reference memo lives one chunk (see :func:`_run_task_chunk`).
 _pipelines = threading.local()
 _PIPELINE_CACHE_MAX = 16
 
@@ -253,7 +246,7 @@ def _run_task_chunk(settings: PipelineSettings, task: Task) -> tuple:
     stats_dict)``.
 
     The chunk runs with the ambient scope stack *isolated*: whether it
-    executes on the calling thread, a pool thread, or a forked worker, any
+    executes on the calling thread or in a forked worker, any
     scopes of the surrounding caller see nothing directly — the engine
     merges the returned stats into them explicitly, identically in every
     mode.
@@ -313,46 +306,7 @@ def _run_task_chunk(settings: PipelineSettings, task: Task) -> tuple:
     )
 
 
-# -- where chunks run: the ChunkSource abstraction ---------------------------------
-
-
-@dataclass
-class LocalChunkSource:
-    """Run chunks on the in-process pool (fork → threads → inline serial)."""
-
-    workers: int = 1
-
-    def map(self, fn, calls, on_result=None) -> list:
-        return parallel_map(fn, calls, self.workers, on_result=on_result)
-
-
-class RemoteChunkSource:
-    """Run chunks through an :class:`~repro.quantum.execution.dispatch.
-    EvalCoordinator`'s lease queue: remote ``repro eval-worker`` processes
-    execute them (the coordinator's local fork pool takes over when none
-    attach), and results fold back in input order.
-
-    A payload that does not pickle (e.g. a task carrying a closure checker)
-    downgrades the whole run to the local thread pool — the same rule
-    :func:`~repro.utils.parallel.parallel_map` applies to its process pool —
-    so remote distribution never changes *whether* an evaluation succeeds,
-    only where it runs.
-    """
-
-    def __init__(self, coordinator, workers: int = 1) -> None:
-        self.coordinator = coordinator
-        self.workers = workers
-
-    def map(self, fn, calls, on_result=None) -> list:
-        from repro.quantum.execution.dispatch import encode_chunk
-
-        try:
-            payloads = [encode_chunk(fn, args) for args in calls]
-        except Exception:  # noqa: BLE001 - any pickling failure → run locally
-            return parallel_map(
-                fn, calls, self.workers, on_result=on_result, prefer="thread"
-            )
-        return self.coordinator.run_chunks(payloads, on_result=on_result)
+# -- where chunks run -------------------------------------------------------------
 
 
 _distribution = threading.local()
@@ -377,25 +331,24 @@ def ambient_coordinator():
     return getattr(_distribution, "coordinator", None)
 
 
-def _resolve_chunk_source(
-    distribution: str | None, coordinator, workers: int
-):
-    if coordinator is None and distribution in (None, "remote"):
-        coordinator = ambient_coordinator()
-    if distribution is None:
-        distribution = "remote" if coordinator is not None else "local"
-    if distribution == "local":
-        return LocalChunkSource(workers)
-    if distribution == "remote":
-        if coordinator is None:
-            raise ValueError(
-                "distribution='remote' needs a coordinator: pass one, or "
-                "wrap the call in `with distributed(coordinator):`"
-            )
-        return RemoteChunkSource(coordinator, workers)
-    raise ValueError(
-        f"distribution must be 'local' or 'remote', got {distribution!r}"
-    )
+def _map_chunks(calls: list[tuple], workers: int, coordinator, on_result):
+    """``_run_task_chunk`` over ``calls``, results in input order: leased
+    through ``coordinator`` when there is one, else on the local pool.
+
+    A payload that does not pickle (e.g. a task carrying a closure checker)
+    runs locally even with a coordinator, so distribution never changes
+    *whether* an evaluation succeeds, only where it runs.
+    """
+    if coordinator is not None:
+        from repro.quantum.execution.dispatch import encode_chunk
+
+        try:
+            payloads = [encode_chunk(_run_task_chunk, args) for args in calls]
+        except Exception:  # noqa: BLE001 - any pickling failure → run locally
+            pass
+        else:
+            return coordinator.run_chunks(payloads, on_result=on_result)
+    return parallel_map(_run_task_chunk, calls, workers, on_result=on_result)
 
 
 def evaluate_many(
@@ -403,46 +356,42 @@ def evaluate_many(
     tasks: list[Task],
     workers: int | None = None,
     progress=None,
-    distribution: str | None = None,
     coordinator=None,
 ) -> list[EvalResult]:
     """Run several independent arms over one bank, sharing a worker pool.
 
     All (arm, task) chunks fan out together, so a multi-arm experiment keeps
     every worker busy even while one arm's last task drains.  ``workers``
-    falls back to the largest per-arm ``PipelineSettings.workers``, then
-    ``REPRO_EVAL_WORKERS``, then 1 (inline serial execution — the reference
-    the parallel paths are bit-identical to).  ``progress(done, total)`` is
-    called as chunks complete.
+    falls back to ``REPRO_EVAL_WORKERS``, then 1 (inline serial execution —
+    the reference the pool is bit-identical to).  ``progress(done, total)``
+    is called as chunks complete.
 
-    ``distribution="remote"`` (or just passing/ambiently installing a
-    ``coordinator``) leases the identical chunks to remote eval workers via
-    the dispatch protocol instead; one folding loop consumes either source,
-    so outcomes and per-arm stats stay bit-identical to the serial run for
-    any worker topology — including crashed workers and expired leases,
-    which merely re-run a deterministic chunk.
+    A ``coordinator`` — passed here or installed by :func:`distributed` —
+    leases the identical chunks to remote eval workers via the dispatch
+    protocol instead; one folding loop consumes the results either way, so
+    outcomes and per-arm stats stay bit-identical to the serial run for any
+    worker topology — including crashed workers and expired leases, which
+    merely re-run a deterministic chunk.
 
     Per-arm ``execution_stats`` are the sum of the per-chunk stats scopes:
     exact and non-overlapping even though the arms run concurrently.  Any
     scopes ambient on the *calling* thread receive the same totals (via an
     explicit merge — chunks run scope-isolated), so ``with
     service.stats_scope() as s: evaluate(...)`` observes identical numbers
-    whether the episodes ran inline, on threads, in worker processes, or on
-    another host.
+    whether the episodes ran inline, in worker processes, or on another
+    host.
     """
     arms = list(settings_list)
     caller_scopes = active_scopes()
-    setting_workers = [s.workers for s in arms if s.workers is not None]
-    resolved = resolve_workers(
-        workers, max(setting_workers) if setting_workers else None
-    )
-    source = _resolve_chunk_source(distribution, coordinator, resolved)
+    workers = resolve_workers(workers)
+    if coordinator is None:
+        coordinator = ambient_coordinator()
     calls = [(settings, task) for settings in arms for task in tasks]
     on_result = None
     if progress is not None:
         total = len(calls)
         on_result = lambda done, _result: progress(done, total)  # noqa: E731
-    chunk_results = source.map(_run_task_chunk, calls, on_result=on_result)
+    chunk_results = _map_chunks(calls, workers, coordinator, on_result)
     results = []
     for arm_index, settings in enumerate(arms):
         outcomes = []
@@ -482,26 +431,25 @@ def evaluate(
     tasks: list[Task],
     workers: int | None = None,
     progress=None,
-    distribution: str | None = None,
     coordinator=None,
 ) -> EvalResult:
     """Run one arm over a bank; deterministic given ``settings.base_seed``.
 
-    ``workers=N`` fans the per-task chunks across N workers with outcomes
+    ``workers=N`` fans the per-task chunks across N processes with outcomes
     **bit-identical** to the serial runner for any N (per-sample seeds are
-    order-independent via ``derive_seed``); ``distribution="remote"`` with a
-    running :class:`~repro.quantum.execution.dispatch.EvalCoordinator` ships
-    the same chunks to remote eval workers with the same guarantee.  Grading
-    runs through the shared ExecutionService under per-chunk stats scopes, so
-    the result carries the arm's own simulation and cache counters — exact
-    even while other arms run concurrently — and a repeat run of an identical
-    arm is served almost entirely from the result cache.
+    order-independent via ``derive_seed``); a running
+    :class:`~repro.quantum.execution.dispatch.EvalCoordinator`, passed as
+    ``coordinator`` or installed by :func:`distributed`, ships the same
+    chunks to remote eval workers with the same guarantee.  Grading runs
+    through the shared ExecutionService under per-chunk stats scopes, so the
+    result carries the arm's own simulation and cache counters — exact even
+    while other arms run concurrently — and a repeat run of an identical arm
+    is served almost entirely from the result cache.
     """
     return evaluate_many(
         [settings],
         tasks,
         workers=workers,
         progress=progress,
-        distribution=distribution,
         coordinator=coordinator,
     )[0]

@@ -26,7 +26,6 @@ from repro.quantum.backend import (
     Backend,
     FakeBrisbane,
     FakeFalcon,
-    Job,
     LocalSimulator,
     NoisySimulator,
     Result,
@@ -73,7 +72,6 @@ __all__ = [
     "FakeFalcon",
     "IBMQ",
     "Instruction",
-    "Job",
     "JobStatus",
     "LocalSimulator",
     "NoiseModel",

@@ -84,29 +84,6 @@ class Result:
         )
 
 
-class Job:
-    """A (synchronously completed) execution job.
-
-    Legacy surface kept for callers that construct jobs directly;
-    ``Backend.run`` now returns the richer
-    :class:`~repro.quantum.execution.jobs.ExecutionJob`, whose ``status()``
-    compares equal to the ``"DONE"`` strings this class exposes.
-    """
-
-    def __init__(self, result: Result, job_id: str) -> None:
-        self._result = result
-        self.job_id = job_id
-
-    def result(self) -> Result:
-        return self._result
-
-    def status(self) -> str:
-        return "DONE"
-
-    def __repr__(self) -> str:
-        return f"Job(id='{self.job_id}', status=DONE)"
-
-
 class Backend:
     """Base class for simulated execution targets."""
 

@@ -76,6 +76,7 @@ from repro.quantum.execution.remote_cache import (
     raise_auth_error,
     resolve_token,
 )
+from repro.utils.parallel import process_pool, resolve_workers
 
 #: Seconds a lease may go without a heartbeat before its chunk is requeued.
 DEFAULT_LEASE_TIMEOUT = 30.0
@@ -120,6 +121,18 @@ def run_chunk_payload(payload: bytes) -> bytes:
                 ("err", BackendError(f"chunk failed: {exc!r}")),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
+
+
+def _run_payload_on(pool, payload: bytes) -> bytes:
+    """:func:`run_chunk_payload` on ``pool``; inline when there is no pool or
+    it broke.  A chunk's own failure comes back as an ``err`` outcome, so an
+    exception here can only be the pool's."""
+    if pool is not None:
+        try:
+            return pool.submit(run_chunk_payload, payload).result()
+        except Exception:  # noqa: BLE001 - broken pool: run inline
+            pass
+    return run_chunk_payload(payload)
 
 
 def decode_result(blob: bytes):
@@ -593,16 +606,17 @@ class EvalCoordinator(CacheServer):
 
     One port serves the fleet's warm result cache *and* leases episode chunks
     to ``repro eval-worker`` processes, both behind the same shared token.
-    The coordinator's own ``evaluate(..., distribution="remote")`` call feeds
-    :meth:`run_chunks`; when no remote worker speaks within
-    ``fallback_grace`` seconds, local fallback threads drain the queue
-    through the host's fork pool instead — same chunks, same lease
-    invariants, bit-identical results — so a coordinator with no fleet
-    behaves exactly like the single-host engine.
+    An ``evaluate(..., coordinator=...)`` call (or any ``evaluate`` inside
+    ``with distributed(coordinator):``) feeds :meth:`run_chunks`; when no
+    remote worker speaks within ``fallback_grace`` seconds, local fallback
+    threads drain the queue through the host's process pool instead — same
+    chunks, same lease invariants, bit-identical results — so a coordinator
+    with no fleet behaves exactly like the single-host engine.
 
     ``fallback_workers=0`` disables local fallback (the fault-injection tests
     use this to guarantee chunks are executed remotely); ``None`` resolves
-    like the eval engine's worker count (``REPRO_EVAL_WORKERS`` or 1).
+    like the eval engine's worker count (``REPRO_EVAL_WORKERS`` or 1); a
+    negative count raises ``ValueError``.
 
     Serving-tier extensions (PR 10): a
     :class:`~repro.quantum.execution.tenants.TenantRegistry` turns on
@@ -632,6 +646,10 @@ class EvalCoordinator(CacheServer):
         job_store=None,
         default_tenant: str = "",
     ) -> None:
+        if fallback_workers is not None and fallback_workers < 0:
+            raise ValueError(
+                f"fallback_workers must be >= 0, got {fallback_workers}"
+            )
         if not token and tenants is None and not _loopback(host):
             # Completing a chunk is executing code; the documented trust
             # boundary is "fleets that share a credential" (the admin token
@@ -771,8 +789,9 @@ class EvalCoordinator(CacheServer):
 
 
 class _FallbackPool:
-    """The coordinator's local consumers: lease from the same queue, execute
-    on the host fork pool (threads when the platform lacks one)."""
+    """The coordinator's local consumers: threads that lease from the same
+    queue and execute on the host's process pool (inline on the leasing
+    thread when the platform cannot build one)."""
 
     def __init__(self, coordinator: EvalCoordinator) -> None:
         self._coordinator = coordinator
@@ -786,15 +805,8 @@ class _FallbackPool:
             time.monotonic() - self._started_waiting
         ):
             return
-        from repro.utils.parallel import _fork_pool, resolve_workers
-
-        workers = self._coordinator.fallback_workers
-        if workers is None:
-            workers = resolve_workers(None)
-        try:
-            self._pool = _fork_pool(workers)
-        except (OSError, NotImplementedError, ValueError):
-            self._pool = None  # degrade to in-thread execution
+        workers = resolve_workers(self._coordinator.fallback_workers)
+        self._pool = process_pool(workers)
         self._threads = [
             threading.Thread(
                 target=self._drain,
@@ -826,15 +838,7 @@ class _FallbackPool:
             )
             hb.start()
             try:
-                if self._pool is not None:
-                    try:
-                        blob = self._pool.submit(
-                            run_chunk_payload, payload
-                        ).result()
-                    except Exception:  # noqa: BLE001 - broken pool: inline
-                        blob = run_chunk_payload(payload)
-                else:
-                    blob = run_chunk_payload(payload)
+                blob = _run_payload_on(self._pool, payload)
             finally:
                 hb_stop.set()
                 hb.join(timeout=5)
@@ -998,38 +1002,24 @@ def run_worker(
     """Serve a coordinator until stopped; returns chunks completed.
 
     ``workers`` threads each loop lease → execute → complete; the chunk
-    itself executes on a shared *fork pool* (episode work holds the GIL, so
-    thread-only execution would serialize — this mirrors the local engine's
-    process preference), with inline execution as the fallback on platforms
-    without one.  While a chunk runs, its lease is heartbeated at the lesser
-    of ``heartbeat_interval`` and a third of the coordinator's advertised
-    lease timeout, so a *live* slow worker never loses its lease (only a
-    crashed or vanished one does).  The loop exits when ``stop`` is set or
-    the queue has been empty for ``max_idle`` seconds (``None``: poll
-    forever — the CLI's Ctrl-C mode).
+    itself executes on a shared process pool (episode work holds the GIL, so
+    thread-only execution would serialize — this mirrors the local engine),
+    or inline on platforms that cannot build one.  While a chunk runs, its
+    lease is heartbeated at the lesser of ``heartbeat_interval`` and a third
+    of the coordinator's advertised lease timeout, so a *live* slow worker
+    never loses its lease (only a crashed or vanished one does).  The loop
+    exits when ``stop`` is set or the queue has been empty for ``max_idle``
+    seconds (``None``: poll forever — the CLI's Ctrl-C mode).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    from repro.utils.parallel import _fork_pool
-
     client = DispatchClient(url, token=token)
     stop = stop or threading.Event()
     name = worker_id or f"worker-{os.getpid()}"
     completed = 0
     completed_lock = threading.Lock()
     auth_failure: list[BaseException] = []
-    try:
-        pool = _fork_pool(workers)
-    except (OSError, NotImplementedError, ValueError):
-        pool = None
-
-    def execute(payload: bytes) -> bytes:
-        if pool is not None:
-            try:
-                return pool.submit(run_chunk_payload, payload).result()
-            except Exception:  # noqa: BLE001 - broken pool: run inline
-                pass
-        return run_chunk_payload(payload)
+    pool = process_pool(workers)
 
     def serve(slot: int) -> None:
         nonlocal completed
@@ -1068,7 +1058,7 @@ def run_worker(
             )
             hb.start()
             try:
-                outcome = execute(payload)
+                outcome = _run_payload_on(pool, payload)
             finally:
                 hb_stop.set()
                 hb.join(timeout=5)

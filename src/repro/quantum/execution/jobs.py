@@ -135,10 +135,6 @@ class ExecutionJob:
             self._error = exc
             self._finish(JobStatus.ERROR)
 
-    def _mark_cancelled(self) -> None:
-        with self._lock:
-            self._finish(JobStatus.CANCELLED)
-
     def _finish(self, status: JobStatus) -> None:
         if not self._status.is_terminal:
             self._status = status

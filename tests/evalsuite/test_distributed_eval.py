@@ -152,10 +152,6 @@ class TestParity:
         assert_identical(result, serial_reference)
         assert coordinator.queue.status()["done"] == len(bank)
 
-    def test_remote_requires_a_coordinator(self, bank, settings):
-        with pytest.raises(ValueError, match="coordinator"):
-            evaluate(settings, bank, distribution="remote")
-
     def test_unpicklable_chunks_downgrade_to_local(
         self, tmp_path, fresh_service, bank, settings, serial_reference
     ):

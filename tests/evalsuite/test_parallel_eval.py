@@ -6,13 +6,16 @@ non-overlapping while arms run concurrently; the old counter-bleed between
 concurrent ``evaluate`` calls is gone.
 """
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.evalsuite.reporting import progress_printer
 from repro.evalsuite.runner import (
     PipelineSettings,
+    _run_task_chunk,
     evaluate,
     evaluate_many,
 )
@@ -67,20 +70,12 @@ class TestSerialParallelParity:
 
     def test_settings_workers_and_env(self, fresh_service, bank, monkeypatch):
         settings = PipelineSettings(
-            ModelConfig("3b", True),
-            samples_per_task=2,
-            label="parity-env",
-            workers=4,
+            ModelConfig("3b", True), samples_per_task=2, label="parity-env"
         )
-        via_settings = evaluate(settings, bank)
+        via_argument = evaluate(settings, bank, workers=4)
         monkeypatch.setenv("REPRO_EVAL_WORKERS", "3")
-        via_env = evaluate(
-            PipelineSettings(
-                ModelConfig("3b", True), samples_per_task=2, label="parity-env"
-            ),
-            bank,
-        )
-        assert outcome_key(via_settings) == outcome_key(via_env)
+        via_env = evaluate(settings, bank)
+        assert outcome_key(via_argument) == outcome_key(via_env)
 
     def test_evaluate_many_matches_sequential_evaluates(
         self, fresh_service, bank
@@ -100,16 +95,16 @@ class TestSerialParallelParity:
             assert outcome_key(c) == outcome_key(s)
 
     def test_thread_mode_parity(self, fresh_service, bank):
-        """The thread fallback produces the same outcomes as processes."""
+        """Chunks run on a caller's own threads match the serial run."""
         settings = PipelineSettings(
             ModelConfig("3b", True), samples_per_task=2, label="thread-par"
         )
         serial = evaluate(settings, bank, workers=1)
         again = evaluate(settings, bank, workers=1)
-        calls = [(settings, task) for task in bank]
-        from repro.evalsuite.runner import _run_task_chunk
-
-        threaded = parallel_map(_run_task_chunk, calls, 4, prefer="thread")
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(
+                pool.map(lambda task: _run_task_chunk(settings, task), bank)
+            )
         assert [
             (o.syntactic_successes, o.full_successes, tuple(o.passes_used))
             for o in serial.outcomes
@@ -235,12 +230,11 @@ class TestEnginePlumbing:
 
     def test_resolve_workers_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_EVAL_WORKERS", raising=False)
-        assert resolve_workers(None, None) == 1
-        assert resolve_workers(5, 2) == 5
-        assert resolve_workers(None, 2) == 2
+        assert resolve_workers(None) == 1
+        assert resolve_workers(5) == 5
         monkeypatch.setenv("REPRO_EVAL_WORKERS", "7")
-        assert resolve_workers(None, None) == 7
-        assert resolve_workers(3, None) == 3
+        assert resolve_workers(None) == 7
+        assert resolve_workers(3) == 3
         monkeypatch.setenv("REPRO_EVAL_WORKERS", "zero")
         with pytest.raises(ValueError):
             resolve_workers(None)
@@ -257,29 +251,51 @@ class TestEnginePlumbing:
         assert parallel_map(_square, [(3,)], 8) == [9]  # single item inline
         with pytest.raises(ZeroDivisionError):
             parallel_map(_inverse, [(1,), (0,), (2,)], 2)
-        with pytest.raises(ValueError):
-            parallel_map(_square, [(1,)], 2, prefer="rocket")
 
-    def test_parallel_map_unpicklable_falls_back_to_threads(self):
-        captured = []
+    def test_parallel_map_unpicklable_runs_inline(self):
+        threads = []
 
-        def closure(x):  # not picklable -> thread fallback
-            captured.append(x)
+        def closure(x):  # not picklable -> inline on the caller's thread
+            threads.append(threading.get_ident())
             return x + 1
 
         assert parallel_map(closure, [(i,) for i in range(5)], 3) == [
             1, 2, 3, 4, 5
         ]
-        assert sorted(captured) == [0, 1, 2, 3, 4]
+        assert threads == [threading.get_ident()] * 5
 
     def test_parallel_map_heterogeneous_unpicklable_item_falls_back(self):
-        """One bad item anywhere downgrades the whole run to threads —
-        never a mid-pool PicklingError."""
+        """One bad item anywhere runs the whole map inline — never a
+        mid-pool PicklingError."""
         calls = [(1,), (lambda: 2,), (3,)]
         results = parallel_map(_identity, calls, 2)
         assert results[0] == 1
         assert callable(results[1]) and results[1]() == 2
         assert results[2] == 3
+
+    def test_no_process_pool_runs_inline(self, tmp_path, monkeypatch):
+        """A platform that cannot build a process pool still maps, and a
+        coordinator's local fallback still drains its queue: both inline."""
+        import repro.utils.parallel as parallel
+        from repro.quantum.execution import EvalCoordinator
+        from repro.quantum.execution.dispatch import encode_chunk
+
+        calls = [(i,) for i in range(5)]
+        pooled = parallel_map(_square, calls, 3)
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool on this platform")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        assert parallel.process_pool(2) is None
+        assert parallel_map(_square, calls, 3) == pooled
+        here = os.getpid()
+        assert parallel_map(_pid, calls, 3) == [here] * len(calls)
+        with EvalCoordinator(
+            tmp_path, fallback_workers=1, fallback_grace=0.0
+        ) as coordinator:
+            assert coordinator.run_chunks([encode_chunk(_pid, (0,))]) == [here]
+            assert coordinator.queue.status()["done"] == 1
 
 
 def _square(x):
@@ -292,3 +308,7 @@ def _inverse(x):
 
 def _identity(x):
     return x
+
+
+def _pid(_x):
+    return os.getpid()

@@ -373,6 +373,14 @@ class TestTransportHardening:
         with pytest.raises(ValueError, match="workers"):
             run_worker("http://x:1", workers=0)
 
+    def test_coordinator_rejects_negative_fallback_workers(self, tmp_path):
+        """Regression: a negative pool size started no drain thread, so
+        run_chunks waited forever for a local fallback that never ran."""
+        from repro.quantum.execution import EvalCoordinator
+
+        with pytest.raises(ValueError, match="fallback_workers"):
+            EvalCoordinator(tmp_path, fallback_workers=-1)
+
     def test_worker_max_idle_exits_without_a_queue(self, tmp_path):
         from repro.quantum.execution import EvalCoordinator, run_worker
 

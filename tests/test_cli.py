@@ -175,6 +175,21 @@ def test_eval_server_unknown_arm(tmp_path):
     assert main(["eval-server", "vibes", "--dir", str(tmp_path)]) == 2
 
 
+def test_start_coordinator_passes_lease_timeout_through(tmp_path):
+    """Regression: ``--lease-timeout 0`` silently became the 30 s default
+    instead of reaching the queue's validation."""
+    from repro.cli import _start_coordinator
+    from repro.quantum.execution.dispatch import DEFAULT_LEASE_TIMEOUT
+
+    with pytest.raises(ValueError, match="lease_timeout"):
+        _start_coordinator(str(tmp_path), "127.0.0.1", 0, None, lease_timeout=0)
+    coordinator = _start_coordinator(str(tmp_path), "127.0.0.1", 0, None)
+    try:
+        assert coordinator.queue.lease_timeout == DEFAULT_LEASE_TIMEOUT
+    finally:
+        coordinator.stop()
+
+
 def test_eval_worker_leases_and_completes_chunks(tmp_path, capsys):
     from repro.quantum.execution import EvalCoordinator, set_default_service
     from repro.quantum.execution.dispatch import encode_chunk

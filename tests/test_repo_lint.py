@@ -320,6 +320,42 @@ class TestR006FlatStateEvolution:
         assert codes(src, "src/repro/quantum/batchsim/state.py") == []
 
 
+class TestR007PoolConstruction:
+    PROCESS = "pool = ProcessPoolExecutor(max_workers=2, mp_context=ctx)"
+    THREAD = "pool = ThreadPoolExecutor(max_workers=4)"
+
+    def test_process_pool_flagged_outside_parallel_module(self):
+        path = "src/repro/quantum/execution/dispatch.py"
+        found = lint(self.PROCESS, path)
+        assert [v.rule for v in found] == ["R007"]
+        assert "process_pool" in found[0].message
+
+    def test_process_pool_allowed_in_parallel_module(self):
+        assert codes(self.PROCESS, "src/repro/utils/parallel.py") == []
+
+    def test_thread_pool_flagged_outside_service(self):
+        # The parallel module owns process pools only: a chunk thread pool
+        # there is exactly what the rule exists to keep out.
+        assert codes(self.THREAD, "src/repro/utils/parallel.py") == ["R007"]
+        assert codes(self.THREAD, "src/repro/evalsuite/runner.py") == ["R007"]
+
+    def test_thread_pool_allowed_in_service(self):
+        path = "src/repro/quantum/execution/service.py"
+        assert codes(self.THREAD, path) == []
+
+    def test_attribute_call_flagged(self):
+        src = "pool = concurrent.futures.ThreadPoolExecutor(2)"
+        assert codes(src) == ["R007"]
+
+    def test_imports_and_annotations_allowed(self):
+        src = """
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        pool: ThreadPoolExecutor | None = None
+        factory = ProcessPoolExecutor
+        """
+        assert codes(src) == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

@@ -58,6 +58,15 @@ R006  A call to ``apply_matrix(...)`` (bare or as an attribute) outside
       ``Statevector.evolve``.  Allowed only in ``quantum/statevector.py``
       (the kernel and ``Statevector``'s own uses).
 
+R007  A ``ProcessPoolExecutor(...)`` call outside ``utils/parallel.py``, or a
+      ``ThreadPoolExecutor(...)`` call outside
+      ``quantum/execution/service.py``.  Work chunks fan out one of two
+      ways: on the process pool ``repro.utils.parallel.process_pool`` builds
+      (the one constructor, which also knows how to degrade where no pool
+      can be built), or inline.  Chunk work holds the GIL, so a chunk
+      thread pool is no faster than inline; the execution service's
+      async-job pool is the only thread pool.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -92,6 +101,12 @@ R005_ALLOWED = (("quantum", "parameters.py"),)
 
 #: The one module allowed to call the flat-state kernel (R006).
 R006_ALLOWED = (("quantum", "statevector.py"),)
+
+#: The one module allowed to construct each executor pool (R007).
+R007_OWNERS = {
+    "ProcessPoolExecutor": ("utils", "parallel.py"),
+    "ThreadPoolExecutor": ("quantum", "execution", "service.py"),
+}
 
 
 class Violation:
@@ -326,12 +341,34 @@ def _check_flat_state_evolution(path: Path, tree: ast.AST) -> list[Violation]:
     ]
 
 
+def _check_pool_construction(path: Path, tree: ast.AST) -> list[Violation]:
+    """R007: an executor pool built outside the one module that owns it."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _terminal_name(node.func)
+        owner = R007_OWNERS.get(name)
+        if owner is None or path.parts[-len(owner):] == owner:
+            continue
+        found.append(
+            Violation(
+                path, node.lineno, "R007",
+                f"{name}() call outside {'/'.join(owner)}: chunks fan out "
+                "on repro.utils.parallel.process_pool or inline, and the "
+                "execution service's async-job pool is the only thread pool",
+            )
+        )
+    return found
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
     _check_column_folded_matmul,
     _check_param_float_coercion,
     _check_flat_state_evolution,
+    _check_pool_construction,
 )
 
 
