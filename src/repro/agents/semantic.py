@@ -31,9 +31,13 @@ GRADING_SHOTS = 4096
 GRADING_SEED = 20_25
 
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisReport:
-    """Grading outcome for one candidate program."""
+    """Grading outcome for one candidate program.
+
+    Frozen: the analyzer hands the same report to every sample that grades
+    the same program, so no caller may edit it.
+    """
 
     syntactic_ok: bool
     semantic_ok: bool | None  # None when no reference was available
@@ -70,11 +74,15 @@ class SemanticAnalyzerAgent(Agent):
     The analyzer runs and grades each reference program once: the first
     :meth:`analyze` that reaches the comparison stores the reference's
     statevector (else its distribution), keyed by its source, and later
-    calls compare against that.  The artifact depends on the execution
-    service and the ambient optimization level that graded it, so build one
-    analyzer per grading context (one service, one optimization level):
-    the evaluation engine builds one per chunk, and an ``Orchestrator``
-    keeps one per instance.
+    calls compare against that.  It also keeps every verdict, keyed by
+    (candidate source, reference source, checker identity), so grading a
+    program again runs nothing; the exception is a run the service refused
+    in pre-flight (``ValidationError``), which is graded afresh each time so
+    ``rejected_static`` counts every refused sample.  Both memos depend on
+    the execution service and the ambient optimization level that graded
+    them, so build one analyzer per grading context (one service, one
+    optimization level): the evaluation engine builds one per chunk, and an
+    ``Orchestrator`` keeps one per instance.
     """
 
     name = "semantic_analyzer"
@@ -89,6 +97,9 @@ class SemanticAnalyzerAgent(Agent):
         self.shots = shots
         self.fidelity_threshold = fidelity_threshold
         self._references: dict[str, Statevector | dict[str, float] | None] = {}
+        #: (code, reference, id(checker)) -> (checker, report); holding the
+        #: checker keeps its id from being reused while the entry lives.
+        self._verdicts: dict[tuple, tuple[object, AnalysisReport]] = {}
 
     # -- grading ---------------------------------------------------------------
 
@@ -102,7 +113,18 @@ class SemanticAnalyzerAgent(Agent):
 
         ``checker`` overrides distribution comparison with a custom
         predicate on the candidate namespace (used by I/O-style tasks).
+        A program graded before with the same reference and checker gets
+        the stored report back without running.
         """
+        key = (code, reference_code, id(checker))
+        if key in self._verdicts:
+            return self._verdicts[key][1]
+        report = self._grade(code, reference_code, checker)
+        if report.execution.exception_type != "ValidationError":
+            self._verdicts[key] = (checker, report)
+        return report
+
+    def _grade(self, code: str, reference_code: str | None, checker) -> AnalysisReport:
         execution = run_code(code)
         if not execution.ok:
             return AnalysisReport(

@@ -217,7 +217,10 @@ def build_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
 #: Thread-locality also means no lock, no cross-thread ident aliasing, and
 #: nothing to repair after fork (the child's main thread inherits the
 #: forking thread's warm cache).  The semantic analyzer is not cached here:
-#: its reference memo lives one chunk (see :func:`_run_task_chunk`).
+#: its reference and verdict memos live one chunk (see
+#: :func:`_run_task_chunk`).  The pipeline's own memos (the store's searches,
+#: the model's fault applicability) may outlive a chunk: they credit no
+#: execution counter, so per-arm stats stay a function of settings and tasks.
 _pipelines = threading.local()
 _PIPELINE_CACHE_MAX = 16
 
@@ -252,8 +255,9 @@ def _run_task_chunk(settings: PipelineSettings, task: Task) -> tuple:
     mode.
 
     The chunk grades with its own :class:`SemanticAnalyzerAgent`, so it runs
-    its task's reference once, and its service lookups stay the same
-    whichever chunks ran before it on this thread or process.
+    its task's reference once and each distinct program once, and its
+    service lookups stay the same whichever chunks ran before it on this
+    thread or process.
     """
     codegen = _cached_pipeline(settings)
     analyzer = SemanticAnalyzerAgent()

@@ -45,6 +45,10 @@ class Completion:
         return self.variant == "correct" and not self.injected_faults
 
 
+#: Applicability verdicts a model keeps before it starts its memo over.
+_APPLICABILITY_MEMO_MAX = 16384
+
+
 class SimulatedCodeLLM:
     """A deterministic, configurable stand-in for the fine-tuned StarCoder."""
 
@@ -55,6 +59,7 @@ class SimulatedCodeLLM:
     ) -> None:
         self.config = config
         self.knowledge = knowledge or DEFAULT_KNOWLEDGE
+        self._applicable: dict[tuple[str, str], bool] = {}
 
     # -- generation ---------------------------------------------------------
 
@@ -147,14 +152,16 @@ class SimulatedCodeLLM:
         """Pick at most one *applicable* syntax fault, proportional to rates.
 
         Applicability is decided by dry-running each injector on the correct
-        code (injectors are pure text transforms); the roll's total
-        probability is the sum of the applicable modes' rates.
+        code; the roll's total probability is the sum of the applicable
+        modes' rates.  Injectors are pure text transforms whose
+        applicability does not depend on the generator, so the model keeps
+        each ``(code, mode)`` verdict and dry-runs an injector only once
+        per program.
         """
-        probe = np.random.default_rng(0)  # applicability is rng-independent
         applicable = [
             mode
             for mode, rate in rates.syntax.items()
-            if rate > 0 and F.INJECTORS[mode](code, probe).applied
+            if rate > 0 and self._applies(code, mode)
         ]
         if not applicable:
             return None
@@ -163,6 +170,16 @@ class SimulatedCodeLLM:
             return None
         weights = np.array([rates.syntax[m] for m in applicable])
         return str(rng.choice(applicable, p=weights / weights.sum()))
+
+    def _applies(self, code: str, mode: str) -> bool:
+        key = (code, mode)
+        applies = self._applicable.get(key)
+        if applies is None:
+            if len(self._applicable) >= _APPLICABILITY_MEMO_MAX:
+                self._applicable.clear()
+            probe = np.random.default_rng(0)
+            applies = self._applicable[key] = F.INJECTORS[mode](code, probe).applied
+        return applies
 
     def _rag_suppresses(
         self, mode: str, retrieved_docs: list[str] | None, rng: np.random.Generator

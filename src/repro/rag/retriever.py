@@ -32,6 +32,8 @@ class Retriever:
         unknown = [d for d in datasets if d not in DATASETS]
         if unknown:
             raise RAGError(f"unknown datasets {unknown}; choose from {sorted(DATASETS)}")
+        if top_k < 1:
+            raise RAGError(f"top_k must be >= 1, got {top_k}")
         self.datasets = datasets
         self.strategy = strategy
         self.top_k = top_k
@@ -48,8 +50,8 @@ class Retriever:
         self.store.add(chunks)
 
     def retrieve(self, query: str, top_k: int | None = None) -> list[Hit]:
-        """Top-k hits for a prompt."""
-        return self.store.search(query, top_k or self.top_k)
+        """Top-k hits for a prompt (``top_k=None`` means the retriever's)."""
+        return self.store.search(query, self.top_k if top_k is None else top_k)
 
     def retrieve_texts(self, query: str, top_k: int | None = None) -> list[str]:
         """Hit texts only — the shape the generation model consumes."""

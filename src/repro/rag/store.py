@@ -19,6 +19,10 @@ class Hit:
     score: float
 
 
+#: Searches a store keeps before it starts its memo over.
+_SEARCH_MEMO_MAX = 4096
+
+
 class VectorStore:
     """Chunk index with cosine top-k search."""
 
@@ -26,11 +30,13 @@ class VectorStore:
         self.embedder = embedder or TfidfEmbedder()
         self._chunks: list[Chunk] = []
         self._matrix: np.ndarray | None = None
+        self._hits: dict[tuple[str, int], list[Hit]] = {}
 
     def add(self, chunks: list[Chunk]) -> None:
         """Index chunks; refits IDF over everything indexed so far."""
         if not chunks:
             return
+        self._hits.clear()
         self._chunks.extend(chunks)
         self.embedder.fit([c.text for c in chunks])
         # Re-embed everything: IDF changed.  Corpora here are small (docs +
@@ -41,9 +47,23 @@ class VectorStore:
         return len(self._chunks)
 
     def search(self, query: str, top_k: int = 4) -> list[Hit]:
-        """Return the ``top_k`` most similar chunks to the query."""
+        """Return the ``top_k`` most similar chunks to the query.
+
+        A search is a pure function of the index, so the store keeps each
+        ``(query, top_k)``'s hits until the next :meth:`add` and returns a
+        fresh list of them on every call.
+        """
         if top_k < 1:
             raise RAGError(f"top_k must be >= 1, got {top_k}")
+        key = (query, top_k)
+        hits = self._hits.get(key)
+        if hits is None:
+            if len(self._hits) >= _SEARCH_MEMO_MAX:
+                self._hits.clear()
+            hits = self._hits[key] = self._rank(query, top_k)
+        return list(hits)
+
+    def _rank(self, query: str, top_k: int) -> list[Hit]:
         if not self._chunks or self._matrix is None:
             return []
         q = self.embedder.embed(query)

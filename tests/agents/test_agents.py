@@ -146,8 +146,9 @@ class TestSemanticAnalyzer:
     def test_shared_analyzer_grades_like_fresh_ones_and_runs_references_once(
         self, monkeypatch
     ):
-        """One analyzer keeps each graded reference: verdicts stay those of a
-        fresh analyzer per call, and each reference runs at most once."""
+        """One analyzer keeps each graded reference and each verdict:
+        verdicts stay those of a fresh analyzer per call, each reference runs
+        at most once, and each (candidate, reference, checker) at most once."""
         from collections import Counter
 
         from repro.agents import semantic
@@ -164,14 +165,20 @@ class TestSemanticAnalyzer:
         monkeypatch.setattr(semantic, "run_code", counting_run_code)
 
         def grade(analyzer, code, task):
+            """The verdict, and the candidate and reference runs it cost."""
             start = len(calls)
             report = analyzer.analyze(code, task.reference_code, task.checker)
-            # The first run is the candidate's; any other runs the reference.
             verdict = (
                 report.syntactic_ok, report.semantic_ok, report.tvd,
                 report.detail, report.static_error,
             )
-            return verdict, len(calls) - start - 1
+            # A graded call runs the candidate first and the reference after
+            # it, if at all; a remembered verdict runs nothing.  Counting by
+            # position, not by source, keeps a candidate that is
+            # byte-identical to its reference on the candidate's side.
+            ran = calls[start:]
+            assert ran[:1] in ([], [code])
+            return verdict, len(ran[:1]), len(ran[1:])
 
         arms = {
             label: CodeGenerationAgent(make_model(fine_tuned=fine_tuned))
@@ -185,6 +192,8 @@ class TestSemanticAnalyzer:
         shared = SemanticAnalyzerAgent()
         fresh_runs: Counter = Counter()
         shared_runs: Counter = Counter()
+        graded: Counter = Counter()
+        candidate_runs: Counter = Counter()
         kinds = set()
         for task in build_suite():
             for label, codegen in arms.items():
@@ -195,20 +204,48 @@ class TestSemanticAnalyzer:
                         seed=derive_seed(1234, label, task.case_id, sample),
                     )
                     code = codegen.generate(request)[0].code
-                    fresh, runs = grade(SemanticAnalyzerAgent(), code, task)
+                    fresh, _, runs = grade(SemanticAnalyzerAgent(), code, task)
                     fresh_runs[task.reference_code] += runs
-                    memo, runs = grade(shared, code, task)
+                    memo, candidate, runs = grade(shared, code, task)
                     shared_runs[task.reference_code] += runs
+                    key = (code, task.reference_code, id(task.checker))
+                    graded[key] += 1
+                    candidate_runs[key] += candidate
                     assert memo == fresh, (task.case_id, label, sample)
                     kinds.update(kind for kind, marker in markers if marker in fresh[3])
         assert kinds == {"statevector", "distribution", "checker"}
         # Fresh analyzers re-run a reference for every graded candidate...
         assert max(fresh_runs.values()) > 1
         # ...the shared one ran each reference exactly once, when any
-        # candidate reached the comparison at all.
+        # candidate reached the comparison at all...
         assert shared_runs == Counter(
             {reference: 1 for reference, runs in fresh_runs.items() if runs}
         )
+        # ...and each distinct program once per reference and checker, though
+        # samples graded some of them more than once.
+        assert max(graded.values()) > 1
+        assert candidate_runs == Counter(dict.fromkeys(graded, 1))
+
+    def test_verdicts_are_kept_per_reference_and_checker(self):
+        """The same source graded against two checkers, or two references,
+        gets two verdicts from one analyzer."""
+        analyzer = SemanticAnalyzerAgent()
+        bell = synthesize("bell", {}, "correct")
+        wrong = synthesize("bell", {}, "structure")
+
+        def accept(namespace):
+            return True
+
+        def reject(namespace):
+            return False
+
+        assert analyzer.analyze(bell, checker=accept).semantic_ok is True
+        assert analyzer.analyze(bell, checker=reject).semantic_ok is False
+        assert analyzer.analyze(bell, bell).semantic_ok is True
+        assert analyzer.analyze(bell, wrong).semantic_ok is False
+        # Asked again, each pair answers as it did the first time.
+        assert analyzer.analyze(bell, checker=accept).semantic_ok is True
+        assert analyzer.analyze(bell, wrong).semantic_ok is False
 
     def test_refine_fixes_syntactic_fault(self):
         """Deterministic repair loop: inject a known fault, watch it heal."""

@@ -141,6 +141,32 @@ class TestRunner:
         assert result.semantic_unknown_count() == 0
         assert result.semantic_unknown_rate() == 0.0
 
+    def test_long_lived_pipeline_generates_like_fresh_ones(self):
+        """A pipeline's memos (retrieval, fault applicability) may outlive a
+        chunk: one pipeline kept over every task, seed and Figure 3 arm
+        generates the completions of a fresh pipeline per call."""
+        from repro.agents.codegen import GenerationRequest
+        from repro.evalsuite.runner import build_pipeline
+        from repro.experiments.figure3 import arms
+        from repro.utils.rng import derive_seed
+
+        tasks = build_suite()
+        for arm in arms(samples_per_task=2):
+            kept = build_pipeline(arm)
+            for task in tasks:
+                for sample in range(arm.samples_per_task):
+                    request = GenerationRequest(
+                        prompt_text=task.case.text,
+                        params=dict(task.case.params),
+                        seed=derive_seed(
+                            arm.base_seed, arm.seed_scope(), task.case_id, sample
+                        ),
+                    )
+                    fresh = build_pipeline(arm).generate(request)[0]
+                    assert kept.generate(request)[0] == fresh, (
+                        arm.label, task.case_id, sample,
+                    )
+
     def test_accuracy_by_tier_skips_empty_tiers(self):
         result = EvalResult(
             label="tiers",

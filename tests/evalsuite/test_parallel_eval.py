@@ -110,9 +110,12 @@ class TestSerialParallelParity:
             for o in serial.outcomes
         ] == [(t[0], t[1], tuple(t[4])) for t in threaded]
 
-        # Grading memos live one chunk: a rerun on this thread and a thread
-        # pool make exactly the first run's lookups (a memo that outlived its
-        # chunk would lower both).
+        forked = evaluate(settings, bank, workers=4)
+
+        # Grading memos live one chunk: a rerun on this thread, a thread
+        # pool and fork children make exactly the first run's lookups (a memo
+        # that outlived its chunk, or was inherited through fork, would lower
+        # them).
         def lookups(stats):
             return stats["cache_hits"] + stats["cache_misses"]
 
@@ -120,6 +123,7 @@ class TestSerialParallelParity:
             lookups(serial.execution_stats)
             == lookups(again.execution_stats)
             == sum(lookups(t[5]) for t in threaded)
+            == lookups(forked.execution_stats)
         )
 
 

@@ -105,6 +105,16 @@ class TestAnalyzerStaticError:
         assert stats["rejected_static"] == 1
         assert stats["simulations"] == 0
 
+    def test_refused_runs_are_graded_every_time(self, strict_service):
+        """A run the service refused in pre-flight is never remembered, so
+        ``rejected_static`` counts every refused sample."""
+        analyzer = SemanticAnalyzerAgent()
+        for _ in range(2):
+            assert analyzer.analyze(DEFECTIVE_EXECUTED_CODE).static_error
+        stats = strict_service.stats()
+        assert stats["rejected_static"] == 2
+        assert stats["simulations"] == 0
+
     def test_runtime_failures_are_not_static_errors(self, off_service):
         report = SemanticAnalyzerAgent().analyze("1 / 0\n")
         assert not report.syntactic_ok

@@ -62,6 +62,20 @@ class TestGeneration:
                 assert not run_code(completion.code).ok, completion.injected_faults
         assert broken > 3
 
+    def test_fault_applicability_is_kept_per_program_and_mode(self):
+        """The model's applicability memo answers like a dry run of each
+        injector, for every suite program and mode, asked twice."""
+        from repro.evalsuite.suite import build_suite
+        from repro.llm.faults import INJECTORS
+
+        model = make_model(fine_tuned=True)
+        programs = [t.reference_code for t in build_suite() if t.reference_code]
+        for _ in range(2):
+            for code in programs:
+                for mode, inject in INJECTORS.items():
+                    probe = np.random.default_rng(1)
+                    assert model._applies(code, mode) == inject(code, probe).applied
+
     def test_base_model_knows_less_than_finetuned(self):
         base = make_model(fine_tuned=False)
         tuned = make_model(fine_tuned=True)

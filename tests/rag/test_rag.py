@@ -98,6 +98,13 @@ class TestVectorStore:
         hits = store.search("fourier phase", top_k=3)
         assert hits[0].chunk.doc_id == "a"
         assert hits[0].score >= hits[-1].score
+        # Each call returns its own list: emptying one leaves the next whole.
+        hits.clear()
+        assert store.search("fourier phase", top_k=3)[0].chunk.doc_id == "a"
+        # The same query at another top_k is another search.
+        query = "fourier bell syndrome"
+        assert len(store.search(query, top_k=3)) == 3
+        assert len(store.search(query, top_k=1)) == 1
 
     def test_empty_store(self):
         assert VectorStore().search("anything") == []
@@ -108,6 +115,8 @@ class TestVectorStore:
 
     def test_incremental_add_refits(self):
         store = self._store()
+        # The same search before the add: a kept result must not outlive it.
+        assert store.search("teleportation corrections", top_k=1) == []
         store.add([Chunk("d", "teleportation conditioned corrections", 0, "naive")])
         hits = store.search("teleportation corrections", top_k=1)
         assert hits[0].chunk.doc_id == "d"
@@ -146,6 +155,17 @@ class TestRetriever:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(RAGError):
             Retriever(datasets=("docs", "wikipedia"))
+
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_bad_default_topk_rejected_at_construction(self, top_k):
+        with pytest.raises(RAGError, match="top_k"):
+            Retriever(top_k=top_k)
+
+    def test_explicit_topk_is_not_replaced_by_the_default(self):
+        retriever = Retriever()
+        assert len(retriever.retrieve("execute removed migration", top_k=1)) == 1
+        with pytest.raises(RAGError, match="top_k"):
+            retriever.retrieve("execute removed migration", top_k=0)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(RAGError):

@@ -22,6 +22,12 @@ def _load():
 
 bench_pairs = _load()
 
+#: BENCHMARK.json's ``end_to_end`` shape for the two metrics the runs carry.
+END_TO_END = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+]
+
 
 def run(pair, side, wall, digest="d1", setup=1.0, **result):
     """A successful run record as :func:`bench_pairs.run_once` returns it."""
@@ -74,7 +80,7 @@ class TestParseOutput:
 
 class TestSummarize:
     def test_medians_quartiles_and_wins(self):
-        summary = bench_pairs.summarize(four_pairs())
+        summary = bench_pairs.summarize(four_pairs(), END_TO_END)
         wall = summary["metrics"]["wall_s"]
         # Inclusive quartiles of (1.0, 1.0, 1.2, 1.4) and (0.7, 0.8, 0.9, 1.1).
         assert wall["parent"]["median"] == pytest.approx(1.1)
@@ -95,14 +101,14 @@ class TestSummarize:
         assert summary["ok"]
 
     def test_a_tie_is_not_a_win(self):
-        summary = bench_pairs.summarize(four_pairs((1.0, 1.2, 1.0, 1.4)))
+        summary = bench_pairs.summarize(four_pairs((1.0, 1.2, 1.0, 1.4)), END_TO_END)
         assert summary["wall_s_wins"] == 0
         assert summary["ok"]
 
     def test_digest_mismatch_fails_the_workload(self):
         runs = four_pairs()
         runs[3]["digest"] = "other"  # pair 1, change side
-        summary = bench_pairs.summarize(runs)
+        summary = bench_pairs.summarize(runs, END_TO_END)
         assert summary["digest_mismatches"] == [1]
         assert summary["digests"]["change"] == ["d1", "other"]
         assert not summary["ok"]
@@ -121,7 +127,7 @@ class TestSummarize:
     def test_failed_run_is_listed_and_left_out(self, broken, why):
         runs = four_pairs()
         runs[0].update(broken)  # pair 0, parent side
-        summary = bench_pairs.summarize(runs)
+        summary = bench_pairs.summarize(runs, END_TO_END)
         assert summary["failed_runs"] == [{"pair": 0, "side": "parent", "why": why}]
         assert not summary["ok"]
         assert summary["pairs"] == 3
@@ -130,8 +136,79 @@ class TestSummarize:
         assert summary["metrics"]["wall_s"]["parent"]["median"] == pytest.approx(1.2)
 
     def test_single_run_per_side(self):
-        summary = bench_pairs.summarize([run(0, "parent", 2.0), run(0, "change", 1.0)])
+        summary = bench_pairs.summarize(
+            [run(0, "parent", 2.0), run(0, "change", 1.0)], END_TO_END
+        )
         wall = summary["metrics"]["wall_s"]
         assert wall["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0, "iqr": 0.0}
         assert wall["median_change"] == pytest.approx(-0.5)
         assert summary["wall_s_wins"] == 1
+
+
+def ten_pairs(parent_walls, change_walls):
+    return [
+        record
+        for pair, (parent, change) in enumerate(zip(parent_walls, change_walls))
+        for record in (run(pair, "parent", parent), run(pair, "change", change))
+    ]
+
+
+class TestVerdicts:
+    def test_summary_states_every_end_to_end_metric(self):
+        summary = bench_pairs.summarize(four_pairs(), END_TO_END)
+        # The parent's wall_s IQR is 0.25 of a 1.1 median (under the bound),
+        # and the change's median is lower: ok.  3 wins of 4 is no gain.
+        assert summary["status"] == {"setup_s": "ok", "wall_s": "ok"}
+        assert not summary["wall_s_gain"]
+
+    @pytest.mark.parametrize(
+        "parent, change, better, verdict",
+        [
+            # Median 1.0 -> 1.3 on a lower-is-better metric: past 25%.
+            ([1.0, 1.0, 1.0], [1.3, 1.3, 1.3], "lower", "worse"),
+            ([1.0, 1.0, 1.0], [1.2, 1.2, 1.2], "lower", "ok"),
+            # Throughput 100 -> 70 on a higher-is-better metric: past 25%.
+            ([100.0, 100.0, 100.0], [70.0, 70.0, 70.0], "higher", "worse"),
+            ([100.0, 100.0, 100.0], [130.0, 130.0, 130.0], "higher", "ok"),
+            # The parent's runs spread wider than the bound (IQR 0.5 of a
+            # 1.0 median) and the sides overlap: the runs cannot tell.
+            ([0.5, 0.75, 1.0, 1.25, 1.5], [0.6, 0.9, 1.0, 1.1, 1.4], "lower", "unresolved"),
+            # The same spread, but every change run beats every parent run.
+            ([0.5, 0.75, 1.0, 1.25, 1.5], [0.1, 0.2, 0.3, 0.4, 0.45], "lower", "ok"),
+            ([0.5, 0.75, 1.0, 1.25, 1.5], [1.6, 1.7, 1.8, 1.9, 2.0], "higher", "ok"),
+            # Worse outranks unresolved.
+            ([0.5, 0.75, 1.0, 1.25, 1.5], [1.3, 1.4, 1.5, 1.6, 1.7], "lower", "worse"),
+            ([], [1.0], "lower", "unresolved"),
+        ],
+    )
+    def test_status(self, parent, change, better, verdict):
+        assert bench_pairs.status(parent, change, better, 0.25) == verdict
+
+    def test_gain_needs_nine_tenths_of_the_pairs(self):
+        parent = [1.0, 1.1, 1.0, 1.2, 1.0, 1.1, 1.0, 1.2, 1.0, 1.1]
+        change = [0.5] * 9 + [1.3]
+        summary = bench_pairs.summarize(ten_pairs(parent, change), END_TO_END)
+        assert summary["wall_s_wins"] == 9
+        assert summary["wall_s_gain"]
+        change = [0.5] * 8 + [1.3, 1.3]
+        summary = bench_pairs.summarize(ten_pairs(parent, change), END_TO_END)
+        assert summary["wall_s_wins"] == 8
+        assert not summary["wall_s_gain"]
+
+    def test_gain_needs_medians_further_apart_than_the_parent_iqr(self):
+        # 10/10 wins, but medians 0.02 apart against a parent IQR of 0.2.
+        parent = [1.0, 1.2] * 5
+        change = [0.98, 1.18] * 5
+        summary = bench_pairs.summarize(ten_pairs(parent, change), END_TO_END)
+        assert summary["wall_s_wins"] == 10
+        assert summary["metrics"]["wall_s"]["parent"]["iqr"] == pytest.approx(0.2)
+        assert not summary["wall_s_gain"]
+        assert summary["status"]["wall_s"] == "ok"
+
+    def test_no_complete_pair_is_no_gain(self):
+        runs = [run(0, "parent", 1.0), run(0, "change", 0.5)]
+        runs[1]["returncode"] = 1
+        summary = bench_pairs.summarize(runs, END_TO_END)
+        assert summary["pairs"] == 0
+        assert not summary["wall_s_gain"]
+        assert summary["status"]["wall_s"] == "unresolved"

@@ -15,9 +15,12 @@ length (``run_seconds``) and the default workloads come from
 
 The tool writes ``BENCH_<number>.json`` at the repository root with every
 run's result line, digest and ``exec`` line, and per workload: the median
-and quartiles of every end-to-end metric on each side, and how many pairs
-the working tree won on ``wall_s``.  It exits 1 if any run failed or the two
-runs of a pair printed different digests.
+and quartiles of every end-to-end metric on each side, how many pairs the
+working tree won on ``wall_s``, and a verdict on each end-to-end metric of
+``BENCHMARK.json`` (see :func:`status`) plus whether ``wall_s`` shows a
+gain (see :func:`summarize`); it prints the verdicts too.  It exits 1 if
+any run failed or the two runs of a pair printed different digests; the
+verdicts do not change the exit status.
 
 Only the standard library is used: ``perfbench/`` is run, never imported.
 """
@@ -104,13 +107,43 @@ def _metric(run: dict, name: str) -> float | None:
     return entry["value"] if entry else None
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per-side statistics of one workload's runs.
+def status(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One end-to-end metric's verdict on one workload.
+
+    ``worse``: the change's median is past ``bound`` (a fraction of the
+    parent's median) on the side opposite ``better``.  ``unresolved``: the
+    parent's own spread (IQR over median) exceeds ``bound`` and not every
+    change run beats every parent run, so the runs cannot tell.  ``ok``
+    otherwise.  A side without values is ``unresolved``.
+    """
+    if not parent or not change:
+        return "unresolved"
+    base = quartiles(parent)
+    median = quartiles(change)["median"]
+    if better == "lower":
+        worse = median > base["median"] * (1 + bound)
+        beats_all = max(change) < min(parent)
+    else:
+        worse = median < base["median"] * (1 - bound)
+        beats_all = min(change) > max(parent)
+    if worse:
+        return "worse"
+    if base["iqr"] > bound * base["median"] and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per-side statistics and verdicts of one workload's runs.
 
     Each run carries ``pair``, ``side`` (``"parent"`` or ``"change"``),
-    ``seed`` and the fields of :func:`run_once`.  Failed runs are listed and
-    left out of the statistics; a pair counts towards ``wall_s_wins`` only
-    when both of its runs succeeded.
+    ``seed`` and the fields of :func:`run_once`; ``end_to_end`` is
+    ``BENCHMARK.json``'s list of ``{name, better, bound}``.  Failed runs are
+    listed and left out of the statistics; a pair counts towards
+    ``wall_s_wins`` only when both of its runs succeeded.  ``status`` maps
+    each end-to-end metric to its :func:`status`; ``wall_s_gain`` holds when
+    the change won at least nine tenths of the pairs and its median
+    ``wall_s`` is below the parent's by more than the parent's IQR.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     failed = []
@@ -120,19 +153,23 @@ def summarize(runs: list[dict]) -> dict:
         if why is not None:
             failed.append({"pair": run["pair"], "side": run["side"], "why": why})
     good = [run for run in runs if failure(run) is None]
-    names = sorted({
-        name for run in good for name in run["result"].get("metrics", {})
-    })
-    metrics = {}
-    for name in names:
-        entry = {}
-        for side in SIDES:
-            values = [
+    names = {name for run in good for name in run["result"].get("metrics", {})}
+    values = {
+        name: {
+            side: [
                 value for run in good
                 if run["side"] == side and (value := _metric(run, name)) is not None
             ]
-            if values:
-                entry[side] = quartiles(values)
+            for side in SIDES
+        }
+        for name in names | {spec["name"] for spec in end_to_end}
+    }
+    metrics = {}
+    for name in sorted(names):
+        entry = {
+            side: quartiles(values[name][side])
+            for side in SIDES if values[name][side]
+        }
         if len(entry) == 2 and entry["parent"]["median"]:
             entry["median_change"] = entry["change"]["median"] / entry["parent"]["median"] - 1
         metrics[name] = entry
@@ -147,9 +184,22 @@ def summarize(runs: list[dict]) -> dict:
         if failure(parent) is None and failure(change) is None:
             complete += 1
             wins += _metric(change, "wall_s") < _metric(parent, "wall_s")
+    # A complete pair means both sides have wall_s statistics.
+    gain = complete > 0 and 10 * wins >= 9 * complete and (
+        metrics["wall_s"]["parent"]["median"] - metrics["wall_s"]["change"]["median"]
+        > metrics["wall_s"]["parent"]["iqr"]
+    )
     return {
         "pairs": complete,
         "wall_s_wins": wins,
+        "wall_s_gain": gain,
+        "status": {
+            spec["name"]: status(
+                values[spec["name"]]["parent"], values[spec["name"]]["change"],
+                spec["better"], spec["bound"],
+            )
+            for spec in end_to_end
+        },
         "metrics": metrics,
         "digests": {
             side: sorted({str(run.get("digest")) for run in runs if run["side"] == side})
@@ -235,7 +285,9 @@ def main(argv: list[str] | None = None) -> int:
                         f"{failure(run) or 'ok'}",
                         file=sys.stderr, flush=True,
                     )
-            report["workloads"][workload] = {"summary": summarize(runs), "runs": runs}
+            report["workloads"][workload] = {
+                "summary": summarize(runs, spec["end_to_end"]), "runs": runs,
+            }
     report["ok"] = all(w["summary"]["ok"] for w in report["workloads"].values())
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
@@ -247,9 +299,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(
             f"{workload}: wall_s {medians} s, change won "
-            f"{summary['wall_s_wins']}/{summary['pairs']} pairs"
+            f"{summary['wall_s_wins']}/{summary['pairs']} pairs, "
+            + ("gain" if summary["wall_s_gain"] else "no gain")
             + ("" if summary["ok"] else "  FAILED")
         )
+        print("  " + ", ".join(
+            f"{name} {verdict}" for name, verdict in summary["status"].items()
+        ))
     print(f"wrote {out.name}")
     return 0 if report["ok"] else 1
 
