@@ -8,9 +8,11 @@ the corrections are the data qubits along the spatial part of each matched
 path.
 
 Matching runs on a complete graph over events plus one *boundary twin* per
-event (twins interconnect at zero cost), reduced to networkx's
-``max_weight_matching`` with negated costs; this is the standard exact
-reduction of boundary matching to perfect matching.
+event (twins interconnect at zero cost), reduced to a maximum-weight
+maximum-cardinality matching with negated costs; this is the standard exact
+reduction of boundary matching to perfect matching.  The matcher,
+:mod:`repro.qec.blossom`, is a port of networkx 3.6.1's blossom algorithm
+over plain dicts that picks the same matching among ties.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import DecodingError
+from repro.qec.blossom import max_weight_matching
 from repro.qec.codes.base import BOUNDARY, CSSCode
-from repro.qec.syndrome import DetectionEvent, SyndromeHistory
+from repro.qec.syndrome import DetectionEvent, SyndromeHistory, check_decodable
 
 
 @dataclass
@@ -50,6 +53,12 @@ class MWPMDecoder:
         self.code = code
         self.error_type = error_type
         self.time_weight = float(time_weight)
+        # A negative weight rewards matching across time; nan and inf drop
+        # time edges (and inf * 0 drops same-round pairs too).
+        if not 0.0 <= self.time_weight < float("inf"):
+            raise DecodingError(
+                f"time_weight must be finite and >= 0, got {time_weight}"
+            )
         self._graph = code.matching_graph(error_type)
         self._spatial = self._graph.copy()
         self._spatial.remove_node(BOUNDARY)
@@ -82,11 +91,17 @@ class MWPMDecoder:
 
     def decode(self, history_or_events) -> MatchingResult:
         """Decode a :class:`SyndromeHistory` or a raw event list."""
-        events = (
-            history_or_events.detection_events
-            if isinstance(history_or_events, SyndromeHistory)
-            else list(history_or_events)
-        )
+        if isinstance(history_or_events, SyndromeHistory):
+            check_decodable(history_or_events, self.code, self.error_type)
+            events = history_or_events.detection_events
+        else:
+            events = list(history_or_events)
+            for event in events:
+                if event[1] not in self._dist:
+                    raise DecodingError(
+                        f"{self.code.name}: detection event {event} outside "
+                        "the code"
+                    )
         n = self.code.num_data_qubits
         if not events:
             return MatchingResult(np.zeros(n, dtype=bool), [], 0.0)
@@ -109,24 +124,27 @@ class MWPMDecoder:
         self, events: list[DetectionEvent]
     ) -> list[tuple[DetectionEvent, DetectionEvent | None]]:
         k = len(events)
-        graph = nx.Graph()
-        # Event nodes 0..k-1; boundary twins k..2k-1.
+        # Event nodes 0..k-1; boundary twins k..2k-1.  The matcher breaks
+        # ties by node and neighbour order, so nodes and neighbours are
+        # inserted in the order nx.Graph.add_edge(u, v) inserts them.
+        adj: dict[int, dict[int, float]] = {}
+
+        def add_edge(u: int, v: int, weight: float) -> None:
+            adj.setdefault(u, {})[v] = weight
+            adj.setdefault(v, {})[u] = weight
+
         big = 10_000.0
         for i in range(k):
             for j in range(i + 1, k):
                 dist = self._event_distance(events[i], events[j])
                 if np.isfinite(dist):
-                    graph.add_edge(i, j, weight=big - dist)
+                    add_edge(i, j, big - dist)
                 dist_b = 0.0  # twin-twin edges are free
-                graph.add_edge(k + i, k + j, weight=big - dist_b)
+                add_edge(k + i, k + j, big - dist_b)
             bdist = self._boundary_distance(events[i])
             if np.isfinite(bdist):
-                graph.add_edge(i, k + i, weight=big - bdist)
-        matching = nx.max_weight_matching(graph, maxcardinality=True)
-        matched: dict[int, int] = {}
-        for a, b in matching:
-            matched[a] = b
-            matched[b] = a
+                add_edge(i, k + i, big - bdist)
+        matched = max_weight_matching(adj)
         if any(i not in matched for i in range(k)):
             raise DecodingError(
                 f"{self.code.name}: matching left a detection event unpaired"

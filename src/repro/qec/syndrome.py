@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import QECError
+from repro.errors import DecodingError, QECError
 from repro.qec.codes.base import CSSCode
 from repro.quantum.circuit import QuantumCircuit
 from repro.stabilizer.tableau import StabilizerTableau
@@ -78,6 +78,27 @@ class SyndromeHistory:
     measurement_flips: list[list[int]] = field(default_factory=list)
 
 
+def check_decodable(history: SyndromeHistory, code: CSSCode, error_type: str) -> None:
+    """Raise :class:`DecodingError` unless ``history`` fits a decoder of
+    ``code``'s ``error_type`` errors.
+
+    The history must hold errors of that type, sampled on ``code`` itself or
+    on a code with the same checks for that type.
+    """
+    if history.error_type != error_type:
+        raise DecodingError(
+            f"{code.name}: a decoder of '{error_type}' errors was handed a "
+            f"history of '{history.error_type}' errors"
+        )
+    if history.code is not code and not np.array_equal(
+        history.code._checks_for(error_type), code._checks_for(error_type)
+    ):
+        raise DecodingError(
+            f"{code.name}: the history was sampled on {history.code.name}, "
+            f"whose '{error_type}'-error checks differ"
+        )
+
+
 def sample_memory(
     code: CSSCode,
     rounds: int,
@@ -96,6 +117,8 @@ def sample_memory(
         raise QECError(f"memory experiment needs >= 1 round, got {rounds}")
     if not (0 <= p_data <= 1 and 0 <= p_meas <= 1):
         raise QECError("error probabilities must be in [0, 1]")
+    if error_type not in ("x", "z"):
+        raise QECError(f"error_type must be 'x' or 'z', got '{error_type}'")
     checks = code.hz if error_type == "x" else code.hx
     num_checks, n = checks.shape
     error = np.zeros(n, dtype=bool)

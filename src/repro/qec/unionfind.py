@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.qec.codes.base import BOUNDARY, CSSCode
-from repro.qec.syndrome import DetectionEvent, SyndromeHistory
+from repro.qec.syndrome import DetectionEvent, SyndromeHistory, check_decodable
 
 
 @dataclass
@@ -114,6 +114,7 @@ class UnionFindDecoder:
     def decode(self, history_or_events, rounds: int | None = None) -> UnionFindResult:
         """Decode detection events; ``rounds`` required for raw event lists."""
         if isinstance(history_or_events, SyndromeHistory):
+            check_decodable(history_or_events, self.code, self.error_type)
             events = history_or_events.detection_events
             rounds = history_or_events.rounds
         else:

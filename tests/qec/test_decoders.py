@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DecodingError
+from repro.qec.codes.base import CSSCode
 from repro.qec.codes.repetition import RepetitionCode
 from repro.qec.codes.steane import SteaneCode
 from repro.qec.codes.surface import SurfaceCode
@@ -107,6 +108,24 @@ class TestMWPM:
         residual = error ^ result.correction
         assert not code.logical_flipped(residual, "x")
 
+    @pytest.mark.parametrize("time_weight", [-1.0, float("nan"), float("inf")])
+    def test_time_weight_must_be_finite_and_non_negative(self, time_weight):
+        # -1.0 used to reward matching across time; nan and inf dropped the
+        # time edges (inf * 0 the same-round pairs too).
+        with pytest.raises(DecodingError, match="time_weight"):
+            MWPMDecoder(SurfaceCode(5), "x", time_weight=time_weight)
+
+    def test_zero_time_weight_makes_time_edges_free(self):
+        decoder = MWPMDecoder(SurfaceCode(3), "x", time_weight=0.0)
+        result = decoder.decode([(0, 0), (4, 0)])
+        assert result.weight == 0.0
+        assert not result.correction.any()
+
+    def test_event_outside_the_code_rejected(self):
+        decoder = MWPMDecoder(SurfaceCode(3), "x")
+        with pytest.raises(DecodingError, match=r"event \(0, 99\) outside the code"):
+            decoder.decode([(0, 0), (0, 99)])
+
 
 class TestUnionFind:
     @pytest.mark.parametrize("d", [3, 5])
@@ -143,6 +162,42 @@ class TestUnionFind:
         decoder = UnionFindDecoder(code, "x")
         result = decoder.decode([(1, 2), (2, 2)], rounds=3)
         assert not result.correction.any()
+
+
+def _mirrored(code):
+    """A code with ``code``'s check shapes but its checks in reverse order."""
+    return CSSCode(
+        f"{code.name}-mirrored", code.hx[::-1], code.hz[::-1],
+        code.logical_x, code.logical_z, code.distance,
+    )
+
+
+@pytest.mark.parametrize("decoder_cls", [MWPMDecoder, UnionFindDecoder])
+class TestForeignHistories:
+    """A decoder refuses a history it would silently decode wrong."""
+
+    def test_other_error_type_rejected(self, decoder_cls):
+        code = SurfaceCode(5)
+        history = sample_memory(code, 5, 0.03, 0.03, np.random.default_rng(3), "x")
+        assert history.detection_events
+        with pytest.raises(DecodingError, match="history of 'x' errors"):
+            decoder_cls(code, "z").decode(history)
+
+    def test_code_with_other_checks_rejected(self, decoder_cls):
+        code = SurfaceCode(3)
+        other = _mirrored(code)
+        history = sample_memory(other, 3, 0.05, 0.05, np.random.default_rng(4), "x")
+        with pytest.raises(DecodingError, match="surface-3-mirrored"):
+            decoder_cls(code, "x").decode(history)
+
+    def test_equal_codes_decode_each_others_histories(self, decoder_cls):
+        ours, theirs = SurfaceCode(3), SurfaceCode(3)
+        assert ours is not theirs
+        history = sample_memory(theirs, 3, 0.05, 0.05, np.random.default_rng(5), "x")
+        assert history.detection_events
+        result = decoder_cls(ours, "x").decode(history)
+        residual = history.true_error ^ result.correction
+        assert not ours.syndrome(residual, "x").any()
 
 
 class TestLookup:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import QECError, TopologyError
+from repro.errors import DecodingError, QECError, TopologyError
 from repro.qec.codes.repetition import RepetitionCode
 from repro.qec.codes.surface import SurfaceCode
 from repro.qec.decoder_gen import GeneratedDecoder, generate_decoder
@@ -57,6 +57,8 @@ class TestPhenomenologicalSampling:
             sample_memory(code, 0, 0.1, 0.1, rng)
         with pytest.raises(QECError):
             sample_memory(code, 1, 1.5, 0.1, rng)
+        with pytest.raises(QECError, match="error_type"):
+            sample_memory(code, 1, 0.1, 0.1, rng, error_type="y")
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -203,6 +205,15 @@ class TestExecutionServiceRouting:
             assert service.stats()["simulations"] == 1
         finally:
             service.shutdown()
+
+    def test_inline_decoder_of_other_error_type_raises(self):
+        # A Z-error decoder cannot be routed for an X-error experiment, and
+        # the inline loop used to score its uncleared syndromes as failures.
+        code = SurfaceCode(5)
+        with pytest.raises(DecodingError, match="history of 'x' errors"):
+            logical_error_rate(
+                code, MWPMDecoder(code, "z"), 5, 0.03, shots=20, error_type="x"
+            )
 
     def test_repeat_invocation_hits_cache_and_shows_in_stats(self):
         code = SurfaceCode(3)

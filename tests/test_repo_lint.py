@@ -356,6 +356,40 @@ class TestR007PoolConstruction:
         assert codes(src) == []
 
 
+class TestR008NetworkxMatcher:
+    PATH = "src/repro/qec/matching.py"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "matching = nx.max_weight_matching(graph, maxcardinality=True)",
+            "matching = networkx.max_weight_matching(graph)",
+            "matching = nx.algorithms.matching.max_weight_matching(graph)",
+            "from networkx import max_weight_matching",
+            "from networkx.algorithms.matching import max_weight_matching as mwm",
+        ],
+    )
+    def test_networkx_matcher_flagged(self, src):
+        found = lint(src, self.PATH)
+        assert [v.rule for v in found] == ["R008"]
+        assert "repro.qec.blossom" in found[0].message
+
+    def test_flagged_in_any_module(self):
+        src = "pairs = nx.max_weight_matching(g, maxcardinality=True)"
+        assert codes(src, "src/repro/qec/unionfind.py") == ["R008"]
+
+    def test_port_and_other_networkx_calls_allowed(self):
+        src = """
+        import networkx as nx
+        from networkx import shortest_path
+        from repro.qec.blossom import max_weight_matching
+        mate = max_weight_matching(adj)
+        path = nx.shortest_path(graph, a, b)
+        view = nx.max_weight_matching
+        """
+        assert codes(src, self.PATH) == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

@@ -67,6 +67,14 @@ R007  A ``ProcessPoolExecutor(...)`` call outside ``utils/parallel.py``, or a
       thread pool is no faster than inline; the execution service's
       async-job pool is the only thread pool.
 
+R008  networkx's matcher: a ``nx.max_weight_matching(...)`` or
+      ``networkx.max_weight_matching(...)`` call, or an import of
+      ``max_weight_matching`` from networkx.  MWPM matches through
+      ``repro.qec.blossom``, a port of that algorithm that returns the same
+      matching, ties included; a second matcher beside it would let decoder
+      results depend on which networkx a host installed.  networkx's
+      matcher stays the parity reference in ``tests/qec/test_blossom.py``.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -107,6 +115,9 @@ R007_OWNERS = {
     "ProcessPoolExecutor": ("utils", "parallel.py"),
     "ThreadPoolExecutor": ("quantum", "execution", "service.py"),
 }
+
+#: Module aliases whose ``max_weight_matching`` R008 flags.
+R008_NETWORKX = {"nx", "networkx"}
 
 
 class Violation:
@@ -362,6 +373,41 @@ def _check_pool_construction(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
+def _root_name(node: ast.expr) -> str | None:
+    """The leading identifier of a Name/Attribute chain (``a.b.C`` -> ``a``)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _check_networkx_matcher(path: Path, tree: ast.AST) -> list[Violation]:
+    """R008: networkx's ``max_weight_matching`` called or imported."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            flagged = (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "max_weight_matching"
+                and _root_name(node.func) in R008_NETWORKX
+            )
+        elif isinstance(node, ast.ImportFrom):
+            flagged = (node.module or "").split(".")[0] == "networkx" and any(
+                alias.name == "max_weight_matching" for alias in node.names
+            )
+        else:
+            continue
+        if flagged:
+            found.append(
+                Violation(
+                    path, node.lineno, "R008",
+                    "networkx's max_weight_matching: match through "
+                    "repro.qec.blossom.max_weight_matching, the one matcher "
+                    "in src/ (networkx's is the test reference)",
+                )
+            )
+    return found
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -369,6 +415,7 @@ CHECKS = (
     _check_param_float_coercion,
     _check_flat_state_evolution,
     _check_pool_construction,
+    _check_networkx_matcher,
 )
 
 
