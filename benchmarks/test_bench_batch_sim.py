@@ -84,7 +84,6 @@ def test_bench_batch_sweep_cold_cache(once, serial_reference):
 
     # The whole cold sweep took the vectorised path, in one structure group.
     stats = batch_svc.stats()
-    batch_svc.shutdown()
     assert stats["simulations_batched"] == SWEEP
     assert stats["batch_groups"] == 1
     assert stats["cache_misses"] == (
@@ -127,7 +126,6 @@ def test_bench_batch_feed_forward_cold_cache(once, serial_reference):
 
     # Every teleport shot-batched: none took the serial route.
     stats = batch_svc.stats()
-    batch_svc.shutdown()
     assert stats["simulations"] == len(circuits)
     assert stats["simulations_batched"] == stats["simulations"]
 

@@ -74,7 +74,7 @@ def test_bench_parallel_eval_multi_arm(once):
     # Parallel engine on an equally cold service, under the benchmark timer.
     set_default_service(ExecutionService())
     parallel = once(evaluate_many, arms, tasks, workers=WORKERS)
-    set_default_service(None, shutdown_previous=True)
+    set_default_service(None)
 
     # Bit-identical outcomes, arm for arm.
     assert _outcomes(serial) == _outcomes(parallel)
@@ -106,7 +106,7 @@ def test_bench_parallel_eval_speedup():
     start = time.perf_counter()
     warm_parallel = evaluate_many(arms, tasks, workers=WORKERS)
     parallel_time = time.perf_counter() - start
-    set_default_service(None, shutdown_previous=True)
+    set_default_service(None)
 
     assert _outcomes(warm_serial) == _outcomes(warm_parallel)
     speedup = serial_time / max(1e-9, parallel_time)

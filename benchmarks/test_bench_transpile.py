@@ -15,9 +15,7 @@ from repro.quantum.library import qft, random_circuit
 
 @pytest.fixture
 def service(tmp_path):
-    svc = ExecutionService(max_workers=1, cache_dir=tmp_path)
-    yield svc
-    svc.shutdown()
+    return ExecutionService(cache_dir=tmp_path)
 
 
 def test_bench_transpile_cold(benchmark, service):

@@ -72,7 +72,6 @@ def test_bench_variational_sweep_cold(once, serial_reference):
     legacy = [c for c, _ in serial_reference(None, legacy_lowered, SHOTS, SEED)]
     legacy_time = time.perf_counter() - start
     legacy_stats = legacy_svc.stats()
-    legacy_svc.shutdown()
 
     # Parameterized path: bind one template per point; the bound fast path
     # lowers the template once, the batch planner groups the whole sweep.
@@ -94,7 +93,6 @@ def test_bench_variational_sweep_cold(once, serial_reference):
     assert _counts(param, SWEEP) == legacy
 
     param_stats = param_svc.stats()
-    param_svc.shutdown()
     assert legacy_stats["transpiles"] == SWEEP
     assert param_stats["transpiles"] == 1
     assert param_stats["transpile_cache_hits"] == SWEEP - 1

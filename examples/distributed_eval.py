@@ -66,8 +66,7 @@ def main() -> None:
             cache=ResultCache(
                 remote=RemoteResultCache(coordinator.url, token=TOKEN)
             )
-        ),
-        shutdown_previous=True,
+        )
     )
     stop = threading.Event()
     worker = threading.Thread(
@@ -86,7 +85,7 @@ def main() -> None:
         stop.set()
         worker.join(timeout=10)
         coordinator.stop()
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
 
     status = coordinator.queue.status()
     print(

@@ -28,8 +28,11 @@ def main() -> None:
     print(f"DJ constant oracle: {circuit.size()} ops -> "
           f"{transpiled.size()} after transpilation for {backend.name}")
 
-    noisy_job = service.submit(transpiled, backend=backend, shots=SHOTS, seed=SEED)
-    noisy = noisy_job.result().get_counts()
+    noisy = (
+        service.run(transpiled, backend=backend, shots=SHOTS, seed=SEED)
+        .result()
+        .get_counts()
+    )
     print()
     print(format_histogram(noisy, title="(b) noisy Brisbane run — expect |000>"))
 
@@ -57,7 +60,7 @@ def main() -> None:
     )
 
     corrected = (
-        service.submit(
+        service.run(
             transpiled,
             backend=application.corrected_backend,
             shots=SHOTS,

@@ -53,10 +53,8 @@ def main() -> None:
     ).start()
     print(f"cache server listening at {server.url} (store: {server.disk.cache_dir})")
 
-    worker_a = ExecutionService(
-        max_workers=2, cache_dir=root / "worker-a", remote_url=server.url
-    )
-    counts_a = worker_a.submit(workload(), shots=500, seed=11).result(timeout=60)
+    worker_a = ExecutionService(cache_dir=root / "worker-a", remote_url=server.url)
+    counts_a = worker_a.run(workload(), shots=500, seed=11).result()
     stats_a = worker_a.stats()
     print(
         f"\nworker A (cold fleet): {stats_a['simulations']} simulations, "
@@ -68,11 +66,10 @@ def main() -> None:
         f"simulations_batched={stats_a['simulations_batched']}, "
         f"batch_groups={stats_a['batch_groups']}"
     )
-    worker_a.shutdown()
 
     # Worker B has *no* local cache at all — a freshly provisioned machine.
-    worker_b = ExecutionService(max_workers=2, remote_url=server.url)
-    counts_b = worker_b.submit(workload(), shots=500, seed=11).result(timeout=60)
+    worker_b = ExecutionService(remote_url=server.url)
+    counts_b = worker_b.run(workload(), shots=500, seed=11).result()
     stats_b = worker_b.stats()
     print(
         f"worker B (warm fleet):  {stats_b['simulations']} simulations, "
@@ -84,7 +81,6 @@ def main() -> None:
     print(f"results bit-identical across the fleet: {identical}")
     print(f"server store: {len(server.disk)} entries, "
           f"{server.disk.size_bytes()} bytes (bounded by {server.disk.limits})")
-    worker_b.shutdown()
     server.stop()
 
 

@@ -21,14 +21,14 @@ def layer_1_quantum_sdk() -> None:
     qc.cx(0, 1)
     qc.measure([0, 1], [0, 1])
     service = default_service()
-    job = service.submit(qc, backend=get_backend("ideal"), shots=1000, seed=7)
+    job = service.run(qc, backend=get_backend("ideal"), shots=1000, seed=7)
     print(format_histogram(
         job.result().get_counts(), title="Bell pair on the ideal simulator"
     ))
 
     backend = get_backend("fake_brisbane")
     tqc = transpile(qc, backend=backend)
-    noisy = service.submit(tqc, backend=backend, shots=1000, seed=7)
+    noisy = service.run(tqc, backend=backend, shots=1000, seed=7)
     print(format_histogram(
         noisy.result().get_counts(), title="Same circuit on noisy FakeBrisbane"
     ))

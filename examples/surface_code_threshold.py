@@ -5,7 +5,7 @@ logical-vs-physical curves whose crossing is the threshold — the quantitative
 backbone behind the paper's Section V-B "reduce the amount of error" claim.
 
 The sweep runs through the shared ExecutionService: every (distance, rate)
-point is an asynchronous, cacheable job on the ``qec_memory`` backend.  Pass
+point is one cacheable execution on the ``qec_memory`` backend.  Pass
 ``--cache-dir DIR`` and run the script twice — the second run performs zero
 memory-experiment simulations, it is replayed entirely from the persistent
 result cache.
@@ -71,7 +71,6 @@ def main(quick: bool = False) -> None:
             else " — pass --cache-dir DIR to persist results across runs"
         )
     )
-    service.shutdown()
 
 
 if __name__ == "__main__":

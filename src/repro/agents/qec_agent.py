@@ -134,7 +134,7 @@ class QECAgent(Agent):
     ) -> tuple[dict[str, int], QECApplication]:
         """Convenience wrapper: apply QEC then run on the corrected backend."""
         application = self.apply(backend)
-        job = default_service().submit(
+        job = default_service().run(
             circuit, backend=application.corrected_backend, shots=shots, seed=seed
         )
         return job.result().get_counts(), application

@@ -114,8 +114,7 @@ def _serve_store_locally(served: str) -> None:
     )
 
     set_default_service(
-        ExecutionService(cache_dir=served, cache_limits=CacheLimits.from_env()),
-        shutdown_previous=True,
+        ExecutionService(cache_dir=served, cache_limits=CacheLimits.from_env())
     )
 
 
@@ -128,7 +127,7 @@ def _stop_coordinator(coordinator, served: str, ephemeral: bool) -> None:
         # any service handle onto it) instead of littering /tmp per run.
         from repro.quantum.execution import set_default_service
 
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
         shutil.rmtree(served, ignore_errors=True)
 
 
@@ -292,8 +291,7 @@ def _cmd_eval(args) -> int:
                 ),
                 remote_url=args.remote_cache or None,
                 validate=args.validate or validate_from_env(),
-            ),
-            shutdown_previous=True,
+            )
         )
     coordinator = None
     if args.distributed:
@@ -534,10 +532,7 @@ def _cmd_eval_worker(args) -> int:
         # default a worker shares results through the very server that hands
         # it work — zero simulations against a warm store.
         remote = RemoteResultCache(cache_url, token=token)
-        set_default_service(
-            ExecutionService(cache=ResultCache(remote=remote)),
-            shutdown_previous=True,
-        )
+        set_default_service(ExecutionService(cache=ResultCache(remote=remote)))
         print(f"sharing execution results via {cache_url}", file=sys.stderr)
     print(
         f"serving coordinator {args.url} with {args.workers} worker "

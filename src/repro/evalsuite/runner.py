@@ -131,10 +131,6 @@ class EvalResult:
     #: :func:`evaluate`.
     execution_stats: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def num_tasks(self) -> int:
-        return len(self.outcomes)
-
     def accuracy(self) -> float:
         """Fraction of samples both syntactically and semantically valid."""
         total = sum(o.samples for o in self.outcomes)

@@ -46,24 +46,24 @@ def run(
     service = default_service()
     circuit = deutsch_jozsa(num_qubits, "constant0")
 
-    # An attributable scope (not a racy before/after stats diff): async
-    # submissions below credit it from the pool workers, so the appendix
-    # numbers are exact even when this driver shares the service.
+    # An attributable scope (not a racy before/after stats diff), so the
+    # appendix numbers are exact even when other callers share the service.
     with stats_scope("figure4") as scope:
         # Content-addressed transpile stage: a repeat of this driver (same
         # process or a warm disk cache) performs zero transpiles.
         transpiled = transpile(circuit, backend=backend)
-        # (b) noisy device run, submitted asynchronously so it simulates
-        # while the QEC agent generates the decoder below.
-        noisy_job = service.submit(
-            transpiled, backend=backend, shots=shots, seed=seed
+        # (b) noisy device run.
+        noisy_counts = (
+            service.run(transpiled, backend=backend, shots=shots, seed=seed)
+            .result()
+            .get_counts()
         )
 
         # (a) + (c): the QEC agent generates the decoder and corrected backend.
         agent = QECAgent(distance=distance, shots=300, seed=seed)
         application = agent.apply(backend, allow_simulated_lattice=True)
         corrected_counts = (
-            service.submit(
+            service.run(
                 transpiled,
                 backend=application.corrected_backend,
                 shots=shots,
@@ -72,7 +72,6 @@ def run(
             .result()
             .get_counts()
         )
-        noisy_counts = noisy_job.result().get_counts()
     p_corrected = _probability(corrected_counts, EXPECTED)
     p_noisy = _probability(noisy_counts, EXPECTED)
 

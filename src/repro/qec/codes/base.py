@@ -154,10 +154,6 @@ class CSSCode:
             return self.hx
         raise CodeConstructionError(f"error_type must be 'x' or 'z', got '{error_type}'")
 
-    def logical_support_for(self, error_type: str) -> np.ndarray:
-        """The logical operator whose parity the given error type can flip."""
-        return self.logical_z if error_type == "z" else self.logical_x
-
     def logical_flipped(self, error_bits: np.ndarray, error_type: str) -> bool:
         """Does this residual error anticommute with the conjugate logical?
 

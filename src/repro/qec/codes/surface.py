@@ -95,10 +95,6 @@ class SurfaceCode(CSSCode):
             z_check_coords=np.array(z_coords, float),
         )
 
-    @property
-    def lattice_distance(self) -> int:
-        return self._d
-
     def data_index(self, row: int, col: int) -> int:
         """Index of the data qubit at lattice position (row, col)."""
         d = self._d

@@ -21,8 +21,6 @@ backend, which buys
 * **caching** — a repeated ``logical_error_rate`` / ``threshold_sweep``
   invocation (same code, decoder, rates, seed) is a content-addressed cache
   hit, persisted across processes when the service has a disk tier;
-* **batching** — ``threshold_sweep`` submits every rate of a distance as
-  asynchronous jobs that fan out across the service's worker pool;
 * **observability** — decoder benchmarking now shows up in
   ``service.stats()`` next to circuit simulation counters.
 
@@ -373,10 +371,9 @@ def threshold_sweep(
     :func:`logical_error_rate` point (``p_meas=None`` keeps the
     phenomenological ``p_meas = p_data`` convention per point), and each
     distance samples under its own derived seed scope, so adding or
-    reordering distances never perturbs another distance's shots.  Routable
-    decoders submit all rates of a distance as asynchronous ExecutionService
-    jobs — parallel across the worker pool, and cache-coherent with direct
-    ``logical_error_rate`` calls at the same parameters.
+    reordering distances never perturbs another distance's shots.  Each
+    point is one :func:`logical_error_rate` call, so a sweep point and a
+    direct call at the same parameters share one cache entry.
     """
     if decoder_factory is None:
         decoder_factory = lambda code: MWPMDecoder(code, error_type)  # noqa: E731
@@ -386,52 +383,23 @@ def threshold_sweep(
         decoder = decoder_factory(code)
         rounds = distance if rounds_per_distance else 1
         scoped_seed = derive_seed(seed, "threshold", distance)
-        routed = _classify_decoder(decoder, code, error_type)
-        if routed is not None:
-            kind, args = routed
-            svc = service if service is not None else default_service()
-            jobs = []
-            for p in physical_rates:
-                spec = MemoryExperimentSpec(
-                    code=code,
-                    rounds=rounds,
-                    p_data=p,
-                    p_meas=p if p_meas is None else p_meas,
-                    error_type=error_type,
-                    decoder_kind=kind,
-                    decoder_args=args,
-                )
-                jobs.append(
-                    svc.submit(
-                        MemoryExperimentCircuit(spec),
-                        backend=MEMORY_BACKEND,
-                        shots=shots,
-                        seed=scoped_seed,
-                    )
-                )
-            series = [
-                (p, job.result().get_counts().get("1", 0) / shots)
-                for p, job in zip(physical_rates, jobs)
-            ]
-        else:
-            series = [
-                (
+        out[distance] = [
+            (
+                p,
+                logical_error_rate(
+                    code,
+                    decoder,
+                    rounds,
                     p,
-                    logical_error_rate(
-                        code,
-                        decoder,
-                        rounds,
-                        p,
-                        p_meas=p_meas,
-                        shots=shots,
-                        seed=scoped_seed,
-                        error_type=error_type,
-                        service=service,
-                    ).logical_error_rate,
-                )
-                for p in physical_rates
-            ]
-        out[distance] = series
+                    p_meas=p_meas,
+                    shots=shots,
+                    seed=scoped_seed,
+                    error_type=error_type,
+                    service=service,
+                ).logical_error_rate,
+            )
+            for p in physical_rates
+        ]
     return out
 
 
@@ -450,8 +418,14 @@ def qec_suppression_factor(
     noise model: after attaching the generated decoder, the effective error
     probability of each operation drops from p to p * factor.  Clamped to
     (0, 1]; a factor >= 1 means the code is operating above threshold and
-    QEC would not help.
+    QEC would not help.  Raises :class:`~repro.errors.QECError` when
+    ``p_data <= 0``, before running the memory experiment.
     """
+    if p_data <= 0:
+        raise QECError(
+            f"suppression is relative to the physical error rate; p_data must "
+            f"be positive, got {p_data}"
+        )
     rounds = code.distance if rounds is None else rounds
     result = logical_error_rate(
         code, decoder, rounds, p_data, shots=shots, seed=seed, service=service

@@ -13,8 +13,8 @@ Quickstart::
     qc.h(0)
     qc.cx(0, 1)
     qc.measure([0, 1], [0, 1])
-    job = default_service().submit(qc, backend=get_backend("ideal"),
-                                   shots=1000, seed=7)
+    job = default_service().run(qc, backend=get_backend("ideal"),
+                                shots=1000, seed=7)
     counts = job.result().get_counts()
 
 The legacy one-liner still works (and shares the execution cache)::
@@ -42,7 +42,6 @@ from repro.quantum.circuit import (
 from repro.quantum.execution import (
     ExecutionJob,
     ExecutionService,
-    JobStatus,
     default_service,
     get_backend,
     list_backends,
@@ -72,7 +71,6 @@ __all__ = [
     "FakeFalcon",
     "IBMQ",
     "Instruction",
-    "JobStatus",
     "LocalSimulator",
     "NoiseModel",
     "NoisySimulator",

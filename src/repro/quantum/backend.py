@@ -10,7 +10,7 @@ Qiskit programs.
 (:mod:`repro.quantum.execution`): it routes through the shared
 :class:`~repro.quantum.execution.service.ExecutionService`, so legacy call
 sites get the content-addressed result cache and its counters for free.  New
-code should prefer ``get_backend(name)`` + ``service.submit(...)``.
+code should prefer ``get_backend(name)`` + ``service.run(...)``.
 ``Backend.execute_circuit``, the uncached single-circuit primitive, runs
 :func:`repro.quantum.batchsim.run_circuit`, the one simulation engine.
 """
@@ -200,7 +200,7 @@ class Backend:
         :class:`~repro.quantum.execution.service.ExecutionService`, so repeated
         deterministic runs are served from the result cache.  Validation
         errors raise here, exactly as before; the returned job is already
-        ``DONE``.
+        finished.
         """
         from repro.quantum.execution.service import default_service
 

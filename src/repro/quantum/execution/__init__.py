@@ -6,11 +6,11 @@ The cooperating pieces (see the per-module docstrings for detail):
   registry of named, lazily-constructed backends
   (``get_backend("fake_brisbane")``, ``register_backend(...)``, aliases);
 * :mod:`~repro.quantum.execution.service` — the :class:`ExecutionService`
-  worker pool that accepts batched submissions and returns async
-  :class:`ExecutionJob` handles (``QUEUED -> RUNNING -> DONE/ERROR``); it
-  plans every submission's cache misses onto the vectorised engine in
-  :mod:`repro.quantum.batchsim` and deduplicates concurrent identical
-  executions (single flight);
+  that runs batched submissions on the caller's thread and returns finished
+  :class:`ExecutionJob` handles; it plans every submission's cache misses
+  onto the vectorised engine in :mod:`repro.quantum.batchsim` and
+  deduplicates identical executions racing from other threads (single
+  flight);
 * :mod:`~repro.quantum.execution.cache` — a content-addressed
   :class:`ResultCache` keyed by circuit/backend/shots/seed/noise fingerprints,
   with hit/miss counters surfaced through ``service.stats()``;
@@ -49,8 +49,8 @@ The cooperating pieces (see the per-module docstrings for detail):
 * :mod:`~repro.quantum.execution.scopes` — attributable per-caller counters,
   named once in its ``COUNTERS`` registry:
   ``with service.stats_scope() as scope:`` captures exactly the work a block
-  initiated (sync or async), so concurrent users — e.g. two evaluation arms —
-  get exact, non-overlapping execution stats.
+  ran, so concurrent users — e.g. two evaluation arms — get exact,
+  non-overlapping execution stats.
 
 Quickstart::
 
@@ -58,8 +58,8 @@ Quickstart::
     from repro.quantum.execution import default_service, get_backend
 
     backend = get_backend("brisbane")            # alias of fake_brisbane
-    job = default_service().submit([qc1, qc2], backend=backend, shots=1024, seed=7)
-    counts = job.result(timeout=30).get_counts(0)
+    job = default_service().run([qc1, qc2], backend=backend, shots=1024, seed=7)
+    counts = job.result().get_counts(0)
 
 ``Backend.run`` remains available and now delegates here, so legacy call
 sites transparently share the same cache and counters.
@@ -78,7 +78,7 @@ from repro.quantum.execution.dispatch import (
     WorkQueue,
     run_worker,
 )
-from repro.quantum.execution.jobs import ExecutionJob, JobStatus
+from repro.quantum.execution.jobs import ExecutionJob
 from repro.quantum.execution.jobstore import JobStore
 from repro.quantum.execution.metrics import METRICS_CONTENT_TYPE, serving_metrics
 from repro.quantum.execution.remote_cache import (
@@ -135,7 +135,6 @@ __all__ = [
     "RemoteResultCache",
     "ExecutionJob",
     "ExecutionService",
-    "JobStatus",
     "JobStore",
     "METRICS_CONTENT_TYPE",
     "TENANT_FILE_ENV",

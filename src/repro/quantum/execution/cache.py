@@ -163,7 +163,7 @@ class ResultCache:
 
         Used by the service's single-flight path to re-probe for a
         concurrently-filled entry without double-counting the lookup that was
-        already recorded at submit time.
+        already recorded when the execution probed the cache.
         """
         entry = self._lookup(key)
         if entry is None:

@@ -7,9 +7,7 @@ service users) overlap in time.  A :class:`StatsScope` fixes attribution at
 the root: it is a thread-safe counter sink that receives exactly the
 increments caused by work *initiated under it* —
 
-* synchronous executions count on the calling thread;
-* asynchronous submissions capture the scopes active at ``submit()`` time and
-  credit them from the pool workers that actually run the circuits;
+* executions count on the calling thread, which runs them;
 * cache lookups/fills credit the scopes of the caller that triggered them.
 
 Scopes are ambient per thread (a stack, so they nest — an inner sandbox

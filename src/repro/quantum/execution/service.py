@@ -1,12 +1,12 @@
-"""The ExecutionService: batched, cached, thread-pooled circuit execution.
+"""The ExecutionService: batched, cached circuit execution.
 
 This is the single funnel through which the repo runs circuits.  Every layer
 above (agents, evalsuite, experiments, CLI, and the ``Backend.run``
-compatibility shim) submits work here, which buys:
+compatibility shim) executes here, which buys:
 
-* **batching** — ``service.submit([qc1, qc2, ...], backend="fake_brisbane",
-  shots=1024, seed=7)`` fans the circuits out across a worker pool and
-  returns one :class:`~repro.quantum.execution.jobs.ExecutionJob` whose
+* **batching** — ``service.run([qc1, qc2, ...], backend="fake_brisbane",
+  shots=1024, seed=7)`` runs the circuits on the calling thread and returns
+  one finished :class:`~repro.quantum.execution.jobs.ExecutionJob` whose
   ``result()`` preserves submission order;
 * **vectorised simulation** — cache misses are always planned by
   :mod:`repro.quantum.batchsim`, the one simulation engine: misses sharing
@@ -22,8 +22,6 @@ compatibility shim) submits work here, which buys:
   ``(seed, circuit, shots, noise)``, never on the route or the batch, and
   the ``simulations_batched`` / ``batch_groups`` counters report how much
   work took the vectorised group path;
-* **an async job lifecycle** — ``QUEUED -> RUNNING -> DONE/ERROR``, with
-  ``job.result(timeout=...)`` and best-effort ``job.cancel()``;
 * **content-addressed caching** — deterministic executions (``seed`` given)
   are keyed by circuit/backend/shots/seed/noise fingerprints, so repeated
   grading passes and re-run experiment arms skip re-simulation entirely; the
@@ -42,15 +40,15 @@ compatibility shim) submits work here, which buys:
   memory and disk, so a *fleet* of workers on different machines shares one
   warm store served by ``repro cache-server``; a dead server degrades to
   cache misses, never errors;
-* **single-flight simulation** — concurrent misses on an identical cache key
-  elect one leader to simulate while the rest wait for its cache fill
-  (``simulations_deduped`` in :meth:`ExecutionService.stats`), so a batch of
-  duplicate circuits never multiplies work;
+* **single-flight simulation** — callers on different threads that miss on
+  an identical cache key elect one leader to simulate while the rest wait
+  for its cache fill (``simulations_deduped`` in
+  :meth:`ExecutionService.stats`), so concurrent duplicates never multiply
+  work;
 * **attributable counters** — ``with service.stats_scope() as scope:``
-  captures exactly the simulations/cache traffic caused by the work initiated
-  under it (asynchronous submissions credit the scopes that were active at
-  ``submit()`` time), so concurrent callers — e.g. two evaluation arms
-  sharing the service — get exact, non-overlapping stats instead of the racy
+  captures exactly the simulations/cache traffic caused by the work run
+  under it, so concurrent callers — e.g. two evaluation arms sharing the
+  service — get exact, non-overlapping stats instead of the racy
   before/after diff of the global :meth:`ExecutionService.stats`.
 
 Seed semantics: circuit *i* of a batch executes with ``seed`` itself for
@@ -59,12 +57,12 @@ the pre-service behaviour of ``Backend.run`` (a fresh generator per call), so
 single-circuit executions — the overwhelming majority — produce bit-identical
 counts to the legacy path while every circuit stays independently cacheable.
 
-Synchronous callers use :meth:`ExecutionService.run` or the module-level
-:func:`execute` convenience on the shared :func:`default_service`.  ``run``
-and ``submit`` share one flow: probe the cache for every circuit, plan the
-misses, run each planned group, fill the result slots.  ``run`` runs the
-groups inline on the calling thread, in plan order; ``submit`` gives each
-batchable group, and each SERIAL unit, its own pool task.
+Every execution goes through :meth:`ExecutionService.run` (or the
+module-level :func:`execute` convenience on the shared
+:func:`default_service`): probe the cache for every circuit, plan the misses,
+run each planned group on the calling thread in plan order, fill the result
+slots.  A caller that wants executions to overlap runs them on its own
+threads.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ import threading
 import warnings
 import weakref
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 from repro.errors import BackendError, TranspilerError, ValidationError
@@ -115,12 +112,8 @@ VALIDATE_ENV = "REPRO_VALIDATE"
 #: Pre-flight validation modes: ``off`` skips the analyzer entirely,
 #: ``warn`` surfaces diagnostics as warnings but still executes, ``strict``
 #: raises :class:`~repro.errors.ValidationError` on any ``QA1xx`` error
-#: before the submission reaches the cache, the pool, or a simulator.
+#: before the submission reaches the cache or a simulator.
 VALIDATE_MODES = ("off", "warn", "strict")
-
-#: Upper bound on worker threads; dense statevector math releases little of
-#: the GIL, so a small pool captures most of the available overlap.
-DEFAULT_MAX_WORKERS = 4
 
 _ambient = threading.local()
 
@@ -156,40 +149,12 @@ def _ambient_seed() -> int | None:
     return base if index == 0 else derive_seed(base, "ambient", index)
 
 
-class _Batch:
-    """Book-keeping for one submission's outstanding circuits."""
-
-    def __init__(
-        self,
-        job: ExecutionJob,
-        size: int,
-        backend: Backend,
-        shots: int,
-        seed: int | None,
-        memory: bool,
-        scopes: tuple[StatsScope, ...],
-    ) -> None:
-        self.job = job
-        self.backend = backend
-        self.shots = shots
-        self.seed = seed
-        self.memory = memory
-        #: Stats scopes active on the *submitting* thread: pool workers credit
-        #: these, so async work stays attributed to whoever submitted it.
-        self.scopes = scopes
-        self.slots: list[tuple[dict[str, int], list[str] | None] | None] = (
-            [None] * size
-        )
-        self.pending = size
-        self.lock = threading.Lock()
-
-
 class ExecutionService:
-    """Pooled execution engine with a shared (optionally persistent) cache."""
+    """Cached, batched circuit execution on the caller's thread, with a
+    shared (optionally persistent) cache."""
 
     def __init__(
         self,
-        max_workers: int = DEFAULT_MAX_WORKERS,
         cache: ResultCache | None = None,
         use_cache: bool = True,
         cache_dir: str | os.PathLike | None = None,
@@ -197,8 +162,6 @@ class ExecutionService:
         remote_url: str | None = None,
         validate: str = "off",
     ) -> None:
-        if max_workers <= 0:
-            raise BackendError(f"max_workers must be positive, got {max_workers}")
         if validate not in VALIDATE_MODES:
             raise BackendError(
                 f"validate must be one of {VALIDATE_MODES}, got {validate!r}"
@@ -222,7 +185,11 @@ class ExecutionService:
                 "cache_dir/remote_url require caching; drop use_cache=False "
                 "to enable the persistent tiers"
             )
-        self.max_workers = max_workers
+        if cache is not None and not use_cache:
+            raise BackendError(
+                "use_cache=False disables caching; drop the prebuilt cache "
+                "or use_cache=False"
+            )
         self.validate = validate
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self.remote_url = remote_url
@@ -237,7 +204,6 @@ class ExecutionService:
             )
             cache = ResultCache(disk=disk, remote=remote)
         self.cache = cache
-        self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._inflight: dict[CacheKey, threading.Event] = {}
         #: The service's own ledger: every counter in ``COUNTERS`` is stored
@@ -253,40 +219,6 @@ class ExecutionService:
 
     # -- public API --------------------------------------------------------------
 
-    def submit(
-        self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit],
-        backend: Backend | str | None = None,
-        shots: int = 1024,
-        seed: int | None = None,
-        memory: bool = False,
-    ) -> ExecutionJob:
-        """Asynchronously execute circuits; returns a live :class:`ExecutionJob`.
-
-        Validation (circuit/backend compatibility, shot limits) happens
-        eagerly so malformed submissions raise :class:`BackendError` here, not
-        inside a worker.  Fully-cached submissions complete without touching
-        the pool.  Each batchable group, and each SERIAL unit, is one pool
-        task.
-        """
-        batch, groups = self._probe_and_plan(
-            circuits, backend, shots, seed, memory
-        )
-        if not groups:
-            self._finalize(batch)
-            return batch.job
-        pool = self._ensure_pool()
-        for group in groups:
-            if group.kind == batchsim.SERIAL:
-                for unit in group.units:
-                    pool.submit(
-                        self._group_task, batch,
-                        batchsim.PlannedGroup(batchsim.SERIAL, [unit]),
-                    )
-            else:
-                pool.submit(self._group_task, batch, group)
-        return batch.job
-
     def run(
         self,
         circuits: QuantumCircuit | Sequence[QuantumCircuit],
@@ -295,16 +227,49 @@ class ExecutionService:
         seed: int | None = None,
         memory: bool = False,
     ) -> ExecutionJob:
-        """Synchronous path: same validation, cache, seed and planning as
-        :meth:`submit`, with the groups run inline in plan order; returns a
-        finished job."""
-        batch, groups = self._probe_and_plan(
-            circuits, backend, shots, seed, memory
+        """Execute circuits on the calling thread; returns a finished job.
+
+        Validation (circuit/backend compatibility, shot limits, pre-flight)
+        raises :class:`BackendError` or :class:`ValidationError` before any
+        cache traffic.  Every circuit then probes the cache, the misses are
+        planned, and each planned group runs in plan order; a simulation
+        error raises from here.
+        """
+        target, batch = self._prepare(circuits, backend, shots)
+        if seed is None:
+            seed = _ambient_seed()
+        scopes = self._scopes()
+        noise_fp = noise_fingerprint(target.noise_model)
+        slots: list[tuple[dict[str, int], list[str] | None] | None] = (
+            [None] * len(batch)
         )
-        for group in groups:
-            self._fill(batch, self._run_group(batch, group))
-        self._finalize(batch)
-        return batch.job
+        cache_hits = deduped = 0
+        misses: list[batchsim.PlannedUnit] = []
+        for index, qc in enumerate(batch):
+            eff_seed = self._effective_seed(seed, index)
+            key = self._cache_key(qc, target, shots, eff_seed, noise_fp, memory)
+            cached = self.cache.get(key, scopes) if key is not None else None
+            if cached is not None:
+                slots[index] = cached
+                cache_hits += 1
+            else:
+                misses.append(batchsim.make_unit(index, qc, key, eff_seed, shots))
+        self._account(len(batch))
+        for group in batchsim.plan(target, misses):
+            resolved = self._run_group(target, group, memory, scopes)
+            for index, (counts, mem, source) in resolved.items():
+                if source == "dedup":
+                    deduped += 1
+                slots[index] = (counts, mem)
+        result = Result(
+            [slot[0] for slot in slots],
+            [slot[1] for slot in slots],
+            target.name, shots, seed,
+        )
+        return ExecutionJob(
+            result, len(batch), target.name, cache_hits=cache_hits,
+            deduped=deduped,
+        )
 
     def transpile(
         self,
@@ -397,8 +362,7 @@ class ExecutionService:
     def stats_scope(self, label: str | None = None):
         """Open an attributable counter scope on the current thread.
 
-        Everything executed under the scope — synchronously, or submitted
-        from this thread and run on pool workers — credits the yielded
+        Everything executed under the scope credits the yielded
         :class:`~repro.quantum.execution.scopes.StatsScope` exactly, even
         while other threads drive the same service.  This is the
         concurrency-safe replacement for diffing :meth:`stats` around a
@@ -442,50 +406,7 @@ class ExecutionService:
                 )
         return out
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pool (it restarts lazily on the next submit)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-
     # -- internals ------------------------------------------------------------------
-
-    def _probe_and_plan(
-        self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit],
-        backend: Backend | str | None,
-        shots: int,
-        seed: int | None,
-        memory: bool,
-    ) -> tuple[_Batch, list[batchsim.PlannedGroup]]:
-        """The first steps of :meth:`run` and :meth:`submit`: validate, probe
-        the cache for every circuit (filling the hit slots), and plan the
-        misses."""
-        target, batch_circuits = self._prepare(circuits, backend, shots)
-        if seed is None:
-            seed = _ambient_seed()
-        job = ExecutionJob(
-            num_circuits=len(batch_circuits), backend_name=target.name
-        )
-        batch = _Batch(
-            job, len(batch_circuits), target, shots, seed, memory,
-            self._scopes(),
-        )
-        noise_fp = noise_fingerprint(target.noise_model)
-        misses: list[batchsim.PlannedUnit] = []
-        for index, qc in enumerate(batch_circuits):
-            eff_seed = self._effective_seed(seed, index)
-            key = self._cache_key(qc, target, shots, eff_seed, noise_fp, memory)
-            cached = self.cache.get(key, batch.scopes) if key is not None else None
-            if cached is not None:
-                batch.slots[index] = cached
-                batch.pending -= 1
-                job.cache_hits += 1
-            else:
-                misses.append(batchsim.make_unit(index, qc, key, eff_seed, shots))
-        self._account(len(batch_circuits))
-        return batch, batchsim.plan(target, misses)
 
     def _prepare(
         self,
@@ -504,8 +425,8 @@ class ExecutionService:
     def _preflight(self, batch: list[QuantumCircuit], target: Backend) -> None:
         """Static pre-flight over a submission (``validate="warn"|"strict"``).
 
-        Runs the analyzer on every circuit before any cache, pool or
-        simulator traffic.  ``strict`` raises
+        Runs the analyzer on every circuit before any cache or simulator
+        traffic.  ``strict`` raises
         :class:`~repro.errors.ValidationError` on ``QA1xx`` errors (crediting
         ``rejected_static`` per defective circuit); ``warn`` emits one warning
         per diagnosed circuit and proceeds.  Both modes credit
@@ -514,7 +435,7 @@ class ExecutionService:
         The ``QA105`` unbound-parameter check runs first and in **every**
         mode, including ``"off"``: executing a symbol is meaningless in any
         mode, so templates are rejected (crediting ``rejected_unbound`` per
-        offending circuit) before any cache or pool traffic.
+        offending circuit) before any cache traffic.
         """
         scopes = self._scopes()
         unbound: list[Diagnostic] = []
@@ -612,7 +533,7 @@ class ExecutionService:
         on — or arrived after — an identical in-flight execution and read its
         cache fill).  The caller has probed the cache already, so this never
         counts a lookup.  ``scopes`` receive every increment this circuit
-        causes, no matter which thread runs it.
+        causes.
         """
         if key is None:
             counts, mem = self._simulate(
@@ -667,49 +588,24 @@ class ExecutionService:
             self._circuits_executed += num_circuits
 
     def _run_group(
-        self, batch: _Batch, group: batchsim.PlannedGroup
+        self,
+        backend: Backend,
+        group: batchsim.PlannedGroup,
+        memory: bool,
+        scopes: tuple[StatsScope, ...],
     ) -> dict[int, tuple[dict[str, int], list[str] | None, str]]:
         """One planned group: the SERIAL group one unit at a time, any other
         through the batch engine.  Returns ``{index: (counts, memory,
         source)}`` for every unit of the group."""
         if group.kind != batchsim.SERIAL:
-            return self._execute_group(
-                batch.backend, group, batch.memory, batch.scopes
-            )
+            return self._execute_group(backend, group, memory, scopes)
         return {
             unit.index: self._lookup_or_simulate(
-                batch.backend, unit.circuit, unit.shots, unit.seed,
-                batch.memory, unit.key, batch.scopes,
+                backend, unit.circuit, unit.shots, unit.seed, memory, unit.key,
+                scopes,
             )
             for unit in group.units
         }
-
-    def _fill(
-        self,
-        batch: _Batch,
-        resolved: dict[int, tuple[dict[str, int], list[str] | None, str]],
-    ) -> bool:
-        """Fill result slots; True when this filled the batch's last one."""
-        with batch.lock:
-            for index, (counts, mem, source) in resolved.items():
-                if source == "dedup":
-                    batch.job.deduped += 1
-                batch.slots[index] = (counts, mem)
-                batch.pending -= 1
-            return batch.pending == 0
-
-    def _group_task(self, batch: _Batch, group: batchsim.PlannedGroup) -> None:
-        """Pool task of :meth:`submit`: run one group, relay any error."""
-        job = batch.job
-        if not job._mark_running():
-            return  # cancelled (or already failed) before this group started
-        try:
-            resolved = self._run_group(batch, group)
-        except BaseException as exc:  # noqa: BLE001 - relayed via job.result()
-            job._mark_error(exc)
-            return
-        if self._fill(batch, resolved):
-            self._finalize(batch)
 
     def _execute_group(
         self,
@@ -787,43 +683,17 @@ class ExecutionService:
         if event is not None:
             event.set()
 
-    def _finalize(self, batch: _Batch) -> None:
-        job = batch.job
-        if not job._mark_running():
-            return  # cancelled, or already failed by another group
-        if batch.pending:  # pragma: no cover - invariant
-            job._mark_error(BackendError("internal error: incomplete batch"))
-            return
-        job._mark_done(
-            Result(
-                [slot[0] for slot in batch.slots],
-                [slot[1] for slot in batch.slots],
-                batch.backend.name, batch.shots, batch.seed,
-            )
-        )
-
     def _reset_for_child(self) -> None:
-        """Repair state after ``fork()``: worker threads do not survive into
-        the child, so inherited pools would queue work forever, and a lock
-        another parent thread held at fork time would deadlock.  Counters and
-        the (warm) cache contents are kept — inheriting them is exactly why
-        eval workers fork."""
+        """Repair state after ``fork()``: threads do not survive into the
+        child, so a lock another parent thread held at fork time would
+        deadlock.  Counters and the (warm) cache contents are kept —
+        inheriting them is exactly why eval workers fork."""
         self._lock = threading.Lock()
         self._totals._reset_for_child()
-        self._pool = None
         # Parent-side leaders will never set their events in this process.
         self._inflight = {}
         if self.cache is not None:
             self.cache._reset_for_child()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-exec",
-                )
-            return self._pool
 
 
 # -- fork safety --------------------------------------------------------------------
@@ -886,21 +756,11 @@ def default_service() -> ExecutionService:
         return _default
 
 
-def set_default_service(
-    service: ExecutionService | None, shutdown_previous: bool = False
-) -> None:
-    """Replace the shared service (``None`` resets to a fresh default).
-
-    ``shutdown_previous=True`` also stops the displaced service's worker
-    pools — for callers that permanently retire it (e.g. the CLI swapping in
-    a configured service).  The default leaves the previous instance running,
-    so tests can swap services in and out and restore them afterwards.
-    """
+def set_default_service(service: ExecutionService | None) -> None:
+    """Replace the shared service (``None`` resets to a fresh default)."""
     global _default
     with _default_lock:
-        previous, _default = _default, service
-    if shutdown_previous and previous is not None and previous is not service:
-        previous.shutdown()
+        _default = service
 
 
 def execute(

@@ -45,10 +45,6 @@ class PauliNoise:
     def phase_flip(cls, p: float) -> "PauliNoise":
         return cls(p_z=p)
 
-    @classmethod
-    def bit_phase_flip(cls, p: float) -> "PauliNoise":
-        return cls(p_y=p)
-
     @property
     def error_probability(self) -> float:
         return self.p_x + self.p_y + self.p_z

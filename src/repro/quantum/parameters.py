@@ -303,13 +303,6 @@ def is_symbolic(value: object) -> bool:
     return isinstance(value, _Symbolic)
 
 
-def parameter_of(value: object) -> Parameter | None:
-    """The root :class:`Parameter` of a symbolic value, else ``None``."""
-    if isinstance(value, _Symbolic):
-        return value.parameter
-    return None
-
-
 def iter_parameters(params: Iterable[object]) -> Iterator[Parameter]:
     """The root symbol of every symbolic entry, in order (with repeats)."""
     for p in params:

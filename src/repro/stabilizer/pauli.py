@@ -136,10 +136,6 @@ class PauliString:
             phase += extra
         return PauliString(out, phase)
 
-    def conjugate_sign_under(self, other: "PauliString") -> int:
-        """Return +1/-1: the sign picked up when ``other`` conjugates ``self``."""
-        return 1 if self.commutes_with(other) else -1
-
     def tensor(self, other: "PauliString") -> "PauliString":
         return PauliString(
             self.paulis + other.paulis, self.phase_exp + other.phase_exp

@@ -38,7 +38,7 @@ def fresh_service():
     service = ExecutionService()
     set_default_service(service)
     yield service
-    set_default_service(None, shutdown_previous=True)
+    set_default_service(None)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def serial_reference(bank, settings):
     try:
         return evaluate(settings, bank, workers=1)
     finally:
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
 
 
 def make_coordinator(tmp_path, **kwargs) -> EvalCoordinator:

@@ -225,7 +225,7 @@ class TestFeedForwardGrading:
         service = ExecutionService()
         set_default_service(service)
         yield service
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
 
     @pytest.mark.usefixtures("fresh_service")
     def test_teleportation_tasks_simulate_batched(self):

@@ -49,7 +49,7 @@ def fresh_service():
     service = ExecutionService()
     set_default_service(service)
     yield service
-    set_default_service(None, shutdown_previous=True)
+    set_default_service(None)
 
 
 @pytest.fixture(scope="module")

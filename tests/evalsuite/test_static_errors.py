@@ -55,7 +55,7 @@ def strict_service():
     service = ExecutionService(validate="strict")
     set_default_service(service)
     yield service
-    set_default_service(None, shutdown_previous=True)
+    set_default_service(None)
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ def off_service():
     service = ExecutionService(validate="off")
     set_default_service(service)
     yield service
-    set_default_service(None, shutdown_previous=True)
+    set_default_service(None)
 
 
 class StubCodegen:

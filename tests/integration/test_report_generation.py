@@ -31,11 +31,11 @@ def test_every_command_module_exists():
 
 
 def test_execution_appendix_renders_every_registered_counter():
-    set_default_service(ExecutionService(max_workers=1))
+    set_default_service(ExecutionService())
     try:
         section = _execution_section()
     finally:
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
     assert [row.name for row in section.rows] == [
         *(name.replace("_", " ") for name, _help in COUNTERS),
         "cache hit rate",

@@ -147,6 +147,20 @@ class TestExperiments:
         )
         assert 0 < factor <= 1.0
 
+    def test_suppression_needs_a_positive_physical_rate(self):
+        # p_data=0 used to divide by zero after running the experiment.
+        from repro.quantum.execution import ExecutionService
+
+        code = SurfaceCode(3)
+        service = ExecutionService()
+        for measure in (qec_suppression_factor, average_qubit_lifetime_gain):
+            with pytest.raises(QECError, match="p_data must be positive"):
+                measure(
+                    code, MWPMDecoder(code, "x"), p_data=0.0, shots=20,
+                    service=service,
+                )
+        assert service.stats()["simulations"] == 0
+
     def test_lifetime_gain_inverse_of_suppression(self):
         code = SurfaceCode(3)
         factor = qec_suppression_factor(
@@ -187,24 +201,21 @@ class TestExecutionServiceRouting:
     def _service(self):
         from repro.quantum.execution import ExecutionService
 
-        return ExecutionService(max_workers=2)
+        return ExecutionService()
 
     def test_routed_matches_inline_loop(self):
         """The service path must be bit-identical to the legacy shot loop."""
         code = SurfaceCode(3)
         decoder = MWPMDecoder(code, "x")
         service = self._service()
-        try:
-            routed = logical_error_rate(
-                code, decoder, 3, 0.06, shots=50, seed=13, service=service
-            )
-            inline = logical_error_rate(
-                code, _OpaqueDecoder(decoder), 3, 0.06, shots=50, seed=13
-            )
-            assert routed.logical_failures == inline.logical_failures
-            assert service.stats()["simulations"] == 1
-        finally:
-            service.shutdown()
+        routed = logical_error_rate(
+            code, decoder, 3, 0.06, shots=50, seed=13, service=service
+        )
+        inline = logical_error_rate(
+            code, _OpaqueDecoder(decoder), 3, 0.06, shots=50, seed=13
+        )
+        assert routed.logical_failures == inline.logical_failures
+        assert service.stats()["simulations"] == 1
 
     def test_inline_decoder_of_other_error_type_raises(self):
         # A Z-error decoder cannot be routed for an X-error experiment, and
@@ -219,27 +230,24 @@ class TestExecutionServiceRouting:
         code = SurfaceCode(3)
         decoder = MWPMDecoder(code, "x")
         service = self._service()
-        try:
-            first = logical_error_rate(
-                code, decoder, 2, 0.05, shots=40, seed=9, service=service
-            )
-            again = logical_error_rate(
-                code, decoder, 2, 0.05, shots=40, seed=9, service=service
-            )
-            stats = service.stats()
-            assert again.logical_failures == first.logical_failures
-            assert stats["simulations"] == 1
-            assert stats["cache_hits"] == 1
-            assert stats["jobs_submitted"] == 2
-        finally:
-            service.shutdown()
+        first = logical_error_rate(
+            code, decoder, 2, 0.05, shots=40, seed=9, service=service
+        )
+        again = logical_error_rate(
+            code, decoder, 2, 0.05, shots=40, seed=9, service=service
+        )
+        stats = service.stats()
+        assert again.logical_failures == first.logical_failures
+        assert stats["simulations"] == 1
+        assert stats["cache_hits"] == 1
+        assert stats["jobs_submitted"] == 2
 
     def test_default_service_surfaces_qec_executions(self):
         """Acceptance criterion: logical_error_rate shows up in
         default_service().stats() with cache hits on repeat invocation."""
         from repro.quantum.execution import ExecutionService, set_default_service
 
-        service = ExecutionService(max_workers=2)
+        service = ExecutionService()
         set_default_service(service)
         try:
             code = SurfaceCode(3)
@@ -254,16 +262,13 @@ class TestExecutionServiceRouting:
 
     def test_threshold_sweep_issues_zero_duplicate_simulations(self):
         service = self._service()
-        try:
-            kwargs = dict(shots=25, seed=3, service=service)
-            first = threshold_sweep(SurfaceCode, [3], [0.01, 0.05], **kwargs)
-            sims = service.stats()["simulations"]
-            assert sims == 2  # one per rate
-            second = threshold_sweep(SurfaceCode, [3], [0.01, 0.05], **kwargs)
-            assert second == first
-            assert service.stats()["simulations"] == sims  # all cache hits
-        finally:
-            service.shutdown()
+        kwargs = dict(shots=25, seed=3, service=service)
+        first = threshold_sweep(SurfaceCode, [3], [0.01, 0.05], **kwargs)
+        sims = service.stats()["simulations"]
+        assert sims == 2  # one per rate
+        second = threshold_sweep(SurfaceCode, [3], [0.01, 0.05], **kwargs)
+        assert second == first
+        assert service.stats()["simulations"] == sims  # all cache hits
 
     def test_sweep_point_cache_coherent_with_direct_call(self):
         """A sweep point and a direct logical_error_rate at the sweep's
@@ -271,106 +276,94 @@ class TestExecutionServiceRouting:
         from repro.utils.rng import derive_seed
 
         service = self._service()
-        try:
-            sweep = threshold_sweep(
-                SurfaceCode, [3], [0.04], shots=30, seed=6, service=service
-            )
-            code = SurfaceCode(3)
-            direct = logical_error_rate(
-                code,
-                MWPMDecoder(code, "x"),
-                3,
-                0.04,
-                shots=30,
-                seed=derive_seed(6, "threshold", 3),
-                service=service,
-            )
-            assert sweep[3][0][1] == direct.logical_error_rate
-            # Distinct SurfaceCode(3) objects hash to one spec fingerprint,
-            # so the direct call is a cache hit, not a second simulation.
-            assert service.stats()["simulations"] == 1
-            assert service.stats()["cache_hits"] == 1
-        finally:
-            service.shutdown()
+        sweep = threshold_sweep(
+            SurfaceCode, [3], [0.04], shots=30, seed=6, service=service
+        )
+        code = SurfaceCode(3)
+        direct = logical_error_rate(
+            code,
+            MWPMDecoder(code, "x"),
+            3,
+            0.04,
+            shots=30,
+            seed=derive_seed(6, "threshold", 3),
+            service=service,
+        )
+        assert sweep[3][0][1] == direct.logical_error_rate
+        # Distinct SurfaceCode(3) objects hash to one spec fingerprint,
+        # so the direct call is a cache hit, not a second simulation.
+        assert service.stats()["simulations"] == 1
+        assert service.stats()["cache_hits"] == 1
 
     def test_threshold_sweep_threads_p_meas_and_error_type(self):
         from repro.utils.rng import derive_seed
 
         service = self._service()
-        try:
-            threshold_sweep(
-                SurfaceCode, [3], [0.04], shots=40, seed=5, service=service
-            )
-            perfect_meas = threshold_sweep(
-                SurfaceCode,
-                [3],
-                [0.04],
-                shots=40,
-                seed=5,
-                p_meas=0.0,
-                service=service,
-            )
-            # Perfect measurement is a different experiment: a distinct cache
-            # key (a second simulation), not a silently-pinned default...
-            assert service.stats()["simulations"] == 2
-            # ...and exactly the experiment a direct call with p_meas=0 runs.
-            code = SurfaceCode(3)
-            direct = logical_error_rate(
-                code,
-                MWPMDecoder(code, "x"),
-                3,
-                0.04,
-                p_meas=0.0,
-                shots=40,
-                seed=derive_seed(5, "threshold", 3),
-                service=service,
-            )
-            assert perfect_meas[3][0][1] == direct.logical_error_rate
-            assert service.stats()["simulations"] == 2  # served from cache
-            z_sweep = threshold_sweep(
-                SurfaceCode,
-                [3],
-                [0.04],
-                shots=40,
-                seed=5,
-                error_type="z",
-                service=service,
-            )
-            assert 0.0 <= z_sweep[3][0][1] <= 1.0
-            assert service.stats()["simulations"] == 3
-        finally:
-            service.shutdown()
+        threshold_sweep(
+            SurfaceCode, [3], [0.04], shots=40, seed=5, service=service
+        )
+        perfect_meas = threshold_sweep(
+            SurfaceCode,
+            [3],
+            [0.04],
+            shots=40,
+            seed=5,
+            p_meas=0.0,
+            service=service,
+        )
+        # Perfect measurement is a different experiment: a distinct cache
+        # key (a second simulation), not a silently-pinned default...
+        assert service.stats()["simulations"] == 2
+        # ...and exactly the experiment a direct call with p_meas=0 runs.
+        code = SurfaceCode(3)
+        direct = logical_error_rate(
+            code,
+            MWPMDecoder(code, "x"),
+            3,
+            0.04,
+            p_meas=0.0,
+            shots=40,
+            seed=derive_seed(5, "threshold", 3),
+            service=service,
+        )
+        assert perfect_meas[3][0][1] == direct.logical_error_rate
+        assert service.stats()["simulations"] == 2  # served from cache
+        z_sweep = threshold_sweep(
+            SurfaceCode,
+            [3],
+            [0.04],
+            shots=40,
+            seed=5,
+            error_type="z",
+            service=service,
+        )
+        assert 0.0 <= z_sweep[3][0][1] <= 1.0
+        assert service.stats()["simulations"] == 3
 
     def test_per_distance_seed_scoping(self):
         """Adding a distance must not perturb another distance's series."""
         service = self._service()
-        try:
-            solo = threshold_sweep(
-                SurfaceCode, [3], [0.03], shots=30, seed=2, service=service
-            )
-            paired = threshold_sweep(
-                SurfaceCode, [3, 5], [0.03], shots=30, seed=2, service=service
-            )
-            assert paired[3] == solo[3]
-        finally:
-            service.shutdown()
+        solo = threshold_sweep(
+            SurfaceCode, [3], [0.03], shots=30, seed=2, service=service
+        )
+        paired = threshold_sweep(
+            SurfaceCode, [3, 5], [0.03], shots=30, seed=2, service=service
+        )
+        assert paired[3] == solo[3]
 
     def test_suppression_factor_routes_through_service(self):
         service = self._service()
-        try:
-            code = SurfaceCode(3)
-            factor = qec_suppression_factor(
-                code,
-                MWPMDecoder(code, "x"),
-                p_data=0.02,
-                shots=200,
-                seed=2,
-                service=service,
-            )
-            assert 0 < factor <= 1.0
-            assert service.stats()["simulations"] == 1
-        finally:
-            service.shutdown()
+        code = SurfaceCode(3)
+        factor = qec_suppression_factor(
+            code,
+            MWPMDecoder(code, "x"),
+            p_data=0.02,
+            shots=200,
+            seed=2,
+            service=service,
+        )
+        assert 0 < factor <= 1.0
+        assert service.stats()["simulations"] == 1
 
     def test_spec_validation(self):
         code = SurfaceCode(3)
@@ -403,14 +396,11 @@ class TestExecutionServiceRouting:
         from repro.quantum.circuit import QuantumCircuit
         from repro.quantum.execution import ExecutionService
 
-        service = ExecutionService(max_workers=1)
-        try:
-            qc = QuantumCircuit(1, 1)
-            qc.measure(0, 0)
-            with pytest.raises(QECError, match="MemoryExperimentCircuit"):
-                service.run(qc, backend=MEMORY_BACKEND, shots=10, seed=1).result()
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        qc = QuantumCircuit(1, 1)
+        qc.measure(0, 0)
+        with pytest.raises(QECError, match="MemoryExperimentCircuit"):
+            service.run(qc, backend=MEMORY_BACKEND, shots=10, seed=1).result()
 
     def test_unionfind_decoder_routes(self):
         from repro.qec.unionfind import UnionFindDecoder
@@ -418,38 +408,32 @@ class TestExecutionServiceRouting:
         code = SurfaceCode(3)
         decoder = UnionFindDecoder(code, "x")
         service = self._service()
-        try:
-            routed = logical_error_rate(
-                code, decoder, 2, 0.05, shots=40, seed=4, service=service
-            )
-            inline = logical_error_rate(
-                code, _OpaqueDecoder(decoder), 2, 0.05, shots=40, seed=4
-            )
-            assert routed.logical_failures == inline.logical_failures
-            assert service.stats()["simulations"] == 1
-        finally:
-            service.shutdown()
+        routed = logical_error_rate(
+            code, decoder, 2, 0.05, shots=40, seed=4, service=service
+        )
+        inline = logical_error_rate(
+            code, _OpaqueDecoder(decoder), 2, 0.05, shots=40, seed=4
+        )
+        assert routed.logical_failures == inline.logical_failures
+        assert service.stats()["simulations"] == 1
 
     def test_memory_flag_returns_per_shot_outcomes(self):
         from repro.quantum.execution import ExecutionService
 
         code = SurfaceCode(3)
         spec = MemoryExperimentSpec(code, 2, 0.08, 0.08, "x", "mwpm")
-        service = ExecutionService(max_workers=1)
-        try:
-            result = service.run(
-                MemoryExperimentCircuit(spec),
-                backend=MEMORY_BACKEND,
-                shots=30,
-                seed=7,
-                memory=True,
-            ).result()
-            bits = result.get_memory()
-            assert len(bits) == 30
-            assert set(bits) <= {"0", "1"}
-            assert bits.count("1") == result.get_counts().get("1", 0)
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        result = service.run(
+            MemoryExperimentCircuit(spec),
+            backend=MEMORY_BACKEND,
+            shots=30,
+            seed=7,
+            memory=True,
+        ).result()
+        bits = result.get_memory()
+        assert len(bits) == 30
+        assert set(bits) <= {"0", "1"}
+        assert bits.count("1") == result.get_counts().get("1", 0)
 
 
 class TestDecoderGeneration:

@@ -384,91 +384,72 @@ class TestServicePreflight:
         for mode in VALIDATE_MODES:
             service = ExecutionService(validate=mode)
             assert service.stats()["validate"] == mode
-            service.shutdown()
 
     def test_off_mode_counts_nothing(self):
         # With validation off the defect reaches the simulator, which
         # raises its own (analyzer-agreeing) error; no pre-flight counters.
         service = ExecutionService(validate="off")
-        try:
-            with pytest.raises(SimulationError, match=r"\[QA102\]"):
-                service.run(dangling_conditional_circuit(), shots=16, seed=1)
-            stats = service.stats()
-            assert stats["programs_validated"] == 0
-            assert stats["rejected_static"] == 0
-        finally:
-            service.shutdown()
+        with pytest.raises(SimulationError, match=r"\[QA102\]"):
+            service.run(dangling_conditional_circuit(), shots=16, seed=1)
+        stats = service.stats()
+        assert stats["programs_validated"] == 0
+        assert stats["rejected_static"] == 0
 
     def test_strict_rejects_before_any_simulation(self):
         service = ExecutionService(validate="strict")
-        try:
-            with stats_scope() as scope:
-                with pytest.raises(ValidationError) as excinfo:
-                    service.run(dangling_conditional_circuit(), shots=16, seed=1)
-            assert "QA102" in str(excinfo.value)
-            assert [d.code for d in excinfo.value.diagnostics] == ["QA102"]
-            scoped = scope.as_dict()
-            assert scoped["programs_validated"] == 1
-            assert scoped["rejected_static"] == 1
-            assert scoped["simulations"] == 0
-            stats = service.stats()
-            assert stats["rejected_static"] == 1
-            assert stats["simulations"] == 0
-        finally:
-            service.shutdown()
+        with stats_scope() as scope:
+            with pytest.raises(ValidationError) as excinfo:
+                service.run(dangling_conditional_circuit(), shots=16, seed=1)
+        assert "QA102" in str(excinfo.value)
+        assert [d.code for d in excinfo.value.diagnostics] == ["QA102"]
+        scoped = scope.as_dict()
+        assert scoped["programs_validated"] == 1
+        assert scoped["rejected_static"] == 1
+        assert scoped["simulations"] == 0
+        stats = service.stats()
+        assert stats["rejected_static"] == 1
+        assert stats["simulations"] == 0
 
     def test_strict_passes_clean_circuits(self):
         service = ExecutionService(validate="strict")
-        try:
-            counts = service.run(bell(), shots=64, seed=7).result().get_counts()
-            assert sum(counts.values()) == 64
-            stats = service.stats()
-            assert stats["programs_validated"] == 1
-            assert stats["rejected_static"] == 0
-        finally:
-            service.shutdown()
+        counts = service.run(bell(), shots=64, seed=7).result().get_counts()
+        assert sum(counts.values()) == 64
+        stats = service.stats()
+        assert stats["programs_validated"] == 1
+        assert stats["rejected_static"] == 0
 
     def test_strict_mixed_batch_counts_defective_only(self):
         service = ExecutionService(validate="strict")
-        try:
-            with pytest.raises(ValidationError, match="1 of 3"):
-                service.run(
-                    [bell(), dangling_conditional_circuit(), bell()],
-                    shots=16,
-                    seed=1,
-                )
-            stats = service.stats()
-            assert stats["programs_validated"] == 3
-            assert stats["rejected_static"] == 1
-            assert stats["simulations"] == 0
-        finally:
-            service.shutdown()
+        with pytest.raises(ValidationError, match="1 of 3"):
+            service.run(
+                [bell(), dangling_conditional_circuit(), bell()],
+                shots=16,
+                seed=1,
+            )
+        stats = service.stats()
+        assert stats["programs_validated"] == 3
+        assert stats["rejected_static"] == 1
+        assert stats["simulations"] == 0
 
     def test_warn_mode_warns_and_proceeds(self):
         service = ExecutionService(validate="warn")
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(SimulationError, match=r"\[QA102\]"):
-                    service.run(
-                        dangling_conditional_circuit(), shots=16, seed=1
-                    )
-            assert any("QA102" in str(w.message) for w in caught)
-            stats = service.stats()
-            assert stats["programs_validated"] == 1
-            assert stats["rejected_static"] == 0
-        finally:
-            service.shutdown()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SimulationError, match=r"\[QA102\]"):
+                service.run(
+                    dangling_conditional_circuit(), shots=16, seed=1
+                )
+        assert any("QA102" in str(w.message) for w in caught)
+        stats = service.stats()
+        assert stats["programs_validated"] == 1
+        assert stats["rejected_static"] == 0
 
     def test_warn_mode_silent_on_clean(self):
         service = ExecutionService(validate="warn")
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                service.run(bell(), shots=16, seed=1)
-            assert caught == []
-        finally:
-            service.shutdown()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            service.run(bell(), shots=16, seed=1)
+        assert caught == []
 
     def test_validate_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_VALIDATE", raising=False)

@@ -120,15 +120,12 @@ class TestCleanMeansExecutable:
             for _ in range(8)
         ]
         service = ExecutionService(validate="strict")
-        try:
-            result = service.run(workload, shots=16, seed=5).result()
-            assert all(
-                sum(result.get_counts(i).values()) == 16
-                for i in range(len(workload))
-            )
-            assert service.stats()["rejected_static"] == 0
-        finally:
-            service.shutdown()
+        result = service.run(workload, shots=16, seed=5).result()
+        assert all(
+            sum(result.get_counts(i).values()) == 16
+            for i in range(len(workload))
+        )
+        assert service.stats()["rejected_static"] == 0
 
 
 class TestFlaggedMeansRefused:
@@ -164,12 +161,9 @@ class TestFlaggedMeansRefused:
         counts, _ = LocalSimulator().execute_circuit(qc, 16, seed=0)
         assert sum(counts.values()) == 16  # silently renormalised
         service = ExecutionService(validate="strict")
-        try:
-            with pytest.raises(ValidationError, match="QA104"):
-                service.run(qc, shots=16, seed=0)
-            assert service.stats()["simulations"] == 0
-        finally:
-            service.shutdown()
+        with pytest.raises(ValidationError, match="QA104"):
+            service.run(qc, shots=16, seed=0)
+        assert service.stats()["simulations"] == 0
 
 
 class TestDeterminism:
@@ -193,8 +187,7 @@ class TestDeterminism:
 
 
 class TestStrictIsInert:
-    @pytest.mark.parametrize("entry", ["run", "submit"])
-    def test_strict_vs_off_bit_identical(self, entry, serial_reference):
+    def test_strict_vs_off_bit_identical(self, serial_reference):
         rng = np.random.default_rng(401)
         base = random_circuit(rng, 3, 5)
         workload = [base] + [
@@ -206,20 +199,16 @@ class TestStrictIsInert:
         )
         strict = ExecutionService(validate="strict")
         off = ExecutionService(validate="off")
-        try:
-            for service in (strict, off):
-                got = getattr(service, entry)(
-                    workload, backend=noisy_backend(), shots=64, seed=401,
-                    memory=True,
-                ).result(timeout=60)
-                for i, (counts, mem) in enumerate(want):
-                    assert got.get_counts(i) == counts
-                    assert got.get_memory(i) == mem
-            assert strict.stats()["programs_validated"] == len(workload)
-            assert off.stats()["programs_validated"] == 0
-        finally:
-            strict.shutdown()
-            off.shutdown()
+        for service in (strict, off):
+            got = service.run(
+                workload, backend=noisy_backend(), shots=64, seed=401,
+                memory=True,
+            ).result()
+            for i, (counts, mem) in enumerate(want):
+                assert got.get_counts(i) == counts
+                assert got.get_memory(i) == mem
+        assert strict.stats()["programs_validated"] == len(workload)
+        assert off.stats()["programs_validated"] == 0
 
 
 class TestPlannerRoutingMatchesFacts:
@@ -295,24 +284,18 @@ class TestPlannerRoutingMatchesFacts:
 
 
 class TestDefectiveBatchParity:
-    @pytest.mark.parametrize("entry", ["run", "submit"])
     def test_service_and_serial_engine_raise_the_same_error(
-        self, entry, serial_reference
+        self, serial_reference
     ):
         """A defective unit in a batch workload fails with the serial
-        engine's canonical message, on either entry point."""
+        engine's canonical message."""
         rng = np.random.default_rng(701)
         broken, code = break_circuit(random_circuit(rng, 2, 4), rng)
         workload = [random_circuit(rng, 2, 3), broken]
         with pytest.raises(SimulationError) as serial:
             serial_reference(LocalSimulator(), workload, 16, 701)
         svc = ExecutionService()
-        try:
-            with pytest.raises(SimulationError) as batched:
-                getattr(svc, entry)(workload, shots=16, seed=701).result(
-                    timeout=60
-                )
-        finally:
-            svc.shutdown()
+        with pytest.raises(SimulationError) as batched:
+            svc.run(workload, shots=16, seed=701)
         assert str(batched.value) == str(serial.value)
         assert f"[{code}]" in str(serial.value)

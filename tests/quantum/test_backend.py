@@ -19,7 +19,6 @@ from repro.quantum.transpiler import transpile
 class TestRunAPI:
     def test_job_result_counts(self, simulator):
         job = simulator.run(bell_pair(measure=True), shots=100, seed=1)
-        assert job.status() == "DONE"
         counts = job.result().get_counts()
         assert sum(counts.values()) == 100
 

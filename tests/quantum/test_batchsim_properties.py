@@ -222,12 +222,9 @@ def run_pair(serial_reference):
 
     def run(backend, circuits, shots, seed, memory=False):
         svc = ExecutionService()
-        try:
-            got = svc.run(
-                circuits, backend=backend, shots=shots, seed=seed, memory=memory
-            ).result()
-        finally:
-            svc.shutdown()
+        got = svc.run(
+            circuits, backend=backend, shots=shots, seed=seed, memory=memory
+        ).result()
         want = serial_reference(backend, circuits, shots, seed, memory)
         return got, want, svc
 
@@ -1080,7 +1077,7 @@ class TestClbitAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Service-level fuzz: any grouping, both submit() and run(), bit-identical
+# Service-level fuzz: any grouping, bit-identical
 # ---------------------------------------------------------------------------
 
 
@@ -1121,7 +1118,6 @@ class TestServiceFuzz:
         assert stats["simulations_batched"] == 2
         assert stats["simulations"] == 3
 
-    @pytest.mark.parametrize("entry", ["run", "submit"])
     @pytest.mark.parametrize(
         "backend",
         [
@@ -1132,7 +1128,7 @@ class TestServiceFuzz:
         ids=["local_simulator", "depolarizing", "per_qubit_readout"],
     )
     def test_conditionals_that_draw_match_the_frozen_engine(
-        self, backend, entry, serial_reference
+        self, backend, serial_reference
     ):
         """Shot-by-shot circuits: ``Backend.execute_circuit`` and the
         service's SERIAL route both replay the frozen serial stream."""
@@ -1157,27 +1153,23 @@ class TestServiceFuzz:
         assert [g.kind for g in batchsim.plan(backend, units)] == [
             batchsim.SERIAL
         ]
-        svc = ExecutionService(max_workers=2)
-        try:
-            got = getattr(svc, entry)(
-                workload, backend=backend, shots=shots, seed=seed, memory=True
-            ).result(timeout=60)
-            stats = svc.stats()
-        finally:
-            svc.shutdown()
+        svc = ExecutionService()
+        got = svc.run(
+            workload, backend=backend, shots=shots, seed=seed, memory=True
+        ).result()
+        stats = svc.stats()
         assert_results_identical(got, want, memory=True)
         assert stats["simulations"] == len(workload)
         assert stats["simulations_batched"] == 0
 
     @pytest.mark.parametrize("tile", ["default", "one-row"])
-    @pytest.mark.parametrize("entry", ["run", "submit"])
     @pytest.mark.parametrize(
         "backend",
         [LocalSimulator(), corrections_noiseless_backend()],
         ids=["local_simulator", "noisy"],
     )
     def test_feed_forward_workload_with_memory(
-        self, backend, entry, tile, serial_reference, monkeypatch
+        self, backend, tile, serial_reference, monkeypatch
     ):
         if tile == "one-row":
             monkeypatch.setattr(batch_engine, "MAX_BATCH_AMPLITUDES", 1)
@@ -1189,43 +1181,36 @@ class TestServiceFuzz:
         ]
         workload.append(library.teleportation(0.7, 0.2))
         want = serial_reference(backend, workload, 73, 45, memory=True)
-        svc = ExecutionService(max_workers=2)
-        try:
-            got = getattr(svc, entry)(
-                workload, backend=backend, shots=73, seed=45, memory=True
-            ).result(timeout=60)
-            stats = svc.stats()
-        finally:
-            svc.shutdown()
+        svc = ExecutionService()
+        got = svc.run(
+            workload, backend=backend, shots=73, seed=45, memory=True
+        ).result()
+        stats = svc.stats()
         assert_results_identical(got, want, memory=True)
         assert stats["simulations"] == len(workload)
         assert stats["simulations_batched"] == len(workload)
 
-    def test_submit_path_matches_serial_engine(self, serial_reference):
+    def test_single_structure_batch_matches_serial_engine(
+        self, serial_reference
+    ):
         rng = np.random.default_rng(51)
         base = random_circuit(rng, 3, 6)
         workload = [reparameterize(base, rng) for _ in range(6)]
         svc = ExecutionService()
-        try:
-            got = svc.submit(
-                workload, backend="local_simulator", shots=150, seed=51
-            ).result(timeout=60)
-            want = serial_reference("local_simulator", workload, 150, 51)
-            assert_results_identical(got, want)
-        finally:
-            svc.shutdown()
+        got = svc.run(
+            workload, backend="local_simulator", shots=150, seed=51
+        ).result()
+        want = serial_reference("local_simulator", workload, 150, 51)
+        assert_results_identical(got, want)
 
     def test_uncacheable_seedless_batch_still_works(self):
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.measure_all()
         svc = ExecutionService()
-        try:
-            result = svc.run([qc, qc], shots=50).result()
-            assert sum(result.get_counts(0).values()) == 50
-            assert svc.stats()["simulations_batched"] == 2
-        finally:
-            svc.shutdown()
+        result = svc.run([qc, qc], shots=50).result()
+        assert sum(result.get_counts(0).values()) == 50
+        assert svc.stats()["simulations_batched"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1238,19 +1223,16 @@ class TestCacheComposition:
         rng = np.random.default_rng(61)
         workload = [random_circuit(rng, 2, 4) for _ in range(4)]
         svc = ExecutionService()
-        try:
-            first = svc.run(workload, shots=80, seed=61).result()
-            warm = svc.run(workload, shots=80, seed=61).result()
-            for i in range(len(workload)):
-                assert warm.get_counts(i) == first.get_counts(i)
-            stats = svc.stats()
-            assert stats["simulations"] == stats["simulations_batched"] == 4
-            assert stats["cache_hits"] == 4
-            assert stats["cache_misses"] == (
-                stats["simulations"] + stats["simulations_deduped"]
-            )
-        finally:
-            svc.shutdown()
+        first = svc.run(workload, shots=80, seed=61).result()
+        warm = svc.run(workload, shots=80, seed=61).result()
+        for i in range(len(workload)):
+            assert warm.get_counts(i) == first.get_counts(i)
+        stats = svc.stats()
+        assert stats["simulations"] == stats["simulations_batched"] == 4
+        assert stats["cache_hits"] == 4
+        assert stats["cache_misses"] == (
+            stats["simulations"] + stats["simulations_deduped"]
+        )
 
     def test_duplicate_circuits_in_one_batch_dedup(self):
         qc = QuantumCircuit(2, 2)
@@ -1258,25 +1240,29 @@ class TestCacheComposition:
         qc.cx(0, 1)
         qc.measure_all()
         svc = ExecutionService()
-        try:
-            # Index 0 and the rest derive different seeds, so only exact
-            # duplicates (same derived seed) could collide; submit two
-            # batches with overlapping keys concurrently instead.
-            jobs = [
-                svc.submit([qc], shots=64, seed=7) for _ in range(4)
-            ]
-            results = [job.result(timeout=60) for job in jobs]
-            for r in results[1:]:
-                assert r.get_counts(0) == results[0].get_counts(0)
-            stats = svc.stats()
-            assert stats["simulations"] + stats["simulations_deduped"] + (
-                stats["cache_hits"]
-            ) == 4
-            assert stats["cache_misses"] == (
-                stats["simulations"] + stats["simulations_deduped"]
-            )
-        finally:
-            svc.shutdown()
+        # Index 0 and the rest derive different seeds, so only exact
+        # duplicates (same derived seed) could collide; run four batches
+        # with overlapping keys from concurrent callers instead.
+        results: list = [None] * 4
+
+        def call(slot: int) -> None:
+            results[slot] = svc.run([qc], shots=64, seed=7).result()
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        for r in results[1:]:
+            assert r.get_counts(0) == results[0].get_counts(0)
+        stats = svc.stats()
+        assert stats["simulations"] + stats["simulations_deduped"] + (
+            stats["cache_hits"]
+        ) == 4
+        assert stats["cache_misses"] == (
+            stats["simulations"] + stats["simulations_deduped"]
+        )
 
     def test_contested_key_defers_to_foreign_leader(self):
         """A unit whose key a foreign thread leads waits, then dedups."""
@@ -1284,49 +1270,46 @@ class TestCacheComposition:
         qc.h(0)
         qc.measure_all()
         svc = ExecutionService()
-        try:
-            from repro.quantum.execution.cache import (
-                circuit_fingerprint,
-                noise_fingerprint,
-            )
-            from repro.quantum.execution.cache import CacheKey
+        from repro.quantum.execution.cache import (
+            circuit_fingerprint,
+            noise_fingerprint,
+        )
+        from repro.quantum.execution.cache import CacheKey
 
-            backend = LocalSimulator()
-            key = CacheKey(
-                circuit=circuit_fingerprint(qc),
-                backend=backend.name,
-                shots=64,
-                seed=7,
-                noise=noise_fingerprint(backend.noise_model),
-                memory=False,
-            )
-            assert svc._try_lead(key)  # the test is the foreign leader
-            done = threading.Event()
-            out = {}
+        backend = LocalSimulator()
+        key = CacheKey(
+            circuit=circuit_fingerprint(qc),
+            backend=backend.name,
+            shots=64,
+            seed=7,
+            noise=noise_fingerprint(backend.noise_model),
+            memory=False,
+        )
+        assert svc._try_lead(key)  # the test is the foreign leader
+        done = threading.Event()
+        out = {}
 
-            def runner():
-                out["result"] = svc.run(
-                    qc, backend=backend, shots=64, seed=7
-                ).result()
-                done.set()
+        def runner():
+            out["result"] = svc.run(
+                qc, backend=backend, shots=64, seed=7
+            ).result()
+            done.set()
 
-            thread = threading.Thread(target=runner)
-            thread.start()
-            # The batch group must not simulate the contested unit; it blocks
-            # on our flight.  Fill the cache as the leader would, release.
-            assert not done.wait(0.3)
-            fake = {"1": 64}
-            svc.cache.put(key, fake, None)
-            svc._release_flight(key)
-            assert done.wait(10)
-            thread.join()
-            assert out["result"].get_counts(0) == fake
-            stats = svc.stats()
-            assert stats["simulations"] == 0
-            assert stats["simulations_deduped"] == 1
-            assert stats["simulations_batched"] == 0
-        finally:
-            svc.shutdown()
+        thread = threading.Thread(target=runner)
+        thread.start()
+        # The batch group must not simulate the contested unit; it blocks
+        # on our flight.  Fill the cache as the leader would, release.
+        assert not done.wait(0.3)
+        fake = {"1": 64}
+        svc.cache.put(key, fake, None)
+        svc._release_flight(key)
+        assert done.wait(10)
+        thread.join()
+        assert out["result"].get_counts(0) == fake
+        stats = svc.stats()
+        assert stats["simulations"] == 0
+        assert stats["simulations_deduped"] == 1
+        assert stats["simulations_batched"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1340,29 +1323,23 @@ class TestCounters:
         base = random_circuit(rng, 3, 5)
         workload = [reparameterize(base, rng) for _ in range(6)]
         svc = ExecutionService()
-        try:
-            with svc.stats_scope("fuzz") as scope:
-                svc.run(workload, shots=64, seed=71).result()
-            stats = svc.stats()
-            assert stats["simulations_batched"] == 6
-            assert stats["batch_groups"] == 1
-            attributed = scope.as_dict()
-            assert attributed["simulations_batched"] == 6
-            assert attributed["batch_groups"] == 1
-            assert attributed["simulations"] == 6
-        finally:
-            svc.shutdown()
+        with svc.stats_scope("fuzz") as scope:
+            svc.run(workload, shots=64, seed=71).result()
+        stats = svc.stats()
+        assert stats["simulations_batched"] == 6
+        assert stats["batch_groups"] == 1
+        attributed = scope.as_dict()
+        assert attributed["simulations_batched"] == 6
+        assert attributed["batch_groups"] == 1
+        assert attributed["simulations"] == 6
 
     def test_noisy_units_count_one_group_each(self):
         rng = np.random.default_rng(81)
         workload = [random_circuit(rng, 2, 4) for _ in range(3)]
         svc = ExecutionService()
-        try:
-            svc.run(
-                workload, backend=noisy_backend(), shots=32, seed=81
-            ).result()
-            stats = svc.stats()
-            assert stats["simulations_batched"] == 3
-            assert stats["batch_groups"] == 3  # SHOTS groups are singletons
-        finally:
-            svc.shutdown()
+        svc.run(
+            workload, backend=noisy_backend(), shots=32, seed=81
+        ).result()
+        stats = svc.stats()
+        assert stats["simulations_batched"] == 3
+        assert stats["batch_groups"] == 3  # SHOTS groups are singletons

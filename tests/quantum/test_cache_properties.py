@@ -245,12 +245,10 @@ class TestConcurrencyStress:
         simulation per distinct circuit) and every thread must see counts
         bit-identical to an uncached run."""
         circuits = _stress_workload()
-        baseline = ExecutionService(max_workers=1, use_cache=False)
+        baseline = ExecutionService(use_cache=False)
         expected = baseline.run(circuits, shots=50, seed=9).result()
-        baseline.shutdown()
 
         service = ExecutionService(
-            max_workers=4,
             cache_dir=tmp_path,
             cache_limits=CacheLimits(max_bytes=400),  # a couple entries, tops
         )
@@ -280,7 +278,6 @@ class TestConcurrencyStress:
         # re-simulation, and concurrent identical misses elect one leader.
         assert stats["simulations"] == len(circuits)
         assert DiskResultCache(tmp_path).size_bytes() <= 400
-        service.shutdown()
 
 
 class TestThreeWayParity:
@@ -290,23 +287,19 @@ class TestThreeWayParity:
         circuits = _stress_workload()
         shots, seed = 40, 17
 
-        mem_only = ExecutionService(max_workers=2)
-        a = mem_only.submit(circuits, shots=shots, seed=seed).result(timeout=30)
-        mem_only.shutdown()
+        mem_only = ExecutionService()
+        a = mem_only.run(circuits, shots=shots, seed=seed).result()
 
         disk_dir = tmp_path / "disk"
-        with_disk = ExecutionService(max_workers=2, cache_dir=disk_dir)
-        b = with_disk.submit(circuits, shots=shots, seed=seed).result(timeout=30)
-        with_disk.shutdown()
+        with_disk = ExecutionService(cache_dir=disk_dir)
+        b = with_disk.run(circuits, shots=shots, seed=seed).result()
 
         with CacheServer(tmp_path / "server") as server:
             full = ExecutionService(
-                max_workers=2,
                 cache_dir=tmp_path / "disk2",
                 remote_url=server.url,
             )
-            c = full.submit(circuits, shots=shots, seed=seed).result(timeout=30)
-            full.shutdown()
+            c = full.run(circuits, shots=shots, seed=seed).result()
 
             for index in range(len(circuits)):
                 assert (
@@ -316,44 +309,37 @@ class TestThreeWayParity:
                 )
 
             # Warm pass 1: a fresh process stand-in over the disk store.
-            warm_disk = ExecutionService(max_workers=2, cache_dir=disk_dir)
-            warm_disk.submit(circuits, shots=shots, seed=seed).result(timeout=30)
+            warm_disk = ExecutionService(cache_dir=disk_dir)
+            warm_disk.run(circuits, shots=shots, seed=seed).result()
             stats = warm_disk.stats()
             assert stats["simulations"] == 0
             assert stats["cache_disk_hits"] == len(circuits)
-            warm_disk.shutdown()
 
             # Warm pass 2 — the acceptance scenario: a *cold* worker (no
             # local cache directory at all) pointed at the warm server.
-            cold_worker = ExecutionService(max_workers=2, remote_url=server.url)
-            d = cold_worker.submit(circuits, shots=shots, seed=seed).result(
-                timeout=30
-            )
+            cold_worker = ExecutionService(remote_url=server.url)
+            d = cold_worker.run(circuits, shots=shots, seed=seed).result()
             stats = cold_worker.stats()
             assert stats["simulations"] == 0
             assert stats["simulations_deduped"] == 0
             assert stats["cache_remote_hits"] == len(circuits)
             for index in range(len(circuits)):
                 assert d.get_counts(index) == a.get_counts(index)
-            cold_worker.shutdown()
 
     def test_memory_parity_across_tiers(self, tmp_path):
         """`memory=True` shot lists survive every tier bit-identically."""
         qc = _stress_workload()[3]
-        reference = ExecutionService(max_workers=1, use_cache=False)
+        reference = ExecutionService(use_cache=False)
         expected = reference.run(qc, shots=25, seed=5, memory=True).result()
-        reference.shutdown()
         with CacheServer(tmp_path / "server") as server:
             full = ExecutionService(
-                max_workers=1, cache_dir=tmp_path / "d", remote_url=server.url
+                cache_dir=tmp_path / "d", remote_url=server.url
             )
             full.run(qc, shots=25, seed=5, memory=True)
-            full.shutdown()
-            cold = ExecutionService(max_workers=1, remote_url=server.url)
+            cold = ExecutionService(remote_url=server.url)
             replay = cold.run(qc, shots=25, seed=5, memory=True).result()
             assert replay.get_memory() == expected.get_memory()
             assert cold.stats()["simulations"] == 0
-            cold.shutdown()
 
 
 class TestCacheLimitsValidation:

@@ -150,12 +150,11 @@ class TestServiceDiskTier:
     def test_second_service_instance_is_warm(self, tmp_path):
         """Write -> new service (new process stand-in) -> zero simulations."""
         qc = bell_pair(measure=True)
-        first = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        first = ExecutionService(cache_dir=tmp_path)
         counts = first.run(qc, shots=100, seed=6).result().get_counts()
         assert first.stats()["simulations"] == 1
-        first.shutdown()
 
-        second = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        second = ExecutionService(cache_dir=tmp_path)
         replay = second.run(qc, shots=100, seed=6).result().get_counts()
         stats = second.stats()
         assert replay == counts
@@ -163,47 +162,40 @@ class TestServiceDiskTier:
         assert stats["cache_hits"] == 1
         assert stats["cache_disk_hits"] == 1
         assert stats["cache_dir"] == str(tmp_path)
-        second.shutdown()
 
     def test_memory_results_survive_restart(self, tmp_path):
         qc = bell_pair(measure=True)
-        first = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        first = ExecutionService(cache_dir=tmp_path)
         mem = first.run(qc, shots=20, seed=3, memory=True).result().get_memory()
-        first.shutdown()
-        second = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        second = ExecutionService(cache_dir=tmp_path)
         assert (
             second.run(qc, shots=20, seed=3, memory=True).result().get_memory()
             == mem
         )
         assert second.stats()["simulations"] == 0
-        second.shutdown()
 
     def test_corrupted_entry_falls_back_to_simulation(self, tmp_path):
         qc = bell_pair(measure=True)
-        first = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        first = ExecutionService(cache_dir=tmp_path)
         counts = first.run(qc, shots=100, seed=6).result().get_counts()
-        first.shutdown()
         disk = DiskResultCache(tmp_path)
         for path in disk.cache_dir.glob("*.json"):
             path.write_text("garbage", encoding="utf-8")
-        second = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        second = ExecutionService(cache_dir=tmp_path)
         assert second.run(qc, shots=100, seed=6).result().get_counts() == counts
         assert second.stats()["simulations"] == 1  # re-simulated and re-persisted
-        third = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        third = ExecutionService(cache_dir=tmp_path)
         assert third.run(qc, shots=100, seed=6).result().get_counts() == counts
         assert third.stats()["simulations"] == 0
-        second.shutdown()
-        third.shutdown()
 
     def test_cache_and_cache_dir_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(BackendError, match="not both"):
             ExecutionService(cache=ResultCache(), cache_dir=tmp_path)
 
     def test_unseeded_runs_never_touch_disk(self, tmp_path):
-        service = ExecutionService(max_workers=1, cache_dir=tmp_path)
+        service = ExecutionService(cache_dir=tmp_path)
         service.run(bell_pair(measure=True), shots=10)
         assert len(DiskResultCache(tmp_path)) == 0
-        service.shutdown()
 
     def test_default_service_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -231,15 +223,13 @@ class TestCrossProcessAcceptance:
         """The acceptance check, in-process: two *fresh* service instances
         over one cache dir behave exactly like two separate runs."""
         circuits = [_wide_counts_circuit(t) for t in range(4)]
-        first = ExecutionService(max_workers=2, cache_dir=tmp_path)
-        a = first.submit(circuits, shots=30, seed=11).result(timeout=30)
+        first = ExecutionService(cache_dir=tmp_path)
+        a = first.run(circuits, shots=30, seed=11).result()
         assert first.stats()["simulations"] == 4
-        first.shutdown()
-        second = ExecutionService(max_workers=2, cache_dir=tmp_path)
-        b = second.submit(circuits, shots=30, seed=11).result(timeout=30)
+        second = ExecutionService(cache_dir=tmp_path)
+        b = second.run(circuits, shots=30, seed=11).result()
         stats = second.stats()
         assert stats["simulations"] == 0
         assert stats["cache_disk_hits"] == 4
         for index in range(4):
             assert a.get_counts(index) == b.get_counts(index)
-        second.shutdown()

@@ -1,6 +1,7 @@
-"""The unified execution subsystem: registry, job lifecycle, batching, cache."""
+"""The unified execution subsystem: registry, jobs, batching, cache."""
 
 import threading
+import time
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import (
     BackendProvider,
     ExecutionService,
-    JobStatus,
     ResultCache,
     ambient_seed,
     circuit_fingerprint,
@@ -154,105 +154,31 @@ class TestRegistry:
 
 
 class TestJobLifecycle:
-    def test_queued_running_done(self):
-        backend = GatedBackend()
-        service = ExecutionService(max_workers=1)
-        try:
-            job = service.submit(bell_pair(measure=True), backend=backend, shots=20)
-            assert backend.started.wait(10)
-            assert job.status() is JobStatus.RUNNING
-            assert not job.done()
-            backend.gate.set()
-            result = job.result(timeout=10)
-            assert job.status() is JobStatus.DONE
-            assert job.done()
-            assert sum(result.get_counts().values()) == 20
-        finally:
-            backend.gate.set()
-            service.shutdown()
-
-    def test_result_timeout_raises(self):
-        backend = GatedBackend()
-        service = ExecutionService(max_workers=1)
-        try:
-            job = service.submit(bell_pair(measure=True), backend=backend, shots=10)
-            with pytest.raises(BackendError, match="did not finish"):
-                job.result(timeout=0.05)
-        finally:
-            backend.gate.set()
-            service.shutdown()
-
-    def test_cancel_queued_job(self):
-        backend = GatedBackend()
-        service = ExecutionService(max_workers=1)
-        try:
-            blocker = service.submit(
-                bell_pair(measure=True), backend=backend, shots=10
-            )
-            assert backend.started.wait(10)
-            queued = service.submit(
-                bell_pair(measure=True), backend=backend, shots=10
-            )
-            assert queued.status() is JobStatus.QUEUED
-            assert queued.cancel()
-            assert queued.status() is JobStatus.CANCELLED
-            assert queued.cancelled()
-            with pytest.raises(BackendError, match="cancelled"):
-                queued.result(timeout=1)
-            backend.gate.set()
-            blocker.result(timeout=10)
-            assert not blocker.cancel()  # terminal jobs cannot be cancelled
-        finally:
-            backend.gate.set()
-            service.shutdown()
-
-    def test_error_lifecycle(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            job = service.submit(
-                bell_pair(measure=True), backend=ExplodingBackend(), shots=10
-            )
-            job.wait(10)
-            assert job.status() is JobStatus.ERROR
-            assert isinstance(job.error(), SimulationError)
-            with pytest.raises(SimulationError, match="boom"):
-                job.result(timeout=1)
-        finally:
-            service.shutdown()
-
     def test_job_ids_unique(self):
-        service = ExecutionService(max_workers=2)
-        try:
-            jobs = [
-                service.submit(bell_pair(measure=True), shots=10, seed=i)
-                for i in range(4)
-            ]
-            assert len({job.job_id for job in jobs}) == 4
-            for job in jobs:
-                job.result(timeout=10)
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        jobs = [
+            service.run(bell_pair(measure=True), shots=10, seed=i)
+            for i in range(4)
+        ]
+        assert len({job.job_id for job in jobs}) == 4
 
-    def test_submit_validates_eagerly(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            with pytest.raises(BackendError, match="shots"):
-                service.submit(bell_pair(measure=True), shots=0)
-            with pytest.raises(BackendError, match="no circuits"):
-                service.submit([])
-            with pytest.raises(BackendError, match="QuantumCircuit"):
-                service.submit("not a circuit")
-            bad = QuantumCircuit(3, 3)
-            bad.cx(0, 2)  # uncoupled pair on the falcon T topology
-            with pytest.raises(BackendError, match="transpile"):
-                service.submit(bad, backend="fake_falcon")
-        finally:
-            service.shutdown()
+    def test_run_validates_eagerly(self):
+        service = ExecutionService()
+        with pytest.raises(BackendError, match="shots"):
+            service.run(bell_pair(measure=True), shots=0)
+        with pytest.raises(BackendError, match="no circuits"):
+            service.run([])
+        with pytest.raises(BackendError, match="QuantumCircuit"):
+            service.run("not a circuit")
+        bad = QuantumCircuit(3, 3)
+        bad.cx(0, 2)  # uncoupled pair on the falcon T topology
+        with pytest.raises(BackendError, match="transpile"):
+            service.run(bad, backend="fake_falcon")
+        assert service.stats()["jobs_submitted"] == 0
 
     def test_backend_run_shim_returns_finished_job(self, simulator):
         job = simulator.run(bell_pair(measure=True), shots=50, seed=3)
-        assert job.status() is JobStatus.DONE
-        assert job.status() == "DONE"  # legacy string comparison still works
+        assert job.backend_name == simulator.name
         assert sum(job.result().get_counts().values()) == 50
 
 
@@ -263,43 +189,35 @@ class TestJobLifecycle:
 
 class TestBatching:
     def test_batch_preserves_submission_order(self):
-        service = ExecutionService(max_workers=4)
-        try:
-            tags = [5, 0, 7, 2, 6, 1]
-            circuits = [_tagged_circuit(tag) for tag in tags]
-            result = service.submit(circuits, shots=10, seed=1).result(timeout=30)
-            for index, tag in enumerate(tags):
-                expected = format(tag, "03b")
-                assert result.get_counts(index) == {expected: 10}
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        tags = [5, 0, 7, 2, 6, 1]
+        circuits = [_tagged_circuit(tag) for tag in tags]
+        result = service.run(circuits, shots=10, seed=1).result()
+        for index, tag in enumerate(tags):
+            expected = format(tag, "03b")
+            assert result.get_counts(index) == {expected: 10}
 
     def test_batch_first_circuit_matches_single_run(self):
-        service = ExecutionService(max_workers=2, use_cache=False)
-        try:
-            qc = bell_pair(measure=True)
-            single = service.run(qc, shots=200, seed=11).result().get_counts()
-            batched = service.submit([qc, _tagged_circuit(1)], shots=200, seed=11)
-            assert batched.result(timeout=30).get_counts(0) == single
-        finally:
-            service.shutdown()
+        service = ExecutionService(use_cache=False)
+        qc = bell_pair(measure=True)
+        single = service.run(qc, shots=200, seed=11).result().get_counts()
+        batched = service.run([qc, _tagged_circuit(1)], shots=200, seed=11)
+        assert batched.result().get_counts(0) == single
 
     def test_batch_result_metadata(self):
-        service = ExecutionService(max_workers=2)
-        try:
-            job = service.submit(
-                [_tagged_circuit(1), _tagged_circuit(2)],
-                backend="local_simulator",
-                shots=10,
-                seed=2,
-            )
-            result = job.result(timeout=30)
-            assert job.num_circuits == 2
-            assert result.backend_name == "local_simulator"
-            assert result.shots == 10
-            assert result.seed == 2
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        job = service.run(
+            [_tagged_circuit(1), _tagged_circuit(2)],
+            backend="local_simulator",
+            shots=10,
+            seed=2,
+        )
+        result = job.result()
+        assert job.num_circuits == 2
+        assert job.backend_name == result.backend_name == "local_simulator"
+        assert job.cache_hits == job.deduped == 0
+        assert result.shots == 10
+        assert result.seed == 2
 
 
 # ---------------------------------------------------------------------------
@@ -309,83 +227,54 @@ class TestBatching:
 
 class TestCache:
     def test_repeat_run_hits_cache(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            qc = bell_pair(measure=True)
-            first = service.run(qc, shots=100, seed=6).result().get_counts()
-            second = service.run(qc, shots=100, seed=6).result().get_counts()
-            assert first == second
-            stats = service.stats()
-            assert stats["simulations"] == 1
-            assert stats["cache_hits"] == 1
-            assert stats["cache_misses"] == 1
-        finally:
-            service.shutdown()
-
-    def test_submit_fully_cached_batch_skips_pool(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            circuits = [_tagged_circuit(1), _tagged_circuit(2)]
-            service.submit(circuits, shots=10, seed=3).result(timeout=30)
-            job = service.submit(circuits, shots=10, seed=3)
-            # No pool round-trip needed: the job completes inside submit().
-            assert job.status() is JobStatus.DONE
-            assert job.cache_hits == 2
-            assert service.stats()["simulations"] == 2
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        qc = bell_pair(measure=True)
+        first = service.run(qc, shots=100, seed=6).result().get_counts()
+        second = service.run(qc, shots=100, seed=6).result().get_counts()
+        assert first == second
+        stats = service.stats()
+        assert stats["simulations"] == 1
+        assert stats["cache_hits"] == 1
+        assert stats["cache_misses"] == 1
 
     def test_cache_key_discriminates(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            qc = bell_pair(measure=True)
-            service.run(qc, shots=100, seed=6)
-            service.run(qc, shots=100, seed=7)      # different seed
-            service.run(qc, shots=200, seed=6)      # different shots
-            service.run(qc, shots=100, seed=6, memory=True)  # memory flag
-            assert service.stats()["simulations"] == 4
-            service.run(qc, backend="noisy", shots=100, seed=6)  # noisy backend
-            assert service.stats()["simulations"] == 5
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        qc = bell_pair(measure=True)
+        service.run(qc, shots=100, seed=6)
+        service.run(qc, shots=100, seed=7)      # different seed
+        service.run(qc, shots=200, seed=6)      # different shots
+        service.run(qc, shots=100, seed=6, memory=True)  # memory flag
+        assert service.stats()["simulations"] == 4
+        service.run(qc, backend="noisy", shots=100, seed=6)  # noisy backend
+        assert service.stats()["simulations"] == 5
 
     def test_unseeded_runs_are_never_cached(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            qc = bell_pair(measure=True)
-            service.run(qc, shots=50)
-            service.run(qc, shots=50)
-            stats = service.stats()
-            assert stats["simulations"] == 2
-            assert stats["cache_hits"] == 0
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        qc = bell_pair(measure=True)
+        service.run(qc, shots=50)
+        service.run(qc, shots=50)
+        stats = service.stats()
+        assert stats["simulations"] == 2
+        assert stats["cache_hits"] == 0
 
     def test_cached_memory_roundtrip(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            qc = bell_pair(measure=True)
-            first = service.run(qc, shots=10, seed=4, memory=True).result()
-            second = service.run(qc, shots=10, seed=4, memory=True).result()
-            assert first.get_memory() == second.get_memory()
-            assert service.stats()["cache_hits"] == 1
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        qc = bell_pair(measure=True)
+        first = service.run(qc, shots=10, seed=4, memory=True).result()
+        second = service.run(qc, shots=10, seed=4, memory=True).result()
+        assert first.get_memory() == second.get_memory()
+        assert service.stats()["cache_hits"] == 1
 
     def test_same_seed_identical_counts_across_services(self):
         qc = bell_pair(measure=True)
-        a = ExecutionService(max_workers=1)
-        b = ExecutionService(max_workers=1)
-        try:
-            counts_a = a.run(qc, shots=300, seed=9).result().get_counts()
-            counts_b = b.run(qc, shots=300, seed=9).result().get_counts()
-            assert counts_a == counts_b
-        finally:
-            a.shutdown()
-            b.shutdown()
+        a = ExecutionService()
+        b = ExecutionService()
+        counts_a = a.run(qc, shots=300, seed=9).result().get_counts()
+        counts_b = b.run(qc, shots=300, seed=9).result().get_counts()
+        assert counts_a == counts_b
 
     def test_shim_shares_default_service_cache(self):
-        service = ExecutionService(max_workers=1)
+        service = ExecutionService()
         set_default_service(service)
         try:
             qc = bell_pair(measure=True)
@@ -398,45 +287,41 @@ class TestCache:
             set_default_service(None)
 
     def test_ambient_seed_makes_unseeded_runs_deterministic(self):
-        service = ExecutionService(max_workers=1)
-        try:
-            qc = bell_pair(measure=True)
-            with ambient_seed(12):
-                first = service.run(qc, shots=100).result().get_counts()
-            explicit = service.run(qc, shots=100, seed=12).result().get_counts()
-            assert first == explicit
-            assert service.stats()["cache_hits"] == 1
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        qc = bell_pair(measure=True)
+        with ambient_seed(12):
+            first = service.run(qc, shots=100).result().get_counts()
+        explicit = service.run(qc, shots=100, seed=12).result().get_counts()
+        assert first == explicit
+        assert service.stats()["cache_hits"] == 1
 
     def test_ambient_seed_keeps_successive_runs_independent(self):
         # Two unseeded runs inside one scope are *distinct* samples (a
         # program averaging over repeated runs must not see clones), while
         # replaying the scope reproduces the same sequence.
-        service = ExecutionService(max_workers=1)
-        try:
-            qc = bell_pair(measure=True)
-            with ambient_seed(12):
-                first = service.run(qc, shots=60, memory=True).result()
-                second = service.run(qc, shots=60, memory=True).result()
-            with ambient_seed(12):
-                replay = service.run(qc, shots=60, memory=True).result()
-            assert first.get_memory() != second.get_memory()
-            assert replay.get_memory() == first.get_memory()
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        qc = bell_pair(measure=True)
+        with ambient_seed(12):
+            first = service.run(qc, shots=60, memory=True).result()
+            second = service.run(qc, shots=60, memory=True).result()
+        with ambient_seed(12):
+            replay = service.run(qc, shots=60, memory=True).result()
+        assert first.get_memory() != second.get_memory()
+        assert replay.get_memory() == first.get_memory()
 
     def test_lru_eviction(self):
         cache = ResultCache(maxsize=2)
-        service = ExecutionService(max_workers=1, cache=cache)
-        try:
-            for tag in (1, 2, 3):
-                service.run(_tagged_circuit(tag), shots=10, seed=1)
-            assert len(cache) == 2
-            service.run(_tagged_circuit(1), shots=10, seed=1)  # evicted -> miss
-            assert service.stats()["simulations"] == 4
-        finally:
-            service.shutdown()
+        service = ExecutionService(cache=cache)
+        for tag in (1, 2, 3):
+            service.run(_tagged_circuit(tag), shots=10, seed=1)
+        assert len(cache) == 2
+        service.run(_tagged_circuit(1), shots=10, seed=1)  # evicted -> miss
+        assert service.stats()["simulations"] == 4
+
+    def test_prebuilt_cache_with_caching_off_is_rejected(self):
+        # A prebuilt cache under use_cache=False used to cache silently.
+        with pytest.raises(BackendError, match="use_cache=False"):
+            ExecutionService(cache=ResultCache(), use_cache=False)
 
     def test_circuit_fingerprint_ignores_labels(self):
         a = _tagged_circuit(3)
@@ -451,64 +336,101 @@ class TestCache:
 # ---------------------------------------------------------------------------
 
 
+def _race(service, backend, callers, **kwargs):
+    """Run one identical execution from ``callers`` threads at once.
+
+    The first caller leads and blocks inside ``backend`` until every other
+    caller has probed the cache and missed; then the gate opens.  Returns
+    each caller's job, or the exception its ``run`` raised.
+    """
+    outcomes: list = [None] * callers
+    misses = service.stats()["cache_misses"]
+
+    def call(slot: int) -> None:
+        try:
+            outcomes[slot] = service.run(backend=backend, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - returned to the test
+            outcomes[slot] = exc
+
+    threads = [threading.Thread(target=call, args=(slot,)) for slot in range(callers)]
+    threads[0].start()
+    try:
+        assert backend.started.wait(10)
+        for thread in threads[1:]:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while service.stats()["cache_misses"] < misses + callers:
+            assert time.monotonic() < deadline, "followers never probed"
+            time.sleep(0.005)
+    finally:
+        backend.gate.set()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join(10)
+    assert not any(thread.is_alive() for thread in threads)
+    return outcomes
+
+
+class FlakyGatedBackend(GatedBackend):
+    """Gated backend whose first simulation fails once the gate opens."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def execute_circuit(self, circuit, shots, seed=None, memory=False):
+        self.calls += 1
+        if self.calls == 1:
+            self.started.set()
+            assert self.gate.wait(10), "test gate never opened"
+            raise SimulationError("boom")
+        return super().execute_circuit(circuit, shots, seed, memory)
+
+
 class TestSingleFlight:
     def test_concurrent_identical_jobs_simulate_once(self):
         """Regression: two in-flight jobs with one cache key used to both
         simulate; the second must wait for the first's cache fill."""
-        backend = GatedBackend()
-        service = ExecutionService(max_workers=2)
-        try:
-            qc = bell_pair(measure=True)
-            first = service.submit(qc, backend=backend, shots=30, seed=5)
-            second = service.submit(qc, backend=backend, shots=30, seed=5)
-            assert backend.started.wait(10)
-            backend.gate.set()
-            counts_a = first.result(timeout=30).get_counts()
-            counts_b = second.result(timeout=30).get_counts()
-            assert counts_a == counts_b
-            stats = service.stats()
-            assert stats["simulations"] == 1
-            assert stats["simulations_deduped"] == 1
-            assert first.deduped + second.deduped == 1
-        finally:
-            backend.gate.set()
-            service.shutdown()
+        service = ExecutionService()
+        first, second = _race(
+            service, GatedBackend(), 2,
+            circuits=bell_pair(measure=True), shots=30, seed=5,
+        )
+        assert first.result().get_counts() == second.result().get_counts()
+        stats = service.stats()
+        assert stats["simulations"] == 1
+        assert stats["simulations_deduped"] == 1
+        assert first.deduped + second.deduped == 1
 
     def test_dedup_preserves_memory_payload(self):
-        backend = GatedBackend()
-        service = ExecutionService(max_workers=2)
-        try:
-            qc = bell_pair(measure=True)
-            jobs = [
-                service.submit(qc, backend=backend, shots=10, seed=2, memory=True)
-                for _ in range(2)
-            ]
-            assert backend.started.wait(10)
-            backend.gate.set()
-            memories = [job.result(timeout=30).get_memory() for job in jobs]
-            assert memories[0] == memories[1]
-            assert service.stats()["simulations"] == 1
-        finally:
-            backend.gate.set()
-            service.shutdown()
+        service = ExecutionService()
+        jobs = _race(
+            service, GatedBackend(), 2,
+            circuits=bell_pair(measure=True), shots=10, seed=2, memory=True,
+        )
+        memories = [job.result().get_memory() for job in jobs]
+        assert memories[0] == memories[1]
+        assert len(memories[0]) == 10
+        assert service.stats()["simulations"] == 1
 
     def test_failed_leader_lets_followers_retry(self):
-        service = ExecutionService(max_workers=2)
-        try:
-            qc = bell_pair(measure=True)
-            job = service.submit(qc, backend=ExplodingBackend(), shots=10, seed=1)
-            with pytest.raises(SimulationError):
-                job.result(timeout=10)
-            # The key must not be stuck in the in-flight table: a later run
-            # of the same key on a working backend succeeds.
-            ok = service.run(qc, shots=10, seed=1).result()
-            assert sum(ok.get_counts().values()) == 10
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        backend = FlakyGatedBackend()
+        leader, follower = _race(
+            service, backend, 2,
+            circuits=bell_pair(measure=True), shots=10, seed=1,
+        )
+        # The leader's error raises from its own run; the follower, waiting
+        # on the same key, observes an unfilled flight and simulates itself.
+        assert isinstance(leader, SimulationError)
+        assert sum(follower.result().get_counts().values()) == 10
+        assert backend.calls == 2
+        assert service.stats()["simulations_deduped"] == 0
+        assert service._inflight == {}
 
 
 # ---------------------------------------------------------------------------
-# One execution flow: run() and submit() probe, plan, run groups, fill slots
+# One execution flow: run() probes, plans, runs the groups, fills the slots
 # ---------------------------------------------------------------------------
 
 
@@ -549,9 +471,7 @@ def _mixed_submission() -> list[QuantumCircuit]:
 
 class TestOneFlow:
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
-    def test_run_and_submit_match_each_other_and_serial_engine(
-        self, noisy, serial_reference
-    ):
+    def test_run_matches_serial_engine(self, noisy, serial_reference):
         backend = (
             Backend(
                 name="one-flow-noisy",
@@ -563,79 +483,54 @@ class TestOneFlow:
         )
         circuits = _mixed_submission()
         want = serial_reference(backend, circuits, 96, 5, memory=True)
-        scopes = {}
-        for entry in ("run", "submit"):
-            service = ExecutionService(max_workers=2)
-            try:
-                with service.stats_scope() as scope:
-                    result = getattr(service, entry)(
-                        circuits, backend=backend, shots=96, seed=5, memory=True
-                    ).result(timeout=60)
-            finally:
-                service.shutdown()
-            got = [
-                (result.get_counts(i), result.get_memory(i))
-                for i in range(len(circuits))
-            ]
-            assert got == want, f"{entry} diverged from the serial engine"
-            scopes[entry] = scope.as_dict()
-        assert scopes["run"] == scopes["submit"]
-        assert scopes["run"]["simulations"] == len(circuits)
+        service = ExecutionService()
+        with service.stats_scope() as scope:
+            result = service.run(
+                circuits, backend=backend, shots=96, seed=5, memory=True
+            ).result()
+        got = [
+            (result.get_counts(i), result.get_memory(i))
+            for i in range(len(circuits))
+        ]
+        assert got == want
+        assert scope.get("simulations") == len(circuits)
         # Everything ran on the batch engine, except the c_if circuit under
         # noise, whose conditional gate draws.
-        assert scopes["run"]["simulations_batched"] == (
+        assert scope.get("simulations_batched") == (
             len(circuits) - 1 if noisy else len(circuits)
         )
 
-    @pytest.mark.parametrize("entry", ["run", "submit"])
-    def test_failed_units_leave_no_flight_behind(self, entry, monkeypatch):
+    def test_failed_units_leave_no_flight_behind(self, monkeypatch):
         circuits = [bell_pair(measure=True), _tagged_circuit(3)]
-        service = ExecutionService(max_workers=2)
-        try:
-            # SERIAL units whose backend raises.
-            with pytest.raises(SimulationError, match="boom"):
-                getattr(service, entry)(
-                    circuits, backend=ExplodingBackend(), shots=10, seed=3
-                ).result(timeout=10)
+        service = ExecutionService()
+        # SERIAL units whose backend raises.
+        with pytest.raises(SimulationError, match="boom"):
+            service.run(circuits, backend=ExplodingBackend(), shots=10, seed=3)
 
-            # Batchable groups whose engine call raises.
-            def explode(noise, group, memory):
-                raise SimulationError("engine boom")
+        # Batchable groups whose engine call raises.
+        def explode(noise, group, memory):
+            raise SimulationError("engine boom")
 
-            monkeypatch.setattr(batchsim, "execute_group", explode)
-            with pytest.raises(SimulationError, match="engine boom"):
-                getattr(service, entry)(
-                    circuits, shots=10, seed=3
-                ).result(timeout=10)
-        finally:
-            service.shutdown()  # waits for every pool task
+        monkeypatch.setattr(batchsim, "execute_group", explode)
+        with pytest.raises(SimulationError, match="engine boom"):
+            service.run(circuits, shots=10, seed=3)
         assert service._inflight == {}
 
-    @pytest.mark.parametrize("warm", ["run", "submit"])
-    def test_entry_points_share_one_cache(self, warm):
-        """Every route's cache fill is a hit for the other entry point."""
+    def test_every_route_fills_the_cache(self):
+        """Each route's cache fill is a hit for the next run."""
         circuits = _mixed_submission()
-        cold = "submit" if warm == "run" else "run"
-        service = ExecutionService(max_workers=2)
-        try:
-            first = getattr(service, warm)(
-                circuits, shots=64, seed=8, memory=True
-            ).result(timeout=60)
-            with service.stats_scope() as scope:
-                job = getattr(service, cold)(
-                    circuits, shots=64, seed=8, memory=True
-                )
-                second = job.result(timeout=60)
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        first = service.run(circuits, shots=64, seed=8, memory=True).result()
+        with service.stats_scope() as scope:
+            job = service.run(circuits, shots=64, seed=8, memory=True)
+            second = job.result()
         assert job.cache_hits == len(circuits)
         assert scope.get("simulations") == 0
         for i in range(len(circuits)):
             assert second.get_counts(i) == first.get_counts(i)
             assert second.get_memory(i) == first.get_memory(i)
 
-    @pytest.mark.parametrize("entry", ["run", "submit"])
-    def test_partial_hits_keep_their_slots(self, entry, serial_reference):
+    def test_partial_hits_keep_their_slots(self, serial_reference):
         """Hits interleaved with planned misses land at their own index."""
         circuits = _mixed_submission()
         hits = {1, 3}  # one IDEAL-group member and the c_if circuit
@@ -645,16 +540,11 @@ class TestOneFlow:
             for i, qc in enumerate(circuits)
         ]
         want = serial_reference(None, circuits, 64, 8, memory=True)
-        service = ExecutionService(max_workers=2)
-        try:
-            service.run(warmup, shots=64, seed=8, memory=True)
-            with service.stats_scope() as scope:
-                job = getattr(service, entry)(
-                    circuits, shots=64, seed=8, memory=True
-                )
-                result = job.result(timeout=60)
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        service.run(warmup, shots=64, seed=8, memory=True)
+        with service.stats_scope() as scope:
+            job = service.run(circuits, shots=64, seed=8, memory=True)
+            result = job.result()
         assert job.cache_hits == len(hits)
         assert scope.get("simulations") == len(circuits) - len(hits)
         got = [
@@ -663,9 +553,8 @@ class TestOneFlow:
         ]
         assert got == want
 
-    @pytest.mark.parametrize("entry", ["run", "submit"])
     def test_overridden_execute_circuit_takes_the_serial_route(
-        self, entry, serial_reference
+        self, serial_reference
     ):
         """A backend with its own ``execute_circuit`` is never batched, even
         for circuits that would otherwise share one IDEAL group."""
@@ -673,14 +562,11 @@ class TestOneFlow:
         backend.gate.set()
         circuits = _mixed_submission()
         want = serial_reference(backend, circuits, 64, 2, memory=True)
-        service = ExecutionService(max_workers=2)
-        try:
-            with service.stats_scope() as scope:
-                result = getattr(service, entry)(
-                    circuits, backend=backend, shots=64, seed=2, memory=True
-                ).result(timeout=60)
-        finally:
-            service.shutdown()
+        service = ExecutionService()
+        with service.stats_scope() as scope:
+            result = service.run(
+                circuits, backend=backend, shots=64, seed=2, memory=True
+            ).result()
         assert scope.get("simulations") == len(circuits)
         assert scope.get("simulations_batched") == 0
         assert scope.get("batch_groups") == 0
@@ -701,7 +587,7 @@ class TestEvalIntegration:
         from repro.evalsuite import PipelineSettings, build_suite, evaluate
         from repro.llm.faults import ModelConfig
 
-        service = ExecutionService(max_workers=2)
+        service = ExecutionService()
         set_default_service(service)
         try:
             tasks = build_suite()[:3]
@@ -727,7 +613,7 @@ class TestEvalIntegration:
             "qc.measure(0, 0)\n"
             "counts = LocalSimulator().run(qc, shots=16).result().get_counts()\n"
         )
-        service = ExecutionService(max_workers=1)
+        service = ExecutionService()
         set_default_service(service)
         try:
             first = run_code(code)

@@ -114,7 +114,7 @@ class TestParameterSemantics:
         with pytest.raises(CircuitError, match=r"\[QA105\]"):
             float(Parameter("theta") * 2)
 
-    def test_is_symbolic_and_parameter_of(self):
+    def test_is_symbolic_and_root_parameter(self):
         theta = Parameter("theta")
         assert is_symbolic(theta)
         assert is_symbolic(theta + 1)
@@ -283,8 +283,7 @@ class TestExecutionRefusal:
 
 
 class TestExecutionParity:
-    @pytest.mark.parametrize("entry", ["run", "submit"])
-    def test_counts_bit_identical_to_concrete(self, entry, serial_reference):
+    def test_counts_bit_identical_to_concrete(self, serial_reference):
         template = sweep_template()
         points = SWEEP_POINTS[:6]
         bound = [template.bind({"theta": v}) for v in points]
@@ -292,12 +291,7 @@ class TestExecutionParity:
         want = serial_reference("ideal", concrete, 256, 11)
         assert serial_reference("ideal", bound, 256, 11) == want
         svc = ExecutionService()
-        try:
-            res_bound = getattr(svc, entry)(
-                bound, backend="ideal", shots=256, seed=11
-            ).result(timeout=60)
-        finally:
-            svc.shutdown()
+        res_bound = svc.run(bound, backend="ideal", shots=256, seed=11).result()
         for i, (counts, _) in enumerate(want):
             assert res_bound.get_counts(i) == counts
 

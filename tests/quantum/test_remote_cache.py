@@ -374,14 +374,13 @@ class TestAuth:
             assert client.get(_key()) == ({"0": 64}, None)
             assert client.errors == 0
 
-            service = ExecutionService(max_workers=1, remote_url=server.url)
+            service = ExecutionService(remote_url=server.url)
             assert service.cache.remote.token == "fleet-secret"
             counts = service.run(
                 bell_pair(measure=True), shots=40, seed=3
             ).result()
             assert sum(counts.get_counts().values()) == 40
             assert service.stats()["cache_remote_errors"] == 0
-            service.shutdown()
 
     def test_explicit_token_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_TOKEN", "from-env")
@@ -403,9 +402,7 @@ class TestAuth:
 
 class TestServiceWiring:
     def test_dead_server_never_fails_execution(self):
-        service = ExecutionService(
-            max_workers=1, remote_url=_dead_url()
-        )
+        service = ExecutionService(remote_url=_dead_url())
         service.cache.remote.timeout = 0.5
         counts = service.run(bell_pair(measure=True), shots=50, seed=4).result()
         assert sum(counts.get_counts().values()) == 50
@@ -413,31 +410,27 @@ class TestServiceWiring:
         assert stats["simulations"] == 1
         assert stats["cache_remote_errors"] >= 1
         assert stats["cache_url"].startswith("http://127.0.0.1")
-        service.shutdown()
 
     def test_remote_hit_promotes_into_local_disk(self, tmp_path):
         """A downloaded entry is written through to the local disk tier, so
         the *next* process on this machine does not even need the network."""
         with CacheServer(tmp_path / "server") as server:
-            seeder = ExecutionService(max_workers=1, remote_url=server.url)
+            seeder = ExecutionService(remote_url=server.url)
             counts = seeder.run(bell_pair(measure=True), shots=60, seed=2)
             counts = counts.result().get_counts()
-            seeder.shutdown()
 
             local_dir = tmp_path / "local"
             fleet = ExecutionService(
-                max_workers=1, cache_dir=local_dir, remote_url=server.url
+                cache_dir=local_dir, remote_url=server.url
             )
             fleet.run(bell_pair(measure=True), shots=60, seed=2)
             assert fleet.stats()["cache_remote_hits"] == 1
-            fleet.shutdown()
 
         # Server gone; the promoted local entry still serves the result.
-        offline = ExecutionService(max_workers=1, cache_dir=local_dir)
+        offline = ExecutionService(cache_dir=local_dir)
         replay = offline.run(bell_pair(measure=True), shots=60, seed=2).result()
         assert replay.get_counts() == counts
         assert offline.stats()["simulations"] == 0
-        offline.shutdown()
 
     def test_prebuilt_cache_excludes_remote_url(self, tmp_path):
         from repro.errors import BackendError

@@ -3,8 +3,8 @@
 The regression target: per-caller ``execution_stats`` used to be computed by
 diffing the *global* ``service.stats()`` before/after, which attributed every
 concurrent user's work to everyone.  A :class:`StatsScope` must receive
-exactly the increments caused by work initiated under it — synchronous,
-asynchronous, cross-thread, and via the sandbox.
+exactly the increments caused by work initiated under it — on the calling
+thread, across threads, and via the sandbox.
 """
 
 import os
@@ -43,9 +43,7 @@ def bell(phase: float = 0.0) -> QuantumCircuit:
 
 @pytest.fixture
 def service():
-    svc = ExecutionService(max_workers=2)
-    yield svc
-    svc.shutdown()
+    return ExecutionService()
 
 
 class TestScopeBasics:
@@ -61,16 +59,6 @@ class TestScopeBasics:
             service.run(bell(), backend="local_simulator", shots=64, seed=1)
         assert scope2.as_dict()["cache_hits"] == 1
         assert scope2.as_dict()["simulations"] == 0
-
-    def test_async_submit_credits_submitting_scope(self, service):
-        with service.stats_scope() as scope:
-            job = service.submit(
-                [bell(), bell(0.25)], backend="local_simulator", shots=64, seed=2
-            )
-            job.result(timeout=30)
-        counts = scope.as_dict()
-        assert counts["simulations"] == 2
-        assert counts["cache_misses"] == 2
 
     def test_work_outside_scope_not_counted(self, service):
         service.run(bell(0.5), backend="local_simulator", shots=64, seed=3)
@@ -107,7 +95,7 @@ class TestScopeBasics:
             "disk": {"cache_dir": tmp_path},
             "remote": {"remote_url": "http://127.0.0.1:9"},
         }[tiers]
-        svc = ExecutionService(max_workers=1, **kwargs)
+        svc = ExecutionService(**kwargs)
         stats = svc.stats()
         assert {name: stats[name] for name in SCOPE_FIELDS} == dict.fromkeys(
             SCOPE_FIELDS, 0
@@ -119,26 +107,22 @@ class TestScopeBasics:
         template.rz(theta, 0)
         template.measure(0, 0)
         svc = ExecutionService(
-            max_workers=2,
             cache_dir=tmp_path,
             cache_limits=CacheLimits(max_entries=2),
             validate="strict",
         )
-        try:
-            with svc.stats_scope() as scope:
-                svc.run(bell(), backend="local_simulator", shots=32, seed=1)
-                svc.run(bell(), backend="local_simulator", shots=32, seed=1)
-                svc.submit(
-                    [bell(0.3), bell(0.6), bell(0.3)],
-                    backend="local_simulator", shots=32, seed=2,
-                ).result(timeout=30)
-                for _ in range(2):
-                    svc.transpile(bell(), backend="fake_brisbane")
-                with pytest.raises(ValidationError):
-                    svc.run(template, backend="ideal", shots=16, seed=1)
-            stats = svc.stats()
-        finally:
-            svc.shutdown()
+        with svc.stats_scope() as scope:
+            svc.run(bell(), backend="local_simulator", shots=32, seed=1)
+            svc.run(bell(), backend="local_simulator", shots=32, seed=1)
+            svc.run(
+                [bell(0.3), bell(0.6), bell(0.3)],
+                backend="local_simulator", shots=32, seed=2,
+            )
+            for _ in range(2):
+                svc.transpile(bell(), backend="fake_brisbane")
+            with pytest.raises(ValidationError):
+                svc.run(template, backend="ideal", shots=16, seed=1)
+        stats = svc.stats()
         assert {name: stats[name] for name in SCOPE_FIELDS} == scope.as_dict()
         # The work reached the cache, pre-flight and transpile counters too.
         for name in ("simulations", "cache_hits", "cache_misses",
@@ -180,10 +164,9 @@ class TestConcurrentAttribution:
 
         def run_under(scope, circuits, seed):
             with use_scope(scope):
-                job = service.submit(
+                service.run(
                     circuits, backend="local_simulator", shots=64, seed=seed
                 )
-                job.result(timeout=30)
 
         before = service.stats()
         with ThreadPoolExecutor(2) as pool:
@@ -279,24 +262,21 @@ class TestEvictionAttribution:
         service = ExecutionService(
             cache_dir=tmp_path, cache_limits=CacheLimits(max_entries=2)
         )
-        try:
-            with service.stats_scope() as scope:
-                for i in range(5):
-                    service.run(
-                        bell(0.2 * i + 0.01),
-                        backend="local_simulator",
-                        shots=32,
-                        seed=20,
-                    )
-            assert scope.as_dict()["cache_evictions"] >= 3
-            assert scope.as_dict()["cache_evictions"] == service.cache.disk.evictions
-        finally:
-            service.shutdown()
+        with service.stats_scope() as scope:
+            for i in range(5):
+                service.run(
+                    bell(0.2 * i + 0.01),
+                    backend="local_simulator",
+                    shots=32,
+                    seed=20,
+                )
+        assert scope.as_dict()["cache_evictions"] >= 3
+        assert scope.as_dict()["cache_evictions"] == service.cache.disk.evictions
 
 
 class TestSandboxAttribution:
     def test_run_code_counts_only_its_own_sims(self):
-        service = ExecutionService(max_workers=2)
+        service = ExecutionService()
         set_default_service(service)
         try:
             stop = threading.Event()
@@ -333,7 +313,7 @@ class TestSandboxAttribution:
                 stop.set()
                 noise.join()
         finally:
-            set_default_service(None, shutdown_previous=True)
+            set_default_service(None)
 
     def test_concurrent_sandboxes_keep_their_stdout(self):
         """Thread-local stdout capture: parallel programs don't steal output."""

@@ -77,9 +77,7 @@ def _transpiled(circuit=None, **kwargs):
 
 @pytest.fixture
 def service():
-    svc = ExecutionService(max_workers=1)
-    yield svc
-    svc.shutdown()
+    return ExecutionService()
 
 
 class TestCacheKey:
@@ -209,15 +207,12 @@ class TestServiceStage:
         assert stats["cache_misses"] == 0
 
     def test_uncached_service_always_recomputes(self):
-        service = ExecutionService(use_cache=False, max_workers=1)
-        try:
-            service.transpile(_circuit())
-            service.transpile(_circuit())
-            stats = service.stats()
-            assert stats["transpiles"] == 2
-            assert stats["transpile_cache_hits"] == 0
-        finally:
-            service.shutdown()
+        service = ExecutionService(use_cache=False)
+        service.transpile(_circuit())
+        service.transpile(_circuit())
+        stats = service.stats()
+        assert stats["transpiles"] == 2
+        assert stats["transpile_cache_hits"] == 0
 
     def test_explicit_level_beats_ambient(self, service):
         qc = QuantumCircuit(1, 1, name="levels")
@@ -241,68 +236,53 @@ class TestServiceStage:
         assert service.stats()["transpile_cache_hits"] == 1
 
     def test_poisoned_entry_degrades_to_recompute(self, tmp_path):
-        service = ExecutionService(max_workers=1, cache_dir=tmp_path)
-        try:
-            qc = _circuit()
-            cmap, basis = resolve_lowering(None, None, None)
-            key = transpile_cache_key(qc, cmap, basis, None, 1)
-            service.cache.put(
-                key, {"qubits": 3, "clbits": 3, "size": 1}, ["garbage"], ()
-            )
-            lowered = service.transpile(qc)
-            assert service.stats()["transpiles"] == 1
-            assert service.stats()["transpile_cache_hits"] == 0
-            assert lowered.instructions == _transpiled(qc).instructions
-            # The recompute overwrote the poison: next lookup is a real hit.
-            assert service.transpile(qc).instructions == lowered.instructions
-            assert service.stats()["transpile_cache_hits"] == 1
-        finally:
-            service.shutdown()
+        service = ExecutionService(cache_dir=tmp_path)
+        qc = _circuit()
+        cmap, basis = resolve_lowering(None, None, None)
+        key = transpile_cache_key(qc, cmap, basis, None, 1)
+        service.cache.put(
+            key, {"qubits": 3, "clbits": 3, "size": 1}, ["garbage"], ()
+        )
+        lowered = service.transpile(qc)
+        assert service.stats()["transpiles"] == 1
+        assert service.stats()["transpile_cache_hits"] == 0
+        assert lowered.instructions == _transpiled(qc).instructions
+        # The recompute overwrote the poison: next lookup is a real hit.
+        assert service.transpile(qc).instructions == lowered.instructions
+        assert service.stats()["transpile_cache_hits"] == 1
 
 
 class TestWarmStarts:
     def test_fresh_service_warm_disk_performs_zero_transpiles(self, tmp_path):
         qc = library.grover(3, ["101"])
-        cold = ExecutionService(max_workers=1, cache_dir=tmp_path)
-        try:
-            first = cold.transpile(qc, backend="fake_falcon")
-            assert cold.stats()["transpiles"] == 1
-        finally:
-            cold.shutdown()
-        warm = ExecutionService(max_workers=1, cache_dir=tmp_path)
-        try:
-            second = warm.transpile(qc, backend="fake_falcon")
-            stats = warm.stats()
-            assert stats["transpiles"] == 0
-            assert stats["transpile_cache_hits"] == 1
-            assert second.instructions == first.instructions
-            assert second.metadata["layout"] == first.metadata["layout"]
-            assert second.metadata["final_layout"] == (
-                first.metadata["final_layout"]
-            )
-        finally:
-            warm.shutdown()
+        cold = ExecutionService(cache_dir=tmp_path)
+        first = cold.transpile(qc, backend="fake_falcon")
+        assert cold.stats()["transpiles"] == 1
+        warm = ExecutionService(cache_dir=tmp_path)
+        second = warm.transpile(qc, backend="fake_falcon")
+        stats = warm.stats()
+        assert stats["transpiles"] == 0
+        assert stats["transpile_cache_hits"] == 1
+        assert second.instructions == first.instructions
+        assert second.metadata["layout"] == first.metadata["layout"]
+        assert second.metadata["final_layout"] == (
+            first.metadata["final_layout"]
+        )
 
     def test_remote_tier_shares_transpiles_across_services(self, tmp_path):
         qc = library.qft(3)
         with CacheServer(tmp_path) as server:
-            seeder = ExecutionService(max_workers=1, remote_url=server.url)
-            try:
-                first = seeder.transpile(qc, coupling_map=CouplingMap.linear(4))
-                assert seeder.stats()["transpiles"] == 1
-            finally:
-                seeder.shutdown()
-            reader = ExecutionService(max_workers=1, remote_url=server.url)
-            try:
-                second = reader.transpile(
-                    qc, coupling_map=CouplingMap.linear(4)
-                )
-                stats = reader.stats()
-                assert stats["transpiles"] == 0
-                assert stats["transpile_cache_hits"] == 1
-                assert second.instructions == first.instructions
-            finally:
-                reader.shutdown()
+            seeder = ExecutionService(remote_url=server.url)
+            first = seeder.transpile(qc, coupling_map=CouplingMap.linear(4))
+            assert seeder.stats()["transpiles"] == 1
+            reader = ExecutionService(remote_url=server.url)
+            second = reader.transpile(
+                qc, coupling_map=CouplingMap.linear(4)
+            )
+            stats = reader.stats()
+            assert stats["transpiles"] == 0
+            assert stats["transpile_cache_hits"] == 1
+            assert second.instructions == first.instructions
 
 
 _EVAL_SCRIPT = """\

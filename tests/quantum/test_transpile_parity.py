@@ -265,8 +265,7 @@ class TestObservationalEquivalence:
                 qc, backend=backend, shots=shots, seed=seed
             ).result().get_counts()
 
-        yield run
-        svc.shutdown()
+        return run
 
     @pytest.mark.parametrize(
         "circuit",

@@ -78,9 +78,8 @@ def test_cache_command_reports_and_clears(tmp_path, capsys):
     from repro.quantum.execution import ExecutionService
     from repro.quantum.library import bell_pair
 
-    service = ExecutionService(max_workers=1, cache_dir=cache_dir)
+    service = ExecutionService(cache_dir=cache_dir)
     service.run(bell_pair(measure=True), shots=10, seed=1)
-    service.shutdown()
 
     assert main(["cache", "--cache-dir", cache_dir]) == 0
     assert "1 entries" in capsys.readouterr().out
@@ -162,7 +161,7 @@ def test_eval_server_matches_serial_eval_table(tmp_path, capsys):
              "--port", "0", "--fallback-workers", "2"]
         ) == 0
     finally:
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
     captured = capsys.readouterr()
     assert captured.out == serial_out
     assert "coordinator serving cache + work queue" in captured.err
@@ -207,7 +206,7 @@ def test_eval_worker_leases_and_completes_chunks(tmp_path, capsys):
                  "--poll-interval", "0.02"]
             ) == 0
         finally:
-            set_default_service(None, shutdown_previous=True)
+            set_default_service(None)
         assert "completed 3 chunk(s)" in capsys.readouterr().err
         assert coordinator.queue.status()["done"] == 3
 
@@ -229,7 +228,7 @@ def test_eval_worker_env_token_wiring(tmp_path, monkeypatch, capsys):
                  "--max-idle", "0.5", "--poll-interval", "0.02"]
             ) == 0
         finally:
-            set_default_service(None, shutdown_previous=True)
+            set_default_service(None)
         assert coordinator.queue.status()["done"] == 1
 
 
@@ -248,7 +247,7 @@ def test_eval_worker_wrong_token_fails_loudly(tmp_path):
                      "--max-idle", "5"]
                 )
         finally:
-            set_default_service(None, shutdown_previous=True)
+            set_default_service(None)
 
 
 def _triple(x):
@@ -368,7 +367,7 @@ def test_eval_validate_flag_accepted(capsys):
         out = capsys.readouterr().out
         assert "Accuracy" in out
     finally:
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
 
 
 def test_backends_reports_validation_counters(capsys):
@@ -380,14 +379,14 @@ def test_backends_reports_validation_counters(capsys):
         assert "validate=" in out
         assert "validated" in out
     finally:
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
 
 
 def test_transpile_command_miss_then_cache_hit(capsys):
     from repro.quantum.execution import set_default_service
 
     try:
-        set_default_service(None, shutdown_previous=True)  # fresh memory tier
+        set_default_service(None)  # fresh memory tier
         assert main(["transpile", "ghz", "--qubits", "3"]) == 0
         first = capsys.readouterr().out
         assert "from pass manager" in first
@@ -397,7 +396,7 @@ def test_transpile_command_miss_then_cache_hit(capsys):
         second = capsys.readouterr().out
         assert "from cache" in second
     finally:
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
 
 
 def test_transpile_explain_lists_every_pass(capsys):
@@ -418,7 +417,7 @@ def test_transpile_explain_lists_every_pass(capsys):
         # The table carries per-pass instruction-count deltas and timings.
         assert "delta" in out and "ms" in out
     finally:
-        set_default_service(None, shutdown_previous=True)
+        set_default_service(None)
 
 
 def test_transpile_unknown_backend_is_a_usage_error(capsys):

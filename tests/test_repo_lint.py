@@ -339,9 +339,13 @@ class TestR007PoolConstruction:
         assert codes(self.THREAD, "src/repro/utils/parallel.py") == ["R007"]
         assert codes(self.THREAD, "src/repro/evalsuite/runner.py") == ["R007"]
 
-    def test_thread_pool_allowed_in_service(self):
+    def test_thread_pool_flagged_in_service(self):
+        # Executions run on the caller's thread: no module owns a thread
+        # pool, the execution service included.
         path = "src/repro/quantum/execution/service.py"
-        assert codes(self.THREAD, path) == []
+        found = lint(self.THREAD, path)
+        assert [v.rule for v in found] == ["R007"]
+        assert "caller's thread" in found[0].message
 
     def test_attribute_call_flagged(self):
         src = "pool = concurrent.futures.ThreadPoolExecutor(2)"

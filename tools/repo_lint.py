@@ -59,13 +59,13 @@ R006  A call to ``apply_matrix(...)`` (bare or as an attribute) outside
       (the kernel and ``Statevector``'s own uses).
 
 R007  A ``ProcessPoolExecutor(...)`` call outside ``utils/parallel.py``, or a
-      ``ThreadPoolExecutor(...)`` call outside
-      ``quantum/execution/service.py``.  Work chunks fan out one of two
-      ways: on the process pool ``repro.utils.parallel.process_pool`` builds
-      (the one constructor, which also knows how to degrade where no pool
-      can be built), or inline.  Chunk work holds the GIL, so a chunk
-      thread pool is no faster than inline; the execution service's
-      async-job pool is the only thread pool.
+      ``ThreadPoolExecutor(...)`` call anywhere.  Work chunks fan out one of
+      two ways: on the process pool ``repro.utils.parallel.process_pool``
+      builds (the one constructor, which also knows how to degrade where no
+      pool can be built), or inline.  Chunk work and circuit execution hold
+      the GIL, so a thread pool is no faster than the calling thread:
+      ``ExecutionService.run`` executes on the caller's thread, and no
+      module owns a thread pool.
 
 R008  networkx's matcher: a ``nx.max_weight_matching(...)`` or
       ``networkx.max_weight_matching(...)`` call, or an import of
@@ -110,10 +110,11 @@ R005_ALLOWED = (("quantum", "parameters.py"),)
 #: The one module allowed to call the flat-state kernel (R006).
 R006_ALLOWED = (("quantum", "statevector.py"),)
 
-#: The one module allowed to construct each executor pool (R007).
+#: The one module allowed to construct each executor pool (R007); ``None``
+#: means no module may.
 R007_OWNERS = {
     "ProcessPoolExecutor": ("utils", "parallel.py"),
-    "ThreadPoolExecutor": ("quantum", "execution", "service.py"),
+    "ThreadPoolExecutor": None,
 }
 
 #: Module aliases whose ``max_weight_matching`` R008 flags.
@@ -359,15 +360,18 @@ def _check_pool_construction(path: Path, tree: ast.AST) -> list[Violation]:
         if not isinstance(node, ast.Call):
             continue
         name = _terminal_name(node.func)
-        owner = R007_OWNERS.get(name)
-        if owner is None or path.parts[-len(owner):] == owner:
+        if name not in R007_OWNERS:
             continue
+        owner = R007_OWNERS[name]
+        if owner is not None and path.parts[-len(owner):] == owner:
+            continue
+        where = f" outside {'/'.join(owner)}" if owner is not None else ""
         found.append(
             Violation(
                 path, node.lineno, "R007",
-                f"{name}() call outside {'/'.join(owner)}: chunks fan out "
-                "on repro.utils.parallel.process_pool or inline, and the "
-                "execution service's async-job pool is the only thread pool",
+                f"{name}() call{where}: chunks fan out on "
+                "repro.utils.parallel.process_pool or inline, and circuits "
+                "execute on the caller's thread",
             )
         )
     return found
