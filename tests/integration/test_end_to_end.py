@@ -1,5 +1,7 @@
 """Integration tests: experiment drivers and cross-layer flows at small scale."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,34 @@ class TestExperimentDrivers:
         assert experiment.measured(
             "P(|000>) after QEC corrections (c)"
         ) >= experiment.measured("P(|000>) on noisy Brisbane (b)") - 1.0
+
+    def test_figure4_device_runs_execute_on_the_calling_thread(
+        self, monkeypatch
+    ):
+        """Both device runs simulate on the driver's own thread, where a
+        profiler of ``figure4.run`` sees them."""
+        from repro.quantum import batchsim
+        from repro.quantum.execution import (
+            ExecutionService,
+            default_service,
+            set_default_service,
+        )
+
+        ran_on = []
+        execute_group = batchsim.execute_group
+
+        def recorded(*args, **kwargs):
+            ran_on.append(threading.get_ident())
+            return execute_group(*args, **kwargs)
+
+        monkeypatch.setattr(batchsim, "execute_group", recorded)
+        previous = default_service()
+        set_default_service(ExecutionService())  # nothing cached yet
+        try:
+            figure4.run(shots=256, seed=3)
+        finally:
+            set_default_service(previous)
+        assert ran_on == [threading.get_ident()] * 2
 
     def test_decoder_ablation_repeats_exactly(self):
         # The second call is served from the result cache; no row, note

@@ -147,8 +147,10 @@ class TestExperiments:
         )
         assert 0 < factor <= 1.0
 
-    def test_suppression_needs_a_positive_physical_rate(self):
-        # p_data=0 used to divide by zero after running the experiment.
+    @pytest.mark.parametrize("p_data", [0.0, -0.01])
+    def test_suppression_needs_a_positive_physical_rate(self, p_data):
+        # p_data=0 used to divide by zero after running the experiment; a
+        # negative rate meets the same check, before any simulation.
         from repro.quantum.execution import ExecutionService
 
         code = SurfaceCode(3)
@@ -156,7 +158,7 @@ class TestExperiments:
         for measure in (qec_suppression_factor, average_qubit_lifetime_gain):
             with pytest.raises(QECError, match="p_data must be positive"):
                 measure(
-                    code, MWPMDecoder(code, "x"), p_data=0.0, shots=20,
+                    code, MWPMDecoder(code, "x"), p_data=p_data, shots=20,
                     service=service,
                 )
         assert service.stats()["simulations"] == 0

@@ -187,7 +187,10 @@ class TestDeterminism:
 
 
 class TestStrictIsInert:
-    def test_strict_vs_off_bit_identical(self, serial_reference):
+    @pytest.mark.parametrize("entry", ["run", "thread"])
+    def test_strict_vs_off_bit_identical(
+        self, entry, run_via, serial_reference
+    ):
         rng = np.random.default_rng(401)
         base = random_circuit(rng, 3, 5)
         workload = [base] + [
@@ -200,9 +203,9 @@ class TestStrictIsInert:
         strict = ExecutionService(validate="strict")
         off = ExecutionService(validate="off")
         for service in (strict, off):
-            got = service.run(
-                workload, backend=noisy_backend(), shots=64, seed=401,
-                memory=True,
+            got = run_via(
+                entry, service, workload, backend=noisy_backend(), shots=64,
+                seed=401, memory=True,
             ).result()
             for i, (counts, mem) in enumerate(want):
                 assert got.get_counts(i) == counts
@@ -284,11 +287,12 @@ class TestPlannerRoutingMatchesFacts:
 
 
 class TestDefectiveBatchParity:
+    @pytest.mark.parametrize("entry", ["run", "thread"])
     def test_service_and_serial_engine_raise_the_same_error(
-        self, serial_reference
+        self, entry, run_via, serial_reference
     ):
         """A defective unit in a batch workload fails with the serial
-        engine's canonical message."""
+        engine's canonical message, whichever thread calls ``run``."""
         rng = np.random.default_rng(701)
         broken, code = break_circuit(random_circuit(rng, 2, 4), rng)
         workload = [random_circuit(rng, 2, 3), broken]
@@ -296,6 +300,6 @@ class TestDefectiveBatchParity:
             serial_reference(LocalSimulator(), workload, 16, 701)
         svc = ExecutionService()
         with pytest.raises(SimulationError) as batched:
-            svc.run(workload, shots=16, seed=701)
+            run_via(entry, svc, workload, shots=16, seed=701)
         assert str(batched.value) == str(serial.value)
         assert f"[{code}]" in str(serial.value)

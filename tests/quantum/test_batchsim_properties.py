@@ -1077,7 +1077,7 @@ class TestClbitAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Service-level fuzz: any grouping, bit-identical
+# Service-level fuzz: any grouping, either calling thread, bit-identical
 # ---------------------------------------------------------------------------
 
 
@@ -1118,6 +1118,7 @@ class TestServiceFuzz:
         assert stats["simulations_batched"] == 2
         assert stats["simulations"] == 3
 
+    @pytest.mark.parametrize("entry", ["run", "thread"])
     @pytest.mark.parametrize(
         "backend",
         [
@@ -1128,7 +1129,7 @@ class TestServiceFuzz:
         ids=["local_simulator", "depolarizing", "per_qubit_readout"],
     )
     def test_conditionals_that_draw_match_the_frozen_engine(
-        self, backend, serial_reference
+        self, backend, entry, run_via, serial_reference
     ):
         """Shot-by-shot circuits: ``Backend.execute_circuit`` and the
         service's SERIAL route both replay the frozen serial stream."""
@@ -1154,8 +1155,9 @@ class TestServiceFuzz:
             batchsim.SERIAL
         ]
         svc = ExecutionService()
-        got = svc.run(
-            workload, backend=backend, shots=shots, seed=seed, memory=True
+        got = run_via(
+            entry, svc, workload, backend=backend, shots=shots, seed=seed,
+            memory=True,
         ).result()
         stats = svc.stats()
         assert_results_identical(got, want, memory=True)
@@ -1163,13 +1165,14 @@ class TestServiceFuzz:
         assert stats["simulations_batched"] == 0
 
     @pytest.mark.parametrize("tile", ["default", "one-row"])
+    @pytest.mark.parametrize("entry", ["run", "thread"])
     @pytest.mark.parametrize(
         "backend",
         [LocalSimulator(), corrections_noiseless_backend()],
         ids=["local_simulator", "noisy"],
     )
     def test_feed_forward_workload_with_memory(
-        self, backend, tile, serial_reference, monkeypatch
+        self, backend, entry, tile, run_via, serial_reference, monkeypatch
     ):
         if tile == "one-row":
             monkeypatch.setattr(batch_engine, "MAX_BATCH_AMPLITUDES", 1)
@@ -1182,23 +1185,25 @@ class TestServiceFuzz:
         workload.append(library.teleportation(0.7, 0.2))
         want = serial_reference(backend, workload, 73, 45, memory=True)
         svc = ExecutionService()
-        got = svc.run(
-            workload, backend=backend, shots=73, seed=45, memory=True
+        got = run_via(
+            entry, svc, workload, backend=backend, shots=73, seed=45,
+            memory=True,
         ).result()
         stats = svc.stats()
         assert_results_identical(got, want, memory=True)
         assert stats["simulations"] == len(workload)
         assert stats["simulations_batched"] == len(workload)
 
+    @pytest.mark.parametrize("entry", ["run", "thread"])
     def test_single_structure_batch_matches_serial_engine(
-        self, serial_reference
+        self, entry, run_via, serial_reference
     ):
         rng = np.random.default_rng(51)
         base = random_circuit(rng, 3, 6)
         workload = [reparameterize(base, rng) for _ in range(6)]
         svc = ExecutionService()
-        got = svc.run(
-            workload, backend="local_simulator", shots=150, seed=51
+        got = run_via(
+            entry, svc, workload, backend="local_simulator", shots=150, seed=51
         ).result()
         want = serial_reference("local_simulator", workload, 150, 51)
         assert_results_identical(got, want)

@@ -470,8 +470,11 @@ def _mixed_submission() -> list[QuantumCircuit]:
 
 
 class TestOneFlow:
+    @pytest.mark.parametrize("entry", ["run", "thread"])
     @pytest.mark.parametrize("noisy", [False, True], ids=["ideal", "noisy"])
-    def test_run_matches_serial_engine(self, noisy, serial_reference):
+    def test_run_matches_serial_engine(
+        self, noisy, entry, run_via, serial_reference
+    ):
         backend = (
             Backend(
                 name="one-flow-noisy",
@@ -485,8 +488,9 @@ class TestOneFlow:
         want = serial_reference(backend, circuits, 96, 5, memory=True)
         service = ExecutionService()
         with service.stats_scope() as scope:
-            result = service.run(
-                circuits, backend=backend, shots=96, seed=5, memory=True
+            result = run_via(
+                entry, service, circuits, backend=backend, shots=96, seed=5,
+                memory=True,
             ).result()
         got = [
             (result.get_counts(i), result.get_memory(i))
@@ -500,12 +504,18 @@ class TestOneFlow:
             len(circuits) - 1 if noisy else len(circuits)
         )
 
-    def test_failed_units_leave_no_flight_behind(self, monkeypatch):
+    @pytest.mark.parametrize("entry", ["run", "thread"])
+    def test_failed_units_leave_no_flight_behind(
+        self, entry, run_via, monkeypatch
+    ):
         circuits = [bell_pair(measure=True), _tagged_circuit(3)]
         service = ExecutionService()
         # SERIAL units whose backend raises.
         with pytest.raises(SimulationError, match="boom"):
-            service.run(circuits, backend=ExplodingBackend(), shots=10, seed=3)
+            run_via(
+                entry, service, circuits, backend=ExplodingBackend(),
+                shots=10, seed=3,
+            )
 
         # Batchable groups whose engine call raises.
         def explode(noise, group, memory):
@@ -513,16 +523,21 @@ class TestOneFlow:
 
         monkeypatch.setattr(batchsim, "execute_group", explode)
         with pytest.raises(SimulationError, match="engine boom"):
-            service.run(circuits, shots=10, seed=3)
+            run_via(entry, service, circuits, shots=10, seed=3)
         assert service._inflight == {}
 
-    def test_every_route_fills_the_cache(self):
-        """Each route's cache fill is a hit for the next run."""
+    @pytest.mark.parametrize("warm", ["run", "thread"])
+    def test_entry_points_share_one_cache(self, warm, run_via):
+        """Every route's cache fill is a hit for a run from the other
+        calling thread."""
         circuits = _mixed_submission()
+        cold = "thread" if warm == "run" else "run"
         service = ExecutionService()
-        first = service.run(circuits, shots=64, seed=8, memory=True).result()
+        first = run_via(
+            warm, service, circuits, shots=64, seed=8, memory=True
+        ).result()
         with service.stats_scope() as scope:
-            job = service.run(circuits, shots=64, seed=8, memory=True)
+            job = run_via(cold, service, circuits, shots=64, seed=8, memory=True)
             second = job.result()
         assert job.cache_hits == len(circuits)
         assert scope.get("simulations") == 0
@@ -530,7 +545,10 @@ class TestOneFlow:
             assert second.get_counts(i) == first.get_counts(i)
             assert second.get_memory(i) == first.get_memory(i)
 
-    def test_partial_hits_keep_their_slots(self, serial_reference):
+    @pytest.mark.parametrize("entry", ["run", "thread"])
+    def test_partial_hits_keep_their_slots(
+        self, entry, run_via, serial_reference
+    ):
         """Hits interleaved with planned misses land at their own index."""
         circuits = _mixed_submission()
         hits = {1, 3}  # one IDEAL-group member and the c_if circuit
@@ -543,7 +561,9 @@ class TestOneFlow:
         service = ExecutionService()
         service.run(warmup, shots=64, seed=8, memory=True)
         with service.stats_scope() as scope:
-            job = service.run(circuits, shots=64, seed=8, memory=True)
+            job = run_via(
+                entry, service, circuits, shots=64, seed=8, memory=True
+            )
             result = job.result()
         assert job.cache_hits == len(hits)
         assert scope.get("simulations") == len(circuits) - len(hits)
@@ -553,8 +573,9 @@ class TestOneFlow:
         ]
         assert got == want
 
+    @pytest.mark.parametrize("entry", ["run", "thread"])
     def test_overridden_execute_circuit_takes_the_serial_route(
-        self, serial_reference
+        self, entry, run_via, serial_reference
     ):
         """A backend with its own ``execute_circuit`` is never batched, even
         for circuits that would otherwise share one IDEAL group."""
@@ -564,8 +585,9 @@ class TestOneFlow:
         want = serial_reference(backend, circuits, 64, 2, memory=True)
         service = ExecutionService()
         with service.stats_scope() as scope:
-            result = service.run(
-                circuits, backend=backend, shots=64, seed=2, memory=True
+            result = run_via(
+                entry, service, circuits, backend=backend, shots=64, seed=2,
+                memory=True,
             ).result()
         assert scope.get("simulations") == len(circuits)
         assert scope.get("simulations_batched") == 0
@@ -575,6 +597,57 @@ class TestOneFlow:
             for i in range(len(circuits))
         ]
         assert got == want
+
+    def test_every_group_runs_on_the_calling_thread(self, monkeypatch):
+        """Batch groups and SERIAL units alike run on whichever thread calls
+        ``run``; the service hands no work to a thread of its own."""
+        ran_on = []
+
+        def recorded(route, engine_call):
+            def call(*args, **kwargs):
+                ran_on.append((route, threading.get_ident()))
+                return engine_call(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            batchsim, "execute_group",
+            recorded("group", batchsim.execute_group),
+        )
+        monkeypatch.setattr(
+            batchsim, "run_circuit", recorded("serial", batchsim.run_circuit)
+        )
+        backend = Backend(
+            name="one-flow-noisy",
+            num_qubits=4,
+            noise_model=NoiseModel.uniform_depolarizing(0.02, 0.04, 0.01),
+        )
+        service = ExecutionService(use_cache=False)
+        callers, results = [], []
+
+        def call_run():
+            ran_on.clear()
+            results.append(
+                service.run(
+                    _mixed_submission(), backend=backend, shots=32, seed=4
+                ).result()
+            )
+            callers.append((threading.get_ident(), list(ran_on)))
+
+        call_run()
+        thread = threading.Thread(target=call_run)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert callers[0][0] != callers[1][0]
+        for caller, routes in callers:
+            # The noisy trajectories form batch groups; the noisy c_if
+            # circuit takes the SERIAL route.
+            assert {route for route, _ in routes} == {"group", "serial"}
+            assert {ident for _, ident in routes} == {caller}
+        first, second = results
+        for i in range(len(_mixed_submission())):
+            assert second.get_counts(i) == first.get_counts(i)
 
 
 # ---------------------------------------------------------------------------

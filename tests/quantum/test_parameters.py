@@ -283,7 +283,10 @@ class TestExecutionRefusal:
 
 
 class TestExecutionParity:
-    def test_counts_bit_identical_to_concrete(self, serial_reference):
+    @pytest.mark.parametrize("entry", ["run", "thread"])
+    def test_counts_bit_identical_to_concrete(
+        self, entry, run_via, serial_reference
+    ):
         template = sweep_template()
         points = SWEEP_POINTS[:6]
         bound = [template.bind({"theta": v}) for v in points]
@@ -291,7 +294,9 @@ class TestExecutionParity:
         want = serial_reference("ideal", concrete, 256, 11)
         assert serial_reference("ideal", bound, 256, 11) == want
         svc = ExecutionService()
-        res_bound = svc.run(bound, backend="ideal", shots=256, seed=11).result()
+        res_bound = run_via(
+            entry, svc, bound, backend="ideal", shots=256, seed=11
+        ).result()
         for i, (counts, _) in enumerate(want):
             assert res_bound.get_counts(i) == counts
 

@@ -153,6 +153,23 @@ class TestScopeBasics:
         # The scope is not active on this thread.
         assert scope not in active_scopes()
 
+    def test_run_on_another_thread_credits_only_that_threads_scopes(
+        self, service
+    ):
+        """Work runs, and is counted, on the thread that calls ``run``: a
+        scope open on this thread sees none of another thread's run unless
+        that thread carries it with ``use_scope``."""
+        with service.stats_scope() as here:
+            thread = threading.Thread(
+                target=service.run,
+                args=(bell(1.75),),
+                kwargs={"backend": "local_simulator", "shots": 64, "seed": 7},
+            )
+            thread.start()
+            thread.join()
+        assert all(v == 0 for v in here.as_dict().values())
+        assert service.stats()["simulations"] == 1
+
 
 class TestConcurrentAttribution:
     def test_two_scopes_partition_exactly(self, service):
