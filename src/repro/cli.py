@@ -756,6 +756,9 @@ def _cmd_variational(args) -> int:
     )
 
     n = args.qubits
+    if n < 3:
+        print(f"error: a ring needs at least 3 qubits, got --qubits {n}")
+        return 2
     edges = [(i, (i + 1) % n) for i in range(n)]
     try:
         if args.ansatz == "qaoa":

@@ -170,7 +170,15 @@ def unbound_parameter_errors(circuit: QuantumCircuit) -> list[Diagnostic]:
     becomes an error at the execution boundary.  The ``ExecutionService``
     pre-flight calls this in **every** validate mode (including ``"off"``) —
     executing a symbol is meaningless, not merely suspicious.
+
+    A circuit :meth:`~repro.quantum.circuit.QuantumCircuit.bind` produced,
+    and no instruction added or removed since, is not scanned: bind refuses
+    to leave a symbol unbound.  The result-cache fingerprint trusts the same
+    provenance check.
     """
+    provenance = getattr(circuit, "_bound_from", None)
+    if provenance is not None and provenance.matches(circuit):
+        return []
     out: list[Diagnostic] = []
     for index, inst in enumerate(circuit):
         names = sorted({p.name for p in iter_parameters(inst.params)})

@@ -6,7 +6,8 @@ It runs every cache miss of the
 ``Backend.execute_circuit`` call on a stock backend.  Compatible work units
 (same compacted gate structure and qubit count; per-unit
 seed/shots/parameters distinct) evolve together as a ``(batch, 2**n)``
-state with one stacked matmul per gate, and trajectory units (noisy,
+state with one stacked matmul per gate (a per-row matrix stack where the
+parameters differ), and trajectory units (noisy,
 mid-circuit measurement or reset, feed-forward ``c_if``) batch across their
 *shots* by pre-drawing the per-shot noise stream.  A unit's result depends
 on its ``(seed, circuit, shots, noise)`` alone — the batch axis is an
@@ -22,7 +23,8 @@ The cooperating pieces:
 * :mod:`~repro.quantum.batchsim.planner` — groups miss units by compacted
   gate structure and classifies them ``ideal`` / ``shots`` / ``serial``
   (:func:`route`): a unit shot-batches when its compacted circuit has a
-  draw plan, which it carries to the engine;
+  draw plan, which it carries to the engine.  A bound circuit routes on
+  its template's facts, walked once per template;
 * :mod:`~repro.quantum.batchsim.engine` — executes ideal groups (shared
   evolution, per-unit sampling) and shot-batched trajectories (pre-drawn
   noise tables, per-Pauli and per-condition row subsets, batched collapse),

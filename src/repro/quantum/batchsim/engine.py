@@ -5,10 +5,12 @@ Two vectorised paths, one per route of the planner:
 * **ideal groups** — units sharing one gate structure evolve together: one
   |0...0> row per *distinct* circuit (units differing only in seed share a
   row outright), every gate applied across the whole batch with one stacked
-  matmul, parameter-divergent positions gathered into per-parameter
-  sub-batches.  Sampling then runs per unit with its own generator, so a
-  unit's counts depend on its ``(seed, circuit)`` alone, never on the batch
-  it rode in.
+  matmul.  At a position whose parameters differ across rows, each distinct
+  matrix is built once and the rows' matrices go in as a ``(batch, 2**k,
+  2**k)`` stack, still one matmul.  Sampling then runs per unit with its own
+  generator and tallies the drawn outcome indices
+  (:func:`~repro.quantum.simulator.sample_counts`), so a unit's counts
+  depend on its ``(seed, circuit)`` alone, never on the batch it rode in.
 * **shot-batched trajectories** — one unit's shots evolve as the batch axis.
   All uniform draws are taken up front in per-shot order (row ``s`` of one
   ``rng.random((shots, per_shot))`` table is shot ``s``'s stream — the
@@ -20,7 +22,9 @@ Two vectorised paths, one per route of the planner:
   kernel call throughout.  Measure and reset collapse every shot at once
   through :func:`~repro.quantum.batchsim.state.batch_measure`.  A per-row
   collapse loop would dominate: one 4096-shot teleport batch took
-  0.36-0.39 s with it and 0.06-0.07 s vectorised on a 2-CPU host.
+  0.36-0.39 s with it and 0.06-0.07 s vectorised on a 2-CPU host.  Its
+  clbits come from collapse, so it tallies ``(shots, num_clbits)`` digit
+  rows with :func:`~repro.quantum.simulator.tally_counts`.
 
 :func:`run_circuit` is the single-circuit entry behind
 ``Backend.execute_circuit``.  It routes like the planner and adds the one
@@ -63,7 +67,7 @@ from repro.quantum.simulator import (
     _measure_pairs,
     digit_rows,
     draw_widths,
-    sample_from_state,
+    sample_counts,
     tally_counts,
 )
 from repro.quantum.statevector import Statevector
@@ -151,18 +155,17 @@ def _execute_ideal(
             distinct.append(unit.compacted)
         row_keys.append(params_stream)
     states = _evolve_rows(distinct)
-    results = []
-    for unit, params_stream in zip(units, row_keys):
-        rng = np.random.default_rng(unit.seed)
-        rows = sample_from_state(
+    return [
+        sample_counts(
             states[row_of[params_stream]],
             _measure_pairs(unit.compacted),
             unit.compacted.num_clbits,
             unit.shots,
-            rng,
+            np.random.default_rng(unit.seed),
+            memory,
         )
-        results.append(tally_counts(rows, memory))
-    return results
+        for unit, params_stream in zip(units, row_keys)
+    ]
 
 
 def _evolve_rows(circuits: list[QuantumCircuit]) -> list[Statevector]:
@@ -171,7 +174,8 @@ def _evolve_rows(circuits: list[QuantumCircuit]) -> list[Statevector]:
     Mirrors ``Statevector.from_circuit(circuit.remove_all_measurements())``
     instruction for instruction, including the final constructor wrap (and
     its normalisation handling), so each returned state equals its serial
-    twin exactly.
+    twin exactly.  A gate whose parameters differ across rows builds each
+    distinct matrix once and applies the per-row stack in one matmul.
     """
     stripped = [circuit.remove_all_measurements() for circuit in circuits]
     num_qubits = stripped[0].num_qubits
@@ -186,15 +190,18 @@ def _evolve_rows(circuits: list[QuantumCircuit]) -> list[Statevector]:
                 raise SimulationError(
                     f"evolve() only handles unitary gates, found '{lead.name}'"
                 )
-            by_params: dict[tuple, list[int]] = {}
-            for row, stream in enumerate(chunk):
-                by_params.setdefault(stream[position].params, []).append(row)
-            if len(by_params) == 1:
-                batch.apply(lead.matrix(), lead.qubits)
+            matrix_of: dict[tuple, np.ndarray] = {}
+            per_row = []
+            for stream in chunk:
+                inst = stream[position]
+                matrix = matrix_of.get(inst.params)
+                if matrix is None:
+                    matrix = matrix_of[inst.params] = inst.matrix()
+                per_row.append(matrix)
+            if len(matrix_of) == 1:
+                batch.apply(per_row[0], lead.qubits)
             else:
-                for rows in by_params.values():
-                    inst = chunk[rows[0]][position]
-                    batch.apply_rows(rows, inst.matrix(), inst.qubits)
+                batch.apply(np.stack(per_row), lead.qubits)
         for offset in range(len(chunk)):
             states[start + offset] = Statevector(batch.row(offset))
     return states

@@ -14,7 +14,10 @@ inverse ``transpose`` puts the axes back.  Both orders come from the serial
 kernel's cached ``_axis_orders`` (shifted by the batch axis), so each row's
 view is the serial one.  Every 2-D slice of that stacked matmul is the
 identical GEMM shape the serial kernel issues, so BLAS takes the same code
-path per row and the results match bit for bit.
+path per row and the results match bit for bit.  The matrix may be one
+``2^k x 2^k`` unitary broadcast over the rows or a ``(batch, 2^k, 2^k)``
+stack with one matrix per row (a parametric gate across a sweep's points):
+either way slice ``i`` multiplies row ``i`` with the same GEMM.
 
 The tempting alternative — folding the batch into the matmul's *column*
 dimension, ``matrix @ (2**k, batch * rest)`` — is measurably **not**
@@ -30,6 +33,7 @@ probability sum and norm keep the summation order of the flat-state
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -45,28 +49,41 @@ def batch_apply_matrix(
     targets: Sequence[int],
     num_qubits: int,
 ) -> np.ndarray:
-    """Apply one ``2^k x 2^k`` unitary to ``targets`` of every batched state.
+    """Apply a ``2^k x 2^k`` unitary to ``targets`` of every batched state.
 
-    ``states`` is ``(batch, 2**num_qubits)``; returns a new array of the same
-    shape whose row ``i`` equals ``apply_matrix(states[i], matrix, targets,
-    num_qubits)`` bit for bit.  The axis shuffles are plain transposes by
-    orders cached per ``(targets, num_qubits, 1)``: the serial kernel's
-    permutation with the batch axis kept in front, so every row sees the
-    serial view and GEMM shape.  Deriving the orders per call cost more
-    than the matmul on the small states this engine batches.
+    ``states`` is ``(batch, 2**num_qubits)``; ``matrix`` is one ``(2**k,
+    2**k)`` unitary for every row, or a ``(batch, 2**k, 2**k)`` stack whose
+    slice ``i`` acts on row ``i``.  Returns a new array of the same shape
+    as ``states`` whose row ``i`` equals ``apply_matrix(states[i], m_i,
+    targets, num_qubits)`` bit for bit, ``m_i`` being row ``i``'s matrix:
+    either way matmul multiplies one contiguous ``2^k x 2^k`` slice by one
+    row's block, the GEMM the serial kernel issues.  The axis shuffles are
+    plain transposes by orders cached per ``(targets, num_qubits, 1)``: the
+    serial kernel's permutation with the batch axis kept in front, so every
+    row sees the serial view and GEMM shape.  Deriving the orders per call
+    cost more than the matmul on the small states this engine batches.
     """
     k = len(targets)
-    if matrix.shape != (2**k, 2**k):
+    batch = states.shape[0]
+    if matrix.shape not in ((2**k, 2**k), (batch, 2**k, 2**k)):
         raise SimulationError(
             f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
+            f" and {batch} row(s)"
         )
-    batch = states.shape[0]
     shape = [batch] + [2] * num_qubits
     forward, inverse = _axis_orders(tuple(targets), num_qubits, 1)
     tensor = states.reshape(shape).transpose(forward)
     stacked = np.ascontiguousarray(tensor).reshape(batch, 2**k, -1)
     stacked = np.matmul(matrix, stacked)
     return stacked.reshape(shape).transpose(inverse).reshape(batch, 2**num_qubits)
+
+
+@functools.lru_cache(maxsize=256)
+def _ones_mask(num_qubits: int, qubit: int) -> np.ndarray:
+    """Read-only mask of the basis indices whose bit ``qubit`` is set."""
+    mask = (np.arange(2**num_qubits) & (1 << qubit)) != 0
+    mask.flags.writeable = False
+    return mask
 
 
 def batch_measure(
@@ -90,7 +107,7 @@ def batch_measure(
     Raises the serial :class:`SimulationError` when a row collapses onto a
     zero-probability branch.
     """
-    ones = (np.arange(2**num_qubits) & (1 << qubit)) != 0
+    ones = _ones_mask(num_qubits, qubit)
     block = np.abs(states[:, ones]) ** 2
     p1 = np.fromiter(
         (row.sum() for row in block), dtype=np.float64, count=len(block)

@@ -492,6 +492,10 @@ class QuantumCircuit:
         parameter raise unless ``allow_unused=True``.  Binding replays each
         expression's recorded float ops, so the result is bit-identical to
         building the circuit with the concrete values directly.
+
+        The parameter names and the positions of the symbolic instructions
+        are found once per template (see :meth:`_bind_plan`), so a sweep's
+        points only check their values and replay the symbolic gates.
         """
         named: dict[str, float] = {}
         for key, raw in values.items():
@@ -505,8 +509,7 @@ class QuantumCircuit:
             if not math.isfinite(value):
                 raise CircuitError(f"non-finite binding {raw!r} for '{name}'")
             named[name] = value
-        params = self.parameters
-        param_names = [p.name for p in params]
+        param_names, symbolic = self._bind_plan()
         missing = [n for n in param_names if n not in named]
         if missing:
             raise CircuitError(
@@ -521,26 +524,20 @@ class QuantumCircuit:
                 )
         bound = self.copy_empty(name=self.name)
         bound.metadata = dict(self.metadata)
-        for inst in self._instructions:
-            if any(is_symbolic(p) for p in inst.params):
-                new_params = tuple(
-                    bind_parameter(p, named) for p in inst.params
-                )
-                for value in new_params:
-                    if not math.isfinite(value):
-                        raise CircuitError(
-                            f"binding produced non-finite parameter {value!r} "
-                            f"for gate '{inst.name}'"
-                        )
-                bound._instructions.append(
-                    Instruction(
-                        inst.name, inst.qubits, inst.clbits, new_params,
-                        inst.condition,
+        bound._instructions = list(self._instructions)
+        for index in symbolic:
+            inst = bound._instructions[index]
+            new_params = tuple(bind_parameter(p, named) for p in inst.params)
+            for value in new_params:
+                if not math.isfinite(value):
+                    raise CircuitError(
+                        f"binding produced non-finite parameter {value!r} "
+                        f"for gate '{inst.name}'"
                     )
-                )
-            else:
-                bound._instructions.append(inst)
-        if params:
+            bound._instructions[index] = Instruction(
+                inst.name, inst.qubits, inst.clbits, new_params, inst.condition
+            )
+        if param_names:
             bound._bound_from = BoundProvenance(
                 template=self,
                 names=tuple(param_names),
@@ -548,6 +545,24 @@ class QuantumCircuit:
                 size=len(bound._instructions),
             )
         return bound
+
+    def _bind_plan(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """``(parameter names, symbolic instruction positions)`` for :meth:`bind`.
+
+        Memoised keyed on the instruction count, as the structure
+        fingerprint is: appending an instruction recomputes the plan.
+        """
+        size = len(self._instructions)
+        memo = getattr(self, "_bind_plan_memo", None)
+        if memo is None or memo[0] != size:
+            names = tuple(p.name for p in self.parameters)
+            symbolic = tuple(
+                index
+                for index, inst in enumerate(self._instructions)
+                if any(is_symbolic(p) for p in inst.params)
+            )
+            memo = self._bind_plan_memo = (size, names, symbolic)
+        return memo[1], memo[2]
 
     # -- queries ----------------------------------------------------------------
 

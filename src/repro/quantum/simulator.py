@@ -6,15 +6,17 @@ simulator in the program.  It runs each circuit on one of two paths:
 
 * **fast path** — no gate noise, no reset, no conditionals, measurements only
   at circuit positions that are never followed by gates on the same qubit:
-  evolve the statevector once and sample the joint distribution
-  (:func:`sample_from_state`).
+  evolve the statevector once, sample the joint distribution of the measured
+  qubits and tally the drawn outcome indices (:func:`sample_counts`).
 * **trajectory path** — everything else: one statevector trajectory per
   shot, sampling Pauli noise after each gate and readout flips at each
   measurement, with the uniforms each shot draws laid out by
-  :func:`draw_widths`.
+  :func:`draw_widths`.  Its clbits come from collapse, not from one index,
+  so it produces ``(shots, num_clbits)`` digit rows, which
+  :func:`tally_counts` folds into counts.
 
-Both paths produce ``(shots, num_clbits)`` digit rows, which
-:func:`tally_counts` folds into counts.
+Both tallies return the same thing for the same registers: counts sorted by
+bitstring key, plus the per-shot keys when memory is requested.
 """
 
 from __future__ import annotations
@@ -90,32 +92,38 @@ def _measure_pairs(circuit: QuantumCircuit) -> list[tuple[int, int]]:
     ]
 
 
-def sample_from_state(
+def sample_counts(
     state: Statevector,
     measures: Sequence[tuple[int, int]],
     num_clbits: int,
     shots: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample ``shots`` classical registers from the measured qubits of a state.
+    memory: bool,
+) -> tuple[dict[str, int], list[str] | None]:
+    """Sample ``shots`` classical registers from a final state and tally them.
 
     ``measures`` lists the circuit's ``(qubit, clbit)`` measurements in
-    program order.  Returns ``(shots, num_clbits)`` ASCII digit rows (see
-    :func:`digit_rows`).  Each clbit holds the outcome of the qubit measured
-    into it *last*, as a per-shot run leaves it: one qubit may feed several
+    program order.  Each clbit holds the outcome of the qubit measured into
+    it *last*, as a per-shot run leaves it: one qubit may feed several
     clbits, and a later measurement overwrites a clbit; a clbit nothing
-    measures into reads 0.
+    measures into reads 0.  Returns what :func:`tally_counts` returns for
+    those registers: the counts sorted by key, and the per-shot keys when
+    ``memory`` is set.
 
     The joint distribution is drawn over the measured qubits in the order
     they are first measured (the key order of ``measured_qubit_to_clbit()``)
     with exactly one ``rng.choice`` call, so the sampled stream is a pure
     function of ``(state, measures, shots, rng state)`` — which is what lets
     the batch engine share one evolved state across many per-unit generators
-    and still give each unit the counts it would get alone.
+    and still give each unit the counts it would get alone.  The draws are
+    tallied as outcome indices with ``np.bincount``, and a key is built only
+    for each index drawn.  Indices that differ only in qubits no clbit reads
+    (overwritten, or never measured into a kept clbit) share a key, and
+    their counts merge.
     """
-    rows = np.full((shots, num_clbits), ord("0"), dtype=np.uint8)
     if not measures:
-        return rows
+        key = "0" * num_clbits
+        return {key: shots}, ([key] * shots if memory else None)
     qubits = list(dict.fromkeys(qubit for qubit, _ in measures))
     probs = state.probabilities(qubits)
     total = float(probs.sum())
@@ -127,13 +135,23 @@ def sample_from_state(
     # Dividing by a validated ~1.0 total only scrubs honest rounding dust;
     # it keeps numpy's own (tighter) sum check in rng.choice satisfied.
     outcome_idx = rng.choice(len(probs), size=shots, p=probs / total)
+    bins = np.bincount(outcome_idx)
+    drawn = np.flatnonzero(bins)
     position = {qubit: pos for pos, qubit in enumerate(qubits)}
     last_source = {clbit: qubit for qubit, clbit in measures}
+    clbits = np.zeros((drawn.size, num_clbits), dtype=np.int64)
     for clbit, qubit in last_source.items():
-        rows[:, num_clbits - 1 - clbit] = ord("0") + (
-            (outcome_idx >> position[qubit]) & 1
-        ).astype(np.uint8)
-    return rows
+        clbits[:, clbit] = (drawn >> position[qubit]) & 1
+    keyed = digit_rows(clbits).view(f"S{num_clbits}")[:, 0]
+    keys = [row.decode("ascii") for row in keyed.tolist()]
+    tallied: dict[str, int] = {}
+    for key, count in zip(keys, bins[drawn].tolist()):
+        tallied[key] = tallied.get(key, 0) + count
+    counts = dict(sorted(tallied.items()))
+    if not memory:
+        return counts, None
+    key_of = dict(zip(drawn.tolist(), keys))
+    return counts, [key_of[index] for index in outcome_idx.tolist()]
 
 
 def draw_widths(circuit: QuantumCircuit, noise: NoiseModel | None) -> list[int]:

@@ -25,6 +25,7 @@ reproduces the history bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -108,7 +109,9 @@ def minimize(
         service: execution service to batch through (defaults to the shared
             :func:`default_service`).
         learning_rate: SPSA gain ``a`` / coordinate-descent initial step.
-        perturbation: SPSA gain ``c`` (ignored by ``"coordinate"``).
+        perturbation: SPSA gain ``c`` (ignored by ``"coordinate"``).  Both
+            gains must be finite and positive; anything else raises
+            :class:`CircuitError` before the first execution.
 
     Returns:
         A :class:`VariationalResult`; ``history`` holds the best energy seen
@@ -131,6 +134,11 @@ def minimize(
         raise CircuitError(f"maxiter must be >= 0, got {maxiter}")
     if shots < 1:
         raise CircuitError(f"shots must be >= 1, got {shots}")
+    for gain_name, gain in (
+        ("learning_rate", learning_rate), ("perturbation", perturbation)
+    ):
+        if not (math.isfinite(gain) and gain > 0):
+            raise CircuitError(f"{gain_name} must be finite and > 0, got {gain!r}")
     svc = service if service is not None else default_service()
     dim = len(names)
 

@@ -27,7 +27,7 @@ from repro.quantum.noise import NoiseModel, PauliNoise, ReadoutError
 from repro.quantum.simulator import (
     MAX_DENSE_QUBITS,
     digit_rows,
-    sample_from_state,
+    sample_counts,
     tally_counts,
     trajectory_draw_plan,
 )
@@ -37,6 +37,7 @@ from tests.serial_engine import (
     _run_trajectory,
     collapse,
     measure_probabilities,
+    sample_from_state,
     simulate_counts,
 )
 
@@ -274,11 +275,32 @@ class TestBatchKernel:
                     f"row {row} deviates for targets {targets}"
                 )
 
+    def test_stacked_matrices_match_per_row_calls(self):
+        # One (batch, 2**k, 2**k) stack in one matmul: row i times slice i is
+        # the GEMM a one-matrix call on row i alone issues, byte for byte.
+        rng = np.random.default_rng(2100)
+        for _ in range(120):
+            num_qubits = int(rng.integers(1, 7))
+            batch = int(rng.integers(1, 9))
+            k = int(rng.integers(1, min(num_qubits, 3) + 1))
+            targets = [int(t) for t in rng.choice(num_qubits, size=k, replace=False)]
+            stack = np.stack([random_unitary(rng, k) for _ in range(batch)])
+            states = random_states(rng, batch, num_qubits)
+            got = batchsim.batch_apply_matrix(states, stack, targets, num_qubits)
+            for row in range(batch):
+                alone = batchsim.batch_apply_matrix(
+                    states[row:row + 1], stack[row], targets, num_qubits
+                )
+                want = apply_matrix(states[row], stack[row], targets, num_qubits)
+                assert got[row].tobytes() == alone[0].tobytes() == want.tobytes()
+
     def test_matrix_shape_mismatch_raises(self):
         states = np.zeros((2, 4), dtype=np.complex128)
         states[:, 0] = 1.0
         with pytest.raises(SimulationError, match="does not match"):
             batchsim.batch_apply_matrix(states, np.eye(4), [0], 2)
+        with pytest.raises(SimulationError, match="2 row"):
+            batchsim.batch_apply_matrix(states, np.stack([np.eye(2)] * 3), [0], 2)
 
     def test_batch_statevector_validates_shape(self):
         with pytest.raises(SimulationError, match="2-D"):
@@ -875,20 +897,20 @@ class TestNormValidation:
         state = self._denormalized_state(0.9)
         rng = np.random.default_rng(0)
         with pytest.raises(SimulationError, match="lost normalisation"):
-            sample_from_state(state, [(0, 0), (1, 1)], 2, 10, rng)
+            sample_counts(state, [(0, 0), (1, 1)], 2, 10, rng, False)
 
     def test_rounding_dust_within_tolerance_is_fine(self):
         state = self._denormalized_state(1.0 + 1e-8)
         rng = np.random.default_rng(0)
-        rows = sample_from_state(state, [(0, 0), (1, 1)], 2, 10, rng)
-        assert rows.shape == (10, 2) and rows.tobytes() == b"00" * 10
+        got = sample_counts(state, [(0, 0), (1, 1)], 2, 10, rng, True)
+        assert got == ({"00": 10}, ["00"] * 10)
 
     def test_unmeasured_circuit_samples_zeros(self):
         state = Statevector.zero_state(2)
-        rows = sample_from_state(state, [], 2, 3, np.random.default_rng(0))
-        assert rows.shape == (3, 2) and rows.tobytes() == b"00" * 3
-        rows = sample_from_state(state, [], 0, 2, np.random.default_rng(0))
-        assert rows.shape == (2, 0)
+        got = sample_counts(state, [], 2, 3, np.random.default_rng(0), True)
+        assert got == ({"00": 3}, ["00"] * 3)
+        got = sample_counts(state, [], 0, 2, np.random.default_rng(0), False)
+        assert got == ({"": 2}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +1018,63 @@ class TestTallyCounts:
             if kind == batchsim.IDEAL:  # the Bell pair agrees on every shot
                 assert all(key[0] == key[5] for key in counts)
                 assert len(counts) == 4
+
+
+def random_measures(rng, num_qubits: int, num_clbits: int):
+    """Random ``(qubit, clbit)`` measures: clbits overwritten, qubits read
+    into several clbits, and qubits whose every clbit is overwritten."""
+    return [
+        (int(rng.integers(num_qubits)), int(rng.integers(num_clbits)))
+        for _ in range(int(rng.integers(1, 2 * num_qubits + 2)))
+    ]
+
+
+class TestSampleCounts:
+    """``sample_counts`` tallies outcome indices; the frozen digit-row
+    sampler plus ``tally_counts`` is its reference."""
+
+    @staticmethod
+    def assert_same_as_reference(state, measures, num_clbits, shots, seed):
+        for memory in (False, True):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_counts(state, measures, num_clbits, shots, rng, memory)
+            want = tally_counts(
+                sample_from_state(state, measures, num_clbits, shots, ref_rng),
+                memory,
+            )
+            assert got == want
+            assert list(got[0]) == list(want[0])  # same key order
+            assert all(type(count) is int for count in got[0].values())
+            # The draw is unchanged: both consumed the same generator stream.
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_random_states_and_measures(self):
+        rng = np.random.default_rng(2300)
+        for _ in range(150):
+            num_qubits = int(rng.integers(1, 6))
+            num_clbits = int(rng.integers(1, 7))
+            state = Statevector(random_states(rng, 1, num_qubits)[0])
+            measures = random_measures(rng, num_qubits, num_clbits)
+            shots = int(rng.choice([1, 7, 256, 1024]))
+            self.assert_same_as_reference(
+                state, measures, num_clbits, shots, int(rng.integers(1 << 30))
+            )
+
+    def test_overwritten_and_unread_qubits_merge(self):
+        # Qubit 1's clbit is overwritten by qubit 2, and qubit 0 feeds two
+        # clbits: indices differing in qubit 1 share a key.
+        state = Statevector(np.full(8, 1 / np.sqrt(8), dtype=np.complex128))
+        measures = [(0, 0), (1, 1), (2, 1), (0, 2)]
+        self.assert_same_as_reference(state, measures, 4, 512, 9)
+        counts, _ = sample_counts(
+            state, measures, 4, 512, np.random.default_rng(9), False
+        )
+        assert set(counts) == {"0000", "0010", "0101", "0111"}
+
+    def test_no_measures_and_zero_clbits(self):
+        state = Statevector(random_states(np.random.default_rng(1), 1, 2)[0])
+        for num_clbits in (0, 3):
+            self.assert_same_as_reference(state, [], num_clbits, 5, 3)
 
 
 class TestClbitAssignment:

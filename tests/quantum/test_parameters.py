@@ -10,6 +10,7 @@ group.
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -26,6 +27,8 @@ from repro.quantum.analysis import (
     structure_fingerprint,
     unbound_parameter_errors,
 )
+from repro.quantum import batchsim
+from repro.quantum.batchsim import planner
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import ExecutionService, circuit_fingerprint
 from repro.quantum.parameters import (
@@ -366,6 +369,116 @@ class TestExecutionParity:
         qc.ry(Parameter("theta"), 0)
         with pytest.raises(TranspilerError, match="symbolic"):
             svc.transpile(qc)
+
+
+def random_template(rng: np.random.Generator) -> QuantumCircuit:
+    """A random template over every instruction kind the facts walk reads:
+    symbolic and concrete rotations, entanglers, measures, resets,
+    barriers and conditionals, so routing facts vary between templates."""
+    num_qubits = int(rng.integers(1, 5))
+    num_clbits = int(rng.integers(1, 4))
+    symbols = [Parameter(f"p{i}") for i in range(int(rng.integers(1, 4)))]
+    qc = QuantumCircuit(num_qubits, num_clbits, name="random")
+    for i, symbol in enumerate(symbols):
+        qc.rz(symbol * 0.5 + i, int(rng.integers(num_qubits)))
+    for _ in range(int(rng.integers(1, 12))):
+        roll = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        symbol = symbols[int(rng.integers(len(symbols)))]
+        if roll < 0.3:
+            qc.ry(symbol / 3, qubit)
+        elif roll < 0.45 and num_qubits > 1:
+            qc.cx(qubit, (qubit + 1) % num_qubits)
+        elif roll < 0.55:
+            qc.h(qubit)
+        elif roll < 0.65:
+            qc.measure(qubit, int(rng.integers(num_clbits)))
+        elif roll < 0.72:
+            qc.reset(qubit)
+        elif roll < 0.8:
+            qc.barrier()
+        elif roll < 0.9:
+            qc.append("x", [qubit], condition=(int(rng.integers(num_clbits)), 1))
+        else:
+            qc.rx(float(rng.uniform(-3, 3)), qubit)
+    return qc
+
+
+@pytest.fixture
+def facts_walks(monkeypatch):
+    """Every circuit the batch planner walks with ``circuit_facts``."""
+    walked = []
+    original = planner.circuit_facts
+
+    def counting(circuit, *args, **kwargs):
+        walked.append(circuit)
+        return original(circuit, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "circuit_facts", counting)
+    return walked
+
+
+class TestPerTemplateWork:
+    """Per-template work (facts, bind plan, QA105 scan) is done once per
+    template and trusted only while the bound circuit is unchanged."""
+
+    def test_planner_facts_of_bound_circuits_equal_a_fresh_walk(self):
+        rng = np.random.default_rng(2400)
+        for _ in range(80):
+            template = random_template(rng)
+            shared = None
+            for _ in range(3):
+                bound = template.bind({
+                    p.name: float(rng.uniform(-3, 3))
+                    for p in template.parameters
+                })
+                facts = batchsim.make_unit(0, bound, None, 1, 8).facts
+                assert facts == circuit_facts(bound)
+                assert shared is None or facts is shared
+                shared = facts
+
+    def test_sweep_through_the_service_walks_each_template_once(
+        self, facts_walks
+    ):
+        templates = [sweep_template(), sweep_template(4)]
+        svc = ExecutionService()
+        for k in range(6):
+            batch = [t.bind({"theta": 0.1 * k + j}) for t in templates
+                     for j in range(3)]
+            svc.run(batch, backend="ideal", shots=16, seed=k).result()
+        assert [id(qc) for qc in facts_walks] == [id(t) for t in templates]
+
+    def test_appending_after_bind_falls_back_to_the_full_walk(self, facts_walks):
+        bound = sweep_template().bind({"theta": 0.4})
+        bound.h(0)  # a gate after the final measurements
+        facts = batchsim.make_unit(0, bound, None, 1, 8).facts
+        assert facts_walks == [bound]
+        assert facts == circuit_facts(bound)
+        assert facts.gate_counts["h"] == 2 and facts.gates_after_measure
+
+    def test_symbolic_gate_appended_after_bind_is_refused(self):
+        bound = sweep_template().bind({"theta": 0.4})
+        assert unbound_parameter_errors(bound) == []
+        bound.ry(Parameter("phi"), 0)
+        (diag,) = unbound_parameter_errors(bound)
+        assert diag.code == "QA105" and diag.index == len(bound) - 1
+        svc = ExecutionService(validate="off")
+        with svc.stats_scope() as scope:
+            with pytest.raises(ValidationError, match="QA105"):
+                svc.run(bound, backend="ideal", shots=16, seed=1)
+        assert scope.get("rejected_unbound") == 1
+        assert scope.get("simulations") == 0
+
+    def test_bind_plan_follows_template_growth(self):
+        template = sweep_template()
+        template.bind({"theta": 0.1})
+        template.rx(Parameter("phi") * 2, 1)
+        with pytest.raises(CircuitError, match="missing values.*phi"):
+            template.bind({"theta": 0.1})
+        bound = template.bind({"theta": 0.1, "phi": 0.25})
+        assert bound._instructions[-1].params == (0.5,)
+        assert not bound.is_parameterized()
+        assert bound._bound_from.names == ("theta", "phi")
 
 
 class TestQasmRoundTrip:

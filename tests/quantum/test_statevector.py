@@ -10,7 +10,7 @@ from scipy.stats import unitary_group
 
 from repro.errors import SimulationError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.statevector import Statevector, apply_matrix
+from repro.quantum.statevector import Statevector, _marginal_index, apply_matrix
 from tests.serial_engine import collapse, measure_probabilities
 
 
@@ -146,6 +146,47 @@ class TestMeasurementHelpers:
         state = Statevector.from_label("0").data
         with pytest.raises(SimulationError):
             collapse(state, 0, 1, 1)
+
+
+def reference_marginal(state: Statevector, qargs) -> np.ndarray:
+    """The marginal in its ``np.add.at`` formulation, kept verbatim.
+
+    ``Statevector.probabilities`` sums with ``np.bincount`` over a cached
+    index map; the frozen serial engine samples through it too, so the
+    parity suites cannot see a drift there.  This is the byte reference.
+    """
+    probs = np.abs(state._data) ** 2
+    n = state.num_qubits
+    out = np.zeros(2 ** len(qargs))
+    indices = np.arange(2**n)
+    sub = np.zeros_like(indices)
+    for pos, q in enumerate(qargs):
+        sub |= ((indices >> q) & 1) << pos
+    np.add.at(out, sub, probs)
+    return out
+
+
+class TestMarginalMatchesAddAt:
+    def test_random_states_byte_for_byte(self):
+        rng = np.random.default_rng(2200)
+        for _ in range(400):
+            n = int(rng.integers(1, 11))
+            data = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state = Statevector(data)
+            width = int(rng.integers(0, n + 1))
+            qargs = [int(q) for q in rng.permutation(n)[:width]]
+            got = state.probabilities(qargs)
+            want = reference_marginal(state, qargs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, qargs)
+
+    def test_index_map_is_cached_read_only(self):
+        state = Statevector.from_label("+0+")
+        state.probabilities([2, 0])
+        sub = _marginal_index(3, (2, 0))
+        assert sub is _marginal_index(3, (2, 0))
+        with pytest.raises(ValueError):
+            sub[0] = 1
 
 
 class TestStatistics:

@@ -175,6 +175,61 @@ class TestMinimize:
             minimize(energy, ansatz, maxiter=-1)
         with pytest.raises(CircuitError, match="shots"):
             minimize(energy, ansatz, shots=0)
+        # Unusable step gains are refused before the first batch runs.
+        svc = ExecutionService()
+        for method in OPTIMIZE_METHODS:
+            for gains, refused in (
+                ({"perturbation": 0.0}, "perturbation"),
+                ({"perturbation": -0.2}, "perturbation"),
+                ({"perturbation": float("inf")}, "perturbation"),
+                ({"learning_rate": float("nan")}, "learning_rate"),
+                ({"learning_rate": 0.0}, "learning_rate"),
+                ({"learning_rate": -float("inf")}, "learning_rate"),
+            ):
+                with pytest.raises(CircuitError, match=f"{refused} must be finite"):
+                    minimize(energy, ansatz, method=method, service=svc, **gains)
+        assert svc.stats()["jobs_submitted"] == 0
+
+    @pytest.mark.parametrize(
+        "make, history, best_parameters",
+        [
+            (
+                lambda: qaoa_ansatz(4, RING, reps=1),
+                (-2.25, -2.25, -2.25, -2.6796875, -2.6796875, -2.6796875),
+                {"gamma_0": 0.3797727644552793, "beta_0": -1.0230681294983301},
+            ),
+            (
+                lambda: hardware_efficient_ansatz(4, reps=1),
+                (
+                    -3.4296875, -3.4296875, -3.5078125, -3.5625, -3.65625,
+                    -3.6953125,
+                ),
+                {
+                    "theta_0_0": 0.07998015215128937,
+                    "theta_0_1": -1.3234411969921032,
+                    "theta_0_2": 2.137317398836082,
+                    "theta_0_3": 1.5203325325971921,
+                    "theta_1_0": 0.1398463957254116,
+                    "theta_1_1": -2.008382627429313,
+                    "theta_1_2": -1.3056774959078616,
+                    "theta_1_3": 1.441763838536479,
+                },
+            ),
+        ],
+        ids=["qaoa", "hea"],
+    )
+    def test_trajectory_pinned_at_a_fixed_seed(
+        self, make, history, best_parameters
+    ):
+        # Every sampled count feeds the next SPSA step, so any drift in
+        # binding, evolution or sampling moves these values.
+        result = minimize(
+            maxcut_energy(RING), make(), backend="ideal", shots=256, seed=11,
+            maxiter=5, service=ExecutionService(),
+        )
+        assert result.history == history
+        assert result.best_parameters == best_parameters
+        assert result.evaluations == 11
 
     def test_methods_registry(self):
         assert OPTIMIZE_METHODS == ("spsa", "coordinate")
@@ -201,3 +256,10 @@ class TestCli:
     def test_variational_unknown_backend(self, capsys):
         assert main(["variational", "--backend", "nope"]) == 2
         assert "error:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("qubits", ["2", "1", "0"])
+    def test_variational_refuses_rings_under_three_qubits(self, qubits, capsys):
+        assert main(["variational", "--qubits", qubits, "--iters", "1"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and "at least 3 qubits" in out
+        assert "ring MaxCut" not in out

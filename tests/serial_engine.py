@@ -12,11 +12,16 @@ difference between the two is a finding.
 
 What it shares with the live engine is what both are checked against
 separately: the gate kernel ``apply_matrix`` (pinned to a frozen
-``np.moveaxis`` formulation), compaction, the final-state sampler and the
-tally.
+``np.moveaxis`` formulation), compaction, ``Statevector.probabilities`` and
+the digit-row tally.  The final-state sampler is no longer shared: the live
+engine tallies outcome indices with ``simulator.sample_counts``, and
+``sample_from_state`` below, which writes one digit row per shot for
+``tally_counts``, is the reference it is checked against.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -28,13 +33,59 @@ from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import (
     _PAULI_MATRICES,
     MAX_DENSE_QUBITS,
+    NORM_ATOL,
     _compact,
     _measure_pairs,
     digit_rows,
-    sample_from_state,
     tally_counts,
 )
 from repro.quantum.statevector import _ATOL, Statevector, apply_matrix
+
+
+def sample_from_state(
+    state: Statevector,
+    measures: Sequence[tuple[int, int]],
+    num_clbits: int,
+    shots: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sample ``shots`` classical registers from the measured qubits of a state.
+
+    ``measures`` lists the circuit's ``(qubit, clbit)`` measurements in
+    program order.  Returns ``(shots, num_clbits)`` ASCII digit rows (see
+    :func:`digit_rows`).  Each clbit holds the outcome of the qubit measured
+    into it *last*, as a per-shot run leaves it: one qubit may feed several
+    clbits, and a later measurement overwrites a clbit; a clbit nothing
+    measures into reads 0.
+
+    The joint distribution is drawn over the measured qubits in the order
+    they are first measured (the key order of ``measured_qubit_to_clbit()``)
+    with exactly one ``rng.choice`` call, so the sampled stream is a pure
+    function of ``(state, measures, shots, rng state)`` — which is what lets
+    the batch engine share one evolved state across many per-unit generators
+    and still give each unit the counts it would get alone.
+    """
+    rows = np.full((shots, num_clbits), ord("0"), dtype=np.uint8)
+    if not measures:
+        return rows
+    qubits = list(dict.fromkeys(qubit for qubit, _ in measures))
+    probs = state.probabilities(qubits)
+    total = float(probs.sum())
+    if abs(total - 1.0) > NORM_ATOL:
+        raise SimulationError(
+            f"measurement distribution sums to {total!r}, not 1; the state "
+            "lost normalisation upstream (non-unitary gate matrix?)"
+        )
+    # Dividing by a validated ~1.0 total only scrubs honest rounding dust;
+    # it keeps numpy's own (tighter) sum check in rng.choice satisfied.
+    outcome_idx = rng.choice(len(probs), size=shots, p=probs / total)
+    position = {qubit: pos for pos, qubit in enumerate(qubits)}
+    last_source = {clbit: qubit for qubit, clbit in measures}
+    for clbit, qubit in last_source.items():
+        rows[:, num_clbits - 1 - clbit] = ord("0") + (
+            (outcome_idx >> position[qubit]) & 1
+        ).astype(np.uint8)
+    return rows
 
 
 def measure_probabilities(state: np.ndarray, qubit: int, num_qubits: int) -> float:

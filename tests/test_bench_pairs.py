@@ -71,6 +71,19 @@ class TestParseOutput:
             "correct": True, "attempted": 4, "failed": 0, "metrics": {},
         }
 
+    def test_reads_src_lines_from_the_meta_line(self):
+        stdout = (
+            "== variational (seed 3, trace 0; iteration walls [0.8] reference s)\n"
+            "   measured walls [0.8] s, host speed [1.0]\n"
+            "   python_hash_seed=0, nproc=2, git_sha=abc, src_lines=23108\n"
+            "   digest 032a3c608f5ef8c1  summary {}\n"
+            '{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}\n'
+        )
+        assert bench_pairs.parse_output(stdout)["src_lines"] == 23108
+        assert bench_pairs.parse_output(stdout.replace("src_lines", "lines"))[
+            "src_lines"
+        ] is None
+
     @pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n"])
     def test_no_result_line(self, stdout):
         parsed = bench_pairs.parse_output(stdout)
@@ -99,6 +112,17 @@ class TestSummarize:
         assert summary["wall_s_wins"] == 3
         assert summary["digests"] == {"parent": ["d1"], "change": ["d1"]}
         assert summary["ok"]
+
+    def test_reports_each_sides_src_lines(self):
+        runs = four_pairs()
+        for record in runs:
+            record["src_lines"] = 100 if record["side"] == "parent" else 90
+        runs[0]["src_lines"] = None  # a failed meta line on one run
+        summary = bench_pairs.summarize(runs, END_TO_END)
+        assert summary["src_lines"] == {"parent": 100, "change": 90}
+        assert bench_pairs.summarize(four_pairs(), END_TO_END)["src_lines"] == {
+            "parent": None, "change": None,
+        }
 
     def test_a_tie_is_not_a_win(self):
         summary = bench_pairs.summarize(four_pairs((1.0, 1.2, 1.0, 1.4)), END_TO_END)

@@ -14,11 +14,12 @@ length (``run_seconds``) and the default workloads come from
 ``BENCHMARK.json``.
 
 The tool writes ``BENCH_<number>.json`` at the repository root with every
-run's result line, digest and ``exec`` line, and per workload: the median
-and quartiles of every end-to-end metric on each side, how many pairs the
-working tree won on ``wall_s``, and a verdict on each end-to-end metric of
-``BENCHMARK.json`` (see :func:`status`) plus whether ``wall_s`` shows a
-gain (see :func:`summarize`); it prints the verdicts too.  It exits 1 if
+run's result line, digest, ``exec`` line and ``src/`` line count, and per
+workload: the median and quartiles of every end-to-end metric on each side,
+how many pairs the working tree won on ``wall_s``, a verdict on each
+end-to-end metric of ``BENCHMARK.json`` (see :func:`status`) plus whether
+``wall_s`` shows a gain (see :func:`summarize`), and each side's ``src/``
+line count; it prints the verdicts and the line counts too.  It exits 1 if
 any run failed or the two runs of a pair printed different digests; the
 verdicts do not change the exit status.
 
@@ -32,6 +33,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -45,20 +47,26 @@ SIDES = ("parent", "change")
 
 
 def parse_output(stdout: str) -> dict:
-    """The result object (the last stdout line), digest and ``exec`` line."""
+    """The result object (the last stdout line), digest, ``exec`` line and
+    the ``src_lines=N`` count of perfbench's meta line."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    digest = exec_line = None
+    digest = exec_line = src_lines = None
     for line in lines:
         text = line.strip()
         if text.startswith("digest "):
             digest = text.split()[1]
         elif text.startswith("exec "):
             exec_line = text[len("exec "):]
-    return {"result": result, "digest": digest, "exec": exec_line}
+        elif (found := re.search(r"\bsrc_lines=(\d+)", text)) is not None:
+            src_lines = int(found.group(1))
+    return {
+        "result": result, "digest": digest, "exec": exec_line,
+        "src_lines": src_lines,
+    }
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -144,6 +152,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     each end-to-end metric to its :func:`status`; ``wall_s_gain`` holds when
     the change won at least nine tenths of the pairs and its median
     ``wall_s`` is below the parent's by more than the parent's IQR.
+    ``src_lines`` gives each side's ``src/`` line count, from its first run
+    that printed one.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     failed = []
@@ -206,6 +216,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             for side in SIDES
         },
         "digest_mismatches": mismatches,
+        "src_lines": {
+            side: next(
+                (
+                    run["src_lines"] for run in runs
+                    if run["side"] == side and run.get("src_lines") is not None
+                ),
+                None,
+            )
+            for side in SIDES
+        },
         "failed_runs": failed,
         "ok": not failed and not mismatches,
     }
@@ -306,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         print("  " + ", ".join(
             f"{name} {verdict}" for name, verdict in summary["status"].items()
         ))
+    lines = next(iter(report["workloads"].values()))["summary"]["src_lines"]
+    print(f"src/ lines {lines['parent']} -> {lines['change']}")
     print(f"wrote {out.name}")
     return 0 if report["ok"] else 1
 
