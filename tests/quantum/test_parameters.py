@@ -20,6 +20,7 @@ from repro.errors import (
     TranspilerError,
     ValidationError,
 )
+from repro.quantum import batchsim
 from repro.quantum.analysis import (
     DIAGNOSTIC_CODES,
     analyze_circuit,
@@ -27,7 +28,6 @@ from repro.quantum.analysis import (
     structure_fingerprint,
     unbound_parameter_errors,
 )
-from repro.quantum import batchsim
 from repro.quantum.batchsim import planner
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import ExecutionService, circuit_fingerprint
