@@ -201,6 +201,9 @@ def _evolve_rows(circuits: list[QuantumCircuit]) -> list[Statevector]:
             if len(matrix_of) == 1:
                 batch.apply(per_row[0], lead.qubits)
             else:
+                # Parametric gate builders return C-contiguous complex128
+                # matrices, so each stack slice keeps the layout, and with
+                # it the GEMM, of the one-matrix call.
                 batch.apply(np.stack(per_row), lead.qubits)
         for offset in range(len(chunk)):
             states[start + offset] = Statevector(batch.row(offset))

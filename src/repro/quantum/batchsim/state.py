@@ -166,7 +166,7 @@ class BatchStatevector:
         return self._num_qubits
 
     def apply(self, matrix: np.ndarray, targets: Sequence[int]) -> None:
-        """Apply one unitary to every row in place."""
+        """Apply one unitary, or a per-row stack, to every row in place."""
         self._data = batch_apply_matrix(
             self._data, matrix, targets, self._num_qubits
         )

@@ -294,6 +294,15 @@ class TestBatchKernel:
                 want = apply_matrix(states[row], stack[row], targets, num_qubits)
                 assert got[row].tobytes() == alone[0].tobytes() == want.tobytes()
 
+    def test_parametric_gate_matrices_stack_without_relayout(self):
+        # The engine stacks the per-row matrices of a parametric gate; a
+        # builder returning another dtype or layout would change the GEMM.
+        for name, spec in gates.GATE_SPECS.items():
+            if spec.num_params:
+                matrix = spec.matrix((0.3,) * spec.num_params)
+                assert matrix.dtype == np.complex128, name
+                assert matrix.flags["C_CONTIGUOUS"], name
+
     def test_matrix_shape_mismatch_raises(self):
         states = np.zeros((2, 4), dtype=np.complex128)
         states[:, 0] = 1.0

@@ -469,9 +469,10 @@ class TestPerTemplateWork:
         assert scope.get("rejected_unbound") == 1
         assert scope.get("simulations") == 0
 
-    def test_bind_plan_follows_template_growth(self):
+    def test_bind_plan_and_facts_follow_template_growth(self):
         template = sweep_template()
-        template.bind({"theta": 0.1})
+        before = template.bind({"theta": 0.1})
+        batchsim.make_unit(0, before, None, 1, 8)  # memoises the facts
         template.rx(Parameter("phi") * 2, 1)
         with pytest.raises(CircuitError, match="missing values.*phi"):
             template.bind({"theta": 0.1})
@@ -479,6 +480,12 @@ class TestPerTemplateWork:
         assert bound._instructions[-1].params == (0.5,)
         assert not bound.is_parameterized()
         assert bound._bound_from.names == ("theta", "phi")
+        facts = batchsim.make_unit(0, bound, None, 1, 8).facts
+        assert facts == circuit_facts(bound) and facts.gate_counts["rx"] == 1
+        # The circuit bound before the growth no longer matches its template.
+        assert batchsim.make_unit(0, before, None, 1, 8).facts == circuit_facts(
+            before
+        )
 
 
 class TestQasmRoundTrip:
