@@ -39,6 +39,7 @@ from repro.quantum.analysis.diagnostics import (
 from repro.quantum.analysis.facts import (
     CircuitFacts,
     circuit_facts,
+    shared_facts,
     structure_fingerprint,
 )
 
@@ -52,6 +53,7 @@ __all__ = [
     "WARNING",
     "analyze_circuit",
     "circuit_facts",
+    "shared_facts",
     "structural_errors",
     "structure_fingerprint",
     "unbound_parameter_errors",

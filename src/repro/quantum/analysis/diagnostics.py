@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quantum import gates as _gates
-from repro.quantum.analysis.facts import CircuitFacts, circuit_facts
+from repro.quantum.analysis.facts import CircuitFacts, shared_facts
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.parameters import is_symbolic, iter_parameters
 
@@ -176,8 +176,7 @@ def unbound_parameter_errors(circuit: QuantumCircuit) -> list[Diagnostic]:
     to leave a symbol unbound.  The result-cache fingerprint trusts the same
     provenance check.
     """
-    provenance = getattr(circuit, "_bound_from", None)
-    if provenance is not None and provenance.matches(circuit):
+    if circuit._provenance() is not None:
         return []
     out: list[Diagnostic] = []
     for index, inst in enumerate(circuit):
@@ -253,7 +252,7 @@ def analyze_circuit(
     ``max_active_qubits``).
     """
     if facts is None:
-        facts = circuit_facts(circuit, fingerprint=True)
+        facts = shared_facts(circuit, fingerprint=True)
     diagnostics: list[Diagnostic] = list(structural_errors(facts))
     diagnostics.extend(_unitarity_errors(circuit))
 

@@ -6,12 +6,14 @@ simulator's path choice, the batchsim planner's group classification, the
 pre-flight validator's dataflow checks and the lint CLI's statistics all read
 the same record.  The walk never builds gate matrices and never touches the
 simulator, so it is cheap enough to sit on the execution hot path and safe to
-import from every layer.
+import from every layer.  :func:`shared_facts` is the same record with the
+walk done once per template for the circuits ``bind`` produced, as
+:func:`structure_fingerprint` hashes once per template.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
@@ -31,13 +33,13 @@ def structure_fingerprint(circuit: QuantumCircuit) -> str:
     hashes the structure a single time.  Mutating a circuit after binding
     changes its instruction count, which invalidates both fast paths.
     """
-    provenance = getattr(circuit, "_bound_from", None)
-    if provenance is not None and provenance.matches(circuit):
+    provenance = circuit._provenance()
+    if provenance is not None:
         return structure_fingerprint(provenance.template)
-    size = len(circuit._instructions)
-    memo = getattr(circuit, "_structure_fp_memo", None)
-    if memo is not None and memo[0] == size:
-        return memo[1]
+    return circuit._memo("structure_fp", _structure_digest)
+
+
+def _structure_digest(circuit: QuantumCircuit) -> str:
     payload = (
         circuit.num_qubits,
         circuit.num_clbits,
@@ -46,9 +48,7 @@ def structure_fingerprint(circuit: QuantumCircuit) -> str:
             for inst in circuit
         ),
     )
-    fp = f"{stable_hash('structure', payload):016x}"
-    circuit._structure_fp_memo = (size, fp)
-    return fp
+    return f"{stable_hash('structure', payload):016x}"
 
 
 @dataclass(frozen=True)
@@ -246,3 +246,29 @@ def circuit_facts(
             structure_fingerprint(circuit) if fingerprint else None
         ),
     )
+
+
+def shared_facts(
+    circuit: QuantumCircuit, fingerprint: bool = False
+) -> CircuitFacts:
+    """:func:`circuit_facts`, walked once per template for bound circuits.
+
+    Binding changes parameter values only, so a circuit
+    :meth:`~repro.quantum.circuit.QuantumCircuit.bind` produced, with no
+    instruction added or removed since, has its template's facts with no
+    unbound parameter left.  The template keeps that record until its
+    instruction count changes, and an N-point sweep walks it once; any other
+    circuit gets the full walk.  The record is shared, so nothing may
+    mutate it (its ``gate_counts`` dict included).
+    """
+    provenance = circuit._provenance()
+    if provenance is None:
+        return circuit_facts(circuit, fingerprint)
+    facts = provenance.template._memo("bound_facts", _bound_facts)
+    if fingerprint:
+        facts = replace(facts, structure_fingerprint=structure_fingerprint(circuit))
+    return facts
+
+
+def _bound_facts(template: QuantumCircuit) -> CircuitFacts:
+    return replace(circuit_facts(template), parameters=())

@@ -29,9 +29,9 @@ same function, so a circuit runs the same way alone or in a batch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.quantum.analysis import CircuitFacts, circuit_facts, structure_fingerprint
+from repro.quantum.analysis import CircuitFacts, shared_facts, structure_fingerprint
 from repro.quantum.backend import Backend
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
@@ -98,33 +98,11 @@ def make_unit(
     which would hide ``QA101`` defects from routing, and every predicate the
     planner reads is invariant under qubit relabelling anyway.  A circuit
     :meth:`~repro.quantum.circuit.QuantumCircuit.bind` produced and nothing
-    changed since shares its template's facts (see :func:`_facts`).
+    changed since shares its template's facts (see :func:`shared_facts`).
     """
     return PlannedUnit(
-        index, circuit, _compact(circuit), key, seed, shots, _facts(circuit)
+        index, circuit, _compact(circuit), key, seed, shots, shared_facts(circuit)
     )
-
-
-def _facts(circuit: QuantumCircuit) -> CircuitFacts:
-    """The circuit's facts, walked once per template for bound circuits.
-
-    Binding changes parameters only, so a bound circuit's facts are its
-    template's with no unbound parameter left.  The template memoises that
-    record keyed on its instruction count, as it does its structure
-    fingerprint, and an N-point sweep walks it once.  A circuit without
-    matching provenance gets the full walk.  The record is shared, so
-    nothing may mutate it (its ``gate_counts`` dict included).
-    """
-    provenance = getattr(circuit, "_bound_from", None)
-    if provenance is None or not provenance.matches(circuit):
-        return circuit_facts(circuit)
-    template = provenance.template
-    size = len(template._instructions)
-    memo = getattr(template, "_bound_facts_memo", None)
-    if memo is None or memo[0] != size:
-        memo = (size, replace(circuit_facts(template), parameters=()))
-        template._bound_facts_memo = memo
-    return memo[1]
 
 
 def batchable_backend(backend: Backend) -> bool:

@@ -33,7 +33,6 @@ probability sum and norm keep the summation order of the flat-state
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 
@@ -78,14 +77,6 @@ def batch_apply_matrix(
     return stacked.reshape(shape).transpose(inverse).reshape(batch, 2**num_qubits)
 
 
-@functools.lru_cache(maxsize=256)
-def _ones_mask(num_qubits: int, qubit: int) -> np.ndarray:
-    """Read-only mask of the basis indices whose bit ``qubit`` is set."""
-    mask = (np.arange(2**num_qubits) & (1 << qubit)) != 0
-    mask.flags.writeable = False
-    return mask
-
-
 def batch_measure(
     states: np.ndarray, qubit: int, num_qubits: int, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +98,7 @@ def batch_measure(
     Raises the serial :class:`SimulationError` when a row collapses onto a
     zero-probability branch.
     """
-    ones = _ones_mask(num_qubits, qubit)
+    ones = (np.arange(2**num_qubits) & (1 << qubit)) != 0
     block = np.abs(states[:, ones]) ** 2
     p1 = np.fromiter(
         (row.sum() for row in block), dtype=np.float64, count=len(block)

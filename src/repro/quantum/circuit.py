@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.errors import CircuitError, QuantumDeprecationError
 from repro.quantum import gates as _gates
@@ -112,6 +112,21 @@ class Instruction:
         return "".join(parts)
 
 
+_T = TypeVar("_T")
+
+
+def _bind_plan(circuit: QuantumCircuit) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """``(parameter names, symbolic instruction positions)`` for
+    :meth:`QuantumCircuit.bind`."""
+    names = tuple(p.name for p in circuit.parameters)
+    symbolic = tuple(
+        index
+        for index, inst in enumerate(circuit._instructions)
+        if any(is_symbolic(p) for p in inst.params)
+    )
+    return names, symbolic
+
+
 class QuantumCircuit:
     """A sequence of quantum instructions over qubit and clbit registers.
 
@@ -134,6 +149,9 @@ class QuantumCircuit:
         #: fingerprints and transpilation are shared per structure.  Copies
         #: never carry it.
         self._bound_from: BoundProvenance | None = None
+        #: Values derived from the instruction list, each stored with the
+        #: instruction count it was computed at (see :meth:`_memo`).
+        self._memos: dict[str, tuple[int, object]] = {}
         self._parse_regs(regs)
 
     def _parse_regs(self, regs: Sequence[int | QuantumRegister]) -> None:
@@ -494,8 +512,8 @@ class QuantumCircuit:
         building the circuit with the concrete values directly.
 
         The parameter names and the positions of the symbolic instructions
-        are found once per template (see :meth:`_bind_plan`), so a sweep's
-        points only check their values and replay the symbolic gates.
+        are found once per template (memoised with :meth:`_memo`), so a
+        sweep's points only check their values and replay the symbolic gates.
         """
         named: dict[str, float] = {}
         for key, raw in values.items():
@@ -509,7 +527,7 @@ class QuantumCircuit:
             if not math.isfinite(value):
                 raise CircuitError(f"non-finite binding {raw!r} for '{name}'")
             named[name] = value
-        param_names, symbolic = self._bind_plan()
+        param_names, symbolic = self._memo("bind_plan", _bind_plan)
         missing = [n for n in param_names if n not in named]
         if missing:
             raise CircuitError(
@@ -546,23 +564,26 @@ class QuantumCircuit:
             )
         return bound
 
-    def _bind_plan(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        """``(parameter names, symbolic instruction positions)`` for :meth:`bind`.
+    def _provenance(self) -> BoundProvenance | None:
+        """The :meth:`bind` provenance while it still describes this circuit.
 
-        Memoised keyed on the instruction count, as the structure
-        fingerprint is: appending an instruction recomputes the plan.
+        Every per-template shortcut (fingerprints, facts, transpilation, the
+        ``QA105`` scan) asks here, so adding or removing an instruction after
+        binding sends them all back to the circuit itself.
         """
+        provenance = self._bound_from
+        if provenance is not None and provenance.matches(self):
+            return provenance
+        return None
+
+    def _memo(self, key: str, compute: Callable[["QuantumCircuit"], _T]) -> _T:
+        """``compute(self)``, kept under ``key`` until the instruction count
+        changes: appending or removing an instruction recomputes it."""
         size = len(self._instructions)
-        memo = getattr(self, "_bind_plan_memo", None)
+        memo = self._memos.get(key)
         if memo is None or memo[0] != size:
-            names = tuple(p.name for p in self.parameters)
-            symbolic = tuple(
-                index
-                for index, inst in enumerate(self._instructions)
-                if any(is_symbolic(p) for p in inst.params)
-            )
-            memo = self._bind_plan_memo = (size, names, symbolic)
-        return memo[1], memo[2]
+            memo = self._memos[key] = (size, compute(self))
+        return memo[1]  # type: ignore[return-value]
 
     # -- queries ----------------------------------------------------------------
 

@@ -61,16 +61,16 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
     different fingerprints (two cache keys for one execution — harmless,
     since results are deterministic under the seed either way).
     """
-    provenance = getattr(circuit, "_bound_from", None)
-    if provenance is not None and provenance.matches(circuit):
+    provenance = circuit._provenance()
+    if provenance is not None:
         template_fp = circuit_fingerprint(provenance.template)
         return (
             f"{stable_hash('bound-circuit', template_fp, provenance.values):016x}"
         )
-    size = len(circuit._instructions)
-    memo = getattr(circuit, "_circuit_fp_memo", None)
-    if memo is not None and memo[0] == size:
-        return memo[1]
+    return circuit._memo("circuit_fp", _circuit_digest)
+
+
+def _circuit_digest(circuit: QuantumCircuit) -> str:
     payload = (
         circuit.num_qubits,
         circuit.num_clbits,
@@ -79,9 +79,7 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
             for inst in circuit
         ),
     )
-    fp = f"{stable_hash('circuit', payload):016x}"
-    circuit._circuit_fp_memo = (size, fp)
-    return fp
+    return f"{stable_hash('circuit', payload):016x}"
 
 
 def noise_fingerprint(noise: NoiseModel | None) -> str:

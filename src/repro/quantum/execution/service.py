@@ -313,8 +313,8 @@ class ExecutionService:
         coupling_map, basis = resolve_lowering(backend, coupling_map, basis_gates)
         level = resolve_optimization_level(optimization_level)
         scopes = self._scopes()
-        provenance = getattr(circuit, "_bound_from", None)
-        if provenance is not None and provenance.matches(circuit):
+        provenance = circuit._provenance()
+        if provenance is not None:
             # Bound-template fast path: transpile the *unbound* structure once
             # (cached under the template's key), then bind the lowered output
             # with this point's values — an N-point sweep costs 1 transpile.

@@ -70,22 +70,6 @@ def _axis_orders(
     return forward, tuple(inverse)
 
 
-@functools.lru_cache(maxsize=32)
-def _marginal_index(num_qubits: int, qargs: tuple[int, ...]) -> np.ndarray:
-    """Read-only map from each basis index to its index over ``qargs``.
-
-    Bit ``pos`` of entry ``i`` is bit ``qargs[pos]`` of ``i``, so summing
-    probabilities by entry gives the little-endian marginal over ``qargs``.
-    A 20-qubit map is 8 MiB, so the cache is kept small.
-    """
-    indices = np.arange(2**num_qubits)
-    sub = np.zeros_like(indices)
-    for pos, q in enumerate(qargs):
-        sub |= ((indices >> q) & 1) << pos
-    sub.flags.writeable = False
-    return sub
-
-
 class Statevector:
     """An immutable-by-convention dense quantum state."""
 
@@ -195,7 +179,11 @@ class Statevector:
         probs = np.abs(self._data) ** 2
         if qargs is None:
             return probs
-        sub = _marginal_index(self._num_qubits, tuple(int(q) for q in qargs))
+        n = self._num_qubits
+        indices = np.arange(2**n)
+        sub = np.zeros_like(indices)
+        for pos, q in enumerate(qargs):
+            sub |= ((indices >> q) & 1) << pos
         # bincount adds the weights in index order, one at a time, as
         # np.add.at does: the marginal is the same to the last bit.
         return np.bincount(sub, weights=probs, minlength=2 ** len(qargs))

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 
 from repro.errors import TranspilerError
-from repro.quantum.analysis import circuit_facts, structural_errors
+from repro.quantum.analysis import shared_facts, structural_errors
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.topology import CouplingMap
 from repro.quantum.transpiler.passmanager import build_pass_manager
@@ -88,7 +88,7 @@ def validate_structure(circuit: QuantumCircuit) -> None:
     cannot produce such circuits, but QASM import of generated code can
     deliver e.g. a conditional on a clbit nothing writes).
     """
-    facts = circuit_facts(circuit)
+    facts = shared_facts(circuit)
     if facts.structurally_defective:
         first = structural_errors(facts)[0]
         raise TranspilerError(

@@ -28,7 +28,7 @@ from repro.quantum.analysis import (
     structure_fingerprint,
     unbound_parameter_errors,
 )
-from repro.quantum.batchsim import planner
+from repro.quantum.analysis import facts as facts_module
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import ExecutionService, circuit_fingerprint
 from repro.quantum.parameters import (
@@ -406,15 +406,15 @@ def random_template(rng: np.random.Generator) -> QuantumCircuit:
 
 @pytest.fixture
 def facts_walks(monkeypatch):
-    """Every circuit the batch planner walks with ``circuit_facts``."""
+    """Every circuit ``shared_facts`` walks with ``circuit_facts``."""
     walked = []
-    original = planner.circuit_facts
+    original = facts_module.circuit_facts
 
     def counting(circuit, *args, **kwargs):
         walked.append(circuit)
         return original(circuit, *args, **kwargs)
 
-    monkeypatch.setattr(planner, "circuit_facts", counting)
+    monkeypatch.setattr(facts_module, "circuit_facts", counting)
     return walked
 
 
@@ -437,11 +437,23 @@ class TestPerTemplateWork:
                 assert shared is None or facts is shared
                 shared = facts
 
+    def test_analyzer_facts_of_bound_circuits_equal_a_fresh_walk(self):
+        rng = np.random.default_rng(2401)
+        for _ in range(40):
+            template = random_template(rng)
+            bound = template.bind({
+                p.name: float(rng.uniform(-3, 3)) for p in template.parameters
+            })
+            fresh = circuit_facts(bound.copy(), fingerprint=True)
+            assert analyze_circuit(bound).facts == fresh
+            assert fresh.structure_fingerprint == structure_fingerprint(template)
+
+    @pytest.mark.parametrize("validate", ["off", "warn", "strict"])
     def test_sweep_through_the_service_walks_each_template_once(
-        self, facts_walks
+        self, facts_walks, validate
     ):
         templates = [sweep_template(), sweep_template(4)]
-        svc = ExecutionService()
+        svc = ExecutionService(validate=validate)
         for k in range(6):
             batch = [t.bind({"theta": 0.1 * k + j}) for t in templates
                      for j in range(3)]

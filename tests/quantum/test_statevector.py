@@ -10,7 +10,7 @@ from scipy.stats import unitary_group
 
 from repro.errors import SimulationError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.statevector import Statevector, _marginal_index, apply_matrix
+from repro.quantum.statevector import Statevector, apply_matrix
 from tests.serial_engine import collapse, measure_probabilities
 
 
@@ -151,9 +151,9 @@ class TestMeasurementHelpers:
 def reference_marginal(state: Statevector, qargs) -> np.ndarray:
     """The marginal in its ``np.add.at`` formulation, kept verbatim.
 
-    ``Statevector.probabilities`` sums with ``np.bincount`` over a cached
-    index map; the frozen serial engine samples through it too, so the
-    parity suites cannot see a drift there.  This is the byte reference.
+    ``Statevector.probabilities`` sums with ``np.bincount``; the frozen
+    serial engine samples through it too, so the parity suites cannot see
+    a drift there.  This is the byte reference.
     """
     probs = np.abs(state._data) ** 2
     n = state.num_qubits
@@ -179,14 +179,6 @@ class TestMarginalMatchesAddAt:
             want = reference_marginal(state, qargs)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (n, qargs)
-
-    def test_index_map_is_cached_read_only(self):
-        state = Statevector.from_label("+0+")
-        state.probabilities([2, 0])
-        sub = _marginal_index(3, (2, 0))
-        assert sub is _marginal_index(3, (2, 0))
-        with pytest.raises(ValueError):
-            sub[0] = 1
 
 
 class TestStatistics:
