@@ -25,8 +25,8 @@ backend, which buys
   ``service.stats()`` next to circuit simulation counters.
 
 Decoders the service cannot rebuild from a spec (anything other than the
-stock MWPM/union-find/lookup decoders bound to the experiment's code and
-error type) run inline instead.  Both paths run one shot loop,
+stock MWPM/union-find decoders bound to the experiment's code and error
+type) run inline instead.  Both paths run one shot loop,
 :func:`_score_shots`, whose per-shot randomness comes from
 :func:`repro.qec.syndrome.memory_shot_rng`, so routed and inline results are
 bit-identical.
@@ -99,7 +99,7 @@ class MemoryExperimentSpec:
 
     The spec (not any live decoder object) is what travels through the
     execution subsystem, so it must be content-hashable for the result
-    cache.
+    cache.  ``decoder_kind`` is ``"mwpm"`` or ``"unionfind"``.
     """
 
     code: CSSCode
@@ -153,7 +153,6 @@ class MemoryExperimentSpec:
 _DECODER_BUILDERS = {
     "mwpm": lambda code, error_type, kw: MWPMDecoder(code, error_type, **kw),
     "unionfind": lambda code, error_type, kw: UnionFindDecoder(code, error_type),
-    "lookup": lambda code, error_type, kw: LookupDecoder(code, error_type, **kw),
 }
 
 
@@ -175,11 +174,6 @@ def _classify_decoder(
         return "mwpm", (("time_weight", decoder.time_weight),)
     if type(decoder) is UnionFindDecoder:
         return "unionfind", ()
-    if type(decoder) is LookupDecoder:
-        return "lookup", (
-            ("max_weight", decoder.max_weight),
-            ("strict", decoder.strict),
-        )
     return None
 
 
@@ -300,14 +294,21 @@ def logical_error_rate(
     logical observable.  ``p_meas`` defaults to ``p_data`` (the standard
     phenomenological convention).
 
-    Stock decoders (MWPM/union-find/lookup bound to ``code`` and
-    ``error_type``) execute through the shared :class:`ExecutionService` —
-    batched, cached, and visible in ``service.stats()``; anything else falls
+    Stock decoders (MWPM/union-find bound to ``code`` and ``error_type``)
+    execute through the shared :class:`ExecutionService` — batched, cached,
+    and visible in ``service.stats()``; any other history decoder falls
     back to the equivalent inline loop.  Both paths derive per-shot RNGs
-    identically, so the choice never changes the result.
+    identically, so the choice never changes the result.  A
+    :class:`LookupDecoder` decodes one syndrome, not a history: refused.
     """
     if shots < 1:
         raise QECError("memory experiment needs >= 1 shot")
+    if isinstance(decoder, LookupDecoder):
+        raise QECError(
+            "LookupDecoder decodes one syndrome, not a history: call "
+            "decode(history.syndromes[-1]) as decoder_ablation does, or score "
+            "MWPMDecoder or UnionFindDecoder"
+        )
     p_meas = p_data if p_meas is None else p_meas
     routed = _classify_decoder(decoder, code, error_type)
     if routed is None:

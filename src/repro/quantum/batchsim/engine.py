@@ -7,8 +7,9 @@ Two vectorised paths, one per route of the planner:
   row outright), every gate applied across the whole batch with one stacked
   matmul.  At a position whose parameters differ across rows, each distinct
   matrix is built once and the rows' matrices go in as a ``(batch, 2**k,
-  2**k)`` stack, still one matmul.  Sampling then runs per unit with its own
-  generator and tallies the drawn outcome indices
+  2**k)`` stack, still one matmul.  ``Statevector.evolve`` runs the same
+  loop, :func:`evolve_rows`, on one row.  Sampling then runs per unit with
+  its own generator and tallies the drawn outcome indices
   (:func:`~repro.quantum.simulator.sample_counts`), so a unit's counts
   depend on its ``(seed, circuit)`` alone, never on the batch it rode in.
 * **shot-batched trajectories** — one unit's shots evolve as the batch axis.
@@ -152,9 +153,9 @@ def _execute_ideal(
         params_stream = tuple(inst.params for inst in unit.compacted)
         if params_stream not in row_of:
             row_of[params_stream] = len(distinct)
-            distinct.append(unit.compacted)
+            distinct.append(unit.compacted.remove_all_measurements())
         row_keys.append(params_stream)
-    states = _evolve_rows(distinct)
+    states = evolve_rows(distinct)
     return [
         sample_counts(
             states[row_of[params_stream]],
@@ -168,27 +169,37 @@ def _execute_ideal(
     ]
 
 
-def _evolve_rows(circuits: list[QuantumCircuit]) -> list[Statevector]:
-    """Evolve |0...0> through structurally identical circuits in one batch.
+def evolve_rows(
+    circuits: list[QuantumCircuit], initial: np.ndarray | None = None
+) -> list[Statevector]:
+    """Evolve structurally identical unitary circuits in one batch.
 
-    Mirrors ``Statevector.from_circuit(circuit.remove_all_measurements())``
-    instruction for instruction, including the final constructor wrap (and
-    its normalisation handling), so each returned state equals its serial
-    twin exactly.  A gate whose parameters differ across rows builds each
-    distinct matrix once and applies the per-row stack in one matmul.
+    Each row starts from the amplitudes ``initial`` (|0...0> if ``None``)
+    and ends in the ``Statevector`` constructor's wrap.  A measure, a reset
+    or a classically conditioned gate raises :class:`SimulationError`.  A
+    gate whose parameters differ across rows builds each distinct matrix
+    once and applies the per-row stack in one matmul.
     """
-    stripped = [circuit.remove_all_measurements() for circuit in circuits]
-    num_qubits = stripped[0].num_qubits
-    states: list[Statevector | None] = [None] * len(stripped)
-    for start, stop in _tiles(len(stripped), num_qubits):
-        chunk = [list(circuit) for circuit in stripped[start:stop]]
-        batch = BatchStatevector.zero_states(len(chunk), num_qubits)
+    num_qubits = circuits[0].num_qubits
+    states: list[Statevector | None] = [None] * len(circuits)
+    for start, stop in _tiles(len(circuits), num_qubits):
+        chunk = [list(circuit) for circuit in circuits[start:stop]]
+        if initial is None:
+            batch = BatchStatevector.zero_states(len(chunk), num_qubits)
+        else:
+            batch = BatchStatevector(np.tile(initial, (len(chunk), 1)))
         for position, lead in enumerate(chunk[0]):
             if lead.name == "barrier":
                 continue
             if not lead.is_unitary:
                 raise SimulationError(
                     f"evolve() only handles unitary gates, found '{lead.name}'"
+                )
+            if lead.condition is not None:
+                raise SimulationError(
+                    "evolve() cannot apply classically conditioned "
+                    f"'{lead.name}' (clbit {lead.condition[0]} == "
+                    f"{lead.condition[1]}); use a backend with shots instead"
                 )
             matrix_of: dict[tuple, np.ndarray] = {}
             per_row = []

@@ -1,20 +1,20 @@
-"""Batched dense statevectors: ``(batch, 2**n)`` state evolved in lockstep.
+"""The one gate kernel: ``(batch, 2**n)`` dense states evolved in lockstep.
 
 The batch axis must not perturb numerics.  Every execution feeds one
 content-addressed result cache, whose entries must not depend on the batch
 that computed them, and must equal the ones the flat-state serial engine
 (kept as the parity reference in ``tests/serial_engine.py``) wrote; a batch
 result that differs from its flat-state twin — even in the last ulp, which
-shifts sampled counts — would poison every later lookup.  The kernel here therefore mirrors
-:func:`repro.quantum.statevector.apply_matrix` *exactly* and adds the batch as
-a gufunc stack dimension: one ``transpose`` brings the target axes to the
-front of each row's qubit tensor, the rows are packed contiguously as
-``(batch, 2**k, rest)`` and multiplied with one ``np.matmul`` call, and the
-inverse ``transpose`` puts the axes back.  Both orders come from the serial
-kernel's cached ``_axis_orders`` (shifted by the batch axis), so each row's
-view is the serial one.  Every 2-D slice of that stacked matmul is the
-identical GEMM shape the serial kernel issues, so BLAS takes the same code
-path per row and the results match bit for bit.  The matrix may be one
+shifts sampled counts — would poison every later lookup.  The kernel here
+therefore mirrors that engine's flat ``apply_matrix`` *exactly* and adds the
+batch as a gufunc stack dimension: one ``transpose`` brings the target axes
+to the front of each row's qubit tensor, the rows are packed contiguously
+as ``(batch, 2**k, rest)`` and multiplied with one ``np.matmul`` call, and
+the inverse ``transpose`` puts the axes back.  Both orders come from
+:func:`_axis_orders`, which the flat kernel calls with no batch axis, so
+each row's view is the flat one.  Every 2-D slice of that stacked matmul is
+the identical GEMM shape the flat kernel issues, so BLAS takes the same
+code path per row and the results match bit for bit.  The matrix may be one
 ``2^k x 2^k`` unitary broadcast over the rows or a ``(batch, 2^k, 2^k)``
 stack with one matrix per row (a parametric gate across a sweep's points):
 either way slice ``i`` multiplies row ``i`` with the same GEMM.
@@ -33,13 +33,39 @@ probability sum and norm keep the summation order of the flat-state
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.quantum.statevector import _ATOL, _axis_orders
+from repro.quantum.statevector import _ATOL
+
+
+@functools.lru_cache(maxsize=1024)
+def _axis_orders(
+    targets: tuple[int, ...], num_qubits: int, lead: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(forward, inverse)`` transpose orders for a gate on ``targets``.
+
+    The tensor has ``lead`` batch axes, then one axis per qubit: axis
+    ``lead + j`` is qubit ``num_qubits - 1 - j``.  The row index after
+    ``reshape(2**k, -1)`` treats the first axis after the batch axes as its
+    MSB, and the matrices treat ``targets[0]`` as the LSB, so ``forward``
+    moves the *reversed* target axes right behind the batch axes and keeps
+    every other axis in order; ``inverse`` puts them back.  That is the
+    permutation a move-axes call derives, so the view, the GEMM shape and
+    every output bit are unchanged; caching it saves re-deriving it on each
+    gate, which cost more than the small matmuls themselves.
+    """
+    src_axes = tuple(lead + num_qubits - 1 - t for t in reversed(targets))
+    rest = tuple(a for a in range(lead, lead + num_qubits) if a not in src_axes)
+    forward = tuple(range(lead)) + src_axes + rest
+    inverse = [0] * len(forward)
+    for position, axis in enumerate(forward):
+        inverse[axis] = position
+    return forward, tuple(inverse)
 
 
 def batch_apply_matrix(
@@ -53,14 +79,14 @@ def batch_apply_matrix(
     ``states`` is ``(batch, 2**num_qubits)``; ``matrix`` is one ``(2**k,
     2**k)`` unitary for every row, or a ``(batch, 2**k, 2**k)`` stack whose
     slice ``i`` acts on row ``i``.  Returns a new array of the same shape
-    as ``states`` whose row ``i`` equals ``apply_matrix(states[i], m_i,
-    targets, num_qubits)`` bit for bit, ``m_i`` being row ``i``'s matrix:
-    either way matmul multiplies one contiguous ``2^k x 2^k`` slice by one
-    row's block, the GEMM the serial kernel issues.  The axis shuffles are
-    plain transposes by orders cached per ``(targets, num_qubits, 1)``: the
-    serial kernel's permutation with the batch axis kept in front, so every
-    row sees the serial view and GEMM shape.  Deriving the orders per call
-    cost more than the matmul on the small states this engine batches.
+    as ``states`` whose row ``i`` equals the flat ``apply_matrix(states[i],
+    m_i, targets, num_qubits)`` bit for bit, ``m_i`` being row ``i``'s
+    matrix: either way matmul multiplies one contiguous ``2^k x 2^k`` slice
+    by one row's block, the GEMM the flat kernel issues.  The axis shuffles
+    are plain transposes by orders cached per ``(targets, num_qubits, 1)``:
+    the flat kernel's permutation with the batch axis kept in front, so
+    every row sees the flat view and GEMM shape.  Deriving the orders per
+    call cost more than the matmul on the small states this engine batches.
     """
     k = len(targets)
     batch = states.shape[0]

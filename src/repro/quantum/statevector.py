@@ -4,13 +4,12 @@ States are flat complex vectors of length ``2**n`` in little-endian qubit
 order: bit ``i`` of the basis index is qubit ``i``.  Bitstring keys returned by
 :meth:`Statevector.probabilities_dict` put qubit 0 rightmost, matching Qiskit's
 convention, so generated code graded against Qiskit-style references behaves
-identically.
+identically.  Evolution runs batchsim's loop, so states and shots agree.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections.abc import Sequence
 
@@ -22,60 +21,12 @@ from repro.quantum.circuit import QuantumCircuit
 _ATOL = 1e-10
 
 
-def apply_matrix(
-    state: np.ndarray,
-    matrix: np.ndarray,
-    targets: Sequence[int],
-    num_qubits: int,
-) -> np.ndarray:
-    """Apply a ``2^k x 2^k`` unitary to ``targets`` of an ``n``-qubit state.
-
-    The matrix convention is little-endian in instruction order: the *first*
-    qubit in ``targets`` is the least-significant bit of the matrix index.
-    Returns a new flat state vector.
-    """
-    k = len(targets)
-    if matrix.shape != (2**k, 2**k):
-        raise SimulationError(
-            f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
-        )
-    forward, inverse = _axis_orders(tuple(targets), num_qubits, 0)
-    tensor = state.reshape([2] * num_qubits).transpose(forward)
-    mat_view = matrix @ tensor.reshape(2**k, -1)
-    return mat_view.reshape([2] * num_qubits).transpose(inverse).reshape(-1)
-
-
-@functools.lru_cache(maxsize=1024)
-def _axis_orders(
-    targets: tuple[int, ...], num_qubits: int, lead: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(forward, inverse)`` transpose orders for a gate on ``targets``.
-
-    The tensor has ``lead`` batch axes, then one axis per qubit: axis
-    ``lead + j`` is qubit ``num_qubits - 1 - j``.  The row index after
-    ``reshape(2**k, -1)`` treats the first axis after the batch axes as its
-    MSB, and the matrices treat ``targets[0]`` as the LSB, so ``forward``
-    moves the *reversed* target axes right behind the batch axes and keeps
-    every other axis in order; ``inverse`` puts them back.  That is the
-    permutation a move-axes call derives, so the view, the GEMM shape and
-    every output bit are unchanged; caching it saves re-deriving it on each
-    gate, which cost more than the small matmuls themselves.
-    """
-    src_axes = tuple(lead + num_qubits - 1 - t for t in reversed(targets))
-    rest = tuple(a for a in range(lead, lead + num_qubits) if a not in src_axes)
-    forward = tuple(range(lead)) + src_axes + rest
-    inverse = [0] * len(forward)
-    for position, axis in enumerate(forward):
-        inverse[axis] = position
-    return forward, tuple(inverse)
-
-
 class Statevector:
     """An immutable-by-convention dense quantum state."""
 
     def __init__(self, data: Sequence[complex] | np.ndarray) -> None:
         arr = np.asarray(data, dtype=np.complex128).reshape(-1)
-        n = int(round(math.log2(arr.size)))
+        n = arr.size.bit_length() - 1
         if 2**n != arr.size:
             raise SimulationError(
                 f"statevector length {arr.size} is not a power of two"
@@ -124,7 +75,8 @@ class Statevector:
 
         Trailing measurements are ignored (they are the common
         ``measure_all`` idiom); mid-circuit measure/reset raise
-        :class:`SimulationError` because the result would not be a pure state.
+        :class:`SimulationError` because the result would not be a pure state,
+        and so does a classically conditioned gate.
         """
         trimmed = circuit.remove_final_measurements()
         for inst in trimmed:
@@ -151,22 +103,20 @@ class Statevector:
     # -- evolution --------------------------------------------------------------
 
     def evolve(self, circuit: QuantumCircuit) -> "Statevector":
-        """Return the state after applying every unitary instruction."""
+        """Return the state after applying every unitary instruction.
+
+        Runs batchsim's evolution loop, the one ideal groups run, on a single
+        row started from this state's amplitudes.
+        """
+        # batchsim imports this module at load time.
+        from repro.quantum.batchsim.engine import evolve_rows
+
         if circuit.num_qubits != self._num_qubits:
             raise SimulationError(
                 f"circuit acts on {circuit.num_qubits} qubits, state has "
                 f"{self._num_qubits}"
             )
-        state = self._data.copy()
-        for inst in circuit:
-            if inst.name == "barrier":
-                continue
-            if not inst.is_unitary:
-                raise SimulationError(
-                    f"evolve() only handles unitary gates, found '{inst.name}'"
-                )
-            state = apply_matrix(state, inst.matrix(), inst.qubits, self._num_qubits)
-        return Statevector(state)
+        return evolve_rows([circuit], self._data)[0]
 
     # -- measurement statistics ---------------------------------------------------
 
@@ -180,6 +130,10 @@ class Statevector:
         if qargs is None:
             return probs
         n = self._num_qubits
+        if len(set(qargs)) != len(qargs) or not all(0 <= q < n for q in qargs):
+            raise SimulationError(
+                f"qargs {list(qargs)} must be distinct qubits of a {n}-qubit state"
+            )
         indices = np.arange(2**n)
         sub = np.zeros_like(indices)
         for pos, q in enumerate(qargs):
@@ -235,20 +189,17 @@ class Statevector:
 
         Leftmost character acts on the highest-indexed qubit (Qiskit order).
         """
-        from repro.quantum import gates as _g
-
         if len(pauli) != self._num_qubits:
             raise SimulationError(
                 f"Pauli string length {len(pauli)} != {self._num_qubits} qubits"
             )
-        mats = {"I": _g.I_MATRIX, "X": _g.X_MATRIX, "Y": _g.Y_MATRIX, "Z": _g.Z_MATRIX}
-        state = self._data.copy()
+        paulis = QuantumCircuit(self._num_qubits)
         for pos, ch in enumerate(reversed(pauli.upper())):
-            if ch not in mats:
+            if ch not in "IXYZ":
                 raise SimulationError(f"unknown Pauli character '{ch}'")
             if ch != "I":
-                state = apply_matrix(state, mats[ch], [pos], self._num_qubits)
-        return float(np.real(np.vdot(self._data, state)))
+                paulis.append(ch.lower(), [pos])
+        return float(np.real(np.vdot(self._data, self.evolve(paulis)._data)))
 
     def global_phase_aligned(self) -> "Statevector":
         """Return the state with its first nonzero amplitude made real-positive."""

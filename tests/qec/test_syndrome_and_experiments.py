@@ -419,6 +419,22 @@ class TestExecutionServiceRouting:
         assert routed.logical_failures == inline.logical_failures
         assert service.stats()["simulations"] == 1
 
+    def test_lookup_decoder_refused_before_any_execution(self):
+        # LookupDecoder.decode takes one syndrome, not a history: routing it
+        # as a "lookup" spec raised TypeError from inside the service.
+        from repro.qec.lookup import LookupDecoder
+
+        code = RepetitionCode(5)
+        service = self._service()
+        with pytest.raises(QECError, match=r"decode\(history\.syndromes\[-1\]\)"):
+            logical_error_rate(
+                code, LookupDecoder(code, "x", strict=False), 1, 0.02,
+                p_meas=0.0, shots=20, seed=1, service=service,
+            )
+        assert service.stats()["simulations"] == 0
+        with pytest.raises(QECError, match="decoder kind 'lookup'"):
+            MemoryExperimentSpec(code, 1, 0.02, 0.0, "x", "lookup")
+
     def test_memory_flag_returns_per_shot_outcomes(self):
         from repro.quantum.execution import ExecutionService
 

@@ -31,10 +31,11 @@ from repro.quantum.simulator import (
     tally_counts,
     trajectory_draw_plan,
 )
-from repro.quantum.statevector import Statevector, apply_matrix
+from repro.quantum.statevector import Statevector
 from tests.serial_engine import (
     _is_fast_path,
     _run_trajectory,
+    apply_matrix,
     collapse,
     measure_probabilities,
     sample_from_state,
@@ -783,14 +784,14 @@ class TestEngineBitIdentity:
         assert str(live.value) == str(frozen.value)
 
     def test_non_unitary_instruction_in_evolve_raises_serial_error(self):
-        # Defensive guard mirroring Statevector.evolve: the planner never
-        # routes such circuits to the ideal path, but the error text must
-        # stay the serial one if it ever fires.
+        # The planner never routes such circuits to the ideal path, but
+        # Statevector.evolve runs this loop too, and the error text must
+        # stay the flat engine's.
         qc = QuantumCircuit(1, 1)
         qc.h(0)
         qc.reset(0)
         with pytest.raises(SimulationError, match="only handles unitary"):
-            batch_engine._evolve_rows([qc])
+            batch_engine.evolve_rows([qc])
 
     def test_serial_group_is_not_executable_by_the_engine(self):
         qc = QuantumCircuit(1, 1)

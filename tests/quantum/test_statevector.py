@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from repro.errors import SimulationError
+from repro.quantum.backend import LocalSimulator
+from repro.quantum.batchsim import engine as batch_engine
+from repro.quantum.batchsim import state as batch_state
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.statevector import Statevector, apply_matrix
-from tests.serial_engine import collapse, measure_probabilities
+from repro.quantum.gates import GATE_SPECS
+from repro.quantum.statevector import Statevector
+from tests import serial_engine
+from tests.serial_engine import apply_matrix, collapse, measure_probabilities
 
 
 class TestConstruction:
@@ -47,6 +52,11 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             Statevector([1.0, 0.0, 0.0])
 
+    def test_empty_vector_rejected(self):
+        # It raised ValueError (math domain error) from log2(0).
+        with pytest.raises(SimulationError, match="length 0"):
+            Statevector([])
+
 
 class TestEvolution:
     def test_bell(self):
@@ -75,6 +85,22 @@ class TestEvolution:
         qc.h(0)
         with pytest.raises(SimulationError, match="mid-circuit"):
             Statevector.from_circuit(qc)
+
+    def test_classically_conditioned_gate_rejected(self):
+        # A backend reads clbit 0 as 0 here, so the x never fires; applying
+        # it anyway gave {'10': 0.5, '11': 0.5} against shots of 00 and 01.
+        qc = QuantumCircuit(2, 2)
+        qc.append("x", [1], condition=(0, 1))
+        qc.h(0)
+        qc.measure(0, 0)
+        with pytest.raises(
+            SimulationError, match=r"conditioned 'x' \(clbit 0 == 1\)"
+        ):
+            Statevector.from_circuit(qc)
+        with pytest.raises(SimulationError, match="conditioned 'x'"):
+            Statevector.zero_state(2).evolve(qc.remove_final_measurements())
+        counts = LocalSimulator().execute_circuit(qc, 200, 1)[0]
+        assert set(counts) == {"00", "01"}
 
     def test_evolve_size_mismatch(self):
         qc = QuantumCircuit(3)
@@ -212,6 +238,22 @@ class TestStatistics:
         with pytest.raises(SimulationError):
             sv.expectation_value("Z")
 
+    def test_expectation_unknown_pauli(self):
+        with pytest.raises(SimulationError, match="unknown Pauli character 'Q'"):
+            Statevector.zero_state(2).expectation_value("QZ")
+
+    @pytest.mark.parametrize("qargs", [[5], [-1], [0, 2], [0, 0], [1, 0, 1]])
+    def test_qargs_must_name_distinct_qubits_of_the_state(self, qargs):
+        # probabilities([5]) returned [1, 0] and [0, 0] a 4-entry marginal.
+        sv = Statevector.from_label("01")
+        match = "must be distinct qubits of a 2-qubit state"
+        with pytest.raises(SimulationError, match=match):
+            sv.probabilities(qargs)
+        with pytest.raises(SimulationError, match=match):
+            sv.probabilities_dict(qargs)
+        with pytest.raises(SimulationError, match=match):
+            sv.sample_counts(10, np.random.default_rng(0), qargs)
+
     def test_fidelity_and_inner(self):
         a = Statevector.from_label("0")
         b = Statevector.from_label("+")
@@ -222,3 +264,98 @@ class TestStatistics:
         sv = Statevector(np.array([1j, 0.0]))
         aligned = sv.global_phase_aligned()
         assert aligned.data[0] == pytest.approx(1.0)
+
+
+def random_gate_circuit(rng: np.random.Generator, num_qubits: int) -> QuantumCircuit:
+    """Random gates of every spec with random angles, plus barriers and, on
+    half the circuits, trailing measurements."""
+    specs = sorted(GATE_SPECS.items())
+    qc = QuantumCircuit(num_qubits, num_qubits)
+    for _ in range(int(rng.integers(0, 24))):
+        if rng.random() < 0.1:
+            qc.barrier()
+            continue
+        name, spec = specs[int(rng.integers(len(specs)))]
+        if spec.num_qubits > num_qubits:
+            continue
+        qubits = rng.choice(num_qubits, size=spec.num_qubits, replace=False)
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, size=spec.num_params)
+        qc.append(name, [int(q) for q in qubits], params=[float(a) for a in angles])
+    if rng.random() < 0.5:
+        qc.measure_all()
+    return qc
+
+
+def random_state(rng: np.random.Generator, num_qubits: int) -> Statevector:
+    return Statevector(
+        rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    )
+
+
+class TestOneEvolutionLoop:
+    """``Statevector`` runs batchsim's loop and kernel, byte-equal to the
+    flat engine it ran before (frozen in ``tests/serial_engine.py``)."""
+
+    def test_from_circuit_matches_the_flat_engine_byte_for_byte(self):
+        rng = np.random.default_rng(2301)
+        for _ in range(200):
+            qc = random_gate_circuit(rng, int(rng.integers(1, 7)))
+            got = Statevector.from_circuit(qc).data
+            want = serial_engine.from_circuit(qc).data
+            assert got.tobytes() == want.tobytes(), qc
+
+    def test_evolve_from_random_states_matches_the_flat_engine(self):
+        rng = np.random.default_rng(2302)
+        for _ in range(200):
+            num_qubits = int(rng.integers(1, 7))
+            qc = random_gate_circuit(rng, num_qubits).remove_all_measurements()
+            start = random_state(rng, num_qubits)
+            got = start.evolve(qc).data
+            want = serial_engine.evolve(start.data, qc).data
+            assert got.tobytes() == want.tobytes(), qc
+
+    def test_expectation_value_matches_the_flat_formula(self):
+        rng = np.random.default_rng(2303)
+        for _ in range(200):
+            num_qubits = int(rng.integers(1, 7))
+            state = random_state(rng, num_qubits)
+            pauli = "".join(rng.choice(list("IXYZixyz"), size=num_qubits))
+            got = state.expectation_value(pauli)
+            want = serial_engine.expectation_value(state, pauli)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_statevector_and_ideal_groups_run_one_loop(self, monkeypatch):
+        loop = batch_engine.evolve_rows
+        rows = []
+
+        def counted(circuits, initial=None):
+            rows.append(len(circuits))
+            return loop(circuits, initial)
+
+        monkeypatch.setattr(batch_engine, "evolve_rows", counted)
+        qc = QuantumCircuit(2, 2)
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.measure_all()
+        state = Statevector.from_circuit(qc)
+        state.expectation_value("ZZ")
+        LocalSimulator().execute_circuit(qc, 100, 1)
+        assert rows == [1, 1, 1]
+
+    def test_the_reference_does_not_run_the_live_loop(self, monkeypatch):
+        # The ideal parity compares batchsim with the frozen flat engine;
+        # if the reference evolved through Statevector it would compare
+        # batchsim with itself.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference ran the live evolution")
+
+        monkeypatch.setattr(Statevector, "evolve", refuse)
+        monkeypatch.setattr(batch_engine, "evolve_rows", refuse)
+        monkeypatch.setattr(batch_state, "batch_apply_matrix", refuse)
+        qc = QuantumCircuit(3, 3)
+        qc.h(0)
+        qc.cx(0, 1)
+        qc.rx(0.4, 2)
+        qc.measure_all()
+        counts, _ = serial_engine.simulate_counts(qc, 200, np.random.default_rng(5))
+        assert sum(counts.values()) == 200

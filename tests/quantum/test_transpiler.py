@@ -9,7 +9,7 @@ from scipy.stats import unitary_group
 from repro.errors import TranspilerError
 from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.gates import GATE_SPECS, gate_matrix, u_matrix
-from repro.quantum.statevector import Statevector, apply_matrix
+from repro.quantum.statevector import Statevector
 from repro.quantum.topology import CouplingMap
 from repro.quantum.transpiler import (
     DEFAULT_BASIS,
@@ -24,6 +24,7 @@ from repro.quantum.transpiler import (
     zyz_angles,
 )
 from repro.quantum.library import ghz_state, grover, random_circuit
+from tests.serial_engine import apply_matrix
 
 
 class TestZYZ:

@@ -11,10 +11,14 @@ against it.  Do not edit these functions to follow the live engine: a
 difference between the two is a finding.
 
 What it shares with the live engine is what both are checked against
-separately: the gate kernel ``apply_matrix`` (pinned to a frozen
-``np.moveaxis`` formulation), compaction, ``Statevector.probabilities`` and
-the digit-row tally.  The final-state sampler is no longer shared: the live
-engine tallies outcome indices with ``simulator.sample_counts``, and
+separately: the cached kernel axis orders ``_axis_orders`` (both kernels are
+pinned to frozen ``np.moveaxis`` formulations), compaction,
+``Statevector.probabilities`` and the digit-row tally.  The evolution is
+not shared: ``Statevector`` runs batchsim's loop and kernel, while the flat
+gate kernel ``apply_matrix`` and the flat ``evolve`` / ``from_circuit`` /
+``expectation_value`` below are the ones it ran before, and the ideal path
+here evolves with them.  The final-state sampler is not shared either: the
+live engine tallies outcome indices with ``simulator.sample_counts``, and
 ``sample_from_state`` below, which writes one digit row per shot for
 ``tally_counts``, is the reference it is checked against.
 """
@@ -28,6 +32,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.quantum import gates as _gates
 from repro.quantum.analysis import circuit_facts, structural_errors
+from repro.quantum.batchsim.state import _axis_orders
 from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import (
@@ -39,7 +44,68 @@ from repro.quantum.simulator import (
     digit_rows,
     tally_counts,
 )
-from repro.quantum.statevector import _ATOL, Statevector, apply_matrix
+from repro.quantum.statevector import _ATOL, Statevector
+
+
+def apply_matrix(
+    state: np.ndarray,
+    matrix: np.ndarray,
+    targets: Sequence[int],
+    num_qubits: int,
+) -> np.ndarray:
+    """Apply a ``2^k x 2^k`` unitary to ``targets`` of an ``n``-qubit state.
+
+    The matrix convention is little-endian in instruction order: the *first*
+    qubit in ``targets`` is the least-significant bit of the matrix index.
+    Returns a new flat state vector.
+    """
+    k = len(targets)
+    if matrix.shape != (2**k, 2**k):
+        raise SimulationError(
+            f"matrix shape {matrix.shape} does not match {k} target qubit(s)"
+        )
+    forward, inverse = _axis_orders(tuple(targets), num_qubits, 0)
+    tensor = state.reshape([2] * num_qubits).transpose(forward)
+    mat_view = matrix @ tensor.reshape(2**k, -1)
+    return mat_view.reshape([2] * num_qubits).transpose(inverse).reshape(-1)
+
+
+def evolve(state: np.ndarray, circuit: QuantumCircuit) -> Statevector:
+    """``Statevector.evolve`` as the flat engine ran it, from amplitudes ``state``."""
+    num_qubits = circuit.num_qubits
+    state = state.copy()
+    for inst in circuit:
+        if inst.name == "barrier":
+            continue
+        if not inst.is_unitary:
+            raise SimulationError(
+                f"evolve() only handles unitary gates, found '{inst.name}'"
+            )
+        state = apply_matrix(state, inst.matrix(), inst.qubits, num_qubits)
+    return Statevector(state)
+
+
+def from_circuit(circuit: QuantumCircuit) -> Statevector:
+    """``Statevector.from_circuit`` as the flat engine ran it: the zero
+    state, ``apply_matrix`` per instruction (trailing measurements dropped),
+    then the ``Statevector`` wrap."""
+    state = np.zeros(2**circuit.num_qubits, dtype=np.complex128)
+    state[0] = 1.0
+    return evolve(state, circuit.remove_final_measurements())
+
+
+def expectation_value(state: Statevector, pauli: str) -> float:
+    """``Statevector.expectation_value`` as the flat engine computed it."""
+    mats = {
+        "I": _gates.I_MATRIX, "X": _gates.X_MATRIX,
+        "Y": _gates.Y_MATRIX, "Z": _gates.Z_MATRIX,
+    }
+    data = state.data
+    applied = data.copy()
+    for pos, ch in enumerate(reversed(pauli.upper())):
+        if ch != "I":
+            applied = apply_matrix(applied, mats[ch], [pos], state.num_qubits)
+    return float(np.real(np.vdot(data, applied)))
 
 
 def sample_from_state(
@@ -136,7 +202,7 @@ def _fast_sample(
     circuit: QuantumCircuit, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample shots from the final statevector (ideal, final-measurement case)."""
-    state = Statevector.from_circuit(circuit.remove_all_measurements())
+    state = from_circuit(circuit.remove_all_measurements())
     return sample_from_state(
         state, _measure_pairs(circuit), circuit.num_clbits, shots, rng
     )

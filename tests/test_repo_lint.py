@@ -306,18 +306,35 @@ class TestR006FlatStateEvolution:
         found = lint(src, "src/repro/quantum/backend.py")
         assert [(v.rule, v.line) for v in found] == [("R006", 3), ("R006", 4)]
 
-    def test_statevector_module_allowed(self):
-        assert codes(self.LOOP, "src/repro/quantum/statevector.py") == []
+    def test_statevector_module_flagged(self):
+        # Statevector.evolve runs batchsim's loop: no module keeps the flat
+        # kernel, the one that defined it included.
+        assert codes(self.LOOP, "src/repro/quantum/statevector.py") == ["R006"]
+        assert codes(self.LOOP, "src/repro/quantum/batchsim/engine.py") == [
+            "R006"
+        ]
+
+    def test_batch_kernel_flagged_outside_batchsim(self):
+        src = """
+        def run(states, circuit, n):
+            for inst in circuit:
+                states = batch_apply_matrix(states, inst.matrix(), inst.qubits, n)
+            return state.batch_apply_matrix(states, m, [0], n)
+        """
+        found = lint(src, "src/repro/quantum/statevector.py")
+        assert [(v.rule, v.line) for v in found] == [("R006", 4), ("R006", 5)]
+        assert "outside quantum/batchsim/" in found[0].message
 
     def test_batch_kernel_and_references_allowed(self):
-        # The batch kernel is a different name; importing or passing the
-        # flat kernel around is not a call.
+        # batchsim owns the kernel; importing or passing the flat kernel
+        # around is not a call.
         src = """
-        from repro.quantum.statevector import apply_matrix
+        from tests.serial_engine import apply_matrix
         states = batch_apply_matrix(states, m, [0], n)
         kernel = apply_matrix
         """
         assert codes(src, "src/repro/quantum/batchsim/state.py") == []
+        assert codes(src, "src/repro/quantum/batchsim/engine.py") == []
 
 
 class TestR007PoolConstruction:

@@ -49,14 +49,16 @@ R005  Direct ``float()`` coercion of a gate parameter outside the binding
       bound or rejected with the coded error.  Allowed only in
       ``quantum/parameters.py`` (the sanctioned coercions live there).
 
-R006  A call to ``apply_matrix(...)`` (bare or as an attribute) outside
-      ``quantum/statevector.py``.  The flat-state kernel evolves one state;
-      a caller looping it over instructions is a second state-evolution
-      engine beside ``repro.quantum.batchsim``, which must stay the only
-      one.  Simulation goes through ``Backend.execute_circuit`` /
-      ``batchsim.run_circuit``, and whole-circuit states through
-      ``Statevector.evolve``.  Allowed only in ``quantum/statevector.py``
-      (the kernel and ``Statevector``'s own uses).
+R006  A state-kernel call (bare or as an attribute): ``apply_matrix(...)``
+      anywhere, or ``batch_apply_matrix(...)`` outside ``quantum/batchsim/``.
+      ``batch_apply_matrix`` is the one gate kernel and batchsim's engine
+      the one place that loops it over instructions; a flat-state kernel,
+      or a caller looping the batch kernel, is a second state-evolution
+      engine beside ``repro.quantum.batchsim``.  Simulation goes through
+      ``Backend.execute_circuit`` / ``batchsim.run_circuit``, and
+      whole-circuit states through ``Statevector.evolve``, which runs
+      batchsim's loop.  The flat ``apply_matrix`` lives on only as the
+      parity reference in ``tests/serial_engine.py``.
 
 R007  A ``ProcessPoolExecutor(...)`` call outside ``utils/parallel.py``, or a
       ``ThreadPoolExecutor(...)`` call anywhere.  Work chunks fan out one of
@@ -107,8 +109,9 @@ R004_PASS_MODULES = (("transpiler", "passes.py"),)
 #: The one module allowed to coerce gate params with float() (R005).
 R005_ALLOWED = (("quantum", "parameters.py"),)
 
-#: The one module allowed to call the flat-state kernel (R006).
-R006_ALLOWED = (("quantum", "statevector.py"),)
+#: The one directory allowed to call each state kernel (R006); ``None``
+#: means no module may.
+R006_OWNERS = {"apply_matrix": None, "batch_apply_matrix": "batchsim"}
 
 #: The one module allowed to construct each executor pool (R007); ``None``
 #: means no module may.
@@ -335,22 +338,29 @@ def _check_param_float_coercion(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
-def _check_flat_state_evolution(path: Path, tree: ast.AST) -> list[Violation]:
-    """R006: ``apply_matrix(...)`` calls outside the statevector module."""
-    if any(path.parts[-len(suffix):] == suffix for suffix in R006_ALLOWED):
-        return []
-    return [
-        Violation(
-            path, node.lineno, "R006",
-            "apply_matrix() call outside quantum/statevector.py: a second "
-            "state-evolution loop beside repro.quantum.batchsim; simulate "
-            "through Backend.execute_circuit or batchsim.run_circuit, or "
-            "evolve with Statevector.evolve",
+def _check_state_evolution(path: Path, tree: ast.AST) -> list[Violation]:
+    """R006: a state-kernel call outside the directory that owns it."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _terminal_name(node.func)
+        if name not in R006_OWNERS:
+            continue
+        owner = R006_OWNERS[name]
+        if owner is not None and owner in path.parts[:-1]:
+            continue
+        where = f" outside quantum/{owner}/" if owner is not None else ""
+        found.append(
+            Violation(
+                path, node.lineno, "R006",
+                f"{name}() call{where}: a second state-evolution loop beside "
+                "repro.quantum.batchsim; simulate through "
+                "Backend.execute_circuit or batchsim.run_circuit, or evolve "
+                "with Statevector.evolve",
+            )
         )
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and _terminal_name(node.func) == "apply_matrix"
-    ]
+    return found
 
 
 def _check_pool_construction(path: Path, tree: ast.AST) -> list[Violation]:
@@ -417,7 +427,7 @@ CHECKS = (
     _check_stats_diffs,
     _check_column_folded_matmul,
     _check_param_float_coercion,
-    _check_flat_state_evolution,
+    _check_state_evolution,
     _check_pool_construction,
     _check_networkx_matcher,
 )
