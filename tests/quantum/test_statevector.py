@@ -86,6 +86,16 @@ class TestEvolution:
         with pytest.raises(SimulationError, match="mid-circuit"):
             Statevector.from_circuit(qc)
 
+    def test_evolve_rejects_measure_with_the_flat_engine_text(self):
+        qc = QuantumCircuit(1, 1)
+        qc.h(0)
+        qc.measure(0, 0)
+        with pytest.raises(
+            SimulationError,
+            match=r"^evolve\(\) only handles unitary gates, found 'measure'$",
+        ):
+            Statevector.zero_state(1).evolve(qc)
+
     def test_classically_conditioned_gate_rejected(self):
         # A backend reads clbit 0 as 0 here, so the x never fires; applying
         # it anyway gave {'10': 0.5, '11': 0.5} against shots of 00 and 01.
