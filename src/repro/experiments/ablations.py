@@ -21,6 +21,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.experiments.common import ExperimentResult
 from repro.llm.corpus import build_corpus
@@ -32,7 +34,7 @@ from repro.qec.decoder_gen import generate_decoder
 from repro.qec.experiments import logical_error_rate
 from repro.qec.lookup import LookupDecoder
 from repro.qec.matching import MWPMDecoder
-from repro.qec.syndrome import sample_memory
+from repro.qec.syndrome import memory_blocks
 from repro.qec.unionfind import UnionFindDecoder
 from repro.quantum.topology import CouplingMap
 from repro.rag.chunking import code_aware_chunks, naive_chunks
@@ -174,13 +176,12 @@ def decoder_ablation(
     # Lookup decoder: single perfect round (its validity domain).
     rep = RepetitionCode(5)
     lookup = LookupDecoder(rep, "x", strict=False)
+    rngs = (derive_rng(seed, "lookup", shot) for shot in range(shots))
     failures = 0
-    for shot in range(shots):
-        rng = derive_rng(seed, "lookup", shot)
-        history = sample_memory(rep, 1, p_data, 0.0, rng, "x")
-        correction = lookup.decode(history.syndromes[-1])
-        if rep.logical_flipped(history.true_error ^ correction, "x"):
-            failures += 1
+    for block in memory_blocks(rep, 1, p_data, 0.0, rngs, "x"):
+        corrections = [lookup.decode(s) for s in block.syndromes[:, -1]]
+        residual = block.true_error ^ np.array(corrections)
+        failures += int(np.count_nonzero(rep.logical_flips(residual, "x")))
     experiment.add(
         "repetition-5 lookup (perfect meas.)",
         None,

@@ -19,8 +19,9 @@ import numpy as np
 
 from repro.experiments.common import ExperimentResult
 from repro.qec.codes.surface import SurfaceCode
+from repro.qec.experiments import decode_block
 from repro.qec.matching import MWPMDecoder
-from repro.qec.syndrome import sample_memory
+from repro.qec.syndrome import memory_blocks, sample_memory
 from repro.utils.parallel import parallel_map, resolve_workers
 from repro.utils.rng import derive_rng
 
@@ -41,17 +42,17 @@ def _stats_shot_batch(
     """
     code = SurfaceCode(distance)
     decoder = MWPMDecoder(code, "x")
+    rngs = (
+        derive_rng(seed, "figure2", "stats", shot) for shot in range(start, stop)
+    )
+    checks = code.hz.T.astype(np.int64)
     cleared = 0
     preserved = 0
-    for shot in range(start, stop):
-        shot_rng = derive_rng(seed, "figure2", "stats", shot)
-        h = sample_memory(code, rounds, p_data, p_meas, shot_rng, "x")
-        r = decoder.decode(h)
-        final_syndrome = code.syndrome(h.true_error ^ r.correction, "x")
-        if not final_syndrome.any():
-            cleared += 1
-        if not code.logical_flipped(h.true_error ^ r.correction, "x"):
-            preserved += 1
+    for block in memory_blocks(code, rounds, p_data, p_meas, rngs, "x"):
+        residual = decode_block(block, decoder)
+        final_syndromes = (residual.astype(np.int64) @ checks) % 2
+        cleared += int(np.count_nonzero(~final_syndromes.any(axis=1)))
+        preserved += int(np.count_nonzero(~code.logical_flips(residual, "x")))
     return cleared, preserved
 
 

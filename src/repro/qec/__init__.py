@@ -15,8 +15,10 @@ from repro.qec.experiments import (
 from repro.qec.lookup import LookupDecoder
 from repro.qec.matching import MatchingResult, MWPMDecoder
 from repro.qec.syndrome import (
+    MemoryBlock,
     SyndromeHistory,
     extraction_circuit,
+    memory_blocks,
     run_extraction_on_tableau,
     sample_memory,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "LookupDecoder",
     "MWPMDecoder",
     "MatchingResult",
+    "MemoryBlock",
     "MemoryExperimentResult",
     "RepetitionCode",
     "SteaneCode",
@@ -40,6 +43,7 @@ __all__ = [
     "extraction_circuit",
     "generate_decoder",
     "logical_error_rate",
+    "memory_blocks",
     "qec_suppression_factor",
     "run_extraction_on_tableau",
     "sample_memory",

@@ -163,6 +163,13 @@ class CSSCode:
         conjugate = self.logical_z if error_type == "x" else self.logical_x
         return bool(int(conjugate.astype(int) @ np.asarray(error_bits, int)) % 2)
 
+    def logical_flips(self, errors: np.ndarray, error_type: str) -> np.ndarray:
+        """:meth:`logical_flipped` of every row of a (shots, n) error array,
+        as a (shots,) bool array."""
+        conjugate = self.logical_z if error_type == "x" else self.logical_x
+        parity = np.asarray(errors, np.int64) @ conjugate.astype(np.int64)
+        return parity % 2 == 1
+
     # -- matching graph ---------------------------------------------------------------
 
     def matching_graph(self, error_type: str) -> nx.Graph:

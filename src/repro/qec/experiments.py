@@ -26,15 +26,19 @@ backend, which buys
 
 Decoders the service cannot rebuild from a spec (anything other than the
 stock MWPM/union-find decoders bound to the experiment's code and error
-type) run inline instead.  Both paths run one shot loop,
+type) run inline instead.  Both paths score shots with
 :func:`_score_shots`, whose per-shot randomness comes from
 :func:`repro.qec.syndrome.memory_shot_rng`, so routed and inline results are
-bit-identical.
+bit-identical.  It works on arrays, not shot by shot: shots are sampled in
+blocks (:func:`repro.qec.syndrome.memory_blocks`, one ``random`` call per
+shot), a stock decoder decodes only the histories with detection events
+(:func:`decode_block`), and each block's logical failures are one matmul.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -42,7 +46,13 @@ from repro.errors import QECError
 from repro.qec.codes.base import CSSCode
 from repro.qec.lookup import LookupDecoder
 from repro.qec.matching import MWPMDecoder
-from repro.qec.syndrome import memory_shot_rng, sample_memory
+from repro.qec.syndrome import (
+    MemoryBlock,
+    check_count,
+    check_decodable,
+    memory_blocks,
+    memory_shot_rng,
+)
 from repro.qec.unionfind import UnionFindDecoder
 from repro.quantum.backend import Backend
 from repro.quantum.circuit import QuantumCircuit
@@ -111,6 +121,7 @@ class MemoryExperimentSpec:
     decoder_args: tuple[tuple[str, float | int | bool], ...] = ()
 
     def __post_init__(self) -> None:
+        check_count(self.rounds, "rounds")
         if self.rounds < 1:
             raise QECError(
                 f"memory experiment needs >= 1 round, got {self.rounds}"
@@ -247,6 +258,25 @@ if MEMORY_BACKEND not in list_backends():  # idempotent under re-import
     )
 
 
+def decode_block(block: MemoryBlock, decoder) -> np.ndarray:
+    """Each shot's residual error: its true error XOR the decoder's correction.
+
+    A stock decoder (MWPM or union-find) returns a zero correction for a
+    history without events, so it decodes only the block's eventful shots.
+    Its :func:`check_decodable` runs first, on the block, so a mismatched
+    decoder is refused even when every history is empty.  Any other decoder
+    is handed every shot.  Returns a (shots, n) bool array.
+    """
+    stock = type(decoder) in (MWPMDecoder, UnionFindDecoder)
+    if stock:
+        check_decodable(block, decoder.code, decoder.error_type)
+    residual = block.true_error.copy()
+    for shot in block.eventful() if stock else range(len(block)):
+        history = block.history(shot)
+        residual[shot] = history.true_error ^ decoder.decode(history).correction
+    return residual
+
+
 def _score_shots(
     code: CSSCode,
     decoder,
@@ -257,23 +287,28 @@ def _score_shots(
     shots: int,
     seed: int | None,
 ) -> list[bool]:
-    """Sample, decode and score each memory-experiment shot, in shot order.
+    """Sample, decode and score every memory-experiment shot, in shot order.
 
     ``True`` marks a logical failure.  Shot ``i`` draws from
     :func:`memory_shot_rng` of ``seed``, the experiment's knobs and ``i``,
     so no shot's outcome depends on another's; ``seed=None`` shares one
-    fresh-entropy generator across the shots.
+    fresh-entropy generator across the shots, drawn shot after shot.
+
+    Shots are sampled in blocks (:func:`memory_blocks`) and decoded by
+    :func:`decode_block`; each block's residual parities against the
+    conjugate logical are one matmul (:meth:`CSSCode.logical_flips`).
     """
-    entropy = np.random.default_rng() if seed is None else None
+    if seed is None:
+        rngs = repeat(np.random.default_rng(), shots)
+    else:
+        rngs = (
+            memory_shot_rng(seed, code, rounds, p_data, p_meas, shot)
+            for shot in range(shots)
+        )
     failed: list[bool] = []
-    for shot in range(shots):
-        if entropy is not None:
-            rng = entropy
-        else:
-            rng = memory_shot_rng(seed, code, rounds, p_data, p_meas, shot)
-        history = sample_memory(code, rounds, p_data, p_meas, rng, error_type)
-        residual = history.true_error ^ decoder.decode(history).correction
-        failed.append(code.logical_flipped(residual, error_type))
+    for block in memory_blocks(code, rounds, p_data, p_meas, rngs, error_type):
+        residual = decode_block(block, decoder)
+        failed.extend(code.logical_flips(residual, error_type).tolist())
     return failed
 
 
@@ -301,6 +336,7 @@ def logical_error_rate(
     identically, so the choice never changes the result.  A
     :class:`LookupDecoder` decodes one syndrome, not a history: refused.
     """
+    check_count(shots, "shots")
     if shots < 1:
         raise QECError("memory experiment needs >= 1 shot")
     if isinstance(decoder, LookupDecoder):

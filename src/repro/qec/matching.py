@@ -25,7 +25,12 @@ import numpy as np
 from repro.errors import DecodingError
 from repro.qec.blossom import max_weight_matching
 from repro.qec.codes.base import BOUNDARY, CSSCode
-from repro.qec.syndrome import DetectionEvent, SyndromeHistory, check_decodable
+from repro.qec.syndrome import (
+    DetectionEvent,
+    SyndromeHistory,
+    check_decodable,
+    check_raw_events,
+)
 
 
 @dataclass
@@ -68,24 +73,17 @@ class MWPMDecoder:
         boundary_lengths = nx.single_source_shortest_path_length(
             self._graph, BOUNDARY
         )
-        self._boundary_dist = {
-            node: length
-            for node, length in boundary_lengths.items()
-            if node != BOUNDARY
-        }
-
-    # -- distances ---------------------------------------------------------------
-
-    def _event_distance(self, a: DetectionEvent, b: DetectionEvent) -> float:
-        (t1, c1), (t2, c2) = a, b
-        spatial = self._dist.get(c1, {}).get(c2)
-        if spatial is None:
-            return float("inf")
-        return spatial + self.time_weight * abs(t1 - t2)
-
-    def _boundary_distance(self, event: DetectionEvent) -> float:
-        dist = self._boundary_dist.get(event[1])
-        return float("inf") if dist is None else float(dist)
+        # The same distances as arrays over check indices, inf where no
+        # path leads: _match reads every event distance from them at once.
+        num_checks = self._spatial.number_of_nodes()
+        self._dist_table = np.full((num_checks, num_checks), np.inf)
+        for c1, lengths in self._dist.items():
+            self._dist_table[c1, list(lengths)] = list(lengths.values())
+        self._boundary_table = np.full(num_checks, np.inf)
+        for node, length in boundary_lengths.items():
+            if node != BOUNDARY:
+                self._boundary_table[node] = length
+        self._paths: dict[tuple, tuple[list[int], float]] = {}
 
     # -- decoding -------------------------------------------------------------------
 
@@ -102,6 +100,7 @@ class MWPMDecoder:
                         f"{self.code.name}: detection event {event} outside "
                         "the code"
                     )
+            check_raw_events(self.code, events)
         n = self.code.num_data_qubits
         if not events:
             return MatchingResult(np.zeros(n, dtype=bool), [], 0.0)
@@ -120,31 +119,59 @@ class MWPMDecoder:
             total += cost
         return MatchingResult(correction, pairs, total)
 
+    def _adjacency(
+        self, events: list[DetectionEvent]
+    ) -> dict[int, dict[int, float]]:
+        """The matching graph over events and their boundary twins.
+
+        Event nodes are 0..k-1 and boundary twins k..2k-1; an edge's weight
+        is ``10_000`` minus its cost.  The matcher breaks ties by node and
+        neighbour order, so nodes and neighbours are inserted in the order
+        ``nx.Graph.add_edge(u, v)`` inserts them, edge by edge: for each
+        ``i``, the event edge ``(i, j)`` (if finite) and the twin edge
+        ``(k+i, k+j)`` for each ``j > i``, then the boundary edge
+        ``(i, k+i)`` (if finite).
+        """
+        k = len(events)
+        rounds = np.array([t for t, _ in events])
+        checks = np.array([c for _, c in events], dtype=np.intp)
+        big = 10_000.0
+        # D[c_i, c_j] + time_weight * |t_i - t_j|: the same IEEE doubles as
+        # the spatial path length plus the time term added pair by pair.
+        spatial = self._dist_table[np.ix_(checks, checks)]
+        elapsed = np.abs(rounds[:, None] - rounds[None, :])
+        dist = spatial + self.time_weight * elapsed
+        dist_rows = dist.tolist()
+        weight_rows = (big - dist).tolist()
+        boundary = self._boundary_table[checks]
+        boundary_dists = boundary.tolist()
+        boundary_weights = (big - boundary).tolist()
+        inf = float("inf")
+        twin_weight = big  # twin-twin edges cost nothing
+        adj: dict[int, dict[int, float]] = {}
+        node = adj.setdefault
+        # Edge (u, v) inserts v under u, then u under v, as add_edge does.
+        for i in range(k):
+            dist_row, weight_row = dist_rows[i], weight_rows[i]
+            twin = k + i
+            for j in range(i + 1, k):
+                if dist_row[j] < inf:
+                    weight = weight_row[j]
+                    node(i, {})[j] = weight
+                    node(j, {})[i] = weight
+                node(twin, {})[k + j] = twin_weight
+                node(k + j, {})[twin] = twin_weight
+            if boundary_dists[i] < inf:
+                weight = boundary_weights[i]
+                node(i, {})[twin] = weight
+                node(twin, {})[i] = weight
+        return adj
+
     def _match(
         self, events: list[DetectionEvent]
     ) -> list[tuple[DetectionEvent, DetectionEvent | None]]:
         k = len(events)
-        # Event nodes 0..k-1; boundary twins k..2k-1.  The matcher breaks
-        # ties by node and neighbour order, so nodes and neighbours are
-        # inserted in the order nx.Graph.add_edge(u, v) inserts them.
-        adj: dict[int, dict[int, float]] = {}
-
-        def add_edge(u: int, v: int, weight: float) -> None:
-            adj.setdefault(u, {})[v] = weight
-            adj.setdefault(v, {})[u] = weight
-
-        big = 10_000.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                dist = self._event_distance(events[i], events[j])
-                if np.isfinite(dist):
-                    add_edge(i, j, big - dist)
-                dist_b = 0.0  # twin-twin edges are free
-                add_edge(k + i, k + j, big - dist_b)
-            bdist = self._boundary_distance(events[i])
-            if np.isfinite(bdist):
-                add_edge(i, k + i, big - bdist)
-        matched = max_weight_matching(adj)
+        matched = max_weight_matching(self._adjacency(events))
         if any(i not in matched for i in range(k)):
             raise DecodingError(
                 f"{self.code.name}: matching left a detection event unpaired"
@@ -168,12 +195,23 @@ class MWPMDecoder:
     def _path_between(self, c1: int, c2: int) -> tuple[list[int], float]:
         if c1 == c2:
             return [], 0.0
-        path = nx.shortest_path(self._spatial, c1, c2)
-        return self._faults_on(path), float(len(path) - 1)
+        return self._shortest_path(self._spatial, c1, c2)
 
     def _path_to_boundary(self, check: int) -> tuple[list[int], float]:
-        path = nx.shortest_path(self._graph, check, BOUNDARY)
-        return self._faults_on(path), float(len(path) - 1)
+        return self._shortest_path(self._graph, check, BOUNDARY)
+
+    def _shortest_path(self, graph: nx.Graph, a, b) -> tuple[list[int], float]:
+        """Faults and length of ``nx.shortest_path(graph, a, b)``, found on
+        first use per pair (``b`` is a check in the spatial graph, or the
+        boundary in the full one)."""
+        path = self._paths.get((a, b))
+        if path is None:
+            nodes = nx.shortest_path(graph, a, b)
+            path = self._paths[a, b] = (
+                self._faults_on(nodes),
+                float(len(nodes) - 1),
+            )
+        return path
 
     def _faults_on(self, path: list) -> list[int]:
         faults = []

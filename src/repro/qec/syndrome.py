@@ -2,12 +2,17 @@
 
 Two layers, mirroring Figure 2 of the paper:
 
-* :func:`sample_memory` — the *phenomenological* noise model: each round,
-  every data qubit suffers an error with probability ``p_data`` ("physical
-  errors over time", Fig. 2a) and every check is read out wrongly with
-  probability ``p_meas`` ("measurement error", Fig. 2b).  Returns the
-  detection events the decoder consumes (Fig. 2c) plus the true accumulated
-  error, so experiments can score the decoder's correction.
+* :func:`sample_memory_block` — the *phenomenological* noise model: each
+  round, every data qubit suffers an error with probability ``p_data``
+  ("physical errors over time", Fig. 2a) and every check is read out wrongly
+  with probability ``p_meas`` ("measurement error", Fig. 2b).  It samples
+  many shots as arrays, one ``random`` call per shot from that shot's own
+  generator, and returns every shot's detection events (Fig. 2c) plus the
+  true accumulated error, so experiments can score the decoder's correction.
+  :func:`memory_blocks` runs it over any number of shots in blocks of at
+  most :data:`BLOCK_BYTES` of draws, and :func:`sample_memory` is its
+  one-shot view, the only one that lists each round's injected flips and
+  readout lies for Figure 2's trace.
 
 * :func:`extraction_circuit` / :func:`run_extraction_on_tableau` — explicit
   ancilla-based syndrome measurement circuits executed on the stabilizer
@@ -17,7 +22,9 @@ Two layers, mirroring Figure 2 of the paper:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +35,11 @@ from repro.stabilizer.tableau import StabilizerTableau
 
 #: A detection event: (round index, check index).
 DetectionEvent = tuple[int, int]
+
+#: Most bytes of uniform draws one block of :func:`memory_blocks` holds.
+#: The block's other arrays are a small multiple of it, so peak memory
+#: stays flat however many shots an experiment asks for.
+BLOCK_BYTES = 1 << 20
 
 
 def memory_shot_rng(
@@ -40,7 +52,7 @@ def memory_shot_rng(
 ) -> np.random.Generator:
     """The canonical per-shot generator of a memory experiment.
 
-    Defined once so every sampling path — the legacy inline loop in
+    Defined once so every sampling path — the inline scoring in
     :mod:`repro.qec.experiments` and the ExecutionService-routed
     ``qec_memory`` backend — derives bit-identical shots from the same
     ``(seed, experiment parameters, shot index)`` scope.
@@ -48,6 +60,18 @@ def memory_shot_rng(
     from repro.utils.rng import derive_rng
 
     return derive_rng(seed, "memory", code.name, rounds, p_data, p_meas, shot)
+
+
+def check_count(value, what: str) -> None:
+    """Raise :class:`QECError` unless ``value`` is an integer (not a bool).
+
+    ``what`` names the unit (``"rounds"``, ``"shots"``) in the message.  The
+    ``>= 1`` checks stay with each caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise QECError(
+            f"memory experiment needs a whole number of {what}, got {value!r}"
+        )
 
 
 @dataclass
@@ -62,10 +86,15 @@ class SyndromeHistory:
         syndromes: (rounds+1, num_checks) bool — *measured* syndromes per
             round; the last row is the perfect readout.
         detection_events: list of (round, check) where the measured syndrome
-            changed relative to the previous round.
+            changed relative to the previous round, in (round, check) order.
         true_error: (n,) bool — the accumulated data error at the end.
-        injected: per-round lists of data qubits that flipped (for traces).
+        injected: per-round lists of data qubits that flipped.
         measurement_flips: per-round lists of checks whose readout lied.
+
+    Only :func:`sample_memory` fills ``injected`` and ``measurement_flips``,
+    for Figure 2's trace; the histories scoring builds from a
+    :class:`MemoryBlock` leave them empty.  They are the answer key, so a
+    decoder must not read them.
     """
 
     code: CSSCode
@@ -78,12 +107,159 @@ class SyndromeHistory:
     measurement_flips: list[list[int]] = field(default_factory=list)
 
 
+@dataclass
+class MemoryBlock:
+    """Consecutive shots of one memory experiment, as arrays.
+
+    Attributes:
+        code, error_type, rounds: as in :class:`SyndromeHistory`.
+        flips: (shots, rounds, n) bool — data qubits flipped each round.
+        lies: (shots, rounds, num_checks) bool — readouts that lied.
+        syndromes: (shots, rounds+1, num_checks) bool — measured syndromes;
+            the last round is the perfect readout.
+        true_error: (shots, n) bool — each shot's accumulated data error.
+        event_bounds: (shots+1,) — shot ``i``'s events are entries
+            ``event_bounds[i]:event_bounds[i+1]`` of the two lists below.
+        event_rounds, event_checks: every detection event of the block in
+            (shot, round, check) order.
+    """
+
+    code: CSSCode
+    error_type: str
+    rounds: int
+    flips: np.ndarray
+    lies: np.ndarray
+    syndromes: np.ndarray
+    true_error: np.ndarray
+    event_bounds: list[int]
+    event_rounds: list[int]
+    event_checks: list[int]
+
+    def __len__(self) -> int:
+        return len(self.true_error)
+
+    def history(self, shot: int) -> SyndromeHistory:
+        """Shot ``shot`` of the block (0-based within it) as a history."""
+        lo, hi = self.event_bounds[shot], self.event_bounds[shot + 1]
+        return SyndromeHistory(
+            code=self.code,
+            error_type=self.error_type,
+            rounds=self.rounds,
+            syndromes=self.syndromes[shot],
+            detection_events=list(
+                zip(self.event_rounds[lo:hi], self.event_checks[lo:hi])
+            ),
+            true_error=self.true_error[shot],
+        )
+
+    def eventful(self) -> list[int]:
+        """The shots (0-based within the block) with at least one event."""
+        bounds = self.event_bounds
+        return [i for i in range(len(self)) if bounds[i] != bounds[i + 1]]
+
+
+def _check_memory_args(
+    rounds: int, p_data: float, p_meas: float, error_type: str
+) -> None:
+    check_count(rounds, "rounds")
+    if rounds < 1:
+        raise QECError(f"memory experiment needs >= 1 round, got {rounds}")
+    if not (0 <= p_data <= 1 and 0 <= p_meas <= 1):
+        raise QECError("error probabilities must be in [0, 1]")
+    if error_type not in ("x", "z"):
+        raise QECError(f"error_type must be 'x' or 'z', got '{error_type}'")
+
+
+def sample_memory_block(
+    code: CSSCode,
+    rounds: int,
+    p_data: float,
+    p_meas: float,
+    rngs: Iterable[np.random.Generator],
+    error_type: str = "x",
+) -> MemoryBlock:
+    """Sample one phenomenological memory-experiment shot per generator.
+
+    Each of ``rounds`` noisy rounds: i.i.d. data errors then a noisy readout
+    of every check.  A final perfect readout round is appended so all
+    detection events are matchable (the usual memory-experiment convention).
+
+    Shot ``i`` draws its ``rounds * (n + num_checks)`` doubles with one
+    ``random`` call on the ``i``-th generator, in shot order, so a generator
+    passed for several shots serves them one after another.  Round ``t``
+    reads the data flips from doubles ``t*(n+m) .. t*(n+m)+n-1`` and the
+    readout lies from the ``m`` after them: the order in which drawing
+    ``random(n)`` then ``random(m)`` each round would consume them.
+    """
+    _check_memory_args(rounds, p_data, p_meas, error_type)
+    checks = code.hz if error_type == "x" else code.hx
+    num_checks, n = checks.shape
+    width = n + num_checks
+    draws = np.array(
+        [rng.random(rounds * width) for rng in rngs], dtype=np.float64
+    ).reshape(-1, rounds, width)
+    shots = len(draws)
+    flips = draws[:, :, :n] < p_data
+    lies = draws[:, :, n:] < p_meas
+    # The error after each round, and its true syndrome in one matmul.
+    errors = np.logical_xor.accumulate(flips, axis=1)
+    true_syndromes = (errors.astype(np.int64) @ checks.T.astype(np.int64)) % 2 == 1
+    syndromes = np.empty((shots, rounds + 1, num_checks), dtype=bool)
+    np.logical_xor(true_syndromes, lies, out=syndromes[:, :rounds])
+    syndromes[:, rounds] = true_syndromes[:, -1]  # the perfect last round
+    changed = syndromes.copy()
+    changed[:, 1:] ^= syndromes[:, :-1]
+    shot_of, event_rounds, event_checks = np.nonzero(changed)
+    event_bounds = np.searchsorted(shot_of, np.arange(shots + 1))
+    return MemoryBlock(
+        code=code,
+        error_type=error_type,
+        rounds=rounds,
+        flips=flips,
+        lies=lies,
+        syndromes=syndromes,
+        true_error=errors[:, -1],
+        event_bounds=event_bounds.tolist(),
+        event_rounds=event_rounds.tolist(),
+        event_checks=event_checks.tolist(),
+    )
+
+
+def memory_blocks(
+    code: CSSCode,
+    rounds: int,
+    p_data: float,
+    p_meas: float,
+    rngs: Iterable[np.random.Generator],
+    error_type: str = "x",
+) -> Iterator[MemoryBlock]:
+    """:func:`sample_memory_block` over ``rngs`` (one per shot), in blocks.
+
+    Each block holds the next shots in order, at most :data:`BLOCK_BYTES`
+    of draws (at least one shot).  ``rngs`` is consumed one shot at a time,
+    so a lazy iterable keeps one generator alive, not one per shot.
+    """
+    _check_memory_args(rounds, p_data, p_meas, error_type)
+    checks = code.hz if error_type == "x" else code.hx
+    per_shot = 8 * rounds * (checks.shape[0] + checks.shape[1])
+    block_shots = max(1, BLOCK_BYTES // per_shot)
+    rngs = iter(rngs)
+    while True:
+        block = sample_memory_block(
+            code, rounds, p_data, p_meas, islice(rngs, block_shots), error_type
+        )
+        if not len(block):
+            return
+        yield block
+
+
 def check_decodable(history: SyndromeHistory, code: CSSCode, error_type: str) -> None:
     """Raise :class:`DecodingError` unless ``history`` fits a decoder of
     ``code``'s ``error_type`` errors.
 
-    The history must hold errors of that type, sampled on ``code`` itself or
-    on a code with the same checks for that type.
+    The history (or a :class:`MemoryBlock`: only ``code`` and
+    ``error_type`` are read) must hold errors of that type, sampled on
+    ``code`` itself or on a code with the same checks for that type.
     """
     if history.error_type != error_type:
         raise DecodingError(
@@ -99,6 +275,26 @@ def check_decodable(history: SyndromeHistory, code: CSSCode, error_type: str) ->
         )
 
 
+def check_raw_events(code: CSSCode, events: list[DetectionEvent]) -> None:
+    """Raise :class:`DecodingError` for a raw event list no history holds.
+
+    A :class:`SyndromeHistory` lists each (round, check) at most once and
+    never a negative round; decoders handed a raw list refuse either.
+    """
+    seen: set[DetectionEvent] = set()
+    for event in events:
+        t, c = event
+        if t < 0:
+            raise DecodingError(
+                f"{code.name}: detection event {event} has a negative round"
+            )
+        if (t, c) in seen:
+            raise DecodingError(
+                f"{code.name}: detection event {event} is listed twice"
+            )
+        seen.add((t, c))
+
+
 def sample_memory(
     code: CSSCode,
     rounds: int,
@@ -109,48 +305,17 @@ def sample_memory(
 ) -> SyndromeHistory:
     """Sample one phenomenological memory-experiment shot.
 
-    Each of ``rounds`` noisy rounds: i.i.d. data errors then a noisy readout
-    of every check.  A final perfect readout round is appended so all
-    detection events are matchable (the usual memory-experiment convention).
+    The one-shot view of :func:`sample_memory_block`, plus each round's
+    injected data flips and readout lies for Figure 2's trace.  Loops over
+    shots sample through :func:`memory_blocks` instead (lint rule R009).
     """
-    if rounds < 1:
-        raise QECError(f"memory experiment needs >= 1 round, got {rounds}")
-    if not (0 <= p_data <= 1 and 0 <= p_meas <= 1):
-        raise QECError("error probabilities must be in [0, 1]")
-    if error_type not in ("x", "z"):
-        raise QECError(f"error_type must be 'x' or 'z', got '{error_type}'")
-    checks = code.hz if error_type == "x" else code.hx
-    num_checks, n = checks.shape
-    error = np.zeros(n, dtype=bool)
-    measured = np.zeros((rounds + 1, num_checks), dtype=bool)
-    injected: list[list[int]] = []
-    meas_flips: list[list[int]] = []
-    for t in range(rounds):
-        flips = rng.random(n) < p_data
-        error ^= flips
-        injected.append(np.flatnonzero(flips).tolist())
-        true_syndrome = (checks.astype(int) @ error.astype(int)) % 2 == 1
-        lies = rng.random(num_checks) < p_meas
-        meas_flips.append(np.flatnonzero(lies).tolist())
-        measured[t] = true_syndrome ^ lies
-    # Perfect final round.
-    measured[rounds] = (checks.astype(int) @ error.astype(int)) % 2 == 1
-    events: list[DetectionEvent] = []
-    previous = np.zeros(num_checks, dtype=bool)
-    for t in range(rounds + 1):
-        changed = measured[t] ^ previous
-        events.extend((t, int(c)) for c in np.flatnonzero(changed))
-        previous = measured[t]
-    return SyndromeHistory(
-        code=code,
-        error_type=error_type,
-        rounds=rounds,
-        syndromes=measured,
-        detection_events=events,
-        true_error=error,
-        injected=injected,
-        measurement_flips=meas_flips,
-    )
+    block = sample_memory_block(code, rounds, p_data, p_meas, [rng], error_type)
+    history = block.history(0)
+    history.injected = [np.flatnonzero(row).tolist() for row in block.flips[0]]
+    history.measurement_flips = [
+        np.flatnonzero(row).tolist() for row in block.lies[0]
+    ]
+    return history
 
 
 # ---------------------------------------------------------------------------

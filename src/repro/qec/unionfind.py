@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.qec.codes.base import BOUNDARY, CSSCode
-from repro.qec.syndrome import DetectionEvent, SyndromeHistory, check_decodable
+from repro.qec.syndrome import SyndromeHistory, check_decodable, check_raw_events
 
 
 @dataclass
@@ -84,11 +84,20 @@ class UnionFindDecoder:
         self.code = code
         self.error_type = error_type
         self._space_graph = code.matching_graph(error_type)
+        self._graphs: dict[int, nx.Graph] = {}
 
     # -- space-time graph -----------------------------------------------------
 
     def _build_graph(self, rounds: int) -> nx.Graph:
-        """Replicate the spatial graph across rounds; add time edges."""
+        """Replicate the spatial graph across rounds; add time edges.
+
+        Built once per ``rounds`` and kept: decoding only reads the graph
+        (peeling copies edge attributes), so every decode sees the same
+        nodes and neighbour order.
+        """
+        graph = self._graphs.get(rounds)
+        if graph is not None:
+            return graph
         graph = nx.Graph()
         boundary = ("B",)
         graph.add_node(boundary)
@@ -107,6 +116,7 @@ class UnionFindDecoder:
             if t > 0:
                 for c in checks:
                     graph.add_edge((t - 1, c), (t, c), fault=None, kind="time")
+        self._graphs[rounds] = graph
         return graph
 
     # -- decoding -----------------------------------------------------------------
@@ -119,6 +129,7 @@ class UnionFindDecoder:
             rounds = history_or_events.rounds
         else:
             events = list(history_or_events)
+            check_raw_events(self.code, events)
             if rounds is None:
                 rounds = max((t for t, _ in events), default=0)
         n = self.code.num_data_qubits

@@ -19,6 +19,7 @@ from repro.qec.codes.repetition import RepetitionCode
 from repro.qec.codes.surface import SurfaceCode
 from repro.qec.matching import MWPMDecoder
 from repro.qec.syndrome import sample_memory
+from tests.qec.reference_memory import mwpm_distances
 
 #: Edge-weight families: ties, the integer path that runs ``verifyOptimum``,
 #: and the float paths (integral, exact halves, arbitrary).
@@ -91,16 +92,17 @@ def test_empty_graph_has_empty_matching():
 def networkx_match(decoder: MWPMDecoder, events):
     """The decoder's matching step as it was built on networkx: the
     reference the port-backed ``MWPMDecoder._match`` must reproduce."""
+    event_distance, boundary_distance = mwpm_distances(decoder)
     k = len(events)
     graph = nx.Graph()
     big = 10_000.0
     for i in range(k):
         for j in range(i + 1, k):
-            dist = decoder._event_distance(events[i], events[j])
+            dist = event_distance(events[i], events[j])
             if np.isfinite(dist):
                 graph.add_edge(i, j, weight=big - dist)
             graph.add_edge(k + i, k + j, weight=big - 0.0)
-        bdist = decoder._boundary_distance(events[i])
+        bdist = boundary_distance(events[i])
         if np.isfinite(bdist):
             graph.add_edge(i, k + i, weight=big - bdist)
     matched = {}

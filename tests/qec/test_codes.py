@@ -115,6 +115,16 @@ class TestRepetitionCode:
         assert code.logical_flipped(error, "x")
 
 
+@pytest.mark.parametrize("code", [SurfaceCode(3), RepetitionCode(5), SteaneCode()])
+@pytest.mark.parametrize("error_type", ["x", "z"])
+def test_logical_flips_is_logical_flipped_per_row(code, error_type):
+    errors = np.random.default_rng(5).random((64, code.num_data_qubits)) < 0.4
+    flips = code.logical_flips(errors, error_type)
+    assert flips.dtype == bool and flips.shape == (64,)
+    assert flips.tolist() == [code.logical_flipped(e, error_type) for e in errors]
+    assert 0 < flips.sum() < 64
+
+
 class TestSteaneCode:
     def test_structure(self):
         code = SteaneCode()

@@ -21,6 +21,7 @@ from repro.qec.lookup import LookupDecoder
 from repro.qec.matching import MWPMDecoder
 from repro.qec.syndrome import sample_memory
 from repro.qec.unionfind import UnionFindDecoder
+from tests.qec.reference_memory import mwpm_adjacency
 
 
 def events_for(code, error_bits, error_type="x"):
@@ -198,6 +199,96 @@ class TestForeignHistories:
         result = decoder_cls(ours, "x").decode(history)
         residual = history.true_error ^ result.correction
         assert not ours.syndrome(residual, "x").any()
+
+
+@pytest.mark.parametrize("decoder_cls", [MWPMDecoder, UnionFindDecoder])
+class TestRawEventLists:
+    """Raw event lists no SyndromeHistory holds are refused by both decoders."""
+
+    def decode(self, decoder_cls, events):
+        decoder = decoder_cls(SurfaceCode(3), "x")
+        if decoder_cls is UnionFindDecoder:
+            return decoder.decode(events, rounds=2)
+        return decoder.decode(events)
+
+    @pytest.mark.parametrize(
+        "events", [[(0, 1), (0, 1)], [(0, 1), (1, 2), (0, 1), (2, 2)]]
+    )
+    def test_repeated_event_rejected(self, decoder_cls, events):
+        with pytest.raises(DecodingError, match=r"\(0, 1\) is listed twice"):
+            self.decode(decoder_cls, events)
+
+    @pytest.mark.parametrize("events", [[(-3, 0), (2, 1)], [(0, 1), (-1, 1)]])
+    def test_negative_round_rejected(self, decoder_cls, events):
+        with pytest.raises(DecodingError, match="negative round"):
+            self.decode(decoder_cls, events)
+
+    def test_distinct_events_still_decode(self, decoder_cls):
+        result = self.decode(decoder_cls, [(0, 1), (1, 1)])
+        assert not result.correction.any()
+
+
+class TestMWPMAdjacency:
+    """The table-built matching graph equals the pair-by-pair builder."""
+
+    @pytest.mark.parametrize("time_weight", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "code, error_type",
+        [
+            (SurfaceCode(3), "x"),
+            (SurfaceCode(5), "z"),
+            (RepetitionCode(5), "x"),
+        ],
+        ids=["surface-3-x", "surface-5-z", "repetition-5-x"],
+    )
+    def test_same_graph_in_the_same_order(self, code, error_type, time_weight):
+        decoder = MWPMDecoder(code, error_type, time_weight=time_weight)
+        rng = np.random.default_rng([code.distance, int(10 * time_weight)])
+        built = 0
+        for _ in range(40):
+            history = sample_memory(code, code.distance, 0.08, 0.08, rng, error_type)
+            events = history.detection_events
+            if not events:
+                continue
+            live = decoder._adjacency(events)
+            frozen = mwpm_adjacency(decoder, events)
+            assert list(live) == list(frozen)
+            for node, neighbours in frozen.items():
+                assert list(live[node].items()) == list(neighbours.items())
+                assert all(type(w) is float for w in live[node].values())
+            built += 1
+        assert built > 20
+
+    def test_disconnected_checks_get_no_event_edge(self):
+        # Two separate repetition codes side by side: checks of one never
+        # reach the other, so their events share no edge.
+        rep = RepetitionCode(3)
+        zero = np.zeros_like(rep.hz)
+        code = CSSCode(
+            "two-reps",
+            np.zeros((0, 6), dtype=bool),
+            np.block([[rep.hz, zero], [zero, rep.hz]]),
+            np.r_[rep.logical_x, np.zeros(3, dtype=bool)],
+            np.r_[rep.logical_z, np.zeros(3, dtype=bool)],
+            3,
+        )
+        decoder = MWPMDecoder(code, "x", time_weight=0.5)
+        events = [(0, 0), (1, 2), (0, 3), (2, 1)]
+        live = decoder._adjacency(events)
+        frozen = mwpm_adjacency(decoder, events)
+        assert list(live) == list(frozen)
+        for node, neighbours in frozen.items():
+            assert list(live[node].items()) == list(neighbours.items())
+        assert list(live[0]) == [3, 4]  # check 1's event and the twin
+
+    def test_correction_paths_are_found_once(self):
+        code = SurfaceCode(5)
+        decoder = MWPMDecoder(code, "x")
+        first = decoder._path_between(0, 7)
+        assert decoder._path_between(0, 7) is first
+        boundary = decoder._path_to_boundary(3)
+        assert decoder._path_to_boundary(3) is boundary
+        assert decoder._path_between(4, 4) == ([], 0.0)
 
 
 class TestLookup:

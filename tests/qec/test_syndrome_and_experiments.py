@@ -186,6 +186,29 @@ class TestExperiments:
         with pytest.raises(QECError):
             logical_error_rate(code, MWPMDecoder(code, "x"), 1, 0.1, shots=0)
 
+    @pytest.mark.parametrize("shots", [2.5, 3.0, True, "4", None])
+    def test_shots_must_be_a_whole_number(self, shots):
+        code = SurfaceCode(3)
+        with pytest.raises(QECError, match="whole number of shots"):
+            logical_error_rate(code, MWPMDecoder(code, "x"), 2, 0.1, shots=shots)
+
+    @pytest.mark.parametrize("rounds", [2.0, 1.5, True])
+    @pytest.mark.parametrize("routed", [True, False])
+    def test_rounds_must_be_a_whole_number(self, rounds, routed):
+        code = SurfaceCode(3)
+        decoder = MWPMDecoder(code, "x")
+        if not routed:
+            decoder = _OpaqueDecoder(decoder)
+        with pytest.raises(QECError, match="whole number of rounds"):
+            logical_error_rate(code, decoder, rounds, 0.1, shots=5)
+        with pytest.raises(QECError, match="whole number of rounds"):
+            sample_memory(code, rounds, 0.1, 0.1, np.random.default_rng(0))
+
+    def test_numpy_integers_are_whole_numbers(self):
+        code = SurfaceCode(3)
+        history = sample_memory(code, np.int64(2), 0.1, 0.1, np.random.default_rng(0))
+        assert history.syndromes.shape == (3, code.num_z_checks)
+
 
 class _OpaqueDecoder:
     """A decoder the ExecutionService cannot reconstruct in a worker."""

@@ -411,6 +411,63 @@ class TestR008NetworkxMatcher:
         assert codes(src, self.PATH) == []
 
 
+class TestR009ShotLoops:
+    PATH = "src/repro/experiments/figure2.py"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            """
+            for shot in range(shots):
+                history = sample_memory(code, 3, p, p, rngs[shot])
+            """,
+            """
+            while todo:
+                history = syndrome.sample_memory(code, 3, p, p, todo.pop())
+            """,
+            """
+            while sample_memory(code, 1, p, p, rng).detection_events:
+                tries += 1
+            """,
+            "histories = [sample_memory(code, 3, p, p, rng) for rng in rngs]",
+            "events = {i: sample_memory(code, 1, p, p, r) for i, r in pairs}",
+            "failed = sum(decode(sample_memory(c, 1, p, p, r)) for r in rngs)",
+            """
+            def run(rngs):
+                for rng in rngs:
+                    if rng is not None:
+                        yield qec.syndrome.sample_memory(code, 2, p, p, rng)
+            """,
+        ],
+    )
+    def test_per_shot_loop_flagged(self, src):
+        found = lint(src, self.PATH)
+        assert [v.rule for v in found] == ["R009"]
+        assert "memory_blocks" in found[0].message
+
+    def test_nested_loops_report_the_call_once(self):
+        src = """
+        for d in distances:
+            for shot in range(shots):
+                h = sample_memory(codes[d], d, p, p, rngs[shot])
+        """
+        assert codes(src, "src/repro/qec/experiments.py") == ["R009"]
+
+    def test_single_trace_and_block_sampler_allowed(self):
+        src = """
+        from repro.qec.syndrome import memory_blocks, sample_memory
+        history = sample_memory(code, rounds, p, p, rng, error_type="x")
+        for t in range(rounds):
+            lines.append(history.injected[t])
+        for block in memory_blocks(code, rounds, p, p, rngs):
+            block = sample_memory_block(code, rounds, p, p, [rng])
+        for h in [sample_memory(code, 1, p, p, rng)]:
+            pass
+        sampler = sample_memory
+        """
+        assert codes(src, self.PATH) == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

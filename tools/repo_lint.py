@@ -77,6 +77,15 @@ R008  networkx's matcher: a ``nx.max_weight_matching(...)`` or
       results depend on which networkx a host installed.  networkx's
       matcher stays the parity reference in ``tests/qec/test_blossom.py``.
 
+R009  A ``sample_memory(...)`` call (bare or as an attribute) inside a
+      ``for`` or ``while`` body or a comprehension: a per-shot sampling loop
+      beside the block kernel.  Memory-experiment shots are sampled as
+      arrays by ``repro.qec.syndrome.memory_blocks`` (one ``random`` call
+      per shot, one block of array operations for all of them);
+      ``sample_memory`` is its one-shot view for a single trace.  The
+      per-shot loop lives on only as the parity reference in
+      ``tests/qec/reference_memory.py``.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -122,6 +131,12 @@ R007_OWNERS = {
 
 #: Module aliases whose ``max_weight_matching`` R008 flags.
 R008_NETWORKX = {"nx", "networkx"}
+
+#: The one-shot sampler R009 keeps out of loops.
+R009_SAMPLER = "sample_memory"
+
+#: Comprehensions: every part of one runs per item (R009).
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 class Violation:
@@ -422,6 +437,36 @@ def _check_networkx_matcher(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
+def _check_shot_loops(path: Path, tree: ast.AST) -> list[Violation]:
+    """R009: ``sample_memory(...)`` called in a loop body or comprehension."""
+    flagged: dict[int, ast.Call] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            repeated = node.body
+        elif isinstance(node, ast.While):
+            repeated = [node.test, *node.body]
+        elif isinstance(node, _COMPREHENSIONS):
+            repeated = [node]
+        else:
+            continue
+        for part in repeated:
+            for inner in ast.walk(part):
+                if (
+                    isinstance(inner, ast.Call)
+                    and _terminal_name(inner.func) == R009_SAMPLER
+                ):
+                    flagged[id(inner)] = inner
+    return [
+        Violation(
+            path, call.lineno, "R009",
+            f"{R009_SAMPLER}() in a loop: a per-shot sampling loop beside the "
+            "block kernel; sample the shots with "
+            "repro.qec.syndrome.memory_blocks",
+        )
+        for call in flagged.values()
+    ]
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -430,6 +475,7 @@ CHECKS = (
     _check_state_evolution,
     _check_pool_construction,
     _check_networkx_matcher,
+    _check_shot_loops,
 )
 
 
