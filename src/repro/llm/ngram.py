@@ -54,7 +54,9 @@ class NgramModel:
                 token = tokens[i]
                 for k in range(self.order):
                     context = tuple(tokens[i - k : i])
-                    table = self._counts[k].setdefault(context, Counter())
+                    table = self._counts[k].get(context)
+                    if table is None:
+                        table = self._counts[k][context] = Counter()
                     table[token] += 1
         self._total_tokens += added
         return added

@@ -201,10 +201,7 @@ class UnionFindDecoder:
             tree = nx.minimum_spanning_tree(erasure.subgraph(component))
             # Peel from the leaves inward; treat the boundary node as the
             # root so it is peeled last and absorbs any leftover defect.
-            order = sorted(
-                tree.nodes, key=lambda v: (v == boundary, tree.degree(v))
-            )
-            tree = tree.copy()
+            # The spanning tree is a fresh graph, so peeling edits it in place.
             while tree.number_of_nodes() > 1:
                 leaves = [
                     v

@@ -23,8 +23,11 @@ Two vectorised paths, one per route of the planner:
   kernel call throughout.  Measure and reset collapse every shot at once
   through :func:`~repro.quantum.batchsim.state.batch_measure`.  A per-row
   collapse loop would dominate: one 4096-shot teleport batch took
-  0.36-0.39 s with it and 0.06-0.07 s vectorised on a 2-CPU host.  Its
-  clbits come from collapse, so it tallies ``(shots, num_clbits)`` digit
+  0.36-0.39 s with it and 0.06-0.07 s vectorised on a 2-CPU host.  One
+  ``.sum()`` per row for P(1) was then most of what remained; with every
+  row's sum taken as whole-column adds the batch takes a median 0.021 s,
+  against 0.045-0.055 s (15 runs a side, 2-CPU host).  Its clbits come
+  from collapse, so it tallies ``(shots, num_clbits)`` digit
   rows with :func:`~repro.quantum.simulator.tally_counts`.
 
 :func:`run_circuit` is the single-circuit entry behind

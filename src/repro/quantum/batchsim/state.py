@@ -28,7 +28,10 @@ of random trials).  Do not "simplify" the kernel into that form.
 :func:`batch_measure` follows the same rule for measurement: each row's
 probability sum and norm keep the summation order of the flat-state
 ``measure_probabilities`` and ``collapse`` of the serial reference
-(``tests/serial_engine.py``).
+(``tests/serial_engine.py``).  A row's P(1) is numpy's pairwise sum of its
+``|amp|**2`` block, and :func:`_pairwise_row_sums` keeps that order per row
+while adding whole columns, so a tile's probabilities cost a few dozen array
+operations rather than one ``.sum()`` call per row.
 """
 
 from __future__ import annotations
@@ -103,6 +106,43 @@ def batch_apply_matrix(
     return stacked.reshape(shape).transpose(inverse).reshape(batch, 2**num_qubits)
 
 
+def _pairwise_row_sums(block: np.ndarray) -> np.ndarray:
+    """Each row's ``.sum()``, bit for bit, computed as whole-column adds.
+
+    ``block`` is ``(rows, width)`` with non-negative entries and a
+    power-of-two ``width`` (one qubit's half of a state, ``2**(n-1)``).
+    A 1-D ``.sum()`` is numpy's pairwise summation, whose order this
+    replays for every row at once:
+
+    * under 8 entries, a left-to-right sum;
+    * up to 128, eight lane accumulators (lane ``j`` adds entries ``j``,
+      ``j + 8``, ... in turn) folded as ``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))``;
+    * above 128, the sums of the two halves, added.  For a power-of-two
+      width the halving stops at 128-entry leaves, so every leaf's lanes
+      run at once and the leaf sums are added in pairs, level by level.
+
+    ``sum(axis=1)`` is no substitute: on the column-major block that
+    ``states[:, ones]`` gathers it adds column after column, and drifts by
+    an ulp on many rows from 8 columns (4 qubits) up.
+    """
+    columns = block.T  # (width, rows); C-contiguous for a gathered block
+    width = len(columns)
+    if width < 8:
+        total = columns[0].copy()
+        for column in columns[1:]:
+            total += column
+        return total
+    leaves = columns.reshape(-1, min(width, 128), columns.shape[1])
+    lanes = leaves[:, :8].copy()
+    for start in range(8, leaves.shape[1], 8):
+        lanes += leaves[:, start:start + 8]
+    l0, l1, l2, l3, l4, l5, l6, l7 = lanes.transpose(1, 0, 2)
+    sums = ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+    while len(sums) > 1:
+        sums = sums[0::2] + sums[1::2]
+    return sums[0]
+
+
 def batch_measure(
     states: np.ndarray, qubit: int, num_qubits: int, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -114,22 +154,28 @@ def batch_measure(
     ``collapsed[s]`` equals ``collapse(states[s], qubit, outcomes[s],
     num_qubits)``.  Each reduction keeps the serial one's summation order:
 
-    * P(1) is a 1-D ``.sum()`` per row of the gathered ``|amp|**2`` block,
-      i.e. numpy's pairwise sum.  ``sum(axis=1)`` is not pairwise and drifts
-      by an ulp on most rows from 4 qubits up.
+    * P(1) is each row's pairwise sum of the gathered ``|amp|**2`` block,
+      the order of the serial 1-D ``.sum()``, taken for all rows at once as
+      whole-column adds (:func:`_pairwise_row_sums`).
     * The norm is ``sqrt(re.re + im.im)`` with each dot a stacked row-vector
       ``np.matmul``, which issues per row the same strided BLAS dot that
       ``np.linalg.norm`` does.  ``einsum`` or a sum of squares does not.
 
-    Raises the serial :class:`SimulationError` when a row collapses onto a
-    zero-probability branch.
+    Raises :class:`SimulationError` for a ``qubit`` outside
+    ``0..num_qubits-1``, for ``draws`` that are not one uniform per row, and
+    (the serial error) when a row collapses onto a zero-probability branch.
     """
+    if not 0 <= qubit < num_qubits:
+        raise SimulationError(
+            f"qubit {qubit} is not a qubit of a {num_qubits}-qubit state"
+        )
+    if np.shape(draws) != (len(states),):
+        raise SimulationError(
+            f"draws of shape {np.shape(draws)} for {len(states)} row(s): "
+            "measurement takes one uniform per row"
+        )
     ones = (np.arange(2**num_qubits) & (1 << qubit)) != 0
-    block = np.abs(states[:, ones]) ** 2
-    p1 = np.fromiter(
-        (row.sum() for row in block), dtype=np.float64, count=len(block)
-    )
-    del block  # freed before the collapse copy: one tile of temporaries
+    p1 = _pairwise_row_sums(np.abs(states[:, ones]) ** 2)
     outcomes = (draws < p1).astype(np.int64)
     collapsed = np.where(ones == (outcomes[:, None] == 1), states, 0.0)
     re, im = collapsed.real[:, None, :], collapsed.imag[:, None, :]

@@ -451,8 +451,47 @@ def bits_of(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array).view(np.uint64)
 
 
+class TestPairwiseRowSums:
+    """The P(1) kernel: every row's 1-D ``.sum()``, from whole-column adds."""
+
+    @pytest.mark.parametrize("exponent", range(14))
+    def test_equals_per_row_sum_bit_for_bit(self, exponent):
+        width = 2**exponent
+        rng = np.random.default_rng(1300 + exponent)
+        # Row magnitudes spread over ten decades, entries varied within rows.
+        scale = 10.0 ** rng.uniform(-10.0, 0.0, size=(24, 1))
+        block = rng.random((24, width)) * scale
+        want = np.array([row.sum() for row in block])
+        # The kernel's order must not depend on the block's memory layout;
+        # batch_measure hands it the column-major block a gather returns.
+        for layout in (block, np.asfortranarray(block)):
+            got = batchsim.state._pairwise_row_sums(layout)
+            assert np.array_equal(bits_of(got), bits_of(want))
+        if width >= 8:
+            # The check has teeth: a column-after-column running sum, the
+            # order sum(axis=1) takes on that block, differs on some row.
+            running = block[:, 0].copy()
+            for column in block.T[1:]:
+                running += column
+            assert not np.array_equal(bits_of(running), bits_of(want))
+
+    def test_eval_shaped_tile_matches_serial_measure_and_collapse(self):
+        # A 4096-shot, 3-qubit trajectory is one tile: the shape eval runs.
+        rng = np.random.default_rng(1315)
+        states = random_states(rng, 4096, 3)
+        for qubit in range(3):
+            draws = rng.random(4096)
+            got, outcomes = batchsim.batch_measure(states, qubit, 3, draws)
+            for row in range(4096):
+                p1 = measure_probabilities(states[row], qubit, 3)
+                outcome = 1 if draws[row] < p1 else 0
+                assert outcomes[row] == outcome
+                want = collapse(states[row], qubit, outcome, 3)
+                assert np.array_equal(bits_of(got[row]), bits_of(want))
+
+
 class TestBatchMeasure:
-    @pytest.mark.parametrize("num_qubits", range(1, 11))
+    @pytest.mark.parametrize("num_qubits", range(1, 15))
     def test_rows_bit_identical_to_serial_collapse(self, num_qubits):
         rng = np.random.default_rng(900 + num_qubits)
         for trial in range(3):
@@ -507,6 +546,31 @@ class TestBatchMeasure:
         got = readout.apply_rows(bits, uniforms)
         assert got.tolist() == want
         assert got.tolist() != bits.tolist()  # some bits really flipped
+
+    @pytest.mark.parametrize("qubit", [2, 5, -1])
+    def test_qubit_outside_the_state_refused(self, qubit):
+        # |11> on two rows: a qubit the state lacks must not read as
+        # P(1) = 0 with the rows left as they were.
+        states = np.zeros((2, 4), dtype=np.complex128)
+        states[:, 3] = 1.0
+        with pytest.raises(SimulationError, match=f"qubit {qubit} .*2-qubit"):
+            batchsim.batch_measure(states, qubit, 2, np.array([0.5, 0.5]))
+        batch = batchsim.BatchStatevector(states)
+        with pytest.raises(SimulationError, match="2-qubit"):
+            batch.measure(qubit, np.array([0.5, 0.5]))
+        assert np.array_equal(batch.row(0), states[0])
+
+    @pytest.mark.parametrize(
+        "draws",
+        [np.array([0.5]), np.array([0.1, 0.2, 0.3, 0.4]), np.full((3, 1), 0.5)],
+    )
+    def test_draws_not_one_per_row_refused(self, draws):
+        # A single draw must not be broadcast to every row.
+        states = random_states(np.random.default_rng(931), 3, 2)
+        with pytest.raises(SimulationError, match="one uniform per row"):
+            batchsim.batch_measure(states, 0, 2, draws)
+        with pytest.raises(SimulationError, match=r"for 3 row\(s\)"):
+            batchsim.BatchStatevector(states).measure(1, draws)
 
     def test_zero_probability_branch_raises_the_serial_error(self):
         # P(1) = 1e-22 is positive, so draw 0.0 selects outcome 1, whose

@@ -468,6 +468,55 @@ class TestR009ShotLoops:
         assert codes(src, self.PATH) == []
 
 
+class TestR010PerRowSums:
+    PATH = "src/repro/quantum/batchsim/state.py"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            """
+            p1 = np.fromiter(
+                (row.sum() for row in block), dtype=np.float64, count=len(block)
+            )
+            """,
+            "p1 = np.array([np.sum(row) for row in block])",
+            "p1 = [numpy.sum(block[i], axis=0) for i in range(len(block))]",
+            "totals = {i: (row ** 2).sum() for i, row in enumerate(block)}",
+            "norms = {abs(row).sum() for row in block}",
+            """
+            def probabilities(block):
+                return [[cell.sum() for cell in row] for row in block]
+            """,
+        ],
+    )
+    def test_per_row_sum_flagged(self, src):
+        found = lint(src, self.PATH)
+        assert [v.rule for v in found] == ["R010"]
+        assert "_pairwise_row_sums" in found[0].message
+
+    def test_flagged_anywhere_under_batchsim(self):
+        src = "p = [row.sum() for row in block]"
+        assert codes(src, "src/repro/quantum/batchsim/engine.py") == ["R010"]
+        assert codes(src, "quantum/batchsim/planner.py") == ["R010"]
+
+    def test_whole_array_and_builtin_sums_allowed(self):
+        src = """
+        p1 = _pairwise_row_sums(np.abs(states[:, ones]) ** 2)
+        total = block.sum(axis=1)
+        width = sum(plan)
+        counts = [sum(widths) for widths in plans]
+        for row in block:
+            total += row.sum()
+        """
+        assert codes(src, self.PATH) == []
+
+    def test_other_directories_allowed(self):
+        src = "p = [row.sum() for row in block]"
+        assert codes(src, "src/repro/quantum/statevector.py") == []
+        assert codes(src, "src/repro/qec/experiments.py") == []
+        assert codes(src, "src/repro/batchsim.py") == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

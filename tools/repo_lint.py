@@ -86,6 +86,13 @@ R009  A ``sample_memory(...)`` call (bare or as an attribute) inside a
       per-shot loop lives on only as the parity reference in
       ``tests/qec/reference_memory.py``.
 
+R010  A ``.sum(...)`` call (``row.sum()``, ``np.sum(row)``) inside a
+      comprehension or generator expression under ``batchsim/``: one
+      Python-level reduction per row of a batch.  A tile's reductions run
+      over whole columns; ``batchsim/state.py``'s ``_pairwise_row_sums``
+      gives every row its 1-D ``.sum()``, bit for bit, in a few dozen
+      array operations.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -135,8 +142,11 @@ R008_NETWORKX = {"nx", "networkx"}
 #: The one-shot sampler R009 keeps out of loops.
 R009_SAMPLER = "sample_memory"
 
-#: Comprehensions: every part of one runs per item (R009).
+#: Comprehensions: every part of one runs per item (R009, R010).
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+#: R010 only applies under these directory names.
+R010_DIRS = {"batchsim"}
 
 
 class Violation:
@@ -467,6 +477,32 @@ def _check_shot_loops(path: Path, tree: ast.AST) -> list[Violation]:
     ]
 
 
+def _check_per_row_sums(path: Path, tree: ast.AST) -> list[Violation]:
+    """R010: ``.sum(...)`` called per item of a comprehension in batchsim."""
+    if not R010_DIRS.intersection(path.parts[:-1]):
+        return []
+    flagged: dict[int, ast.Call] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, _COMPREHENSIONS):
+            continue
+        for inner in ast.walk(node):
+            if (
+                isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Attribute)
+                and inner.func.attr == "sum"
+            ):
+                flagged[id(inner)] = inner
+    return [
+        Violation(
+            path, call.lineno, "R010",
+            ".sum() per row in a comprehension: one Python-level reduction "
+            "per row of a batch; sum whole columns instead (see "
+            "_pairwise_row_sums in batchsim/state.py)",
+        )
+        for call in flagged.values()
+    ]
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -476,6 +512,7 @@ CHECKS = (
     _check_pool_construction,
     _check_networkx_matcher,
     _check_shot_loops,
+    _check_per_row_sums,
 )
 
 
