@@ -1,4 +1,5 @@
-"""Ablation benchmarks over the design choices DESIGN.md calls out."""
+"""Ablation benchmarks over the design choices that the ablation drivers
+(``repro.experiments.ablations``) vary."""
 
 from repro.experiments import ablations
 

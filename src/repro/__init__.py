@@ -27,7 +27,8 @@ Subpackages
     Graders (syntactic/semantic), pass@k, the paper-style test suite and the
     Qiskit-HumanEval-style benchmark bank.
 ``repro.experiments``
-    One driver per paper table/figure; see DESIGN.md for the index.
+    One driver per paper table/figure; ``python -m repro report`` runs them
+    all and writes EXPERIMENTS.md.
 """
 
 __version__ = "1.0.0"

@@ -1,4 +1,4 @@
-"""Experiment drivers: one module per paper table/figure (see DESIGN.md)."""
+"""Experiment drivers: one module per paper table/figure."""
 
 from repro.experiments.common import ExperimentResult, ExperimentRow
 

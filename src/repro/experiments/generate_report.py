@@ -32,9 +32,9 @@ shape assertions.
 arXiv:2504.14557; "Measured" are this reproduction's.  We match *shape*
 (orderings, rough effect sizes, crossovers) rather than absolute third-digit
 equality: the substrate here is a simulated LLM + simulator stack, calibrated
-at the operating points documented in `src/repro/llm/faults.py` (see DESIGN.md
-for the substitution argument).  Rows with `-` in the Paper column are
-measurements the paper shows only graphically or qualitatively.
+at the operating points documented in `src/repro/llm/faults.py`.  Rows with
+`-` in the Paper column are measurements the paper shows only graphically or
+qualitatively.
 
 """
 
@@ -140,14 +140,14 @@ def _execution_section() -> ExperimentResult:
     experiment.extras.append(
         f"static pre-flight validation: validate={stats['validate']}."
     )
-    if service.cache is not None and service.cache.disk is not None:
+    if service.cache.disk is not None:
         disk = service.cache.disk
         bounds = f", limits {disk.limits}" if disk.limits is not None else ""
         experiment.extras.append(
             f"persistent cache tier: {len(disk)} entries under "
             f"{disk.cache_dir}{bounds}."
         )
-    if service.cache is not None and service.cache.remote is not None:
+    if service.cache.remote is not None:
         remote = service.cache.remote
         experiment.extras.append(
             f"shared cache server: {remote.base_url} "

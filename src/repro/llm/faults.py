@@ -1,9 +1,8 @@
 """Fault modes and calibrated rates for the simulated code LLM.
 
-This module is the **single calibration point** of the reproduction (see
-DESIGN.md §5).  Everything else is mechanism: the model really emits the
-faulty code text, the sandbox really raises, the repair loop really edits the
-code.  The rates below set how often each error mode fires, conditioned on
+This module is the **single calibration point** of the reproduction.
+Everything else is mechanism: the model really emits the faulty code text,
+the sandbox really raises, the repair loop really edits the code.  The rates below set how often each error mode fires, conditioned on
 the model configuration, and are calibrated so the *aggregate* accuracies
 reproduce the paper's operating points:
 

@@ -1,10 +1,10 @@
 """The simulated code-generation LLM.
 
 ``SimulatedCodeLLM.generate`` turns a natural-language prompt into Python
-source targeting :mod:`repro.quantum`, through the mechanism described in
-DESIGN.md: knowledge matching -> knowledge roll -> variant selection ->
-syntactic fault injection (RAG-suppressed where retrieved docs cover the
-symbol) -> code text.  ``repair`` implements the multi-pass capability: given
+source targeting :mod:`repro.quantum`, through one fixed mechanism whose
+rates :mod:`repro.llm.faults` calibrates: knowledge matching -> knowledge
+roll -> variant selection -> syntactic fault injection (RAG-suppressed where
+retrieved docs cover the symbol) -> code text.  ``repair`` implements the multi-pass capability: given
 an error trace it edits the code like the paper's Section IV-A loop.
 
 Every stochastic choice draws from the caller's RNG, so pipelines are

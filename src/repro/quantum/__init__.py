@@ -1,9 +1,9 @@
 """``repro.quantum`` — the gate-level quantum SDK.
 
-This package is the reproduction's substitute for Qiskit (see DESIGN.md):
-circuits, a statevector simulator, noise models, device topologies, fake
-backends, a transpiler, and the algorithm library that the evaluation suite
-grades against.
+This package is the reproduction's substitute for Qiskit: circuits, a
+statevector simulator, noise models, device topologies, fake backends, a
+transpiler, and the algorithm library that the evaluation suite grades
+against.
 
 Quickstart::
 

@@ -61,7 +61,18 @@ def _axis_orders(
     permutation a move-axes call derives, so the view, the GEMM shape and
     every output bit are unchanged; caching it saves re-deriving it on each
     gate, which cost more than the small matmuls themselves.
+
+    Raises :class:`SimulationError` for a target outside ``0..num_qubits-1``
+    or a repeated one.  The check runs once per cached key, and the cache
+    keeps no exception, so bad targets raise on every call.
     """
+    if len(set(targets)) != len(targets) or not all(
+        0 <= t < num_qubits for t in targets
+    ):
+        raise SimulationError(
+            f"targets {list(targets)} are not distinct qubits of a "
+            f"{num_qubits}-qubit state"
+        )
     src_axes = tuple(lead + num_qubits - 1 - t for t in reversed(targets))
     rest = tuple(a for a in range(lead, lead + num_qubits) if a not in src_axes)
     forward = tuple(range(lead)) + src_axes + rest

@@ -4,7 +4,9 @@
 ``Backend.run``, which delegates to it) returns an :class:`ExecutionJob` once
 every circuit has a result, so ``job.result()`` never blocks and Qiskit-style
 ``backend.run(qc).result().get_counts()`` programs run unchanged.  The job
-also records how the service served its circuits.
+carries no counters: what a call cost (cache hits, simulations, deduplicated
+misses) is credited to the stats scopes open around it
+(``with service.stats_scope() as scope:``).
 """
 
 from __future__ import annotations
@@ -22,25 +24,15 @@ def next_job_id() -> str:
 
 
 class ExecutionJob:
-    """Finished handle on one execution by the :class:`ExecutionService`."""
+    """Finished handle on one execution by the :class:`ExecutionService`:
+    its result, id, circuit count and backend name."""
 
     def __init__(
-        self,
-        result: Result,
-        num_circuits: int,
-        backend_name: str,
-        cache_hits: int = 0,
-        deduped: int = 0,
+        self, result: Result, num_circuits: int, backend_name: str
     ) -> None:
         self.job_id = next_job_id()
         self.num_circuits = num_circuits
         self.backend_name = backend_name
-        #: Circuit indices served straight from the result cache.
-        self.cache_hits = cache_hits
-        #: Circuit indices whose simulation was deduplicated by the service's
-        #: single-flight path (an identical execution was already in flight;
-        #: this job read its cache fill instead of re-simulating).
-        self.deduped = deduped
         self._result = result
 
     def result(self) -> Result:

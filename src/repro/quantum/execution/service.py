@@ -41,15 +41,16 @@ compatibility shim) executes here, which buys:
   warm store served by ``repro cache-server``; a dead server degrades to
   cache misses, never errors;
 * **single-flight simulation** — callers on different threads that miss on
-  an identical cache key elect one leader to simulate while the rest wait
-  for its cache fill (``simulations_deduped`` in
-  :meth:`ExecutionService.stats`), so concurrent duplicates never multiply
-  work;
+  an identical cache key let one of them simulate while the rest wait for
+  its cache fill (``simulations_deduped``), so concurrent duplicates never
+  multiply work; every planned group, SERIAL included, takes this one path
+  (:meth:`ExecutionService._run_group`);
 * **attributable counters** — ``with service.stats_scope() as scope:``
   captures exactly the simulations/cache traffic caused by the work run
   under it, so concurrent callers — e.g. two evaluation arms sharing the
   service — get exact, non-overlapping stats instead of the racy
-  before/after diff of the global :meth:`ExecutionService.stats`.
+  before/after diff of the global :meth:`ExecutionService.stats`.  Scopes
+  are the only per-call counters; a job carries none.
 
 Seed semantics: circuit *i* of a batch executes with ``seed`` itself for
 ``i == 0`` and ``derive_seed(seed, "batch", i)`` afterwards.  Index 0 matches
@@ -60,9 +61,9 @@ counts to the legacy path while every circuit stays independently cacheable.
 Every execution goes through :meth:`ExecutionService.run` (or the
 module-level :func:`execute` convenience on the shared
 :func:`default_service`): probe the cache for every circuit, plan the misses,
-run each planned group on the calling thread in plan order, fill the result
-slots.  A caller that wants executions to overlap runs them on its own
-threads.
+run each planned group on the calling thread in plan order through the one
+single-flight path, fill the result slots.  A caller that wants executions
+to overlap runs them on its own threads.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import os
 import threading
 import warnings
 import weakref
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
 from repro.errors import BackendError, TranspilerError, ValidationError
@@ -115,6 +116,9 @@ VALIDATE_ENV = "REPRO_VALIDATE"
 #: before the submission reaches the cache or a simulator.
 VALIDATE_MODES = ("off", "warn", "strict")
 
+#: One circuit's result: its counts and, when ``memory=True``, its shots.
+_Outcome = tuple[dict[str, int], list[str] | None]
+
 _ambient = threading.local()
 
 
@@ -156,7 +160,6 @@ class ExecutionService:
     def __init__(
         self,
         cache: ResultCache | None = None,
-        use_cache: bool = True,
         cache_dir: str | os.PathLike | None = None,
         cache_limits: CacheLimits | None = None,
         remote_url: str | None = None,
@@ -180,20 +183,10 @@ class ExecutionService:
             raise BackendError(
                 "cache_limits bounds the persistent tier; pass cache_dir too"
             )
-        if (cache_dir is not None or remote_url is not None) and not use_cache:
-            raise BackendError(
-                "cache_dir/remote_url require caching; drop use_cache=False "
-                "to enable the persistent tiers"
-            )
-        if cache is not None and not use_cache:
-            raise BackendError(
-                "use_cache=False disables caching; drop the prebuilt cache "
-                "or use_cache=False"
-            )
         self.validate = validate
         self.cache_dir = os.fspath(cache_dir) if cache_dir is not None else None
         self.remote_url = remote_url
-        if cache is None and use_cache:
+        if cache is None:
             disk = (
                 DiskResultCache(cache_dir, limits=cache_limits)
                 if cache_dir is not None
@@ -232,18 +225,16 @@ class ExecutionService:
         Validation (circuit/backend compatibility, shot limits, pre-flight)
         raises :class:`BackendError` or :class:`ValidationError` before any
         cache traffic.  Every circuit then probes the cache, the misses are
-        planned, and each planned group runs in plan order; a simulation
-        error raises from here.
+        planned, and each planned group runs in plan order through
+        :meth:`_run_group`; a simulation error raises from here.  The call's
+        counts go to the stats scopes open on this thread, not to the job.
         """
         target, batch = self._prepare(circuits, backend, shots)
         if seed is None:
             seed = _ambient_seed()
         scopes = self._scopes()
         noise_fp = noise_fingerprint(target.noise_model)
-        slots: list[tuple[dict[str, int], list[str] | None] | None] = (
-            [None] * len(batch)
-        )
-        cache_hits = deduped = 0
+        slots: dict[int, _Outcome] = {}
         misses: list[batchsim.PlannedUnit] = []
         for index, qc in enumerate(batch):
             eff_seed = self._effective_seed(seed, index)
@@ -251,25 +242,17 @@ class ExecutionService:
             cached = self.cache.get(key, scopes) if key is not None else None
             if cached is not None:
                 slots[index] = cached
-                cache_hits += 1
             else:
                 misses.append(batchsim.make_unit(index, qc, key, eff_seed, shots))
         self._account(len(batch))
         for group in batchsim.plan(target, misses):
-            resolved = self._run_group(target, group, memory, scopes)
-            for index, (counts, mem, source) in resolved.items():
-                if source == "dedup":
-                    deduped += 1
-                slots[index] = (counts, mem)
+            slots.update(self._run_group(target, group, memory, scopes))
         result = Result(
-            [slot[0] for slot in slots],
-            [slot[1] for slot in slots],
+            [slots[index][0] for index in range(len(batch))],
+            [slots[index][1] for index in range(len(batch))],
             target.name, shots, seed,
         )
-        return ExecutionJob(
-            result, len(batch), target.name, cache_hits=cache_hits,
-            deduped=deduped,
-        )
+        return ExecutionJob(result, len(batch), target.name)
 
     def transpile(
         self,
@@ -341,22 +324,19 @@ class ExecutionService:
                         self._untranspilable_templates.add(template_key)
                 else:
                     return lowered.bind(provenance.mapping, allow_unused=True)
-        key = None
-        if self.cache is not None:
-            key = transpile_cache_key(
-                circuit, coupling_map, basis, initial_layout, level
-            )
-            entry = self.cache.peek(key)
-            if entry is not None:
-                restored = decode_transpiled(entry[0], entry[1], circuit)
-                if restored is not None:
-                    credit(scopes, "transpile_cache_hits")
-                    return restored
+        key = transpile_cache_key(
+            circuit, coupling_map, basis, initial_layout, level
+        )
+        entry = self.cache.peek(key)
+        if entry is not None:
+            restored = decode_transpiled(entry[0], entry[1], circuit)
+            if restored is not None:
+                credit(scopes, "transpile_cache_hits")
+                return restored
         out = transpile_core(circuit, coupling_map, basis, initial_layout, level)
         credit(scopes, "transpiles")
-        if key is not None:
-            counts, payload = encode_transpiled(out)
-            self.cache.put(key, counts, payload, scopes)
+        counts, payload = encode_transpiled(out)
+        self.cache.put(key, counts, payload, scopes)
         return out
 
     def stats_scope(self, label: str | None = None):
@@ -391,19 +371,18 @@ class ExecutionService:
             counts,
             validate=self.validate,
             cache_hit_rate=cache_hit_rate(counts) or 0.0,
+            cache_entries=len(self.cache),
         )
-        if self.cache is not None:
-            out["cache_entries"] = len(self.cache)
-            if self.cache.disk is not None:
-                # No disk entry count here: that is O(entries) directory I/O
-                # and stats() sits on hot paths (the CLI prints it per eval).
-                # `repro cache` reports entry counts on demand.
-                out["cache_dir"] = str(self.cache.disk.cache_dir)
-            if self.cache.remote is not None:
-                out.update(
-                    cache_remote_errors=self.cache.remote.errors,
-                    cache_url=self.cache.remote.base_url,
-                )
+        if self.cache.disk is not None:
+            # No disk entry count here: that is O(entries) directory I/O
+            # and stats() sits on hot paths (the CLI prints it per eval).
+            # `repro cache` reports entry counts on demand.
+            out["cache_dir"] = str(self.cache.disk.cache_dir)
+        if self.cache.remote is not None:
+            out.update(
+                cache_remote_errors=self.cache.remote.errors,
+                cache_url=self.cache.remote.base_url,
+            )
         return out
 
     # -- internals ------------------------------------------------------------------
@@ -494,7 +473,7 @@ class ExecutionService:
         noise_fp: str,
         memory: bool,
     ) -> CacheKey | None:
-        if self.cache is None or eff_seed is None:
+        if eff_seed is None:
             return None
         return CacheKey(
             circuit=circuit_fingerprint(circuit),
@@ -504,78 +483,6 @@ class ExecutionService:
             noise=noise_fp,
             memory=memory,
         )
-
-    def _simulate(
-        self,
-        backend: Backend,
-        circuit: QuantumCircuit,
-        shots: int,
-        eff_seed: int | None,
-        memory: bool,
-        scopes: tuple[StatsScope, ...],
-    ) -> tuple[dict[str, int], list[str] | None]:
-        credit(scopes, "simulations")
-        return backend.execute_circuit(circuit, shots, eff_seed, memory)
-
-    def _lookup_or_simulate(
-        self,
-        backend: Backend,
-        circuit: QuantumCircuit,
-        shots: int,
-        eff_seed: int | None,
-        memory: bool,
-        key: CacheKey | None,
-        scopes: tuple[StatsScope, ...],
-    ) -> tuple[dict[str, int], list[str] | None, str]:
-        """One already-probed miss, serially: ``(counts, memory, source)``.
-
-        ``source`` is ``"sim"`` (actually simulated) or ``"dedup"`` (waited
-        on — or arrived after — an identical in-flight execution and read its
-        cache fill).  The caller has probed the cache already, so this never
-        counts a lookup.  ``scopes`` receive every increment this circuit
-        causes.
-        """
-        if key is None:
-            counts, mem = self._simulate(
-                backend, circuit, shots, eff_seed, memory, scopes
-            )
-            return counts, mem, "sim"
-        # Single-flight: concurrent misses on one key elect a leader; the
-        # rest block on its cache fill instead of duplicating the simulation.
-        while True:
-            with self._lock:
-                event = self._inflight.get(key)
-                if event is None:
-                    self._inflight[key] = threading.Event()
-                    break
-            event.wait()
-            filled = self.cache.peek(key)
-            if filled is not None:
-                return self._deduped(filled, scopes)
-            # The leader failed without filling the cache; compete to retry.
-        try:
-            # Re-probe silently: the key may have been filled between the
-            # probe-time miss and this thread winning leadership.
-            filled = self.cache.peek(key)
-            if filled is not None:
-                return self._deduped(filled, scopes)
-            counts, mem = self._simulate(
-                backend, circuit, shots, eff_seed, memory, scopes
-            )
-            self.cache.put(key, counts, mem, scopes)
-            return counts, mem, "sim"
-        finally:
-            with self._lock:
-                event = self._inflight.pop(key)
-            event.set()
-
-    def _deduped(
-        self,
-        entry: tuple[dict[str, int], list[str] | None],
-        scopes: tuple[StatsScope, ...],
-    ) -> tuple[dict[str, int], list[str] | None, str]:
-        credit(scopes, "simulations_deduped")
-        return entry[0], entry[1], "dedup"
 
     def _scopes(self) -> tuple[StatsScope, ...]:
         """Where this thread's work is credited: the service's own ledger,
@@ -593,81 +500,90 @@ class ExecutionService:
         group: batchsim.PlannedGroup,
         memory: bool,
         scopes: tuple[StatsScope, ...],
-    ) -> dict[int, tuple[dict[str, int], list[str] | None, str]]:
-        """One planned group: the SERIAL group one unit at a time, any other
-        through the batch engine.  Returns ``{index: (counts, memory,
-        source)}`` for every unit of the group."""
-        if group.kind != batchsim.SERIAL:
-            return self._execute_group(backend, group, memory, scopes)
-        return {
-            unit.index: self._lookup_or_simulate(
-                backend, unit.circuit, unit.shots, unit.seed, memory, unit.key,
-                scopes,
-            )
-            for unit in group.units
-        }
+    ) -> dict[int, _Outcome]:
+        """One planned group under the cache and single-flight contracts.
 
-    def _execute_group(
-        self,
-        backend: Backend,
-        group: batchsim.PlannedGroup,
-        memory: bool,
-        scopes: tuple[StatsScope, ...],
-    ) -> dict[int, tuple[dict[str, int], list[str] | None, str]]:
-        """One batchable group through the cache and single-flight contracts.
+        1. Claim each key without blocking; re-probe a claimed key (another
+           thread may have filled it since the probe-time miss) and release
+           it at once on a fill; set aside the keys other threads hold.
+        2. Run the leaders (:meth:`_execute`), caching each result as it
+           lands, so a SERIAL group that raises keeps its earlier units.
+        3. Release every flight the group leads, filled or not.
+        4. Only then wait for each contested key's flight to land and read
+           the owner's fill; if the owner failed, run the unit again as a
+           group of one of its own kind.  No thread blocks while it holds a
+           flight, so groups contending for overlapping keys cannot deadlock.
 
-        Leadership is acquired *non-blocking* per unit: contested units —
-        some other thread is already simulating the identical key — are
-        deferred to the normal single-flight wait until after the group has
-        simulated and released every flight it leads, so this thread never
-        blocks while holding a leadership (no deadlock between two groups
-        contending for overlapping key sets).  Returns ``{submission index:
-        (counts, memory, source)}`` covering every unit of the group.
+        Returns ``{submission index: (counts, memory)}`` for every unit.
         """
-        results: dict[int, tuple[dict[str, int], list[str] | None, str]] = {}
+        results: dict[int, _Outcome] = {}
         leaders: list[batchsim.PlannedUnit] = []
-        deferred: list[batchsim.PlannedUnit] = []
+        contested: list[batchsim.PlannedUnit] = []
         for unit in group.units:
             if unit.key is None:
                 leaders.append(unit)  # uncacheable: nothing to coordinate
-                continue
-            if self._try_lead(unit.key):
-                # Re-probe silently, as _lookup_or_simulate does: the key may
-                # have been filled since the probe-time miss.
-                filled = self.cache.peek(unit.key)
-                if filled is not None:
-                    self._release_flight(unit.key)
-                    results[unit.index] = self._deduped(filled, scopes)
-                else:
-                    leaders.append(unit)
+            elif not self._try_lead(unit.key):
+                contested.append(unit)
             else:
-                deferred.append(unit)
+                filled = self.cache.peek(unit.key)
+                if filled is None:
+                    leaders.append(unit)
+                else:
+                    self._release_flight(unit.key)
+                    credit(scopes, "simulations_deduped")
+                    results[unit.index] = filled
         try:
-            if leaders:
-                credit(scopes, "simulations", len(leaders))
-                credit(scopes, "simulations_batched", len(leaders))
-                credit(scopes, "batch_groups")
-                executed = batchsim.execute_group(
-                    backend.noise_model,
-                    batchsim.PlannedGroup(group.kind, leaders),
-                    memory,
-                )
-                for unit, (counts, mem) in zip(leaders, executed):
-                    if unit.key is not None:
-                        self.cache.put(unit.key, counts, mem, scopes)
-                    results[unit.index] = (counts, mem, "sim")
+            executed = self._execute(
+                backend, group.kind, leaders, memory, scopes
+            )
+            for unit, (counts, mem) in zip(leaders, executed):
+                if unit.key is not None:
+                    self.cache.put(unit.key, counts, mem, scopes)
+                results[unit.index] = (counts, mem)
         finally:
-            # On engine failure the flights release unfilled; waiters observe
-            # a failed leader and compete to retry, exactly as serially.
+            # A flight released unfilled tells its waiters the owner failed.
             for unit in leaders:
                 if unit.key is not None:
                     self._release_flight(unit.key)
-        for unit in deferred:
-            results[unit.index] = self._lookup_or_simulate(
-                backend, unit.circuit, unit.shots, unit.seed, memory, unit.key,
-                scopes,
-            )
+        for unit in contested:
+            with self._lock:
+                event = self._inflight.get(unit.key)
+            if event is not None:
+                event.wait()
+            filled = self.cache.peek(unit.key)
+            if filled is not None:
+                credit(scopes, "simulations_deduped")
+                results[unit.index] = filled
+            else:  # the owner failed: run the unit alone
+                alone = batchsim.PlannedGroup(group.kind, [unit])
+                results.update(self._run_group(backend, alone, memory, scopes))
         return results
+
+    @staticmethod
+    def _execute(
+        backend: Backend,
+        kind: str,
+        units: list[batchsim.PlannedUnit],
+        memory: bool,
+        scopes: tuple[StatsScope, ...],
+    ) -> Iterator[_Outcome]:
+        """Yield each unit's ``(counts, memory)`` in order: a SERIAL group's
+        one at a time through ``Backend.execute_circuit``, crediting each
+        simulation as it starts; any other group's from one
+        ``batchsim.execute_group`` call."""
+        if kind == batchsim.SERIAL:
+            for unit in units:
+                credit(scopes, "simulations")
+                yield backend.execute_circuit(
+                    unit.circuit, unit.shots, unit.seed, memory
+                )
+        elif units:
+            credit(scopes, "simulations", len(units))
+            credit(scopes, "simulations_batched", len(units))
+            credit(scopes, "batch_groups")
+            yield from batchsim.execute_group(
+                backend.noise_model, batchsim.PlannedGroup(kind, units), memory
+            )
 
     def _try_lead(self, key: CacheKey) -> bool:
         """Claim single-flight leadership for ``key`` without blocking."""
@@ -692,8 +608,7 @@ class ExecutionService:
         self._totals._reset_for_child()
         # Parent-side leaders will never set their events in this process.
         self._inflight = {}
-        if self.cache is not None:
-            self.cache._reset_for_child()
+        self.cache._reset_for_child()
 
 
 # -- fork safety --------------------------------------------------------------------

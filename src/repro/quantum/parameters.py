@@ -7,8 +7,9 @@ on a parameter (``theta / 2``, ``-theta``, ``2 * theta + 1``).  Circuits
 carrying unbound symbols are *templates*: one gate structure that
 :meth:`~repro.quantum.circuit.QuantumCircuit.bind` instantiates into many
 concrete circuits, which is what lets a parameter sweep share one structure
-fingerprint, one transpilation and one batch-planner group (see ROADMAP's
-"one structure, N bindings, one vectorized execution").
+fingerprint and one batch-planner group; transpiling a bound point reuses
+its template's lowering when the template lowers symbolically (see
+``ExecutionService.transpile``).
 
 Binding is **bit-identical** to building with concrete floats: an expression
 records the exact chain of float operations applied to the symbol (not a

@@ -5,9 +5,8 @@ The workload family unlocked by symbolic parameters: an ansatz is built
 :func:`hardware_efficient_ansatz`), every optimizer iterate binds it to
 concrete angles, and all of an iteration's candidate points execute as **one**
 :class:`~repro.quantum.execution.service.ExecutionService` batch — sharing a
-single structure fingerprint, a single transpilation and a single batch-
-planner group across the whole run (see the execution layer's
-"one structure, N bindings, one vectorized execution" contract).
+single structure fingerprint, so each iteration is a single batch-planner
+group.
 
 Quickstart::
 

@@ -4,7 +4,10 @@ Both builders return *templates*: circuits whose rotation angles are
 :class:`~repro.quantum.parameters.Parameter` symbols, discovered in a stable
 first-appearance order by ``circuit.parameters``.  Bind a mapping to get a
 concrete executable point; a whole sweep of bindings shares one structure
-fingerprint, one transpilation and one batch-planner group.
+fingerprint and so one batch-planner group.  Transpiling a bound point
+lowers its template once only where the template lowers symbolically: the
+default and fake-device bases resynthesise ``rx``/``ry``, which needs
+concrete angles, so there each point is lowered on its own.
 
 Modeled on qiskit-terra's ``QAOAAnsatz``/``EfficientSU2`` shapes, reduced to
 this SDK's gate set: the QAOA cost layer uses ``rzz`` per edge and the mixer

@@ -3,9 +3,9 @@
 :func:`minimize` drives a counts-based energy over a parameterized ansatz.
 Every iteration gathers its candidate points, binds the ansatz *template*
 once per point, and submits **all** of them as a single
-:class:`~repro.quantum.execution.service.ExecutionService` batch — so an
-entire optimization run costs one transpilation and the batch planner groups
-every evaluation under one structure fingerprint.
+:class:`~repro.quantum.execution.service.ExecutionService` batch — one
+structure fingerprint, so one batch-planner group per iterate.  ``run``
+executes the bound circuits as given and transpiles nothing.
 
 Two methods, both derivative-free (shot noise makes finite differences on
 individual coordinates unreliable):

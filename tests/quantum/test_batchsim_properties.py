@@ -12,6 +12,7 @@ that must split into several groups.
 """
 
 import itertools
+import re
 import threading
 
 import numpy as np
@@ -311,6 +312,32 @@ class TestBatchKernel:
             batchsim.batch_apply_matrix(states, np.eye(4), [0], 2)
         with pytest.raises(SimulationError, match="2 row"):
             batchsim.batch_apply_matrix(states, np.stack([np.eye(2)] * 3), [0], 2)
+
+    @pytest.mark.parametrize("targets", [[5], [-1], [2], [0, 0]])
+    @pytest.mark.parametrize(
+        "entry", ["batch_apply_matrix", "apply", "apply_rows", "flat"]
+    )
+    def test_bad_targets_raise_simulation_error(self, entry, targets):
+        """A target outside the state, or a repeated one, is refused with the
+        targets and the width named, through every entry to the kernel and
+        by the flat reference, which shares the kernel's axis orders."""
+        matrix = np.eye(2 ** len(targets), dtype=np.complex128)
+        states = np.zeros((2, 4), dtype=np.complex128)
+        states[:, 0] = 1.0
+        sv = batchsim.BatchStatevector(states)
+        call = {
+            "batch_apply_matrix": lambda: batchsim.batch_apply_matrix(
+                states, matrix, targets, 2
+            ),
+            "apply": lambda: sv.apply(matrix, targets),
+            "apply_rows": lambda: sv.apply_rows([1], matrix, targets),
+            "flat": lambda: apply_matrix(states[0], matrix, targets, 2),
+        }[entry]
+        message = f"targets {targets} are not distinct qubits of a 2-qubit"
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            call()
+        with pytest.raises(SimulationError):
+            call()  # the orders cache keeps no error: it raises again
 
     def test_batch_statevector_validates_shape(self):
         with pytest.raises(SimulationError, match="2-D"):

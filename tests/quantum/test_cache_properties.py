@@ -245,7 +245,7 @@ class TestConcurrencyStress:
         simulation per distinct circuit) and every thread must see counts
         bit-identical to an uncached run."""
         circuits = _stress_workload()
-        baseline = ExecutionService(use_cache=False)
+        baseline = ExecutionService()
         expected = baseline.run(circuits, shots=50, seed=9).result()
 
         service = ExecutionService(
@@ -329,7 +329,7 @@ class TestThreeWayParity:
     def test_memory_parity_across_tiers(self, tmp_path):
         """`memory=True` shot lists survive every tier bit-identically."""
         qc = _stress_workload()[3]
-        reference = ExecutionService(use_cache=False)
+        reference = ExecutionService()
         expected = reference.run(qc, shots=25, seed=5, memory=True).result()
         with CacheServer(tmp_path / "server") as server:
             full = ExecutionService(

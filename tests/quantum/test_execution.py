@@ -1,5 +1,6 @@
 """The unified execution subsystem: registry, jobs, batching, cache."""
 
+import sys
 import threading
 import time
 
@@ -47,6 +48,20 @@ class GatedBackend(Backend):
     def execute_circuit(self, circuit, shots, seed=None, memory=False):
         self.started.set()
         assert self.gate.wait(10), "test gate never opened"
+        return super().execute_circuit(circuit, shots, seed, memory)
+
+
+class WatchedBackend(Backend):
+    """SERIAL-route backend that records, each time it runs a circuit, how
+    many single-flight claims its service holds."""
+
+    def __init__(self, service: ExecutionService) -> None:
+        super().__init__(name="watched", num_qubits=8)
+        self.service = service
+        self.inflight: list[int] = []
+
+    def execute_circuit(self, circuit, shots, seed=None, memory=False):
+        self.inflight.append(len(self.service._inflight))
         return super().execute_circuit(circuit, shots, seed, memory)
 
 
@@ -198,24 +213,27 @@ class TestBatching:
             assert result.get_counts(index) == {expected: 10}
 
     def test_batch_first_circuit_matches_single_run(self):
-        service = ExecutionService(use_cache=False)
+        # A fresh service per call, so the batch simulates index 0 again.
         qc = bell_pair(measure=True)
-        single = service.run(qc, shots=200, seed=11).result().get_counts()
-        batched = service.run([qc, _tagged_circuit(1)], shots=200, seed=11)
-        assert batched.result().get_counts(0) == single
+        single = ExecutionService().run(qc, shots=200, seed=11)
+        batched = ExecutionService().run(
+            [qc, _tagged_circuit(1)], shots=200, seed=11
+        )
+        assert batched.result().get_counts(0) == single.result().get_counts()
 
     def test_batch_result_metadata(self):
         service = ExecutionService()
-        job = service.run(
-            [_tagged_circuit(1), _tagged_circuit(2)],
-            backend="local_simulator",
-            shots=10,
-            seed=2,
-        )
+        with service.stats_scope() as scope:
+            job = service.run(
+                [_tagged_circuit(1), _tagged_circuit(2)],
+                backend="local_simulator",
+                shots=10,
+                seed=2,
+            )
         result = job.result()
         assert job.num_circuits == 2
         assert job.backend_name == result.backend_name == "local_simulator"
-        assert job.cache_hits == job.deduped == 0
+        assert scope.get("cache_hits") == scope.get("simulations_deduped") == 0
         assert result.shots == 10
         assert result.seed == 2
 
@@ -318,11 +336,6 @@ class TestCache:
         service.run(_tagged_circuit(1), shots=10, seed=1)  # evicted -> miss
         assert service.stats()["simulations"] == 4
 
-    def test_prebuilt_cache_with_caching_off_is_rejected(self):
-        # A prebuilt cache under use_cache=False used to cache silently.
-        with pytest.raises(BackendError, match="use_cache=False"):
-            ExecutionService(cache=ResultCache(), use_cache=False)
-
     def test_circuit_fingerprint_ignores_labels(self):
         a = _tagged_circuit(3)
         b = _tagged_circuit(3)
@@ -341,16 +354,19 @@ def _race(service, backend, callers, **kwargs):
 
     The first caller leads and blocks inside ``backend`` until every other
     caller has probed the cache and missed; then the gate opens.  Returns
-    each caller's job, or the exception its ``run`` raised.
+    each caller's job, or the exception its ``run`` raised, and each
+    caller's stats scope, opened around its call.
     """
     outcomes: list = [None] * callers
+    scopes: list = [None] * callers
     misses = service.stats()["cache_misses"]
 
     def call(slot: int) -> None:
-        try:
-            outcomes[slot] = service.run(backend=backend, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - returned to the test
-            outcomes[slot] = exc
+        with service.stats_scope() as scopes[slot]:
+            try:
+                outcomes[slot] = service.run(backend=backend, **kwargs)
+            except Exception as exc:  # noqa: BLE001 - returned to the test
+                outcomes[slot] = exc
 
     threads = [threading.Thread(target=call, args=(slot,)) for slot in range(callers)]
     threads[0].start()
@@ -368,7 +384,7 @@ def _race(service, backend, callers, **kwargs):
             if thread.ident is not None:
                 thread.join(10)
     assert not any(thread.is_alive() for thread in threads)
-    return outcomes
+    return outcomes, scopes
 
 
 class FlakyGatedBackend(GatedBackend):
@@ -392,7 +408,7 @@ class TestSingleFlight:
         """Regression: two in-flight jobs with one cache key used to both
         simulate; the second must wait for the first's cache fill."""
         service = ExecutionService()
-        first, second = _race(
+        (first, second), scopes = _race(
             service, GatedBackend(), 2,
             circuits=bell_pair(measure=True), shots=30, seed=5,
         )
@@ -400,11 +416,11 @@ class TestSingleFlight:
         stats = service.stats()
         assert stats["simulations"] == 1
         assert stats["simulations_deduped"] == 1
-        assert first.deduped + second.deduped == 1
+        assert sum(scope.get("simulations_deduped") for scope in scopes) == 1
 
     def test_dedup_preserves_memory_payload(self):
         service = ExecutionService()
-        jobs = _race(
+        jobs, _ = _race(
             service, GatedBackend(), 2,
             circuits=bell_pair(measure=True), shots=10, seed=2, memory=True,
         )
@@ -416,7 +432,7 @@ class TestSingleFlight:
     def test_failed_leader_lets_followers_retry(self):
         service = ExecutionService()
         backend = FlakyGatedBackend()
-        leader, follower = _race(
+        (leader, follower), _ = _race(
             service, backend, 2,
             circuits=bell_pair(measure=True), shots=10, seed=1,
         )
@@ -427,6 +443,199 @@ class TestSingleFlight:
         assert backend.calls == 2
         assert service.stats()["simulations_deduped"] == 0
         assert service._inflight == {}
+
+    def test_contested_batch_unit_reruns_alone_when_its_owner_fails(
+        self, monkeypatch, serial_reference
+    ):
+        """A batch-group unit whose key another thread leads waits for that
+        owner; when the owner's engine call fails, the unit runs again as a
+        one-unit group of its own kind."""
+        qc = bell_pair(measure=True)
+        service = ExecutionService()
+        engine = batchsim.execute_group
+        started, gate = threading.Event(), threading.Event()
+        calls = []  # (caller, units) per engine call, in call order
+
+        def owner_fails_first(noise, group, memory):
+            calls.append((threading.current_thread().name, len(group.units)))
+            if len(calls) == 1:
+                started.set()
+                assert gate.wait(10), "test gate never opened"
+                raise SimulationError("owner boom")
+            return engine(noise, group, memory)
+
+        monkeypatch.setattr(batchsim, "execute_group", owner_fails_first)
+        claim = service._try_lead
+        contested = threading.Event()
+        lost_claims = []
+
+        def watched_claim(key):
+            won = claim(key)
+            if not won:
+                lost_claims.append(key)
+                contested.set()
+            return won
+
+        monkeypatch.setattr(service, "_try_lead", watched_claim)
+        outcomes, scopes = {}, {}
+
+        def call() -> None:
+            name = threading.current_thread().name
+            with service.stats_scope() as scopes[name]:
+                try:
+                    outcomes[name] = service.run(qc, shots=64, seed=3).result()
+                except SimulationError as exc:
+                    outcomes[name] = exc
+
+        owner = threading.Thread(target=call, name="owner")
+        follower = threading.Thread(target=call, name="follower")
+        owner.start()
+        try:
+            assert started.wait(10)
+            follower.start()
+            assert contested.wait(10), "the follower never met the owner"
+        finally:
+            gate.set()
+            for thread in (owner, follower):
+                if thread.ident is not None:
+                    thread.join(10)
+        assert not owner.is_alive() and not follower.is_alive()
+        assert isinstance(outcomes["owner"], SimulationError)
+        want = serial_reference(None, [qc], 64, 3)[0][0]
+        assert outcomes["follower"].get_counts() == want
+        # One lost claim: the follower waited for the owner, then led alone.
+        assert len(lost_claims) == 1
+        assert calls == [("owner", 1), ("follower", 1)]
+        counts = scopes["follower"].as_dict()
+        assert counts["simulations"] == counts["simulations_batched"] == 1
+        assert counts["batch_groups"] == 1
+        assert counts["simulations_deduped"] == 0
+        assert service._inflight == {}
+
+    @pytest.mark.parametrize("route", ["batch", "serial"])
+    def test_claimed_key_is_reprobed_before_it_runs(self, monkeypatch, route):
+        """A key another thread fills between the probe-time miss and the
+        claim is read from the cache, not simulated again."""
+        qc = bell_pair(measure=True)
+        service = ExecutionService()
+        backend = (
+            LocalSimulator() if route == "batch" else WatchedBackend(service)
+        )
+        fill = {"11": 64}
+        plan = batchsim.plan
+
+        def plan_then_fill(target, units):
+            groups = plan(target, units)
+            for unit in units:
+                service.cache.put(unit.key, fill, None)
+            return groups
+
+        monkeypatch.setattr(batchsim, "plan", plan_then_fill)
+        with service.stats_scope() as scope:
+            result = service.run(qc, backend=backend, shots=64, seed=3).result()
+        assert result.get_counts() == fill
+        assert scope.get("simulations") == 0
+        assert scope.get("simulations_deduped") == 1
+        assert service._inflight == {}
+
+    @pytest.mark.parametrize("route", ["batch", "serial"])
+    def test_flights_release_only_after_their_fill(self, monkeypatch, route):
+        """Every result is cached while its flight is still held, so a
+        waiter woken by the release always finds the fill."""
+        service = ExecutionService()
+        backend = (
+            LocalSimulator() if route == "batch" else WatchedBackend(service)
+        )
+        circuits = [_tagged_circuit(tag) for tag in (1, 2, 3)]
+        put = service.cache.put
+        held = []
+
+        def watched_put(key, counts, memory, scopes=()):
+            held.append(key in service._inflight)
+            put(key, counts, memory, scopes)
+
+        monkeypatch.setattr(service.cache, "put", watched_put)
+        service.run(circuits, backend=backend, shots=16, seed=2)
+        assert held == [True] * len(circuits)
+        if route == "serial":
+            # The SERIAL group claims every key before it runs its first
+            # unit and releases them only once the group is done.
+            assert backend.inflight == [len(circuits)] * len(circuits)
+        assert service._inflight == {}
+
+    @pytest.mark.parametrize("route", ["batch", "serial"])
+    def test_overlapping_submissions_simulate_each_key_once(
+        self, route, serial_reference
+    ):
+        """Eight threads submit prefixes of one list, so their key sets
+        overlap, with a short switch interval: each distinct execution
+        simulates once, every thread reads the serial engine's counts, and
+        no flight is left behind."""
+        circuits = [_tagged_circuit(tag) for tag in range(6)]
+        service = ExecutionService()
+        backend = (
+            LocalSimulator() if route == "batch" else WatchedBackend(service)
+        )
+        want = serial_reference(backend, circuits, 32, 9)
+        results, errors = {}, []
+
+        def call(slot: int) -> None:
+            try:
+                results[slot] = service.run(
+                    circuits[: 1 + slot % len(circuits)],
+                    backend=backend, shots=32, seed=9,
+                ).result()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=call, args=(slot,)) for slot in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for slot, result in results.items():
+            for index in range(1 + slot % len(circuits)):
+                assert result.get_counts(index) == want[index][0]
+        stats = service.stats()
+        assert stats["simulations"] == len(circuits)
+        assert stats["cache_misses"] == (
+            stats["simulations"] + stats["simulations_deduped"]
+        )
+        assert service._inflight == {}
+
+    def test_serial_group_keeps_the_units_run_before_a_failure(self):
+        """A SERIAL unit that raises leaves the units before it cached."""
+        good, bad = _tagged_circuit(1), _tagged_circuit(2)
+
+        class PoisonedBackend(Backend):
+            def __init__(self) -> None:
+                super().__init__(name="poisoned", num_qubits=8)
+
+            def execute_circuit(self, circuit, shots, seed=None, memory=False):
+                if circuit is bad:
+                    raise SimulationError("poisoned")
+                return super().execute_circuit(circuit, shots, seed, memory)
+
+        service = ExecutionService()
+        backend = PoisonedBackend()
+        with pytest.raises(SimulationError, match="poisoned"):
+            service.run([good, bad], backend=backend, shots=16, seed=4)
+        assert service._inflight == {}
+        with service.stats_scope() as scope:
+            service.run(
+                [good, _tagged_circuit(5)], backend=backend, shots=16, seed=4
+            )
+        assert scope.get("cache_hits") == 1
+        assert scope.get("simulations") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +748,7 @@ class TestOneFlow:
         with service.stats_scope() as scope:
             job = run_via(cold, service, circuits, shots=64, seed=8, memory=True)
             second = job.result()
-        assert job.cache_hits == len(circuits)
+        assert scope.get("cache_hits") == len(circuits)
         assert scope.get("simulations") == 0
         for i in range(len(circuits)):
             assert second.get_counts(i) == first.get_counts(i)
@@ -565,7 +774,7 @@ class TestOneFlow:
                 entry, service, circuits, shots=64, seed=8, memory=True
             )
             result = job.result()
-        assert job.cache_hits == len(hits)
+        assert scope.get("cache_hits") == len(hits)
         assert scope.get("simulations") == len(circuits) - len(hits)
         got = [
             (result.get_counts(i), result.get_memory(i))
@@ -622,13 +831,14 @@ class TestOneFlow:
             num_qubits=4,
             noise_model=NoiseModel.uniform_depolarizing(0.02, 0.04, 0.01),
         )
-        service = ExecutionService(use_cache=False)
         callers, results = [], []
 
         def call_run():
+            # A fresh service per call: a shared one would serve the second
+            # call from its cache and run nothing.
             ran_on.clear()
             results.append(
-                service.run(
+                ExecutionService().run(
                     _mixed_submission(), backend=backend, shots=32, seed=4
                 ).result()
             )

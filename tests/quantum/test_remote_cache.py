@@ -4,6 +4,7 @@ import json
 import socket
 import urllib.error
 import urllib.request
+from http.server import ThreadingHTTPServer
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.quantum.execution import (
     ResultCache,
 )
 from repro.quantum.execution.disk_cache import encode_entry, key_digest
+from repro.quantum.execution.remote_cache import SERVE_POLL_INTERVAL
 from repro.quantum.library import bell_pair
 
 
@@ -274,6 +276,29 @@ class TestServerLifecycle:
         server.close()
         with pytest.raises(BackendError, match="closed"):
             server.start()
+
+    def test_serve_loops_poll_at_the_module_interval(
+        self, tmp_path, monkeypatch
+    ):
+        """``stop()`` waits up to one poll of the serve loop, so every server
+        polls at ``SERVE_POLL_INTERVAL``, not socketserver's 0.5 s default."""
+        from repro.quantum.execution.dispatch import EvalCoordinator
+
+        polled = []
+        serve = ThreadingHTTPServer.serve_forever
+
+        def recording(self, poll_interval=0.5):
+            polled.append(poll_interval)
+            serve(self, poll_interval)
+
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", recording)
+        for server in (
+            CacheServer(tmp_path / "cache"),
+            EvalCoordinator(tmp_path / "work", fallback_workers=0),
+        ):
+            server.start()
+            server.stop()
+        assert polled == [SERVE_POLL_INTERVAL, SERVE_POLL_INTERVAL]
 
     def test_socket_is_released_immediately(self, tmp_path):
         server = CacheServer(tmp_path).start()

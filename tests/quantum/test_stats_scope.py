@@ -87,10 +87,9 @@ class TestScopeBasics:
         credit((scope,), "cache_misses", 0)  # zero credit is a no-op
         assert scope.get("cache_misses") == 0
 
-    @pytest.mark.parametrize("tiers", ["none", "memory", "disk", "remote"])
+    @pytest.mark.parametrize("tiers", ["memory", "disk", "remote"])
     def test_stats_always_carries_every_counter(self, tiers, tmp_path):
         kwargs = {
-            "none": {"use_cache": False},
             "memory": {},
             "disk": {"cache_dir": tmp_path},
             "remote": {"remote_url": "http://127.0.0.1:9"},

@@ -206,14 +206,6 @@ class TestServiceStage:
         assert stats["cache_hits"] == 0
         assert stats["cache_misses"] == 0
 
-    def test_uncached_service_always_recomputes(self):
-        service = ExecutionService(use_cache=False)
-        service.transpile(_circuit())
-        service.transpile(_circuit())
-        stats = service.stats()
-        assert stats["transpiles"] == 2
-        assert stats["transpile_cache_hits"] == 0
-
     def test_explicit_level_beats_ambient(self, service):
         qc = QuantumCircuit(1, 1, name="levels")
         qc.h(0)

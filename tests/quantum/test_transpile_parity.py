@@ -256,12 +256,12 @@ class TestObservationalEquivalence:
     @pytest.fixture(params=["serial", "service"])
     def sample(self, request, serial_reference):
         """``sample(circuit, shots, seed, backend=None) -> counts``."""
-        svc = ExecutionService(use_cache=False)
 
         def run(qc, shots, seed, backend=None):
             if request.param == "serial":
                 return serial_reference(backend, [qc], shots, seed)[0][0]
-            return svc.run(
+            # A fresh service per call, so every circuit is simulated.
+            return ExecutionService().run(
                 qc, backend=backend, shots=shots, seed=seed
             ).result().get_counts()
 

@@ -121,6 +121,7 @@ class TestMinimize:
         assert stats["jobs_submitted"] == maxiter + 1
         assert stats["circuits_executed"] == result.evaluations
         assert result.evaluations == 1 + 2 * maxiter
+        assert stats["transpiles"] == 0
 
     def test_whole_run_costs_one_transpile(self):
         svc = ExecutionService()

@@ -517,6 +517,42 @@ class TestR010PerRowSums:
         assert codes(src, "src/repro/batchsim.py") == []
 
 
+class TestR011ExecutePrimitive:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "counts, mem = backend.execute_circuit(qc, 1024, 7, False)",
+            "counts, _ = execute_circuit(qc, shots, seed)",
+            "result = get_backend('ideal').execute_circuit(qc, 64)",
+            """
+            class Wrapped(Backend):
+                def execute_circuit(self, circuit, shots, seed=None, memory=False):
+                    return super().execute_circuit(circuit, shots, seed, memory)
+            """,
+        ],
+    )
+    def test_direct_call_flagged(self, src):
+        found = lint(src, "src/repro/agents/sandbox.py")
+        assert [v.rule for v in found] == ["R011"]
+        assert "ExecutionService.run" in found[0].message
+
+    def test_flagged_elsewhere_in_the_execution_package(self):
+        src = "counts = backend.execute_circuit(qc, 64)"
+        assert codes(src, "src/repro/quantum/execution/dispatch.py") == ["R011"]
+        assert codes(src, "src/repro/quantum/backend.py") == ["R011"]
+
+    def test_service_call_and_definitions_allowed(self):
+        call = "outcome = backend.execute_circuit(unit.circuit, 64, 1, False)"
+        assert codes(call, "src/repro/quantum/execution/service.py") == []
+        definition = """
+        class MemoryBackend(Backend):
+            def execute_circuit(self, circuit, shots, seed=None, memory=False):
+                return run_memory(circuit, shots, seed)
+        primitive = Backend.execute_circuit
+        """
+        assert codes(definition, "src/repro/qec/experiments.py") == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

@@ -93,6 +93,13 @@ R010  A ``.sum(...)`` call (``row.sum()``, ``np.sum(row)``) inside a
       gives every row its 1-D ``.sum()``, bit for bit, in a few dozen
       array operations.
 
+R011  An ``execute_circuit(...)`` call (bare or as an attribute) outside
+      ``quantum/execution/service.py``.  ``Backend.execute_circuit`` is the
+      uncached one-circuit primitive, and ``ExecutionService.run`` is the
+      one flow that calls it, under the result cache, single-flight and the
+      counters; a direct call anywhere else skips all three.  Defining an
+      override (``def execute_circuit``) is not a call and stays allowed.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -147,6 +154,9 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 #: R010 only applies under these directory names.
 R010_DIRS = {"batchsim"}
+
+#: The one module allowed to call the execution primitive (R011).
+R011_OWNER = ("quantum", "execution", "service.py")
 
 
 class Violation:
@@ -503,6 +513,23 @@ def _check_per_row_sums(path: Path, tree: ast.AST) -> list[Violation]:
     ]
 
 
+def _check_execute_calls(path: Path, tree: ast.AST) -> list[Violation]:
+    """R011: ``execute_circuit(...)`` called outside the execution service."""
+    if path.parts[-len(R011_OWNER):] == R011_OWNER:
+        return []
+    return [
+        Violation(
+            path, node.lineno, "R011",
+            "execute_circuit() call outside quantum/execution/service.py: "
+            "it skips the result cache, single-flight and the counters; "
+            "execute through ExecutionService.run",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _terminal_name(node.func) == "execute_circuit"
+    ]
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -513,6 +540,7 @@ CHECKS = (
     _check_networkx_matcher,
     _check_shot_loops,
     _check_per_row_sums,
+    _check_execute_calls,
 )
 
 
