@@ -109,7 +109,9 @@ class MemoryExperimentSpec:
 
     The spec (not any live decoder object) is what travels through the
     execution subsystem, so it must be content-hashable for the result
-    cache.  ``decoder_kind`` is ``"mwpm"`` or ``"unionfind"``.
+    cache.  ``decoder_kind`` is ``"mwpm"`` or ``"unionfind"``.  The
+    fingerprint hashes that decoder class's ``VERSION`` too, so a change to
+    one decoder misses exactly its own cached results, on every tier.
     """
 
     code: CSSCode
@@ -132,14 +134,15 @@ class MemoryExperimentSpec:
             raise QECError(
                 f"error_type must be 'x' or 'z', got '{self.error_type}'"
             )
-        if self.decoder_kind not in _DECODER_BUILDERS:
+        if self.decoder_kind not in _DECODERS:
             raise QECError(
                 f"unknown decoder kind '{self.decoder_kind}'; routable kinds: "
-                f"{sorted(_DECODER_BUILDERS)}"
+                f"{sorted(_DECODERS)}"
             )
 
     def fingerprint(self) -> int:
-        """64-bit content hash covering the code structure and every knob."""
+        """64-bit content hash covering the code structure, every knob and
+        the decoder's version."""
         return stable_hash(
             "qec-memory",
             self.code.name,
@@ -152,19 +155,19 @@ class MemoryExperimentSpec:
             self.p_meas,
             self.error_type,
             self.decoder_kind,
+            _DECODERS[self.decoder_kind].VERSION,
             self.decoder_args,
         )
 
     def build_decoder(self):
         """Reconstruct the decoder this spec describes."""
-        builder = _DECODER_BUILDERS[self.decoder_kind]
-        return builder(self.code, self.error_type, dict(self.decoder_args))
+        decoder_class = _DECODERS[self.decoder_kind]
+        return decoder_class(self.code, self.error_type, **dict(self.decoder_args))
 
 
-_DECODER_BUILDERS = {
-    "mwpm": lambda code, error_type, kw: MWPMDecoder(code, error_type, **kw),
-    "unionfind": lambda code, error_type, kw: UnionFindDecoder(code, error_type),
-}
+#: The routable decoder kinds.  ``decoder_args`` are keyword arguments of
+#: the class (``time_weight`` for MWPM, none for union-find).
+_DECODERS = {"mwpm": MWPMDecoder, "unionfind": UnionFindDecoder}
 
 
 def _classify_decoder(

@@ -7,12 +7,17 @@ or to the spatial boundary — with cost equal to their space-time separation;
 the corrections are the data qubits along the spatial part of each matched
 path.
 
-Matching runs on a complete graph over events plus one *boundary twin* per
-event (twins interconnect at zero cost), reduced to a maximum-weight
-maximum-cardinality matching with negated costs; this is the standard exact
-reduction of boundary matching to perfect matching.  The matcher,
-:mod:`repro.qec.blossom`, is a port of networkx 3.6.1's blossom algorithm
-over plain dicts that picks the same matching among ties.
+Matching runs on a compact complete graph over the k events.  Events ``i``
+and ``j`` are joined at cost ``min(d_ij, b_i + b_j)``: their space-time
+distance, or the cost of sending both to the boundary.  One boundary node,
+at cost ``b_i`` from event ``i``, is added only when k is odd.  The number
+of events sent to the boundary always has k's parity, so this graph has the
+same optimum cost as the textbook reduction (one boundary twin per event,
+the twins joined at zero cost) with half the nodes.  A matched pair whose
+boundary route is strictly cheaper decodes as two boundary matches; on a
+tie the pair is matched directly.  The matcher, :mod:`repro.qec.blossom`,
+is a port of networkx 3.6.1's blossom algorithm over plain dicts that picks
+the same matching among ties.
 """
 
 from __future__ import annotations
@@ -51,6 +56,11 @@ class MatchingResult:
 
 class MWPMDecoder:
     """MWPM over the space-time decoding graph of one error type."""
+
+    #: Bumped whenever a decode's output may change.  A memory experiment's
+    #: cache key hashes it (:meth:`MemoryExperimentSpec.fingerprint`), so
+    #: results an older version cached are not served.
+    VERSION = 1
 
     def __init__(
         self, code: CSSCode, error_type: str = "x", time_weight: float = 1.0
@@ -121,73 +131,66 @@ class MWPMDecoder:
 
     def _adjacency(
         self, events: list[DetectionEvent]
-    ) -> dict[int, dict[int, float]]:
-        """The matching graph over events and their boundary twins.
+    ) -> tuple[dict[int, dict[int, float]], np.ndarray]:
+        """The compact matching graph over the events, and its boundary mask.
 
-        Event nodes are 0..k-1 and boundary twins k..2k-1; an edge's weight
-        is ``10_000`` minus its cost.  The matcher breaks ties by node and
-        neighbour order, so nodes and neighbours are inserted in the order
-        ``nx.Graph.add_edge(u, v)`` inserts them, edge by edge: for each
-        ``i``, the event edge ``(i, j)`` (if finite) and the twin edge
-        ``(k+i, k+j)`` for each ``j > i``, then the boundary edge
-        ``(i, k+i)`` (if finite).
+        Event nodes are 0..k-1, and node k is the boundary when k is odd,
+        at cost ``b_i`` from event ``i``.  Events ``i`` and ``j`` are joined
+        at cost ``min(d_ij, b_i + b_j)``, where ``d_ij`` is their spatial
+        distance plus ``time_weight`` per round between them; a pair with
+        neither route finite gets no edge.  An edge's weight is ``10_000``
+        minus its cost.  ``via_boundary[i, j]`` is true where the boundary
+        route is strictly cheaper, so a tie matches the pair directly.
         """
         k = len(events)
         rounds = np.array([t for t, _ in events])
         checks = np.array([c for _, c in events], dtype=np.intp)
         big = 10_000.0
         # D[c_i, c_j] + time_weight * |t_i - t_j|: the same IEEE doubles as
-        # the spatial path length plus the time term added pair by pair.
+        # the spatial path length plus the time term decode() adds per pair.
         spatial = self._dist_table[np.ix_(checks, checks)]
         elapsed = np.abs(rounds[:, None] - rounds[None, :])
-        dist = spatial + self.time_weight * elapsed
-        dist_rows = dist.tolist()
-        weight_rows = (big - dist).tolist()
+        direct = spatial + self.time_weight * elapsed
         boundary = self._boundary_table[checks]
-        boundary_dists = boundary.tolist()
-        boundary_weights = (big - boundary).tolist()
-        inf = float("inf")
-        twin_weight = big  # twin-twin edges cost nothing
+        both_out = boundary[:, None] + boundary[None, :]
+        via_boundary = both_out < direct
+        cost = np.minimum(direct, both_out)
+        np.fill_diagonal(cost, np.inf)
+        weight_rows = (big - cost).tolist()
+        finite_rows = np.isfinite(cost).tolist()
         adj: dict[int, dict[int, float]] = {}
-        node = adj.setdefault
-        # Edge (u, v) inserts v under u, then u under v, as add_edge does.
         for i in range(k):
-            dist_row, weight_row = dist_rows[i], weight_rows[i]
-            twin = k + i
-            for j in range(i + 1, k):
-                if dist_row[j] < inf:
-                    weight = weight_row[j]
-                    node(i, {})[j] = weight
-                    node(j, {})[i] = weight
-                node(twin, {})[k + j] = twin_weight
-                node(k + j, {})[twin] = twin_weight
-            if boundary_dists[i] < inf:
-                weight = boundary_weights[i]
-                node(i, {})[twin] = weight
-                node(twin, {})[i] = weight
-        return adj
+            weights, finite = weight_rows[i], finite_rows[i]
+            adj[i] = {j: weights[j] for j in range(k) if finite[j]}
+        if k % 2:
+            adj[k] = {}
+            boundary_weights = (big - boundary).tolist()
+            for i, reachable in enumerate(np.isfinite(boundary).tolist()):
+                if reachable:
+                    adj[i][k] = adj[k][i] = boundary_weights[i]
+        return adj, via_boundary
 
     def _match(
         self, events: list[DetectionEvent]
     ) -> list[tuple[DetectionEvent, DetectionEvent | None]]:
         k = len(events)
-        matched = max_weight_matching(self._adjacency(events))
+        adj, via_boundary = self._adjacency(events)
+        matched = max_weight_matching(adj)
         if any(i not in matched for i in range(k)):
             raise DecodingError(
                 f"{self.code.name}: matching left a detection event unpaired"
             )
         pairs: list[tuple[DetectionEvent, DetectionEvent | None]] = []
-        seen: set[int] = set()
+        paired: set[int] = set()
         for i in range(k):
-            if i in seen:
+            if i in paired:
                 continue
             j = matched[i]
-            seen.add(i)
-            if j < k:
-                seen.add(j)
-                pairs.append((events[i], events[j]))
-            else:
+            if j == k or via_boundary[i, j]:
                 pairs.append((events[i], None))
+            else:
+                paired.add(j)
+                pairs.append((events[i], events[j]))
         return pairs
 
     # -- correction paths ---------------------------------------------------------

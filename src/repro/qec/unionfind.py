@@ -25,6 +25,12 @@ from repro.errors import DecodingError
 from repro.qec.codes.base import BOUNDARY, CSSCode
 from repro.qec.syndrome import SyndromeHistory, check_decodable, check_raw_events
 
+#: The space-time graph's boundary node.  Every other node is a ``(round,
+#: check)`` pair of ints, and so is this one: int tuples hash the same under
+#: every ``PYTHONHASHSEED``, so the decoder's sets iterate in one order and
+#: its corrections do not depend on the interpreter's hash seed.
+BOUNDARY_NODE = (-1, -1)
+
 
 @dataclass
 class UnionFindResult:
@@ -80,6 +86,11 @@ class _DisjointSet:
 class UnionFindDecoder:
     """Union-find decoding of multi-round syndrome histories."""
 
+    #: Bumped whenever a decode's output may change.  A memory experiment's
+    #: cache key hashes it (:meth:`MemoryExperimentSpec.fingerprint`), so
+    #: results an older version cached are not served.
+    VERSION = 1
+
     def __init__(self, code: CSSCode, error_type: str = "x") -> None:
         self.code = code
         self.error_type = error_type
@@ -99,8 +110,7 @@ class UnionFindDecoder:
         if graph is not None:
             return graph
         graph = nx.Graph()
-        boundary = ("B",)
-        graph.add_node(boundary)
+        graph.add_node(BOUNDARY_NODE)
         checks = [n for n in self._space_graph.nodes if n != BOUNDARY]
         for t in range(rounds + 1):
             for c in checks:
@@ -108,9 +118,9 @@ class UnionFindDecoder:
             for a, b, data in self._space_graph.edges(data=True):
                 fault = data["fault"]
                 if a == BOUNDARY:
-                    graph.add_edge((t, b), boundary, fault=fault, kind="space")
+                    graph.add_edge((t, b), BOUNDARY_NODE, fault=fault, kind="space")
                 elif b == BOUNDARY:
-                    graph.add_edge((t, a), boundary, fault=fault, kind="space")
+                    graph.add_edge((t, a), BOUNDARY_NODE, fault=fault, kind="space")
                 else:
                     graph.add_edge((t, a), (t, b), fault=fault, kind="space")
             if t > 0:
@@ -143,8 +153,7 @@ class UnionFindDecoder:
                 raise DecodingError(f"detection event {node} outside the graph")
 
         dsu = _DisjointSet()
-        boundary = ("B",)
-        dsu.add(boundary, defect=False, boundary=True)
+        dsu.add(BOUNDARY_NODE, defect=False, boundary=True)
         for node in defects:
             dsu.add(node, defect=True, boundary=False)
 
@@ -171,7 +180,7 @@ class UnionFindDecoder:
                 if growth[key] >= 2 and key not in grown_edges:
                     grown_edges.add(key)
                     if nbr not in dsu.parent:
-                        dsu.add(nbr, defect=False, boundary=nbr == boundary)
+                        dsu.add(nbr, defect=False, boundary=nbr == BOUNDARY_NODE)
                     in_cluster.add(nbr)
                     dsu.union(node, nbr)
 
@@ -196,7 +205,6 @@ class UnionFindDecoder:
             erasure.add_edge(a, b, **graph.edges[a, b])
         # Spanning forest of the erasure; peel leaves, flipping defect marks.
         marked = {node: (node in defects) for node in erasure.nodes}
-        boundary = ("B",)
         for component in list(nx.connected_components(erasure)):
             tree = nx.minimum_spanning_tree(erasure.subgraph(component))
             # Peel from the leaves inward; treat the boundary node as the
@@ -206,7 +214,7 @@ class UnionFindDecoder:
                 leaves = [
                     v
                     for v in tree.nodes
-                    if tree.degree(v) == 1 and v != boundary
+                    if tree.degree(v) == 1 and v != BOUNDARY_NODE
                 ]
                 if not leaves:
                     break

@@ -6,11 +6,15 @@ arrays.  This is the loop they replaced, kept verbatim: ``sample_memory``
 draws each round's data flips and readout lies with two ``random`` calls
 and builds the history one round at a time, and ``score_shots`` samples,
 decodes and scores one shot at a time, decoding every history, empty or
-not.  ``mwpm_adjacency`` is the matching graph ``MWPMDecoder._match`` built
-pair by pair, from distances it looked up per pair, before the decoder read
-them from per-decoder tables.  The live code was built to match all three
-bit for bit (and the adjacency in insertion order at both levels), so the
-parity tests compare it against them.  Do not edit these functions to
+not.  The live sampler and scorer were built to match those two bit for
+bit, and the parity tests hold them to it.
+
+``mwpm_adjacency`` is the twin graph ``MWPMDecoder`` once matched on: the k
+events, one boundary twin per event, and the twins joined at zero cost,
+built pair by pair from distances looked up per pair.  The decoder now
+matches a compact graph with the same optimum cost that may break ties
+differently, so the tests compare each decode's cost with networkx's
+optimum on this graph, not its pairs.  Do not edit these functions to
 follow the live code: a difference between the two is a finding.
 """
 
@@ -136,7 +140,7 @@ def mwpm_distances(decoder):
 
 
 def mwpm_adjacency(decoder, events: list[DetectionEvent]) -> dict:
-    """The matching graph ``MWPMDecoder._match`` built pair by pair."""
+    """The twin matching graph, built pair by pair."""
     event_distance, boundary_distance = mwpm_distances(decoder)
     k = len(events)
     # Event nodes 0..k-1; boundary twins k..2k-1.  The matcher breaks

@@ -9,17 +9,11 @@ difference is a finding, not a tolerance to widen.
 import random
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.qec.blossom import max_weight_matching
-from repro.qec.codes.repetition import RepetitionCode
-from repro.qec.codes.surface import SurfaceCode
-from repro.qec.matching import MWPMDecoder
-from repro.qec.syndrome import sample_memory
-from tests.qec.reference_memory import mwpm_distances
 
 #: Edge-weight families: ties, the integer path that runs ``verifyOptimum``,
 #: and the float paths (integral, exact halves, arbitrary).
@@ -87,65 +81,3 @@ def test_matches_networkx_on_rare_expansions(seed):
 
 def test_empty_graph_has_empty_matching():
     assert max_weight_matching({}) == {}
-
-
-def networkx_match(decoder: MWPMDecoder, events):
-    """The decoder's matching step as it was built on networkx: the
-    reference the port-backed ``MWPMDecoder._match`` must reproduce."""
-    event_distance, boundary_distance = mwpm_distances(decoder)
-    k = len(events)
-    graph = nx.Graph()
-    big = 10_000.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            dist = event_distance(events[i], events[j])
-            if np.isfinite(dist):
-                graph.add_edge(i, j, weight=big - dist)
-            graph.add_edge(k + i, k + j, weight=big - 0.0)
-        bdist = boundary_distance(events[i])
-        if np.isfinite(bdist):
-            graph.add_edge(i, k + i, weight=big - bdist)
-    matched = {}
-    for a, b in nx.max_weight_matching(graph, maxcardinality=True):
-        matched[a] = b
-        matched[b] = a
-    pairs, seen = [], set()
-    for i in range(k):
-        if i in seen:
-            continue
-        j = matched[i]
-        seen.add(i)
-        if j < k:
-            seen.add(j)
-            pairs.append((events[i], events[j]))
-        else:
-            pairs.append((events[i], None))
-    return pairs
-
-
-@pytest.mark.parametrize(
-    "code, error_type, shots",
-    [
-        (SurfaceCode(3), "x", 40),
-        (SurfaceCode(3), "z", 40),
-        (SurfaceCode(5), "x", 12),
-        (SurfaceCode(5), "z", 12),
-        (RepetitionCode(5), "x", 40),
-    ],
-    ids=[
-        "surface-3-x", "surface-3-z", "surface-5-x", "surface-5-z",
-        "repetition-5-x",
-    ],
-)
-@pytest.mark.parametrize("p", [0.08, 0.15])
-def test_decoder_pairs_match_networkx(code, error_type, shots, p):
-    decoder = MWPMDecoder(code, error_type)
-    rng = np.random.default_rng([code.distance, int(p * 100)])
-    decoded = 0
-    for _ in range(shots):
-        history = sample_memory(code, code.distance, p, p, rng, error_type)
-        events = history.detection_events
-        if events:
-            assert decoder._match(events) == networkx_match(decoder, events)
-            decoded += 1
-    assert decoded > shots // 2

@@ -6,7 +6,9 @@ exhaustively for small weights.
 """
 
 import itertools
+import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from repro.qec.lookup import LookupDecoder
 from repro.qec.matching import MWPMDecoder
 from repro.qec.syndrome import sample_memory
 from repro.qec.unionfind import UnionFindDecoder
-from tests.qec.reference_memory import mwpm_adjacency
+from tests.qec.reference_memory import mwpm_adjacency, mwpm_distances
 
 
 def events_for(code, error_bits, error_type="x"):
@@ -228,58 +230,161 @@ class TestRawEventLists:
         assert not result.correction.any()
 
 
-class TestMWPMAdjacency:
-    """The table-built matching graph equals the pair-by-pair builder."""
+#: Edge weights are this minus the edge's cost, in both matching graphs.
+BIG = 10_000.0
 
-    @pytest.mark.parametrize("time_weight", [0.0, 0.5, 1.0, 2.0])
-    @pytest.mark.parametrize(
-        "code, error_type",
-        [
-            (SurfaceCode(3), "x"),
-            (SurfaceCode(5), "z"),
-            (RepetitionCode(5), "x"),
-        ],
-        ids=["surface-3-x", "surface-5-z", "repetition-5-x"],
-    )
-    def test_same_graph_in_the_same_order(self, code, error_type, time_weight):
+
+def networkx_optimum(decoder: MWPMDecoder, events) -> float:
+    """The minimum matching cost networkx finds on the frozen twin graph
+    (one boundary twin per event, the twins joined at zero cost)."""
+    graph = nx.Graph()
+    for u, neighbours in mwpm_adjacency(decoder, events).items():
+        for v, weight in neighbours.items():
+            graph.add_edge(u, v, weight=weight)
+    matching = nx.max_weight_matching(graph, maxcardinality=True)
+    assert len(matching) == len(events), "twin graph has no perfect matching"
+    return sum(BIG - graph.edges[u, v]["weight"] for u, v in matching)
+
+
+DECODE_CASES = pytest.mark.parametrize(
+    "code, error_type, shots",
+    [
+        (SurfaceCode(3), "x", 60),
+        (SurfaceCode(3), "z", 60),
+        (SurfaceCode(5), "x", 25),
+        (SurfaceCode(5), "z", 25),
+        (RepetitionCode(5), "x", 60),
+    ],
+    ids=[
+        "surface-3-x", "surface-3-z", "surface-5-x", "surface-5-z",
+        "repetition-5-x",
+    ],
+)
+TIME_WEIGHTS = pytest.mark.parametrize("time_weight", [0.0, 0.5, 1.0, 2.0])
+
+
+class TestMWPMOptimum:
+    """MWPM is checked by optimum cost, not pair by pair.
+
+    Among matchings of equal cost the compact graph and the twin graph may
+    pick different ones, so the reference is networkx's optimum cost on the
+    frozen twin graph, and each decode must pair every event and clear the
+    syndrome.
+    """
+
+    @TIME_WEIGHTS
+    @DECODE_CASES
+    def test_every_decode_reaches_the_optimum(
+        self, code, error_type, shots, time_weight
+    ):
         decoder = MWPMDecoder(code, error_type, time_weight=time_weight)
-        rng = np.random.default_rng([code.distance, int(10 * time_weight)])
-        built = 0
-        for _ in range(40):
-            history = sample_memory(code, code.distance, 0.08, 0.08, rng, error_type)
+        rng = np.random.default_rng(
+            [code.distance, int(10 * time_weight), error_type == "z"]
+        )
+        decoded = 0
+        for _ in range(shots):
+            history = sample_memory(code, code.distance, 0.1, 0.1, rng, error_type)
             events = history.detection_events
             if not events:
                 continue
-            live = decoder._adjacency(events)
-            frozen = mwpm_adjacency(decoder, events)
-            assert list(live) == list(frozen)
-            for node, neighbours in frozen.items():
-                assert list(live[node].items()) == list(neighbours.items())
-                assert all(type(w) is float for w in live[node].values())
-            built += 1
-        assert built > 20
+            result = decoder.decode(history)
+            paired = [
+                e for pair in result.matched_pairs for e in pair if e is not None
+            ]
+            assert sorted(paired) == sorted(events)
+            assert result.weight == pytest.approx(
+                networkx_optimum(decoder, events), abs=1e-9
+            )
+            residual = history.true_error ^ result.correction
+            assert not code.syndrome(residual, error_type).any()
+            decoded += 1
+        assert decoded > shots // 2
 
-    def test_disconnected_checks_get_no_event_edge(self):
-        # Two separate repetition codes side by side: checks of one never
-        # reach the other, so their events share no edge.
-        rep = RepetitionCode(3)
-        zero = np.zeros_like(rep.hz)
-        code = CSSCode(
-            "two-reps",
-            np.zeros((0, 6), dtype=bool),
-            np.block([[rep.hz, zero], [zero, rep.hz]]),
-            np.r_[rep.logical_x, np.zeros(3, dtype=bool)],
-            np.r_[rep.logical_z, np.zeros(3, dtype=bool)],
-            3,
-        )
-        decoder = MWPMDecoder(code, "x", time_weight=0.5)
-        events = [(0, 0), (1, 2), (0, 3), (2, 1)]
-        live = decoder._adjacency(events)
-        frozen = mwpm_adjacency(decoder, events)
-        assert list(live) == list(frozen)
-        for node, neighbours in frozen.items():
-            assert list(live[node].items()) == list(neighbours.items())
-        assert list(live[0]) == [3, 4]  # check 1's event and the twin
+
+def ring_beside_repetition() -> CSSCode:
+    """Checks 0-2 close a ring, which never reaches the boundary; checks 3-4
+    are a repetition code's, which do.  No path joins the two parts."""
+    ring = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
+    rep = RepetitionCode(3).hz
+    return CSSCode(
+        "ring-and-rep",
+        np.zeros((0, 6), dtype=bool),
+        np.block([[ring, np.zeros((3, 3), dtype=bool)],
+                  [np.zeros((2, 3), dtype=bool), rep]]),
+        np.r_[np.ones(3, dtype=bool), np.zeros(3, dtype=bool)],
+        np.r_[True, np.zeros(5, dtype=bool)],
+        2,
+    )
+
+
+class TestMWPMAdjacency:
+    """The compact matching graph: k event nodes plus a boundary node only
+    when k is odd, each pair at the cheaper of its two routes."""
+
+    @TIME_WEIGHTS
+    @pytest.mark.parametrize(
+        "code, error_type",
+        [(SurfaceCode(5), "z"), (RepetitionCode(5), "x"),
+         (ring_beside_repetition(), "x")],
+        ids=["surface-5-z", "repetition-5-x", "ring-and-rep-x"],
+    )
+    def test_nodes_and_costs(self, code, error_type, time_weight):
+        decoder = MWPMDecoder(code, error_type, time_weight=time_weight)
+        event_distance, boundary_distance = mwpm_distances(decoder)
+        num_checks = code.num_z_checks if error_type == "x" else code.num_x_checks
+        candidates = [(t, c) for t in range(4) for c in range(num_checks)]
+        rng = random.Random(code.distance)
+        for k in range(1, 10):
+            events = sorted(rng.sample(candidates, k))
+            adj, via_boundary = decoder._adjacency(events)
+            assert list(adj) == list(range(k + k % 2))
+            for i, a in enumerate(events):
+                expected = {}
+                for j, b in enumerate(events):
+                    direct = event_distance(a, b)
+                    both_out = boundary_distance(a) + boundary_distance(b)
+                    if j != i and min(direct, both_out) < float("inf"):
+                        expected[j] = BIG - min(direct, both_out)
+                    assert via_boundary[i, j] == (both_out < direct)
+                if k % 2 and boundary_distance(a) < float("inf"):
+                    expected[k] = BIG - boundary_distance(a)
+                    assert adj[k][i] == expected[k]
+                assert adj[i] == expected
+                assert all(type(w) is float for w in adj[i].values())
+            if k % 2:
+                assert list(adj[k]) == [
+                    i for i, a in enumerate(events)
+                    if boundary_distance(a) < float("inf")
+                ]
+
+    def test_no_edge_where_neither_route_is_finite(self):
+        decoder = MWPMDecoder(ring_beside_repetition(), "x")
+        # Nodes 0, 2, 4 sit on the ring, nodes 1 and 3 on the repetition code.
+        events = [(0, 0), (0, 3), (1, 1), (2, 4), (2, 2)]
+        adj, _ = decoder._adjacency(events)
+        assert sorted(adj[0]) == [2, 4]
+        assert sorted(adj[1]) == [3, 5]
+        assert sorted(adj[5]) == [1, 3]
+        with pytest.raises(DecodingError, match="unpaired"):
+            decoder.decode(events)
+        pairs = decoder.decode(events[:2] + events[3:]).matched_pairs
+        # The repetition events are 1 + 1 from the boundary, and 1 + 2
+        # apart in space and time.
+        assert pairs == [((0, 0), (2, 2)), ((0, 3), None), ((2, 4), None)]
+
+    def test_a_tie_matches_the_pair_directly(self):
+        # Check 0 of a repetition code is one edge from the boundary.  Two
+        # events there, one round apart, cost 2 matched directly at
+        # time_weight 2 and 1 + 1 sent to the boundary: a tie.  At 2.5 the
+        # boundary route is strictly cheaper.
+        events = [(0, 0), (1, 0)]
+        tied = MWPMDecoder(RepetitionCode(5), "x", time_weight=2.0).decode(events)
+        assert tied.matched_pairs == [((0, 0), (1, 0))]
+        assert tied.weight == 2.0
+        apart = MWPMDecoder(RepetitionCode(5), "x", time_weight=2.5).decode(events)
+        assert apart.matched_pairs == [((0, 0), None), ((1, 0), None)]
+        assert apart.weight == 2.0
+        assert not tied.correction.any() and not apart.correction.any()
 
     def test_correction_paths_are_found_once(self):
         code = SurfaceCode(5)
