@@ -25,7 +25,7 @@ from repro.llm.model import SimulatedCodeLLM, make_model
 from repro.prompts.generator import ScaffoldGenerator
 from repro.quantum.backend import Backend
 from repro.quantum.execution import resolve_backend
-from repro.rag.retriever import Retriever
+from repro.rag.retriever import Retriever, retriever_for
 
 
 @dataclass
@@ -56,16 +56,8 @@ class Orchestrator:
         semantic_feedback: bool = False,
     ) -> None:
         model = model or make_model(fine_tuned=True)
-        if retriever is None and (model.config.rag_docs or model.config.rag_guides):
-            datasets = tuple(
-                name
-                for name, enabled in (
-                    ("docs", model.config.rag_docs),
-                    ("guides", model.config.rag_guides),
-                )
-                if enabled
-            )
-            retriever = Retriever(datasets=datasets)
+        if retriever is None:
+            retriever = retriever_for(model.config)
         self.codegen = CodeGenerationAgent(
             model, retriever=retriever, scaffolds=ScaffoldGenerator()
         )

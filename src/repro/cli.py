@@ -5,7 +5,8 @@ Commands
 ``experiments``            list the available experiment drivers
 ``run <name>``             run one driver (figure2, figure3, figure4,
                            table1, multipass, ablations)
-``report [path]``          regenerate EXPERIMENTS.md
+``report [path]``          regenerate EXPERIMENTS.md (results only) and
+                           print the execution service's totals on stdout
 ``eval <arm>``             evaluate one pipeline arm on the test suite
                            (arm = base | ft | rag | cot | scot | mp3);
                            ``--workers N`` fans (task, sample) episodes
@@ -62,6 +63,21 @@ ARMS = {
     "scot": dict(fine_tuned=True, prompt_style="scot"),
     "mp3": dict(fine_tuned=True),
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1 (``--samples``,
+    ``--workers``): a bad value exits 2 with a usage message before any
+    work runs."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
 
 
 def _cmd_experiments(_args) -> int:
@@ -228,6 +244,7 @@ def _cmd_report(args) -> int:
     with open(args.path, "w") as handle:
         handle.write(render(sections))
     print(f"wrote {args.path} ({len(sections)} sections)")
+    _print_service_totals()
     return 0
 
 
@@ -261,7 +278,6 @@ def _cmd_eval(args) -> int:
     )
     from repro.quantum.execution import (
         ExecutionService,
-        default_service,
         set_default_service,
         validate_from_env,
     )
@@ -314,18 +330,7 @@ def _cmd_eval(args) -> int:
     if args.exec_stats:
         print()
         print(execution_stats_table([result]).render())
-        stats = default_service().stats()
-        line = (
-            f"service totals: {_counter_summary(stats)}, "
-            f"validate={stats['validate']}"
-        )
-        if "cache_dir" in stats:
-            line += f", cache_dir={stats['cache_dir']}"
-        if "cache_url" in stats:
-            line += f", cache_url={stats['cache_url']}"
-            if stats["cache_remote_errors"]:
-                line += f" ({stats['cache_remote_errors']} remote errors)"
-        print(line)
+        _print_service_totals()
     return 0
 
 
@@ -644,7 +649,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_backends(_args) -> int:
-    from repro.quantum.execution import default_service, get_backend, provider
+    from repro.quantum.execution import get_backend, provider
 
     registry = provider()
     for name in registry.names():
@@ -659,27 +664,34 @@ def _cmd_backends(_args) -> int:
             f"  {name:18s} {backend.num_qubits:>4d} qubits  "
             f"{noise:5s}  {coupled}{alias_note}"
         )
-    stats = default_service().stats()
-    print(
-        f"\nexecution service [validate={stats['validate']}]: "
-        f"{_counter_summary(stats)}, "
-        f"{stats['cache_hit_rate']:.0%} cache hit rate"
-        + (
-            f", disk cache at {stats['cache_dir']}"
-            if "cache_dir" in stats
-            else ""
-        )
-    )
+    print()
+    _print_service_totals()
     return 0
 
 
-def _counter_summary(stats) -> str:
-    """``<value> <name>`` for every registered execution counter."""
+def _print_service_totals() -> None:
+    """Print the default service's ledger on one line: ``<value> <name>``
+    for every registered counter, the cache hit rate and the service's
+    settings.  It covers this process only (forked workers keep their own)
+    and changes with the worker count and the cache tiers, which is why it
+    goes to stdout and never into a results file."""
+    from repro.quantum.execution import default_service
     from repro.quantum.execution.scopes import SCOPE_FIELDS
 
-    return ", ".join(
-        f"{stats[name]} {name.replace('_', ' ')}" for name in SCOPE_FIELDS
-    )
+    stats = default_service().stats()
+    parts = [f"{stats[name]} {name.replace('_', ' ')}" for name in SCOPE_FIELDS]
+    parts += [
+        f"{stats['cache_hit_rate']:.1%} cache hit rate",
+        f"validate={stats['validate']}",
+    ]
+    if "cache_dir" in stats:
+        parts.append(f"cache_dir={stats['cache_dir']}")
+    if "cache_url" in stats:
+        parts.append(
+            f"cache_url={stats['cache_url']} "
+            f"({stats['cache_remote_errors']} remote errors)"
+        )
+    print(f"service totals: {', '.join(parts)}")
 
 
 def _library_circuit(name: str, qubits: int):
@@ -818,9 +830,9 @@ def main(argv: list[str] | None = None) -> int:
 
     report_parser = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
     report_parser.add_argument("path", nargs="?", default="EXPERIMENTS.md")
-    report_parser.add_argument("--samples", type=int, default=6)
+    report_parser.add_argument("--samples", type=_positive_int, default=6)
     report_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="worker-pool size for the experiment drivers (bit-identical "
         "results for any N; default: $REPRO_EVAL_WORKERS or serial)",
     )
@@ -845,9 +857,9 @@ def main(argv: list[str] | None = None) -> int:
 
     eval_parser = sub.add_parser("eval", help="evaluate one arm on the suite")
     eval_parser.add_argument("arm")
-    eval_parser.add_argument("--samples", type=int, default=4)
+    eval_parser.add_argument("--samples", type=_positive_int, default=4)
     eval_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="fan (task, sample) episodes across this many worker processes; "
         "results are bit-identical to the serial run for any N "
         "(default: $REPRO_EVAL_WORKERS or serial)",
@@ -1050,7 +1062,7 @@ def main(argv: list[str] | None = None) -> int:
         "(cache + work queue on one port; workers attach with eval-worker)",
     )
     eval_server.add_argument("arm")
-    eval_server.add_argument("--samples", type=int, default=4)
+    eval_server.add_argument("--samples", type=_positive_int, default=4)
     eval_server.add_argument(
         "--dir", default=None,
         help="cache directory to serve alongside the work queue "
@@ -1112,7 +1124,7 @@ def main(argv: list[str] | None = None) -> int:
         help="shared auth token (default: $REPRO_CACHE_TOKEN)",
     )
     eval_worker.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="concurrent chunk-execution threads",
     )
     eval_worker.add_argument(

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.agents.codegen import CodeGenerationAgent, GenerationRequest
 from repro.agents.semantic import SemanticAnalyzerAgent
+from repro.errors import EvaluationError
 from repro.evalsuite.passk import mean_pass_at_k
 from repro.evalsuite.suite import Task
 from repro.llm.faults import ModelConfig
@@ -54,7 +55,7 @@ from repro.quantum.execution.scopes import (
     stats_scope,
 )
 from repro.quantum.transpiler import ambient_optimization_level
-from repro.rag.retriever import Retriever
+from repro.rag.retriever import retriever_for
 from repro.utils.parallel import parallel_map, resolve_workers
 from repro.utils.rng import derive_seed
 from repro.utils.stats import binomial_confidence_interval
@@ -80,6 +81,12 @@ class PipelineSettings:
     #: in place.  Arms that differ only in level and share a ``seed_label``
     #: see *paired* generations, isolating what routing quality buys.
     optimization_level: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.samples_per_task < 1:
+            raise EvaluationError(
+                f"samples_per_task must be >= 1, got {self.samples_per_task}"
+            )
 
     def display_label(self) -> str:
         if self.label:
@@ -189,19 +196,11 @@ class EvalResult:
 
 def build_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
     """Construct one arm's generation pipeline: model, retriever, scaffolds."""
-    model = SimulatedCodeLLM(settings.config)
-    retriever = None
-    if settings.config.rag_docs or settings.config.rag_guides:
-        datasets = tuple(
-            name
-            for name, enabled in (
-                ("docs", settings.config.rag_docs),
-                ("guides", settings.config.rag_guides),
-            )
-            if enabled
-        )
-        retriever = Retriever(datasets=datasets)
-    return CodeGenerationAgent(model, retriever=retriever, scaffolds=ScaffoldGenerator())
+    return CodeGenerationAgent(
+        SimulatedCodeLLM(settings.config),
+        retriever=retriever_for(settings.config),
+        scaffolds=ScaffoldGenerator(),
+    )
 
 
 # -- the chunked episode engine ---------------------------------------------------

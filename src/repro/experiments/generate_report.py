@@ -5,8 +5,11 @@ Usage::
     python -m repro.experiments.generate_report [output_path]
 
 Runs every paper table/figure driver plus the ablations and writes the
-paper-vs-measured report.  Takes a few minutes; all runs are deterministic,
-so the committed EXPERIMENTS.md is exactly reproducible.
+paper-vs-measured report.  A serial ``repro report --samples 2`` takes about
+6 s on two vCPUs.  The file holds results only, so it is a pure function of
+the source tree: byte-identical for any hash seed, ``--workers``, cache tier
+or ``--distributed``.  The execution service's counters depend on all of
+those, so ``repro report`` prints them on stdout instead.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import sys
 
 from repro.experiments import ablations, figure2, figure3, figure4, multipass, table1
 from repro.experiments.common import ExperimentResult
-from repro.quantum.execution import default_service
-from repro.quantum.execution.scopes import COUNTERS
 
 HEADER = """\
 # EXPERIMENTS — paper vs measured
@@ -79,7 +80,8 @@ def collect(
 
     ``workers`` (or ``REPRO_EVAL_WORKERS``) parallelises inside each driver
     — evaluation arms, ablation studies, decode-statistics shots — with
-    results bit-identical to the serial run.
+    results bit-identical to the serial run.  Every section is a result;
+    none reads the execution service's counters.
     """
     sections: list[tuple[str, ExperimentResult]] = []
     exp3, _ = figure3.run(samples_per_task=samples_per_task, workers=workers)
@@ -101,59 +103,7 @@ def collect(
     )
     for ablation in ablations.run_all(workers=workers):
         sections.append((f"Ablation — {ablation.title}", ablation))
-    sections.append(
-        ("Appendix — execution service activity", _execution_section())
-    )
     return sections
-
-
-def _execution_section() -> ExperimentResult:
-    """Cache/simulation counters accumulated across all report sections.
-
-    The cache is two-tiered: an in-memory LRU plus (when ``REPRO_CACHE_DIR``
-    is set or the service was built with ``cache_dir=...``) a persistent
-    content-addressed on-disk store.  With the disk tier enabled, a repeated
-    ``repro report`` run in a *fresh process* is warm-started: every
-    deterministic execution — including the QEC memory experiments routed
-    through the ``qec_memory`` backend — is a disk hit and the simulation
-    count drops to zero.
-
-    These are *this process's* global counters: with ``--workers`` the eval
-    engine ships episode chunks to forked workers, whose activity shows up in
-    the per-arm ``execution_stats`` (summed from worker-side stats scopes)
-    rather than here.
-    """
-    service = default_service()
-    stats = service.stats()
-    experiment = ExperimentResult(
-        "execution", "ExecutionService counters for this report run"
-    )
-    for name, help_text in COUNTERS:
-        experiment.add(
-            name.replace("_", " "), None, float(stats[name]),
-            unit="", note=help_text,
-        )
-    experiment.add(
-        "cache hit rate", None, 100.0 * stats["cache_hit_rate"],
-        note="across every deterministic execution above",
-    )
-    experiment.extras.append(
-        f"static pre-flight validation: validate={stats['validate']}."
-    )
-    if service.cache.disk is not None:
-        disk = service.cache.disk
-        bounds = f", limits {disk.limits}" if disk.limits is not None else ""
-        experiment.extras.append(
-            f"persistent cache tier: {len(disk)} entries under "
-            f"{disk.cache_dir}{bounds}."
-        )
-    if service.cache.remote is not None:
-        remote = service.cache.remote
-        experiment.extras.append(
-            f"shared cache server: {remote.base_url} "
-            f"({remote.errors} transport errors degraded to misses)."
-        )
-    return experiment
 
 
 def render(sections: list[tuple[str, ExperimentResult]]) -> str:

@@ -39,9 +39,10 @@ from contextlib import contextmanager
 
 #: The counter registry: ``(name, help)`` for every counter a scope tracks,
 #: in reporting order.  Every surface that lists counters renders from it:
-#: ``stats()``, the evalsuite table, the report appendix, ``--exec-stats``,
-#: ``repro backends`` and the ``/metrics`` HELP lines.  Adding a counter is
-#: one line here plus its ``credit`` call.
+#: ``stats()``, the evalsuite table, the ``service totals:`` line of
+#: ``repro report``, ``--exec-stats`` and ``repro backends``, and the
+#: ``/metrics`` HELP lines.  Adding a counter is one line here plus its
+#: ``credit`` call.
 COUNTERS: tuple[tuple[str, str], ...] = (
     ("simulations", "actual statevector/trajectory + QEC memory runs"),
     (

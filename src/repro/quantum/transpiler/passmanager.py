@@ -6,7 +6,7 @@ pass is a small object with a ``name`` and a ``run(instructions, properties)``
 method that transforms the instruction stream while reading/writing a shared
 *property set* (coupling map, basis, chosen layout, final layout).  The
 manager times every pass and records instruction-count deltas, which is what
-``repro transpile --explain`` and the report appendix surface.
+``repro transpile --explain`` surfaces.
 
 The stack built by :func:`build_pass_manager` is behavior-identical to the
 historical ``transpile()`` for barrier-free circuits at every optimization

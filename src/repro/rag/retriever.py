@@ -9,6 +9,7 @@ original system).
 from __future__ import annotations
 
 from repro.errors import RAGError
+from repro.llm.faults import ModelConfig
 from repro.rag.chunking import Chunk, code_aware_chunks, naive_chunks
 from repro.rag.docs import ALGORITHM_GUIDES, API_DOCS
 from repro.rag.store import Hit, VectorStore
@@ -86,3 +87,17 @@ class Retriever:
             "Use the following documentation context to answer.\n"
             f"### Context\n{context}\n### Task\n{prompt}"
         )
+
+
+def retriever_for(config: ModelConfig) -> Retriever | None:
+    """The retriever one arm's model config asks for: the datasets whose
+    ``rag_docs`` / ``rag_guides`` flag is set, or ``None`` with neither."""
+    datasets = tuple(
+        name
+        for name, enabled in (
+            ("docs", config.rag_docs),
+            ("guides", config.rag_guides),
+        )
+        if enabled
+    )
+    return Retriever(datasets=datasets) if datasets else None

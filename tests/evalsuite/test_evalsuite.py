@@ -196,6 +196,11 @@ class TestRunner:
         rendered = comparison_table([result]).render()
         assert "Ungraded" in rendered
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_settings_refuse_fewer_than_one_sample(self, samples):
+        with pytest.raises(EvaluationError, match="samples_per_task"):
+            PipelineSettings(ModelConfig("3b", True), samples_per_task=samples)
+
     def test_display_label(self):
         settings_ = PipelineSettings(ModelConfig("3b", True), max_passes=3)
         assert settings_.display_label() == "3B-QK+MP3"

@@ -1,12 +1,9 @@
 """The EXPERIMENTS.md generator renders a complete report."""
 
-from repro.experiments.generate_report import (
-    COMMANDS,
-    HEADER,
-    _execution_section,
-    render,
-)
+from repro.cli import main
+from repro.experiments import generate_report
 from repro.experiments.common import ExperimentResult
+from repro.experiments.generate_report import COMMANDS, render
 from repro.quantum.execution import ExecutionService, set_default_service
 from repro.quantum.execution.scopes import COUNTERS
 
@@ -30,17 +27,32 @@ def test_every_command_module_exists():
         assert importlib.import_module(module)
 
 
-def test_execution_appendix_renders_every_registered_counter():
-    set_default_service(ExecutionService())
+def test_report_writes_results_and_prints_the_ledger(
+    tmp_path, monkeypatch, capsys
+):
+    """The file holds the sections only; the service's counters and cache
+    settings go to stdout, after the ``wrote`` line."""
+    section = ExperimentResult("figure3", "demo title")
+    section.add("row", 10.0, 11.0)
+    monkeypatch.setattr(
+        generate_report, "collect",
+        lambda samples_per_task, workers: [("Figure 3 — demo", section)],
+    )
+    cache_dir = str(tmp_path / "exec-cache")
+    path = tmp_path / "EXPERIMENTS.md"
+    set_default_service(ExecutionService(cache_dir=cache_dir))
     try:
-        section = _execution_section()
+        assert main(["report", str(path)]) == 0
     finally:
         set_default_service(None)
-    assert [row.name for row in section.rows] == [
-        *(name.replace("_", " ") for name, _help in COUNTERS),
-        "cache hit rate",
-    ]
-    assert [row.note for row in section.rows[: len(COUNTERS)]] == [
-        help_text for _name, help_text in COUNTERS
-    ]
-    assert section.extras == ["static pre-flight validation: validate=off."]
+    text = path.read_text()
+    assert text == render([("Figure 3 — demo", section)])
+    for name, _help in COUNTERS:
+        assert name not in text and name.replace("_", " ") not in text
+    assert cache_dir not in text
+    wrote, totals = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote {path} (1 sections)"
+    assert totals.startswith("service totals: 0 simulations, ")
+    for name, _help in COUNTERS:
+        assert f" {name.replace('_', ' ')}," in totals
+    assert f"cache_dir={cache_dir}" in totals

@@ -20,6 +20,36 @@ def test_unknown_arm():
     assert main(["eval", "vibes"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--samples", "0"],
+        ["report", "--workers", "0"],
+        ["eval", "ft", "--samples", "-1"],
+        ["eval", "ft", "--samples", "0"],
+        ["eval", "ft", "--workers", "0"],
+        ["eval", "ft", "--samples", "two"],
+        ["eval-server", "ft", "--samples", "0"],
+        ["eval-worker", "--url", "http://127.0.0.1:1", "--workers", "0"],
+    ],
+)
+def test_counts_below_one_exit_2_with_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "expected a positive integer" in captured.err
+
+
+def test_eval_server_fallback_workers_zero_is_accepted(capsys):
+    # 0 means no local fallback, so it parses; the unknown arm then stops
+    # the command before a coordinator starts.
+    assert main(["eval-server", "vibes", "--fallback-workers", "0"]) == 2
+    assert "unknown arm" in capsys.readouterr().out
+
+
 def test_eval_arm_runs(capsys):
     assert main(["eval", "ft", "--samples", "1"]) == 0
     out = capsys.readouterr().out

@@ -553,6 +553,48 @@ class TestR011ExecutePrimitive:
         assert codes(definition, "src/repro/qec/experiments.py") == []
 
 
+class TestR012LedgerReads:
+    PATH = "src/repro/experiments/generate_report.py"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "stats = default_service().stats()",
+            "stats = service.stats()",
+            """
+            with stats_scope("figure4") as scope:
+                counts = service.run(qc, shots=64, seed=1)
+            """,
+            "scope = service.stats_scope()",
+            "from repro.quantum.execution.scopes import COUNTERS",
+            "from repro.quantum.execution.scopes import SCOPE_FIELDS",
+            "from repro.quantum.execution import get_backend, stats_scope",
+        ],
+    )
+    def test_ledger_read_flagged(self, src):
+        found = lint(src, self.PATH)
+        assert [v.rule for v in found] == ["R012"]
+        assert "repro report prints the ledger" in found[0].message
+
+    def test_flagged_in_every_driver(self):
+        src = "counters = scope.as_dict() if service.stats() else {}"
+        assert codes(src, "src/repro/experiments/figure4.py") == ["R012"]
+        assert codes(src, "experiments/ablations.py") == ["R012"]
+
+    def test_results_and_other_packages_allowed(self):
+        src = """
+        from repro.quantum.execution import default_service, get_backend
+        counts = default_service().run(qc, shots=64, seed=1).result()
+        rate = statistics.mean(rates)
+        stats = binomial_confidence_interval(good, total)
+        """
+        assert codes(src, self.PATH) == []
+        ledger = "stats = default_service().stats()"
+        assert codes(ledger, "src/repro/cli.py") == []
+        assert codes(ledger, "src/repro/evalsuite/reporting.py") == []
+        assert codes(ledger, "src/repro/qec/experiments.py") == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

@@ -100,6 +100,14 @@ R011  An ``execute_circuit(...)`` call (bare or as an attribute) outside
       counters; a direct call anywhere else skips all three.  Defining an
       override (``def execute_circuit``) is not a call and stays allowed.
 
+R012  An experiment driver (under ``experiments/``) that reads the execution
+      ledger: a ``.stats()`` or ``stats_scope(...)`` call, or an import of
+      ``COUNTERS``, ``SCOPE_FIELDS`` or ``stats_scope``.  The counters cover
+      one process and change with ``--workers``, a warm cache tier and
+      ``--distributed``, while EXPERIMENTS.md must be a pure function of
+      the source tree.  Drivers return results only; ``repro report``
+      prints the ledger on stdout, as ``repro eval --exec-stats`` does.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -157,6 +165,12 @@ R010_DIRS = {"batchsim"}
 
 #: The one module allowed to call the execution primitive (R011).
 R011_OWNER = ("quantum", "execution", "service.py")
+
+#: R012 applies under this directory name: the experiment drivers.
+R012_DIR = "experiments"
+
+#: Ledger names R012 keeps out of the experiment drivers' imports.
+R012_LEDGER = {"COUNTERS", "SCOPE_FIELDS", "stats_scope"}
 
 
 class Violation:
@@ -530,6 +544,40 @@ def _check_execute_calls(path: Path, tree: ast.AST) -> list[Violation]:
     ]
 
 
+def _check_ledger_reads(path: Path, tree: ast.AST) -> list[Violation]:
+    """R012: an experiment driver reading the execution service's counters."""
+    if R012_DIR not in path.parts[:-1]:
+        return []
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _terminal_name(node.func)
+            flagged = name == "stats_scope" or (
+                name == "stats" and isinstance(node.func, ast.Attribute)
+            )
+            what = f"{name}() call"
+        elif isinstance(node, ast.ImportFrom):
+            names = sorted(
+                alias.name for alias in node.names if alias.name in R012_LEDGER
+            )
+            flagged = bool(names)
+            what = f"import of {', '.join(names)}"
+        else:
+            continue
+        if flagged:
+            found.append(
+                Violation(
+                    path, node.lineno, "R012",
+                    f"{what} in an experiment driver: the execution counters "
+                    "change with --workers, cache tiers and --distributed, "
+                    "so a report that prints them is not a function of the "
+                    "source tree; return results only (repro report prints "
+                    "the ledger on stdout)",
+                )
+            )
+    return found
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -541,6 +589,7 @@ CHECKS = (
     _check_shot_loops,
     _check_per_row_sums,
     _check_execute_calls,
+    _check_ledger_reads,
 )
 
 
