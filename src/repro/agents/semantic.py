@@ -29,6 +29,9 @@ SEMANTIC_TVD_THRESHOLD = 0.10
 #: Shots used when re-simulating candidate circuits for grading.
 GRADING_SHOTS = 4096
 GRADING_SEED = 20_25
+#: Verdicts, and graded references, an analyzer keeps before it starts that
+#: memo over.
+_MEMO_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -78,11 +81,13 @@ class SemanticAnalyzerAgent(Agent):
     (candidate source, reference source, checker identity), so grading a
     program again runs nothing; the exception is a run the service refused
     in pre-flight (``ValidationError``), which is graded afresh each time so
-    ``rejected_static`` counts every refused sample.  Both memos depend on
+    ``rejected_static`` counts every refused sample.  Each memo starts over
+    past ``_MEMO_MAX`` entries.  Reports are frozen and shared, so callers
+    only read them and their execution's namespace.  Both memos depend on
     the execution service and the ambient optimization level that graded
-    them, so build one analyzer per grading context (one service, one
-    optimization level): the evaluation engine builds one per chunk, and an
-    ``Orchestrator`` keeps one per instance.
+    them, so keep one analyzer per grading context (one service, one
+    optimization level): the evaluation engine keeps one per thread and
+    context, and an ``Orchestrator`` keeps one per instance.
     """
 
     name = "semantic_analyzer"
@@ -121,6 +126,8 @@ class SemanticAnalyzerAgent(Agent):
             return self._verdicts[key][1]
         report = self._grade(code, reference_code, checker)
         if report.execution.exception_type != "ValidationError":
+            if len(self._verdicts) >= _MEMO_MAX:
+                self._verdicts.clear()
             self._verdicts[key] = (checker, report)
         return report
 
@@ -179,6 +186,8 @@ class SemanticAnalyzerAgent(Agent):
         artifact = self._statevector(reference)
         if artifact is None:
             artifact = self._distribution(reference)
+        if len(self._references) >= _MEMO_MAX:
+            self._references.clear()
         self._references[reference_code] = artifact
         return artifact
 

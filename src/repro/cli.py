@@ -238,13 +238,14 @@ def _cmd_report(args) -> int:
             sections = collect(
                 samples_per_task=args.samples, workers=args.workers
             )
+        with open(args.path, "w") as handle:
+            handle.write(render(sections))
+        print(f"wrote {args.path} ({len(sections)} sections)")
+        # Before the coordinator's cleanup, which drops the service.
+        _print_service_totals()
     finally:
         if coordinator is not None:
             _stop_coordinator(coordinator, served, ephemeral)
-    with open(args.path, "w") as handle:
-        handle.write(render(sections))
-    print(f"wrote {args.path} ({len(sections)} sections)")
-    _print_service_totals()
     return 0
 
 
@@ -323,14 +324,15 @@ def _cmd_eval(args) -> int:
             progress=progress_printer(args.arm) if args.progress else None,
             coordinator=coordinator,
         )
+        print(comparison_table([result]).render())
+        if args.exec_stats:
+            print()
+            print(execution_stats_table([result]).render())
+            # Before the coordinator's cleanup, which drops the service.
+            _print_service_totals()
     finally:
         if coordinator is not None:
             _stop_coordinator(coordinator, served, ephemeral)
-    print(comparison_table([result]).render())
-    if args.exec_stats:
-        print()
-        print(execution_stats_table([result]).render())
-        _print_service_totals()
     return 0
 
 

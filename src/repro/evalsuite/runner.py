@@ -22,7 +22,11 @@ all their arms concurrently.
 activity in its own :class:`~repro.quantum.execution.scopes.StatsScope` and
 the engine sums the chunk scopes per arm, so ``EvalResult.execution_stats``
 is exact even when arms overlap in time — the racy before/after diff of the
-global ``service.stats()`` is gone.
+global ``service.stats()`` is gone.  Chunks grade with one semantic analyzer
+per thread and grading context, so a program graded in one arm is not run
+again in the next.  That skips only lookups that would have hit, so cache
+hits count only gradings the thread had not done before, and depend on
+which chunks shared a thread.
 
 **Distribution.**  A coordinator — passed as ``evaluate(...,
 coordinator=...)`` or installed by :func:`distributed` — leases the same
@@ -48,13 +52,17 @@ from repro.evalsuite.suite import Task
 from repro.llm.faults import ModelConfig
 from repro.llm.model import SimulatedCodeLLM
 from repro.prompts.generator import ScaffoldGenerator
+from repro.quantum.execution import default_service
 from repro.quantum.execution.scopes import (
     active_scopes,
     fold_counts,
     isolated_scopes,
     stats_scope,
 )
-from repro.quantum.transpiler import ambient_optimization_level
+from repro.quantum.transpiler import (
+    ambient_optimization_level,
+    resolve_optimization_level,
+)
 from repro.rag.retriever import retriever_for
 from repro.utils.parallel import parallel_map, resolve_workers
 from repro.utils.rng import derive_seed
@@ -205,31 +213,53 @@ def build_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
 
 # -- the chunked episode engine ---------------------------------------------------
 
-#: Generation pipelines memoised per thread, keyed by arm settings: a worker
-#: process or the serial caller reuses one pipeline for every chunk of an arm,
-#: while callers' own threads (and the coordinator's fallback threads) each
-#: get their own instances so no pipeline is shared across threads.
-#: Thread-locality also means no lock, no cross-thread ident aliasing, and
-#: nothing to repair after fork (the child's main thread inherits the
-#: forking thread's warm cache).  The semantic analyzer is not cached here:
-#: its reference and verdict memos live one chunk (see
-#: :func:`_run_task_chunk`).  The pipeline's own memos (the store's searches,
-#: the model's fault applicability) may outlive a chunk: they credit no
-#: execution counter, so per-arm stats stay a function of settings and tasks.
+#: Generation pipelines and semantic analyzers memoised per thread.  A worker
+#: process or the serial caller reuses one pipeline for every chunk of an arm
+#: (keyed by arm settings) and one analyzer per grading context, while
+#: callers' own threads (and the coordinator's fallback threads) each get
+#: their own instances so nothing is shared across threads.  Thread-locality
+#: also means no lock, no cross-thread ident aliasing, and nothing to repair
+#: after fork (the child's main thread inherits the forking thread's warm
+#: caches).  The pipeline's memos (the store's searches, the model's fault
+#: applicability) credit no execution counter; the analyzer's verdicts skip
+#: only lookups that would hit (see :func:`_cached_analyzer`).
 _pipelines = threading.local()
 _PIPELINE_CACHE_MAX = 16
 
 
-def _cached_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
-    cache = getattr(_pipelines, "cache", None)
+def _thread_cached(name: str, key, build):
+    """This thread's ``name`` cache entry for ``key``, built on first use;
+    the cache starts over past ``_PIPELINE_CACHE_MAX`` entries."""
+    cache = getattr(_pipelines, name, None)
     if cache is None:
-        cache = _pipelines.cache = {}
-    pipeline = cache.get(settings)
-    if pipeline is None:
+        cache = {}
+        setattr(_pipelines, name, cache)
+    value = cache.get(key)
+    if value is None:
         if len(cache) >= _PIPELINE_CACHE_MAX:
             cache.clear()
-        pipeline = cache[settings] = build_pipeline(settings)
-    return pipeline
+        value = cache[key] = build()
+    return value
+
+
+def _cached_pipeline(settings: PipelineSettings) -> CodeGenerationAgent:
+    return _thread_cached("cache", settings, lambda: build_pipeline(settings))
+
+
+def _cached_analyzer(settings: PipelineSettings) -> SemanticAnalyzerAgent:
+    """This thread's analyzer for the arm's grading context: the default
+    service and the resolved optimization level.
+
+    The key holds the service object itself, so a new service allocated at
+    a collected one's address cannot pick up its verdicts.  Reusing the
+    analyzer across chunks skips only lookups that would hit: the first
+    grading of a program already simulated and cached everything it needs.
+    """
+    key = (
+        default_service(),
+        resolve_optimization_level(settings.optimization_level),
+    )
+    return _thread_cached("analyzers", key, SemanticAnalyzerAgent)
 
 
 def _run_task_chunk(settings: PipelineSettings, task: Task) -> tuple:
@@ -249,13 +279,14 @@ def _run_task_chunk(settings: PipelineSettings, task: Task) -> tuple:
     merges the returned stats into them explicitly, identically in every
     mode.
 
-    The chunk grades with its own :class:`SemanticAnalyzerAgent`, so it runs
-    its task's reference once and each distinct program once, and its
-    service lookups stay the same whichever chunks ran before it on this
-    thread or process.
+    The chunk grades with this thread's :class:`SemanticAnalyzerAgent` for
+    its grading context, so each reference and each distinct program runs
+    once per thread, whichever arm's chunk met it first.  Its outcomes do
+    not depend on which chunks ran before it on this thread; its cache hits
+    do, since a program graded before is not looked up again.
     """
     codegen = _cached_pipeline(settings)
-    analyzer = SemanticAnalyzerAgent()
+    analyzer = _cached_analyzer(settings)
     with (
         isolated_scopes(),
         stats_scope(settings.display_label()) as scope,
@@ -368,17 +399,19 @@ def evaluate_many(
     A ``coordinator`` — passed here or installed by :func:`distributed` —
     leases the identical chunks to remote eval workers via the dispatch
     protocol instead; one folding loop consumes the results either way, so
-    outcomes and per-arm stats stay bit-identical to the serial run for any
-    worker topology — including crashed workers and expired leases, which
-    merely re-run a deterministic chunk.
+    outcomes stay bit-identical to the serial run for any worker topology —
+    including crashed workers and expired leases, which merely re-run a
+    deterministic chunk.
 
     Per-arm ``execution_stats`` are the sum of the per-chunk stats scopes:
-    exact and non-overlapping even though the arms run concurrently.  Any
-    scopes ambient on the *calling* thread receive the same totals (via an
-    explicit merge — chunks run scope-isolated), so ``with
-    service.stats_scope() as s: evaluate(...)`` observes identical numbers
-    whether the episodes ran inline, in worker processes, or on another
-    host.
+    exact and non-overlapping even though the arms run concurrently.  They
+    count where the chunks ran: each process has its own memory cache, and
+    each thread its own analyzers, so cache hits count only gradings that
+    were new to the thread.  Any scopes ambient on the *calling* thread
+    receive the same totals (via an explicit merge — chunks run
+    scope-isolated), so ``with service.stats_scope() as s: evaluate(...)``
+    observes the arm's numbers whether the episodes ran inline, in worker
+    processes, or on another host.
     """
     arms = list(settings_list)
     caller_scopes = active_scopes()
@@ -442,8 +475,9 @@ def evaluate(
     chunks to remote eval workers with the same guarantee.  Grading runs
     through the shared ExecutionService under per-chunk stats scopes, so the
     result carries the arm's own simulation and cache counters — exact even
-    while other arms run concurrently — and a repeat run of an identical arm
-    is served almost entirely from the result cache.
+    while other arms run concurrently.  A repeat run of an identical arm on
+    the same thread grades from the analyzer's verdicts without a single
+    lookup; on another thread it is served from the result cache.
     """
     return evaluate_many(
         [settings],

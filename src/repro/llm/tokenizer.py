@@ -11,6 +11,7 @@ defined here so every consumer agrees on them.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from repro.errors import TokenizationError
@@ -48,14 +49,26 @@ _TOKEN_RE = re.compile(
 )
 
 
+#: Distinct ``(text, keep_whitespace)`` pairs whose tokens are kept; the
+#: FIM-rate ablation tokenizes about 860 distinct texts, many times each.
+_TOKENS_CACHE_MAX = 2048
+
+
 def tokenize(text: str, keep_whitespace: bool = False) -> list[str]:
     """Split source text into tokens.
 
     Whitespace tokens are dropped by default (newlines are kept — they carry
-    statement structure that the LM should learn).
+    statement structure that the LM should learn).  Tokens are a pure
+    function of the text, so recent texts' tokens are kept; every call
+    returns a fresh list.
     """
     if not isinstance(text, str):
         raise TokenizationError(f"expected str, got {type(text).__name__}")
+    return list(_tokens(text, keep_whitespace))
+
+
+@functools.lru_cache(maxsize=_TOKENS_CACHE_MAX)
+def _tokens(text: str, keep_whitespace: bool) -> tuple[str, ...]:
     tokens: list[str] = []
     pos = 0
     for match in _TOKEN_RE.finditer(text):
@@ -71,7 +84,7 @@ def tokenize(text: str, keep_whitespace: bool = False) -> list[str]:
         tail = text[pos:].strip()
         if tail:
             tokens.append(tail)
-    return tokens
+    return tuple(tokens)
 
 
 def count_tokens(text: str) -> int:

@@ -247,6 +247,42 @@ class TestSemanticAnalyzer:
         assert analyzer.analyze(bell, checker=accept).semantic_ok is True
         assert analyzer.analyze(bell, wrong).semantic_ok is False
 
+    def test_memos_start_over_past_their_maximum(self, monkeypatch):
+        """Past ``_MEMO_MAX`` entries each memo is cleared: a program or a
+        reference graded before the clear runs again, and gets its first
+        verdict back."""
+        from repro.agents import semantic
+
+        monkeypatch.setattr(semantic, "_MEMO_MAX", 2)
+        calls: list[str] = []
+        real_run_code = semantic.run_code
+
+        def counting_run_code(code, **kwargs):
+            calls.append(code)
+            return real_run_code(code, **kwargs)
+
+        monkeypatch.setattr(semantic, "run_code", counting_run_code)
+        analyzer = SemanticAnalyzerAgent()
+        programs = [f"x = {value}\n" for value in range(3)]
+        first = analyzer.analyze(programs[0])
+        analyzer.analyze(programs[1])
+        assert analyzer.analyze(programs[0]) is first
+        assert calls == programs[:2]
+        analyzer.analyze(programs[2])  # the third verdict starts over
+        assert len(analyzer._verdicts) == 1
+        again = analyzer.analyze(programs[0])
+        assert again is not first and again == first
+        assert calls == [*programs, programs[0]]
+
+        references = [synthesize("bell", {}, "correct"), *programs]
+        for reference in references:
+            analyzer.analyze(references[0], reference)
+        assert len(analyzer._references) == 2
+        ran = len(calls)
+        analyzer.analyze(programs[1], references[0])
+        # The cleared reference runs again next to its new candidate.
+        assert calls[ran:] == [programs[1], references[0]]
+
     def test_refine_fixes_syntactic_fault(self):
         """Deterministic repair loop: inject a known fault, watch it heal."""
         from repro.llm.faults import inject_legacy_api

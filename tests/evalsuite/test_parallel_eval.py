@@ -111,20 +111,22 @@ class TestSerialParallelParity:
         ] == [(t[0], t[1], tuple(t[4])) for t in threaded]
 
         forked = evaluate(settings, bank, workers=4)
+        assert outcome_key(forked) == outcome_key(serial)
+        assert outcome_key(again) == outcome_key(serial)
 
-        # Grading memos live one chunk: a rerun on this thread, a thread
-        # pool and fork children make exactly the first run's lookups (a memo
-        # that outlived its chunk, or was inherited through fork, would lower
-        # them).
+        # Analyzers live per thread and grading context: a rerun on this
+        # thread grades from its verdicts, and so do fork children, which
+        # inherit them; the pool's fresh threads grade afresh, served by the
+        # result cache the serial run filled.
         def lookups(stats):
             return stats["cache_hits"] + stats["cache_misses"]
 
-        assert (
-            lookups(serial.execution_stats)
-            == lookups(again.execution_stats)
-            == sum(lookups(t[5]) for t in threaded)
-            == lookups(forked.execution_stats)
-        )
+        assert lookups(serial.execution_stats) > 0
+        assert lookups(again.execution_stats) == 0
+        assert again.execution_stats["simulations"] == 0
+        assert lookups(forked.execution_stats) == 0
+        assert sum(lookups(t[5]) for t in threaded) > 0
+        assert sum(t[5]["simulations"] for t in threaded) == 0
 
 
 class TestExactAttribution:

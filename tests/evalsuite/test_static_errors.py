@@ -18,6 +18,7 @@ from repro.evalsuite.runner import (
     PipelineSettings,
     TaskOutcome,
     evaluate,
+    evaluate_many,
 )
 from repro.evalsuite.suite import build_suite
 from repro.llm.faults import ModelConfig
@@ -177,6 +178,20 @@ class TestEvaluateStaticErrors:
         stats = result.execution_stats
         assert stats["rejected_static"] == samples
         assert stats["simulations"] == 0
+
+    def test_refusals_counted_in_every_arm(self, strict_service, monkeypatch):
+        """Arms share the thread's analyzer, which never keeps a refused
+        run, so each arm counts every one of its own refused samples."""
+        self._stub_pipeline(monkeypatch, DEFECTIVE_EXECUTED_CODE)
+        bank = build_suite()[:2]
+        results = evaluate_many(
+            [self._settings("arm-1"), self._settings("arm-2")], bank, workers=1
+        )
+        for result in results:
+            samples = sum(o.samples for o in result.outcomes)
+            assert result.static_error_count() == samples
+            assert result.execution_stats["rejected_static"] == samples
+            assert result.execution_stats["simulations"] == 0
 
     def test_artifact_rejections_counted_even_with_validate_off(
         self, off_service, monkeypatch

@@ -1,5 +1,7 @@
 """The EXPERIMENTS.md generator renders a complete report."""
 
+import os
+
 from repro.cli import main
 from repro.experiments import generate_report
 from repro.experiments.common import ExperimentResult
@@ -56,3 +58,34 @@ def test_report_writes_results_and_prints_the_ledger(
     for name, _help in COUNTERS:
         assert f" {name.replace('_', ' ')}," in totals
     assert f"cache_dir={cache_dir}" in totals
+
+
+def test_distributed_report_prints_its_ledger_before_cleanup(
+    tmp_path, monkeypatch, capsys
+):
+    """Under ``--distributed`` the totals line reads the service that ran
+    the report, and the coordinator's temp store is removed after it."""
+    from repro.quantum import library
+    from repro.quantum.execution import default_service, execute
+
+    section = ExperimentResult("figure4", "demo title")
+    section.add("row", 1.0, 2.0)
+    served = []
+
+    def collect(samples_per_task, workers):
+        served.append(default_service().stats()["cache_dir"])
+        execute(library.bell_pair(measure=True), shots=16, seed=1)
+        return [("Figure 4 — demo", section)]
+
+    monkeypatch.setattr(generate_report, "collect", collect)
+    path = tmp_path / "EXPERIMENTS.md"
+    try:
+        assert main(["report", str(path), "--distributed", "--port", "0"]) == 0
+    finally:
+        set_default_service(None)
+    assert path.read_text() == render([("Figure 4 — demo", section)])
+    wrote, totals = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote {path} (1 sections)"
+    assert totals.startswith("service totals: 1 simulations, ")
+    assert f"cache_dir={served[0]}" in totals
+    assert not os.path.exists(served[0])

@@ -48,6 +48,32 @@ class TestTokenizer:
         with pytest.raises(TokenizationError):
             tokenize(42)
 
+    def test_repeat_calls_return_equal_fresh_lists(self):
+        first = tokenize("qc.cx(0, 1)\n")
+        second = tokenize("qc.cx(0, 1)\n")
+        assert first == second
+        assert first is not second
+
+    def test_mutated_tokens_do_not_leak_into_the_next_call(self):
+        tokens = tokenize("qc.h(0)\n")
+        tokens.append("junk")
+        tokens[0] = "qq"
+        assert tokenize("qc.h(0)\n") == ["qc", ".", "h", "(", "0", ")", "\n"]
+
+    def test_whitespace_variants_are_kept_apart(self):
+        assert tokenize("a  b") == ["a", "b"]
+        assert tokenize("a  b", keep_whitespace=True) == ["a", "  ", "b"]
+        assert tokenize("a  b") == ["a", "b"]
+
+    @pytest.mark.parametrize("value", [42, b"qc.h(0)", ["qc"], None])
+    def test_non_string_is_refused_before_the_cache(self, value):
+        from repro.llm import tokenizer
+
+        before = tokenizer._tokens.cache_info()
+        with pytest.raises(TokenizationError):
+            tokenize(value)
+        assert tokenizer._tokens.cache_info() == before
+
     def test_count_tokens(self):
         assert count_tokens("qc.h(0)") == 6
 
