@@ -15,8 +15,8 @@ The edits to upstream are:
 * ``G[v][w].get(weight, 1)`` is ``adj[v][w]``;
 * ``G.neighbors(v)`` is ``adj[v]``;
 * ``list(G)`` and ``G.nodes()`` are ``list(adj)``;
-* ``G.edges(data=True)`` is :func:`_edges`, which follows
-  ``EdgeDataView.__iter__``'s order;
+* ``G.edges(data=True)`` is :func:`repro.utils.graphs.edges`, which
+  follows ``EdgeDataView.__iter__``'s order;
 * the matching always has maximum cardinality, so the ``maxcardinality``
   flag and the branches it disabled (delta1, a zero ``vdualoffset``) are
   gone;
@@ -67,6 +67,8 @@ from __future__ import annotations
 
 from itertools import repeat
 
+from repro.utils.graphs import edges
+
 
 class NoNode:
     """Dummy value which is different from any node."""
@@ -98,17 +100,6 @@ class Blossom:
                 stack.extend(t.childs)
             else:
                 yield t
-
-
-def _edges(adj):
-    """Each edge once as ``(u, v, weight)``, in ``EdgeDataView`` order:
-    every node in turn, then those of its neighbours not yet visited."""
-    seen = {}
-    for n, nbrs in adj.items():
-        for nbr, wt in nbrs.items():
-            if nbr not in seen:
-                yield n, nbr, wt
-        seen[n] = 1
 
 
 def max_weight_matching(adj):
@@ -155,7 +146,7 @@ def max_weight_matching(adj):
     # Find the maximum edge weight.
     maxweight = 0
     allinteger = True
-    for i, j, wt in _edges(adj):
+    for i, j, wt in edges(adj):
         if i != j and wt > maxweight:
             maxweight = wt
         allinteger = allinteger and (str(type(wt)).split("'")[1] in ("int", "long"))
@@ -615,7 +606,7 @@ def max_weight_matching(adj):
         assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
         # 0. all edges have non-negative slack and
         # 1. all matched edges have zero slack;
-        for i, j, wt in _edges(adj):
+        for i, j, wt in edges(adj):
             if i == j:
                 continue  # ignore self-loops
             s = dualvar[i] + dualvar[j] - 2 * wt

@@ -10,10 +10,10 @@ graphs that MWPM and union-find operate on.
 from __future__ import annotations
 
 import numpy as np
-import networkx as nx
 
 from repro.errors import CodeConstructionError
 from repro.stabilizer.pauli import PauliString
+from repro.utils.graphs import add_edge
 
 #: The virtual boundary vertex in matching graphs.
 BOUNDARY = "boundary"
@@ -172,33 +172,31 @@ class CSSCode:
 
     # -- matching graph ---------------------------------------------------------------
 
-    def matching_graph(self, error_type: str) -> nx.Graph:
-        """Decoder graph for one error type.
+    def matching_graph(self, error_type: str) -> dict:
+        """Decoder graph for one error type, as ``{node: {neighbour: fault}}``.
 
-        Nodes are check indices (ints) plus the virtual :data:`BOUNDARY`
-        node.  Each data qubit becomes an edge between the (at most two)
+        Nodes are the virtual :data:`BOUNDARY` node, then the check indices
+        (ints).  Each data qubit becomes an edge between the (at most two)
         checks that see it; qubits seen by a single check connect that check
-        to the boundary.  Edge attribute ``fault`` is the data qubit index;
-        edges carry unit ``weight``.
+        to the boundary.  An edge's value, its ``fault``, is the data qubit
+        index; every edge has unit length.  Nodes and neighbours are in
+        insertion order (:mod:`repro.utils.graphs`).
 
         Raises:
             CodeConstructionError: if some qubit triggers more than two
                 checks (not a matchable code for this error type).
         """
         checks = self._checks_for(error_type)
-        graph = nx.Graph()
-        graph.add_node(BOUNDARY)
-        graph.add_nodes_from(range(checks.shape[0]))
+        graph: dict = {BOUNDARY: {}}
+        graph.update((check, {}) for check in range(checks.shape[0]))
         for qubit in range(checks.shape[1]):
             touching = np.flatnonzero(checks[:, qubit])
             if len(touching) == 0:
                 continue  # undetectable by this check type
             if len(touching) == 1:
-                graph.add_edge(int(touching[0]), BOUNDARY, fault=qubit, weight=1)
+                add_edge(graph, int(touching[0]), BOUNDARY, qubit)
             elif len(touching) == 2:
-                graph.add_edge(
-                    int(touching[0]), int(touching[1]), fault=qubit, weight=1
-                )
+                add_edge(graph, int(touching[0]), int(touching[1]), qubit)
             else:
                 raise CodeConstructionError(
                     f"{self.name}: qubit {qubit} touches {len(touching)} "

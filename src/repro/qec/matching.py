@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import DecodingError
@@ -36,6 +35,7 @@ from repro.qec.syndrome import (
     check_decodable,
     check_raw_events,
 )
+from repro.utils.graphs import bfs, copied, shortest_path
 
 
 @dataclass
@@ -75,17 +75,18 @@ class MWPMDecoder:
                 f"time_weight must be finite and >= 0, got {time_weight}"
             )
         self._graph = code.matching_graph(error_type)
-        self._spatial = self._graph.copy()
-        self._spatial.remove_node(BOUNDARY)
+        # The checks alone, in a copy's neighbour order: correction paths
+        # between checks are found here, paths to the boundary on _graph.
+        self._spatial = copied(self._graph)
+        for check in self._spatial.pop(BOUNDARY):
+            del self._spatial[check][BOUNDARY]
         # All-pairs spatial distances among checks, and each check's distance
         # to the boundary, precomputed once per code.
-        self._dist = dict(nx.all_pairs_shortest_path_length(self._spatial))
-        boundary_lengths = nx.single_source_shortest_path_length(
-            self._graph, BOUNDARY
-        )
+        self._dist = {check: bfs(self._spatial, check) for check in self._spatial}
+        boundary_lengths = bfs(self._graph, BOUNDARY)
         # The same distances as arrays over check indices, inf where no
         # path leads: _match reads every event distance from them at once.
-        num_checks = self._spatial.number_of_nodes()
+        num_checks = len(self._spatial)
         self._dist_table = np.full((num_checks, num_checks), np.inf)
         for c1, lengths in self._dist.items():
             self._dist_table[c1, list(lengths)] = list(lengths.values())
@@ -203,13 +204,13 @@ class MWPMDecoder:
     def _path_to_boundary(self, check: int) -> tuple[list[int], float]:
         return self._shortest_path(self._graph, check, BOUNDARY)
 
-    def _shortest_path(self, graph: nx.Graph, a, b) -> tuple[list[int], float]:
-        """Faults and length of ``nx.shortest_path(graph, a, b)``, found on
+    def _shortest_path(self, graph: dict, a, b) -> tuple[list[int], float]:
+        """Faults and length of ``shortest_path(graph, a, b)``, found on
         first use per pair (``b`` is a check in the spatial graph, or the
         boundary in the full one)."""
         path = self._paths.get((a, b))
         if path is None:
-            nodes = nx.shortest_path(graph, a, b)
+            nodes = shortest_path(graph, a, b)
             path = self._paths[a, b] = (
                 self._faults_on(nodes),
                 float(len(nodes) - 1),
@@ -217,7 +218,4 @@ class MWPMDecoder:
         return path
 
     def _faults_on(self, path: list) -> list[int]:
-        faults = []
-        for a, b in zip(path, path[1:]):
-            faults.append(self._graph.edges[a, b]["fault"])
-        return faults
+        return [self._graph[a][b] for a, b in zip(path, path[1:])]

@@ -12,18 +12,31 @@ discussion cares about.  The implementation follows the standard two phases:
 
 Corrections only collect *space* edges (data-qubit faults); time edges
 represent measurement errors and need no data correction.
+
+Graphs are ``{node: {neighbour: fault}}`` adjacency dicts
+(:mod:`repro.utils.graphs`), a time edge's fault being ``None``.  Which
+spanning tree peels a cluster decides the correction, so
+:func:`_spanning_trees` builds the trees networkx 3.6.1 builds for
+``minimum_spanning_tree(G.subgraph(c))`` over ``connected_components(G)``,
+in the same node and neighbour order.
+
+The spanning-tree port follows networkx, which is distributed under the
+3-clause BSD license (the full notice is in :mod:`repro.utils.graphs`)::
+
+   Copyright (c) 2004-2025, NetworkX Developers
+   All rights reserved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import DecodingError
 from repro.qec.codes.base import BOUNDARY, CSSCode
 from repro.qec.syndrome import SyndromeHistory, check_decodable, check_raw_events
+from repro.utils.graphs import add_edge, edges
 
 #: The space-time graph's boundary node.  Every other node is a ``(round,
 #: check)`` pair of ints, and so is this one: int tuples hash the same under
@@ -95,37 +108,35 @@ class UnionFindDecoder:
         self.code = code
         self.error_type = error_type
         self._space_graph = code.matching_graph(error_type)
-        self._graphs: dict[int, nx.Graph] = {}
+        self._graphs: dict[int, dict] = {}
 
     # -- space-time graph -----------------------------------------------------
 
-    def _build_graph(self, rounds: int) -> nx.Graph:
+    def _build_graph(self, rounds: int) -> dict:
         """Replicate the spatial graph across rounds; add time edges.
 
-        Built once per ``rounds`` and kept: decoding only reads the graph
-        (peeling copies edge attributes), so every decode sees the same
-        nodes and neighbour order.
+        Built once per ``rounds`` and kept: decoding only reads the graph,
+        so every decode sees the same nodes and neighbour order.
         """
         graph = self._graphs.get(rounds)
         if graph is not None:
             return graph
-        graph = nx.Graph()
-        graph.add_node(BOUNDARY_NODE)
-        checks = [n for n in self._space_graph.nodes if n != BOUNDARY]
+        graph = {BOUNDARY_NODE: {}}
+        checks = [n for n in self._space_graph if n != BOUNDARY]
+        space_edges = list(edges(self._space_graph))
         for t in range(rounds + 1):
             for c in checks:
-                graph.add_node((t, c))
-            for a, b, data in self._space_graph.edges(data=True):
-                fault = data["fault"]
+                graph.setdefault((t, c), {})
+            for a, b, fault in space_edges:
                 if a == BOUNDARY:
-                    graph.add_edge((t, b), BOUNDARY_NODE, fault=fault, kind="space")
+                    add_edge(graph, (t, b), BOUNDARY_NODE, fault)
                 elif b == BOUNDARY:
-                    graph.add_edge((t, a), BOUNDARY_NODE, fault=fault, kind="space")
+                    add_edge(graph, (t, a), BOUNDARY_NODE, fault)
                 else:
-                    graph.add_edge((t, a), (t, b), fault=fault, kind="space")
+                    add_edge(graph, (t, a), (t, b), fault)
             if t > 0:
                 for c in checks:
-                    graph.add_edge((t - 1, c), (t, c), fault=None, kind="time")
+                    add_edge(graph, (t - 1, c), (t, c), None)
         self._graphs[rounds] = graph
         return graph
 
@@ -160,7 +171,7 @@ class UnionFindDecoder:
         growth: dict[tuple, int] = {}  # edge key -> half-edges grown (0..2)
         in_cluster: set = set(defects)
         grown_edges: set = set()
-        max_rounds = 2 * (graph.number_of_nodes() + 1)
+        max_rounds = 2 * (len(graph) + 1)
         rounds_used = 0
         while any(dsu.is_odd(node) for node in list(in_cluster)):
             rounds_used += 1
@@ -171,7 +182,7 @@ class UnionFindDecoder:
             for node in list(in_cluster):
                 if not dsu.is_odd(node):
                     continue
-                for nbr in graph.neighbors(node):
+                for nbr in graph[node]:
                     key = _edge_key(node, nbr)
                     if growth.get(key, 0) < 2:
                         frontier.append((node, nbr, key))
@@ -192,44 +203,104 @@ class UnionFindDecoder:
 
     def _peel(
         self,
-        graph: nx.Graph,
+        graph: dict,
         grown_edges: set,
         defects: set,
         dsu: _DisjointSet,
     ) -> np.ndarray:
         n = self.code.num_data_qubits
         correction = np.zeros(n, dtype=bool)
-        erasure = nx.Graph()
+        erasure: dict = {}
         for key in grown_edges:
             a, b = key
-            erasure.add_edge(a, b, **graph.edges[a, b])
+            add_edge(erasure, a, b, graph[a][b])
         # Spanning forest of the erasure; peel leaves, flipping defect marks.
-        marked = {node: (node in defects) for node in erasure.nodes}
-        for component in list(nx.connected_components(erasure)):
-            tree = nx.minimum_spanning_tree(erasure.subgraph(component))
+        marked = {node: (node in defects) for node in erasure}
+        for tree in _spanning_trees(erasure):
             # Peel from the leaves inward; treat the boundary node as the
             # root so it is peeled last and absorbs any leftover defect.
             # The spanning tree is a fresh graph, so peeling edits it in place.
-            while tree.number_of_nodes() > 1:
+            while len(tree) > 1:
                 leaves = [
                     v
-                    for v in tree.nodes
-                    if tree.degree(v) == 1 and v != BOUNDARY_NODE
+                    for v, nbrs in tree.items()
+                    if len(nbrs) == 1 and v != BOUNDARY_NODE
                 ]
                 if not leaves:
                     break
                 for leaf in leaves:
-                    if tree.number_of_nodes() <= 1 or leaf not in tree:
+                    if len(tree) <= 1 or leaf not in tree:
                         continue
-                    (parent,) = list(tree.neighbors(leaf))
+                    (parent,) = tree[leaf]
                     if marked.get(leaf, False):
-                        edge = tree.edges[leaf, parent]
-                        if edge.get("kind") == "space" and edge.get("fault") is not None:
-                            correction[edge["fault"]] ^= True
+                        fault = tree[leaf][parent]
+                        if fault is not None:  # a space edge
+                            correction[fault] ^= True
                         marked[parent] = not marked.get(parent, False)
                         marked[leaf] = False
-                    tree.remove_node(leaf)
+                    del tree[parent][leaf]
+                    del tree[leaf]
         return correction
+
+
+def _spanning_trees(erasure: dict) -> list[dict]:
+    """networkx's ``minimum_spanning_tree(erasure.subgraph(c))`` for each
+    ``c`` in ``connected_components(erasure)``, as adjacency dicts.
+
+    * A component is the set ``_plain_bfs`` builds: the source, then each
+      node in the order breadth-first search reaches it.
+    * ``subgraph`` keeps a new set of the component's nodes, added in the
+      component's iteration order.  The view iterates that set when it
+      holds fewer than half the erasure's nodes, and the erasure's node
+      order otherwise (``FilterAtlas.__iter__``).  Its neighbour order is
+      the erasure's.
+    * Every edge has unit weight, so Kruskal keeps, in the view's edge
+      order, each edge that joins two trees of the forest so far.  A tree
+      has the view's node order, and each node's neighbours are in the
+      order its edges were kept.
+    """
+    trees = []
+    seen: set = set()
+    for source in erasure:
+        if source in seen:
+            continue
+        component = {source}
+        frontier = [source]
+        while frontier:
+            this_level, frontier = frontier, []
+            for v in this_level:
+                for w in erasure[v]:
+                    if w not in component:
+                        component.add(w)
+                        frontier.append(w)
+        seen.update(component)
+        # Added one at a time, as networkx adds them: set(component) would
+        # copy the component's table, and iterate in its order instead.
+        nodes = set(iter(component))
+        if 2 * len(nodes) < len(erasure):
+            order = list(nodes)
+        else:
+            order = [v for v in erasure if v in nodes]
+        tree: dict = {v: {} for v in order}
+        root = {v: v for v in order}
+        visited: set = set()
+        for u in order:
+            for v, fault in erasure[u].items():
+                if v in visited:
+                    continue
+                ru, rv = _root(root, u), _root(root, v)
+                if ru != rv:
+                    root[ru] = rv
+                    tree[u][v] = tree[v][u] = fault
+            visited.add(u)
+        trees.append(tree)
+    return trees
+
+
+def _root(parent: dict, node):
+    while parent[node] != node:
+        parent[node] = node = parent[parent[node]]
+    return node
 
 
 def _edge_key(a, b) -> tuple:

@@ -54,14 +54,15 @@ TRANSPILE_SCHEMA_VERSION = 1
 def coupling_fingerprint(coupling_map: CouplingMap | None) -> str:
     """Stable content hash of a device's connectivity (``'none'`` for all-to-all).
 
-    Covers the qubit count and the canonical sorted edge list — exactly what
-    layout and routing read.  Topology names are excluded: two identically
-    wired maps transpile identically.
+    Covers each qubit's neighbours, qubits and neighbours both in insertion
+    order (:attr:`CouplingMap.adjacency`) — exactly what layout and routing
+    read.  Both break ties by that order, so the same edges listed in
+    another order can transpile differently.  Topology names are excluded:
+    two identically wired maps transpile identically.
     """
     if coupling_map is None:
         return "none"
-    payload = (coupling_map.num_qubits, tuple(coupling_map.edges))
-    return f"{stable_hash('coupling', payload):016x}"
+    return f"{stable_hash('coupling', coupling_map.adjacency):016x}"
 
 
 def basis_fingerprint(basis: Sequence[str]) -> str:

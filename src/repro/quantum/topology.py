@@ -8,11 +8,11 @@ IBM Eagle-class lattice used by :class:`repro.quantum.backend.FakeBrisbane`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
-import networkx as nx
+import operator
+from collections.abc import Iterable
 
 from repro.errors import TranspilerError
+from repro.utils import graphs
 
 
 class CouplingMap:
@@ -26,15 +26,17 @@ class CouplingMap:
 
     def __init__(self, edges: Iterable[tuple[int, int]], name: str = "custom") -> None:
         self.name = name
-        self._graph = nx.Graph()
+        # Qubit -> {neighbour: None}, both in insertion order: routing walks
+        # this order and layout walks its copy's (see ``graph``).
+        self._adj: dict[int, dict[int, None]] = {}
         for a, b in edges:
             if a == b:
                 raise TranspilerError(f"self-loop edge ({a}, {b}) in coupling map")
-            self._graph.add_edge(int(a), int(b))
-        if self._graph.number_of_nodes() == 0:
+            graphs.add_edge(self._adj, _qubit_id(a), _qubit_id(b))
+        if not self._adj:
             raise TranspilerError("coupling map has no edges")
         # Ensure node ids are contiguous 0..n-1.
-        nodes = sorted(self._graph.nodes)
+        nodes = sorted(self._adj)
         if nodes != list(range(len(nodes))):
             raise TranspilerError(
                 "coupling map qubit ids must be contiguous integers from 0"
@@ -44,60 +46,107 @@ class CouplingMap:
 
     @property
     def num_qubits(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self._graph.edges)
+        return sorted((min(a, b), max(a, b)) for a, b, _ in graphs.edges(self._adj))
 
     @property
-    def graph(self) -> nx.Graph:
-        return self._graph.copy()
+    def adjacency(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each qubit with its neighbours, both in insertion order: all that
+        layout and routing read, so two maps with equal adjacencies
+        transpile alike."""
+        return tuple((q, tuple(nbrs)) for q, nbrs in self._adj.items())
+
+    @property
+    def graph(self) -> dict[int, dict[int, None]]:
+        """A fresh ``{qubit: {neighbour: None}}`` adjacency dict, in the
+        order of networkx's ``Graph.copy()`` (:func:`graphs.copied`)."""
+        return graphs.copied(self._adj)
 
     def neighbors(self, qubit: int) -> list[int]:
-        return sorted(self._graph.neighbors(qubit))
+        return sorted(self._adj[self._on_map(qubit)])
 
     def degree(self, qubit: int) -> int:
-        return self._graph.degree[qubit]
+        return len(self._adj[self._on_map(qubit)])
 
     def are_coupled(self, a: int, b: int) -> bool:
-        return self._graph.has_edge(a, b)
+        return b in self._adj.get(a, ())
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self._graph)
+        return len(graphs.bfs(self._adj, next(iter(self._adj)))) == len(self._adj)
 
     def distance(self, a: int, b: int) -> int:
-        try:
-            return nx.shortest_path_length(self._graph, a, b)
-        except nx.NetworkXNoPath as exc:
-            raise TranspilerError(f"qubits {a} and {b} are not connected") from exc
+        return len(self.shortest_path(a, b)) - 1
 
     def shortest_path(self, a: int, b: int) -> list[int]:
-        try:
-            return nx.shortest_path(self._graph, a, b)
-        except nx.NetworkXNoPath as exc:
-            raise TranspilerError(f"qubits {a} and {b} are not connected") from exc
+        path = graphs.shortest_path(self._adj, self._on_map(a), self._on_map(b))
+        if path is None:
+            raise TranspilerError(f"qubits {a} and {b} are not connected")
+        return path
 
     def max_degree(self) -> int:
-        return max(d for _, d in self._graph.degree)
+        return max(len(nbrs) for nbrs in self._adj.values())
 
     def subgraph_has_grid(self, rows: int, cols: int) -> bool:
         """Check whether a ``rows x cols`` grid embeds as a subgraph.
 
         Used by the QEC agent to decide if a surface-code patch fits the
-        device.  Exact subgraph isomorphism is exponential, so sizes are kept
-        small by callers (code distances <= 7).
+        device.  The search is exact and exponential in the worst case, so
+        sizes are kept small by callers (code distances <= 7).  It maps the
+        grid's cells column by column along its shorter side onto distinct
+        qubits, each coupled to its mapped upper and left neighbours and of
+        at least its cell's degree, backtracking on a dead end.
         """
         if rows * cols > self.num_qubits:
             return False
-        grid = nx.grid_2d_graph(rows, cols)
-        matcher = nx.algorithms.isomorphism.GraphMatcher(self._graph, grid)
-        return matcher.subgraph_is_monomorphic()
+        short, long = sorted((rows, cols))
+        # Cell k is (k % short, k // short); its degree within the grid.
+        need = [
+            (i > 0) + (i < short - 1) + (j > 0) + (j < long - 1)
+            for j in range(long)
+            for i in range(short)
+        ]
+        adj = self._adj
+        image: list[int] = []
+        used: set[int] = set()
+
+        def extend(k: int) -> bool:
+            if k == len(need):
+                return True
+            up = image[k - 1] if k % short else None
+            left = image[k - short] if k >= short else None
+            anchor = left if left is not None else up
+            for q in adj if anchor is None else adj[anchor]:
+                if q in used or len(adj[q]) < need[k]:
+                    continue
+                if up is not None and up not in adj[q]:
+                    continue
+                image.append(q)
+                used.add(q)
+                if extend(k + 1):
+                    return True
+                image.pop()
+                used.discard(q)
+            return False
+
+        return extend(0)
+
+    def _on_map(self, qubit) -> int:
+        q = _qubit_id(qubit)
+        if q not in self._adj:
+            raise TranspilerError(
+                f"qubit {qubit!r} is not on coupling map '{self.name}' "
+                f"(qubits 0..{self.num_qubits - 1})"
+            )
+        return q
 
     def __repr__(self) -> str:
+        num_edges = sum(len(nbrs) for nbrs in self._adj.values()) // 2
         return (
             f"CouplingMap(name='{self.name}', qubits={self.num_qubits}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"edges={num_edges})"
         )
 
     # -- constructors ------------------------------------------------------------
@@ -193,3 +242,11 @@ class CouplingMap:
     def brisbane(cls) -> "CouplingMap":
         """The 127-qubit Brisbane-class heavy-hex lattice."""
         return cls.heavy_hex(7, 15, name="brisbane")
+
+
+def _qubit_id(qubit) -> int:
+    """``qubit`` as an int id; any integer type (numpy's too) passes."""
+    try:
+        return operator.index(qubit)
+    except TypeError:
+        raise TranspilerError(f"qubit id {qubit!r} is not an integer") from None

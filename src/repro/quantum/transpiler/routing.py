@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import networkx as nx
-
 from repro.errors import TranspilerError
 from repro.quantum.circuit import Instruction, QuantumCircuit
 from repro.quantum.topology import CouplingMap
+from repro.utils.graphs import bfs
 
 
 class Layout:
@@ -62,7 +61,8 @@ def dense_layout(circuit: QuantumCircuit, cmap: CouplingMap) -> Layout:
     """Pick physical qubits by BFS from the highest-degree device qubit.
 
     Keeps interacting logical qubits physically close without solving the
-    full placement problem.
+    full placement problem.  The search walks ``cmap.graph``, a copy, whose
+    neighbour order can differ from the map's own.
     """
     n = circuit.num_qubits
     if n > cmap.num_qubits:
@@ -70,9 +70,8 @@ def dense_layout(circuit: QuantumCircuit, cmap: CouplingMap) -> Layout:
             f"circuit needs {n} qubits, device has {cmap.num_qubits}"
         )
     graph = cmap.graph
-    start = max(graph.degree, key=lambda kv: kv[1])[0]
-    order = [start] + [v for _, v in nx.bfs_edges(graph, start)]
-    chosen = order[:n]
+    start = max(graph, key=lambda q: len(graph[q]))
+    chosen = list(bfs(graph, start))[:n]
     if len(chosen) < n:
         raise TranspilerError("device graph is disconnected; cannot place circuit")
     # Assign the most-active logical qubits to the best-connected physical ones.

@@ -14,8 +14,11 @@ events, one boundary twin per event, and the twins joined at zero cost,
 built pair by pair from distances looked up per pair.  The decoder now
 matches a compact graph with the same optimum cost that may break ties
 differently, so the tests compare each decode's cost with networkx's
-optimum on this graph, not its pairs.  Do not edit these functions to
-follow the live code: a difference between the two is a finding.
+optimum on this graph, not its pairs.  ``decoder_graph`` builds the
+decoder graph with networkx from the code's check matrix, so the reference
+reads nothing of the decoder but its code, error type and time weight.  Do
+not edit these functions to follow the live code: a difference between the
+two is a finding.
 """
 
 from __future__ import annotations
@@ -112,13 +115,33 @@ def score_shots(
     return failed
 
 
+def decoder_graph(code: CSSCode, error_type: str) -> nx.Graph:
+    """The decoder graph of one error type, built with networkx from the
+    check matrix: the boundary, then each check, then one edge per data
+    qubit (attribute ``fault``), between the two checks that see it or
+    from its one check to the boundary."""
+    checks = code.hz if error_type == "x" else code.hx
+    graph = nx.Graph()
+    graph.add_node(BOUNDARY)
+    graph.add_nodes_from(range(checks.shape[0]))
+    for qubit in range(checks.shape[1]):
+        touching = [int(c) for c in np.flatnonzero(checks[:, qubit])]
+        if len(touching) == 1:
+            graph.add_edge(touching[0], BOUNDARY, fault=qubit)
+        elif len(touching) == 2:
+            graph.add_edge(*touching, fault=qubit)
+    return graph
+
+
 def mwpm_distances(decoder):
     """``(event_distance, boundary_distance)`` as the decoder computed them
-    per pair, from its own precomputed shortest-path lengths."""
-    dist = dict(nx.all_pairs_shortest_path_length(decoder._spatial))
-    boundary_lengths = nx.single_source_shortest_path_length(
-        decoder._graph, BOUNDARY
-    )
+    per pair: shortest-path lengths on :func:`decoder_graph` of its code
+    and error type."""
+    graph = decoder_graph(decoder.code, decoder.error_type)
+    spatial = graph.copy()
+    spatial.remove_node(BOUNDARY)
+    dist = dict(nx.all_pairs_shortest_path_length(spatial))
+    boundary_lengths = nx.single_source_shortest_path_length(graph, BOUNDARY)
     boundary_dist = {
         node: length
         for node, length in boundary_lengths.items()

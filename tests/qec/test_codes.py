@@ -8,6 +8,7 @@ from repro.qec.codes.base import BOUNDARY, CSSCode, _gf2_rank
 from repro.qec.codes.repetition import RepetitionCode
 from repro.qec.codes.steane import SteaneCode
 from repro.qec.codes.surface import SurfaceCode
+from repro.utils.graphs import edges
 
 
 class TestSurfaceCode:
@@ -71,10 +72,10 @@ class TestSurfaceCode:
     def test_matching_graph_structure(self):
         code = SurfaceCode(3)
         graph = code.matching_graph("x")
-        assert BOUNDARY in graph.nodes
-        assert graph.number_of_nodes() == code.num_z_checks + 1
+        assert BOUNDARY in graph
+        assert len(graph) == code.num_z_checks + 1
         # every data qubit appears as exactly one fault edge
-        faults = sorted(d["fault"] for _, _, d in graph.edges(data=True))
+        faults = sorted(fault for _, _, fault in edges(graph))
         assert len(set(faults)) == len(faults)
 
     def test_ascii_lattice_renders(self):

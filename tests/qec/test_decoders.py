@@ -15,15 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DecodingError
-from repro.qec.codes.base import CSSCode
+from repro.qec.codes.base import BOUNDARY, CSSCode
 from repro.qec.codes.repetition import RepetitionCode
 from repro.qec.codes.steane import SteaneCode
 from repro.qec.codes.surface import SurfaceCode
 from repro.qec.lookup import LookupDecoder
 from repro.qec.matching import MWPMDecoder
 from repro.qec.syndrome import sample_memory
-from repro.qec.unionfind import UnionFindDecoder
-from tests.qec.reference_memory import mwpm_adjacency, mwpm_distances
+from repro.qec.unionfind import UnionFindDecoder, _spanning_trees
+from repro.utils.graphs import add_edge, edges
+from tests.qec.reference_memory import (
+    decoder_graph,
+    mwpm_adjacency,
+    mwpm_distances,
+)
 
 
 def events_for(code, error_bits, error_type="x"):
@@ -165,6 +170,89 @@ class TestUnionFind:
         decoder = UnionFindDecoder(code, "x")
         result = decoder.decode([(1, 2), (2, 2)], rounds=3)
         assert not result.correction.any()
+
+
+def permuted(code: CSSCode, seed: int) -> CSSCode:
+    """``code`` with its data qubits relabelled at random: the decoder graph
+    gains its edges in another order, so neighbour orders are not sorted
+    and a copy's can differ from the original's."""
+    perm = np.random.default_rng(seed).permutation(code.num_data_qubits)
+    return CSSCode(
+        f"{code.name}-permuted", code.hx[:, perm], code.hz[:, perm],
+        code.logical_x[perm], code.logical_z[perm], code.distance,
+    )
+
+
+class TestMWPMPaths:
+    """Correction paths are networkx's shortest paths on the decoder graph
+    networkx builds from the check matrix: between checks on a copy with
+    the boundary removed, and to the boundary on the graph itself."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("error_type", ["x", "z"])
+    def test_paths_match_networkx(self, error_type, seed):
+        code = permuted(SurfaceCode(5), seed)
+        graph = decoder_graph(code, error_type)
+        spatial = graph.copy()
+        spatial.remove_node(BOUNDARY)
+        decoder = MWPMDecoder(code, error_type)
+
+        def faults(path):
+            return [graph.edges[u, v]["fault"] for u, v in zip(path, path[1:])]
+
+        for a in spatial:
+            path = nx.shortest_path(graph, a, BOUNDARY)
+            assert decoder._path_to_boundary(a) == (faults(path), len(path) - 1)
+            for b in spatial:
+                if a != b:
+                    path = nx.shortest_path(spatial, a, b)
+                    assert decoder._path_between(a, b) == (
+                        faults(path), len(path) - 1
+                    )
+
+
+class TestUnionFindTrees:
+    """Union-find peels the spanning trees networkx built: for each
+    component ``c`` of the erasure, ``nx.minimum_spanning_tree(
+    erasure.subgraph(c))``, in the same node and neighbour order.
+
+    Each erasure is a random edge subset of a surface-5 space-time graph,
+    added in shuffled order and orientation, so most hold several
+    components: some under half the erasure's nodes, whose subgraph view
+    iterates a set of them, and some not, whose view keeps the erasure's
+    node order.
+    """
+
+    def test_trees_match_networkx(self):
+        graph = UnionFindDecoder(SurfaceCode(5), "x")._build_graph(3)
+        space_time_edges = list(edges(graph))
+        rng = random.Random(11)
+        small = large = 0
+        for _ in range(300):
+            erasure: dict = {}
+            reference = nx.Graph()
+            for u, v, fault in rng.sample(space_time_edges, rng.randint(1, 40)):
+                if rng.random() < 0.5:
+                    u, v = v, u
+                add_edge(erasure, u, v, fault)
+                reference.add_edge(u, v, fault=fault)
+            expected = []
+            for component in nx.connected_components(reference):
+                if 2 * len(component) < len(reference):
+                    small += 1
+                else:
+                    large += 1
+                tree = nx.minimum_spanning_tree(reference.subgraph(component))
+                expected.append([
+                    (u, [(v, d["fault"]) for v, d in tree.adj[u].items()])
+                    for u in tree
+                ])
+            trees = _spanning_trees(erasure)
+            assert [
+                [(u, list(nbrs.items())) for u, nbrs in tree.items()]
+                for tree in trees
+            ] == expected
+        assert small > 100 and large > 100
 
 
 def _mirrored(code):

@@ -21,6 +21,7 @@ from repro.qec.matching import MWPMDecoder
 from repro.qec.syndrome import memory_blocks, sample_memory, sample_memory_block
 from repro.qec.unionfind import UnionFindDecoder
 from repro.quantum.execution import ExecutionService
+from repro.utils.graphs import edges
 from repro.utils.rng import derive_rng
 from tests.qec import reference_memory
 
@@ -252,10 +253,12 @@ class TestUnionFindGraph:
         assert len(history.detection_events) > 2
         first = decoder.decode(history)
         graph = decoder._build_graph(3)
-        edges, nodes = graph.number_of_edges(), list(graph.nodes)
+        num_edges, nodes = len(list(edges(graph))), list(graph)
+        neighbours = {node: list(nbrs.items()) for node, nbrs in graph.items()}
         second = decoder.decode(history)
         assert decoder._build_graph(3) is graph
-        assert graph.number_of_edges() == edges and list(graph.nodes) == nodes
+        assert len(list(edges(graph))) == num_edges and list(graph) == nodes
+        assert {n: list(nbrs.items()) for n, nbrs in graph.items()} == neighbours
         assert np.array_equal(first.correction, second.correction)
         assert (first.num_growth_rounds, first.cluster_count) == (
             second.num_growth_rounds, second.cluster_count,

@@ -99,6 +99,11 @@ class TestCacheKey:
         different = [
             transpile_cache_key(library.qft(3), cmap, basis, None, 1),
             transpile_cache_key(qc, CouplingMap.ring(4), basis, None, 1),
+            # linear(4)'s edges in another order: layout and routing break
+            # ties by insertion order.
+            transpile_cache_key(
+                qc, CouplingMap([(2, 3), (1, 2), (0, 1)]), basis, None, 1
+            ),
             transpile_cache_key(qc, None, basis, None, 1),
             transpile_cache_key(qc, cmap, ("u", "cx"), None, 1),
             transpile_cache_key(qc, cmap, basis, [2, 1, 0], 1),
@@ -219,6 +224,21 @@ class TestServiceStage:
             )
         assert [i.name for i in kept.instructions] == ["h", "h", "measure"]
         assert [i.name for i in cancelled.instructions] == ["measure"]
+
+    def test_reordered_map_is_not_served_anothers_routing(self, service):
+        """grid(3, 3)'s edges in reverse order place and route this circuit
+        differently, so a service that transpiled for one map must not hand
+        its circuit to the other."""
+        grid = CouplingMap.grid(3, 3)
+        reordered = CouplingMap(list(reversed(grid.edges)))
+        qc = library.qft(4)
+        on_grid = service.transpile(qc, coupling_map=grid)
+        after = service.transpile(qc, coupling_map=reordered)
+        fresh = ExecutionService().transpile(qc, coupling_map=reordered)
+        assert after.instructions == fresh.instructions
+        assert after.metadata["layout"] == fresh.metadata["layout"]
+        assert fresh.metadata["layout"] != on_grid.metadata["layout"]
+        assert service.stats()["transpiles"] == 2
 
     def test_string_backend_resolves(self, service):
         backend = get_backend("fake_falcon")

@@ -377,7 +377,7 @@ class TestR007PoolConstruction:
         assert codes(src) == []
 
 
-class TestR008NetworkxMatcher:
+class TestR008Networkx:
     PATH = "src/repro/qec/matching.py"
 
     @pytest.mark.parametrize(
@@ -395,17 +395,33 @@ class TestR008NetworkxMatcher:
         assert [v.rule for v in found] == ["R008"]
         assert "repro.qec.blossom" in found[0].message
 
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import networkx",
+            "import networkx as nx",
+            "import os, networkx.algorithms",
+            "from networkx import shortest_path",
+            "from networkx.algorithms import isomorphism",
+            "def lazy():\n    import networkx as nx\n    return nx.Graph()",
+        ],
+    )
+    def test_networkx_import_flagged(self, src):
+        found = lint(src, "src/repro/quantum/topology.py")
+        assert [v.rule for v in found] == ["R008"]
+        assert "repro.utils.graphs" in found[0].message
+
     def test_flagged_in_any_module(self):
         src = "pairs = nx.max_weight_matching(g, maxcardinality=True)"
         assert codes(src, "src/repro/qec/unionfind.py") == ["R008"]
 
-    def test_port_and_other_networkx_calls_allowed(self):
+    def test_ports_and_lookalike_names_allowed(self):
         src = """
-        import networkx as nx
-        from networkx import shortest_path
         from repro.qec.blossom import max_weight_matching
+        from repro.utils.graphs import shortest_path
+        import networkx_like
         mate = max_weight_matching(adj)
-        path = nx.shortest_path(graph, a, b)
+        path = shortest_path(adj, a, b)
         view = nx.max_weight_matching
         """
         assert codes(src, self.PATH) == []

@@ -69,13 +69,16 @@ R007  A ``ProcessPoolExecutor(...)`` call outside ``utils/parallel.py``, or a
       ``ExecutionService.run`` executes on the caller's thread, and no
       module owns a thread pool.
 
-R008  networkx's matcher: a ``nx.max_weight_matching(...)`` or
-      ``networkx.max_weight_matching(...)`` call, or an import of
-      ``max_weight_matching`` from networkx.  MWPM matches through
-      ``repro.qec.blossom``, a port of that algorithm that returns the same
-      matching, ties included; a second matcher beside it would let decoder
-      results depend on which networkx a host installed.  networkx's
-      matcher stays the parity reference in ``tests/qec/test_blossom.py``.
+R008  networkx in the runtime: any import of networkx (``import
+      networkx``, ``from networkx... import ...``), or a
+      ``nx.max_weight_matching(...)`` / ``networkx.max_weight_matching(...)``
+      call.  networkx is not a runtime dependency: every process would pay
+      its import, and decoder and routing results would depend on which
+      networkx a host installed.  MWPM matches through
+      ``repro.qec.blossom``, and graph walks go through
+      ``repro.utils.graphs``, ports that return what networkx returns, ties
+      included.  networkx stays the parity reference in the tests
+      (``tests/qec/test_blossom.py``, ``tests/utils/test_graphs.py``).
 
 R009  A ``sample_memory(...)`` call (bare or as an attribute) inside a
       ``for`` or ``while`` body or a comprehension: a per-shot sampling loop
@@ -153,6 +156,16 @@ R007_OWNERS = {
 
 #: Module aliases whose ``max_weight_matching`` R008 flags.
 R008_NETWORKX = {"nx", "networkx"}
+
+R008_MATCHER = (
+    "networkx's max_weight_matching: match through "
+    "repro.qec.blossom.max_weight_matching, the one matcher "
+    "in src/ (networkx's is the test reference)"
+)
+R008_IMPORT = (
+    "networkx import: networkx is a test dependency only; walk graphs "
+    "through repro.utils.graphs (networkx is the test reference)"
+)
 
 #: The one-shot sampler R009 keeps out of loops.
 R009_SAMPLER = "sample_memory"
@@ -443,31 +456,27 @@ def _root_name(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _check_networkx_matcher(path: Path, tree: ast.AST) -> list[Violation]:
-    """R008: networkx's ``max_weight_matching`` called or imported."""
+def _check_networkx(path: Path, tree: ast.AST) -> list[Violation]:
+    """R008: networkx imported, or its ``max_weight_matching`` called."""
     found = []
     for node in ast.walk(tree):
+        message = None
         if isinstance(node, ast.Call):
-            flagged = (
+            if (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr == "max_weight_matching"
                 and _root_name(node.func) in R008_NETWORKX
-            )
+            ):
+                message = R008_MATCHER
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "networkx" for a in node.names):
+                message = R008_IMPORT
         elif isinstance(node, ast.ImportFrom):
-            flagged = (node.module or "").split(".")[0] == "networkx" and any(
-                alias.name == "max_weight_matching" for alias in node.names
-            )
-        else:
-            continue
-        if flagged:
-            found.append(
-                Violation(
-                    path, node.lineno, "R008",
-                    "networkx's max_weight_matching: match through "
-                    "repro.qec.blossom.max_weight_matching, the one matcher "
-                    "in src/ (networkx's is the test reference)",
-                )
-            )
+            if (node.module or "").split(".")[0] == "networkx":
+                matcher = any(a.name == "max_weight_matching" for a in node.names)
+                message = R008_MATCHER if matcher else R008_IMPORT
+        if message:
+            found.append(Violation(path, node.lineno, "R008", message))
     return found
 
 
@@ -585,7 +594,7 @@ CHECKS = (
     _check_param_float_coercion,
     _check_state_evolution,
     _check_pool_construction,
-    _check_networkx_matcher,
+    _check_networkx,
     _check_shot_loops,
     _check_per_row_sums,
     _check_execute_calls,
