@@ -9,7 +9,8 @@ seed/shots/parameters distinct) evolve together as a ``(batch, 2**n)``
 state with one stacked matmul per gate (a per-row matrix stack where the
 parameters differ), and trajectory units (noisy,
 mid-circuit measurement or reset, feed-forward ``c_if``) batch across their
-*shots* by pre-drawing the per-shot noise stream.  A unit's result depends
+*shots* by pre-drawing the per-shot noise stream, one amplitude row per
+distinct history.  A unit's result depends
 on its ``(seed, circuit, shots, noise)`` alone — the batch axis is an
 execution detail, never an observable one — and matches the serial engine
 it replaced bit for bit (kept frozen in ``tests/serial_engine.py`` as the
@@ -27,7 +28,8 @@ The cooperating pieces:
   its template's facts, walked once per template;
 * :mod:`~repro.quantum.batchsim.engine` — executes ideal groups (shared
   evolution, per-unit sampling) and shot-batched trajectories (pre-drawn
-  noise tables, per-Pauli and per-condition row subsets, batched collapse),
+  noise tables, one row per distinct history, split by measurement outcome,
+  Pauli draw and condition),
   tiled under a memory cap, plus :func:`run_circuit`, the single-circuit
   entry, which also runs circuits whose conditionals draw one shot at a
   time.  It never sees a backend, only its noise model, so it is
@@ -61,7 +63,8 @@ from repro.quantum.batchsim.planner import (
 from repro.quantum.batchsim.state import (
     BatchStatevector,
     batch_apply_matrix,
-    batch_measure,
+    batch_collapse,
+    batch_p1,
 )
 
 __all__ = [
@@ -73,7 +76,8 @@ __all__ = [
     "SERIAL",
     "SHOTS",
     "batch_apply_matrix",
-    "batch_measure",
+    "batch_collapse",
+    "batch_p1",
     "batchable_backend",
     "execute_group",
     "make_unit",

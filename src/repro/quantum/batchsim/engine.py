@@ -12,23 +12,29 @@ Two vectorised paths, one per route of the planner:
   its own generator and tallies the drawn outcome indices
   (:func:`~repro.quantum.simulator.sample_counts`), so a unit's counts
   depend on its ``(seed, circuit)`` alone, never on the batch it rode in.
-* **shot-batched trajectories** — one unit's shots evolve as the batch axis.
-  All uniform draws are taken up front in per-shot order (row ``s`` of one
+* **shot-batched trajectories** — one unit's shots share a tile that holds
+  one amplitude row per *distinct* history, not one per shot: ``row_of[s]``
+  points shot ``s`` at its row, and clbits stay per shot.  All uniform
+  draws are taken up front in per-shot order (row ``s`` of one
   ``rng.random((shots, per_shot))`` table is shot ``s``'s stream — the
   generator fills row-major, so the table *is* the one-shot-at-a-time
   sequence), laid out by the draw plan the planner attached to the unit.
-  Each gate is applied across all shots, each sampled Pauli across its shot
-  subset, and each feed-forward (``c_if``) gate across the shots whose
-  classical bit holds the condition's value — the same gather/scatter
-  kernel call throughout.  Measure and reset collapse every shot at once
-  through :func:`~repro.quantum.batchsim.state.batch_measure`.  A per-row
-  collapse loop would dominate: one 4096-shot teleport batch took
-  0.36-0.39 s with it and 0.06-0.07 s vectorised on a 2-CPU host.  One
-  ``.sum()`` per row for P(1) was then most of what remained; with every
-  row's sum taken as whole-column adds the batch takes a median 0.021 s,
-  against 0.045-0.055 s (15 runs a side, 2-CPU host).  Its clbits come
-  from collapse, so it tallies ``(shots, num_clbits)`` digit
-  rows with :func:`~repro.quantum.simulator.tally_counts`.
+  A gate that neither draws nor is conditioned is one kernel call over the
+  distinct rows.  Three kinds of step give each shot a branch: a
+  measurement or reset outcome (the shot's uniform against its row's P(1),
+  :func:`~repro.quantum.batchsim.state.batch_p1`), a sampled Pauli and a
+  feed-forward (``c_if``) condition.  Each (row, branch) pair the shots
+  hold then gets a row of its own, an O(shots) compaction with no sort and
+  no comparing of amplitudes, and each branch's operation (a collapse
+  through :func:`~repro.quantum.batchsim.state.batch_collapse`, a reset's
+  X, the Pauli, the conditioned gate) is applied to its rows with the same
+  gather/scatter kernel call.  Each row keeps its own GEMM and summation
+  orders, so every shot draws exactly what it would alone.  A noise-free
+  4096-shot teleport (three measurements, two ``c_if``) therefore evolves
+  at most 8 rows: it takes a median 1.6 ms, against 18 ms with one row per
+  shot (15 runs a side, 2-CPU host).  Its clbits come from collapse, so it
+  tallies ``(shots, num_clbits)`` digit rows with
+  :func:`~repro.quantum.simulator.tally_counts`.
 
 :func:`run_circuit` is the single-circuit entry behind
 ``Backend.execute_circuit``.  It routes like the planner and adds the one
@@ -36,18 +42,19 @@ class no group takes: a circuit whose conditionals draw (a conditional
 measure or reset, or a noisy conditional gate) runs through the same
 trajectory tile one shot at a time, a one-row tile that takes each uniform
 from the generator when an instruction that runs needs it.  For 1024 shots
-of a 3-qubit conditional measure/reset circuit that is about 1.7x slower
-than a flat-state loop (0.24 s against 0.14 s on a 2-CPU host); no workload
-runs that class.
+of a 3-qubit conditional measure/reset circuit that is about 2x slower
+than a flat-state loop (medians of 0.19 s against 0.09 s, 9 alternating
+runs each on a 2-CPU host); no workload runs that class.
 
 Memory stays bounded by tiling the batch axis so no tile holds more than
-:data:`MAX_BATCH_AMPLITUDES` amplitudes; rows are independent, so tiling
-cannot affect results.
+:data:`MAX_BATCH_AMPLITUDES` amplitudes, even when every shot of a tile
+has a history of its own; rows are independent, so tiling cannot affect
+results.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +69,12 @@ from repro.quantum.batchsim.planner import (
     make_unit,
     route,
 )
-from repro.quantum.batchsim.state import BatchStatevector
+from repro.quantum.batchsim.state import (
+    BatchStatevector,
+    batch_apply_matrix,
+    batch_collapse,
+    batch_p1,
+)
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import (
@@ -289,44 +301,61 @@ def _run_trajectory_tile(
     shots: int,
     take: Callable[[int], np.ndarray],
 ) -> np.ndarray:
-    """Evolve one tile of ``shots`` rows through the trajectory, batched.
+    """Evolve one tile of ``shots`` shots through the trajectory, batched.
 
-    ``plan`` maps instructions to their per-shot draw widths, and
-    ``take(width)`` returns the ``(shots, width)`` uniforms of the next
-    instruction that runs and draws; row ``s``, column ``i`` is the ``i``-th
-    uniform that instruction draws for shot ``s``.  A conditional
-    instruction that draws nothing is applied to the rows whose classical
-    bit holds the condition's value.  One that draws only occurs in a
-    one-row tile (a draw plan refuses it), where it runs on the row or is
-    skipped together with its draws.
+    The tile holds one amplitude row per distinct history: ``row_of[s]`` is
+    shot ``s``'s row, and clbits stay per shot.  ``plan`` maps instructions
+    to their per-shot draw widths, and ``take(width)`` returns the
+    ``(shots, width)`` uniforms of the next instruction that runs and draws;
+    row ``s``, column ``i`` is the ``i``-th uniform that instruction draws
+    for shot ``s``.  A gate that neither draws nor is conditioned is applied
+    to every row.  A measurement or reset outcome, a Pauli draw and a
+    condition give each shot a branch; :func:`_split` gives every (row,
+    branch) pair the shots hold a row of its own, and each branch's
+    operation is applied to its rows.  A conditional instruction that draws
+    only occurs in a one-row tile (a draw plan refuses it), where it runs on
+    the row or is skipped together with its draws.
     """
-    num_clbits = circuit.num_clbits
-    batch = BatchStatevector.zero_states(shots, circuit.num_qubits)
-    clbits = np.zeros((shots, num_clbits), dtype=np.int64)
+    num_qubits = circuit.num_qubits
+    states = np.zeros((1, 2**num_qubits), dtype=np.complex128)
+    states[0, 0] = 1.0
+    row_of = np.zeros(shots, dtype=np.intp)
+    clbits = np.zeros((shots, circuit.num_clbits), dtype=np.int64)
     for inst, width in zip(circuit, plan):
         if inst.name == "barrier":
             continue
         if inst.condition is not None:
             bit, value = inst.condition
-            rows = np.flatnonzero(clbits[:, bit] == value)
+            fires = clbits[:, bit] == value
             if not width:
-                batch.apply_rows(rows, inst.matrix(), inst.qubits)
+                states, row_of, branch = _split(states, row_of, fires, 2)
+                states = _apply_rows(
+                    states, branch.nonzero()[0], inst.matrix(), inst.qubits,
+                    num_qubits,
+                )
                 continue
-            if not rows.size:
+            if not fires.any():
                 continue
         draws = take(width) if width else None
         if inst.name in ("measure", "reset"):
             qubit = inst.qubits[0]
-            outcomes = batch.measure(qubit, draws[:, 0])
+            outcomes = draws[:, 0] < batch_p1(states, qubit, num_qubits)[row_of]
+            states, row_of, branch = _split(states, row_of, outcomes, 2)
+            states = batch_collapse(states, qubit, num_qubits, branch)
             if inst.name == "reset":
-                batch.apply_rows(np.flatnonzero(outcomes), _gates.X_MATRIX, [qubit])
-            else:
-                readout = noise.readout_for(qubit) if noise is not None else None
-                if readout is not None:
-                    outcomes = readout.apply_rows(outcomes, draws[:, 1])
-                clbits[:, inst.clbits[0]] = outcomes
+                states = _apply_rows(
+                    states, branch.nonzero()[0], _gates.X_MATRIX, [qubit],
+                    num_qubits,
+                )
+                continue
+            readout = noise.readout_for(qubit) if noise is not None else None
+            if readout is not None:
+                outcomes = readout.apply_rows(
+                    outcomes.astype(np.int64), draws[:, 1]
+                )
+            clbits[:, inst.clbits[0]] = outcomes
             continue
-        batch.apply(inst.matrix(), inst.qubits)
+        states = batch_apply_matrix(states, inst.matrix(), inst.qubits, num_qubits)
         if width:
             channel = noise.channel_for(inst.name, inst.qubits)
             p_x = channel.p_x
@@ -335,12 +364,74 @@ def _run_trajectory_tile(
             for offset, qubit in enumerate(inst.qubits):
                 u = draws[:, offset]
                 # Same left-to-right threshold sums as PauliNoise.sample, so
-                # each shot lands in the identical branch it would serially.
-                x_mask = u < p_x
-                y_mask = ~x_mask & (u < p_xy)
-                z_mask = ~x_mask & ~y_mask & (u < p_xyz)
-                for mask, pauli in ((x_mask, "x"), (y_mask, "y"), (z_mask, "z")):
-                    batch.apply_rows(
-                        np.flatnonzero(mask), _PAULI_MATRICES[pauli], [qubit]
+                # each shot lands in the identical branch it would serially:
+                # 1, 2, 3 for x, y, z and 0 for no error.  The sums grow
+                # with each term, so a shot errs exactly when u < p_xyz.
+                errs = u < p_xyz
+                if not errs.any():
+                    continue
+                pauli = np.where(
+                    u < p_x, 1, np.where(u < p_xy, 2, np.where(errs, 3, 0))
+                )
+                states, row_of, branch = _split(states, row_of, pauli, 4)
+                for index, name in enumerate("xyz", 1):
+                    states = _apply_rows(
+                        states, (branch == index).nonzero()[0],
+                        _PAULI_MATRICES[name], [qubit], num_qubits,
                     )
     return digit_rows(clbits)
+
+
+def _split(
+    states: np.ndarray, row_of: np.ndarray, branch: np.ndarray, branches: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Give every (row, branch) pair the shots hold a row of its own.
+
+    ``branch[s]`` in ``0..branches-1`` is shot ``s``'s branch, and every row
+    of ``states`` has at least one shot.  A row keeps its index for the
+    lowest branch its shots take; each other pair gets a copy of its row,
+    appended.  Returns ``(states, row_of, branch of each row)``.  The work
+    is O(shots): pairs are marked in a ``(rows, branches)`` table, so
+    nothing is sorted and no amplitude is compared.
+    """
+    count = len(states)
+    if count == len(row_of):
+        # One shot per row, so no row splits.
+        per_row = np.empty_like(branch)
+        per_row[row_of] = branch
+        return states, row_of, per_row
+    keys = row_of * branches + branch
+    taken = np.zeros(count * branches, dtype=bool)
+    taken[keys] = True
+    table = taken.reshape(count, branches)
+    kept = table.argmax(axis=1)
+    table[np.arange(count), kept] = False
+    extra = taken.nonzero()[0]
+    if not extra.size:
+        return states, row_of, kept
+    new_row = np.empty(count * branches, dtype=np.intp)
+    new_row[np.arange(count) * branches + kept] = np.arange(count)
+    new_row[extra] = np.arange(count, count + extra.size)
+    states = np.concatenate([states, states[extra // branches]])
+    return states, new_row[keys], np.concatenate([kept, extra % branches])
+
+
+def _apply_rows(
+    states: np.ndarray,
+    rows: np.ndarray,
+    matrix: np.ndarray,
+    targets: Sequence[int],
+    num_qubits: int,
+) -> np.ndarray:
+    """``states`` with ``matrix`` applied to the distinct ``rows``.
+
+    A subset is gathered into a fresh contiguous block, evolved and
+    scattered back in place, so each row keeps the kernel's per-row GEMM
+    shape and with it bit-identity; naming every row applies the kernel to
+    the whole array.
+    """
+    if len(rows) == len(states):
+        return batch_apply_matrix(states, matrix, targets, num_qubits)
+    if len(rows):
+        states[rows] = batch_apply_matrix(states[rows], matrix, targets, num_qubits)
+    return states

@@ -16,8 +16,8 @@ same function, so a circuit runs the same way alone or in a batch:
   state-independent: :func:`~repro.quantum.simulator.trajectory_draw_plan`
   returns a plan for the compacted circuit, and the unit carries that plan
   to the engine.  Feed-forward (``c_if``) circuits qualify when their
-  conditionals draw nothing.  Each unit is its own group; the batch axis
-  runs across its shots.
+  conditionals draw nothing.  Each unit is its own group; its shots share
+  tiles that hold one amplitude row per distinct history.
 * **serial** — everything else, one unit at a time through
   ``Backend.execute_circuit``: conditionals that draw (a conditional
   measure or reset, or a conditional gate with a noise channel), which

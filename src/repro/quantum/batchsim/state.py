@@ -25,13 +25,16 @@ bit-identical per column: widening the GEMM changes the kernel BLAS selects
 and with it the floating-point summation order (~1e-16 deviations on a third
 of random trials).  Do not "simplify" the kernel into that form.
 
-:func:`batch_measure` follows the same rule for measurement: each row's
-probability sum and norm keep the summation order of the flat-state
-``measure_probabilities`` and ``collapse`` of the serial reference
-(``tests/serial_engine.py``).  A row's P(1) is numpy's pairwise sum of its
-``|amp|**2`` block, and :func:`_pairwise_row_sums` keeps that order per row
-while adding whole columns, so a tile's probabilities cost a few dozen array
-operations rather than one ``.sum()`` call per row.
+Measurement follows the same rule in two halves, :func:`batch_p1` and
+:func:`batch_collapse`: each row's probability sum and norm keep the
+summation order of the flat-state ``measure_probabilities`` and
+``collapse`` of the serial reference (``tests/serial_engine.py``).  A row's
+P(1) is numpy's pairwise sum of its ``|amp|**2`` block, and
+:func:`_pairwise_row_sums` keeps that order per row while adding whole
+columns, so a tile's probabilities cost a few dozen array operations rather
+than one ``.sum()`` call per row.  The halves never see a draw: the engine
+compares each shot's uniform with its row's P(1) and collapses each row
+onto the outcome its shots drew.
 """
 
 from __future__ import annotations
@@ -154,54 +157,70 @@ def _pairwise_row_sums(block: np.ndarray) -> np.ndarray:
     return sums[0]
 
 
-def batch_measure(
-    states: np.ndarray, qubit: int, num_qubits: int, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``qubit`` of every batched state with one uniform per row.
-
-    Returns ``(collapsed, outcomes)``.  Row ``s`` is bit for bit what the
-    flat-state serial reference computes: ``outcomes[s]`` is 1 exactly when
-    ``draws[s] < measure_probabilities(states[s], qubit, num_qubits)``, and
-    ``collapsed[s]`` equals ``collapse(states[s], qubit, outcomes[s],
-    num_qubits)``.  Each reduction keeps the serial one's summation order:
-
-    * P(1) is each row's pairwise sum of the gathered ``|amp|**2`` block,
-      the order of the serial 1-D ``.sum()``, taken for all rows at once as
-      whole-column adds (:func:`_pairwise_row_sums`).
-    * The norm is ``sqrt(re.re + im.im)`` with each dot a stacked row-vector
-      ``np.matmul``, which issues per row the same strided BLAS dot that
-      ``np.linalg.norm`` does.  ``einsum`` or a sum of squares does not.
+def _qubit_mask(qubit: int, num_qubits: int) -> np.ndarray:
+    """The amplitudes of a ``num_qubits`` state where ``qubit`` reads 1.
 
     Raises :class:`SimulationError` for a ``qubit`` outside
-    ``0..num_qubits-1``, for ``draws`` that are not one uniform per row, and
-    (the serial error) when a row collapses onto a zero-probability branch.
+    ``0..num_qubits-1``: a qubit the state lacks must not read as P(1) = 0.
     """
     if not 0 <= qubit < num_qubits:
         raise SimulationError(
             f"qubit {qubit} is not a qubit of a {num_qubits}-qubit state"
         )
-    if np.shape(draws) != (len(states),):
+    return (np.arange(2**num_qubits) & (1 << qubit)) != 0
+
+
+def batch_p1(states: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+    """P(``qubit`` = 1) of every batched state, bit for bit the serial value.
+
+    Entry ``i`` equals the flat-state ``measure_probabilities(states[i],
+    qubit, num_qubits)`` of the serial reference: each row's pairwise sum of
+    its gathered ``|amp|**2`` block, the order of the serial 1-D ``.sum()``,
+    taken for all rows at once as whole-column adds
+    (:func:`_pairwise_row_sums`).  A shot measures outcome 1 exactly when
+    its uniform is below its row's entry.  Raises :class:`SimulationError`
+    for a ``qubit`` outside ``0..num_qubits-1``.
+    """
+    ones = _qubit_mask(qubit, num_qubits)
+    return _pairwise_row_sums(np.abs(states[:, ones]) ** 2)
+
+
+def batch_collapse(
+    states: np.ndarray, qubit: int, num_qubits: int, outcomes: np.ndarray
+) -> np.ndarray:
+    """Collapse row ``i`` onto ``qubit`` = ``outcomes[i]`` and renormalise.
+
+    Returns a new array whose row ``i`` equals the flat-state
+    ``collapse(states[i], qubit, outcomes[i], num_qubits)`` of the serial
+    reference bit for bit: the norm is ``sqrt(re.re + im.im)`` with each dot
+    a stacked row-vector ``np.matmul``, which issues per row the same
+    strided BLAS dot that ``np.linalg.norm`` does.  ``einsum`` or a sum of
+    squares does not.
+
+    Raises :class:`SimulationError` for a ``qubit`` outside
+    ``0..num_qubits-1``, for ``outcomes`` that are not one per row, and
+    (the serial error) when a row collapses onto a zero-probability branch.
+    """
+    ones = _qubit_mask(qubit, num_qubits)
+    if np.shape(outcomes) != (len(states),):
         raise SimulationError(
-            f"draws of shape {np.shape(draws)} for {len(states)} row(s): "
-            "measurement takes one uniform per row"
+            f"outcomes of shape {np.shape(outcomes)} for {len(states)} row(s): "
+            "collapse takes one outcome per row"
         )
-    ones = (np.arange(2**num_qubits) & (1 << qubit)) != 0
-    p1 = _pairwise_row_sums(np.abs(states[:, ones]) ** 2)
-    outcomes = (draws < p1).astype(np.int64)
-    collapsed = np.where(ones == (outcomes[:, None] == 1), states, 0.0)
+    collapsed = np.where(ones == outcomes[:, None], states, 0.0)
     re, im = collapsed.real[:, None, :], collapsed.imag[:, None, :]
     squared = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(
         im, im.transpose(0, 2, 1)
     )
     norm = np.sqrt(squared[:, 0, 0])
-    lost = np.flatnonzero(norm < _ATOL)
+    lost = (norm < _ATOL).nonzero()[0]
     if lost.size:
         raise SimulationError(
             f"collapse onto qubit {qubit}={int(outcomes[lost[0]])} has zero "
             "probability"
         )
     collapsed /= norm[:, None]
-    return collapsed, outcomes
+    return collapsed
 
 
 class BatchStatevector:
@@ -244,28 +263,6 @@ class BatchStatevector:
         self._data = batch_apply_matrix(
             self._data, matrix, targets, self._num_qubits
         )
-
-    def apply_rows(
-        self, rows: Sequence[int], matrix: np.ndarray, targets: Sequence[int]
-    ) -> None:
-        """Apply one unitary to a subset of rows (gather, evolve, scatter).
-
-        The gathered sub-batch is a fresh contiguous block, so the kernel's
-        per-row GEMM shape — and with it bit-identity — is unchanged.
-        """
-        if not len(rows):
-            return
-        sub = self._data[rows]
-        self._data[rows] = batch_apply_matrix(
-            sub, matrix, targets, self._num_qubits
-        )
-
-    def measure(self, qubit: int, draws: np.ndarray) -> np.ndarray:
-        """Measure ``qubit`` of every row in place; see :func:`batch_measure`."""
-        self._data, outcomes = batch_measure(
-            self._data, qubit, self._num_qubits, draws
-        )
-        return outcomes
 
     def row(self, index: int) -> np.ndarray:
         """A copy of one row's flat amplitudes."""

@@ -32,8 +32,8 @@ ROOT = Path(__file__).resolve().parents[2]
 #: digest: bump that decoder's ``VERSION``, so cached memory experiments it
 #: scored miss, and re-pin both numbers here.
 PINNED = {
-    "mwpm": (1, "0a4c92a3182fb138"),
-    "unionfind": (1, "29c03338378f39b4"),
+    "mwpm": (1, "4ef28346e7a879f3"),
+    "unionfind": (1, "2beb63bc6754a6d4"),
 }
 
 HASH_SEEDS = ("0", "2", "3")
@@ -81,21 +81,36 @@ ROUNDS = 3
 
 
 def corpus():
-    """Raw event lists on four codes, drawn by ``random.Random`` (whose int
-    seeding does not depend on the hash seed), not by the memory sampler:
-    ``(code, error_type, event_lists)`` per code."""
-    cases = [
+    """Raw event lists, drawn by ``random.Random`` (whose int seeding does
+    not depend on the hash seed), not by the memory sampler:
+    ``(code, error_type, event_lists)`` per case.
+
+    Small decodes (up to 14 events) on four codes, then wide ones (up to 30
+    events) on surface-5 and surface-7, x and z.  Union-find's trees follow
+    the iteration order of int-tuple sets, and only decodes with large
+    clusters reach the orders that differ, so the wide cases are the ones
+    that pin it."""
+    small = [
         (SurfaceCode(3), "x"),
         (SurfaceCode(5), "x"),
         (SurfaceCode(5), "z"),
         (RepetitionCode(5), "x"),
     ]
-    for index, (code, error_type) in enumerate(cases):
+    wide = [
+        (SurfaceCode(distance), error_type)
+        for distance in (5, 7)
+        for error_type in ("x", "z")
+    ]
+    cases = [(code, error_type, index, 14)
+             for index, (code, error_type) in enumerate(small)]
+    cases += [(code, error_type, 100 + index, 30)
+              for index, (code, error_type) in enumerate(wide)]
+    for code, error_type, stream, most in cases:
         checks = code.num_z_checks if error_type == "x" else code.num_x_checks
         candidates = [(t, c) for t in range(ROUNDS + 1) for c in range(checks)]
-        rng = random.Random(index)
+        rng = random.Random(stream)
         event_lists = [
-            sorted(rng.sample(candidates, rng.randint(1, 14))) for _ in range(60)
+            sorted(rng.sample(candidates, rng.randint(1, most))) for _ in range(60)
         ]
         yield code, error_type, event_lists
 

@@ -330,7 +330,9 @@ class TestBatchKernel:
                 states, matrix, targets, 2
             ),
             "apply": lambda: sv.apply(matrix, targets),
-            "apply_rows": lambda: sv.apply_rows([1], matrix, targets),
+            "apply_rows": lambda: batch_engine._apply_rows(
+                states, np.array([1]), matrix, targets, 2
+            ),
             "flat": lambda: apply_matrix(states[0], matrix, targets, 2),
         }[entry]
         message = f"targets {targets} are not distinct qubits of a 2-qubit"
@@ -346,10 +348,20 @@ class TestBatchKernel:
             batchsim.BatchStatevector(np.zeros((2, 3), dtype=np.complex128))
 
     def test_apply_rows_touches_only_selected_rows(self):
+        # The trajectory tile's subset kernel: gather, evolve, scatter.
         sv = batchsim.BatchStatevector.zero_states(3, 1)
-        sv.apply_rows([1], np.array([[0, 1], [1, 0]], dtype=np.complex128), [0])
-        assert sv.row(0)[0] == 1.0 and sv.row(1)[1] == 1.0 and sv.row(2)[0] == 1.0
-        sv.apply_rows([], np.eye(2, dtype=np.complex128), [0])  # no-op
+        states = np.array([sv.row(i) for i in range(3)])
+        states = batch_engine._apply_rows(
+            states, np.array([1]),
+            np.array([[0, 1], [1, 0]], dtype=np.complex128), [0], 1,
+        )
+        assert states[0][0] == 1.0 and states[1][1] == 1.0 and states[2][0] == 1.0
+        before = states.copy()
+        states = batch_engine._apply_rows(
+            states, np.array([], dtype=np.intp), np.eye(2, dtype=np.complex128),
+            [0], 1,
+        )  # no-op
+        assert np.array_equal(states, before)
         assert sv.num_qubits == 1
         assert "batch=3" in repr(sv)
 
@@ -451,18 +463,20 @@ class TestKernelMatchesFrozenReference:
         rows = [4, 0, 3]
         for targets in kernel_targets(num_qubits):
             matrix = random_unitary(rng, len(targets))
-            batch = batchsim.BatchStatevector(states.copy())  # evolves in place
-            batch.apply_rows(rows, matrix, targets)
+            # The subset kernel evolves the rows it gathers in place.
+            got = batch_engine._apply_rows(
+                states.copy(), np.array(rows), matrix, targets, num_qubits
+            )
             want = states.copy()
             want[rows] = reference_batch_apply_matrix(
                 states[rows], matrix, targets, num_qubits
             )
             for row in range(len(states)):
-                assert np.array_equal(bits_of(batch.row(row)), bits_of(want[row]))
+                assert np.array_equal(bits_of(got[row]), bits_of(want[row]))
 
 
 # ---------------------------------------------------------------------------
-# Measurement: batch_measure row-for-row vs measure_probabilities + collapse
+# Measurement: batch_p1 + batch_collapse row-for-row vs the serial pair
 # ---------------------------------------------------------------------------
 
 
@@ -490,7 +504,7 @@ class TestPairwiseRowSums:
         block = rng.random((24, width)) * scale
         want = np.array([row.sum() for row in block])
         # The kernel's order must not depend on the block's memory layout;
-        # batch_measure hands it the column-major block a gather returns.
+        # batch_p1 hands it the column-major block a gather returns.
         for layout in (block, np.asfortranarray(block)):
             got = batchsim.state._pairwise_row_sums(layout)
             assert np.array_equal(bits_of(got), bits_of(want))
@@ -508,9 +522,12 @@ class TestPairwiseRowSums:
         states = random_states(rng, 4096, 3)
         for qubit in range(3):
             draws = rng.random(4096)
-            got, outcomes = batchsim.batch_measure(states, qubit, 3, draws)
+            p1s = batchsim.batch_p1(states, qubit, 3)
+            outcomes = draws < p1s
+            got = batchsim.batch_collapse(states, qubit, 3, outcomes)
             for row in range(4096):
                 p1 = measure_probabilities(states[row], qubit, 3)
+                assert p1s[row] == p1
                 outcome = 1 if draws[row] < p1 else 0
                 assert outcomes[row] == outcome
                 want = collapse(states[row], qubit, outcome, 3)
@@ -531,9 +548,8 @@ class TestBatchMeasure:
                 # Uniform draws, then draws on either side of each row's
                 # serial P(1), where an ulp of drift would flip the outcome.
                 draws = (rng.random(16), p1, np.nextafter(p1, 0.0))[trial]
-                got, outcomes = batchsim.batch_measure(
-                    states, qubit, num_qubits, draws
-                )
+                outcomes = draws < batchsim.batch_p1(states, qubit, num_qubits)
+                got = batchsim.batch_collapse(states, qubit, num_qubits, outcomes)
                 for row in range(16):
                     outcome = 1 if draws[row] < p1[row] else 0
                     want = collapse(states[row], qubit, outcome, num_qubits)
@@ -548,10 +564,10 @@ class TestBatchMeasure:
             states = random_states(rng, 12, num_qubits)
             for qubit in range(num_qubits):
                 draws = rng.random(12)
-                batch = batchsim.BatchStatevector(states)
-                outcomes = batch.measure(qubit, draws)
-                batch.apply_rows(
-                    np.flatnonzero(outcomes), gates.X_MATRIX, [qubit]
+                outcomes = draws < batchsim.batch_p1(states, qubit, num_qubits)
+                got = batch_engine._apply_rows(
+                    batchsim.batch_collapse(states, qubit, num_qubits, outcomes),
+                    outcomes.nonzero()[0], gates.X_MATRIX, [qubit], num_qubits,
                 )
                 for row in range(12):
                     p1 = measure_probabilities(states[row], qubit, num_qubits)
@@ -561,7 +577,7 @@ class TestBatchMeasure:
                         want = apply_matrix(
                             want, gates.X_MATRIX, [qubit], num_qubits
                         )
-                    assert np.array_equal(bits_of(batch.row(row)), bits_of(want))
+                    assert np.array_equal(bits_of(got[row]), bits_of(want))
 
     def test_readout_flips_match_serial_apply(self):
         rng = np.random.default_rng(921)
@@ -580,24 +596,24 @@ class TestBatchMeasure:
         # P(1) = 0 with the rows left as they were.
         states = np.zeros((2, 4), dtype=np.complex128)
         states[:, 3] = 1.0
+        before = states.copy()
         with pytest.raises(SimulationError, match=f"qubit {qubit} .*2-qubit"):
-            batchsim.batch_measure(states, qubit, 2, np.array([0.5, 0.5]))
-        batch = batchsim.BatchStatevector(states)
+            batchsim.batch_p1(states, qubit, 2)
         with pytest.raises(SimulationError, match="2-qubit"):
-            batch.measure(qubit, np.array([0.5, 0.5]))
-        assert np.array_equal(batch.row(0), states[0])
+            batchsim.batch_collapse(states, qubit, 2, np.array([1, 1]))
+        assert np.array_equal(states, before)
 
     @pytest.mark.parametrize(
-        "draws",
-        [np.array([0.5]), np.array([0.1, 0.2, 0.3, 0.4]), np.full((3, 1), 0.5)],
+        "outcomes",
+        [np.array([1]), np.array([0, 1, 0, 1]), np.full((3, 1), 1)],
     )
-    def test_draws_not_one_per_row_refused(self, draws):
-        # A single draw must not be broadcast to every row.
+    def test_outcomes_not_one_per_row_refused(self, outcomes):
+        # A single outcome must not be broadcast to every row.
         states = random_states(np.random.default_rng(931), 3, 2)
-        with pytest.raises(SimulationError, match="one uniform per row"):
-            batchsim.batch_measure(states, 0, 2, draws)
+        with pytest.raises(SimulationError, match="one outcome per row"):
+            batchsim.batch_collapse(states, 0, 2, outcomes)
         with pytest.raises(SimulationError, match=r"for 3 row\(s\)"):
-            batchsim.BatchStatevector(states).measure(1, draws)
+            batchsim.batch_collapse(states, 1, 2, outcomes)
 
     def test_zero_probability_branch_raises_the_serial_error(self):
         # P(1) = 1e-22 is positive, so draw 0.0 selects outcome 1, whose
@@ -605,10 +621,11 @@ class TestBatchMeasure:
         state = np.array([[np.sqrt(1 - 1e-22), 1e-11]], dtype=np.complex128)
         draws = np.array([0.0])
         assert draws[0] < measure_probabilities(state[0], 0, 1)
+        outcomes = draws < batchsim.batch_p1(state, 0, 1)
         with pytest.raises(SimulationError) as serial:
             collapse(state[0], 0, 1, 1)
         with pytest.raises(SimulationError) as batched:
-            batchsim.batch_measure(state, 0, 1, draws)
+            batchsim.batch_collapse(state, 0, 1, outcomes)
         assert str(batched.value) == str(serial.value)
         assert "zero probability" in str(serial.value)
 
@@ -940,6 +957,87 @@ class TestEngineBitIdentity:
         )
         assert got_ideal == want_ideal
         assert got_noisy == want_noisy
+
+
+# ---------------------------------------------------------------------------
+# Distinct rows: a tile evolves each history once, not each shot
+# ---------------------------------------------------------------------------
+
+
+def layered_feed_forward(reset: bool = False) -> QuantumCircuit:
+    """Six layers of ``h`` on four qubits, a ``cx`` chain, a mid-circuit
+    measurement and a ``c_if x`` on it, then a measurement of every qubit;
+    with ``reset``, each mid-circuit measured qubit is reset at once."""
+    qc = QuantumCircuit(4, 4)
+    for layer in range(6):
+        for qubit in range(4):
+            qc.h(qubit)
+        for qubit in range(3):
+            qc.cx(qubit, qubit + 1)
+        measured = layer % 4
+        qc.measure(measured, measured)
+        if reset:
+            qc.reset(measured)
+        qc.append("x", [(measured + 1) % 4], condition=(measured, 1))
+    qc.measure(list(range(4)), list(range(4)))
+    return qc
+
+
+def layered_backend(p: float) -> Backend:
+    """Depolarizing ``p`` on ``h`` and ``cx`` plus readout error; the
+    conditional ``x`` has no channel, so the circuit shot-batches."""
+    return Backend(
+        name=f"layered-{p}",
+        num_qubits=4,
+        noise_model=NoiseModel.uniform_depolarizing(
+            p, p, 0.02, one_qubit_gates=("h",), two_qubit_gates=("cx",)
+        ),
+    )
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize(
+        "p, reset, tiled",
+        [
+            (0.001, False, False),
+            (0.05, False, False),
+            (0.3, False, False),  # nearly every shot distinct
+            (0.05, True, False),
+            (0.05, False, True),
+        ],
+        ids=["p0.001", "p0.05", "p0.3", "p0.05-reset", "p0.05-tiled"],
+    )
+    def test_branching_matches_the_frozen_engine(
+        self, p, reset, tiled, monkeypatch
+    ):
+        """Measurement, reset, Pauli and condition branches split rows the
+        way separate shots would have gone, in one tile or across tiles."""
+        shots = 256
+        if tiled:
+            monkeypatch.setattr(batch_engine, "MAX_BATCH_AMPLITUDES", 2**10)
+            assert len(list(batch_engine._tiles(shots, 4))) >= 3
+        qc = layered_feed_forward(reset)
+        backend = layered_backend(p)
+        unit = batchsim.make_unit(0, qc, None, 31, shots)
+        assert batchsim.route(unit, backend.noise_model) == batchsim.SHOTS
+        got = batchsim.run_circuit(qc, shots, 31, backend.noise_model, True)
+        assert got == frozen_run(backend, qc, shots, 31, True)
+
+    def test_noise_free_teleport_evolves_at_most_eight_rows(self, monkeypatch):
+        """Three measurements leave at most eight histories, so no gate of a
+        4096-shot teleport runs on more rows than that."""
+        kernel = batch_engine.batch_apply_matrix
+        rows: list[int] = []
+
+        def recording(states, matrix, targets, num_qubits):
+            rows.append(len(states))
+            return kernel(states, matrix, targets, num_qubits)
+
+        monkeypatch.setattr(batch_engine, "batch_apply_matrix", recording)
+        qc = library.teleportation(0.7, 0.2)
+        counts, memory = batchsim.run_circuit(qc, 4096, 5, None, True)
+        assert sum(counts.values()) == len(memory) == 4096
+        assert rows and max(rows) <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ summary functions are tested here; running perfbench is left to the tool.
 """
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,20 @@ class TestParseOutput:
         assert bench_pairs.failure({"returncode": 0, **parsed}) == "no result line"
 
 
+class TestRunEnv:
+    def test_each_side_writes_bytecode_to_its_own_directory(
+        self, monkeypatch, tmp_path
+    ):
+        # A fresh export has no bytecode; with writes off it would compile
+        # every module in every run while the working tree reused its own.
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/shared")
+        env = bench_pairs.run_env(tmp_path / "parent")
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "parent")
+        assert env["PATH"] == os.environ["PATH"]
+
+
 class TestSummarize:
     def test_medians_quartiles_and_wins(self):
         summary = bench_pairs.summarize(four_pairs(), END_TO_END)
@@ -109,7 +124,7 @@ class TestSummarize:
         assert summary["metrics"]["setup_s"]["change"]["iqr"] == 0
         # Pair 2 (1.1 against 1.0) is the one loss.
         assert summary["pairs"] == 4
-        assert summary["wall_s_wins"] == 3
+        assert summary["wins"]["wall_s"] == 3
         assert summary["digests"] == {"parent": ["d1"], "change": ["d1"]}
         assert summary["ok"]
 
@@ -126,7 +141,7 @@ class TestSummarize:
 
     def test_a_tie_is_not_a_win(self):
         summary = bench_pairs.summarize(four_pairs((1.0, 1.2, 1.0, 1.4)), END_TO_END)
-        assert summary["wall_s_wins"] == 0
+        assert summary["wins"]["wall_s"] == 0
         assert summary["ok"]
 
     def test_digest_mismatch_fails_the_workload(self):
@@ -155,7 +170,7 @@ class TestSummarize:
         assert summary["failed_runs"] == [{"pair": 0, "side": "parent", "why": why}]
         assert not summary["ok"]
         assert summary["pairs"] == 3
-        assert summary["wall_s_wins"] == 2
+        assert summary["wins"]["wall_s"] == 2
         # The statistics use the three parent runs that succeeded.
         assert summary["metrics"]["wall_s"]["parent"]["median"] == pytest.approx(1.2)
 
@@ -166,14 +181,20 @@ class TestSummarize:
         wall = summary["metrics"]["wall_s"]
         assert wall["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0, "iqr": 0.0}
         assert wall["median_change"] == pytest.approx(-0.5)
-        assert summary["wall_s_wins"] == 1
+        assert summary["wins"]["wall_s"] == 1
 
 
-def ten_pairs(parent_walls, change_walls):
+def ten_pairs(parent_walls, change_walls, parent_setups=None, change_setups=None):
+    setups = zip(parent_setups or [1.0] * 10, change_setups or [1.0] * 10)
     return [
         record
-        for pair, (parent, change) in enumerate(zip(parent_walls, change_walls))
-        for record in (run(pair, "parent", parent), run(pair, "change", change))
+        for pair, (parent, change, (parent_setup, change_setup)) in enumerate(
+            zip(parent_walls, change_walls, setups)
+        )
+        for record in (
+            run(pair, "parent", parent, setup=parent_setup),
+            run(pair, "change", change, setup=change_setup),
+        )
     ]
 
 
@@ -183,7 +204,7 @@ class TestVerdicts:
         # The parent's wall_s IQR is 0.25 of a 1.1 median (under the bound),
         # and the change's median is lower: ok.  3 wins of 4 is no gain.
         assert summary["status"] == {"setup_s": "ok", "wall_s": "ok"}
-        assert not summary["wall_s_gain"]
+        assert not summary["gain"]["wall_s"]
 
     @pytest.mark.parametrize(
         "parent, change, better, verdict",
@@ -212,27 +233,69 @@ class TestVerdicts:
         parent = [1.0, 1.1, 1.0, 1.2, 1.0, 1.1, 1.0, 1.2, 1.0, 1.1]
         change = [0.5] * 9 + [1.3]
         summary = bench_pairs.summarize(ten_pairs(parent, change), END_TO_END)
-        assert summary["wall_s_wins"] == 9
-        assert summary["wall_s_gain"]
+        assert summary["wins"]["wall_s"] == 9
+        assert summary["gain"]["wall_s"]
         change = [0.5] * 8 + [1.3, 1.3]
         summary = bench_pairs.summarize(ten_pairs(parent, change), END_TO_END)
-        assert summary["wall_s_wins"] == 8
-        assert not summary["wall_s_gain"]
+        assert summary["wins"]["wall_s"] == 8
+        assert not summary["gain"]["wall_s"]
 
     def test_gain_needs_medians_further_apart_than_the_parent_iqr(self):
         # 10/10 wins, but medians 0.02 apart against a parent IQR of 0.2.
         parent = [1.0, 1.2] * 5
         change = [0.98, 1.18] * 5
         summary = bench_pairs.summarize(ten_pairs(parent, change), END_TO_END)
-        assert summary["wall_s_wins"] == 10
+        assert summary["wins"]["wall_s"] == 10
         assert summary["metrics"]["wall_s"]["parent"]["iqr"] == pytest.approx(0.2)
-        assert not summary["wall_s_gain"]
+        assert not summary["gain"]["wall_s"]
         assert summary["status"]["wall_s"] == "ok"
+
+    def test_setup_s_is_judged_like_wall_s(self):
+        # Ten equal walls; setup_s lower in every pair but one tie.
+        walls = [1.0, 1.1] * 5
+        parent_setups = [0.45, 0.44, 0.46, 0.45, 0.45, 0.44, 0.46, 0.45, 0.45, 0.44]
+        change_setups = [0.34] * 9 + [0.44]
+        summary = bench_pairs.summarize(
+            ten_pairs(walls, walls, parent_setups, change_setups), END_TO_END
+        )
+        assert summary["wins"] == {"setup_s": 9, "wall_s": 0}
+        assert summary["gain"] == {"setup_s": True, "wall_s": False}
+        assert summary["status"] == {"setup_s": "ok", "wall_s": "ok"}
+
+    def test_higher_is_better_wins_by_being_higher(self):
+        end_to_end = END_TO_END + [
+            {"name": "throughput_per_s", "unit": "1/s", "better": "higher",
+             "bound": 0.25},
+        ]
+        parent = [100.0, 110.0] * 5
+        change = [120.0, 130.0] * 4 + [100.0, 90.0]  # a tie, then a loss
+        runs = ten_pairs([1.0] * 10, [1.0] * 10)  # parent, change, ...
+        values = [value for pair in zip(parent, change) for value in pair]
+        for record, value in zip(runs, values):
+            record["result"]["metrics"]["throughput_per_s"] = {
+                "value": value, "unit": "1/s",
+            }
+        summary = bench_pairs.summarize(runs, end_to_end)
+        assert summary["wins"]["throughput_per_s"] == 8
+        assert not summary["gain"]["throughput_per_s"]
+        assert summary["status"]["throughput_per_s"] == "ok"
+        # One more win: 9/10 pairs, median 122.5 against 105 (IQR 10).
+        runs[-1]["result"]["metrics"]["throughput_per_s"]["value"] = 125.0
+        summary = bench_pairs.summarize(runs, end_to_end)
+        assert summary["wins"]["throughput_per_s"] == 9
+        assert summary["gain"]["throughput_per_s"]
+        # Read as lower-is-better, the same numbers win no pair.
+        lower = [dict(spec, better="lower") for spec in end_to_end]
+        summary = bench_pairs.summarize(runs, lower)
+        assert summary["wins"]["throughput_per_s"] == 0
+        assert not summary["gain"]["throughput_per_s"]
 
     def test_no_complete_pair_is_no_gain(self):
         runs = [run(0, "parent", 1.0), run(0, "change", 0.5)]
         runs[1]["returncode"] = 1
         summary = bench_pairs.summarize(runs, END_TO_END)
         assert summary["pairs"] == 0
-        assert not summary["wall_s_gain"]
+        assert not summary["gain"]["wall_s"]
         assert summary["status"]["wall_s"] == "unresolved"
+        assert summary["wins"] == {"setup_s": 0, "wall_s": 0}
+        assert summary["gain"] == {"setup_s": False, "wall_s": False}

@@ -9,19 +9,22 @@ Run from the repository root::
 Each pair then runs ``perfbench/run.py --workload W --seed S --seconds 12
 --trace 0`` once in the parent's copy and once in the working tree, pair
 ``i`` with seed ``S + i``; the side that runs first alternates from pair to
-pair, so a shared host's slow drift lands on both sides alike.  The run
-length (``run_seconds``) and the default workloads come from
-``BENCHMARK.json``.
+pair, so a shared host's slow drift lands on both sides alike.  Each side
+writes its bytecode to a directory of its own that starts empty (see
+:func:`run_env`), so neither side's start-up is spared compiling by the
+bytecode a working tree already holds.  The run length (``run_seconds``)
+and the default workloads come from ``BENCHMARK.json``.
 
 The tool writes ``BENCH_<number>.json`` at the repository root with every
 run's result line, digest, ``exec`` line and ``src/`` line count, and per
 workload: the median and quartiles of every end-to-end metric on each side,
-how many pairs the working tree won on ``wall_s``, a verdict on each
-end-to-end metric of ``BENCHMARK.json`` (see :func:`status`) plus whether
-``wall_s`` shows a gain (see :func:`summarize`), and each side's ``src/``
-line count; it prints the verdicts and the line counts too.  It exits 1 if
-any run failed or the two runs of a pair printed different digests; the
-verdicts do not change the exit status.
+and for each end-to-end metric of ``BENCHMARK.json`` a verdict (see
+:func:`status`), how many pairs the working tree won in the metric's
+``better`` direction and whether that shows a gain (see :func:`summarize`),
+plus each side's ``src/`` line count; it prints the verdicts, wins, gains
+and line counts too.  It exits 1 if any run failed or the two runs of a
+pair printed different digests; the verdicts do not change the exit
+status.
 
 Only the standard library is used: ``perfbench/`` is run, never imported.
 """
@@ -69,7 +72,24 @@ def parse_output(stdout: str) -> dict:
     }
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_env(pycache: Path) -> dict[str, str]:
+    """The environment of one side's runs: bytecode goes under ``pycache``.
+
+    ``PYTHONPYCACHEPREFIX`` points each side at an empty directory of its
+    own, and ``PYTHONDONTWRITEBYTECODE`` is dropped.  Otherwise the exported
+    parent, which starts with no bytecode, would compile every module in
+    every process (with that variable set) while the working tree reused the
+    bytecode it already held, and ``setup_s`` would time compiling rather
+    than the program.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
+def run_once(
+    root: Path, workload: str, seed: int, seconds: float, env: dict[str, str]
+) -> dict:
     """One perfbench run in ``root``; never raises for a failed run."""
     start = time.monotonic()
     proc = subprocess.run(
@@ -77,7 +97,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0",
         ],
-        cwd=root, capture_output=True, text=True,
+        cwd=root, env=env, capture_output=True, text=True,
     )
     record = parse_output(proc.stdout)
     record["returncode"] = proc.returncode
@@ -141,19 +161,29 @@ def status(parent: list[float], change: list[float], better: str, bound: float) 
     return "ok"
 
 
+def gain(wins: int, pairs: int, parent: dict, change: dict, better: str) -> bool:
+    """Whether the change won ``wins`` of ``pairs`` (at least one) and the
+    two sides' :func:`quartiles` show a gain in the ``better`` direction:
+    at least nine tenths of the pairs, and a median past the parent's by
+    more than the parent's IQR."""
+    gap = parent["median"] - change["median"]
+    if better == "higher":
+        gap = -gap
+    return 10 * wins >= 9 * pairs and gap > parent["iqr"]
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per-side statistics and verdicts of one workload's runs.
 
     Each run carries ``pair``, ``side`` (``"parent"`` or ``"change"``),
     ``seed`` and the fields of :func:`run_once`; ``end_to_end`` is
     ``BENCHMARK.json``'s list of ``{name, better, bound}``.  Failed runs are
-    listed and left out of the statistics; a pair counts towards
-    ``wall_s_wins`` only when both of its runs succeeded.  ``status`` maps
-    each end-to-end metric to its :func:`status`; ``wall_s_gain`` holds when
-    the change won at least nine tenths of the pairs and its median
-    ``wall_s`` is below the parent's by more than the parent's IQR.
-    ``src_lines`` gives each side's ``src/`` line count, from its first run
-    that printed one.
+    listed and left out of the statistics.  For each end-to-end metric,
+    ``status`` holds its :func:`status`, ``wins`` the pairs whose change run
+    beat the parent run in the metric's ``better`` direction (a tie is not
+    a win; a pair counts only when both of its runs succeeded), and
+    ``gain`` its :func:`gain` over those pairs.  ``src_lines`` gives each
+    side's ``src/`` line count, from its first run that printed one.
     """
     by_pair: dict[int, dict[str, dict]] = {}
     failed = []
@@ -183,7 +213,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         if len(entry) == 2 and entry["parent"]["median"]:
             entry["median_change"] = entry["change"]["median"] / entry["parent"]["median"] - 1
         metrics[name] = entry
-    wins = complete = 0
+    complete = []
     mismatches = []
     for pair, sides in sorted(by_pair.items()):
         if set(sides) != set(SIDES):
@@ -192,17 +222,23 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         if parent.get("digest") != change.get("digest"):
             mismatches.append(pair)
         if failure(parent) is None and failure(change) is None:
-            complete += 1
-            wins += _metric(change, "wall_s") < _metric(parent, "wall_s")
-    # A complete pair means both sides have wall_s statistics.
-    gain = complete > 0 and 10 * wins >= 9 * complete and (
-        metrics["wall_s"]["parent"]["median"] - metrics["wall_s"]["change"]["median"]
-        > metrics["wall_s"]["parent"]["iqr"]
-    )
+            complete.append((parent, change))
+    wins, gains = {}, {}
+    for spec in end_to_end:
+        name, better = spec["name"], spec["better"]
+        pairs = [
+            (_metric(parent, name), _metric(change, name))
+            for parent, change in complete
+        ]
+        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        wins[name] = sum(c < p if better == "lower" else c > p for p, c in pairs)
+        # A counted pair means both sides have statistics for the metric.
+        gains[name] = bool(pairs) and gain(
+            wins[name], len(pairs), metrics[name]["parent"],
+            metrics[name]["change"], better,
+        )
     return {
-        "pairs": complete,
-        "wall_s_wins": wins,
-        "wall_s_gain": gain,
+        "pairs": len(complete),
         "status": {
             spec["name"]: status(
                 values[spec["name"]]["parent"], values[spec["name"]]["change"],
@@ -210,6 +246,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             )
             for spec in end_to_end
         },
+        "wins": wins,
+        "gain": gains,
         "metrics": metrics,
         "digests": {
             side: sorted({str(run.get("digest")) for run in runs if run["side"] == side})
@@ -286,16 +324,17 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": seeds,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_root = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_root = Path(tmp) / "parent"
         export_revision(parent_sha, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
+        envs = {side: run_env(Path(tmp) / "pycache" / side) for side in SIDES}
         for workload in workloads:
             runs = []
             for pair, seed in enumerate(seeds):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    run = run_once(roots[side], workload, seed, seconds)
+                    run = run_once(roots[side], workload, seed, seconds, envs[side])
                     run.update(pair=pair, seed=seed, side=side)
                     runs.append(run)
                     wall = _metric(run, "wall_s")
@@ -318,14 +357,15 @@ def main(argv: list[str] | None = None) -> int:
             f"{wall[side]['median']:.3f}" for side in SIDES if side in wall
         )
         print(
-            f"{workload}: wall_s {medians} s, change won "
-            f"{summary['wall_s_wins']}/{summary['pairs']} pairs, "
-            + ("gain" if summary["wall_s_gain"] else "no gain")
+            f"{workload}: wall_s {medians} s over {summary['pairs']} pairs"
             + ("" if summary["ok"] else "  FAILED")
         )
-        print("  " + ", ".join(
-            f"{name} {verdict}" for name, verdict in summary["status"].items()
-        ))
+        for name, verdict in summary["status"].items():
+            print(
+                f"  {name} {verdict}, change won {summary['wins'][name]}/"
+                f"{summary['pairs']} pairs, "
+                + ("gain" if summary["gain"][name] else "no gain")
+            )
     lines = next(iter(report["workloads"].values()))["summary"]["src_lines"]
     print(f"src/ lines {lines['parent']} -> {lines['change']}")
     print(f"wrote {out.name}")
