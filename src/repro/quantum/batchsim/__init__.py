@@ -67,8 +67,15 @@ from repro.quantum.batchsim.state import (
     batch_p1,
 )
 
+#: Version of the engine's results.  A stock backend's cache keys carry it
+#: (``CacheKey.engine``), so a change that moves any result bumps it, and
+#: every result the previous engine stored then misses once, on every tier.
+#: A bit-identical change keeps it.
+ENGINE_VERSION = 1
+
 __all__ = [
     "BatchStatevector",
+    "ENGINE_VERSION",
     "IDEAL",
     "MAX_BATCH_AMPLITUDES",
     "PlannedGroup",

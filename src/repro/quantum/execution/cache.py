@@ -91,7 +91,14 @@ def noise_fingerprint(noise: NoiseModel | None) -> str:
 
 @dataclass(frozen=True)
 class CacheKey:
-    """The full identity of one deterministic circuit execution."""
+    """The full identity of one deterministic circuit execution.
+
+    ``engine`` names the implementation that computed the result:
+    :data:`repro.quantum.batchsim.ENGINE_VERSION` for a stock backend, whose
+    circuits the batch engine simulates, and 0 where no engine version
+    applies (a backend that overrides ``execute_circuit`` versions its own
+    results, and a transpile key names its schema in ``backend``).
+    """
 
     circuit: str
     backend: str
@@ -99,6 +106,7 @@ class CacheKey:
     seed: int
     noise: str
     memory: bool
+    engine: int
 
 
 class ResultCache:

@@ -68,6 +68,7 @@ def _key_payload(key: "CacheKey") -> dict:
         "seed": key.seed,
         "noise": key.noise,
         "memory": key.memory,
+        "engine": key.engine,
     }
 
 

@@ -482,6 +482,11 @@ class ExecutionService:
             seed=eff_seed,
             noise=noise_fp,
             memory=memory,
+            # An overriding backend (qec_memory) versions its own results:
+            # its memory-experiment fingerprint hashes the decoder's VERSION.
+            engine=(
+                batchsim.ENGINE_VERSION if batchsim.batchable_backend(backend) else 0
+            ),
         )
 
     def _scopes(self) -> tuple[StatsScope, ...]:

@@ -97,6 +97,7 @@ def transpile_cache_key(
         seed=int(optimization_level),
         noise=basis_fingerprint(basis),
         memory=True,
+        engine=0,
     )
 
 

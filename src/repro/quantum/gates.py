@@ -5,6 +5,13 @@ matrix builder).  The specs live in a single registry, :data:`GATE_SPECS`, that
 the circuit builder, simulators, transpiler and QASM exporter all share, so a
 gate added here is immediately usable everywhere.
 
+A fixed gate's builder returns its one matrix.  A parametric gate's builder
+returns the matrix's *entries*, nested lists of Python numbers, and the spec
+wraps them: :meth:`GateSpec.matrix` makes one ``complex128`` array, and
+:meth:`GateSpec.stack` makes the ``(rows, 2**k, 2**k)`` stack of many
+parameter rows with one ``np.array`` call, each slice byte for byte that row's
+matrix.  Both apply the same arity and unbound-parameter checks to every row.
+
 Matrix conventions: qubit 0 is the *least significant* bit of the state index
 (little-endian, matching Qiskit).  For multi-qubit gates the matrix is given in
 the order ``(q0, q1, ...)`` = (control, target) for controlled gates.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,13 +31,15 @@ from repro.errors import GateError
 from repro.quantum import parameters as _params
 
 Matrix = np.ndarray
-MatrixBuilder = Callable[..., Matrix]
+#: A matrix as nested lists of Python numbers, row by row.
+Entries = list[list[complex]]
+MatrixBuilder = Callable[..., Matrix | Entries]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 
-def _mat(rows: list[list[complex]]) -> Matrix:
-    return np.array(rows, dtype=np.complex128)
+def _mat(entries: Entries | Sequence[Entries]) -> Matrix:
+    return np.array(entries, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -50,68 +60,60 @@ SXDG_MATRIX = SX_MATRIX.conj().T
 
 
 # ---------------------------------------------------------------------------
-# Parameterised single-qubit matrices
+# Parameterised single-qubit entries
 # ---------------------------------------------------------------------------
 
 
-def rx_matrix(theta: float) -> Matrix:
+def rx_entries(theta: float) -> Entries:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return _mat([[c, -1j * s], [-1j * s, c]])
+    return [[c, -1j * s], [-1j * s, c]]
 
 
-def ry_matrix(theta: float) -> Matrix:
+def ry_entries(theta: float) -> Entries:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return _mat([[c, -s], [s, c]])
+    return [[c, -s], [s, c]]
 
 
-def rz_matrix(theta: float) -> Matrix:
-    return _mat(
-        [[cmath.exp(-1j * theta / 2), 0], [0, cmath.exp(1j * theta / 2)]]
-    )
+def rz_entries(theta: float) -> Entries:
+    return [[cmath.exp(-1j * theta / 2), 0], [0, cmath.exp(1j * theta / 2)]]
 
 
-def phase_matrix(lam: float) -> Matrix:
-    return _mat([[1, 0], [0, cmath.exp(1j * lam)]])
+def phase_entries(lam: float) -> Entries:
+    return [[1, 0], [0, cmath.exp(1j * lam)]]
 
 
-def u_matrix(theta: float, phi: float, lam: float) -> Matrix:
+def u_entries(theta: float, phi: float, lam: float) -> Entries:
     """General single-qubit rotation U(theta, phi, lambda)."""
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return _mat(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ]
-    )
+    return [
+        [c, -cmath.exp(1j * lam) * s],
+        [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Multi-qubit matrix builders
+# Multi-qubit matrices and entries
 # ---------------------------------------------------------------------------
 
 
-def controlled(base: Matrix) -> Matrix:
-    """Return the controlled version of a single-qubit matrix.
+def controlled(base: Matrix | Entries) -> Entries:
+    """Entries of the controlled version of a single-qubit matrix.
 
     Qubit order is (control, target) with the control the *first* qubit in the
     instruction's qubit list.  In little-endian indexing, basis index
-    ``b = t*2 + c`` for qubits (c, t), so the control bit is bit 0.
+    ``b = t*2 + c`` for qubits (c, t), so the control bit is bit 0: ``base``
+    acts on indices 1 and 3, and indices 0 and 2 stay put.
     """
-    dim = base.shape[0]
-    out = np.eye(2 * dim, dtype=np.complex128)
-    # States where control bit (bit 0) is 1: indices 1, 3, 5, ...
-    for i in range(dim):
-        for j in range(dim):
-            out[2 * i + 1, 2 * j + 1] = base[i, j]
-    return out
+    (a, b), (c, d) = base
+    return [[1, 0, 0, 0], [0, a, 0, b], [0, 0, 1, 0], [0, c, 0, d]]
 
 
-CX_MATRIX = controlled(X_MATRIX)
-CY_MATRIX = controlled(Y_MATRIX)
-CZ_MATRIX = controlled(Z_MATRIX)
-CH_MATRIX = controlled(H_MATRIX)
-CSX_MATRIX = controlled(SX_MATRIX)
-CSXDG_MATRIX = controlled(SXDG_MATRIX)
+CX_MATRIX = _mat(controlled(X_MATRIX))
+CY_MATRIX = _mat(controlled(Y_MATRIX))
+CZ_MATRIX = _mat(controlled(Z_MATRIX))
+CH_MATRIX = _mat(controlled(H_MATRIX))
+CSX_MATRIX = _mat(controlled(SX_MATRIX))
+CSXDG_MATRIX = _mat(controlled(SXDG_MATRIX))
 
 SWAP_MATRIX = _mat(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
@@ -121,46 +123,47 @@ ISWAP_MATRIX = _mat(
 )
 
 
-def crx_matrix(theta: float) -> Matrix:
-    return controlled(rx_matrix(theta))
+def crx_entries(theta: float) -> Entries:
+    return controlled(rx_entries(theta))
 
 
-def cry_matrix(theta: float) -> Matrix:
-    return controlled(ry_matrix(theta))
+def cry_entries(theta: float) -> Entries:
+    return controlled(ry_entries(theta))
 
 
-def crz_matrix(theta: float) -> Matrix:
-    return controlled(rz_matrix(theta))
+def crz_entries(theta: float) -> Entries:
+    return controlled(rz_entries(theta))
 
 
-def cp_matrix(lam: float) -> Matrix:
-    return controlled(phase_matrix(lam))
+def cp_entries(lam: float) -> Entries:
+    return controlled(phase_entries(lam))
 
 
-def rxx_matrix(theta: float) -> Matrix:
+def rxx_entries(theta: float) -> Entries:
     c, s = math.cos(theta / 2), -1j * math.sin(theta / 2)
-    return _mat(
-        [[c, 0, 0, s], [0, c, s, 0], [0, s, c, 0], [s, 0, 0, c]]
-    )
+    return [[c, 0, 0, s], [0, c, s, 0], [0, s, c, 0], [s, 0, 0, c]]
 
 
-def ryy_matrix(theta: float) -> Matrix:
+def ryy_entries(theta: float) -> Entries:
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
-    return _mat(
-        [
-            [c, 0, 0, 1j * s],
-            [0, c, -1j * s, 0],
-            [0, -1j * s, c, 0],
-            [1j * s, 0, 0, c],
-        ]
-    )
+    return [
+        [c, 0, 0, 1j * s],
+        [0, c, -1j * s, 0],
+        [0, -1j * s, c, 0],
+        [1j * s, 0, 0, c],
+    ]
 
 
-def rzz_matrix(theta: float) -> Matrix:
+def rzz_entries(theta: float) -> Entries:
     e_minus = cmath.exp(-1j * theta / 2)
     e_plus = cmath.exp(1j * theta / 2)
-    return np.diag([e_minus, e_plus, e_plus, e_minus]).astype(np.complex128)
+    return [
+        [e_minus, 0, 0, 0],
+        [0, e_plus, 0, 0],
+        [0, 0, e_plus, 0],
+        [0, 0, 0, e_minus],
+    ]
 
 
 def _ccx_matrix() -> Matrix:
@@ -210,7 +213,8 @@ class GateSpec:
         name: canonical lower-case gate name.
         num_qubits: arity.
         num_params: number of float parameters.
-        builder: callable returning the unitary matrix given the parameters.
+        builder: callable returning the unitary given the parameters: the
+            matrix of a fixed gate, the entries of a parametric one.
         self_inverse: whether ``G @ G == I`` (used by the gate-cancellation
             optimizer).
         hermitian_pair: name of the gate that is this gate's inverse, when that
@@ -226,20 +230,34 @@ class GateSpec:
     aliases: tuple[str, ...] = field(default_factory=tuple)
 
     def matrix(self, params: tuple[float, ...] = ()) -> Matrix:
+        self._check(params)
+        if self.num_params == 0:
+            return self.builder()
+        return _mat(self.builder(*params))
+
+    def stack(self, rows: Sequence[tuple[float, ...]]) -> Matrix:
+        """The ``(len(rows), 2**k, 2**k)`` stack of a parametric gate's
+        matrices, one per parameter row, built with one ``np.array`` call.
+
+        Every row passes :meth:`matrix`'s checks, and each slice equals its
+        row's :meth:`matrix` byte for byte.
+        """
+        for params in rows:
+            self._check(params)
+        return _mat([self.builder(*params) for params in rows])
+
+    def _check(self, params: tuple[float, ...]) -> None:
         if len(params) != self.num_params:
             raise GateError(
                 f"gate '{self.name}' takes {self.num_params} parameter(s), "
                 f"got {len(params)}"
             )
-        if self.num_params == 0:
-            return self.builder()
         if any(_params.is_symbolic(p) for p in params):
             raise GateError(
                 f"[{_params.UNBOUND_PARAMETER_CODE}] gate '{self.name}' has "
                 "unbound symbolic parameter(s); bind the circuit before "
                 "requesting a matrix"
             )
-        return self.builder(*params)
 
 
 def _const(matrix: Matrix) -> MatrixBuilder:
@@ -267,11 +285,11 @@ for _spec in [
     GateSpec("tdg", 1, 0, _const(TDG_MATRIX), hermitian_pair="t"),
     GateSpec("sx", 1, 0, _const(SX_MATRIX), hermitian_pair="sxdg"),
     GateSpec("sxdg", 1, 0, _const(SXDG_MATRIX), hermitian_pair="sx"),
-    GateSpec("rx", 1, 1, rx_matrix),
-    GateSpec("ry", 1, 1, ry_matrix),
-    GateSpec("rz", 1, 1, rz_matrix),
-    GateSpec("p", 1, 1, phase_matrix, aliases=("phase",)),
-    GateSpec("u", 1, 3, u_matrix),
+    GateSpec("rx", 1, 1, rx_entries),
+    GateSpec("ry", 1, 1, ry_entries),
+    GateSpec("rz", 1, 1, rz_entries),
+    GateSpec("p", 1, 1, phase_entries, aliases=("phase",)),
+    GateSpec("u", 1, 3, u_entries),
     GateSpec("cx", 2, 0, _const(CX_MATRIX), self_inverse=True, aliases=("cnot",)),
     GateSpec("cy", 2, 0, _const(CY_MATRIX), self_inverse=True),
     GateSpec("cz", 2, 0, _const(CZ_MATRIX), self_inverse=True),
@@ -280,13 +298,13 @@ for _spec in [
     GateSpec("csxdg", 2, 0, _const(CSXDG_MATRIX), hermitian_pair="csx"),
     GateSpec("swap", 2, 0, _const(SWAP_MATRIX), self_inverse=True),
     GateSpec("iswap", 2, 0, _const(ISWAP_MATRIX)),
-    GateSpec("crx", 2, 1, crx_matrix),
-    GateSpec("cry", 2, 1, cry_matrix),
-    GateSpec("crz", 2, 1, crz_matrix),
-    GateSpec("cp", 2, 1, cp_matrix, aliases=("cphase",)),
-    GateSpec("rxx", 2, 1, rxx_matrix),
-    GateSpec("ryy", 2, 1, ryy_matrix),
-    GateSpec("rzz", 2, 1, rzz_matrix),
+    GateSpec("crx", 2, 1, crx_entries),
+    GateSpec("cry", 2, 1, cry_entries),
+    GateSpec("crz", 2, 1, crz_entries),
+    GateSpec("cp", 2, 1, cp_entries, aliases=("cphase",)),
+    GateSpec("rxx", 2, 1, rxx_entries),
+    GateSpec("ryy", 2, 1, ryy_entries),
+    GateSpec("rzz", 2, 1, rzz_entries),
     GateSpec("ccx", 3, 0, _const(CCX_MATRIX), self_inverse=True),
     GateSpec("ccz", 3, 0, ccz_matrix, self_inverse=True),
     GateSpec("cswap", 3, 0, _const(CSWAP_MATRIX), self_inverse=True),

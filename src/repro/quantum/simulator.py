@@ -7,7 +7,9 @@ simulator in the program.  It runs each circuit on one of two paths:
 * **fast path** — no gate noise, no reset, no conditionals, measurements only
   at circuit positions that are never followed by gates on the same qubit:
   evolve the statevector once, sample the joint distribution of the measured
-  qubits and tally the drawn outcome indices (:func:`sample_counts`).
+  qubits and tally the drawn outcome indices (:func:`sample_group`, one call
+  per group of circuits that share a structure: each row's CDF once, each
+  unit's draws from its own generator).
 * **trajectory path** — everything else: one statevector trajectory per
   shot, sampling Pauli noise after each gate and readout flips at each
   measurement, with the uniforms each shot draws laid out by
@@ -21,6 +23,7 @@ bitstring key, plus the per-shot keys when memory is requested.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -92,66 +95,88 @@ def _measure_pairs(circuit: QuantumCircuit) -> list[tuple[int, int]]:
     ]
 
 
-def sample_counts(
-    state: Statevector,
+def sample_group(
+    states: Sequence[Statevector],
     measures: Sequence[tuple[int, int]],
     num_clbits: int,
-    shots: int,
-    rng: np.random.Generator,
+    draws: Sequence[tuple[int, np.random.Generator, int]],
     memory: bool,
-) -> tuple[dict[str, int], list[str] | None]:
-    """Sample ``shots`` classical registers from a final state and tally them.
+) -> list[tuple[dict[str, int], list[str] | None]]:
+    """Sample every unit of one group from its row's final state and tally.
 
-    ``measures`` lists the circuit's ``(qubit, clbit)`` measurements in
-    program order.  Each clbit holds the outcome of the qubit measured into
-    it *last*, as a per-shot run leaves it: one qubit may feed several
-    clbits, and a later measurement overwrites a clbit; a clbit nothing
-    measures into reads 0.  Returns what :func:`tally_counts` returns for
-    those registers: the counts sorted by key, and the per-shot keys when
-    ``memory`` is set.
+    ``states`` are the group's evolved rows, and ``draws`` holds one
+    ``(row, rng, shots)`` per unit.  ``measures`` lists the circuits'
+    ``(qubit, clbit)`` measurements in program order.  Each clbit holds the
+    outcome of the qubit measured into it *last*, as a per-shot run leaves
+    it: one qubit may feed several clbits, and a later measurement
+    overwrites a clbit; a clbit nothing measures into reads 0.  Returns, per
+    unit, what :func:`tally_counts` returns for those registers: the counts
+    sorted by key, and the per-shot keys when ``memory`` is set.
 
     The joint distribution is drawn over the measured qubits in the order
-    they are first measured (the key order of ``measured_qubit_to_clbit()``)
-    with exactly one ``rng.choice`` call, so the sampled stream is a pure
-    function of ``(state, measures, shots, rng state)`` — which is what lets
-    the batch engine share one evolved state across many per-unit generators
-    and still give each unit the counts it would get alone.  The draws are
-    tallied as outcome indices with ``np.bincount``, and a key is built only
-    for each index drawn.  Indices that differ only in qubits no clbit reads
-    (overwritten, or never measured into a kept clbit) share a key, and
-    their counts merge.
+    they are first measured (the key order of ``measured_qubit_to_clbit()``).
+    Each row's marginal and its CDF are computed once, and each unit takes
+    ``rng.random(shots)`` from its own generator and searches its row's CDF:
+    the steps, and so the draws, of ``rng.choice(len(p), size=shots, p=p)``.
+    A unit's counts are therefore a pure function of ``(state, measures,
+    shots, rng state)``, whatever group it rode in.  A distribution whose
+    mass is not finite or strays from 1 by more than :data:`NORM_ATOL`
+    raises :class:`SimulationError`.  Each outcome index any unit drew is
+    decoded to its key once; indices that differ only in qubits no clbit
+    reads (overwritten, or never measured into a kept clbit) share a key,
+    and their counts merge.
     """
     if not measures:
         key = "0" * num_clbits
-        return {key: shots}, ([key] * shots if memory else None)
+        return [
+            ({key: shots}, [key] * shots if memory else None)
+            for _, _, shots in draws
+        ]
     qubits = list(dict.fromkeys(qubit for qubit, _ in measures))
-    probs = state.probabilities(qubits)
-    total = float(probs.sum())
-    if abs(total - 1.0) > NORM_ATOL:
-        raise SimulationError(
-            f"measurement distribution sums to {total!r}, not 1; the state "
-            "lost normalisation upstream (non-unitary gate matrix?)"
-        )
-    # Dividing by a validated ~1.0 total only scrubs honest rounding dust;
-    # it keeps numpy's own (tighter) sum check in rng.choice satisfied.
-    outcome_idx = rng.choice(len(probs), size=shots, p=probs / total)
-    bins = np.bincount(outcome_idx)
-    drawn = np.flatnonzero(bins)
+    cdfs: dict[int, np.ndarray] = {}
+    for row, _, _ in draws:
+        if row in cdfs:
+            continue
+        probs = states[row].probabilities(qubits)
+        total = float(probs.sum())
+        if not math.isfinite(total) or abs(total - 1.0) > NORM_ATOL:
+            raise SimulationError(
+                f"measurement distribution sums to {total!r}, not 1; the state "
+                "lost normalisation upstream (non-unitary gate matrix?)"
+            )
+        # Dividing by the validated total scrubs honest rounding dust.
+        cdf = (probs / total).cumsum()
+        cdf /= cdf[-1]
+        cdfs[row] = cdf
+    drawn = [
+        cdfs[row].searchsorted(rng.random(shots), side="right")
+        for row, rng, shots in draws
+    ]
+    # Every index some unit drew; np.unique would import numpy.ma, which
+    # costs 1.7 MB of peak RSS.
+    outcomes = np.flatnonzero(np.bincount(np.concatenate(drawn)))
     position = {qubit: pos for pos, qubit in enumerate(qubits)}
     last_source = {clbit: qubit for qubit, clbit in measures}
-    clbits = np.zeros((drawn.size, num_clbits), dtype=np.int64)
+    clbits = np.zeros((outcomes.size, num_clbits), dtype=np.int64)
     for clbit, qubit in last_source.items():
-        clbits[:, clbit] = (drawn >> position[qubit]) & 1
+        clbits[:, clbit] = (outcomes >> position[qubit]) & 1
     keyed = digit_rows(clbits).view(f"S{num_clbits}")[:, 0]
-    keys = [row.decode("ascii") for row in keyed.tolist()]
-    tallied: dict[str, int] = {}
-    for key, count in zip(keys, bins[drawn].tolist()):
-        tallied[key] = tallied.get(key, 0) + count
-    counts = dict(sorted(tallied.items()))
-    if not memory:
-        return counts, None
-    key_of = dict(zip(drawn.tolist(), keys))
-    return counts, [key_of[index] for index in outcome_idx.tolist()]
+    key_of = dict(
+        zip(outcomes.tolist(), [row.decode("ascii") for row in keyed.tolist()])
+    )
+    results = []
+    for shot_outcomes in drawn:
+        counts = np.bincount(shot_outcomes)
+        indices = np.flatnonzero(counts)
+        tallied: dict[str, int] = {}
+        for index, count in zip(indices.tolist(), counts[indices].tolist()):
+            key = key_of[index]
+            tallied[key] = tallied.get(key, 0) + count
+        results.append((
+            dict(sorted(tallied.items())),
+            [key_of[index] for index in shot_outcomes.tolist()] if memory else None,
+        ))
+    return results
 
 
 def draw_widths(circuit: QuantumCircuit, noise: NoiseModel | None) -> list[int]:

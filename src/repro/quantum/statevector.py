@@ -134,6 +134,10 @@ class Statevector:
             raise SimulationError(
                 f"qargs {list(qargs)} must be distinct qubits of a {n}-qubit state"
             )
+        if list(qargs) == list(range(n)):
+            # Every outcome is a bin of its own, and bincount would return
+            # each weight as 0.0 + weight: the probabilities themselves.
+            return probs
         indices = np.arange(2**n)
         sub = np.zeros_like(indices)
         for pos, q in enumerate(qargs):

@@ -31,8 +31,8 @@ _ATOL = 1e-9
 def zyz_angles(matrix: np.ndarray) -> tuple[float, float, float]:
     """Extract U(theta, phi, lam) angles from a 2x2 unitary, up to phase.
 
-    Returns (theta, phi, lam) such that ``u_matrix(theta, phi, lam)`` equals
-    ``matrix`` up to a global phase.
+    Returns (theta, phi, lam) such that ``gate_matrix("u", (theta, phi,
+    lam))`` equals ``matrix`` up to a global phase.
     """
     if matrix.shape != (2, 2):
         raise TranspilerError(f"zyz_angles needs a 2x2 matrix, got {matrix.shape}")

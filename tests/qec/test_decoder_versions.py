@@ -1,8 +1,9 @@
-"""Decoder versions: what a memory experiment's cache key promises.
+"""Decoder and engine versions: what a result's cache key promises.
 
 ``MemoryExperimentSpec.fingerprint()`` hashes the decoder class's
 ``VERSION``, so a decoder change that bumps it misses exactly that
-decoder's cached results, on every tier.  The version only means something
+decoder's cached results, on every tier; a stock backend's keys carry
+``batchsim.ENGINE_VERSION`` the same way.  The version only means something
 if a decoder's output is a pure function of its input, so a fixed corpus of
 raw event lists is decoded under three hash seeds and must give one digest
 per decoder, pinned next to its ``VERSION``.
@@ -23,6 +24,8 @@ from repro.qec.codes.surface import SurfaceCode
 from repro.qec.experiments import logical_error_rate
 from repro.qec.matching import MWPMDecoder
 from repro.qec.unionfind import UnionFindDecoder
+from repro.quantum import batchsim
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution import CacheServer, ExecutionService
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -72,6 +75,50 @@ def test_version_bump_misses_only_that_decoders_results(
     assert counts["simulations"] == 1  # MWPM, scored afresh
     assert counts["cache_misses"] == 1
     assert counts["cache_hits"] == 1  # union-find
+    assert counts["cache_disk_hits"] == (tier == "disk")
+    assert counts["cache_remote_hits"] == (tier == "remote")
+
+
+@pytest.mark.parametrize("tier", ["memory", "disk", "remote"])
+def test_engine_version_bump_misses_only_stock_backend_results(
+    tier, tmp_path, monkeypatch
+):
+    # A stock backend's keys carry batchsim.ENGINE_VERSION; the qec_memory
+    # backend overrides execute_circuit, so its keys carry 0 and its
+    # results stay versioned by the decoder alone.
+    code = SurfaceCode(3)
+    decoder = MWPMDecoder(code, "x")
+    bell = QuantumCircuit(2, 2)
+    bell.h(0)
+    bell.cx(0, 1)
+    bell.measure([0, 1], [0, 1])
+
+    def run_both(service):
+        with service.stats_scope() as scope:
+            counts = service.run(
+                bell, backend="local_simulator", shots=64, seed=5
+            ).result().get_counts()
+            failures = logical_error_rate(
+                code, decoder, 2, 0.05, shots=40, seed=5, service=service
+            ).logical_failures
+        return (counts, failures), scope.as_dict()
+
+    with CacheServer(tmp_path / "server") as server:
+        tiers = {
+            "memory": {},
+            "disk": {"cache_dir": tmp_path / "disk"},
+            "remote": {"remote_url": server.url},
+        }[tier]
+        writer = ExecutionService(**tiers)
+        results, _ = run_both(writer)
+        monkeypatch.setattr(batchsim, "ENGINE_VERSION", batchsim.ENGINE_VERSION + 1)
+        reader = writer if tier == "memory" else ExecutionService(**tiers)
+        again, counts = run_both(reader)
+
+    assert again == results
+    assert counts["simulations"] == 1  # the Bell circuit, simulated afresh
+    assert counts["cache_misses"] == 1
+    assert counts["cache_hits"] == 1  # the memory experiment
     assert counts["cache_disk_hits"] == (tier == "disk")
     assert counts["cache_remote_hits"] == (tier == "remote")
 

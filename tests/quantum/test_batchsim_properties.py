@@ -28,7 +28,7 @@ from repro.quantum.noise import NoiseModel, PauliNoise, ReadoutError
 from repro.quantum.simulator import (
     MAX_DENSE_QUBITS,
     digit_rows,
-    sample_counts,
+    sample_group,
     tally_counts,
     trajectory_draw_plan,
 )
@@ -1081,8 +1081,13 @@ class TestDrawPlan:
 # ---------------------------------------------------------------------------
 
 
+def sample_one(state, measures, num_clbits, shots, rng, memory):
+    """One unit on one row through the group sampler."""
+    return sample_group([state], measures, num_clbits, [(0, rng, shots)], memory)[0]
+
+
 class TestNormValidation:
-    def _denormalized_state(self, scale: float) -> Statevector:
+    def _denormalized_state(self, scale: complex) -> Statevector:
         # Bypass the constructor (which renormalises) to model a state
         # corrupted upstream, e.g. by a non-unitary custom gate matrix.
         state = Statevector.__new__(Statevector)
@@ -1096,19 +1101,31 @@ class TestNormValidation:
         state = self._denormalized_state(0.9)
         rng = np.random.default_rng(0)
         with pytest.raises(SimulationError, match="lost normalisation"):
-            sample_counts(state, [(0, 0), (1, 1)], 2, 10, rng, False)
+            sample_one(state, [(0, 0), (1, 1)], 2, 10, rng, False)
+
+    @pytest.mark.parametrize(
+        "scale", [0.9, complex("nan"), complex("nan+1j"), complex("inf")]
+    )
+    def test_any_bad_row_of_a_group_raises(self, scale):
+        # NaN mass passes an ``abs(total - 1) > atol`` test; the sampler
+        # refuses it itself instead of leaving it to numpy's ValueError.
+        good = Statevector.zero_state(2)
+        bad = self._denormalized_state(scale)
+        draws = [(0, np.random.default_rng(1), 10), (1, np.random.default_rng(2), 10)]
+        with pytest.raises(SimulationError, match="lost normalisation"):
+            sample_group([good, bad], [(0, 0), (1, 1)], 2, draws, False)
 
     def test_rounding_dust_within_tolerance_is_fine(self):
         state = self._denormalized_state(1.0 + 1e-8)
         rng = np.random.default_rng(0)
-        got = sample_counts(state, [(0, 0), (1, 1)], 2, 10, rng, True)
+        got = sample_one(state, [(0, 0), (1, 1)], 2, 10, rng, True)
         assert got == ({"00": 10}, ["00"] * 10)
 
     def test_unmeasured_circuit_samples_zeros(self):
         state = Statevector.zero_state(2)
-        got = sample_counts(state, [], 2, 3, np.random.default_rng(0), True)
+        got = sample_one(state, [], 2, 3, np.random.default_rng(0), True)
         assert got == ({"00": 3}, ["00"] * 3)
-        got = sample_counts(state, [], 0, 2, np.random.default_rng(0), False)
+        got = sample_one(state, [], 0, 2, np.random.default_rng(0), False)
         assert got == ({"": 2}, None)
 
 
@@ -1228,15 +1245,20 @@ def random_measures(rng, num_qubits: int, num_clbits: int):
     ]
 
 
-class TestSampleCounts:
-    """``sample_counts`` tallies outcome indices; the frozen digit-row
-    sampler plus ``tally_counts`` is its reference."""
+#: Shots per unit in the group-sampler cases.
+SHOT_COUNTS = (1, 3, 64, 1024, 5000)
+
+
+class TestSampleGroup:
+    """``sample_group`` tallies outcome indices; the frozen digit-row
+    sampler plus ``tally_counts``, which draws with ``rng.choice``, is its
+    reference, so a numpy whose ``choice`` draws differently fails here."""
 
     @staticmethod
     def assert_same_as_reference(state, measures, num_clbits, shots, seed):
         for memory in (False, True):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = sample_counts(state, measures, num_clbits, shots, rng, memory)
+            got = sample_one(state, measures, num_clbits, shots, rng, memory)
             want = tally_counts(
                 sample_from_state(state, measures, num_clbits, shots, ref_rng),
                 memory,
@@ -1265,7 +1287,7 @@ class TestSampleCounts:
         state = Statevector(np.full(8, 1 / np.sqrt(8), dtype=np.complex128))
         measures = [(0, 0), (1, 1), (2, 1), (0, 2)]
         self.assert_same_as_reference(state, measures, 4, 512, 9)
-        counts, _ = sample_counts(
+        counts, _ = sample_one(
             state, measures, 4, 512, np.random.default_rng(9), False
         )
         assert set(counts) == {"0000", "0010", "0101", "0111"}
@@ -1274,6 +1296,74 @@ class TestSampleCounts:
         state = Statevector(random_states(np.random.default_rng(1), 1, 2)[0])
         for num_clbits in (0, 3):
             self.assert_same_as_reference(state, [], num_clbits, 5, 3)
+
+    def test_a_uniform_on_a_cdf_step_draws_the_next_outcome_with_mass(self):
+        # CDF [0.5, 0.5, 1, 1]: a uniform equal to a step value belongs to
+        # the outcome above it (searchsorted side="right", as in
+        # Generator.choice), so an outcome of probability 0 is never drawn.
+        # Seeded generators hit an exact step with probability 2**-53, so
+        # the uniforms are given.
+        class Uniforms:
+            def random(self, shots):
+                assert shots == 4
+                return np.array([0.0, 0.25, 0.5, 0.75])
+
+        state = Statevector(np.array([1, 0, 1, 0], dtype=np.complex128))
+        got = sample_one(state, [(0, 0), (1, 1)], 2, 4, Uniforms(), True)
+        assert got == ({"00": 2, "10": 2}, ["00", "00", "10", "10"])
+
+    @staticmethod
+    def group_case(rng, case: int):
+        """Rows of one structure and the measures of a group: a shuffled
+        subset of 1-8 qubits into shuffled clbits plus spare clbits nothing
+        measures into, and by turns a qubit read into two clbits, a clbit
+        written twice, or no measurement at all."""
+        num_qubits = int(rng.integers(1, 9))
+        states = [
+            Statevector(row)
+            for row in random_states(rng, int(rng.integers(1, 4)), num_qubits)
+        ]
+        measured = rng.permutation(num_qubits)[: int(rng.integers(1, num_qubits + 1))]
+        num_clbits = len(measured) + int(rng.integers(0, 3))
+        clbits = rng.permutation(num_clbits)
+        measures = [(int(q), int(c)) for q, c in zip(measured, clbits)]
+        if case % 4 == 1:
+            measures.append((measures[0][0], int(rng.integers(num_clbits))))
+        elif case % 4 == 2:
+            measures.append((int(rng.integers(num_qubits)), measures[0][1]))
+        elif case % 8 == 7:
+            measures = []
+        return states, measures, num_clbits
+
+    def test_every_unit_of_a_group_draws_what_it_draws_alone(self):
+        rng = np.random.default_rng(3200)
+        for case in range(48):
+            states, measures, num_clbits = self.group_case(rng, case)
+            units = [
+                (row, int(rng.integers(1 << 30)), int(rng.choice(SHOT_COUNTS)))
+                for row in range(len(states))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            units = [units[i] for i in rng.permutation(len(units))]  # interleaved
+            for memory in (False, True):
+                draws = [(row, np.random.default_rng(seed), shots)
+                         for row, seed, shots in units]
+                got = sample_group(states, measures, num_clbits, draws, memory)
+                assert len(got) == len(units)
+                for (row, seed, shots), (_, rng_used, _), result in zip(
+                    units, draws, got
+                ):
+                    ref_rng = np.random.default_rng(seed)
+                    want = tally_counts(
+                        sample_from_state(
+                            states[row], measures, num_clbits, shots, ref_rng
+                        ),
+                        memory,
+                    )
+                    assert result == want, (case, measures, row, shots)
+                    assert list(result[0]) == list(want[0])  # same key order
+                    assert all(type(count) is int for count in result[0].values())
+                    assert rng_used.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestClbitAssignment:
@@ -1567,6 +1657,7 @@ class TestCacheComposition:
             seed=7,
             noise=noise_fingerprint(backend.noise_model),
             memory=False,
+            engine=batchsim.ENGINE_VERSION,
         )
         assert svc._try_lead(key)  # the test is the foreign leader
         done = threading.Event()

@@ -37,6 +37,7 @@ def random_key(rng: random.Random) -> CacheKey:
         seed=rng.randint(-(1 << 40), 1 << 62),
         noise=rng.choice(["ideal", f"{rng.getrandbits(64):016x}"]),
         memory=rng.random() < 0.5,
+        engine=rng.choice([0, 1]),
     )
 
 

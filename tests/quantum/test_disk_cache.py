@@ -27,6 +27,7 @@ def _key(tag: int = 0, memory: bool = False) -> CacheKey:
         seed=7,
         noise="ideal",
         memory=memory,
+        engine=1,
     )
 
 

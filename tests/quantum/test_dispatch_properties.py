@@ -329,7 +329,7 @@ class TestTransportHardening:
 
         key = CacheKey(
             circuit="ab" * 8, backend="b", shots=8, seed=1,
-            noise="ideal", memory=False,
+            noise="ideal", memory=False, engine=1,
         )
         with EvalCoordinator(tmp_path, fallback_workers=0) as coordinator:
             client = RemoteResultCache(coordinator.url)

@@ -30,6 +30,7 @@ def _key(tag: int = 0) -> CacheKey:
         seed=7,
         noise="ideal",
         memory=False,
+        engine=1,
     )
 
 

@@ -216,6 +216,20 @@ class TestMarginalMatchesAddAt:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (n, qargs)
 
+    def test_all_qubits_in_order_byte_for_byte(self):
+        # Every qubit in index order is the measure_all marginal, which
+        # returns the probabilities without binning them.
+        rng = np.random.default_rng(2201)
+        states = [Statevector.from_label("01+0"), Statevector.from_label("1")]
+        for n in range(1, 11):
+            states.append(Statevector(rng.normal(size=2**n) + 1j * rng.normal(size=2**n)))
+        for state in states:
+            qargs = list(range(state.num_qubits))
+            got = state.probabilities(qargs)
+            want = reference_marginal(state, qargs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), qargs
+
 
 class TestStatistics:
     def test_marginal_probabilities(self):

@@ -8,7 +8,7 @@ from scipy.stats import unitary_group
 
 from repro.errors import TranspilerError
 from repro.quantum.circuit import Instruction, QuantumCircuit
-from repro.quantum.gates import GATE_SPECS, gate_matrix, u_matrix
+from repro.quantum.gates import GATE_SPECS, gate_matrix
 from repro.quantum.statevector import Statevector
 from repro.quantum.topology import CouplingMap
 from repro.quantum.transpiler import (
@@ -33,7 +33,7 @@ class TestZYZ:
     def test_random_unitaries_roundtrip(self, seed):
         u = unitary_group.rvs(2, random_state=np.random.default_rng(seed))
         theta, phi, lam = zyz_angles(u)
-        v = u_matrix(theta, phi, lam)
+        v = gate_matrix("u", (theta, phi, lam))
         ratio = u @ v.conj().T
         assert np.allclose(ratio, ratio[0, 0] * np.eye(2), atol=1e-8)
 
@@ -41,7 +41,7 @@ class TestZYZ:
     def test_named_gates_roundtrip(self, name):
         u = gate_matrix(name)
         theta, phi, lam = zyz_angles(u)
-        v = u_matrix(theta, phi, lam)
+        v = gate_matrix("u", (theta, phi, lam))
         ratio = u @ v.conj().T
         assert np.allclose(ratio, ratio[0, 0] * np.eye(2), atol=1e-9)
 

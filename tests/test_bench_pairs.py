@@ -6,7 +6,9 @@ summary functions are tested here; running perfbench is left to the tool.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,62 @@ class TestRunEnv:
         assert "PYTHONDONTWRITEBYTECODE" not in env
         assert env["PYTHONPYCACHEPREFIX"] == str(tmp_path / "parent")
         assert env["PATH"] == os.environ["PATH"]
+
+
+class TestFreshCopies:
+    def test_both_sides_run_from_copies_in_one_temporary_directory(
+        self, monkeypatch, tmp_path
+    ):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                 *args],
+                cwd=repo, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (repo / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": END_TO_END,
+        }))
+        (repo / ".gitignore").write_text("ignored.txt\n")
+        for name in ("edited.py", "deleted.py", "pkg/kept.py"):
+            (repo / name).parent.mkdir(exist_ok=True)
+            (repo / name).write_text("committed\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", "parent")
+        (repo / "edited.py").write_text("uncommitted\n")
+        (repo / "deleted.py").unlink()
+        (repo / "untracked.py").write_text("untracked\n")
+        (repo / "ignored.txt").write_text("build output\n")
+
+        copies = {}
+
+        def fake_run_once(root, workload, seed, seconds, env):
+            copies.setdefault(root.name, (root, {
+                str(path.relative_to(root)): path.read_text()
+                for path in root.rglob("*") if path.is_file()
+            }))
+            return run(0, root.name, 1.0)
+
+        monkeypatch.setattr(bench_pairs, "ROOT", repo)
+        monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+        assert bench_pairs.main(["--number", "1", "--pairs", "2"]) == 0
+
+        (parent_root, parent), (change_root, change) = copies["parent"], copies["change"]
+        assert parent_root.parent == change_root.parent
+        assert parent_root.parent.name.startswith("bench-pairs-")
+        assert not parent_root.parent.exists()  # removed after the runs
+        assert change["edited.py"] == "uncommitted\n"
+        assert change["untracked.py"] == "untracked\n"
+        assert change["pkg/kept.py"] == "committed\n"
+        assert "deleted.py" not in change
+        assert "ignored.txt" not in change
+        assert parent["edited.py"] == parent["deleted.py"] == "committed\n"
+        assert "untracked.py" not in parent
 
 
 class TestSummarize:

@@ -126,7 +126,7 @@ def test_cache_prune_command(tmp_path, capsys):
         disk.put(
             CacheKey(
                 circuit=f"{tag:016x}", backend="b", shots=1, seed=1,
-                noise="ideal", memory=False,
+                noise="ideal", memory=False, engine=1,
             ),
             {"0": 1},
             None,

@@ -611,6 +611,39 @@ class TestR012LedgerReads:
         assert codes(ledger, "src/repro/qec/experiments.py") == []
 
 
+class TestR013WeightedChoice:
+    PATH = "src/repro/quantum/simulator.py"
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "outcome_idx = rng.choice(n, size=s, p=q)",
+            "draws = np.random.default_rng(1).choice(4, p=q)",
+            "draws = rng.choice(4, 10, True, q)",
+        ],
+    )
+    def test_weighted_choice_flagged(self, src):
+        found = lint(src, self.PATH)
+        assert [v.rule for v in found] == ["R013"]
+        assert "sample_group" in found[0].message
+
+    def test_flagged_anywhere_under_quantum(self):
+        src = "index = rng.choice(n, size=s, p=q)"
+        assert codes(src, "src/repro/quantum/batchsim/engine.py") == ["R013"]
+        assert codes(src, "src/repro/quantum/statevector.py") == ["R013"]
+
+    def test_unweighted_and_other_packages_allowed(self):
+        # quantum/library.py picks gate names unweighted.
+        unweighted = """
+        qc.append(str(rng.choice(names)), [q])
+        a, b = rng.choice(num_qubits, size=2, replace=False)
+        """
+        assert codes(unweighted, "src/repro/quantum/library.py") == []
+        weighted = "token = str(rng.choice(choices, p=weights))"
+        assert codes(weighted, "src/repro/llm/ngram.py") == []
+        assert codes(weighted, "tests/serial_engine.py") == []
+
+
 class TestDriver:
     def test_syntax_error_reported_not_raised(self):
         found = lint("def broken(:\n")

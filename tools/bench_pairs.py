@@ -5,15 +5,15 @@ Run from the repository root::
     python3 tools/bench_pairs.py --number N --parent HEAD --pairs 10 --seed 101
     python3 tools/bench_pairs.py --number N --workload eval-warm --pairs 10
 
-``git archive`` exports the parent revision into a temporary directory.
-Each pair then runs ``perfbench/run.py --workload W --seed S --seconds 12
---trace 0`` once in the parent's copy and once in the working tree, pair
-``i`` with seed ``S + i``; the side that runs first alternates from pair to
-pair, so a shared host's slow drift lands on both sides alike.  Each side
-writes its bytecode to a directory of its own that starts empty (see
-:func:`run_env`), so neither side's start-up is spared compiling by the
-bytecode a working tree already holds.  The run length (``run_seconds``)
-and the default workloads come from ``BENCHMARK.json``.
+``git archive`` exports the parent revision into a temporary directory,
+and the working tree is exported beside it (see :func:`export_working_tree`),
+so both sides run from fresh copies in one place.  Each pair then runs
+``perfbench/run.py --workload W --seed S --seconds 12 --trace 0`` once in
+each copy, pair ``i`` with seed ``S + i``; the side that runs first
+alternates from pair to pair, so a shared host's slow drift lands on both
+sides alike.  Each side writes its bytecode to a directory of its own that
+starts empty (see :func:`run_env`).  The run length (``run_seconds``) and
+the default workloads come from ``BENCHMARK.json``.
 
 The tool writes ``BENCH_<number>.json`` at the repository root with every
 run's result line, digest, ``exec`` line and ``src/`` line count, and per
@@ -37,6 +37,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -286,6 +287,22 @@ def export_revision(rev: str, target: Path) -> None:
         tar.extractall(target, filter="data")
 
 
+def export_working_tree(target: Path) -> None:
+    """Copy the working tree into ``target``: tracked files as they are on
+    disk, tracked files it has deleted left out, and untracked files that
+    ``.gitignore`` does not exclude."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout.decode()
+    for name in sorted(set(filter(None, listed.split("\0")))):
+        source = ROOT / name
+        if not source.is_file():
+            continue
+        (target / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target / name)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True,
@@ -325,9 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        export_revision(parent_sha, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        roots = {side: Path(tmp) / side for side in SIDES}
+        export_revision(parent_sha, roots["parent"])
+        export_working_tree(roots["change"])
         envs = {side: run_env(Path(tmp) / "pycache" / side) for side in SIDES}
         for workload in workloads:
             runs = []

@@ -111,6 +111,17 @@ R012  An experiment driver (under ``experiments/``) that reads the execution
       the source tree.  Drivers return results only; ``repro report``
       prints the ledger on stdout, as ``repro eval --exec-stats`` does.
 
+R013  A weighted ``choice(...)`` call (a ``p=`` keyword, or a fourth
+      positional argument) under ``quantum/``.  The ideal route draws every
+      unit of a group by searching its row's CDF with the unit's own
+      uniforms (``simulator.sample_group``): the steps ``Generator.choice``
+      takes, computed once per row.  A weighted ``choice`` beside it is a
+      second sampler, whose draws follow numpy's implementation instead.
+      An unweighted ``choice`` (``rng.choice(names)``) stays allowed, and
+      so does a weighted one outside ``quantum/`` (the LLM's token
+      sampler).  ``rng.choice`` lives on only as the parity reference in
+      ``tests/serial_engine.py``.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -184,6 +195,9 @@ R012_DIR = "experiments"
 
 #: Ledger names R012 keeps out of the experiment drivers' imports.
 R012_LEDGER = {"COUNTERS", "SCOPE_FIELDS", "stats_scope"}
+
+#: R013 applies under this directory name: the simulator's package.
+R013_DIR = "quantum"
 
 
 class Violation:
@@ -587,6 +601,25 @@ def _check_ledger_reads(path: Path, tree: ast.AST) -> list[Violation]:
     return found
 
 
+def _check_weighted_choice(path: Path, tree: ast.AST) -> list[Violation]:
+    """R013: a weighted ``.choice(...)`` call under ``quantum/``."""
+    if R013_DIR not in path.parts[:-1]:
+        return []
+    return [
+        Violation(
+            path, node.lineno, "R013",
+            "weighted choice() under quantum/: a second sampler beside the "
+            "ideal route's; draw from a CDF with the unit's own uniforms as "
+            "repro.quantum.simulator.sample_group does",
+        )
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choice"
+        and (len(node.args) >= 4 or any(kw.arg == "p" for kw in node.keywords))
+    ]
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -599,6 +632,7 @@ CHECKS = (
     _check_per_row_sums,
     _check_execute_calls,
     _check_ledger_reads,
+    _check_weighted_choice,
 )
 
 
