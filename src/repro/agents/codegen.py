@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.agents.base import Agent, AgentMessage
 from repro.llm.model import Completion, SimulatedCodeLLM
 from repro.prompts.generator import ScaffoldGenerator

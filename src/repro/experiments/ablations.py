@@ -27,7 +27,6 @@ from repro.errors import TopologyError
 from repro.experiments.common import ExperimentResult
 from repro.llm.corpus import build_corpus
 from repro.llm.finetune import DatasetConfig, TrainingConfig, fine_tune
-from repro.llm.tokenizer import FIM_MIDDLE, FIM_PREFIX, FIM_SUFFIX
 from repro.qec.codes.repetition import RepetitionCode
 from repro.qec.codes.surface import SurfaceCode
 from repro.qec.decoder_gen import generate_decoder

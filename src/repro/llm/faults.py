@@ -29,7 +29,7 @@ Qiskit HumanEval is library-syntax-heavy.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,28 +7,24 @@ discussion cares about.  The implementation follows the standard two phases:
 1. **Cluster growth** — clusters seeded at space-time detection events grow by
    half-edges on the space-time decoding graph until every cluster has even
    defect parity or touches the spatial boundary.
-2. **Peeling** — within each cluster's spanning forest, leaves are peeled off;
-   a leaf edge joins the correction iff it is needed to pair up defects.
+2. **Peeling** — the grown edges' breadth-first spanning forest is peeled
+   from the leaves inward; an edge joins the correction iff it is needed to
+   pair up defects.
 
 Corrections only collect *space* edges (data-qubit faults); time edges
 represent measurement errors and need no data correction.
 
 Graphs are ``{node: {neighbour: fault}}`` adjacency dicts
 (:mod:`repro.utils.graphs`), a time edge's fault being ``None``.  Which
-spanning tree peels a cluster decides the correction, so
-:func:`_spanning_trees` builds the trees networkx 3.6.1 builds for
-``minimum_spanning_tree(G.subgraph(c))`` over ``connected_components(G)``,
-in the same node and neighbour order.
-
-The spanning-tree port follows networkx, which is distributed under the
-3-clause BSD license (the full notice is in :mod:`repro.utils.graphs`)::
-
-   Copyright (c) 2004-2025, NetworkX Developers
-   All rights reserved.
+spanning forest peels a cluster decides the correction, so every container
+whose order reaches it is a list or a dict in an order the decoder fixes:
+the sorted defects, then nodes and edges in the order they grow.
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +35,8 @@ from repro.qec.syndrome import SyndromeHistory, check_decodable, check_raw_event
 from repro.utils.graphs import add_edge, edges
 
 #: The space-time graph's boundary node.  Every other node is a ``(round,
-#: check)`` pair of ints, and so is this one: int tuples hash the same under
-#: every ``PYTHONHASHSEED``, so the decoder's sets iterate in one order and
-#: its corrections do not depend on the interpreter's hash seed.
+#: check)`` pair of ints, and so is this one, so nodes compare and sort
+#: directly.
 BOUNDARY_NODE = (-1, -1)
 
 
@@ -102,7 +97,7 @@ class UnionFindDecoder:
     #: Bumped whenever a decode's output may change.  A memory experiment's
     #: cache key hashes it (:meth:`MemoryExperimentSpec.fingerprint`), so
     #: results an older version cached are not served.
-    VERSION = 1
+    VERSION = 2
 
     def __init__(self, code: CSSCode, error_type: str = "x") -> None:
         self.code = code
@@ -143,7 +138,13 @@ class UnionFindDecoder:
     # -- decoding -----------------------------------------------------------------
 
     def decode(self, history_or_events, rounds: int | None = None) -> UnionFindResult:
-        """Decode detection events; ``rounds`` required for raw event lists."""
+        """Decode detection events; a raw event list's ``rounds`` defaults to
+        its last event's round."""
+        if rounds is not None and (
+            isinstance(rounds, bool) or not isinstance(rounds, numbers.Integral)
+            or rounds < 0
+        ):
+            raise DecodingError(f"rounds must be a whole number >= 0, not {rounds!r}")
         if isinstance(history_or_events, SyndromeHistory):
             check_decodable(history_or_events, self.code, self.error_type)
             events = history_or_events.detection_events
@@ -158,28 +159,27 @@ class UnionFindDecoder:
             return UnionFindResult(np.zeros(n, dtype=bool), 0, 0)
 
         graph = self._build_graph(rounds)
-        defects: set = {(t, c) for t, c in events}
+        defects = sorted((t, c) for t, c in events)
+        dsu = _DisjointSet()
         for node in defects:
             if node not in graph:
                 raise DecodingError(f"detection event {node} outside the graph")
-
-        dsu = _DisjointSet()
-        dsu.add(BOUNDARY_NODE, defect=False, boundary=True)
-        for node in defects:
             dsu.add(node, defect=True, boundary=False)
 
+        # The frontier is fixed before any edge grows, so which edges grow
+        # does not depend on the order they are visited in; the peel does.
         growth: dict[tuple, int] = {}  # edge key -> half-edges grown (0..2)
-        in_cluster: set = set(defects)
-        grown_edges: set = set()
+        cluster = list(defects)  # every clustered node, in the order it grew
+        erasure: dict = {}  # every grown edge, in the order it grew
         max_rounds = 2 * (len(graph) + 1)
         rounds_used = 0
-        while any(dsu.is_odd(node) for node in list(in_cluster)):
+        while any(dsu.is_odd(node) for node in cluster):
             rounds_used += 1
             if rounds_used > max_rounds:
                 raise DecodingError("union-find growth failed to converge")
             # Grow all boundary edges of odd clusters by one half-step.
             frontier = []
-            for node in list(in_cluster):
+            for node in cluster:
                 if not dsu.is_odd(node):
                     continue
                 for nbr in graph[node]:
@@ -188,120 +188,53 @@ class UnionFindDecoder:
                         frontier.append((node, nbr, key))
             for node, nbr, key in frontier:
                 growth[key] = growth.get(key, 0) + 1
-                if growth[key] >= 2 and key not in grown_edges:
-                    grown_edges.add(key)
+                if growth[key] == 2:
+                    add_edge(erasure, *key, graph[node][nbr])
                     if nbr not in dsu.parent:
                         dsu.add(nbr, defect=False, boundary=nbr == BOUNDARY_NODE)
-                    in_cluster.add(nbr)
+                        cluster.append(nbr)
                     dsu.union(node, nbr)
 
-        correction = self._peel(graph, grown_edges, defects, dsu)
-        clusters = {dsu.find(n) for n in in_cluster}
+        correction = self._peel(erasure, defects)
+        clusters = {dsu.find(node) for node in cluster}
         return UnionFindResult(correction, rounds_used, len(clusters))
 
     # -- peeling ---------------------------------------------------------------------
 
-    def _peel(
-        self,
-        graph: dict,
-        grown_edges: set,
-        defects: set,
-        dsu: _DisjointSet,
-    ) -> np.ndarray:
-        n = self.code.num_data_qubits
-        correction = np.zeros(n, dtype=bool)
-        erasure: dict = {}
-        for key in grown_edges:
-            a, b = key
-            add_edge(erasure, a, b, graph[a][b])
-        # Spanning forest of the erasure; peel leaves, flipping defect marks.
-        marked = {node: (node in defects) for node in erasure}
-        for tree in _spanning_trees(erasure):
-            # Peel from the leaves inward; treat the boundary node as the
-            # root so it is peeled last and absorbs any leftover defect.
-            # The spanning tree is a fresh graph, so peeling edits it in place.
-            while len(tree) > 1:
-                leaves = [
-                    v
-                    for v, nbrs in tree.items()
-                    if len(nbrs) == 1 and v != BOUNDARY_NODE
-                ]
-                if not leaves:
-                    break
-                for leaf in leaves:
-                    if len(tree) <= 1 or leaf not in tree:
-                        continue
-                    (parent,) = tree[leaf]
-                    if marked.get(leaf, False):
-                        fault = tree[leaf][parent]
-                        if fault is not None:  # a space edge
-                            correction[fault] ^= True
-                        marked[parent] = not marked.get(parent, False)
-                        marked[leaf] = False
-                    del tree[parent][leaf]
-                    del tree[leaf]
+    def _peel(self, erasure: dict, defects: list) -> np.ndarray:
+        """Peel the erasure's forest from the leaves inward, in one pass:
+        walked in reverse, each node comes after its subtree, and a marked
+        one flips its parent edge and hands its mark to the parent."""
+        correction = np.zeros(self.code.num_data_qubits, dtype=bool)
+        marked = dict.fromkeys(defects, True)
+        for node, edge in reversed(_peeling_forest(erasure).items()):
+            if edge is not None and marked.get(node, False):
+                parent, fault = edge
+                if fault is not None:  # a space edge
+                    correction[fault] ^= True
+                marked[parent] = not marked.get(parent, False)
         return correction
 
 
-def _spanning_trees(erasure: dict) -> list[dict]:
-    """networkx's ``minimum_spanning_tree(erasure.subgraph(c))`` for each
-    ``c`` in ``connected_components(erasure)``, as adjacency dicts.
-
-    * A component is the set ``_plain_bfs`` builds: the source, then each
-      node in the order breadth-first search reaches it.
-    * ``subgraph`` keeps a new set of the component's nodes, added in the
-      component's iteration order.  The view iterates that set when it
-      holds fewer than half the erasure's nodes, and the erasure's node
-      order otherwise (``FilterAtlas.__iter__``).  Its neighbour order is
-      the erasure's.
-    * Every edge has unit weight, so Kruskal keeps, in the view's edge
-      order, each edge that joins two trees of the forest so far.  A tree
-      has the view's node order, and each node's neighbours are in the
-      order its edges were kept.
-    """
-    trees = []
-    seen: set = set()
-    for source in erasure:
-        if source in seen:
+def _peeling_forest(erasure: dict) -> dict:
+    """The erasure's breadth-first spanning forest, ``{node: (parent, fault)}``
+    (``None`` for a root) in the order the search reaches the nodes.  It
+    starts at the boundary node when the erasure holds it, so the boundary
+    roots its tree, then at each node not yet reached, in erasure order."""
+    forest: dict = {}
+    roots = [BOUNDARY_NODE] if BOUNDARY_NODE in erasure else []
+    for root in itertools.chain(roots, erasure):
+        if root in forest:
             continue
-        component = {source}
-        frontier = [source]
-        while frontier:
-            this_level, frontier = frontier, []
-            for v in this_level:
-                for w in erasure[v]:
-                    if w not in component:
-                        component.add(w)
-                        frontier.append(w)
-        seen.update(component)
-        # Added one at a time, as networkx adds them: set(component) would
-        # copy the component's table, and iterate in its order instead.
-        nodes = set(iter(component))
-        if 2 * len(nodes) < len(erasure):
-            order = list(nodes)
-        else:
-            order = [v for v in erasure if v in nodes]
-        tree: dict = {v: {} for v in order}
-        root = {v: v for v in order}
-        visited: set = set()
-        for u in order:
-            for v, fault in erasure[u].items():
-                if v in visited:
-                    continue
-                ru, rv = _root(root, u), _root(root, v)
-                if ru != rv:
-                    root[ru] = rv
-                    tree[u][v] = tree[v][u] = fault
-            visited.add(u)
-        trees.append(tree)
-    return trees
-
-
-def _root(parent: dict, node):
-    while parent[node] != node:
-        parent[node] = node = parent[parent[node]]
-    return node
+        forest[root] = None
+        tree = [root]
+        for node in tree:  # the list grows as the search reaches nodes
+            for nbr, fault in erasure[node].items():
+                if nbr not in forest:
+                    forest[nbr] = (node, fault)
+                    tree.append(nbr)
+    return forest
 
 
 def _edge_key(a, b) -> tuple:
-    return (a, b) if repr(a) <= repr(b) else (b, a)
+    return (a, b) if a <= b else (b, a)

@@ -354,7 +354,7 @@ def random_circuit(
 # circuits.  Unlike the builders above these return unbound templates: call
 # ``.bind({...})`` (or hand them to ``repro.quantum.variational.minimize``)
 # before execution.
-from repro.quantum.variational.ansatz import (  # noqa: E402
+from repro.quantum.variational.ansatz import (  # noqa: E402, F401
     hardware_efficient_ansatz,
     qaoa_ansatz,
 )

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from repro.errors import TranspilerError
-from repro.quantum import gates as _gates
 from repro.quantum.circuit import Instruction
 from repro.quantum.parameters import is_symbolic
 

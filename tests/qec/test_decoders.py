@@ -22,7 +22,7 @@ from repro.qec.codes.surface import SurfaceCode
 from repro.qec.lookup import LookupDecoder
 from repro.qec.matching import MWPMDecoder
 from repro.qec.syndrome import sample_memory
-from repro.qec.unionfind import UnionFindDecoder, _spanning_trees
+from repro.qec.unionfind import BOUNDARY_NODE, UnionFindDecoder, _peeling_forest
 from repro.utils.graphs import add_edge, edges
 from tests.qec.reference_memory import (
     decoder_graph,
@@ -171,6 +171,14 @@ class TestUnionFind:
         result = decoder.decode([(1, 2), (2, 2)], rounds=3)
         assert not result.correction.any()
 
+    @pytest.mark.parametrize("events", [[], [(0, 1), (1, 1)]])
+    @pytest.mark.parametrize("rounds", [2.0, "2", True, -1])
+    def test_rounds_other_than_a_whole_number_rejected(self, rounds, events):
+        decoder = UnionFindDecoder(SurfaceCode(3), "x")
+        with pytest.raises(DecodingError, match="rounds must be a whole number"):
+            decoder.decode(events, rounds=rounds)
+        assert decoder._graphs == {}  # refused before the graph is built
+
 
 def permuted(code: CSSCode, seed: int) -> CSSCode:
     """``code`` with its data qubits relabelled at random: the decoder graph
@@ -211,48 +219,91 @@ class TestMWPMPaths:
                     )
 
 
-class TestUnionFindTrees:
-    """Union-find peels the spanning trees networkx built: for each
-    component ``c`` of the erasure, ``nx.minimum_spanning_tree(
-    erasure.subgraph(c))``, in the same node and neighbour order.
+class TestUnionFindOrder:
+    """A decode depends on the events, not on the order they are listed in,
+    and the one-pass peel gives the correction that stripping the same
+    forest's leaves a layer at a time gives."""
 
-    Each erasure is a random edge subset of a surface-5 space-time graph,
-    added in shuffled order and orientation, so most hold several
-    components: some under half the erasure's nodes, whose subgraph view
-    iterates a set of them, and some not, whose view keeps the erasure's
-    node order.
-    """
+    @pytest.mark.parametrize("distance", [5, 7])
+    @pytest.mark.parametrize("error_type", ["x", "z"])
+    def test_shuffled_events_decode_alike(self, distance, error_type):
+        code = SurfaceCode(distance)
+        decoder = UnionFindDecoder(code, error_type)
+        checks = code.num_z_checks if error_type == "x" else code.num_x_checks
+        candidates = [(t, c) for t in range(4) for c in range(checks)]
+        rng = random.Random(distance)
+        for _ in range(20):
+            events = rng.sample(candidates, rng.randint(2, 30))
+            results = set()
+            for _ in range(4):
+                rng.shuffle(events)
+                result = decoder.decode(events, rounds=3)
+                results.add((
+                    tuple(result.correction.nonzero()[0].tolist()),
+                    result.num_growth_rounds,
+                    result.cluster_count,
+                ))
+            assert len(results) == 1, events
 
-    def test_trees_match_networkx(self):
-        graph = UnionFindDecoder(SurfaceCode(5), "x")._build_graph(3)
+    def test_one_pass_peel_matches_leaf_stripping(self):
+        # Each erasure is a random edge subset of a surface-5 space-time
+        # graph, added in shuffled order and orientation, with random marks:
+        # nearly all hold several trees, and most one rooted at the boundary.
+        decoder = UnionFindDecoder(SurfaceCode(5), "x")
+        graph = decoder._build_graph(3)
         space_time_edges = list(edges(graph))
         rng = random.Random(11)
-        small = large = 0
+        with_boundary = 0
         for _ in range(300):
             erasure: dict = {}
-            reference = nx.Graph()
             for u, v, fault in rng.sample(space_time_edges, rng.randint(1, 40)):
                 if rng.random() < 0.5:
                     u, v = v, u
                 add_edge(erasure, u, v, fault)
-                reference.add_edge(u, v, fault=fault)
-            expected = []
-            for component in nx.connected_components(reference):
-                if 2 * len(component) < len(reference):
-                    small += 1
-                else:
-                    large += 1
-                tree = nx.minimum_spanning_tree(reference.subgraph(component))
-                expected.append([
-                    (u, [(v, d["fault"]) for v, d in tree.adj[u].items()])
-                    for u in tree
-                ])
-            trees = _spanning_trees(erasure)
-            assert [
-                [(u, list(nbrs.items())) for u, nbrs in tree.items()]
-                for tree in trees
-            ] == expected
-        assert small > 100 and large > 100
+            defects = rng.sample(list(erasure), rng.randint(0, len(erasure)))
+            forest = _peeling_forest(erasure)
+            with_boundary += BOUNDARY_NODE in forest  # then a root
+            expected = strip_leaves(forest, defects, decoder.code.num_data_qubits)
+            assert np.array_equal(decoder._peel(erasure, defects), expected)
+        assert with_boundary > 100
+
+
+def strip_leaves(forest: dict, defects: list, num_qubits: int) -> np.ndarray:
+    """The peel union-find used before the one-pass walk: on each tree of
+    ``forest``, strip every leaf but the root, a layer at a time; a marked
+    leaf flips its edge and hands its mark to its neighbour."""
+    correction = np.zeros(num_qubits, dtype=bool)
+    trees: dict = {}  # root -> the tree's adjacency dict
+    root_of: dict = {}
+    for node, edge in forest.items():
+        if edge is None:
+            root_of[node] = node
+            trees[node] = {node: {}}
+        else:
+            parent, fault = edge
+            root_of[node] = root_of[parent]
+            add_edge(trees[root_of[node]], parent, node, fault)
+    marked = {node: (node in defects) for node in forest}
+    for root, tree in trees.items():
+        while len(tree) > 1:
+            leaves = [
+                v for v, nbrs in tree.items() if len(nbrs) == 1 and v != root
+            ]
+            if not leaves:
+                break
+            for leaf in leaves:
+                if len(tree) <= 1 or leaf not in tree:
+                    continue
+                (parent,) = tree[leaf]
+                if marked.get(leaf, False):
+                    fault = tree[leaf][parent]
+                    if fault is not None:  # a space edge
+                        correction[fault] ^= True
+                    marked[parent] = not marked.get(parent, False)
+                    marked[leaf] = False
+                del tree[parent][leaf]
+                del tree[leaf]
+    return correction
 
 
 def _mirrored(code):
