@@ -80,6 +80,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _http_url(text: str) -> str:
+    """argparse type of a server URL (``--remote-cache``, ``--url``): one
+    that is not http(s):// exits 2 with a usage message before any work
+    runs."""
+    if not text.startswith(("http://", "https://")):
+        raise argparse.ArgumentTypeError(
+            f"expected an http(s):// URL, got {text!r}"
+        )
+    return text
+
+
 def _cmd_experiments(_args) -> int:
     for name in EXPERIMENTS:
         print(f"  {name:10s}  python -m repro.experiments.{name}")
@@ -886,7 +897,8 @@ def main(argv: list[str] | None = None) -> int:
         "a repeat of the same arm across processes)",
     )
     eval_parser.add_argument(
-        "--remote-cache", dest="remote_cache", default=None, metavar="URL",
+        "--remote-cache", dest="remote_cache", type=_http_url, default=None,
+        metavar="URL",
         help="share execution results with a 'repro cache-server' at this "
         "URL (a cold worker pointed at a warm server simulates nothing)",
     )
@@ -1119,7 +1131,8 @@ def main(argv: list[str] | None = None) -> int:
         help="lease and execute episode chunks from an eval-server",
     )
     eval_worker.add_argument(
-        "--url", required=True, help="coordinator URL (from eval-server)"
+        "--url", type=_http_url, required=True,
+        help="coordinator URL (from eval-server)",
     )
     eval_worker.add_argument(
         "--token", default=None,
@@ -1139,7 +1152,8 @@ def main(argv: list[str] | None = None) -> int:
         help="pause between lease attempts on an empty queue",
     )
     eval_worker.add_argument(
-        "--remote-cache", dest="remote_cache", default=None, metavar="URL",
+        "--remote-cache", dest="remote_cache", type=_http_url, default=None,
+        metavar="URL",
         help="share execution results with this cache server "
         "(default: the coordinator itself, which serves the cache too)",
     )

@@ -139,7 +139,7 @@ class UnionFindDecoder:
 
     def decode(self, history_or_events, rounds: int | None = None) -> UnionFindResult:
         """Decode detection events; a raw event list's ``rounds`` defaults to
-        its last event's round."""
+        its last event's round, and a history's ``rounds`` is its own."""
         if rounds is not None and (
             isinstance(rounds, bool) or not isinstance(rounds, numbers.Integral)
             or rounds < 0
@@ -147,6 +147,11 @@ class UnionFindDecoder:
             raise DecodingError(f"rounds must be a whole number >= 0, not {rounds!r}")
         if isinstance(history_or_events, SyndromeHistory):
             check_decodable(history_or_events, self.code, self.error_type)
+            if rounds is not None and rounds != history_or_events.rounds:
+                raise DecodingError(
+                    f"rounds={rounds} does not match the history's "
+                    f"{history_or_events.rounds} rounds"
+                )
             events = history_or_events.detection_events
             rounds = history_or_events.rounds
         else:

@@ -52,6 +52,14 @@ The cooperating pieces (see the per-module docstrings for detail):
   ran, so concurrent users — e.g. two evaluation arms — get exact,
   non-overlapping execution stats.
 
+Importing the package loads the core modules only: ``cache``,
+``disk_cache``, ``jobs``, ``registry``, ``scopes``, ``transpile_cache`` and
+``service``.  The serving tier — ``remote_cache``, ``dispatch``,
+``tenants``, ``jobstore`` and ``metrics``, with the HTTP stack under them —
+loads on first use: the first access to one of its names here (say
+``CacheServer`` or ``run_worker``), a direct submodule import, or an
+``ExecutionService(remote_url=...)``.
+
 Quickstart::
 
     from repro.quantum import QuantumCircuit
@@ -65,6 +73,8 @@ Quickstart::
 sites transparently share the same cache and counters.
 """
 
+import importlib
+
 from repro.quantum.execution.cache import (
     CacheKey,
     ResultCache,
@@ -72,20 +82,7 @@ from repro.quantum.execution.cache import (
     noise_fingerprint,
 )
 from repro.quantum.execution.disk_cache import CacheLimits, DiskResultCache
-from repro.quantum.execution.dispatch import (
-    DispatchClient,
-    EvalCoordinator,
-    WorkQueue,
-    run_worker,
-)
 from repro.quantum.execution.jobs import ExecutionJob
-from repro.quantum.execution.jobstore import JobStore
-from repro.quantum.execution.metrics import METRICS_CONTENT_TYPE, serving_metrics
-from repro.quantum.execution.remote_cache import (
-    CACHE_TOKEN_ENV,
-    CacheServer,
-    RemoteResultCache,
-)
 from repro.quantum.execution.registry import (
     BackendProvider,
     get_backend,
@@ -98,13 +95,6 @@ from repro.quantum.execution.scopes import (
     StatsScope,
     stats_scope,
     use_scope,
-)
-from repro.quantum.execution.tenants import (
-    TENANT_FILE_ENV,
-    Tenant,
-    TenantRegistry,
-    TokenBucket,
-    load_tenants,
 )
 from repro.quantum.execution.transpile_cache import (
     basis_fingerprint,
@@ -121,6 +111,39 @@ from repro.quantum.execution.service import (
     set_default_service,
     validate_from_env,
 )
+
+#: The serving tier's public names, each imported from its submodule on
+#: first access (PEP 562), so a process that never serves, dispatches or
+#: reaches a remote cache does not load the HTTP stack.
+_LAZY = {
+    "DispatchClient": "dispatch",
+    "EvalCoordinator": "dispatch",
+    "WorkQueue": "dispatch",
+    "run_worker": "dispatch",
+    "JobStore": "jobstore",
+    "METRICS_CONTENT_TYPE": "metrics",
+    "serving_metrics": "metrics",
+    "CACHE_TOKEN_ENV": "remote_cache",
+    "CacheServer": "remote_cache",
+    "RemoteResultCache": "remote_cache",
+    "TENANT_FILE_ENV": "tenants",
+    "Tenant": "tenants",
+    "TenantRegistry": "tenants",
+    "TokenBucket": "tenants",
+    "load_tenants": "tenants",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "BackendProvider",

@@ -32,13 +32,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.execution.disk_cache import DiskResultCache
-from repro.quantum.execution.remote_cache import RemoteResultCache
 from repro.quantum.execution.scopes import StatsScope, credit
 from repro.quantum.noise import NoiseModel
 from repro.utils.rng import stable_hash
+
+if TYPE_CHECKING:
+    from repro.quantum.execution.remote_cache import RemoteResultCache
 
 #: Default number of distinct executions retained by a :class:`ResultCache`.
 DEFAULT_CACHE_SIZE = 512

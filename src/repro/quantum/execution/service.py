@@ -93,7 +93,6 @@ from repro.quantum.execution.cache import (
 from repro.quantum.execution.disk_cache import CacheLimits, DiskResultCache
 from repro.quantum.execution.jobs import ExecutionJob
 from repro.quantum.execution.registry import resolve_backend
-from repro.quantum.execution.remote_cache import RemoteResultCache
 from repro.quantum.execution.scopes import (
     StatsScope,
     active_scopes,
@@ -192,9 +191,11 @@ class ExecutionService:
                 if cache_dir is not None
                 else None
             )
-            remote = (
-                RemoteResultCache(remote_url) if remote_url is not None else None
-            )
+            remote = None
+            if remote_url is not None:
+                from repro.quantum.execution.remote_cache import RemoteResultCache
+
+                remote = RemoteResultCache(remote_url)
             cache = ResultCache(disk=disk, remote=remote)
         self.cache = cache
         self._lock = threading.Lock()

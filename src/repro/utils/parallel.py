@@ -18,15 +18,20 @@ machinery in one place:
   Results are bit-identical in both modes as long as ``fn`` is
   deterministic per item — which is exactly the contract the eval engine's
   seed derivation provides.
+
+``multiprocessing`` and ``concurrent.futures`` load only when a pool is
+built, so a process that maps inline never imports them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Environment variable consulted when no explicit worker count is given.
 EVAL_WORKERS_ENV = "REPRO_EVAL_WORKERS"
@@ -59,6 +64,9 @@ def resolve_workers(workers: int | None) -> int:
 def process_pool(workers: int) -> ProcessPoolExecutor | None:
     """A ``workers``-process pool preferring ``fork`` so children inherit
     warm caches; ``None`` on a platform that cannot build one."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     context = None
     if "fork" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("fork")
@@ -104,6 +112,8 @@ def parallel_map(
             if on_result is not None:
                 on_result(index + 1, results[-1])
         return results
+
+    from concurrent.futures import FIRST_EXCEPTION, wait
 
     results: list = [None] * len(calls)
     try:

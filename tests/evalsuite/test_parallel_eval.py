@@ -282,6 +282,8 @@ class TestEnginePlumbing:
     def test_no_process_pool_runs_inline(self, tmp_path, monkeypatch):
         """A platform that cannot build a process pool still maps, and a
         coordinator's local fallback still drains its queue: both inline."""
+        import concurrent.futures
+
         import repro.utils.parallel as parallel
         from repro.quantum.execution import EvalCoordinator
         from repro.quantum.execution.dispatch import encode_chunk
@@ -292,7 +294,7 @@ class TestEnginePlumbing:
         def no_pool(*args, **kwargs):
             raise OSError("no process pool on this platform")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert parallel.process_pool(2) is None
         assert parallel_map(_square, calls, 3) == pooled
         here = os.getpid()

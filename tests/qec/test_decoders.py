@@ -179,6 +179,24 @@ class TestUnionFind:
             decoder.decode(events, rounds=rounds)
         assert decoder._graphs == {}  # refused before the graph is built
 
+    @pytest.mark.parametrize("rounds", [0, 2, 3, 99])
+    def test_history_rounds_must_match(self, rounds):
+        """A history carries its own round count: ``rounds`` may restate it,
+        and any other value is refused, not silently overridden."""
+        code = SurfaceCode(3)
+        decoder = UnionFindDecoder(code, "x")
+        history = sample_memory(code, 3, 0.1, 0.1, np.random.default_rng(4))
+        assert history.rounds == 3 and history.detection_events
+        if rounds != history.rounds:
+            with pytest.raises(DecodingError, match=f"rounds={rounds} .* 3 rounds"):
+                decoder.decode(history, rounds=rounds)
+            return
+        restated = decoder.decode(history, rounds=rounds)
+        default = decoder.decode(history)
+        assert np.array_equal(restated.correction, default.correction)
+        assert restated.cluster_count == default.cluster_count
+        assert restated.num_growth_rounds == default.num_growth_rounds
+
 
 def permuted(code: CSSCode, seed: int) -> CSSCode:
     """``code`` with its data qubits relabelled at random: the decoder graph

@@ -8,10 +8,12 @@ Prometheus ``/metrics`` exposition, and a killed coordinator resuming
 bit-identically from its job store.
 """
 
+import importlib
 import io
 import json
 import pickle
 import re
+import sys
 import urllib.error
 import urllib.request
 from email.message import Message
@@ -39,6 +41,41 @@ from repro.quantum.execution.dispatch import (
 from repro.quantum.execution.remote_cache import parse_retry_after
 from repro.quantum.execution.scopes import COUNTERS
 from repro.quantum.execution.tenants import load_tenants
+
+
+class TestLazyExports:
+    """``repro.quantum.execution`` serves the serving tier's names on first
+    access (PEP 562): each resolves to its submodule's object, ``dir()``
+    lists it, and an unknown name is still an ``AttributeError``."""
+
+    def test_every_exported_name_resolves_and_is_listed(self):
+        import repro.quantum.execution as execution
+
+        listed = dir(execution)
+        for name in execution.__all__:
+            assert hasattr(execution, name), name
+            assert name in listed, name
+
+    def test_lazy_names_are_their_submodules_objects(self):
+        import repro.quantum.execution as execution
+
+        assert set(execution._LAZY) <= set(execution.__all__)
+        for name, module in execution._LAZY.items():
+            source = importlib.import_module(f"repro.quantum.execution.{module}")
+            assert getattr(execution, name) is getattr(source, name), name
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro.quantum.execution as execution
+
+        with pytest.raises(AttributeError, match="has no attribute 'NoSuchName'"):
+            execution.NoSuchName
+        assert not hasattr(execution, "NoSuchName")
+
+    def test_submodule_import_through_the_package(self):
+        from repro.quantum.execution import dispatch
+
+        assert dispatch is sys.modules["repro.quantum.execution.dispatch"]
+        assert dispatch.EvalCoordinator is EvalCoordinator
 
 
 def _key(tag: int = 0) -> CacheKey:

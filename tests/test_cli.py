@@ -43,6 +43,29 @@ def test_counts_below_one_exit_2_with_usage(argv, capsys):
     assert "expected a positive integer" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "ft", "--samples", "1", "--remote-cache", "cachehost:8750"],
+        ["eval-worker", "--url", "cachehost:8750"],
+        ["eval-worker", "--url", "cachehost:8750", "--no-remote-cache"],
+        [
+            "eval-worker", "--url", "http://127.0.0.1:9",
+            "--remote-cache", "cachehost:1",
+        ],
+    ],
+)
+def test_malformed_url_exits_2_with_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "expected an http(s):// URL, got 'cachehost:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_eval_server_fallback_workers_zero_is_accepted(capsys):
     # 0 means no local fallback, so it parses; the unknown arm then stops
     # the command before a coordinator starts.

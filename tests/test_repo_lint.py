@@ -370,7 +370,8 @@ class TestR007PoolConstruction:
 
     def test_imports_and_annotations_allowed(self):
         src = """
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        if TYPE_CHECKING:
+            from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
         pool: ThreadPoolExecutor | None = None
         factory = ProcessPoolExecutor
         """
@@ -642,6 +643,103 @@ class TestR013WeightedChoice:
         weighted = "token = str(rng.choice(choices, p=weights))"
         assert codes(weighted, "src/repro/llm/ngram.py") == []
         assert codes(weighted, "tests/serial_engine.py") == []
+
+
+class TestR014StartupImports:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import urllib.request",
+            "import os, socket",
+            "from http.server import ThreadingHTTPServer",
+            "import socketserver",
+            "import ssl as _ssl",
+            "import multiprocessing",
+            "from concurrent.futures import FIRST_EXCEPTION, wait",
+            "try:\n    import ssl\nexcept ImportError:\n    ssl = None",
+            "class Server:\n    from http import server",
+        ],
+    )
+    def test_module_level_stdlib_import_flagged(self, src):
+        found = lint(src, "src/repro/utils/parallel.py")
+        assert [v.rule for v in found] == ["R014"]
+        assert "inside the function" in found[0].message
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from repro.quantum.execution.remote_cache import RemoteResultCache",
+            "import repro.quantum.execution.dispatch",
+            "from repro.quantum.execution import tenants",
+            "from repro.quantum.execution.jobstore import JobStore",
+            "from repro.quantum.execution.metrics import serving_metrics",
+        ],
+    )
+    def test_module_level_serving_tier_import_flagged(self, src):
+        for path in (
+            "src/repro/quantum/execution/__init__.py",
+            "src/repro/quantum/execution/cache.py",
+            "src/repro/cli.py",
+        ):
+            found = lint(src, path)
+            assert [v.rule for v in found] == ["R014"], path
+            assert "the serving tier's" in found[0].message
+
+    def test_function_level_imports_allowed(self):
+        src = """
+        def process_pool(workers):
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            return ProcessPoolExecutor(workers)
+
+        class Service:
+            def __init__(self, url):
+                from repro.quantum.execution.remote_cache import RemoteResultCache
+                self.remote = RemoteResultCache(url)
+        """
+        assert codes(src, "src/repro/utils/parallel.py") == []
+
+    def test_type_checking_imports_allowed(self):
+        src = """
+        from typing import TYPE_CHECKING
+        import typing
+
+        if TYPE_CHECKING:
+            from concurrent.futures import ProcessPoolExecutor
+            from repro.quantum.execution.remote_cache import RemoteResultCache
+        if typing.TYPE_CHECKING:
+            import socket
+        """
+        assert codes(src, "src/repro/quantum/execution/cache.py") == []
+
+    def test_type_checking_else_branch_flagged(self):
+        src = """
+        if TYPE_CHECKING:
+            pass
+        else:
+            import multiprocessing
+        """
+        assert codes(src) == ["R014"]
+
+    def test_serving_tier_imports_itself_and_the_stack(self):
+        src = """
+        import urllib.request
+        from http.server import ThreadingHTTPServer
+        from repro.quantum.execution.remote_cache import CacheServer
+        """
+        for module in ("remote_cache", "dispatch", "tenants", "jobstore", "metrics"):
+            assert codes(src, f"src/repro/quantum/execution/{module}.py") == []
+
+    def test_core_modules_and_lookalikes_allowed(self):
+        src = """
+        import urllib_like
+        from repro.quantum.execution import ExecutionService, default_service
+        from repro.quantum.execution.service import ExecutionService
+        from repro.quantum.execution.disk_cache import DiskResultCache
+        from repro.utils.parallel import parallel_map
+        from repro.evalsuite import metrics
+        """
+        assert codes(src, "src/repro/evalsuite/runner.py") == []
 
 
 class TestDriver:

@@ -1,4 +1,4 @@
-"""The runtime needs only its declared dependencies: no networkx.
+"""The runtime loads only what it uses: no networkx, no idle serving tier.
 
 ``setup.py`` installs numpy alone; networkx is a test extra, the reference
 the graph ports are checked against.  This runs, in a fresh interpreter,
@@ -7,6 +7,12 @@ and routing), MWPM and union-find decodes, and decoder generation with its
 grid embedding search.  Importing networkx there raises ImportError, so a
 call site that still reaches for it fails here.  CI's ``runtime-deps`` job
 checks the same from a clean install.
+
+The serving tier (the remote cache, dispatch, tenants, the job store and
+metrics, with the HTTP stack under them) and the process-pool modules load
+on first use.  A second fresh interpreter imports what every short command
+imports and checks that none of them loaded, then that each loads once a
+remote cache or a pool is asked for.
 """
 
 import os
@@ -64,6 +70,53 @@ def test_runtime_paths_run_without_networkx():
     env.pop("REPRO_CACHE_URL", None)
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+LAZY_SCRIPT = """
+import sys
+
+import repro.cli
+import repro.evalsuite
+import repro.experiments.generate_report
+import repro.quantum.variational
+from repro.quantum.execution import ExecutionService, default_service
+from repro.utils.parallel import parallel_map
+
+default_service()
+idle = [
+    "urllib.request", "http.client", "http.server", "socketserver", "ssl",
+    "socket", "email.parser", "concurrent.futures", "multiprocessing",
+    "repro.quantum.execution.remote_cache", "repro.quantum.execution.dispatch",
+    "repro.quantum.execution.tenants", "repro.quantum.execution.jobstore",
+    "repro.quantum.execution.metrics",
+]
+loaded = [name for name in idle if name in sys.modules]
+assert not loaded, f"start-up loaded {loaded}"
+
+ExecutionService(remote_url="http://127.0.0.1:9")
+assert "repro.quantum.execution.remote_cache" in sys.modules
+assert "concurrent.futures.process" not in sys.modules
+assert parallel_map(abs, [(-1,), (-2,)], 2) == [1, 2]
+assert "concurrent.futures.process" in sys.modules
+
+from repro.quantum.execution import dispatch
+
+assert dispatch is sys.modules["repro.quantum.execution.dispatch"]
+print("ok")
+"""
+
+
+def test_serving_tier_and_pool_load_on_first_use():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    for name in ("REPRO_CACHE_DIR", "REPRO_CACHE_URL", "REPRO_EVAL_WORKERS"):
+        env.pop(name, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCRIPT],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

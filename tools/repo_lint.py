@@ -122,6 +122,19 @@ R013  A weighted ``choice(...)`` call (a ``p=`` keyword, or a fourth
       sampler).  ``rng.choice`` lives on only as the parity reference in
       ``tests/serial_engine.py``.
 
+R014  An import that puts the serving tier or the process pool on the
+      start-up path.  Two kinds, each only at module level (an import
+      inside a function, or under ``if TYPE_CHECKING:``, runs on first use
+      or never): an import of ``urllib``, ``http``, ``socketserver``,
+      ``ssl``, ``socket``, ``multiprocessing`` or ``concurrent`` outside
+      the serving tier; and an import of a serving-tier module
+      (``quantum/execution/``'s ``remote_cache``, ``dispatch``,
+      ``tenants``, ``jobstore``, ``metrics``) from outside it.  Every
+      short process (``repro eval``, ``repro report``, eval workers) would
+      pay for an HTTP stack and a pool it never uses; the serving tier's
+      names load through ``repro.quantum.execution``'s lazy exports, and
+      ``repro.utils.parallel`` imports the pool only to build one.
+
 Usage::
 
     python tools/repo_lint.py [paths...]   # default: src/
@@ -198,6 +211,17 @@ R012_LEDGER = {"COUNTERS", "SCOPE_FIELDS", "stats_scope"}
 
 #: R013 applies under this directory name: the simulator's package.
 R013_DIR = "quantum"
+
+#: Standard-library packages R014 keeps off the start-up path: the HTTP
+#: stack and the process pool.
+R014_STDLIB = {
+    "urllib", "http", "socketserver", "ssl", "socket", "multiprocessing",
+    "concurrent",
+}
+
+#: The serving tier (R014): modules of this package that load on first use.
+R014_PACKAGE = "repro.quantum.execution"
+R014_SERVING = {"remote_cache", "dispatch", "tenants", "jobstore", "metrics"}
 
 
 class Violation:
@@ -620,6 +644,62 @@ def _check_weighted_choice(path: Path, tree: ast.AST) -> list[Violation]:
     ]
 
 
+def _import_time_imports(tree: ast.AST) -> list[ast.Import | ast.ImportFrom]:
+    """The imports that run when the module loads: none inside a function,
+    none under ``if TYPE_CHECKING:`` (its ``else`` does run)."""
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and _terminal_name(node.test) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _serving_module(name: str) -> str | None:
+    """The serving-tier module a dotted import name loads, if any."""
+    package, _, module = name.rpartition(".")
+    return module if package == R014_PACKAGE and module in R014_SERVING else None
+
+
+def _check_startup_imports(path: Path, tree: ast.AST) -> list[Violation]:
+    """R014: the HTTP stack, the process pool or the serving tier imported
+    at module level."""
+    if path.parts[-3:-1] == ("quantum", "execution") and path.stem in R014_SERVING:
+        return []
+    found = []
+    for node in _import_time_imports(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            module = node.module or ""
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        stdlib = sorted({name.split(".")[0] for name in names} & R014_STDLIB)
+        serving = sorted(
+            f"the serving tier's {tier}"
+            for tier in map(_serving_module, names)
+            if tier is not None
+        )
+        if stdlib or serving:
+            found.append(
+                Violation(
+                    path, node.lineno, "R014",
+                    f"module-level import of {', '.join(stdlib + serving)}: "
+                    "every process that imports this module would load the "
+                    "HTTP stack or the process pool, used or not; import it "
+                    "inside the function that needs it (or under "
+                    "TYPE_CHECKING for an annotation)",
+                )
+            )
+    return found
+
+
 CHECKS = (
     _check_direct_backend_calls,
     _check_stats_diffs,
@@ -633,6 +713,7 @@ CHECKS = (
     _check_execute_calls,
     _check_ledger_reads,
     _check_weighted_choice,
+    _check_startup_imports,
 )
 
 
