@@ -51,7 +51,12 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+#: ``repro.quantum.execution.service.CACHE_URL_ENV``, named here so that
+#: :func:`main` can check it without importing the execution stack.
+CACHE_URL_ENV = "REPRO_CACHE_URL"
 
 EXPERIMENTS = ("figure2", "figure3", "figure4", "table1", "multipass", "ablations")
 
@@ -119,7 +124,6 @@ def _resolve_token(token: str | None) -> str | None:
 def _served_dir(cache_dir: str | None) -> tuple[str, bool]:
     """The store a coordinator serves: explicit flag, else ``REPRO_CACHE_DIR``,
     else a fresh temp dir.  The flag says "ephemeral — remove when done"."""
-    import os
     import tempfile
 
     from repro.quantum.execution.service import CACHE_DIR_ENV
@@ -400,8 +404,6 @@ def _limits_from_args(args):
 
 
 def _cmd_cache(args) -> int:
-    import os
-
     from repro.quantum.execution import DiskResultCache
     from repro.quantum.execution.service import CACHE_DIR_ENV
 
@@ -442,8 +444,6 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_cache_server(args) -> int:
-    import os
-
     from repro.quantum.execution import CacheServer
     from repro.quantum.execution.service import CACHE_DIR_ENV
 
@@ -492,8 +492,6 @@ def _cmd_eval_server(args) -> int:
     settings = _arm_settings(args.arm, args.samples)
     if settings is None:
         return 2
-    import os
-
     tenants = _load_tenants_or_fail(args.tenant_file)
     if tenants is Ellipsis:
         return 2
@@ -1163,6 +1161,17 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    # The default execution service reads the remote tier's URL from the
+    # environment when a command first needs it.  Refuse a malformed one
+    # now, before any work runs, as the URL flags are refused; an empty
+    # value means no remote tier.
+    cache_url = os.environ.get(CACHE_URL_ENV, "").strip()
+    if cache_url:
+        try:
+            _http_url(cache_url)
+        except argparse.ArgumentTypeError as exc:
+            print(f"repro: {CACHE_URL_ENV}: {exc}", file=sys.stderr)
+            return 2
     handlers = {
         "experiments": _cmd_experiments,
         "run": _cmd_run,

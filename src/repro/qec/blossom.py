@@ -2,27 +2,54 @@
 
 A port of ``networkx.algorithms.matching.max_weight_matching`` from
 networkx 3.6.1 (Edmonds' blossom algorithm in Galil's primal-dual form).
-The MWPM decoder matches thousands of small complete graphs, and upstream
-reads every edge weight through a fresh graph view; this port reads a
-``dict[node, dict[node, weight]]`` instead.  It visits nodes, neighbours and
-edges in the order networkx visits them for a graph with the same insertion
-order, so it takes every decision upstream takes and returns the same
-matching, ties included.  ``tests/qec/test_blossom.py`` checks that against
-networkx itself.
+The MWPM decoder matches thousands of small complete graphs, so this port
+maps the ``dict[node, dict[node, weight]]`` it is handed to integer indices
+once, runs upstream's algorithm over lists, and maps the matching back.  It
+visits nodes, neighbours, edges and blossoms in the order networkx visits
+them for a graph with the same insertion order, so it takes every decision
+upstream takes and returns the same matching, ties included.
+``tests/qec/test_blossom.py`` checks that against networkx itself.
 
 The edits to upstream are:
 
-* ``G[v][w].get(weight, 1)`` is ``adj[v][w]``;
-* ``G.neighbors(v)`` is ``adj[v]``;
-* ``list(G)`` and ``G.nodes()`` are ``list(adj)``;
-* ``G.edges(data=True)`` is :func:`repro.utils.graphs.edges`, which
-  follows ``EdgeDataView.__iter__``'s order;
+* vertices are the indices ``0..n-1`` of ``list(adj)`` (``list(G)`` and
+  ``G.nodes()`` are ``range(n)``), and the result maps them back to nodes;
+* a non-trivial blossom is an index in ``n..2n-1``, taken from a free list
+  when it is made and returned when it is expanded, so
+  ``isinstance(b, Blossom)`` is ``b >= n``; the ``Blossom`` class is gone
+  (``b.leaves()`` is ``leaves(b)``, the same stack walk), and so is
+  ``NoNode`` (``-1``);
+* ``mate``, ``label``, ``labeledge``, ``inblossom``, ``blossomparent``,
+  ``blossombase`` and ``bestedge`` are lists indexed by vertex or blossom
+  that hold ``None`` where upstream's dicts hold ``None`` or no key (so
+  ``label.get(b)`` is ``label[b]`` and ``v not in mate`` is ``mate[v] is
+  None``), and ``b.childs`` / ``b.edges`` / ``b.mybestedges`` are
+  ``childs[b]`` / ``edges[b]`` / ``mybestedges[b]``; each stage resets
+  ``label``, ``labeledge`` and ``bestedge`` by slice assignment where
+  upstream calls ``.clear()``;
+* ``blossomdual`` stays a dict keyed by blossom, so its keys are the live
+  blossoms in the order they were made.  Every loop over blossoms walks
+  it, and the delta3 loop, which upstream runs over ``blossomparent``'s
+  keys (vertices in node order, then live blossoms in creation order),
+  walks ``range(n)`` and then ``blossomdual``;
+* ``G.neighbors(v)`` is ``nbrs[v]``: ``v``'s neighbours in ``adj[v]``'s
+  order without its self-loop, which upstream skips wherever it walks
+  them.  ``2 * G[v][w].get(weight, 1)`` is ``weight2[v][w]``, doubled once
+  up front (the same number: doubling is exact);
+* ``allowedge`` is one set of neighbours per vertex, emptied each stage;
+  ``(v, w) in allowedge`` is ``w in allowedge[v]``.  The neighbour scan
+  fetches ``allowedge[v]`` and ``weight2[v]`` once per popped vertex and
+  computes ``slack(v, w)`` inline;
+* one pass over ``adj``'s rows finds ``maxweight`` and ``allinteger`` in
+  place of upstream's ``G.edges(data=True)`` walk: a weight met again from
+  its other end never raises the maximum, and ``type(wt) is not int`` is
+  upstream's ``str(type(wt))`` test (a ``bool`` is not an int);
+  ``verifyOptimum`` walks each edge from the end met first in node order,
+  as ``G.edges()`` does;
 * the matching always has maximum cardinality, so the ``maxcardinality``
   flag and the branches it disabled (delta1, a zero ``vdualoffset``) are
   gone;
-* :class:`Blossom` and :class:`NoNode` live at module level, not rebuilt on
-  every call;
-* the result is the ``mate`` dict, not a set of edges.
+* the result is the ``mate`` dict, in node order, not a set of edges.
 
 Every other statement, and its order and comments, is upstream's.
 
@@ -65,41 +92,7 @@ networkx is distributed under the 3-clause BSD license::
 
 from __future__ import annotations
 
-from itertools import repeat
-
-from repro.utils.graphs import edges
-
-
-class NoNode:
-    """Dummy value which is different from any node."""
-
-
-class Blossom:
-    """Representation of a non-trivial blossom or sub-blossom."""
-
-    __slots__ = ["childs", "edges", "mybestedges"]
-
-    # b.childs is an ordered list of b's sub-blossoms, starting with
-    # the base and going round the blossom.
-
-    # b.edges is the list of b's connecting edges, such that
-    # b.edges[i] = (v, w) where v is a vertex in b.childs[i]
-    # and w is a vertex in b.childs[wrap(i+1)].
-
-    # If b is a top-level S-blossom,
-    # b.mybestedges is a list of least-slack edges to neighboring
-    # S-blossoms, or None if no such list has been computed yet.
-    # This is used for efficient computation of delta3.
-
-    # Generate the blossom's leaf vertices.
-    def leaves(self):
-        stack = [*self.childs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Blossom):
-                stack.extend(t.childs)
-            else:
-                yield t
+from itertools import chain
 
 
 def max_weight_matching(adj):
@@ -143,29 +136,47 @@ def max_weight_matching(adj):
     if not gnodes:
         return {}  # don't bother with empty graphs
 
-    # Find the maximum edge weight.
+    # Vertices are 0..n-1 in gnodes' order; non-trivial blossoms are
+    # n..2n-1, taken from unusedblossoms when made and returned when
+    # expanded.
+    n = len(gnodes)
+    index = {v: i for i, v in enumerate(gnodes)}
+    unusedblossoms = list(range(n, 2 * n))
+
+    # Find the maximum edge weight.  Meanwhile list each vertex's
+    # neighbours in adj's order without its self-loop (nbrs[v]), and
+    # twice each edge weight (weight2[v][w]).
     maxweight = 0
     allinteger = True
-    for i, j, wt in edges(adj):
-        if i != j and wt > maxweight:
-            maxweight = wt
-        allinteger = allinteger and (str(type(wt)).split("'")[1] in ("int", "long"))
+    nbrs = []
+    weight2 = []
+    for i in gnodes:
+        row = {}
+        for j, wt in adj[i].items():
+            if i != j:
+                if wt > maxweight:
+                    maxweight = wt
+                row[index[j]] = 2 * wt
+            if allinteger and type(wt) is not int:
+                allinteger = False
+        nbrs.append(list(row))
+        weight2.append(row)
 
     # If v is a matched vertex, mate[v] is its partner vertex.
-    # If v is a single vertex, v does not occur as a key in mate.
+    # If v is a single vertex, mate[v] is None.
     # Initially all vertices are single; updated during augmentation.
-    mate = {}
+    mate = [None] * n
 
     # If b is a top-level blossom,
-    # label.get(b) is None if b is unlabeled (free),
-    #                 1 if b is an S-blossom,
-    #                 2 if b is a T-blossom.
+    # label[b] is None if b is unlabeled (free),
+    #             1 if b is an S-blossom,
+    #             2 if b is a T-blossom.
     # The label of a vertex is found by looking at the label of its top-level
     # containing blossom.
     # If v is a vertex inside a T-blossom, label[v] is 2 iff v is reachable
     # from an S-vertex outside the blossom.
     # Labels are assigned during a stage and reset after each augmentation.
-    label = {}
+    label = [None] * (2 * n)
 
     # If b is a labeled top-level blossom,
     # labeledge[b] = (v, w) is the edge through which b obtained its label
@@ -173,23 +184,23 @@ def max_weight_matching(adj):
     # If w is a vertex inside a T-blossom and label[w] == 2,
     # labeledge[w] = (v, w) is an edge through which w is reachable from
     # outside the blossom.
-    labeledge = {}
+    labeledge = [None] * (2 * n)
 
     # If v is a vertex, inblossom[v] is the top-level blossom to which v
     # belongs.
     # If v is a top-level vertex, inblossom[v] == v since v is itself
     # a (trivial) top-level blossom.
     # Initially all vertices are top-level trivial blossoms.
-    inblossom = dict(zip(gnodes, gnodes))
+    inblossom = list(range(n))
 
     # If b is a sub-blossom,
     # blossomparent[b] is its immediate parent (sub-)blossom.
     # If b is a top-level blossom, blossomparent[b] is None.
-    blossomparent = dict(zip(gnodes, repeat(None)))
+    blossomparent = [None] * (2 * n)
 
     # If b is a (sub-)blossom,
     # blossombase[b] is its base VERTEX (i.e. recursive sub-blossom).
-    blossombase = dict(zip(gnodes, gnodes))
+    blossombase = [*range(n), *[None] * n]
 
     # If w is a free vertex (or an unreached vertex inside a T-blossom),
     # bestedge[w] = (v, w) is the least-slack edge from an S-vertex,
@@ -198,37 +209,67 @@ def max_weight_matching(adj):
     # bestedge[b] = (v, w) is the least-slack edge to a different S-blossom
     # (v inside b), or None if there is no such edge.
     # This is used for efficient computation of delta2 and delta3.
-    bestedge = {}
+    bestedge = [None] * (2 * n)
 
     # If v is a vertex,
     # dualvar[v] = 2 * u(v) where u(v) is the v's variable in the dual
     # optimization problem (if all edge weights are integers, multiplication
     # by two ensures that all values remain integers throughout the algorithm).
     # Initially, u(v) = maxweight / 2.
-    dualvar = dict(zip(gnodes, repeat(maxweight)))
+    dualvar = [maxweight] * n
 
     # If b is a non-trivial blossom,
     # blossomdual[b] = z(b) where z(b) is b's variable in the dual
     # optimization problem.
+    # Its keys are the live non-trivial blossoms in the order they were made.
     blossomdual = {}
 
-    # If (v, w) in allowedge or (w, v) in allowedg, then the edge
+    # If b is a non-trivial blossom:
+    # childs[b] is an ordered list of b's sub-blossoms, starting with
+    # the base and going round the blossom.
+    childs = [None] * (2 * n)
+
+    # edges[b] is the list of b's connecting edges, such that
+    # edges[b][i] = (v, w) where v is a vertex in childs[b][i]
+    # and w is a vertex in childs[b][wrap(i+1)].
+    edges = [None] * (2 * n)
+
+    # If b is a top-level S-blossom,
+    # mybestedges[b] is a list of least-slack edges to neighboring
+    # S-blossoms, or None if no such list has been computed yet.
+    # This is used for efficient computation of delta3.
+    mybestedges = [None] * (2 * n)
+
+    # If w in allowedge[v] (and so v in allowedge[w]), then the edge
     # (v, w) is known to have zero slack in the optimization problem;
     # otherwise the edge may or may not have zero slack.
-    allowedge = {}
+    allowedge = [set() for _ in range(n)]
+
+    # What each stage resets label, labeledge and bestedge to.
+    nones = [None] * (2 * n)
 
     # Queue of newly discovered S-vertices.
     queue = []
 
     # Return 2 * slack of edge (v, w) (does not work inside blossoms).
     def slack(v, w):
-        return dualvar[v] + dualvar[w] - 2 * adj[v][w]
+        return dualvar[v] + dualvar[w] - weight2[v][w]
+
+    # Generate the blossom's leaf vertices.
+    def leaves(b):
+        stack = [*childs[b]]
+        while stack:
+            t = stack.pop()
+            if t >= n:
+                stack.extend(childs[t])
+            else:
+                yield t
 
     # Assign label t to the top-level blossom containing vertex w,
     # coming through an edge from vertex v.
     def assignLabel(w, t, v):
         b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
+        assert label[w] is None and label[b] is None
         label[w] = label[b] = t
         if v is not None:
             labeledge[w] = labeledge[b] = (v, w)
@@ -237,8 +278,8 @@ def max_weight_matching(adj):
         bestedge[w] = bestedge[b] = None
         if t == 1:
             # b became an S-vertex/blossom; add it(s vertices) to the queue.
-            if isinstance(b, Blossom):
-                queue.extend(b.leaves())
+            if b >= n:
+                queue.extend(leaves(b))
             else:
                 queue.append(b)
         elif t == 2:
@@ -250,12 +291,12 @@ def max_weight_matching(adj):
 
     # Trace back from vertices v and w to discover either a new blossom
     # or an augmenting path. Return the base vertex of the new blossom,
-    # or NoNode if an augmenting path was found.
+    # or -1 if an augmenting path was found.
     def scanBlossom(v, w):
         # Trace back from v and w, placing breadcrumbs as we go.
         path = []
-        base = NoNode
-        while v is not NoNode:
+        base = -1
+        while v != -1:
             # Look for a breadcrumb in v's blossom or put a new breadcrumb.
             b = inblossom[v]
             if label[b] & 4:
@@ -267,8 +308,8 @@ def max_weight_matching(adj):
             # Trace one step back.
             if labeledge[b] is None:
                 # The base of blossom b is single; stop tracing this path.
-                assert blossombase[b] not in mate
-                v = NoNode
+                assert mate[blossombase[b]] is None
+                v = -1
             else:
                 assert labeledge[b][0] == mate[blossombase[b]]
                 v = labeledge[b][0]
@@ -277,7 +318,7 @@ def max_weight_matching(adj):
                 # b is a T-blossom; trace one more step back.
                 v = labeledge[b][0]
             # Swap v and w so that we alternate between both paths.
-            if w is not NoNode:
+            if w != -1:
                 v, w = w, v
         # Remove breadcrumbs.
         for b in path:
@@ -293,13 +334,13 @@ def max_weight_matching(adj):
         bv = inblossom[v]
         bw = inblossom[w]
         # Create blossom.
-        b = Blossom()
+        b = unusedblossoms.pop()
         blossombase[b] = base
         blossomparent[b] = None
         blossomparent[bb] = b
         # Make list of sub-blossoms and their interconnecting edge endpoints.
-        b.childs = path = []
-        b.edges = edgs = [(v, w)]
+        childs[b] = path = []
+        edges[b] = edgs = [(v, w)]
         # Trace back from v to base.
         while bv != bb:
             # Add bv to the new blossom.
@@ -335,29 +376,27 @@ def max_weight_matching(adj):
         # Set dual variable to zero.
         blossomdual[b] = 0
         # Relabel vertices.
-        for v in b.leaves():
+        for v in leaves(b):
             if label[inblossom[v]] == 2:
                 # This T-vertex now turns into an S-vertex because it becomes
                 # part of an S-blossom; add it to the queue.
                 queue.append(v)
             inblossom[v] = b
-        # Compute b.mybestedges.
+        # Compute mybestedges[b].
         bestedgeto = {}
         for bv in path:
-            if isinstance(bv, Blossom):
-                if bv.mybestedges is not None:
+            if bv >= n:
+                if mybestedges[bv] is not None:
                     # Walk this subblossom's least-slack edges.
-                    nblist = bv.mybestedges
+                    nblist = mybestedges[bv]
                     # The sub-blossom won't need this data again.
-                    bv.mybestedges = None
+                    mybestedges[bv] = None
                 else:
                     # This subblossom does not have a list of least-slack
                     # edges; get the information from the vertices.
-                    nblist = [
-                        (v, w) for v in bv.leaves() for w in adj[v] if v != w
-                    ]
+                    nblist = [(v, w) for v in leaves(bv) for w in nbrs[v]]
             else:
-                nblist = [(bv, w) for w in adj[bv] if bv != w]
+                nblist = [(bv, w) for w in nbrs[bv]]
             for k in nblist:
                 (i, j) = k
                 if inblossom[j] == b:
@@ -365,17 +404,17 @@ def max_weight_matching(adj):
                 bj = inblossom[j]
                 if (
                     bj != b
-                    and label.get(bj) == 1
+                    and label[bj] == 1
                     and ((bj not in bestedgeto) or slack(i, j) < slack(*bestedgeto[bj]))
                 ):
                     bestedgeto[bj] = k
             # Forget about least-slack edge of the subblossom.
             bestedge[bv] = None
-        b.mybestedges = list(bestedgeto.values())
+        mybestedges[b] = list(bestedgeto.values())
         # Select bestedge[b].
         mybestedge = None
         bestedge[b] = None
-        for k in b.mybestedges:
+        for k in mybestedges[b]:
             kslack = slack(*k)
             if mybestedge is None or kslack < mybestslack:
                 mybestedge = k
@@ -391,20 +430,20 @@ def max_weight_matching(adj):
 
         def _recurse(b, endstage):
             # Convert sub-blossoms into top-level blossoms.
-            for s in b.childs:
+            for s in childs[b]:
                 blossomparent[s] = None
-                if isinstance(s, Blossom):
+                if s >= n:
                     if endstage and blossomdual[s] == 0:
                         # Recursively expand this sub-blossom.
                         yield s
                     else:
-                        for v in s.leaves():
+                        for v in leaves(s):
                             inblossom[v] = s
                 else:
                     inblossom[s] = s
             # If we expand a T-blossom during a stage, its sub-blossoms must be
             # relabeled.
-            if (not endstage) and label.get(b) == 2:
+            if (not endstage) and label[b] == 2:
                 # Start at the sub-blossom through which the expanding
                 # blossom obtained its label, and relabel sub-blossoms untili
                 # we reach the base.
@@ -412,10 +451,10 @@ def max_weight_matching(adj):
                 # obtained its label initially.
                 entrychild = inblossom[labeledge[b][1]]
                 # Decide in which direction we will go round the blossom.
-                j = b.childs.index(entrychild)
+                j = childs[b].index(entrychild)
                 if j & 1:
                     # Start index is odd; go forward and wrap.
-                    j -= len(b.childs)
+                    j -= len(childs[b])
                     jstep = 1
                 else:
                     # Start index is even; go backward.
@@ -425,49 +464,51 @@ def max_weight_matching(adj):
                 while j != 0:
                     # Relabel the T-sub-blossom.
                     if jstep == 1:
-                        p, q = b.edges[j]
+                        p, q = edges[b][j]
                     else:
-                        q, p = b.edges[j - 1]
+                        q, p = edges[b][j - 1]
                     label[w] = None
                     label[q] = None
                     assignLabel(w, 2, v)
                     # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge[(p, q)] = allowedge[(q, p)] = True
+                    allowedge[p].add(q)
+                    allowedge[q].add(p)
                     j += jstep
                     if jstep == 1:
-                        v, w = b.edges[j]
+                        v, w = edges[b][j]
                     else:
-                        w, v = b.edges[j - 1]
+                        w, v = edges[b][j - 1]
                     # Step to the next T-sub-blossom.
-                    allowedge[(v, w)] = allowedge[(w, v)] = True
+                    allowedge[v].add(w)
+                    allowedge[w].add(v)
                     j += jstep
                 # Relabel the base T-sub-blossom WITHOUT stepping through to
                 # its mate (so don't call assignLabel).
-                bw = b.childs[j]
+                bw = childs[b][j]
                 label[w] = label[bw] = 2
                 labeledge[w] = labeledge[bw] = (v, w)
                 bestedge[bw] = None
                 # Continue along the blossom until we get back to entrychild.
                 j += jstep
-                while b.childs[j] != entrychild:
+                while childs[b][j] != entrychild:
                     # Examine the vertices of the sub-blossom to see whether
                     # it is reachable from a neighboring S-vertex outside the
                     # expanding blossom.
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
+                    bv = childs[b][j]
+                    if label[bv] == 1:
                         # This sub-blossom just got label S through one of its
                         # neighbors; leave it be.
                         j += jstep
                         continue
-                    if isinstance(bv, Blossom):
-                        for v in bv.leaves():
-                            if label.get(v):
+                    if bv >= n:
+                        for v in leaves(bv):
+                            if label[v]:
                                 break
                     else:
                         v = bv
                     # If the sub-blossom contains a reachable vertex, assign
                     # label T to the sub-blossom.
-                    if label.get(v):
+                    if label[v]:
                         assert label[v] == 2
                         assert inblossom[v] == bv
                         label[v] = None
@@ -475,12 +516,11 @@ def max_weight_matching(adj):
                         assignLabel(v, 2, labeledge[v][0])
                     j += jstep
             # Remove the expanded blossom entirely.
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
+            label[b] = labeledge[b] = bestedge[b] = None
+            blossomparent[b] = blossombase[b] = None
+            childs[b] = edges[b] = mybestedges[b] = None
             del blossomdual[b]
+            unusedblossoms.append(b)
 
         # Now, we apply the trampoline pattern.  We simulate a recursive
         # callstack by maintaining a stack of generators, each yielding a
@@ -512,13 +552,13 @@ def max_weight_matching(adj):
             while blossomparent[t] != b:
                 t = blossomparent[t]
             # Recursively deal with the first sub-blossom.
-            if isinstance(t, Blossom):
+            if t >= n:
                 yield (t, v)
             # Decide in which direction we will go round the blossom.
-            i = j = b.childs.index(t)
+            i = j = childs[b].index(t)
             if i & 1:
                 # Start index is odd; go forward and wrap.
-                j -= len(b.childs)
+                j -= len(childs[b])
                 jstep = 1
             else:
                 # Start index is even; go backward.
@@ -527,25 +567,25 @@ def max_weight_matching(adj):
             while j != 0:
                 # Step to the next sub-blossom and augment it recursively.
                 j += jstep
-                t = b.childs[j]
+                t = childs[b][j]
                 if jstep == 1:
-                    w, x = b.edges[j]
+                    w, x = edges[b][j]
                 else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, Blossom):
+                    x, w = edges[b][j - 1]
+                if t >= n:
                     yield (t, w)
                 # Step to the next sub-blossom and augment it recursively.
                 j += jstep
-                t = b.childs[j]
-                if isinstance(t, Blossom):
+                t = childs[b][j]
+                if t >= n:
                     yield (t, x)
                 # Match the edge connecting those sub-blossoms.
                 mate[w] = x
                 mate[x] = w
             # Rotate the list of sub-blossoms to put the new base at the front.
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
+            childs[b] = childs[b][i:] + childs[b][:i]
+            edges[b] = edges[b][i:] + edges[b][:i]
+            blossombase[b] = blossombase[childs[b][0]]
             assert blossombase[b] == v
 
         # Now, we apply the trampoline pattern.  We simulate a recursive
@@ -572,11 +612,11 @@ def max_weight_matching(adj):
             while 1:
                 bs = inblossom[s]
                 assert label[bs] == 1
-                assert (labeledge[bs] is None and blossombase[bs] not in mate) or (
-                    labeledge[bs][0] == mate[blossombase[bs]]
-                )
+                assert (
+                    labeledge[bs] is None and mate[blossombase[bs]] is None
+                ) or (labeledge[bs][0] == mate[blossombase[bs]])
                 # Augment through the S-blossom from s to base.
-                if isinstance(bs, Blossom):
+                if bs >= n:
                     augmentBlossom(bs, s)
                 # Update mate[s]
                 mate[s] = j
@@ -591,7 +631,7 @@ def max_weight_matching(adj):
                 s, j = labeledge[bt]
                 # Augment through the T-blossom from j to base.
                 assert blossombase[bt] == t
-                if isinstance(bt, Blossom):
+                if bt >= n:
                     augmentBlossom(bt, j)
                 # Update mate[j]
                 mate[j] = s
@@ -600,40 +640,41 @@ def max_weight_matching(adj):
     def verifyOptimum():
         # Vertices may have negative dual;
         # find a constant non-negative number to add to all vertex duals.
-        vdualoffset = max(0, -min(dualvar.values()))
+        vdualoffset = max(0, -min(dualvar))
         # 0. all dual variables are non-negative
-        assert min(dualvar.values()) + vdualoffset >= 0
+        assert min(dualvar) + vdualoffset >= 0
         assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
         # 0. all edges have non-negative slack and
         # 1. all matched edges have zero slack;
-        for i, j, wt in edges(adj):
-            if i == j:
-                continue  # ignore self-loops
-            s = dualvar[i] + dualvar[j] - 2 * wt
-            iblossoms = [i]
-            jblossoms = [j]
-            while blossomparent[iblossoms[-1]] is not None:
-                iblossoms.append(blossomparent[iblossoms[-1]])
-            while blossomparent[jblossoms[-1]] is not None:
-                jblossoms.append(blossomparent[jblossoms[-1]])
-            iblossoms.reverse()
-            jblossoms.reverse()
-            for bi, bj in zip(iblossoms, jblossoms):
-                if bi != bj:
-                    break
-                s += 2 * blossomdual[bi]
-            assert s >= 0
-            if mate.get(i) == j or mate.get(j) == i:
-                assert mate[i] == j and mate[j] == i
-                assert s == 0
+        for i in range(n):
+            for j in nbrs[i]:
+                if j < i:
+                    continue  # each edge once, from the end met first
+                s = dualvar[i] + dualvar[j] - weight2[i][j]
+                iblossoms = [i]
+                jblossoms = [j]
+                while blossomparent[iblossoms[-1]] is not None:
+                    iblossoms.append(blossomparent[iblossoms[-1]])
+                while blossomparent[jblossoms[-1]] is not None:
+                    jblossoms.append(blossomparent[jblossoms[-1]])
+                iblossoms.reverse()
+                jblossoms.reverse()
+                for bi, bj in zip(iblossoms, jblossoms):
+                    if bi != bj:
+                        break
+                    s += 2 * blossomdual[bi]
+                assert s >= 0
+                if mate[i] == j or mate[j] == i:
+                    assert mate[i] == j and mate[j] == i
+                    assert s == 0
         # 2. all single vertices have zero dual value;
-        for v in gnodes:
-            assert (v in mate) or dualvar[v] + vdualoffset == 0
+        for v in range(n):
+            assert (mate[v] is not None) or dualvar[v] + vdualoffset == 0
         # 3. all blossoms with positive dual value are full.
         for b in blossomdual:
             if blossomdual[b] > 0:
-                assert len(b.edges) % 2 == 1
-                for i, j in b.edges[1::2]:
+                assert len(edges[b]) % 2 == 1
+                for i, j in edges[b][1::2]:
                     assert mate[i] == j and mate[j] == i
         # Ok.
 
@@ -644,24 +685,25 @@ def max_weight_matching(adj):
         # the matching.
 
         # Remove labels from top-level blossoms/vertices.
-        label.clear()
-        labeledge.clear()
+        label[:] = nones
+        labeledge[:] = nones
 
         # Forget all about least-slack edges.
-        bestedge.clear()
+        bestedge[:] = nones
         for b in blossomdual:
-            b.mybestedges = None
+            mybestedges[b] = None
 
         # Loss of labeling means that we can not be sure that currently
         # allowable edges remain allowable throughout this stage.
-        allowedge.clear()
+        for allowed in allowedge:
+            allowed.clear()
 
         # Make queue empty.
         queue[:] = []
 
         # Label single blossoms/vertices with S and put them in the queue.
-        for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
+        for v in range(n):
+            if (mate[v] is None) and label[inblossom[v]] is None:
                 assignLabel(v, 1, None)
 
         # Loop until we succeed in augmenting the matching.
@@ -681,32 +723,35 @@ def max_weight_matching(adj):
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
 
-                # Scan its neighbors:
-                for w in adj[v]:
-                    if w == v:
-                        continue  # ignore self-loops
+                # Scan its neighbors (nbrs[v] holds no self-loop):
+                allowed = allowedge[v]
+                weights = weight2[v]
+                for w in nbrs[v]:
                     # w is a neighbor to v
+                    # (Read inblossom[v] here, not once per v: addBlossom
+                    # can move v into a new blossom during this scan.)
                     bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
-                    if (v, w) not in allowedge:
-                        kslack = slack(v, w)
+                    if w not in allowed:
+                        kslack = dualvar[v] + dualvar[w] - weights[w]  # slack(v, w)
                         if kslack <= 0:
                             # edge k has zero slack => it is allowable
-                            allowedge[(v, w)] = allowedge[(w, v)] = True
-                    if (v, w) in allowedge:
-                        if label.get(bw) is None:
+                            allowed.add(w)
+                            allowedge[w].add(v)
+                    if w in allowed:
+                        if label[bw] is None:
                             # (C1) w is a free vertex;
                             # label w with T and label its mate with S (R12).
                             assignLabel(w, 2, v)
-                        elif label.get(bw) == 1:
+                        elif label[bw] == 1:
                             # (C2) w is an S-vertex (not in the same blossom);
                             # follow back-links to discover either an
                             # augmenting path or a new blossom.
                             base = scanBlossom(v, w)
-                            if base is not NoNode:
+                            if base != -1:
                                 # Found a new blossom; add it to the blossom
                                 # bookkeeping and turn it into an S-blossom.
                                 addBlossom(base, v, w)
@@ -716,7 +761,7 @@ def max_weight_matching(adj):
                                 augmentMatching(v, w)
                                 augmented = 1
                                 break
-                        elif label.get(w) is None:
+                        elif label[w] is None:
                             # w is inside a T-blossom, but w itself has not
                             # yet been reached from outside the blossom;
                             # mark it as reached (we need this to relabel
@@ -724,16 +769,16 @@ def max_weight_matching(adj):
                             assert label[bw] == 2
                             label[w] = 2
                             labeledge[w] = (v, w)
-                    elif label.get(bw) == 1:
+                    elif label[bw] == 1:
                         # keep track of the least-slack non-allowable edge to
                         # a different S-blossom.
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
+                        if bestedge[bv] is None or kslack < slack(*bestedge[bv]):
                             bestedge[bv] = (v, w)
-                    elif label.get(w) is None:
+                    elif label[w] is None:
                         # w is a free vertex (or an unreached vertex inside
                         # a T-blossom) but we can not reach it yet;
                         # keep track of the least-slack edge that reaches w.
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
+                        if bestedge[w] is None or kslack < slack(*bestedge[w]):
                             bestedge[w] = (v, w)
 
             if augmented:
@@ -748,8 +793,8 @@ def max_weight_matching(adj):
 
             # Compute delta2: the minimum slack on any edge between
             # an S-vertex and a free vertex.
-            for v in list(adj):
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
+            for v in range(n):
+                if label[inblossom[v]] is None and bestedge[v] is not None:
                     d = slack(*bestedge[v])
                     if deltatype == -1 or d < delta:
                         delta = d
@@ -757,12 +802,13 @@ def max_weight_matching(adj):
                         deltaedge = bestedge[v]
 
             # Compute delta3: half the minimum slack on any edge between
-            # a pair of S-blossoms.
-            for b in blossomparent:
+            # a pair of S-blossoms.  (Vertices first, then blossoms in the
+            # order they were made.)
+            for b in chain(range(n), blossomdual):
                 if (
                     blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
+                    and label[b] == 1
+                    and bestedge[b] is not None
                 ):
                     kslack = slack(*bestedge[b])
                     if allinteger:
@@ -779,7 +825,7 @@ def max_weight_matching(adj):
             for b in blossomdual:
                 if (
                     blossomparent[b] is None
-                    and label.get(b) == 2
+                    and label[b] == 2
                     and (deltatype == -1 or blossomdual[b] < delta)
                 ):
                     delta = blossomdual[b]
@@ -791,22 +837,22 @@ def max_weight_matching(adj):
                 # reached. Do a final delta update to make the optimum
                 # verifiable.
                 deltatype = 1
-                delta = max(0, min(dualvar.values()))
+                delta = max(0, min(dualvar))
 
             # Update dual variables according to delta.
-            for v in gnodes:
-                if label.get(inblossom[v]) == 1:
+            for v in range(n):
+                if label[inblossom[v]] == 1:
                     # S-vertex: 2*u = 2*u - 2*delta
                     dualvar[v] -= delta
-                elif label.get(inblossom[v]) == 2:
+                elif label[inblossom[v]] == 2:
                     # T-vertex: 2*u = 2*u + 2*delta
                     dualvar[v] += delta
             for b in blossomdual:
                 if blossomparent[b] is None:
-                    if label.get(b) == 1:
+                    if label[b] == 1:
                         # top-level S-blossom: z = z + 2*delta
                         blossomdual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         # top-level T-blossom: z = z - 2*delta
                         blossomdual[b] -= delta
 
@@ -818,12 +864,14 @@ def max_weight_matching(adj):
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
                 assert label[inblossom[v]] == 1
-                allowedge[(v, w)] = allowedge[(w, v)] = True
+                allowedge[v].add(w)
+                allowedge[w].add(v)
                 queue.append(v)
             elif deltatype == 3:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
-                allowedge[(v, w)] = allowedge[(w, v)] = True
+                allowedge[v].add(w)
+                allowedge[w].add(v)
                 assert label[inblossom[v]] == 1
                 queue.append(v)
             elif deltatype == 4:
@@ -833,8 +881,9 @@ def max_weight_matching(adj):
             # End of a this substage.
 
         # Paranoia check that the matching is symmetric.
-        for v in mate:
-            assert mate[mate[v]] == v
+        for v in range(n):
+            if mate[v] is not None:
+                assert mate[mate[v]] == v
 
         # Stop when no more augmenting path can be found.
         if not augmented:
@@ -844,11 +893,11 @@ def max_weight_matching(adj):
         for b in list(blossomdual.keys()):
             if b not in blossomdual:
                 continue  # already expanded
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
+            if blossomparent[b] is None and label[b] == 1 and blossomdual[b] == 0:
                 expandBlossom(b, True)
 
     # Verify that we reached the optimum solution (only for integer weights).
     if allinteger:
         verifyOptimum()
 
-    return mate
+    return {gnodes[v]: gnodes[w] for v, w in enumerate(mate) if w is not None}

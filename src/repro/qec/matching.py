@@ -16,8 +16,9 @@ same optimum cost as the textbook reduction (one boundary twin per event,
 the twins joined at zero cost) with half the nodes.  A matched pair whose
 boundary route is strictly cheaper decodes as two boundary matches; on a
 tie the pair is matched directly.  The matcher, :mod:`repro.qec.blossom`,
-is a port of networkx 3.6.1's blossom algorithm over plain dicts that picks
-the same matching among ties.
+is a port of networkx 3.6.1's blossom algorithm that takes this graph as a
+plain dict, runs over int-indexed lists, and picks the same matching among
+ties.
 """
 
 from __future__ import annotations
@@ -105,13 +106,13 @@ class MWPMDecoder:
             events = history_or_events.detection_events
         else:
             events = list(history_or_events)
+            check_raw_events(self.code, events)
             for event in events:
                 if event[1] not in self._dist:
                     raise DecodingError(
                         f"{self.code.name}: detection event {event} outside "
                         "the code"
                     )
-            check_raw_events(self.code, events)
         n = self.code.num_data_qubits
         if not events:
             return MatchingResult(np.zeros(n, dtype=bool), [], 0.0)

@@ -278,12 +278,26 @@ def check_decodable(history: SyndromeHistory, code: CSSCode, error_type: str) ->
 def check_raw_events(code: CSSCode, events: list[DetectionEvent]) -> None:
     """Raise :class:`DecodingError` for a raw event list no history holds.
 
-    A :class:`SyndromeHistory` lists each (round, check) at most once and
-    never a negative round; decoders handed a raw list refuse either.
+    A :class:`SyndromeHistory` lists each event as a (round, check) pair of
+    integers (numpy's pass, bools do not), each at most once and never in a
+    negative round; decoders handed a raw list refuse anything else before
+    they look an event up or build a graph.
     """
     seen: set[DetectionEvent] = set()
     for event in events:
-        t, c = event
+        try:
+            t, c = event
+        except (TypeError, ValueError):
+            raise DecodingError(
+                f"{code.name}: detection event {event!r} is not a "
+                "(round, check) pair"
+            ) from None
+        for value, what in ((t, "round"), (c, "check")):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DecodingError(
+                    f"{code.name}: detection event {event} has a {what} "
+                    f"that is not an integer: {value!r}"
+                )
         if t < 0:
             raise DecodingError(
                 f"{code.name}: detection event {event} has a negative round"

@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.qec.blossom import max_weight_matching
+from repro.qec.codes import SurfaceCode
+from repro.qec.matching import MWPMDecoder
+from repro.qec.syndrome import memory_blocks, memory_shot_rng
 
 #: Edge-weight families: ties, the integer path that runs ``verifyOptimum``,
 #: and the float paths (integral, exact halves, arbitrary).
@@ -77,6 +80,59 @@ RARE_EXPANSION_SEEDS = (3135, 3510, 5918)
 @pytest.mark.parametrize("seed", RARE_EXPANSION_SEEDS)
 def test_matches_networkx_on_rare_expansions(seed):
     assert_same_matching(random_graph(random.Random(seed), max_nodes=24))
+
+
+#: Graphs from ``random_graph(random.Random(seed), 24)`` on which a port
+#: that reads ``inblossom[v]`` once per popped vertex, instead of once per
+#: neighbour, goes wrong: ``addBlossom`` can move ``v`` into a new blossom
+#: in the middle of its neighbour scan.  About one graph in 170 does this,
+#: so the 300 random examples above miss such a port about one run in six.
+SCAN_ORDER_SEEDS = (220, 534, 669)
+
+
+@pytest.mark.parametrize("seed", SCAN_ORDER_SEEDS)
+def test_matches_networkx_when_a_scan_grows_a_blossom(seed):
+    assert_same_matching(random_graph(random.Random(seed), max_nodes=24))
+
+
+def decoder_graphs(code, error_type: str, p: float, shots: int) -> list[dict]:
+    """``MWPMDecoder._adjacency`` of each memory-experiment shot
+    (``code.distance`` rounds at rate ``p``) with 15 or more detection
+    events."""
+    decoder = MWPMDecoder(code, error_type)
+    rounds = code.distance
+    rngs = (memory_shot_rng(0, code, rounds, p, p, shot) for shot in range(shots))
+    graphs = []
+    for block in memory_blocks(code, rounds, p, p, rngs, error_type):
+        for shot in block.eventful():
+            events = block.history(shot).detection_events
+            if len(events) >= 15:
+                graphs.append(decoder._adjacency(events)[0])
+    return graphs
+
+
+@pytest.mark.parametrize("error_type", ["x", "z"])
+@pytest.mark.parametrize("distance, p", [(5, 0.08), (7, 0.03)])
+def test_matches_networkx_on_decoder_graphs(distance, p, error_type):
+    """The decoder's own inputs: complete graphs of 16 to 44 nodes whose
+    weights are ``10_000 - cost``, so ties are everywhere."""
+    graphs = decoder_graphs(SurfaceCode(distance), error_type, p, shots=60)
+    assert len(graphs) >= 40
+    for adj in graphs:
+        graph = nx.Graph()
+        graph.add_nodes_from(adj)
+        for u, neighbours in adj.items():
+            for v, w in neighbours.items():
+                graph.add_edge(u, v, weight=w)
+        # The same insertion order: nodes, and each node's neighbours.
+        assert [(u, list(graph[u])) for u in graph] == [
+            (u, list(neighbours)) for u, neighbours in adj.items()
+        ]
+        expected = nx.max_weight_matching(graph, maxcardinality=True)
+        mate = max_weight_matching(adj)
+        assert {frozenset(e) for e in mate.items()} == {
+            frozenset(e) for e in expected
+        }
 
 
 def test_empty_graph_has_empty_matching():

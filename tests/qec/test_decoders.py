@@ -386,6 +386,38 @@ class TestRawEventLists:
         result = self.decode(decoder_cls, [(0, 1), (1, 1)])
         assert not result.correction.any()
 
+    @pytest.mark.parametrize(
+        "events, what",
+        [
+            ([(0.5, 0), (1, 0)], "round"),
+            ([(True, 0), (2, 1)], "round"),
+            ([(float("nan"), 0), (1, 0)], "round"),
+            ([(0, 1.0), (1, 1)], "check"),
+            ([(0, 1), (1, False)], "check"),
+        ],
+        ids=["half-round", "bool-round", "nan-round", "float-check", "bool-check"],
+    )
+    def test_non_integer_event_rejected(self, decoder_cls, events, what):
+        with pytest.raises(DecodingError, match=f"has a {what} that is not an integer"):
+            self.decode(decoder_cls, events)
+
+    @pytest.mark.parametrize("events", [[(0, 0, 0)], [(0, 1), (1,)], [7]])
+    def test_event_that_is_not_a_pair_rejected(self, decoder_cls, events):
+        with pytest.raises(DecodingError, match=r"is not a \(round, check\) pair"):
+            self.decode(decoder_cls, events)
+
+    def test_outside_event_is_checked_after_its_type(self, decoder_cls):
+        # (0.5, 99) is outside the code too; the type is what is wrong.
+        with pytest.raises(DecodingError, match="round that is not an integer"):
+            self.decode(decoder_cls, [(0.5, 99), (1, 0)])
+
+    def test_numpy_integer_events_decode_like_ints(self, decoder_cls):
+        events = [(0, 1), (1, 1), (1, 3), (2, 2)]
+        numpy_events = [(np.int64(t), np.int32(c)) for t, c in events]
+        expected = self.decode(decoder_cls, events)
+        result = self.decode(decoder_cls, numpy_events)
+        assert np.array_equal(result.correction, expected.correction)
+
 
 #: Edge weights are this minus the edge's cost, in both matching graphs.
 BIG = 10_000.0

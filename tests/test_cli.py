@@ -66,6 +66,42 @@ def test_malformed_url_exits_2_with_usage(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv", [["backends"], ["eval", "ft", "--samples", "1"]], ids=["backends", "eval"]
+)
+def test_malformed_cache_url_env_exits_2_with_one_line(argv, capsys, monkeypatch):
+    from repro.quantum.execution import default_service, set_default_service
+    from repro.quantum.execution.service import CACHE_URL_ENV
+
+    monkeypatch.setenv(CACHE_URL_ENV, "cachehost:8750")
+    set_default_service(None)
+    try:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: REPRO_CACHE_URL: expected an http(s):// URL, got "
+            "'cachehost:8750'\n"
+        )
+        # The library still refuses it as before.
+        with pytest.raises(ValueError, match="must be http"):
+            default_service()
+    finally:
+        set_default_service(None)
+
+
+def test_blank_cache_url_env_means_no_remote_tier(capsys, monkeypatch):
+    from repro.quantum.execution import set_default_service
+
+    monkeypatch.setenv("REPRO_CACHE_URL", "  ")
+    set_default_service(None)
+    try:
+        assert main(["backends"]) == 0
+        assert "cache_url=" not in capsys.readouterr().out
+    finally:
+        set_default_service(None)
+
+
 def test_eval_server_fallback_workers_zero_is_accepted(capsys):
     # 0 means no local fallback, so it parses; the unknown arm then stops
     # the command before a coordinator starts.
